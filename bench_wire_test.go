@@ -1,8 +1,7 @@
-// Wire-path throughput: the v1 JSON protocol (one frame per event, one
-// ack per frame) against the v2 binary protocol (compact payload
-// encoding, coalesced batched writes, one cumulative ack per batch) over
-// a real loopback TCP connection. Captured to BENCH_wire.json; the CI
-// cluster job re-runs it and flags regressions.
+// Wire-path throughput: compact binary payloads in coalesced batched
+// writes with one cumulative ack per batch, over a real loopback TCP
+// connection. Captured to BENCH_wire.json; the CI cluster job re-runs it
+// and flags regressions.
 package exiot_test
 
 import (
@@ -15,35 +14,11 @@ import (
 
 // BenchmarkWireThroughput ships the cached back-half event stream (a
 // realistic mix of sample batches, flow ends, and per-second reports)
-// through both sender generations and reports events/sec. B/op is the
+// through the sender and reports events/sec. B/op is the
 // per-event sender-side allocation cost — the number the pooled frame
 // buffers and append-style binary encoder exist to shrink.
 func BenchmarkWireThroughput(b *testing.B) {
 	events, _ := backHalfEvents(b)
-
-	b.Run("v1-json", func(b *testing.B) {
-		recv, err := wire.NewReceiver("127.0.0.1:0", func(wire.Frame) {})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer recv.Close()
-		sender := wire.NewSender(recv.Addr())
-		defer sender.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			e := events[i%len(events)].e
-			kind, data, err := pipeline.EncodeEvent(e)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sender.Send(kind, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "events/sec")
-	})
 
 	b.Run("v2-binary", func(b *testing.B) {
 		recv, err := wire.NewReceiver("127.0.0.1:0", func(wire.Frame) {})

@@ -1,9 +1,9 @@
-// Cross-package equivalence proof for the distributed telescope: N
+// Cross-package equivalence proof for the distributed telescope: N ≥ 1
 // flowsampler-style ingest nodes, each owning one hash partition of the
-// source space and shipping events over wire protocol v2 (binary
-// payloads, batched writes, hour barriers, forced reconnects), must
-// produce a feed byte-identical to a single-node run over the same
-// packets once the receiver-side aggregator merges their streams.
+// source space and shipping events over the wire (binary payloads,
+// batched writes, hour barriers, forced reconnects), must produce a feed
+// byte-identical to a single-node run over the same packets once the
+// receiver-side aggregator merges their streams.
 package exiot_test
 
 import (
@@ -68,10 +68,10 @@ func runSingleNode(w *simnet.World, hours [][]packet.Packet) *pipeline.Server {
 }
 
 // runCluster runs `nodes` concurrent ingest nodes against one in-process
-// feed server. Each node keeps only its ShardIndex partition, speaks v2
-// over a real TCP connection, and drops its connection at staggered
-// points so reconnect replays hit the aggregator's dedup. seed varies
-// the reconnect stagger across trials.
+// feed server. Each node keeps only its ShardIndex partition, ships over
+// a real TCP connection, and drops its connection at staggered points so
+// reconnect replays hit the aggregator's dedup. seed varies the reconnect
+// stagger across trials.
 func runCluster(t *testing.T, w *simnet.World, hours [][]packet.Packet, nodes int, seed int64) *pipeline.Server {
 	t.Helper()
 	lcfg := pipeline.DefaultLocalConfig()
@@ -175,38 +175,40 @@ func runCluster(t *testing.T, w *simnet.World, hours [][]packet.Packet, nodes in
 }
 
 // TestClusterFeedEquivalence is the distributed telescope's headline
-// proof: a 3-node sharded deployment — real TCP, binary v2 frames,
-// shuffled per-node progress, forced reconnects — produces a feed
-// export, traffic table, and lifetime counters byte-identical to the
-// single-node pipeline over the same packet set.
+// proof: a sharded deployment — real TCP, binary frames, shuffled
+// per-node progress, forced reconnects — produces a feed export, traffic
+// table, and lifetime counters byte-identical to the single-node
+// pipeline over the same packet set. One shard is the unsharded split
+// deployment (flowsampler → exiotd); three is a cluster.
 func TestClusterFeedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hour cluster run")
 	}
-	const hours, nodes = 3, 3
+	const hours = 3
 	w, pergen := clusterWorldHours(4242, hours)
 	base := runSingleNode(w, pergen)
-	clusterW, clusterGen := clusterWorldHours(4242, hours)
-	clus := runCluster(t, clusterW, clusterGen, nodes, 99)
-
 	fixed := w.Start().Add(1000 * time.Hour)
 	clock := func() time.Time { return fixed }
 	baseSnap := base.NewFeedCache(feedserve.Config{Clock: clock}).Current()
-	clusSnap := clus.NewFeedCache(feedserve.Config{Clock: clock}).Current()
 	if baseSnap.Len() == 0 {
 		t.Fatal("single-node run produced no feed records")
 	}
-	if baseSnap.Len() != clusSnap.Len() {
-		t.Fatalf("feed size differs: cluster %d records, single-node %d", clusSnap.Len(), baseSnap.Len())
-	}
-	if !bytes.Equal(baseSnap.ExportNDJSON(), clusSnap.ExportNDJSON()) {
-		t.Error("cluster feed export is not byte-identical to the single-node export")
-	}
 
-	if bc, cc := base.Counters(), clus.Counters(); bc != cc {
-		t.Errorf("server counters differ:\n cluster:     %+v\n single-node: %+v", cc, bc)
-	}
-	if bt, ct := base.Traffic(), clus.Traffic(); !reflect.DeepEqual(bt, ct) {
-		t.Errorf("traffic tables differ: cluster %d hours, single-node %d hours", len(ct), len(bt))
+	for _, nodes := range []int{1, 3} {
+		clusterW, clusterGen := clusterWorldHours(4242, hours)
+		clus := runCluster(t, clusterW, clusterGen, nodes, 99)
+		clusSnap := clus.NewFeedCache(feedserve.Config{Clock: clock}).Current()
+		if baseSnap.Len() != clusSnap.Len() {
+			t.Fatalf("%d shards: feed size differs: cluster %d records, single-node %d", nodes, clusSnap.Len(), baseSnap.Len())
+		}
+		if !bytes.Equal(baseSnap.ExportNDJSON(), clusSnap.ExportNDJSON()) {
+			t.Errorf("%d shards: cluster feed export is not byte-identical to the single-node export", nodes)
+		}
+		if bc, cc := base.Counters(), clus.Counters(); bc != cc {
+			t.Errorf("%d shards: server counters differ:\n cluster:     %+v\n single-node: %+v", nodes, cc, bc)
+		}
+		if bt, ct := base.Traffic(), clus.Traffic(); !reflect.DeepEqual(bt, ct) {
+			t.Errorf("%d shards: traffic tables differ: cluster %d hours, single-node %d hours", nodes, len(ct), len(bt))
+		}
 	}
 }

@@ -4,7 +4,9 @@
 // BENCH_backhalf.json) captured with `benchjson run`; CI re-runs the same
 // benchmarks and `benchjson compare` flags any ns/op regression beyond a
 // threshold. Runs with -count > 1 are reduced to the per-benchmark median,
-// damping scheduler noise on shared runners.
+// damping scheduler noise on shared runners. Every capture is stamped
+// with the machine that produced it, and compare refuses two stamped
+// files captured at different GOMAXPROCS.
 //
 //	benchjson run -bench 'BenchmarkIngestThroughput$' -pkg . -count 5 -out BENCH_ingest.json
 //	benchjson compare -baseline BENCH_ingest.json -current fresh.json -threshold 0.10 -warn-only
@@ -19,6 +21,7 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,8 +35,23 @@ type Baseline struct {
 	// Package is the package pattern the benchmarks live in.
 	Package string `json:"package"`
 	// Count is how many runs each median was taken over.
-	Count      int                  `json:"count"`
+	Count int `json:"count"`
+	// Env is what produced the numbers; nil in files that predate stamps.
+	Env        *Env                 `json:"env,omitempty"`
 	Benchmarks map[string]BenchStat `json:"benchmarks"`
+}
+
+// Env stamps a capture with its machine, so that two files are compared
+// only when the comparison means something (field names match bench/'s
+// result stamp).
+type Env struct {
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+	Commit     string `json:"commit"`
 }
 
 // BenchStat is the recorded result of one benchmark.
@@ -55,14 +73,27 @@ type sample struct {
 //
 //	BenchmarkIngestThroughput/workers=1-4  2  518ms ns/op  641909 pkts/sec  12 B/op  0 allocs/op
 //
-// The trailing -N on the name is the GOMAXPROCS suffix and is stripped so
-// baselines compare across machines with different core counts.
-func parseBenchOutput(r io.Reader) (map[string]*sample, error) {
+// The trailing -N on the name is the GOMAXPROCS the benchmark ran at (go
+// test omits it at 1); it is stripped from the name and, with the goos /
+// goarch / cpu header lines, returned as the part of the environment
+// stamp the output itself vouches for.
+func parseBenchOutput(r io.Reader) (map[string]*sample, Env, error) {
 	out := make(map[string]*sample)
+	var env Env
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := sc.Text()
+		if k, v, ok := strings.Cut(line, ": "); ok {
+			switch k {
+			case "goos":
+				env.GOOS = v
+			case "goarch":
+				env.GOARCH = v
+			case "cpu":
+				env.CPU = v
+			}
+		}
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -74,7 +105,12 @@ func parseBenchOutput(r io.Reader) (map[string]*sample, error) {
 		if _, err := strconv.Atoi(fields[1]); err != nil {
 			continue // e.g. "BenchmarkFoo    \t--- FAIL"
 		}
-		name := stripProcSuffix(strings.TrimPrefix(fields[0], "Benchmark"))
+		full := strings.TrimPrefix(fields[0], "Benchmark")
+		name := stripProcSuffix(full)
+		env.GOMAXPROCS = 1
+		if name != full {
+			env.GOMAXPROCS, _ = strconv.Atoi(full[len(name)+1:])
+		}
 		s := out[name]
 		if s == nil {
 			s = &sample{metrics: make(map[string][]float64)}
@@ -83,7 +119,7 @@ func parseBenchOutput(r io.Reader) (map[string]*sample, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchjson: bad value %q in line %q", fields[i], line)
+				return nil, env, fmt.Errorf("benchjson: bad value %q in line %q", fields[i], line)
 			}
 			unit := fields[i+1]
 			if unit == "ns/op" {
@@ -93,7 +129,7 @@ func parseBenchOutput(r io.Reader) (map[string]*sample, error) {
 			}
 		}
 	}
-	return out, sc.Err()
+	return out, env, sc.Err()
 }
 
 // stripProcSuffix removes the trailing -N GOMAXPROCS marker, careful not
@@ -260,7 +296,7 @@ func runCmd(args []string) error {
 		return fmt.Errorf("benchjson: start go test: %w", err)
 	}
 	tee := io.TeeReader(pipe, os.Stderr) // live progress while capturing
-	samples, perr := parseBenchOutput(tee)
+	samples, env, perr := parseBenchOutput(tee)
 	if werr := cmd.Wait(); werr != nil {
 		return fmt.Errorf("benchjson: go test: %w", werr)
 	}
@@ -270,7 +306,13 @@ func runCmd(args []string) error {
 	if len(samples) == 0 {
 		return fmt.Errorf("benchjson: no benchmark results matched %q in %s", *bench, *pkg)
 	}
-	b := Baseline{Bench: *bench, Package: *pkg, Count: *count, Benchmarks: reduce(samples)}
+	env.NProc = runtime.NumCPU()
+	env.GoVersion = runtime.Version()
+	env.Commit = "unknown"
+	if head, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+		env.Commit = strings.TrimSpace(string(head))
+	}
+	b := Baseline{Bench: *bench, Package: *pkg, Count: *count, Env: &env, Benchmarks: reduce(samples)}
 	data, err := json.MarshalIndent(&b, "", "  ")
 	if err != nil {
 		return err
@@ -295,6 +337,22 @@ func loadBaseline(path string) (Baseline, error) {
 	return b, nil
 }
 
+// checkEnv decides whether two captures may be compared at all. Numbers
+// taken at different GOMAXPROCS answer different questions (that is how
+// two committed baselines came to show workers=4 losing to workers=1),
+// so that is an error no flag waives; a file without a stamp predates
+// them and is compared with a notice.
+func checkEnv(base, cur *Env) (notice string, err error) {
+	if base == nil || cur == nil {
+		return "NOTICE: a file predates environment stamps; cannot tell whether the machines match", nil
+	}
+	if base.GOMAXPROCS != cur.GOMAXPROCS {
+		return "", fmt.Errorf("benchjson: baseline captured at GOMAXPROCS %d (%s), current at GOMAXPROCS %d (%s): not comparable",
+			base.GOMAXPROCS, base.CPU, cur.GOMAXPROCS, cur.CPU)
+	}
+	return "", nil
+}
+
 func compareCmd(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	basePath := fs.String("baseline", "", "committed baseline JSON")
@@ -313,6 +371,13 @@ func compareCmd(args []string) error {
 	cur, err := loadBaseline(*curPath)
 	if err != nil {
 		return err
+	}
+	notice, err := checkEnv(base.Env, cur.Env)
+	if err != nil {
+		return err
+	}
+	if notice != "" {
+		fmt.Println(notice)
 	}
 	regs, improves, missing := compareBaselines(base.Benchmarks, cur.Benchmarks, *threshold)
 	for _, r := range improves {

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,6 +12,7 @@ import (
 const benchOutput = `goos: linux
 goarch: amd64
 pkg: exiot
+cpu: Example CPU @ 2.00GHz
 BenchmarkIngestThroughput/workers=1-4         	       2	 518000000 ns/op	    641909 pkts/sec	      1557 ns/pkt	  120 B/op	       3 allocs/op
 BenchmarkIngestThroughput/workers=1-4         	       2	 520000000 ns/op	    640000 pkts/sec	      1560 ns/pkt	  118 B/op	       3 allocs/op
 BenchmarkIngestThroughput/workers=1-4         	       2	 516000000 ns/op	    643000 pkts/sec	      1555 ns/pkt	  122 B/op	       3 allocs/op
@@ -21,7 +25,7 @@ ok  	exiot	12.1s
 `
 
 func TestParseBenchOutput(t *testing.T) {
-	samples, err := parseBenchOutput(strings.NewReader(benchOutput))
+	samples, _, err := parseBenchOutput(strings.NewReader(benchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,7 @@ func TestParseBenchOutput(t *testing.T) {
 }
 
 func TestReduceMedians(t *testing.T) {
-	samples, err := parseBenchOutput(strings.NewReader(benchOutput))
+	samples, _, err := parseBenchOutput(strings.NewReader(benchOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,4 +181,53 @@ func keys(m map[string]*sample) []string {
 		out = append(out, k)
 	}
 	return out
+}
+
+func TestParseBenchOutputStampsEnv(t *testing.T) {
+	_, env, err := parseBenchOutput(strings.NewReader(benchOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Env{GOOS: "linux", GOARCH: "amd64", CPU: "Example CPU @ 2.00GHz", GOMAXPROCS: 4}
+	if env != want {
+		t.Errorf("env = %+v, want %+v", env, want)
+	}
+	// go test prints no -N suffix at GOMAXPROCS 1.
+	_, env, err = parseBenchOutput(strings.NewReader("BenchmarkWireThroughput/v2-binary \t 100\t 674.5 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.GOMAXPROCS != 1 {
+		t.Errorf("unsuffixed benchmark read as GOMAXPROCS %d, want 1", env.GOMAXPROCS)
+	}
+}
+
+// TestCompareRefusesAcrossGOMAXPROCS: -warn-only waives regressions, not
+// a comparison that means nothing.
+func TestCompareRefusesAcrossGOMAXPROCS(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, env *Env) string {
+		t.Helper()
+		data, err := json.Marshal(Baseline{Env: env, Benchmarks: map[string]BenchStat{"X": {NsPerOp: 100}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	unstamped := write("old.json", nil)
+	at1 := write("one.json", &Env{GOMAXPROCS: 1})
+	at4 := write("four.json", &Env{GOMAXPROCS: 4})
+	if err := compareCmd([]string{"-baseline", at1, "-current", at4, "-warn-only"}); err == nil {
+		t.Error("compare across GOMAXPROCS 1 and 4 passed under -warn-only")
+	}
+	if err := compareCmd([]string{"-baseline", unstamped, "-current", at4}); err != nil {
+		t.Errorf("unstamped baseline refused: %v", err)
+	}
+	if err := compareCmd([]string{"-baseline", at4, "-current", at4}); err != nil {
+		t.Errorf("same GOMAXPROCS refused: %v", err)
+	}
 }

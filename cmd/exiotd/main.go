@@ -48,7 +48,7 @@ import (
 func main() {
 	var (
 		listen    = flag.String("listen", "127.0.0.1:9410", "wire address to receive sampler events on")
-		shards    = flag.Int("shards", 0, "expected ingest shard count for the cluster merge (flowsampler -shard i/N); 0 = single-node v1")
+		shards    = flag.Int("shards", 1, "ingest shard count N to merge: one flowsampler -shard i/N per partition, each hour released once all N close it")
 		apiAddr   = flag.String("api", "127.0.0.1:8080", "REST API listen address")
 		apiKey    = flag.String("key", "dev-key", "API key to provision")
 		simulate  = flag.Bool("simulate", false, "run a self-contained simulation instead of receiving")
@@ -93,6 +93,9 @@ func main() {
 	fcfg := feedCacheConfig{enabled: *feedCache, rebuildEvery: *feedRebuild}
 	if *simulate && *replayIn != "" {
 		log.Fatal("-simulate and -replay are mutually exclusive")
+	}
+	if *shards < 1 {
+		log.Fatal("-shards must be at least 1")
 	}
 	rcfg := replayConfig{path: *replayIn, warp: *replayWrp}
 	if err := run(*listen, *shards, *apiAddr, *apiKey, *simulate, *hours, *seed,
@@ -284,72 +287,44 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 			}
 			defer dur.Close()
 		}
-		// With -shards N the wire carries protocol v2 from N flowsampler
-		// nodes; the aggregator reorders, dedups, and k-way merges their
-		// streams back into the canonical single-node event order before
-		// anything reaches the feed modules.
-		var agg *pipeline.Aggregator
-		if shards > 0 {
-			agg = pipeline.NewAggregator(pipeline.AggregatorConfig{
-				Shards:          shards,
-				CollectionDelay: pcfg.CollectionDelay,
-				ProcessingDelay: pcfg.ProcessingDelay,
-				Emit: func(e pipeline.SamplerEvent, availableAt time.Time) {
-					// Events selected by the sender's deterministic trace
-					// ID pick their trace back up at merge time.
-					pipeline.TraceIncoming(&e, time.Now())
-					handle(e, availableAt)
-				},
-				OnHourMerged: func(hourEnd, availableAt time.Time, final bool) {
-					// A merged hour is the cluster's quiescent point —
-					// the same place Local.ProcessHour ticks the feed.
-					if stage != nil {
-						stage.Drain()
-					}
-					if final {
-						server.FlushScans(availableAt)
-					}
-					server.Tick(availableAt)
-					if dur != nil && serialBackHalf {
-						dur.MaybeSnapshot(availableAt, false)
-					}
-				},
-			})
-		}
-		recv, err := wire.NewReceiver(listen, func(f wire.Frame) {
-			receivedAt := time.Now()
-			if agg != nil && f.Version == wire.Version2 {
-				if err := agg.Ingest(f); err != nil {
-					log.Printf("cluster ingest: %v", err)
+		// The wire carries the streams of -shards flowsampler nodes; the
+		// aggregator reorders, dedups, and merges them into the canonical
+		// hour before anything reaches the feed modules.
+		agg := pipeline.NewAggregator(pipeline.AggregatorConfig{
+			Shards:          shards,
+			CollectionDelay: pcfg.CollectionDelay,
+			ProcessingDelay: pcfg.ProcessingDelay,
+			Emit: func(e pipeline.SamplerEvent, availableAt time.Time) {
+				// Events selected by the sender's deterministic trace
+				// ID pick their trace back up at merge time.
+				pipeline.TraceIncoming(&e, time.Now())
+				handle(e, availableAt)
+			},
+			OnHourMerged: func(hourEnd, availableAt time.Time, final bool) {
+				// A merged hour is the cluster's quiescent point —
+				// the same place Local.ProcessHour ticks the feed.
+				if stage != nil {
+					stage.Drain()
 				}
-				return
+				if final {
+					server.FlushScans(availableAt)
+				}
+				server.Tick(availableAt)
+				if dur != nil && serialBackHalf {
+					dur.MaybeSnapshot(availableAt, false)
+				}
+			},
+		})
+		recv, err := wire.NewReceiver(listen, func(f wire.Frame) {
+			if err := agg.Ingest(f); err != nil {
+				log.Printf("cluster ingest: %v", err)
 			}
-			if f.Kind == wire.KindHourEnd {
-				log.Printf("hour barrier from shard %d ignored: run exiotd with -shards to merge a sharded cluster", f.ShardID)
-				return
-			}
-			e, err := pipeline.DecodeEvent(f)
-			if err != nil {
-				log.Printf("decode frame: %v", err)
-				return
-			}
-			// Events selected by the sender's deterministic trace ID pick
-			// their trace back up here with a wire-receive span.
-			pipeline.TraceIncoming(&e, receivedAt)
-			// In split mode events carry their own (simulated) times; the
-			// feed stamps them with the configured pipeline delay.
-			availableAt := eventTime(e).Add(pcfg.CollectionDelay).Add(pcfg.ProcessingDelay)
-			handle(e, availableAt)
 		})
 		if err != nil {
 			return err
 		}
 		defer recv.Close()
-		if shards > 0 {
-			fmt.Printf("receiving sampler events on %s (merging %d ingest shards)\n", recv.Addr(), shards)
-		} else {
-			fmt.Printf("receiving sampler events on %s\n", recv.Addr())
-		}
+		fmt.Printf("receiving sampler events on %s (merging %d ingest shards)\n", recv.Addr(), shards)
 	}
 
 	apiSrv := api.NewServer(source, source.Notifier())
@@ -395,21 +370,4 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 	}
 	fmt.Printf("REST API on http://%s (key: %s)\n", apiAddr, apiKey)
 	return http.ListenAndServe(apiAddr, apiSrv)
-}
-
-// eventTime extracts the simulated instant an event was produced.
-func eventTime(e pipeline.SamplerEvent) time.Time {
-	switch e.Kind {
-	case pipeline.SamplerBatch:
-		if n := len(e.Batch.Sample); n > 0 {
-			return e.Batch.Sample[n-1].Timestamp
-		}
-		return e.Batch.DetectedAt
-	case pipeline.SamplerFlowEnd:
-		return e.LastSeen
-	case pipeline.SamplerReport:
-		return e.Report.Second
-	default:
-		return time.Time{}
-	}
 }

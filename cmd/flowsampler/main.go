@@ -10,12 +10,12 @@
 //	flowsampler -in captures/ -connect 127.0.0.1:9410
 //
 // Multi-node telescope deployments split the source space across N
-// ingest nodes with -shard i/N: each node keeps only the packets whose
-// source hashes to its partition (trw.ShardIndex), runs detection over
-// that slice, and ships events on wire protocol v2 — binary payloads,
-// coalesced batched writes, and per-hour barrier markers that let the
-// feed server's aggregator merge the N streams back into the exact
-// single-node event order.
+// ingest nodes with -shard i/N (default 0/1, the whole telescope): each
+// node keeps only the packets whose source hashes to its partition
+// (trw.ShardIndex), runs detection over that slice, and ships events as
+// binary payloads in coalesced batched writes, closing every hour with a
+// barrier marker that lets the feed server's aggregator (exiotd -shards
+// N) merge the N streams into one canonical hour.
 package main
 
 import (
@@ -48,7 +48,7 @@ func main() {
 		threshold  = flag.Int("threshold", 100, "TRW detection threshold (packets)")
 		sampleSize = flag.Int("sample", 200, "post-detection sample size (packets)")
 		workers    = flag.Int("workers", 0, "detection workers (0 = GOMAXPROCS, 1 = serial)")
-		shard      = flag.String("shard", "", "cluster shard ownership \"i/N\" (0-based); empty runs single-node on the legacy v1 protocol")
+		shard      = flag.String("shard", "0/1", "shard ownership \"i/N\" (0-based): this node keeps source-hash partition i of N; exiotd -shards must equal N")
 
 		traceSample = flag.Int("trace-sample", 0, "trace every Nth sampler event: 0 disables, 1 traces all (shipped events keep their IDs)")
 		traceSlow   = flag.Duration("trace-slow", 0, "log completed traces slower than this end-to-end (0 disables the slow log)")
@@ -81,12 +81,8 @@ func main() {
 	}
 }
 
-// parseShard parses "i/N" into (i, N). An empty string means unsharded:
-// (0, 0).
+// parseShard parses "i/N" into (i, N).
 func parseShard(s string) (id, count int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
 	i, n, ok := strings.Cut(s, "/")
 	if ok {
 		_, err1 := fmt.Sscanf(i, "%d", &id)
@@ -98,9 +94,8 @@ func parseShard(s string) (id, count int, err error) {
 	return 0, 0, fmt.Errorf("bad -shard %q: want \"i/N\" with 0 <= i < N", s)
 }
 
-// runConfig carries flowsampler's run parameters. shardCount == 0 runs
-// the legacy single-node v1 protocol; otherwise the node owns partition
-// shardID of shardCount and speaks v2.
+// runConfig carries flowsampler's run parameters. The node owns
+// source-hash partition shardID of shardCount (0 of 1 = everything).
 type runConfig struct {
 	in, connect                    string
 	replay                         bool
@@ -112,19 +107,13 @@ type runConfig struct {
 }
 
 func run(cfg runConfig) error {
-	sharded := cfg.shardCount > 0
-	var sender *wire.Sender
-	if sharded {
-		sender = wire.NewSenderV2(cfg.connect, cfg.shardID, cfg.shardCount)
-	} else {
-		sender = wire.NewSender(cfg.connect)
-	}
+	sender := wire.NewSenderV2(cfg.connect, cfg.shardID, cfg.shardCount)
 	defer sender.Close()
 
 	var (
 		sendErr  error
-		curEpoch int64  // hour epoch stamped on queued v2 frames
-		encBuf   []byte // reused binary-encode scratch (v2)
+		curEpoch int64  // hour epoch stamped on queued frames
+		encBuf   []byte // reused binary-encode scratch
 	)
 	trwCfg := trw.Default()
 	trwCfg.DetectionThreshold = cfg.threshold
@@ -134,30 +123,15 @@ func run(cfg runConfig) error {
 		if e.Trace != nil {
 			sendStart = time.Now()
 		}
-		var (
-			kind wire.Kind
-			data []byte
-			err  error
-		)
-		if sharded {
-			kind, data, err = pipeline.AppendEncodeEvent(encBuf[:0], e)
-			encBuf = data[:0]
-		} else {
-			kind, data, err = pipeline.EncodeEvent(e)
-		}
+		kind, data, err := pipeline.AppendEncodeEvent(encBuf[:0], e)
 		if err != nil {
 			sendErr = err
 			return
 		}
-		// v1 Send blocks (idle) through outages; v2 Queue copies into
-		// the coalesced batch, which Flush/Barrier push with the same
-		// at-least-once retry loop. Nothing is dropped either way.
-		if sharded {
-			err = sender.Queue(kind, curEpoch, data)
-		} else {
-			err = sender.Send(kind, data)
-		}
-		if err != nil {
+		encBuf = data[:0]
+		// Queue copies into the coalesced batch; Barrier pushes it,
+		// going idle through outages until the feed server acknowledges.
+		if err := sender.Queue(kind, curEpoch, data); err != nil {
 			sendErr = err
 		}
 		if e.Trace != nil {
@@ -179,21 +153,15 @@ func run(cfg runConfig) error {
 			Warp: cfg.replayWarp,
 			Emit: func(pkts []packet.Packet, hour time.Time) error {
 				curEpoch = hour.Add(time.Hour).Unix()
-				use := pkts
-				if sharded {
-					mine = mine[:0]
-					for i := range pkts {
-						if trw.ShardIndex(pkts[i].SrcIP, cfg.shardCount) == cfg.shardID {
-							mine = append(mine, pkts[i])
-						}
+				mine = mine[:0]
+				for i := range pkts {
+					if trw.ShardIndex(pkts[i].SrcIP, cfg.shardCount) == cfg.shardID {
+						mine = append(mine, pkts[i])
 					}
-					use = mine
 				}
-				sampler.ProcessHour(use, hour.Add(time.Hour))
-				if sharded {
-					if err := sender.Barrier(curEpoch, false); err != nil {
-						sendErr = err
-					}
+				sampler.ProcessHour(mine, hour.Add(time.Hour))
+				if err := sender.Barrier(curEpoch, false); err != nil {
+					sendErr = err
 				}
 				if sendErr != nil {
 					return fmt.Errorf("ship events: %w", sendErr)
@@ -220,10 +188,8 @@ func run(cfg runConfig) error {
 		flushAt := rep.End()
 		curEpoch = flushAt.Add(time.Hour).Unix()
 		sampler.Flush(flushAt)
-		if sharded && sendErr == nil {
-			if err := sender.Barrier(curEpoch, true); err != nil {
-				sendErr = err
-			}
+		if sendErr == nil {
+			sendErr = sender.Barrier(curEpoch, true)
 		}
 		if sendErr != nil {
 			return fmt.Errorf("ship events: %w", sendErr)
@@ -249,13 +215,10 @@ func run(cfg runConfig) error {
 			if err := processHour(sampler, cfg, hour); err != nil {
 				return err
 			}
-			if sharded {
-				// Hour barrier: this shard has emitted everything for
-				// the hour; the aggregator can close it once every
-				// shard says so.
-				if err := sender.Barrier(curEpoch, false); err != nil {
-					sendErr = err
-				}
+			// Hour barrier: this shard has emitted everything for the
+			// hour; the aggregator can close it once every shard says so.
+			if err := sender.Barrier(curEpoch, false); err != nil {
+				sendErr = err
 			}
 			if sendErr != nil {
 				return fmt.Errorf("ship events: %w", sendErr)
@@ -289,10 +252,8 @@ func run(cfg runConfig) error {
 	flushAt := last.Add(time.Hour)
 	curEpoch = flushAt.Add(time.Hour).Unix()
 	sampler.Flush(flushAt)
-	if sharded && sendErr == nil {
-		if err := sender.Barrier(curEpoch, true); err != nil {
-			sendErr = err
-		}
+	if sendErr == nil {
+		sendErr = sender.Barrier(curEpoch, true)
 	}
 	if sendErr != nil {
 		return fmt.Errorf("ship events: %w", sendErr)
@@ -323,7 +284,7 @@ func processHour(sampler *pipeline.Sampler, cfg runConfig, hour time.Time) error
 		// source space — the same partition function the in-process
 		// sharded detector uses, so the cluster-wide union of events is
 		// exactly the single-node event set.
-		if cfg.shardCount > 0 && trw.ShardIndex(p.SrcIP, cfg.shardCount) != cfg.shardID {
+		if trw.ShardIndex(p.SrcIP, cfg.shardCount) != cfg.shardID {
 			continue
 		}
 		pkts = append(pkts, p)

@@ -39,20 +39,29 @@ func writeTestCaptures(t *testing.T, dir string, hours int) {
 	}
 }
 
+// TestRunShipsEventsOverWire runs the default unsharded node — shard 0
+// of 1 — and checks every event kind crosses the wire and every hour
+// (plus the final flush pseudo-hour) closes with a barrier.
 func TestRunShipsEventsOverWire(t *testing.T) {
 	dir := t.TempDir()
-	writeTestCaptures(t, dir, 3)
+	const hours = 3
+	writeTestCaptures(t, dir, hours)
 
 	var mu sync.Mutex
 	counts := map[wire.Kind]int{}
 	recv, err := wire.NewReceiver("127.0.0.1:0", func(f wire.Frame) {
-		if _, err := pipeline.DecodeEvent(f); err != nil {
-			t.Errorf("undecodable frame: %v", err)
+		mu.Lock()
+		defer mu.Unlock()
+		counts[f.Kind]++
+		if f.ShardID != 0 || f.ShardCount != 1 {
+			t.Errorf("frame tagged shard %d/%d, want 0/1", f.ShardID, f.ShardCount)
+		}
+		if f.Kind == wire.KindHourEnd {
 			return
 		}
-		mu.Lock()
-		counts[f.Kind]++
-		mu.Unlock()
+		if _, err := pipeline.DecodeEvent(f); err != nil {
+			t.Errorf("undecodable frame: %v", err)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +69,7 @@ func TestRunShipsEventsOverWire(t *testing.T) {
 	defer recv.Close()
 
 	cfg := runConfig{in: dir, connect: recv.Addr(), pollEvery: time.Second,
-		threshold: 100, sampleSize: 200, workers: 2}
+		threshold: 100, sampleSize: 200, workers: 2, shardCount: 1}
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +85,13 @@ func TestRunShipsEventsOverWire(t *testing.T) {
 	if counts[wire.KindFlowEnd] == 0 {
 		t.Error("no flow ends shipped (final flush must close flows)")
 	}
+	if counts[wire.KindHourEnd] != hours+1 {
+		t.Errorf("%d hour barriers, want %d (one per hour + final)", counts[wire.KindHourEnd], hours+1)
+	}
 }
 
 // TestRunShardedSpeaksV2 runs three shard nodes over one capture set and
-// checks the v2 framing: every frame carries shard tags, every event
+// checks the framing: every frame carries shard tags, every event
 // decodes, and each node closes each hour (plus the final flush
 // pseudo-hour) with a barrier.
 func TestRunShardedSpeaksV2(t *testing.T) {
@@ -95,7 +107,7 @@ func TestRunShardedSpeaksV2(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		if f.Version != wire.Version2 || f.ShardCount != nodes {
-			t.Errorf("frame without v2 shard tags: %+v", f)
+			t.Errorf("frame without shard tags: %+v", f)
 			return
 		}
 		if f.Kind == wire.KindHourEnd {
@@ -106,7 +118,7 @@ func TestRunShardedSpeaksV2(t *testing.T) {
 			return
 		}
 		if _, err := pipeline.DecodeEvent(f); err != nil {
-			t.Errorf("undecodable v2 frame: %v", err)
+			t.Errorf("undecodable frame: %v", err)
 			return
 		}
 		events++
@@ -144,10 +156,10 @@ func TestParseShard(t *testing.T) {
 	if id, n, err := parseShard("2/5"); err != nil || id != 2 || n != 5 {
 		t.Errorf("parseShard(2/5) = %d, %d, %v", id, n, err)
 	}
-	if id, n, err := parseShard(""); err != nil || id != 0 || n != 0 {
-		t.Errorf("parseShard(\"\") = %d, %d, %v", id, n, err)
+	if id, n, err := parseShard("0/1"); err != nil || id != 0 || n != 1 {
+		t.Errorf("parseShard(0/1) = %d, %d, %v", id, n, err)
 	}
-	for _, bad := range []string{"5/5", "-1/3", "x/3", "2", "2/", "/3", "2/0"} {
+	for _, bad := range []string{"", "5/5", "-1/3", "x/3", "2", "2/", "/3", "2/0"} {
 		if _, _, err := parseShard(bad); err == nil {
 			t.Errorf("parseShard(%q) accepted", bad)
 		}
@@ -161,7 +173,7 @@ func TestRunEmptyDir(t *testing.T) {
 	}
 	defer recv.Close()
 	cfg := runConfig{in: t.TempDir(), connect: recv.Addr(), pollEvery: time.Second,
-		threshold: 100, sampleSize: 200, workers: 1}
+		threshold: 100, sampleSize: 200, workers: 1, shardCount: 1}
 	if err := run(cfg); err == nil {
 		t.Error("empty capture dir accepted")
 	}
@@ -169,7 +181,7 @@ func TestRunEmptyDir(t *testing.T) {
 
 func TestRunMissingDir(t *testing.T) {
 	cfg := runConfig{in: "/nonexistent/captures", connect: "127.0.0.1:1", pollEvery: time.Second,
-		threshold: 100, sampleSize: 200, workers: 1}
+		threshold: 100, sampleSize: 200, workers: 1, shardCount: 1}
 	if err := run(cfg); err == nil {
 		t.Error("missing dir accepted")
 	}

@@ -94,9 +94,9 @@ type aggHour struct {
 // shard's frames are reordered by their per-shard sequence (reconnect
 // replays are dropped, gaps are awaited), buffered per hour epoch, and
 // released only when *every* shard has delivered its KindHourEnd barrier
-// for that hour — then the union of the shards' events is summed
-// (per-second reports), gap-filled, and sorted into canonical order, so
-// the merge output is a pure function of the hour's global packet set.
+// for that hour — then the shards' per-second reports are summed and
+// gap-filled (trw.ReportSum) and the union sorted into canonical order,
+// so the merge output is a pure function of the hour's global packet set.
 // Safe for concurrent Ingest calls (one per upstream connection).
 type Aggregator struct {
 	mu     sync.Mutex
@@ -105,8 +105,7 @@ type Aggregator struct {
 
 	liveness *telemetry.Check
 
-	// merge scratch
-	repAgg map[int64]*trw.SecondReport
+	reports trw.ReportSum // merge scratch
 }
 
 // NewAggregator builds the merge state for cfg.Shards upstreams.
@@ -122,7 +121,6 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 		cfg:      cfg,
 		shards:   make([]*aggShard, cfg.Shards),
 		liveness: h.Register("cluster-merge", clusterMergeMaxAge),
-		repAgg:   make(map[int64]*trw.SecondReport),
 	}
 	for i := range a.shards {
 		label := fmt.Sprintf("%d", i)
@@ -139,15 +137,17 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	return a
 }
 
-// Ingest consumes one v2 wire frame. Duplicates (replays of an already
+// Ingest consumes one wire frame. Duplicates (replays of an already
 // applied sequence) are discarded; frames beyond a sequence gap are
 // buffered until the gap fills; everything else lands in its hour's
 // buffer, and a completed hour barrier may release one or more merged
-// hours downstream. The frame's payload is fully decoded before Ingest
-// returns, so pooled payload buffers may be reused immediately.
+// hours downstream. A frame that fails validation is not applied (its
+// sequence stays open, so the shard's hour never closes on a hole). The
+// frame's payload is fully decoded before Ingest returns, so pooled
+// payload buffers may be reused immediately.
 func (a *Aggregator) Ingest(f wire.Frame) error {
 	if f.Version != wire.Version2 {
-		return fmt.Errorf("aggregator: v%d frame on the cluster path (want v2)", f.Version)
+		return fmt.Errorf("aggregator: frame version %d, want %d", f.Version, wire.Version2)
 	}
 	if int(f.ShardCount) != len(a.shards) {
 		return fmt.Errorf("aggregator: frame from shard %d/%d, want %d shards",
@@ -169,6 +169,16 @@ func (a *Aggregator) Ingest(f wire.Frame) error {
 		ev, err := DecodeEvent(f)
 		if err != nil {
 			return err
+		}
+		// The merge zero-fills every second between an hour's earliest and
+		// latest report, so a report is only admissible on a whole second
+		// of its own frame's hour — otherwise two frames could span years.
+		if ev.Kind == SamplerReport {
+			sec := ev.Report.Second
+			if off := f.HourEpoch - sec.Unix(); off <= 0 || off > 3600 || sec.Nanosecond() != 0 {
+				return fmt.Errorf("aggregator: shard %d report for %s outside the hour ending %s",
+					f.ShardID, sec.Format(time.RFC3339Nano), time.Unix(f.HourEpoch, 0).UTC().Format(time.RFC3339))
+			}
 		}
 		df.ev = ev
 	}
@@ -266,11 +276,7 @@ func (a *Aggregator) mergeHour(epoch int64) {
 
 	// Per-second reports sum across shards (each shard's detector only
 	// saw its partition of the source space); everything else is a
-	// disjoint union. Gap seconds — covered by one shard's contiguous
-	// report run but not another's — stay zero-filled exactly like a
-	// serial detector crossing a quiet second.
-	agg := a.repAgg
-	var minSec, maxSec int64 = math.MaxInt64, math.MinInt64
+	// disjoint union.
 	for _, s := range a.shards {
 		h := s.done[epoch]
 		delete(s.done, epoch)
@@ -280,35 +286,16 @@ func (a *Aggregator) mergeHour(epoch int64) {
 			final = false
 		}
 		for _, ev := range h.events {
-			if ev.Kind != SamplerReport {
+			if ev.Kind == SamplerReport {
+				a.reports.Add(ev.Report)
+			} else {
 				merged = append(merged, ev)
-				continue
 			}
-			sec := ev.Report.Second.UnixNano()
-			if sec < minSec {
-				minSec = sec
-			}
-			if sec > maxSec {
-				maxSec = sec
-			}
-			dst := agg[sec]
-			if dst == nil {
-				dst = &trw.SecondReport{Second: ev.Report.Second}
-				agg[sec] = dst
-			}
-			addSecondReport(dst, ev.Report)
 		}
 	}
-	if minSec <= maxSec {
-		for sec := minSec; sec <= maxSec; sec += int64(time.Second) {
-			rep := agg[sec]
-			if rep == nil {
-				rep = &trw.SecondReport{Second: time.Unix(0, sec).UTC()}
-			}
-			merged = append(merged, SamplerEvent{Kind: SamplerReport, Report: rep})
-		}
-	}
-	clear(agg)
+	a.reports.Drain(func(rep *trw.SecondReport) {
+		merged = append(merged, SamplerEvent{Kind: SamplerReport, Report: rep})
+	})
 
 	slices.SortFunc(merged, canonCompare)
 
@@ -322,26 +309,6 @@ func (a *Aggregator) mergeHour(epoch int64) {
 	a.liveness.Beat()
 	if a.cfg.OnHourMerged != nil {
 		a.cfg.OnHourMerged(hourEnd, availableAt, final)
-	}
-}
-
-// addSecondReport folds src into dst (same second), allocating dst's
-// port map only when src actually has port activity — preserving the
-// nil-map convention of a quiet second.
-func addSecondReport(dst, src *trw.SecondReport) {
-	dst.Total += src.Total
-	dst.TCP += src.TCP
-	dst.UDP += src.UDP
-	dst.ICMP += src.ICMP
-	dst.Backscatter += src.Backscatter
-	dst.NewScanFlows += src.NewScanFlows
-	if len(src.PortPackets) > 0 {
-		if dst.PortPackets == nil {
-			dst.PortPackets = make(map[uint16]int, len(src.PortPackets))
-		}
-		for port, n := range src.PortPackets {
-			dst.PortPackets[port] += n
-		}
 	}
 }
 

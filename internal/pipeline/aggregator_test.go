@@ -12,15 +12,15 @@ import (
 	"exiot/internal/wire"
 )
 
-// shardStream builds the v2 frame sequence one ingest shard would send.
+// shardStream builds the frame sequence one ingest shard would send.
 type shardStream struct {
-	t             *testing.T
+	t             testing.TB
 	shard, shards int
 	seq           uint64
 	frames        []wire.Frame
 }
 
-func newShardStream(t *testing.T, shard, shards int) *shardStream {
+func newShardStream(t testing.TB, shard, shards int) *shardStream {
 	return &shardStream{t: t, shard: shard, shards: shards}
 }
 
@@ -241,7 +241,7 @@ func TestAggregatorShuffleAndDuplicates(t *testing.T) {
 }
 
 // TestAggregatorReconnectReplay re-delivers a prefix of one shard's
-// stream mid-hour — exactly what the v2 sender's whole-batch replay does
+// stream mid-hour — exactly what the sender's whole-batch replay does
 // after a dropped connection — and expects no double-emission.
 func TestAggregatorReconnectReplay(t *testing.T) {
 	ss, _ := clusterFrames(t)
@@ -342,12 +342,62 @@ func TestAggregatorSilentShardStalls(t *testing.T) {
 	}
 }
 
-// TestAggregatorRejectsBadFrames covers the guard rails: legacy v1
-// frames and mismatched shard topologies are errors, not corruption.
+// outOfHourReportFrame is shard 0/1's report for a second a decade before
+// the hour its frame claims — the input that made the merge's gap fill
+// walk ~3×10⁸ seconds.
+func outOfHourReportFrame(t *testing.T, epoch int64) wire.Frame {
+	ss := newShardStream(t, 0, 1)
+	ss.event(epoch, aggReport(time.Unix(epoch, 0).UTC().AddDate(-10, 0, 0), 1, nil))
+	return ss.frames[0]
+}
+
+// TestAggregatorRejectsOutOfHourReports: the merge zero-fills between an
+// hour's earliest and latest report second, and those seconds come off
+// the wire — so a report must sit on a whole second of its own frame's
+// hour, or two frames could make one merge allocate without bound.
+func TestAggregatorRejectsOutOfHourReports(t *testing.T) {
+	hourEnd := time.Date(2021, 4, 8, 14, 0, 0, 0, time.UTC)
+	epoch := hourEnd.Unix()
+	agg, cap := captureAggregator(1, telemetry.NewHealth())
+
+	if err := agg.Ingest(outOfHourReportFrame(t, epoch)); err == nil {
+		t.Fatal("report a decade before its frame's hour accepted")
+	}
+	for name, sec := range map[string]time.Time{
+		"the hour's end (next hour's first second)": hourEnd,
+		"one second before the hour":                hourEnd.Add(-time.Hour - time.Second),
+		"a fractional second":                       hourEnd.Add(-time.Minute + time.Millisecond),
+	} {
+		ss := newShardStream(t, 0, 1)
+		ss.event(epoch, aggReport(sec, 1, nil))
+		if err := agg.Ingest(ss.frames[0]); err == nil {
+			t.Errorf("report for %s accepted", name)
+		}
+	}
+
+	// None of the rejected frames was applied: sequence 1 is still open,
+	// and the hour's first and last seconds are accepted and fill to
+	// exactly one hour of reports.
+	ss := newShardStream(t, 0, 1)
+	ss.event(epoch, aggReport(hourEnd.Add(-time.Hour), 3, nil))
+	ss.event(epoch, aggReport(hourEnd.Add(-time.Second), 4, nil))
+	ss.barrier(epoch, true)
+	ingestAll(t, agg, ss.frames)
+	if len(cap.events) != 3600 {
+		t.Fatalf("merged %d events, want 3600 (one report per second of the hour)", len(cap.events))
+	}
+	if first, last := cap.events[0].Report, cap.events[3599].Report; first.Total != 3 || last.Total != 4 {
+		t.Errorf("edge seconds merged to totals %d and %d, want 3 and 4", first.Total, last.Total)
+	}
+}
+
+// TestAggregatorRejectsBadFrames covers the guard rails: frames that did
+// not come off the wire (Version 0, the WAL's JSON wrapping) and
+// mismatched shard topologies are errors, not corruption.
 func TestAggregatorRejectsBadFrames(t *testing.T) {
 	agg, _ := captureAggregator(3, telemetry.NewHealth())
 	if err := agg.Ingest(wire.Frame{Seq: 1, Kind: wire.KindReport}); err == nil {
-		t.Error("v1 frame accepted on the cluster path")
+		t.Error("Version 0 frame accepted by the merge")
 	}
 	if err := agg.Ingest(wire.Frame{Seq: 1, Kind: wire.KindHourEnd, Version: wire.Version2, ShardID: 0, ShardCount: 2}); err == nil {
 		t.Error("frame with wrong shard count accepted")

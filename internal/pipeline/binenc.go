@@ -14,12 +14,11 @@ import (
 	"exiot/internal/wire"
 )
 
-// Compact binary payload encodings for wire protocol v2. The v1 JSON
-// payloads (bridge.go) spend most of their bytes on field names and
-// base64; these layouts are field-order binary, big-endian, with packet
-// headers in their native wire format (packet.Marshal). DecodeEvent
-// dispatches on the frame's protocol version, so one receiver serves
-// both generations of sender.
+// Compact binary payload encodings for the wire. The JSON payloads
+// (bridge.go, kept for the WAL and snapshots) spend most of their bytes
+// on field names and base64; these layouts are field-order binary,
+// big-endian, with packet headers in their native wire format
+// (packet.Marshal). DecodeEvent dispatches on the frame's Version.
 //
 // Layouts (all integers big-endian):
 //
@@ -44,7 +43,7 @@ func appendTime(dst []byte, t time.Time) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(n))
 }
 
-// AppendEncodeEvent serializes a sampler event into the v2 binary
+// AppendEncodeEvent serializes a sampler event into the wire's binary
 // layout, appending the payload to dst (which may be nil or a reused
 // scratch buffer) and returning the frame kind to ship it under.
 func AppendEncodeEvent(dst []byte, e SamplerEvent) (wire.Kind, []byte, error) {
@@ -105,6 +104,29 @@ type binReader struct {
 	err error
 }
 
+// count passes through an element count just read from the payload,
+// rejecting one the remaining bytes cannot hold at minSize bytes per
+// element — so a hostile count never sizes an allocation.
+func (r *binReader) count(n, minSize int) int {
+	if r.err != nil {
+		return 0
+	}
+	if rest := len(r.b) - r.off; n > rest/minSize {
+		r.err = fmt.Errorf("count %d at offset %d exceeds the %d remaining bytes", n, r.off, rest)
+		return 0
+	}
+	return n
+}
+
+// end reports the first read error, or trailing bytes after a fully
+// decoded event.
+func (r *binReader) end() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.err = fmt.Errorf("%d trailing bytes after offset %d", len(r.b)-r.off, r.off)
+	}
+	return r.err
+}
+
 func (r *binReader) take(n int) []byte {
 	if r.err != nil {
 		return nil
@@ -159,8 +181,8 @@ func decodeEventV2(f wire.Frame) (SamplerEvent, error) {
 			SampleSize: int(r.u32()),
 		}
 		b.IPString = b.IP.String()
-		n := int(r.u32())
-		if r.err == nil && n > 0 {
+		// Each packet costs at least its u16 length and i64 timestamp.
+		if n := r.count(int(r.u32()), 2+8); n > 0 {
 			b.Sample = make([]packet.Packet, n)
 			for i := 0; i < n && r.err == nil; i++ {
 				hdr := r.take(int(r.u16()))
@@ -173,8 +195,8 @@ func decodeEventV2(f wire.Frame) (SamplerEvent, error) {
 				b.Sample[i].Timestamp = r.time()
 			}
 		}
-		if r.err != nil {
-			return SamplerEvent{}, fmt.Errorf("decode sample: %w", r.err)
+		if err := r.end(); err != nil {
+			return SamplerEvent{}, fmt.Errorf("decode sample: %w", err)
 		}
 		return SamplerEvent{Kind: SamplerBatch, Batch: &b, TraceID: b.TraceID}, nil
 	case wire.KindFlowEnd:
@@ -186,8 +208,8 @@ func decodeEventV2(f wire.Frame) (SamplerEvent, error) {
 			LastSeen:   r.time(),
 		}
 		e.TraceID = trace.ID(r.u64())
-		if r.err != nil {
-			return SamplerEvent{}, fmt.Errorf("decode flow end: %w", r.err)
+		if err := r.end(); err != nil {
+			return SamplerEvent{}, fmt.Errorf("decode flow end: %w", err)
 		}
 		return e, nil
 	case wire.KindReport:
@@ -200,15 +222,15 @@ func decodeEventV2(f wire.Frame) (SamplerEvent, error) {
 			Backscatter:  int(int64(r.u64())),
 			NewScanFlows: int(int64(r.u64())),
 		}
-		if n := int(r.u16()); r.err == nil && n > 0 {
+		if n := r.count(int(r.u16()), 2+4); n > 0 {
 			rep.PortPackets = make(map[uint16]int, n)
-			for i := 0; i < n && r.err == nil; i++ {
+			for i := 0; i < n; i++ {
 				port := r.u16()
 				rep.PortPackets[port] = int(r.u32())
 			}
 		}
-		if r.err != nil {
-			return SamplerEvent{}, fmt.Errorf("decode report: %w", r.err)
+		if err := r.end(); err != nil {
+			return SamplerEvent{}, fmt.Errorf("decode report: %w", err)
 		}
 		return SamplerEvent{Kind: SamplerReport, Report: &rep}, nil
 	default:

@@ -1,7 +1,10 @@
 package pipeline
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,7 +14,7 @@ import (
 	"exiot/internal/wire"
 )
 
-func sampleBatchEvent(t *testing.T) SamplerEvent {
+func sampleBatchEvent(t testing.TB) SamplerEvent {
 	t.Helper()
 	base := time.Date(2021, 4, 8, 13, 0, 0, 0, time.UTC)
 	var pkts []packet.Packet
@@ -49,7 +52,7 @@ func sampleBatchEvent(t *testing.T) SamplerEvent {
 	}
 }
 
-// roundTripV2 encodes e binary, wraps it in a v2 frame, and decodes.
+// roundTripV2 encodes e binary, wraps it in a wire frame, and decodes.
 func roundTripV2(t *testing.T, e SamplerEvent) SamplerEvent {
 	t.Helper()
 	kind, payload, err := AppendEncodeEvent(nil, e)
@@ -132,11 +135,66 @@ func TestBinaryDecodeTruncated(t *testing.T) {
 	}
 }
 
-// TestMixedVersionDecode proves one receiver-side decode path handles
-// both sender generations: the same event encoded as v1 JSON and as v2
-// binary decodes to the same SamplerEvent.
-func TestMixedVersionDecode(t *testing.T) {
-	events := []SamplerEvent{
+// hostileSampleFrame is a ~40-byte KindSample frame claiming 2³²−1
+// packets: a well-formed batch header, the count, and a few bytes.
+func hostileSampleFrame() wire.Frame {
+	p := binary.BigEndian.AppendUint32(nil, 0x0A000001) // srcIP
+	p = binary.BigEndian.AppendUint64(p, 1)             // firstSeen
+	p = binary.BigEndian.AppendUint64(p, 2)             // detectedAt
+	p = binary.BigEndian.AppendUint64(p, 3)             // traceID
+	p = binary.BigEndian.AppendUint32(p, 200)           // sampleSize
+	p = binary.BigEndian.AppendUint32(p, math.MaxUint32)
+	p = append(p, 0, 20, 0x45, 0) // start of a first packet
+	return wire.Frame{Kind: wire.KindSample, Payload: p, Version: wire.Version2}
+}
+
+// allocatedBytes reports the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBinaryDecodeHostileCounts: element counts come straight from the
+// peer, so one the payload cannot back must be refused before it sizes an
+// allocation — a ~40-byte frame must not cost gigabytes.
+func TestBinaryDecodeHostileCounts(t *testing.T) {
+	report := make([]byte, 7*8, 7*8+2) // second + six counters
+	report = binary.BigEndian.AppendUint16(report, math.MaxUint16)
+	for name, f := range map[string]wire.Frame{
+		"sample claiming 2^32-1 packets": hostileSampleFrame(),
+		"report claiming 65535 ports":    {Kind: wire.KindReport, Payload: report, Version: wire.Version2},
+	} {
+		var err error
+		got := allocatedBytes(func() { _, err = DecodeEvent(f) })
+		if err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if got > 64<<10 {
+			t.Errorf("%s: decoding %d payload bytes allocated %d bytes", name, len(f.Payload), got)
+		}
+	}
+}
+
+// TestBinaryDecodeTrailingBytes: a payload longer than its event is
+// malformed, not an event plus ignorable padding.
+func TestBinaryDecodeTrailingBytes(t *testing.T) {
+	for _, e := range mixedEvents(t) {
+		kind, payload, err := AppendEncodeEvent(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeEvent(wire.Frame{Kind: kind, Payload: append(payload, 0), Version: wire.Version2}); err == nil {
+			t.Errorf("kind %d: trailing byte accepted", kind)
+		}
+	}
+}
+
+// mixedEvents is one event of each kind.
+func mixedEvents(t testing.TB) []SamplerEvent {
+	return []SamplerEvent{
 		sampleBatchEvent(t),
 		{
 			Kind:       SamplerFlowEnd,
@@ -155,6 +213,13 @@ func TestMixedVersionDecode(t *testing.T) {
 			},
 		},
 	}
+}
+
+// TestMixedVersionDecode proves the one decode entry point handles both
+// codecs: the same event encoded as JSON (the WAL form, Version 0) and
+// as wire binary (Version2) decodes to the same SamplerEvent.
+func TestMixedVersionDecode(t *testing.T) {
+	events := mixedEvents(t)
 	for i, e := range events {
 		k1, p1, err := EncodeEvent(e)
 		if err != nil {
@@ -165,18 +230,18 @@ func TestMixedVersionDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if k1 != k2 {
-			t.Fatalf("event %d: kind %d (v1) vs %d (v2)", i, k1, k2)
+			t.Fatalf("event %d: kind %d (json) vs %d (binary)", i, k1, k2)
 		}
 		fromV1, err := DecodeEvent(wire.Frame{Kind: k1, Payload: p1})
 		if err != nil {
-			t.Fatalf("event %d v1 decode: %v", i, err)
+			t.Fatalf("event %d json decode: %v", i, err)
 		}
 		fromV2, err := DecodeEvent(wire.Frame{Kind: k2, Payload: p2, Version: wire.Version2})
 		if err != nil {
-			t.Fatalf("event %d v2 decode: %v", i, err)
+			t.Fatalf("event %d binary decode: %v", i, err)
 		}
 		if !reflect.DeepEqual(fromV1, fromV2) {
-			t.Errorf("event %d decodes diverge:\n v1: %+v\n v2: %+v", i, fromV1, fromV2)
+			t.Errorf("event %d decodes diverge:\n json:   %+v\n binary: %+v", i, fromV1, fromV2)
 		}
 	}
 }

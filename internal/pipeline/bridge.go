@@ -12,13 +12,12 @@ import (
 	"exiot/internal/wire"
 )
 
-// This file is the bridge between the sampler and the wire transport: it
-// encodes sampler events into frames the flowsampler binary ships to the
-// exiotd feed server, and decodes them on the other side.
+// This file holds the JSON event codec — the form sampler events take in
+// the WAL and the durable snapshot — and the decode entry point shared
+// with the wire's binary codec (binenc.go).
 
-// flowEndMsg is the wire payload of a flow-end event. TraceID is
-// omitted when zero, so frames from senders predating tracing still
-// decode.
+// flowEndMsg is the JSON payload of a flow-end event. TraceID is omitted
+// when zero, so records written before tracing still decode.
 type flowEndMsg struct {
 	IP         string    `json:"ip"`
 	FirstSeen  time.Time `json:"first_seen"`
@@ -27,7 +26,7 @@ type flowEndMsg struct {
 	TraceID    trace.ID  `json:"trace_id,omitempty"`
 }
 
-// EncodeEvent serializes a sampler event for the wire.
+// EncodeEvent serializes a sampler event as a JSON payload.
 func EncodeEvent(e SamplerEvent) (wire.Kind, []byte, error) {
 	switch e.Kind {
 	case SamplerBatch:
@@ -59,9 +58,10 @@ func EncodeEvent(e SamplerEvent) (wire.Kind, []byte, error) {
 	}
 }
 
-// DecodeEvent deserializes a wire frame back into a sampler event,
-// dispatching on the frame's protocol version: v2 frames carry the
-// compact binary payloads (binenc.go), everything else the legacy JSON.
+// DecodeEvent deserializes a frame back into a sampler event,
+// dispatching on the frame's Version: frames off the wire
+// (wire.Version2) carry the compact binary payloads (binenc.go), Version
+// 0 frames — how the WAL and snapshots wrap their records — the JSON.
 // The payload is fully copied out, so the frame's (pooled) buffer may be
 // reused as soon as DecodeEvent returns.
 func DecodeEvent(f wire.Frame) (SamplerEvent, error) {

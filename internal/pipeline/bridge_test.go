@@ -7,6 +7,7 @@ import (
 	"exiot/internal/organizer"
 	"exiot/internal/packet"
 	"exiot/internal/simnet"
+	"exiot/internal/telemetry"
 	"exiot/internal/trw"
 	"exiot/internal/wire"
 )
@@ -121,7 +122,8 @@ func TestBridgeErrors(t *testing.T) {
 
 // TestSplitPipelineOverWire runs the sampler half and the server half in
 // the same process but connected only through the wire transport — the
-// deployment shape of cmd/flowsampler + cmd/exiotd.
+// deployment shape of cmd/flowsampler + cmd/exiotd at one shard: binary
+// frames, an hour barrier per hour, the aggregator in front of the feed.
 func TestSplitPipelineOverWire(t *testing.T) {
 	cfg := simnetSmall(300)
 	w := newWorld(cfg)
@@ -130,14 +132,22 @@ func TestSplitPipelineOverWire(t *testing.T) {
 	srvCfg := DefaultServerConfig()
 	srvCfg.ScanMod.BatchSize = 20
 	server := NewServer(srvCfg, w, w.Registry(), nil)
-	availableAt := w.Start().Add(5 * time.Hour)
+	hoursMerged := 0
+	agg := NewAggregator(AggregatorConfig{
+		Shards: 1,
+		Emit:   server.HandleEvent,
+		OnHourMerged: func(_, at time.Time, final bool) {
+			hoursMerged++
+			if final {
+				server.FlushScans(at)
+			}
+		},
+		Health: telemetry.NewHealth(),
+	})
 	recv, err := wire.NewReceiver("127.0.0.1:0", func(f wire.Frame) {
-		e, err := DecodeEvent(f)
-		if err != nil {
-			t.Errorf("decode: %v", err)
-			return
+		if err := agg.Ingest(f); err != nil {
+			t.Errorf("ingest: %v", err)
 		}
-		server.HandleEvent(e, availableAt)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,26 +155,46 @@ func TestSplitPipelineOverWire(t *testing.T) {
 	defer recv.Close()
 
 	// Sampler side, shipping over the wire.
-	sender := wire.NewSender(recv.Addr())
+	sender := wire.NewSenderV2(recv.Addr(), 0, 1)
 	defer sender.Close()
+	var (
+		epoch  int64
+		encBuf []byte
+	)
 	sampler := NewSampler(trw.Default(), 0, func(e SamplerEvent) {
-		kind, data, err := EncodeEvent(e)
+		kind, data, err := AppendEncodeEvent(encBuf[:0], e)
 		if err != nil {
 			t.Errorf("encode: %v", err)
 			return
 		}
-		if err := sender.Send(kind, data); err != nil {
-			t.Errorf("send: %v", err)
+		encBuf = data[:0]
+		if err := sender.Queue(kind, epoch, data); err != nil {
+			t.Errorf("queue: %v", err)
 		}
 	})
 
-	for h := 0; h < 3; h++ {
+	const hours = 3
+	for h := 0; h < hours; h++ {
 		hour := w.Start().Add(time.Duration(h) * time.Hour)
+		epoch = hour.Add(time.Hour).Unix()
 		sampler.ProcessHour(w.GenerateHour(hour), hour.Add(time.Hour))
+		if err := sender.Barrier(epoch, false); err != nil {
+			t.Fatal(err)
+		}
 	}
-	sampler.Flush(w.Start().Add(3 * time.Hour))
-	server.FlushScans(availableAt)
+	flushAt := w.Start().Add(hours * time.Hour)
+	epoch = flushAt.Add(time.Hour).Unix()
+	sampler.Flush(flushAt)
+	// Barrier returns once the receiver acked, i.e. after its handler —
+	// and therefore the merge — ran; Close joins the handler goroutine.
+	if err := sender.Barrier(epoch, true); err != nil {
+		t.Fatal(err)
+	}
+	recv.Close()
 
+	if hoursMerged != hours+1 {
+		t.Errorf("merged %d hours, want %d (one per hour + final flush)", hoursMerged, hours+1)
+	}
 	if server.Counters().RecordsCreated == 0 {
 		t.Error("no records crossed the wire")
 	}

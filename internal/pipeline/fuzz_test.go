@@ -1,0 +1,64 @@
+package pipeline
+
+import (
+	"testing"
+	"time"
+
+	"exiot/internal/telemetry"
+	"exiot/internal/wire"
+)
+
+// FuzzDecodeEventV2 feeds one hostile frame through everything a peer
+// can reach with it: a one-shard Aggregator's Ingest (the binary decoder
+// and the frame checks), then that hour's barrier (which runs the merge,
+// gap fill included). An honest report for the hour's last second goes in
+// first, so a fuzzed report anywhere else stretches the fill. Whatever
+// the bytes, nothing may panic, and the work must stay within a constant
+// multiple of the input plus one hour's worth of merged reports.
+func FuzzDecodeEventV2(f *testing.F) {
+	epoch := time.Date(2021, 4, 8, 14, 0, 0, 0, time.UTC).Unix()
+	for _, e := range mixedEvents(f) {
+		kind, payload, err := AppendEncodeEvent(nil, e)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(kind), epoch, payload)
+	}
+	// testdata/fuzz adds the two inputs that once broke this path: a
+	// sample claiming 2³²−1 packets, a report a decade before its hour.
+
+	f.Fuzz(func(t *testing.T, kind uint8, epoch int64, payload []byte) {
+		frame := wire.Frame{Version: wire.Version2, ShardCount: 1, HourEpoch: epoch}
+		anchor, fuzzed, barrier := frame, frame, frame
+		anchor.Seq, anchor.Kind = 1, wire.KindReport
+		_, anchor.Payload, _ = AppendEncodeEvent(nil, aggReport(time.Unix(epoch-1, 0), 1, nil))
+		fuzzed.Seq, fuzzed.Kind, fuzzed.Payload = 2, wire.Kind(kind), payload
+		barrier.Seq, barrier.Kind = 3, wire.KindHourEnd
+
+		emitted := 0
+		agg := NewAggregator(AggregatorConfig{
+			Shards: 1,
+			Emit:   func(SamplerEvent, time.Time) { emitted++ },
+			Health: telemetry.NewHealth(),
+		})
+		got := allocatedBytes(func() {
+			// An epoch too wild to encode fails its own anchor; the rest
+			// then waits on that sequence forever, which is bounded too.
+			_ = agg.Ingest(anchor)
+			if agg.Ingest(fuzzed) != nil {
+				return
+			}
+			if err := agg.Ingest(barrier); err != nil {
+				t.Errorf("barrier after an accepted frame: %v", err)
+			}
+		})
+		if emitted > 3600 {
+			t.Errorf("one frame and a barrier merged into %d events", emitted)
+		}
+		// A decoded packet is ~10x its minimum encoding; a merged hour is
+		// at most 3600 small reports (~2 MB with the sort buffer).
+		if limit := uint64(64*len(payload) + 4<<20); got > limit {
+			t.Errorf("%d payload bytes cost %d allocated bytes (limit %d)", len(payload), got, limit)
+		}
+	})
+}

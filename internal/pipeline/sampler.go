@@ -79,17 +79,17 @@ type SamplerEvent struct {
 // Sampler is the CAIDA-side half: TRW detection plus the packet
 // organizer, consuming hourly packet batches. With one worker it runs the
 // serial detector on the caller's goroutine; with more it runs the
-// sharded detector, whose merged event stream is identical to the serial
-// one.
+// sharded detector, which surfaces the same event set in no particular
+// order.
 //
 // Events buffer per hour and emit at the ProcessHour/Flush barrier in
 // *canonical* order — a total order derived purely from event content
-// (see canonCompare), never from processing position. That makes the
-// emitted stream a pure function of the hour's packet set: serial,
-// sharded-in-process, and an N-node cluster merge (internal/pipeline
-// Aggregator) all deliver byte-identical hours. Emission stays on the
-// caller's goroutine, so the organizer and everything downstream remain
-// single-threaded.
+// (see canonCompare), never from processing position. It is the only
+// event order the system defines, and it makes the emitted stream a pure
+// function of the hour's packet set: serial, sharded-in-process, and an
+// N-node cluster merge (Aggregator) all deliver byte-identical hours.
+// Emission stays on the caller's goroutine, so the organizer and
+// everything downstream remain single-threaded.
 type Sampler struct {
 	detector *trw.Detector        // workers == 1
 	sharded  *trw.ShardedDetector // workers > 1
@@ -113,14 +113,14 @@ type Sampler struct {
 }
 
 // NewSampler builds the CAIDA-side half on the serial (single-worker)
-// path. Events are delivered to emit in processing order.
+// path.
 func NewSampler(trwCfg trw.Config, minSamples int, emit func(SamplerEvent)) *Sampler {
 	return NewSamplerWorkers(trwCfg, minSamples, 1, emit)
 }
 
 // NewSamplerWorkers builds the CAIDA-side half with an explicit detection
-// worker count: 0 selects GOMAXPROCS, 1 the exact legacy serial path, >1
-// a sharded detector with that many shards.
+// worker count: 0 selects GOMAXPROCS, 1 the serial detector, >1 a sharded
+// detector with that many shards.
 func NewSamplerWorkers(trwCfg trw.Config, minSamples, workers int, emit func(SamplerEvent)) *Sampler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -101,10 +101,10 @@ func TestShardBatchPoolRoundTrip(t *testing.T) {
 	// (Reading a batch after putting it back is a use-after-free, so this
 	// check cannot live inside the concurrent section.)
 	pkt := packet.Packet{SrcIP: 1}
-	b := append(newShardBatch(), shardPkt{p: &pkt})
+	b := append(newShardBatch(), &pkt)
 	view := b[:1]
 	putShardBatch(b)
-	if view[0].p != nil {
+	if view[0] != nil {
 		t.Fatal("putShardBatch left packet pointer live in pooled batch")
 	}
 
@@ -120,7 +120,7 @@ func TestShardBatchPoolRoundTrip(t *testing.T) {
 					t.Errorf("goroutine %d: pooled batch len=%d, want 0", g, len(b))
 					return
 				}
-				b = append(b, shardPkt{p: &pkt})
+				b = append(b, &pkt)
 				putShardBatch(b)
 			}
 		}(g)

@@ -39,26 +39,24 @@ func RecycleSample(b []packet.Packet) {
 }
 
 // shardBatchPool recycles the sharded detector's per-flush routing
-// batches ([]shardPkt). The coordinator draws a batch per shard per
-// flush; the shard goroutine returns it after processing.
-var shardBatchPool sync.Pool // holds *[]shardPkt
+// batches. The coordinator draws a batch per shard per flush; the shard
+// goroutine returns it after processing.
+var shardBatchPool sync.Pool // holds *[]*packet.Packet
 
-func newShardBatch() []shardPkt {
+func newShardBatch() []*packet.Packet {
 	if v := shardBatchPool.Get(); v != nil {
-		return (*v.(*[]shardPkt))[:0]
+		return (*v.(*[]*packet.Packet))[:0]
 	}
-	return make([]shardPkt, 0, shardBatchSize)
+	return make([]*packet.Packet, 0, shardBatchSize)
 }
 
-func putShardBatch(b []shardPkt) {
+func putShardBatch(b []*packet.Packet) {
 	if cap(b) == 0 {
 		return
 	}
 	// Drop the packet pointers so a pooled batch cannot pin an hour's
 	// packet slab in memory between flushes.
-	for i := range b {
-		b[i].p = nil
-	}
+	clear(b)
 	b = b[:0]
 	shardBatchPool.Put(&b)
 }

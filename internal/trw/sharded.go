@@ -1,9 +1,7 @@
 package trw
 
 import (
-	"math"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -46,14 +44,14 @@ const (
 // each shard is byte-for-byte the serial detector restricted to its slice
 // of the source space.
 //
-// Events are buffered shard-locally and merged into a single
-// deterministic stream at the EndHour/Flush barriers: flow events replay
-// in the order the packets that triggered them appeared in the global
-// stream (timestamp order, with the ingest position breaking ties),
-// hourly-sweep events are ordered by source IP, and per-second reports
-// are summed across shards per second. The merged stream is identical to
-// what one serial Detector fed the same packets would emit, so everything
-// downstream of the emit callback stays single-threaded and unchanged.
+// Events are buffered shard-locally and surface at the EndHour/Flush
+// barriers: flow events as the disjoint union of the shards' events,
+// per-second reports summed across shards with gap seconds zero-filled
+// (ReportSum). That is the same event *set* one serial Detector fed the
+// same packets would emit; the emission order is unspecified — consumers
+// that need an order impose one from event content (the pipeline's
+// canonical order), which is what makes goroutine shards and node shards
+// interchangeable.
 //
 // The coordinator methods (ProcessBatch, EndHour, Flush, Stats, Close)
 // must be called from a single goroutine, like the serial Detector's.
@@ -62,52 +60,21 @@ type ShardedDetector struct {
 	shards []*shard
 	wg     sync.WaitGroup
 
-	// Global-stream bookkeeping, mirroring the serial detector's
-	// per-second clock so merged reports surface for exactly the seconds
-	// a serial run would have emitted.
-	nextIdx   int64
-	lastTs    time.Time
-	curSecond time.Time
-	marks     []reportMark
-
 	// Reused coordinator scratch: per-shard routing batches (the slices
 	// themselves come from shardBatchPool and are returned by the shard
-	// goroutines), the merge buffer, the per-second report aggregation
-	// map, and the barrier channel.
-	routeBufs   [][]shardPkt
-	mergeBuf    []taggedEvent
-	aggScratch  map[int64]*SecondReport
+	// goroutines), the per-second report accumulator, and the barrier
+	// channel.
+	routeBufs   [][]*packet.Packet
+	reports     ReportSum
 	barrierDone chan struct{}
 
 	closed bool
-}
-
-// reportMark records that the serial detector would have emitted the
-// report for second `second` just before processing packet `trigger`.
-type reportMark struct {
-	second  time.Time
-	trigger int64
-}
-
-// taggedEvent is a shard-local event paired with the global index of the
-// packet that triggered it (math.MaxInt64 for hourly-sweep events).
-type taggedEvent struct {
-	trigger int64
-	ev      Event
-}
-
-// shardPkt routes one packet to a shard together with its global ingest
-// position.
-type shardPkt struct {
-	p   *packet.Packet
-	idx int64
 }
 
 type opKind int
 
 const (
 	opProcess opKind = iota + 1
-	opAdvance
 	opEndHour
 	opFlush
 	opBarrier
@@ -116,9 +83,9 @@ const (
 // shardOp is one unit of work on a shard's queue.
 type shardOp struct {
 	kind opKind
-	pkts []shardPkt    // opProcess
-	ts   time.Time     // opAdvance / opEndHour / opFlush
-	done chan struct{} // opBarrier
+	pkts []*packet.Packet // opProcess
+	ts   time.Time        // opEndHour / opFlush
+	done chan struct{}    // opBarrier
 }
 
 // shard owns one Detector plus the event buffers it fills between
@@ -128,10 +95,8 @@ type shardOp struct {
 type shard struct {
 	det     *Detector
 	in      *mbuf.Buffer[shardOp]
-	events  []taggedEvent
+	events  []Event
 	reports []SecondReport
-	curIdx  int64
-	sweep   bool
 
 	// Cached telemetry series for this shard (vec lookups are too
 	// expensive for the routing hot path).
@@ -144,11 +109,7 @@ func (s *shard) collect(e Event) {
 		s.reports = append(s.reports, *e.Report)
 		return
 	}
-	trig := s.curIdx
-	if s.sweep {
-		trig = math.MaxInt64
-	}
-	s.events = append(s.events, taggedEvent{trigger: trig, ev: e})
+	s.events = append(s.events, e)
 }
 
 func (s *shard) run(wg *sync.WaitGroup) {
@@ -160,21 +121,14 @@ func (s *shard) run(wg *sync.WaitGroup) {
 		}
 		switch op.kind {
 		case opProcess:
-			for _, sp := range op.pkts {
-				s.curIdx = sp.idx
-				s.det.Process(sp.p)
+			for _, p := range op.pkts {
+				s.det.Process(p)
 			}
 			putShardBatch(op.pkts)
-		case opAdvance:
-			s.det.AdvanceClock(op.ts)
 		case opEndHour:
-			s.sweep = true
 			s.det.EndHour(op.ts)
-			s.sweep = false
 		case opFlush:
-			s.sweep = true
 			s.det.Flush(op.ts)
-			s.sweep = false
 		case opBarrier:
 			op.done <- struct{}{}
 		}
@@ -193,8 +147,7 @@ func NewShardedDetector(cfg Config, workers int, emit func(Event)) *ShardedDetec
 	d := &ShardedDetector{
 		emit:        emit,
 		shards:      make([]*shard, workers),
-		routeBufs:   make([][]shardPkt, workers),
-		aggScratch:  make(map[int64]*SecondReport),
+		routeBufs:   make([][]*packet.Packet, workers),
 		barrierDone: make(chan struct{}, workers),
 	}
 	for i := range d.shards {
@@ -244,23 +197,11 @@ func (d *ShardedDetector) ProcessBatch(pkts []packet.Packet) {
 	batches := d.routeBufs
 	for i := range pkts {
 		p := &pkts[i]
-		// Replicate the serial tickSecond schedule: the report for second
-		// S is due just before the first packet whose second exceeds S.
-		sec := p.Timestamp.Truncate(time.Second)
-		if d.curSecond.IsZero() {
-			d.curSecond = sec
-		} else {
-			for d.curSecond.Before(sec) {
-				d.marks = append(d.marks, reportMark{second: d.curSecond, trigger: d.nextIdx})
-				d.curSecond = d.curSecond.Add(time.Second)
-			}
-		}
 		si := ShardIndex(p.SrcIP, n)
 		if batches[si] == nil {
 			batches[si] = newShardBatch()
 		}
-		batches[si] = append(batches[si], shardPkt{p: p, idx: d.nextIdx})
-		d.nextIdx++
+		batches[si] = append(batches[si], p)
 		if len(batches[si]) == shardBatchSize {
 			s := d.shards[si]
 			s.in.Push(shardOp{kind: opProcess, pkts: batches[si]})
@@ -268,7 +209,6 @@ func (d *ShardedDetector) ProcessBatch(pkts []packet.Packet) {
 			batches[si] = nil
 		}
 	}
-	d.lastTs = pkts[len(pkts)-1].Timestamp
 	for si, b := range batches {
 		if len(b) > 0 {
 			s := d.shards[si]
@@ -280,51 +220,58 @@ func (d *ShardedDetector) ProcessBatch(pkts []packet.Packet) {
 }
 
 // EndHour drains the shards, runs the hourly sweep on each, and delivers
-// the merged event stream for everything since the previous barrier. Like
-// the serial detector, the in-flight second flushes at the barrier, so
-// each hour's merged stream is self-contained.
+// everything since the previous barrier. Like the serial detector, each
+// shard's in-flight second flushes at the barrier, so every hour's events
+// are self-contained.
 func (d *ShardedDetector) EndHour(now time.Time) {
-	if d.closed {
-		return
-	}
-	for _, s := range d.shards {
-		if !d.lastTs.IsZero() {
-			s.in.Push(shardOp{kind: opAdvance, ts: d.lastTs})
-		}
-		s.in.Push(shardOp{kind: opEndHour, ts: now})
-	}
-	d.endBarrier()
+	d.endBarrier(opEndHour, now)
 }
 
-// Flush delivers the pending per-second report, ends every live scan
-// flow, and emits the merged stream. Call once at end of input.
+// Flush delivers the pending per-second reports and ends every live scan
+// flow. Call once at end of input.
 func (d *ShardedDetector) Flush(now time.Time) {
+	d.endBarrier(opFlush, now)
+}
+
+// endBarrier queues the sweep on every shard, waits for the shards to go
+// idle, and hands their buffers to emit on the caller's goroutine: each
+// shard's flow events, then the per-second reports summed across shards
+// (a shard that saw no packet in some second contributes nothing to it;
+// seconds no shard reported inside the hour's span come out zero). The
+// shard-local port tallies are flat pairs in each detector's arena
+// (recycleReports); folding them here and truncating the arenas makes a
+// whole hour of per-shard reports allocation-free.
+func (d *ShardedDetector) endBarrier(sweep opKind, now time.Time) {
 	if d.closed {
 		return
 	}
 	for _, s := range d.shards {
-		if !d.lastTs.IsZero() {
-			s.in.Push(shardOp{kind: opAdvance, ts: d.lastTs})
-		}
-		s.in.Push(shardOp{kind: opFlush, ts: now})
-	}
-	d.endBarrier()
-}
-
-// endBarrier finishes an EndHour/Flush: the serial detector emits the
-// in-flight second's report just before the sweep, so mark it due at
-// MaxInt64 (after all packet-triggered events, before sweep events land
-// via the strict-< interleave). The per-hour clock then resets — the next
-// hour re-anchors on its first packet, exactly like the serial detector
-// after its own EndHour.
-func (d *ShardedDetector) endBarrier() {
-	if !d.curSecond.IsZero() {
-		d.marks = append(d.marks, reportMark{second: d.curSecond, trigger: math.MaxInt64})
+		s.in.Push(shardOp{kind: sweep, ts: now})
 	}
 	d.barrier()
-	d.deliver()
-	d.curSecond = time.Time{}
-	d.lastTs = time.Time{}
+	emit := func(e Event) {
+		metMergedEvents.Inc()
+		d.emit(e)
+	}
+	for _, s := range d.shards {
+		for i := range s.events {
+			emit(s.events[i])
+		}
+		// Events were handed downstream; keeping them referenced would
+		// pin sample slabs.
+		clear(s.events)
+		s.events = s.events[:0]
+		pairs := s.det.portPairs
+		for i := range s.reports {
+			r := &s.reports[i]
+			d.reports.add(r, pairs[r.pairOff:r.pairOff+r.pairLen])
+		}
+		s.reports = s.reports[:0]
+		s.det.portPairs = pairs[:0]
+	}
+	d.reports.Drain(func(rep *SecondReport) {
+		emit(Event{Kind: EventSecondReport, Report: rep})
+	})
 }
 
 // barrier waits until every shard has executed all queued work, then
@@ -341,111 +288,6 @@ func (d *ShardedDetector) barrier() {
 	for _, s := range d.shards {
 		s.queueDepth.Set(float64(s.in.Len()))
 		s.flowTable.Set(float64(s.det.ActiveSources()))
-	}
-}
-
-// deliver merges the shard-local buffers into one deterministic stream
-// and hands it to emit on the caller's goroutine. Must run right after a
-// barrier (shards idle).
-func (d *ShardedDetector) deliver() {
-	// Per-second reports: sum the shard-local reports for each second.
-	// The aggregation map is coordinator scratch (cleared per barrier);
-	// the merged *SecondReport values escape downstream and stay freshly
-	// allocated. The shard-local port tallies are flat pairs in each
-	// detector's arena (recycleReports); folding them here and truncating
-	// the arenas makes a whole hour of per-shard reports allocation-free.
-	agg := d.aggScratch
-	for _, s := range d.shards {
-		pairs := s.det.portPairs
-		for i := range s.reports {
-			r := &s.reports[i]
-			key := r.Second.UnixNano()
-			dst, ok := agg[key]
-			if !ok {
-				dst = &SecondReport{Second: r.Second}
-				agg[key] = dst
-			}
-			addReport(dst, r)
-			if r.pairLen > 0 {
-				if dst.PortPackets == nil {
-					dst.PortPackets = make(map[uint16]int, r.pairLen)
-				}
-				for _, pc := range pairs[r.pairOff : r.pairOff+r.pairLen] {
-					dst.PortPackets[pc.port] += int(pc.n)
-				}
-			}
-		}
-		s.reports = s.reports[:0]
-		s.det.portPairs = s.det.portPairs[:0]
-	}
-
-	// Flow events: replay in global trigger order; sweep events (equal
-	// MaxInt64 triggers) order by source IP, matching the serial sweep.
-	evs := d.mergeBuf[:0]
-	for _, s := range d.shards {
-		evs = append(evs, s.events...)
-		s.events = s.events[:0]
-	}
-	slices.SortStableFunc(evs, func(a, b taggedEvent) int {
-		switch {
-		case a.trigger < b.trigger:
-			return -1
-		case a.trigger > b.trigger:
-			return 1
-		case a.ev.IP < b.ev.IP:
-			return -1
-		case a.ev.IP > b.ev.IP:
-			return 1
-		}
-		return 0
-	})
-
-	// Interleave: the report for a second is due before the packet that
-	// crossed it, so at an equal trigger reports go first.
-	marks := d.marks
-	ei := 0
-	emit := func(e Event) {
-		metMergedEvents.Inc()
-		d.emit(e)
-	}
-	for _, m := range marks {
-		for ei < len(evs) && evs[ei].trigger < m.trigger {
-			emit(evs[ei].ev)
-			ei++
-		}
-		rep := agg[m.second.UnixNano()]
-		if rep == nil {
-			rep = &SecondReport{Second: m.second}
-		}
-		emit(Event{Kind: EventSecondReport, Report: rep})
-	}
-	for ; ei < len(evs); ei++ {
-		emit(evs[ei].ev)
-	}
-
-	// Scrub and park the merge buffer for the next barrier (events were
-	// handed downstream; keeping them referenced would pin sample slabs).
-	clear(evs)
-	d.mergeBuf = evs[:0]
-	d.marks = d.marks[:0]
-	clear(agg)
-}
-
-// addReport folds src into dst (same second).
-func addReport(dst, src *SecondReport) {
-	dst.Total += src.Total
-	dst.TCP += src.TCP
-	dst.UDP += src.UDP
-	dst.ICMP += src.ICMP
-	dst.Backscatter += src.Backscatter
-	dst.NewScanFlows += src.NewScanFlows
-	if len(src.PortPackets) > 0 {
-		if dst.PortPackets == nil {
-			dst.PortPackets = make(map[uint16]int, len(src.PortPackets))
-		}
-		for port, n := range src.PortPackets {
-			dst.PortPackets[port] += n
-		}
 	}
 }
 

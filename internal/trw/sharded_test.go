@@ -1,7 +1,10 @@
 package trw
 
 import (
+	"cmp"
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,31 +14,90 @@ import (
 
 // runSerial replays hours through a serial Detector the way the pipeline
 // does: Process every packet, EndHour at each hour boundary, Flush at the
-// end. Returns the full event stream and final stats.
-func runSerial(cfg Config, hours [][]packet.Packet, bounds []time.Time, flushAt time.Time) ([]Event, Stats) {
-	var events []Event
-	d := NewDetector(cfg, func(e Event) { events = append(events, e) })
+// end. Returns the events of each barrier (one slice per hour, plus the
+// flush) and final stats.
+func runSerial(cfg Config, hours [][]packet.Packet, bounds []time.Time, flushAt time.Time) ([][]Event, Stats) {
+	barriers := make([][]Event, len(hours)+1)
+	bi := 0
+	d := NewDetector(cfg, func(e Event) { barriers[bi] = append(barriers[bi], e) })
 	for hi := range hours {
 		for i := range hours[hi] {
 			d.Process(&hours[hi][i])
 		}
 		d.EndHour(bounds[hi])
+		bi++
 	}
 	d.Flush(flushAt)
-	return events, d.Stats()
+	return barriers, d.Stats()
 }
 
 // runSharded replays the same hours through a ShardedDetector.
-func runSharded(cfg Config, workers int, hours [][]packet.Packet, bounds []time.Time, flushAt time.Time) ([]Event, Stats) {
-	var events []Event
-	d := NewShardedDetector(cfg, workers, func(e Event) { events = append(events, e) })
+func runSharded(cfg Config, workers int, hours [][]packet.Packet, bounds []time.Time, flushAt time.Time) ([][]Event, Stats) {
+	barriers := make([][]Event, len(hours)+1)
+	bi := 0
+	d := NewShardedDetector(cfg, workers, func(e Event) { barriers[bi] = append(barriers[bi], e) })
 	defer d.Close()
 	for hi := range hours {
 		d.ProcessBatch(hours[hi])
 		d.EndHour(bounds[hi])
+		bi++
 	}
 	d.Flush(flushAt)
-	return events, d.Stats()
+	return barriers, d.Stats()
+}
+
+// eventSet is one barrier's events with the emission order factored out:
+// flow events as a sorted multiset, reports keyed by second.
+type eventSet struct {
+	flows   []Event
+	reports map[int64]SecondReport
+}
+
+func toEventSet(t *testing.T, events []Event) eventSet {
+	t.Helper()
+	set := eventSet{reports: make(map[int64]SecondReport)}
+	for _, e := range events {
+		if e.Kind != EventSecondReport {
+			set.flows = append(set.flows, e)
+			continue
+		}
+		sec := e.Report.Second.UnixNano()
+		if _, dup := set.reports[sec]; dup {
+			t.Fatalf("second %v reported twice in one barrier", e.Report.Second)
+		}
+		set.reports[sec] = *e.Report
+	}
+	slices.SortFunc(set.flows, func(a, b Event) int {
+		return cmp.Or(
+			cmp.Compare(a.Kind, b.Kind),
+			cmp.Compare(a.IP, b.IP),
+			a.FirstSeen.Compare(b.FirstSeen),
+			a.DetectedAt.Compare(b.DetectedAt),
+			a.LastSeen.Compare(b.LastSeen),
+		)
+	})
+	return set
+}
+
+// requireSameEventSets asserts that two runs emitted, barrier by barrier,
+// the same flow events (as a multiset) and the same report for every
+// second.
+func requireSameEventSets(t *testing.T, label string, got, want [][]Event) {
+	t.Helper()
+	for bi := range want {
+		g, w := toEventSet(t, got[bi]), toEventSet(t, want[bi])
+		if !reflect.DeepEqual(g.flows, w.flows) {
+			t.Fatalf("%s: barrier %d flow events differ (got %d, want %d)", label, bi, len(g.flows), len(w.flows))
+		}
+		if len(g.reports) != len(w.reports) {
+			t.Fatalf("%s: barrier %d reports %d seconds, want %d", label, bi, len(g.reports), len(w.reports))
+		}
+		for sec, wr := range w.reports {
+			if gr, ok := g.reports[sec]; !ok || !reflect.DeepEqual(gr, wr) {
+				t.Fatalf("%s: barrier %d second %v:\n got  %+v\n want %+v", label, bi, wr.Second, gr, wr)
+			}
+		}
+	}
 }
 
 // simHours generates telescope traffic for n hours of a deterministic
@@ -60,9 +122,12 @@ func simHours(seed int64, n int) ([][]packet.Packet, []time.Time) {
 }
 
 // TestShardedMatchesSerialSimnet is the core equivalence property: for
-// realistic telescope traffic, the sharded detector's merged event stream
-// is identical — event by event, in order — to the serial detector's,
-// regardless of shard count.
+// realistic telescope traffic, the sharded detector emits at every
+// barrier the same event *set* as the serial detector — the same flow
+// events, the same summed report for every second, the same stats —
+// regardless of shard count. Emission order is deliberately not compared:
+// the detector's consumers order events by content (see the pipeline's
+// canonical order), so any order the shards surface in is correct.
 func TestShardedMatchesSerialSimnet(t *testing.T) {
 	hours, bounds := simHours(7, 4)
 	var total int
@@ -74,22 +139,14 @@ func TestShardedMatchesSerialSimnet(t *testing.T) {
 	}
 	flushAt := bounds[len(bounds)-1]
 
-	wantEvents, wantStats := runSerial(Config{}, hours, bounds, flushAt)
-	if len(wantEvents) == 0 {
+	want, wantStats := runSerial(Config{}, hours, bounds, flushAt)
+	if len(want[0]) == 0 {
 		t.Fatal("serial detector emitted no events")
 	}
 
 	for _, workers := range []int{1, 3, 8} {
-		gotEvents, gotStats := runSharded(Config{}, workers, hours, bounds, flushAt)
-		if len(gotEvents) != len(wantEvents) {
-			t.Fatalf("workers=%d: got %d events, want %d", workers, len(gotEvents), len(wantEvents))
-		}
-		for i := range wantEvents {
-			if !reflect.DeepEqual(gotEvents[i], wantEvents[i]) {
-				t.Fatalf("workers=%d: event %d differs:\n got  %+v\n want %+v",
-					workers, i, gotEvents[i], wantEvents[i])
-			}
-		}
+		got, gotStats := runSharded(Config{}, workers, hours, bounds, flushAt)
+		requireSameEventSets(t, fmt.Sprintf("workers=%d", workers), got, want)
 		if gotStats != wantStats {
 			t.Errorf("workers=%d: stats = %+v, want %+v", workers, gotStats, wantStats)
 		}
@@ -98,8 +155,8 @@ func TestShardedMatchesSerialSimnet(t *testing.T) {
 
 // TestShardedMatchesSerialSynthetic checks the merge on a hand-built
 // stream with cross-source timestamp ties, sources that expire mid-run,
-// and a shard that goes quiet before the end of the hour (exercising the
-// AdvanceClock alignment).
+// and a shard that goes quiet before the end of the hour (its report run
+// ends early; the seconds it missed must still sum to the serial totals).
 func TestShardedMatchesSerialSynthetic(t *testing.T) {
 	cfg := Config{DetectionThreshold: 10, SampleSize: 5, MinDuration: -1}
 	srcs := []packet.IP{
@@ -112,12 +169,11 @@ func TestShardedMatchesSerialSynthetic(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		ts := t0.Add(time.Duration(i) * 700 * time.Millisecond)
 		for si, src := range srcs {
-			// The last source goes quiet halfway through: its shard's
-			// report clock lags and must be advanced at the barrier.
+			// The last source goes quiet halfway through.
 			if si == 3 && i >= 20 {
 				continue
 			}
-			// Identical timestamps across sources exercise tie-breaking.
+			// Identical timestamps across sources.
 			pkts = append(pkts, synPacket(src, ts, 23))
 		}
 	}
@@ -125,13 +181,10 @@ func TestShardedMatchesSerialSynthetic(t *testing.T) {
 	bounds := []time.Time{t0.Add(time.Hour)}
 	flushAt := bounds[0].Add(time.Hour)
 
-	wantEvents, wantStats := runSerial(cfg, hours, bounds, flushAt)
+	want, wantStats := runSerial(cfg, hours, bounds, flushAt)
 	for _, workers := range []int{2, 4, 16} {
-		gotEvents, gotStats := runSharded(cfg, workers, hours, bounds, flushAt)
-		if !reflect.DeepEqual(gotEvents, wantEvents) {
-			t.Fatalf("workers=%d: event streams differ (got %d, want %d events)",
-				workers, len(gotEvents), len(wantEvents))
-		}
+		got, gotStats := runSharded(cfg, workers, hours, bounds, flushAt)
+		requireSameEventSets(t, fmt.Sprintf("workers=%d", workers), got, want)
 		if gotStats != wantStats {
 			t.Errorf("workers=%d: stats = %+v, want %+v", workers, gotStats, wantStats)
 		}

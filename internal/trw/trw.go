@@ -125,8 +125,8 @@ type SecondReport struct {
 	// Recycled-report form (sharded detectors only): the port tallies sit
 	// at [pairOff, pairOff+pairLen) of the owning detector's portPairs
 	// arena instead of in PortPackets. The coordinator folds them into
-	// the merged map at the barrier; reports that escape downstream never
-	// carry these.
+	// the merged map (ReportSum) at the barrier; reports that escape
+	// downstream never carry these.
 	pairOff, pairLen int32
 }
 
@@ -421,9 +421,8 @@ func (d *Detector) flushSecond() {
 // hour: scan flows idle longer than FlowEndGap are declared ended (with an
 // EventFlowEnd), and stale non-scanner state is dropped. Ended flows are
 // swept in ascending source-IP order so the emitted event sequence is
-// deterministic (and so a sharded detector can merge its per-shard sweeps
-// into the same stream). The sweep is epoch-incremental: only buckets old
-// enough to hold expirable flows are visited, never the whole table.
+// deterministic. The sweep is epoch-incremental: only buckets old enough
+// to hold expirable flows are visited, never the whole table.
 func (d *Detector) EndHour(now time.Time) {
 	// Flush the in-flight second first so every hour's report stream is
 	// self-contained: with hour-aligned input the pending second is always
@@ -495,16 +494,6 @@ func (d *Detector) updateGauges() {
 
 // ActiveSources returns the number of tracked source flows.
 func (d *Detector) ActiveSources() int { return d.tbl.len() }
-
-// AdvanceClock advances the per-second report clock to ts without
-// consuming a packet, emitting reports for every second completed before
-// ts. The sharded detector uses it to keep shard-local report clocks
-// aligned with the global packet stream: a shard that saw no packets near
-// the end of an hour still flushes the seconds the whole telescope has
-// moved past.
-func (d *Detector) AdvanceClock(ts time.Time) {
-	d.tickSecond(ts.UnixNano())
-}
 
 // Flush emits the pending per-second report and any in-flight short
 // samples, then ends every live scan flow. Call once at end of input.

@@ -7,25 +7,20 @@
 // until the next stage can reconnect ... no data will be lost due to
 // network failures."
 //
-// Two protocol versions share one listener:
-//
-//   - v1 (legacy): 13-byte headers, one stop-and-wait ack per frame,
-//     JSON payloads, receiver-side duplicate suppression by a global
-//     sequence. Still fully supported for old senders.
-//   - v2: a connection opens with the "EXW2" magic, then 26-byte headers
-//     carrying (shard ID, shard count, per-shard monotone sequence, hour
-//     epoch). Frames are batched into one coalesced write with a single
-//     cumulative ack per batch, payloads are binary (see
-//     pipeline.AppendEncodeEvent), and read/write scratch is pooled so
-//     steady-state frame I/O does not allocate. Delivery is
-//     at-least-once: the receiver performs no de-duplication — the
-//     (shard, sequence) tags give the downstream aggregator everything
-//     it needs to drop replayed frames and reorder across reconnects.
+// A connection opens with the "EXW2" magic, then carries 26-byte frame
+// headers tagged (shard ID, shard count, per-shard monotone sequence,
+// hour epoch) — an unsharded sampler is simply shard 0 of 1. Frames are
+// batched into one coalesced write with a single cumulative ack per
+// batch, payloads are binary (see pipeline.AppendEncodeEvent), and
+// read/write scratch is pooled so steady-state frame I/O does not
+// allocate. Delivery is at-least-once: the receiver performs no
+// de-duplication — the (shard, sequence) tags give the downstream
+// aggregator everything it needs to drop replayed frames and reorder
+// across reconnects.
 package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,9 +41,7 @@ var (
 	metSendRetries = telemetry.Default().Counter("exiot_wire_send_retries_total",
 		"Reconnect-and-resend attempts after a failed frame delivery.")
 	metFramesReceived = telemetry.Default().Counter("exiot_wire_frames_received_total",
-		"Fresh frames delivered to the receiver's handler.")
-	metFramesDuplicate = telemetry.Default().Counter("exiot_wire_frames_duplicate_total",
-		"Duplicate frames discarded by sequence-number de-duplication.")
+		"Frames delivered to the receiver's handler (reconnect replays included).")
 )
 
 // Kind tags a frame's payload type.
@@ -64,22 +57,23 @@ const (
 	KindReport
 	// KindControl carries control-plane messages.
 	KindControl
-	// KindHourEnd is a v2 barrier: the sending shard has emitted every
-	// event for the frame's HourEpoch. Its payload is empty.
+	// KindHourEnd is the hour barrier: the sending shard has emitted
+	// every event for the frame's HourEpoch. Its payload is empty.
 	KindHourEnd
 )
 
-// Version2 marks frames read from a v2 connection. Version 0 (the zero
-// value of Frame, and everything read from a legacy connection) means v1
-// JSON payloads.
+// Version2 marks every frame read off a connection: binary payloads,
+// shard/epoch tags. Version 0 — the zero value of Frame, never seen on
+// the wire — is how the WAL and snapshots wrap their JSON payloads for
+// pipeline.DecodeEvent.
 const Version2 = 2
 
-// v2 frame flags.
+// Frame flags.
 const (
 	// FlagAckRequest asks the receiver to echo this frame's sequence
 	// number once it (and therefore every frame before it on the
-	// connection) has been handed to the application. One cumulative ack
-	// per coalesced batch replaces v1's per-frame stop-and-wait.
+	// connection) has been handed to the application: one cumulative ack
+	// per coalesced batch.
 	FlagAckRequest uint8 = 1 << 0
 	// FlagFinal marks the last hour barrier of a shard's run (end of
 	// input, the sampler flushed).
@@ -92,8 +86,7 @@ type Frame struct {
 	Kind    Kind
 	Payload []byte
 
-	// v2 header fields. Version is 0 for frames from legacy connections
-	// and Version2 for frames carrying shard/epoch tags.
+	// Version is Version2 for frames off the wire (see Version2).
 	Version    uint8
 	Flags      uint8
 	ShardID    uint16
@@ -107,19 +100,17 @@ type Frame struct {
 // well under this).
 const maxFrameSize = 8 << 20
 
-// magicV2 opens every v2 connection. The first byte of a legacy v1 frame
-// is the top byte of a 64-bit sequence number — zero in any realistic
-// stream — so the magic cannot be confused with v1 traffic.
+// magicV2 opens every connection; the receiver closes one that starts
+// with anything else.
 var magicV2 = [4]byte{'E', 'X', 'W', '2'}
 
-// v2HeaderSize is the fixed v2 frame header:
+// v2HeaderSize is the fixed frame header:
 // [8 Seq][1 Kind][1 Flags][2 ShardID][2 ShardCount][8 HourEpoch][4 len].
 const v2HeaderSize = 26
 
-// payloadPool recycles frame payload buffers. readFrame/readFrameV2 draw
-// from it; the receiver returns the buffer after the handler runs, so
-// handlers must copy anything they retain (every decoder in this
-// codebase does).
+// payloadPool recycles frame payload buffers. readFrameV2 draws from it;
+// the receiver returns the buffer after the handler runs, so handlers
+// must copy anything they retain (every decoder in this codebase does).
 var payloadPool sync.Pool // holds *[]byte
 
 func getPayload(n int) []byte {
@@ -140,39 +131,7 @@ func putPayload(b []byte) {
 	payloadPool.Put(&b)
 }
 
-func writeFrame(w io.Writer, f *Frame) error {
-	var hdr [13]byte
-	binary.BigEndian.PutUint64(hdr[0:], f.Seq)
-	hdr[8] = byte(f.Kind)
-	binary.BigEndian.PutUint32(hdr[9:], uint32(len(f.Payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(f.Payload)
-	return err
-}
-
-func readFrame(r io.Reader) (*Frame, error) {
-	var hdr [13]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[9:])
-	if n > maxFrameSize {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit", n)
-	}
-	f := &Frame{
-		Seq:     binary.BigEndian.Uint64(hdr[0:]),
-		Kind:    Kind(hdr[8]),
-		Payload: getPayload(int(n)),
-	}
-	if _, err := io.ReadFull(r, f.Payload); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// appendFrameV2 serializes f (which must carry its v2 fields) onto dst.
+// appendFrameV2 serializes f onto dst.
 func appendFrameV2(dst []byte, f *Frame) []byte {
 	var hdr [v2HeaderSize]byte
 	binary.BigEndian.PutUint64(hdr[0:], f.Seq)
@@ -212,20 +171,18 @@ func readFrameV2(r io.Reader, f *Frame) error {
 // once this much encoded frame data is pending.
 const senderFlushSize = 128 << 10
 
-// Sender ships frames to a receiver with at-least-once delivery: frames
-// are retried across reconnects until acknowledged. On the v1 path each
-// Send is stop-and-wait and the receiver de-duplicates by sequence
-// number, so the stream is effectively exactly-once in order. On the v2
-// path (NewSenderV2) frames accumulate via Queue into one pooled write
-// buffer, go out as a single coalesced write with one cumulative ack,
-// and an unacknowledged batch replays wholesale on reconnect — the
-// receiver delivers everything and the downstream aggregator drops
-// replayed (shard, sequence) pairs.
+// Sender ships one shard's frames to a receiver with at-least-once
+// delivery: frames accumulate via Queue into one pooled write buffer, go
+// out as a single coalesced write with one cumulative ack, and an
+// unacknowledged batch replays wholesale on reconnect — the sender goes
+// idle, retrying, until the receiver is reachable again. The receiver
+// delivers everything and the downstream aggregator drops replayed
+// (shard, sequence) pairs.
 type Sender struct {
 	addr string
 	// RetryInterval is the idle wait between reconnect attempts.
 	RetryInterval time.Duration
-	// MaxRetries bounds reconnect attempts per Send/Flush (0 = unbounded).
+	// MaxRetries bounds reconnect attempts per Flush (0 = unbounded).
 	MaxRetries int
 
 	mu     sync.Mutex
@@ -233,8 +190,6 @@ type Sender struct {
 	seq    uint64
 	closed bool
 
-	// v2 state.
-	v2         bool
 	shardID    uint16
 	shardCount uint16
 	wbuf       []byte // encoded, unflushed frames
@@ -242,59 +197,23 @@ type Sender struct {
 	flagsOff   int    // offset of the last queued frame's Flags byte
 }
 
-// NewSender creates a v1 sender targeting addr. No connection is made
-// until the first Send.
-func NewSender(addr string) *Sender {
-	return &Sender{addr: addr, RetryInterval: 50 * time.Millisecond, MaxRetries: 200}
-}
-
-// NewSenderV2 creates a v2 sender for shard shardID of shardCount. Use
-// Queue/Barrier/Flush instead of Send; no connection is made until the
-// first Flush.
+// NewSenderV2 creates a sender for shard shardID of shardCount (0 of 1
+// for an unsharded sampler). No connection is made until the first
+// Flush.
 func NewSenderV2(addr string, shardID, shardCount int) *Sender {
-	s := NewSender(addr)
-	s.v2 = true
-	s.shardID = uint16(shardID)
-	s.shardCount = uint16(shardCount)
-	return s
-}
-
-// Send delivers one payload, blocking until the receiver acknowledges it.
-// v1 senders only.
-func (s *Sender) Send(kind Kind, payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("wire: sender closed")
-	}
-	if s.v2 {
-		return errors.New("wire: Send on a v2 sender (use Queue/Flush)")
-	}
-	s.seq++
-	f := &Frame{Seq: s.seq, Kind: kind, Payload: payload}
-
-	attempts := 0
-	for {
-		if err := s.trySend(f); err == nil {
-			metFramesSent.Inc()
-			return nil
-		}
-		// Connection failed mid-frame: drop it and go idle until the
-		// other side is reachable again.
-		s.dropConn()
-		metSendRetries.Inc()
-		attempts++
-		if s.MaxRetries > 0 && attempts >= s.MaxRetries {
-			return fmt.Errorf("wire: send seq %d: receiver unreachable after %d attempts", f.Seq, attempts)
-		}
-		time.Sleep(s.RetryInterval)
+	return &Sender{
+		addr:          addr,
+		RetryInterval: 50 * time.Millisecond,
+		MaxRetries:    200,
+		shardID:       uint16(shardID),
+		shardCount:    uint16(shardCount),
 	}
 }
 
 // Queue appends one event frame to the pending batch, copying payload
 // into the sender's write buffer (the caller may reuse payload
 // immediately). The batch flushes automatically once it reaches the
-// coalescing threshold, or explicitly via Flush/Barrier. v2 senders only.
+// coalescing threshold, or explicitly via Flush/Barrier.
 func (s *Sender) Queue(kind Kind, hourEpoch int64, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -304,7 +223,7 @@ func (s *Sender) Queue(kind Kind, hourEpoch int64, payload []byte) error {
 // Barrier queues a KindHourEnd marker for hourEpoch — "this shard has
 // emitted every event of this hour" — and flushes the pending batch so
 // the aggregator can close the hour. final marks the shard's last
-// barrier (end of input). v2 senders only.
+// barrier (end of input).
 func (s *Sender) Barrier(hourEpoch int64, final bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -321,9 +240,6 @@ func (s *Sender) Barrier(hourEpoch int64, final bool) error {
 func (s *Sender) queueLocked(kind Kind, hourEpoch int64, flags uint8, payload []byte) error {
 	if s.closed {
 		return errors.New("wire: sender closed")
-	}
-	if !s.v2 {
-		return errors.New("wire: Queue on a v1 sender (use Send)")
 	}
 	s.seq++
 	f := Frame{
@@ -412,32 +328,6 @@ func (s *Sender) tryFlush() error {
 	return nil
 }
 
-func (s *Sender) trySend(f *Frame) error {
-	if s.conn == nil {
-		conn, err := net.Dial("tcp", s.addr)
-		if err != nil {
-			return err
-		}
-		s.conn = conn
-	}
-	if err := writeFrame(s.conn, f); err != nil {
-		return err
-	}
-	// Stop-and-wait: the receiver echoes the sequence number after the
-	// frame is handed to the application.
-	var ack [8]byte
-	if err := s.conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
-		return err
-	}
-	if _, err := io.ReadFull(s.conn, ack[:]); err != nil {
-		return err
-	}
-	if got := binary.BigEndian.Uint64(ack[:]); got != f.Seq {
-		return fmt.Errorf("wire: ack %d for frame %d", got, f.Seq)
-	}
-	return nil
-}
-
 func (s *Sender) dropConn() {
 	if s.conn != nil {
 		s.conn.Close()
@@ -446,20 +336,20 @@ func (s *Sender) dropConn() {
 }
 
 // ResetConn drops the current connection without sending anything, as if
-// the network had failed. The next Send/Flush transparently reconnects
-// (and, on v2, replays the unacknowledged batch). Test hook.
+// the network had failed. The next Flush transparently reconnects and
+// replays the unacknowledged batch. Test hook.
 func (s *Sender) ResetConn() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.dropConn()
 }
 
-// Close flushes any pending v2 batch and releases the connection.
+// Close flushes any pending batch and releases the connection.
 func (s *Sender) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var err error
-	if s.v2 && !s.closed {
+	if !s.closed {
 		err = s.flushLocked()
 	}
 	s.closed = true
@@ -467,27 +357,24 @@ func (s *Sender) Close() error {
 	return err
 }
 
-// Receiver accepts sender connections — v1 and v2 on the same listener,
-// told apart by the "EXW2" connection preamble — and delivers frames to
-// a handler. v1 connections keep the legacy contract: global
-// sequence-number de-duplication, one ack per frame after the handler
-// returns. v2 connections deliver every frame (replays included; the
-// shard/sequence tags let the aggregator de-duplicate) and ack only on
-// FlagAckRequest. Frame payloads are pooled: they are valid only for the
-// duration of the handler call, which must copy anything it retains.
+// Receiver accepts sender connections and delivers their frames to a
+// handler. Every frame is delivered, reconnect replays included (the
+// shard/sequence tags let the aggregator de-duplicate), and acks go out
+// only on FlagAckRequest, after the handler returns. Frame payloads are
+// pooled: they are valid only for the duration of the handler call,
+// which must copy anything it retains.
 type Receiver struct {
 	ln      net.Listener
 	handler func(Frame)
 
-	mu      sync.Mutex
-	lastSeq uint64
-	wg      sync.WaitGroup
-	closed  bool
-	conns   map[net.Conn]struct{}
+	mu     sync.Mutex
+	wg     sync.WaitGroup
+	closed bool
+	conns  map[net.Conn]struct{}
 }
 
 // NewReceiver listens on addr ("host:0" picks a free port) and invokes
-// handler for every new frame, in sequence order per sender.
+// handler for every frame, in arrival order per connection.
 func NewReceiver(addr string, handler func(Frame)) (*Receiver, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -533,55 +420,10 @@ func (r *Receiver) acceptLoop() {
 func (r *Receiver) serve(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64<<10)
-	// Version negotiation: a v2 connection announces itself with a
-	// 4-byte magic before the first frame; anything else is a legacy v1
-	// stream (whose first header byte is the top of a small uint64
-	// sequence, never 'E').
-	head, err := br.Peek(len(magicV2))
-	if err != nil {
+	var magic [len(magicV2)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != magicV2 {
 		return
 	}
-	if bytes.Equal(head, magicV2[:]) {
-		br.Discard(len(magicV2))
-		r.serveV2(br, conn)
-		return
-	}
-	r.serveV1(br, conn)
-}
-
-func (r *Receiver) serveV1(br *bufio.Reader, conn net.Conn) {
-	for {
-		f, err := readFrame(br)
-		if err != nil {
-			return
-		}
-		r.mu.Lock()
-		fresh := f.Seq > r.lastSeq
-		if fresh {
-			r.lastSeq = f.Seq
-		}
-		closed := r.closed
-		r.mu.Unlock()
-		if closed {
-			return
-		}
-		if fresh {
-			// Deliver before acking so an acked frame is never lost.
-			metFramesReceived.Inc()
-			r.handler(*f)
-		} else {
-			metFramesDuplicate.Inc()
-		}
-		putPayload(f.Payload)
-		var ack [8]byte
-		binary.BigEndian.PutUint64(ack[:], f.Seq)
-		if _, err := conn.Write(ack[:]); err != nil {
-			return
-		}
-	}
-}
-
-func (r *Receiver) serveV2(br *bufio.Reader, conn net.Conn) {
 	var f Frame
 	for {
 		if err := readFrameV2(br, &f); err != nil {
@@ -594,9 +436,10 @@ func (r *Receiver) serveV2(br *bufio.Reader, conn net.Conn) {
 			return
 		}
 		// Deliver everything, replays included: de-duplication belongs
-		// to the aggregator, which tracks a sequence per (shard, count)
-		// — a single receiver-global watermark would wrongly drop frames
-		// when several shards share the listener.
+		// to the aggregator, which tracks a sequence per shard — a
+		// receiver-global watermark would wrongly drop frames when
+		// several shards share the listener. Deliver before acking so an
+		// acked frame is never lost.
 		metFramesReceived.Inc()
 		r.handler(f)
 		putPayload(f.Payload)

@@ -2,7 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -35,35 +38,48 @@ func (c *collector) frame(i int) Frame {
 	return c.frames[i]
 }
 
+// TestFrameRoundTrip reads a coalesced batch back frame by frame: an
+// event, an empty-payload barrier, another event, then a clean EOF.
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := Frame{Seq: 42, Kind: KindSample, Payload: []byte("hello")}
-	if err := writeFrame(&buf, &in); err != nil {
-		t.Fatal(err)
+	in := []Frame{
+		{Seq: 42, Kind: KindSample, HourEpoch: 3600, Payload: []byte("hello")},
+		{Seq: 43, Kind: KindHourEnd, Flags: FlagAckRequest, HourEpoch: 3600},
+		{Seq: 44, Kind: KindReport, HourEpoch: 7200, Payload: []byte("next hour")},
 	}
-	out, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
+	var batch []byte
+	for i := range in {
+		batch = appendFrameV2(batch, &in[i])
 	}
-	if out.Seq != 42 || out.Kind != KindSample || string(out.Payload) != "hello" {
-		t.Errorf("roundtrip = %+v", out)
+	r := bytes.NewReader(batch)
+	for i, want := range in {
+		var out Frame
+		if err := readFrameV2(r, &out); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if out.Seq != want.Seq || out.Kind != want.Kind || out.Flags != want.Flags ||
+			out.HourEpoch != want.HourEpoch || !bytes.Equal(out.Payload, want.Payload) {
+			t.Errorf("frame %d roundtrip = %+v, want %+v", i, out, want)
+		}
+	}
+	var out Frame
+	if err := readFrameV2(r, &out); err != io.EOF {
+		t.Errorf("read past the batch: %v, want io.EOF", err)
 	}
 }
 
 func TestFrameSizeLimit(t *testing.T) {
-	var buf bytes.Buffer
 	f := Frame{Seq: 1, Kind: KindControl, Payload: make([]byte, 16)}
-	if err := writeFrame(&buf, &f); err != nil {
-		t.Fatal(err)
-	}
+	raw := appendFrameV2(nil, &f)
 	// Corrupt the length field to exceed the cap.
-	raw := buf.Bytes()
-	raw[9], raw[10], raw[11], raw[12] = 0xFF, 0xFF, 0xFF, 0xFF
-	if _, err := readFrame(bytes.NewReader(raw)); err == nil {
+	raw[22], raw[23], raw[24], raw[25] = 0xFF, 0xFF, 0xFF, 0xFF
+	var out Frame
+	if err := readFrameV2(bytes.NewReader(raw), &out); err == nil {
 		t.Error("oversized frame accepted")
 	}
 }
 
+// TestSendReceive flushes after every frame — the stop-and-wait extreme
+// of the batching range: each frame is acked before the next is queued.
 func TestSendReceive(t *testing.T) {
 	var c collector
 	r, err := NewReceiver("127.0.0.1:0", c.handle)
@@ -72,15 +88,18 @@ func TestSendReceive(t *testing.T) {
 	}
 	defer r.Close()
 
-	s := NewSender(r.Addr())
+	s := NewSenderV2(r.Addr(), 0, 1)
 	defer s.Close()
 	for i := 0; i < 20; i++ {
-		if err := s.Send(KindSample, []byte(fmt.Sprintf("msg-%d", i))); err != nil {
+		if err := s.Queue(KindSample, 3600, []byte(fmt.Sprintf("msg-%d", i))); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if c.len() != 20 {
-		t.Fatalf("delivered %d frames, want 20", c.len())
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if c.len() != i+1 {
+			t.Fatalf("after flush %d: %d frames delivered", i, c.len())
+		}
 	}
 	for i := 0; i < 20; i++ {
 		f := c.frame(i)
@@ -93,17 +112,23 @@ func TestSendReceive(t *testing.T) {
 	}
 }
 
+// TestReconnectWithoutLoss closes the connection underneath the sender
+// (it only finds out when the next flush fails mid-write or mid-ack).
 func TestReconnectWithoutLoss(t *testing.T) {
 	var c collector
 	r, err := NewReceiver("127.0.0.1:0", c.handle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := r.Addr()
+	defer r.Close()
 
-	s := NewSender(addr)
+	s := NewSenderV2(r.Addr(), 0, 1)
+	s.RetryInterval = time.Millisecond
 	defer s.Close()
-	if err := s.Send(KindSample, []byte("one")); err != nil {
+	if err := s.Queue(KindSample, 3600, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,8 +137,11 @@ func TestReconnectWithoutLoss(t *testing.T) {
 	s.conn.Close()
 	s.mu.Unlock()
 
-	// The next send must transparently reconnect and deliver.
-	if err := s.Send(KindSample, []byte("two")); err != nil {
+	// The next flush must transparently reconnect and deliver.
+	if err := s.Queue(KindSample, 3600, []byte("two")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if c.len() != 2 {
@@ -122,7 +150,6 @@ func TestReconnectWithoutLoss(t *testing.T) {
 	if string(c.frame(1).Payload) != "two" {
 		t.Errorf("frame 1 = %q", c.frame(1).Payload)
 	}
-	r.Close()
 }
 
 func TestSenderGoesIdleUntilReceiverUp(t *testing.T) {
@@ -138,12 +165,15 @@ func TestSenderGoesIdleUntilReceiverUp(t *testing.T) {
 	addr := tmp.Addr()
 	tmp.Close()
 
-	s := NewSender(addr)
+	s := NewSenderV2(addr, 0, 1)
 	s.RetryInterval = 10 * time.Millisecond
 	defer s.Close()
+	if err := s.Queue(KindFlowEnd, 3600, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
 
 	errc := make(chan error, 1)
-	go func() { errc <- s.Send(KindFlowEnd, []byte("late")) }()
+	go func() { errc <- s.Flush() }()
 
 	time.Sleep(50 * time.Millisecond) // sender is spinning idle
 	r, err := NewReceiver(addr, c.handle)
@@ -158,7 +188,7 @@ func TestSenderGoesIdleUntilReceiverUp(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("send never completed after receiver came up")
+		t.Fatal("flush never completed after receiver came up")
 	}
 	if c.len() != 1 || string(c.frame(0).Payload) != "late" {
 		t.Fatalf("frames = %d", c.len())
@@ -166,24 +196,37 @@ func TestSenderGoesIdleUntilReceiverUp(t *testing.T) {
 }
 
 func TestSenderGivesUpAfterMaxRetries(t *testing.T) {
-	s := NewSender("127.0.0.1:1") // nothing listens on port 1
+	s := NewSenderV2("127.0.0.1:1", 0, 1) // nothing listens on port 1
 	s.RetryInterval = time.Millisecond
 	s.MaxRetries = 3
-	defer s.Close()
-	if err := s.Send(KindControl, []byte("x")); err == nil {
-		t.Error("send to dead address should fail after MaxRetries")
+	if err := s.Queue(KindControl, 0, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err == nil {
+		t.Error("flush to dead address should fail after MaxRetries")
+	}
+	// The batch is still unacknowledged, so Close retries it and reports
+	// the same failure instead of dropping it silently.
+	if err := s.Close(); err == nil {
+		t.Error("close with an undeliverable batch should report it")
 	}
 }
 
 func TestSenderClosed(t *testing.T) {
-	s := NewSender("127.0.0.1:1")
+	s := NewSenderV2("127.0.0.1:1", 0, 1)
 	s.Close()
-	if err := s.Send(KindControl, nil); err == nil {
-		t.Error("send on closed sender should fail")
+	if err := s.Queue(KindControl, 0, nil); err == nil {
+		t.Error("queue on closed sender should fail")
+	}
+	if err := s.Flush(); err == nil {
+		t.Error("flush on closed sender should fail")
 	}
 }
 
-func TestDuplicateFramesSuppressed(t *testing.T) {
+// TestNonMagicPreambleClosed: a connection that does not open with the
+// EXW2 magic is closed without a single handler call, however
+// frame-shaped the bytes that follow.
+func TestNonMagicPreambleClosed(t *testing.T) {
 	var c collector
 	r, err := NewReceiver("127.0.0.1:0", c.handle)
 	if err != nil {
@@ -191,28 +234,24 @@ func TestDuplicateFramesSuppressed(t *testing.T) {
 	}
 	defer r.Close()
 
-	s := NewSender(r.Addr())
-	defer s.Close()
-	if err := s.Send(KindSample, []byte("first")); err != nil {
+	conn, err := net.Dial("tcp", r.Addr())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a retransmit of an already-acked frame (ack lost): write
-	// the same seq again on a raw connection.
-	s.mu.Lock()
-	conn := s.conn
-	dup := Frame{Seq: 1, Kind: KindSample, Payload: []byte("first")}
-	if err := writeFrame(conn, &dup); err != nil {
-		s.mu.Unlock()
+	defer conn.Close()
+	f := Frame{Seq: 1, Kind: KindSample, Flags: FlagAckRequest, ShardCount: 1, Payload: []byte("smuggled")}
+	if _, err := conn.Write(appendFrameV2([]byte("EXW1"), &f)); err != nil {
 		t.Fatal(err)
 	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	var ack [8]byte
-	if _, err := conn.Read(ack[:]); err != nil {
-		s.mu.Unlock()
-		t.Fatal(err)
+	// EOF, or a reset if the close raced bytes still in flight.
+	var ne net.Error
+	if n, err := conn.Read(ack[:]); n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("read %d bytes, err %v; want the connection closed with no ack", n, err)
 	}
-	s.mu.Unlock()
-	if c.len() != 1 {
-		t.Errorf("duplicate frame delivered: %d frames", c.len())
+	if c.len() != 0 {
+		t.Errorf("handler saw %d frames from a connection without the magic", c.len())
 	}
 }
 
@@ -335,52 +374,6 @@ func TestV2ReconnectReplaysBatch(t *testing.T) {
 	}
 	if string(c.frame(1).Payload) != "b" || c.frame(1).Seq != 2 {
 		t.Fatalf("frame 1 = %+v", c.frame(1))
-	}
-}
-
-func TestV1AndV2ShareListener(t *testing.T) {
-	var c collector
-	r, err := NewReceiver("127.0.0.1:0", c.handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-
-	v1 := NewSender(r.Addr())
-	defer v1.Close()
-	v2 := NewSenderV2(r.Addr(), 0, 1)
-	defer v2.Close()
-
-	if err := v1.Send(KindSample, []byte("legacy")); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.Queue(KindSample, 3600, []byte("binary")); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if c.len() != 2 {
-		t.Fatalf("delivered %d frames, want 2", c.len())
-	}
-	if got := c.frame(0); got.Version != 0 || string(got.Payload) != "legacy" {
-		t.Fatalf("v1 frame = %+v", got)
-	}
-	if got := c.frame(1); got.Version != Version2 || string(got.Payload) != "binary" {
-		t.Fatalf("v2 frame = %+v", got)
-	}
-}
-
-func TestSendersMisuse(t *testing.T) {
-	v1 := NewSender("127.0.0.1:1")
-	defer v1.Close()
-	if err := v1.Queue(KindSample, 0, nil); err == nil {
-		t.Error("Queue on a v1 sender should fail")
-	}
-	v2 := NewSenderV2("127.0.0.1:1", 0, 1)
-	defer v2.Close()
-	if err := v2.Send(KindSample, nil); err == nil {
-		t.Error("Send on a v2 sender should fail")
 	}
 }
 
