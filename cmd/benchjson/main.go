@@ -3,7 +3,8 @@
 // The repo commits machine-readable baselines (BENCH_ingest.json,
 // BENCH_backhalf.json) captured with `benchjson run`; CI re-runs the same
 // benchmarks and `benchjson compare` flags any ns/op regression beyond a
-// threshold. Runs with -count > 1 are reduced to the per-benchmark median,
+// threshold, and fails on an allocs/op rise beyond it even under
+// -warn-only. Runs with -count > 1 are reduced to the per-benchmark median,
 // damping scheduler noise on shared runners. Every capture is stamped
 // with the machine that produced it, and compare refuses two stamped
 // files captured at different GOMAXPROCS.
@@ -214,6 +215,32 @@ func compareBaselines(base, cur map[string]BenchStat, threshold float64) (regs, 
 	return regs, improves, missing
 }
 
+// allocRegressions returns the benchmarks whose allocs/op rose past the
+// threshold (or off a zero baseline, Delta +Inf). An allocation count
+// repeats from run to run and from machine to machine, so unlike ns/op a
+// rise is the code's doing and no runner's: compare fails on one even
+// under -warn-only.
+func allocRegressions(base, cur map[string]BenchStat, threshold float64) []regression {
+	const unit = "allocs/op"
+	var regs []regression
+	for name, b := range base {
+		bv, ok := b.Metrics[unit]
+		cv, also := cur[name].Metrics[unit]
+		if !ok || !also || cv <= bv {
+			continue
+		}
+		r := regression{Name: name, Baseline: bv, Current: cv, Delta: math.Inf(1)}
+		if bv > 0 {
+			r.Delta = (cv - bv) / bv
+		}
+		if r.Delta > threshold {
+			regs = append(regs, r)
+		}
+	}
+	sort.Slice(regs, func(i, j int) bool { return regs[i].Name < regs[j].Name })
+	return regs
+}
+
 // metricChange is one per-metric value that moved past the threshold in
 // either direction. Metrics have no universal "worse" direction
 // (pkts/sec up is good, scan_recall down is bad), so any move beyond
@@ -358,7 +385,7 @@ func compareCmd(args []string) error {
 	basePath := fs.String("baseline", "", "committed baseline JSON")
 	curPath := fs.String("current", "", "freshly captured JSON")
 	threshold := fs.Float64("threshold", 0.10, "fractional ns/op regression tolerated")
-	warnOnly := fs.Bool("warn-only", false, "report regressions without failing (shared-runner mode)")
+	warnOnly := fs.Bool("warn-only", false, "report ns/op regressions, metric changes and missing benchmarks without failing (shared-runner mode); an allocs/op rise still fails")
 	withMetrics := fs.Bool("metrics", false, "also flag per-metric values (B/op, custom units) that move past the threshold in either direction")
 	fs.Parse(args)
 	if *basePath == "" || *curPath == "" {
@@ -391,6 +418,11 @@ func compareCmd(args []string) error {
 		fmt.Printf("REGRESSED %-40s %12.0f -> %12.0f ns/op (%+.1f%%, threshold %.0f%%)\n",
 			r.Name, r.Baseline, r.Current, 100*r.Delta, 100**threshold)
 	}
+	allocRegs := allocRegressions(base.Benchmarks, cur.Benchmarks, *threshold)
+	for _, r := range allocRegs {
+		fmt.Printf("REGRESSED %-40s %12.0f -> %12.0f allocs/op (%+.1f%%, threshold %.0f%%, blocking)\n",
+			r.Name, r.Baseline, r.Current, 100*r.Delta, 100**threshold)
+	}
 	var changes []metricChange
 	if *withMetrics {
 		var missingMetrics []string
@@ -409,17 +441,17 @@ func compareCmd(args []string) error {
 				c.Name, c.Baseline, c.Current, 100*c.Delta, 100**threshold)
 		}
 	}
-	if len(regs) == 0 && len(missing) == 0 && len(changes) == 0 {
+	if len(regs) == 0 && len(allocRegs) == 0 && len(missing) == 0 && len(changes) == 0 {
 		fmt.Printf("OK: %d benchmarks within %.0f%% of baseline\n", len(base.Benchmarks), 100**threshold)
 		return nil
 	}
-	if *warnOnly {
+	if *warnOnly && len(allocRegs) == 0 {
 		fmt.Printf("WARN: %d regression(s), %d metric change(s), %d missing (warn-only mode, not failing)\n",
 			len(regs), len(changes), len(missing))
 		return nil
 	}
-	return fmt.Errorf("benchjson: %d regression(s), %d metric change(s), %d missing",
-		len(regs), len(changes), len(missing))
+	return fmt.Errorf("benchjson: %d ns/op regression(s), %d allocs/op regression(s), %d metric change(s), %d missing",
+		len(regs), len(allocRegs), len(changes), len(missing))
 }
 
 func main() {

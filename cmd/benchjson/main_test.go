@@ -231,3 +231,49 @@ func TestCompareRefusesAcrossGOMAXPROCS(t *testing.T) {
 		t.Errorf("same GOMAXPROCS refused: %v", err)
 	}
 }
+
+// TestCompareFailsOnAllocRiseUnderWarnOnly: -warn-only waives what a
+// noisy runner can cause — ns/op — and not what only the code can.
+func TestCompareFailsOnAllocRiseUnderWarnOnly(t *testing.T) {
+	allocs := func(n float64) BenchStat {
+		return BenchStat{NsPerOp: 100, Metrics: map[string]float64{"allocs/op": n, "B/op": 64}}
+	}
+	base := map[string]BenchStat{"same": allocs(100), "edge": allocs(100), "up": allocs(100),
+		"down": allocs(100), "off-zero": allocs(0), "zero": allocs(0), "gone": allocs(100), "bare": {NsPerOp: 100}}
+	cur := map[string]BenchStat{"same": allocs(100), "edge": allocs(110), "up": allocs(111),
+		"down": allocs(10), "off-zero": allocs(1), "zero": allocs(0), "bare": allocs(5)}
+	regs := allocRegressions(base, cur, 0.10)
+	if len(regs) != 2 || regs[0].Name != "off-zero" || regs[1].Name != "up" {
+		t.Fatalf("alloc regressions = %+v, want [off-zero up]", regs)
+	}
+	if !math.IsInf(regs[0].Delta, 1) || math.Abs(regs[1].Delta-0.11) > 1e-9 {
+		t.Errorf("deltas = %v, %v, want +Inf, 0.11", regs[0].Delta, regs[1].Delta)
+	}
+
+	dir := t.TempDir()
+	write := func(name string, ns, allocs float64) string {
+		t.Helper()
+		data, err := json.Marshal(Baseline{Benchmarks: map[string]BenchStat{
+			"X": {NsPerOp: ns, Metrics: map[string]float64{"allocs/op": allocs}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	baseline := write("base.json", 100, 1000)
+	slower := write("slower.json", 200, 1000)
+	hungrier := write("hungrier.json", 100, 1200)
+	if err := compareCmd([]string{"-baseline", baseline, "-current", slower, "-warn-only"}); err != nil {
+		t.Errorf("ns/op regression failed under -warn-only: %v", err)
+	}
+	if err := compareCmd([]string{"-baseline", baseline, "-current", hungrier, "-warn-only"}); err == nil {
+		t.Error("allocs/op 1000 -> 1200 passed under -warn-only")
+	}
+	if err := compareCmd([]string{"-baseline", hungrier, "-current", baseline, "-warn-only"}); err != nil {
+		t.Errorf("allocs/op fall refused: %v", err)
+	}
+}

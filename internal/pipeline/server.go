@@ -412,7 +412,8 @@ func (s *Server) finishEndTrace(e SamplerEvent, outcome string) {
 
 // Tick runs time-driven housekeeping: scan-batch age flush, the daily
 // retrain, and historical expiry. Call with the advancing simulated
-// clock.
+// clock. HandleEvent calls it for every event, so both checks are O(1)
+// until something is due: a retrain, or an hour's records lapsing.
 func (s *Server) Tick(now time.Time) {
 	// Age-based scan flush happens inside Enqueue; here we force a flush
 	// when the batch has been waiting past the trigger with no arrivals.

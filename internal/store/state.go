@@ -22,12 +22,12 @@ func (c *Collection[T]) Export() []Doc[T] {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	out := make([]Doc[T], 0, len(c.docs))
-	for _, id := range c.order {
-		doc, ok := c.docs[id]
+	for _, e := range c.order {
+		doc, ok := c.docs[e.id]
 		if !ok {
 			continue
 		}
-		out = append(out, Doc[T]{ID: id, Value: doc})
+		out = append(out, Doc[T]{ID: e.id, Value: doc})
 	}
 	return out
 }
@@ -40,10 +40,13 @@ func (c *Collection[T]) Restore(docs []Doc[T]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.docs = make(map[ObjectID]T, len(docs))
-	c.order = make([]ObjectID, 0, len(docs))
+	c.order = make([]entry, 0, len(docs))
+	c.minStamp = noStamp
 	for _, d := range docs {
+		e := newEntry(d.ID)
 		c.docs[d.ID] = d.Value
-		c.order = append(c.order, d.ID)
+		c.order = append(c.order, e)
+		c.minStamp = min(c.minStamp, e.stamp)
 	}
 }
 
@@ -78,8 +81,10 @@ func (kv *KV) Restore(items []KVItem) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	kv.data = make(map[string]kvEntry, len(items))
+	kv.firstExpiry = time.Time{}
 	for _, it := range items {
 		kv.data[it.Key] = kvEntry{value: it.Value, expiresAt: it.ExpiresAt}
+		kv.noteExpiry(it.ExpiresAt)
 	}
 }
 

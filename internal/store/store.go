@@ -9,6 +9,7 @@ package store
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,8 +46,11 @@ func NewObjectID(ts time.Time) ObjectID {
 
 // Time extracts the timestamp an ObjectID was minted with.
 func (id ObjectID) Time() time.Time {
-	raw, err := hex.DecodeString(string(id))
-	if err != nil || len(raw) != 12 {
+	var raw [12]byte
+	if len(id) != 2*len(raw) {
+		return time.Time{}
+	}
+	if _, err := hex.Decode(raw[:], []byte(id)); err != nil {
 		return time.Time{}
 	}
 	return time.Unix(int64(binary.BigEndian.Uint32(raw[0:4])), 0).UTC()
@@ -56,8 +60,13 @@ func (id ObjectID) Time() time.Time {
 type Collection[T any] struct {
 	mu   sync.RWMutex
 	docs map[ObjectID]T
-	// order preserves insertion sequence for deterministic scans.
-	order []ObjectID
+	// order preserves insertion sequence for deterministic scans. An
+	// entry whose id is no longer in docs is a tombstone left by Delete.
+	order []entry
+	// minStamp is a lower bound on the stamps of the live documents:
+	// Insert and Restore lower it, a sweep makes it exact, and Delete
+	// leaves it low until the next sweep. noStamp for a new collection.
+	minStamp int64
 	// hook observes mutations (see SetHook in state.go); extra holds
 	// additional observers appended with AddHook.
 	hook  func(Mutation)
@@ -74,18 +83,33 @@ func (c *Collection[T]) notify(m Mutation) {
 	}
 }
 
+// entry is one slot of a collection's insertion order: the id with the
+// unix second it decodes to (the zero time's for a malformed id), kept
+// so that retention never decodes an id.
+type entry struct {
+	id    ObjectID
+	stamp int64
+}
+
+func newEntry(id ObjectID) entry { return entry{id: id, stamp: id.Time().Unix()} }
+
+// noStamp is minStamp's value when there is nothing to bound.
+const noStamp = math.MaxInt64
+
 // NewCollection creates an empty collection.
 func NewCollection[T any]() *Collection[T] {
-	return &Collection[T]{docs: make(map[ObjectID]T)}
+	return &Collection[T]{docs: make(map[ObjectID]T), minStamp: noStamp}
 }
 
 // Insert stores doc under a fresh ObjectID stamped with ts.
 func (c *Collection[T]) Insert(ts time.Time, doc T) ObjectID {
 	id := NewObjectID(ts)
+	e := newEntry(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.docs[id] = doc
-	c.order = append(c.order, id)
+	c.order = append(c.order, e)
+	c.minStamp = min(c.minStamp, e.stamp)
 	opInsert.Inc()
 	c.notify(Mutation{Op: "insert", ID: id})
 	return id
@@ -130,8 +154,8 @@ func (c *Collection[T]) Find(filter func(T) bool) []T {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []T
-	for _, id := range c.order {
-		doc, ok := c.docs[id]
+	for _, e := range c.order {
+		doc, ok := c.docs[e.id]
 		if !ok {
 			continue
 		}
@@ -148,20 +172,23 @@ func (c *Collection[T]) FindIDs(filter func(T) bool) ([]ObjectID, []T) {
 	defer c.mu.RUnlock()
 	var ids []ObjectID
 	var docs []T
-	for _, id := range c.order {
-		doc, ok := c.docs[id]
+	for _, e := range c.order {
+		doc, ok := c.docs[e.id]
 		if !ok {
 			continue
 		}
 		if filter == nil || filter(doc) {
-			ids = append(ids, id)
+			ids = append(ids, e.id)
 			docs = append(docs, doc)
 		}
 	}
 	return ids, docs
 }
 
-// Delete removes a document.
+// Delete removes a document. Its slot in order stays behind as a
+// tombstone until tombstones outnumber live documents, when one sweep
+// drops them all: amortised O(1), and order never exceeds twice the live
+// count.
 func (c *Collection[T]) Delete(id ObjectID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -171,31 +198,55 @@ func (c *Collection[T]) Delete(id ObjectID) bool {
 	delete(c.docs, id)
 	opDelete.Inc()
 	c.notify(Mutation{Op: "delete", ID: id})
+	if len(c.order) > 2*len(c.docs) {
+		c.sweep(math.MinInt64)
+	}
 	return true
 }
 
 // Expire deletes documents whose ObjectID timestamp is older than cutoff
 // and returns how many were removed — the historical database's lapsing
-// two-week retention.
+// two-week retention. It costs O(1) unless minStamp says something may be
+// due: stamps arrive an hour at a time and non-decreasing, so in steady
+// state one call per hour walks the collection and the rest return here.
 func (c *Collection[T]) Expire(cutoff time.Time) int {
+	// A stamp is whole seconds, so "before cutoff" is "below limit".
+	limit := cutoff.Unix()
+	if cutoff.Nanosecond() > 0 {
+		limit++
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.minStamp >= limit {
+		return 0
+	}
+	removed := c.sweep(limit)
+	opExpire.Add(int64(removed))
+	return removed
+}
+
+// sweep walks order once: it drops tombstones, removes every live
+// document stamped below limit (firing its "expire" mutation, in
+// insertion order), and makes minStamp exact. Caller holds c.mu.
+func (c *Collection[T]) sweep(limit int64) int {
 	removed := 0
 	keep := c.order[:0]
-	for _, id := range c.order {
-		if _, live := c.docs[id]; !live {
+	c.minStamp = noStamp
+	for _, e := range c.order {
+		if _, live := c.docs[e.id]; !live {
 			continue
 		}
-		if id.Time().Before(cutoff) {
-			delete(c.docs, id)
+		if e.stamp < limit {
+			delete(c.docs, e.id)
 			removed++
-			c.notify(Mutation{Op: "expire", ID: id})
+			c.notify(Mutation{Op: "expire", ID: e.id})
 			continue
 		}
-		keep = append(keep, id)
+		c.minStamp = min(c.minStamp, e.stamp)
+		keep = append(keep, e)
 	}
+	clear(c.order[len(keep):]) // let go of the dropped ids
 	c.order = keep
-	opExpire.Add(int64(removed))
 	return removed
 }
 
@@ -204,6 +255,10 @@ type KV struct {
 	mu    sync.RWMutex
 	data  map[string]kvEntry
 	clock func() time.Time
+	// firstExpiry is a lower bound on the expiresAt of the TTL'd keys
+	// held, zero when there are none: until the clock passes it no key
+	// can have lapsed, and Len and Keys need not look.
+	firstExpiry time.Time
 	// hook observes mutations (see SetHook in state.go); extra holds
 	// additional observers appended with AddHook.
 	hook  func(Mutation)
@@ -247,8 +302,33 @@ func (kv *KV) SetTTL(key, value string, ttl time.Duration) {
 	}
 	kv.mu.Lock()
 	kv.data[key] = e
+	kv.noteExpiry(e.expiresAt)
 	kv.notify(Mutation{Op: "set", Key: key})
 	kv.mu.Unlock()
+}
+
+// noteExpiry lowers firstExpiry to at (zero = no expiry). Caller holds
+// kv.mu.
+func (kv *KV) noteExpiry(at time.Time) {
+	if !at.IsZero() && (kv.firstExpiry.IsZero() || at.Before(kv.firstExpiry)) {
+		kv.firstExpiry = at
+	}
+}
+
+// sweep deletes the keys that have lapsed by now, if firstExpiry says any
+// can have, and makes firstExpiry exact. Caller holds kv.mu.
+func (kv *KV) sweep(now time.Time) {
+	if kv.firstExpiry.IsZero() || !now.After(kv.firstExpiry) {
+		return
+	}
+	kv.firstExpiry = time.Time{}
+	for k, e := range kv.data {
+		if !e.expiresAt.IsZero() && now.After(e.expiresAt) {
+			delete(kv.data, k)
+			continue
+		}
+		kv.noteExpiry(e.expiresAt)
+	}
 }
 
 // Get fetches key's value if present and unexpired.
@@ -283,15 +363,8 @@ func (kv *KV) Len() int {
 	now := kv.clock()
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
-	n := 0
-	for k, e := range kv.data {
-		if !e.expiresAt.IsZero() && now.After(e.expiresAt) {
-			delete(kv.data, k)
-			continue
-		}
-		n++
-	}
-	return n
+	kv.sweep(now)
+	return len(kv.data)
 }
 
 // Keys returns the live keys, sorted (deterministic iteration for tests
@@ -300,12 +373,9 @@ func (kv *KV) Keys() []string {
 	now := kv.clock()
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
+	kv.sweep(now)
 	out := make([]string, 0, len(kv.data))
-	for k, e := range kv.data {
-		if !e.expiresAt.IsZero() && now.After(e.expiresAt) {
-			delete(kv.data, k)
-			continue
-		}
+	for k := range kv.data {
 		out = append(out, k)
 	}
 	sort.Strings(out)
