@@ -568,10 +568,10 @@ func backHalfEvents(b *testing.B) ([]stampedBenchEvent, *simnet.World) {
 
 // BenchmarkBackHalfThroughput measures the feed back half — probe,
 // classify, enrich, store — on a fixed event stream at 1, 4, and
-// GOMAXPROCS workers, reporting events/sec and ns/event. Workers=1 is
-// the exact serial path; higher counts route through the classify
-// stage's worker pool, whose output is proven identical
-// (TestClassifyStageFeedEquivalence).
+// GOMAXPROCS workers, reporting events/sec and ns/event. Delivery is
+// HandleEvent at every count; Workers only sizes the scan-batch flush
+// (probe pool + annotate fan-out), whose output is proven identical
+// (TestBackHalfFeedEquivalence).
 func BenchmarkBackHalfThroughput(b *testing.B) {
 	events, w := backHalfEvents(b)
 	counts := []int{1, 4}
@@ -588,16 +588,8 @@ func BenchmarkBackHalfThroughput(b *testing.B) {
 				srv := pipeline.NewServer(scfg, w, w.Registry(), nil)
 				last := events[len(events)-1].at
 				start := time.Now()
-				if workers > 1 {
-					stage := pipeline.NewClassifyStage(srv, workers)
-					for _, se := range events {
-						stage.Enqueue(se.e, se.at)
-					}
-					stage.Close()
-				} else {
-					for _, se := range events {
-						srv.HandleEvent(se.e, se.at)
-					}
+				for _, se := range events {
+					srv.HandleEvent(se.e, se.at)
 				}
 				srv.FlushScans(last)
 				srv.Tick(last)
@@ -612,7 +604,7 @@ func BenchmarkBackHalfThroughput(b *testing.B) {
 
 // BenchmarkIngestThroughputEndToEnd extends BenchmarkIngestThroughput
 // across the whole pipeline: pre-generated hours flow through detection,
-// the classify stage, active probing, and the feed server. Reported
+// active probing, annotation, and the feed server. Reported
 // pkts/sec is end-to-end — what an operator sees per worker knob.
 func BenchmarkIngestThroughputEndToEnd(b *testing.B) {
 	cfg := simnet.DefaultConfig(2051)

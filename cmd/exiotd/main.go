@@ -247,6 +247,7 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 			if dur, err = pipeline.OpenDurable(dcfg, server); err != nil {
 				return fmt.Errorf("open state dir: %w", err)
 			}
+			defer dur.Close()
 			if r := dur.Recovery(); r.Events() > 0 {
 				fmt.Printf("recovered feed state: snapshot through seq %d (%d events) + %d WAL events replayed\n",
 					r.SnapshotSeq, r.SnapshotEvents, r.ReplayedEvents)
@@ -262,31 +263,6 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 				fmt.Printf("restored model trained %s (AUC %.3f)\n", m.TrainedAt.Format(time.RFC3339), m.AUC)
 			}
 		}
-		// Route received events through the classify worker pool when the
-		// back half is parallel; the reorder buffer keeps the feed
-		// identical to the serial path.
-		handle := server.HandleEvent
-		var stage *pipeline.ClassifyStage
-		serialBackHalf := server.Workers() <= 1
-		if !serialBackHalf {
-			stage = pipeline.NewClassifyStage(server, server.Workers())
-			handle = stage.Enqueue
-		}
-		if dur != nil {
-			// WAL ahead of delivery, in arrival order (the classify stage
-			// re-serializes to the same order). Periodic snapshots need
-			// every appended event applied, so they run only on the serial
-			// path; the parallel receiver recovers from the WAL alone.
-			deliver := handle
-			handle = func(e pipeline.SamplerEvent, availableAt time.Time) {
-				dur.Append(e, availableAt)
-				deliver(e, availableAt)
-				if serialBackHalf {
-					dur.MaybeSnapshot(availableAt, false)
-				}
-			}
-			defer dur.Close()
-		}
 		// The wire carries the streams of -shards flowsampler nodes; the
 		// aggregator reorders, dedups, and merges them into the canonical
 		// hour before anything reaches the feed modules.
@@ -298,19 +274,24 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 				// Events selected by the sender's deterministic trace
 				// ID pick their trace back up at merge time.
 				pipeline.TraceIncoming(&e, time.Now())
-				handle(e, availableAt)
+				// WAL ahead of delivery, in arrival order. Delivery is
+				// synchronous, so every appended sequence is applied by
+				// the time the hour has merged and a snapshot is tried.
+				if dur != nil {
+					dur.Append(e, availableAt)
+				}
+				server.HandleEvent(e, availableAt)
 			},
 			OnHourMerged: func(hourEnd, availableAt time.Time, final bool) {
-				// A merged hour is the cluster's quiescent point —
-				// the same place Local.ProcessHour ticks the feed.
-				if stage != nil {
-					stage.Drain()
-				}
+				// A merged hour is the cluster's quiescent point — the
+				// same place Local.ProcessHour ticks the feed and attempts
+				// a snapshot (a pending scan batch defers it to a later
+				// hour).
 				if final {
 					server.FlushScans(availableAt)
 				}
 				server.Tick(availableAt)
-				if dur != nil && serialBackHalf {
+				if dur != nil {
 					dur.MaybeSnapshot(availableAt, false)
 				}
 			},

@@ -88,13 +88,10 @@ type Job struct {
 	Batch *organizer.Batch
 	Scan  *zmap.HostResult
 	Match *recog.Match
-	// Raw is the precomputed 120-dim feature vector; when nil,
-	// AnnotateBatch computes it and fills it in, so callers can reuse it
-	// (the trainer retains it for banner-labeled flows).
+	// Raw is an output: AnnotateBatch fills in the 120-dim feature vector
+	// it extracted, so callers can reuse it (the trainer retains it for
+	// banner-labeled flows).
 	Raw []float64
-	// RawErr carries a failed precomputation; the job is rejected with
-	// it, exactly as if the computation had failed here.
-	RawErr error
 	// PortsProbed is the active-measurement port count per host
 	// (provenance; 0 when the caller has no scanner).
 	PortsProbed int
@@ -120,24 +117,20 @@ func (a *Annotator) AnnotateBatch(jobs []Job, workers int) ([]feed.Record, []err
 	m := a.model
 	a.mu.RUnlock()
 
-	prepare := func(i int) {
+	prepare := func(i int, scratch *features.Scratch) {
 		j := &jobs[i]
 		var annStart time.Time
 		if j.Trace != nil {
 			annStart = time.Now()
 		}
-		if j.RawErr != nil {
-			errs[i] = fmt.Errorf("annotate %s: %w", j.Batch.IPString, j.RawErr)
+		// One allocation per flow for the vector itself — it is retained
+		// downstream — but the extraction columns are reused.
+		raw, err := scratch.RawVectorInto(nil, j.Batch.Sample)
+		if err != nil {
+			errs[i] = fmt.Errorf("annotate %s: %w", j.Batch.IPString, err)
 			return
 		}
-		if j.Raw == nil {
-			raw, err := features.RawVector(j.Batch.Sample)
-			if err != nil {
-				errs[i] = fmt.Errorf("annotate %s: %w", j.Batch.IPString, err)
-				return
-			}
-			j.Raw = raw
-		}
+		j.Raw = raw
 		rec := feed.Record{
 			IP:         j.Batch.IPString,
 			FirstSeen:  j.Batch.FirstSeen,
@@ -303,14 +296,16 @@ func joinSources(sources []string) string {
 }
 
 // runIndexed runs fn(0..n-1) across up to workers goroutines (serially
-// on the caller's goroutine when workers <= 1).
-func runIndexed(n, workers int, fn func(int)) {
+// on the caller's goroutine when workers <= 1). Each goroutine hands fn
+// its own extraction scratch, warm after its first flow.
+func runIndexed(n, workers int, fn func(int, *features.Scratch)) {
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
+		var scratch features.Scratch
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(i, &scratch)
 		}
 		return
 	}
@@ -320,8 +315,9 @@ func runIndexed(n, workers int, fn func(int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var scratch features.Scratch
 			for i := range next {
-				fn(i)
+				fn(i, &scratch)
 			}
 		}()
 	}

@@ -184,3 +184,29 @@ func TestScanResultsAttached(t *testing.T) {
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// TestAnnotateBatchSerialAllocs pins what the extraction scratch buys. A
+// 50-job serial AnnotateBatch allocated 1,914 objects when every flow
+// rebuilt its 24 columns (the parent commit, go1.24) and allocates 716
+// with one warm scratch; the budget sits between the two, so losing the
+// scratch fails here.
+func TestAnnotateBatchSerialAllocs(t *testing.T) {
+	const budget = 800
+	a, reg := testAnnotator(t)
+	a.SetModel(trainedModel(t, 0.8))
+	rng := newRand(6)
+	batches := make([]organizer.Batch, 50)
+	jobs := make([]Job, len(batches))
+	for i := range batches {
+		batches[i] = testBatch(t, reg.PickInfectedHost(rng), 100)
+		jobs[i] = Job{Batch: &batches[i]}
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, errs := a.AnnotateBatch(jobs, 1); errs[0] != nil {
+			t.Fatal(errs[0])
+		}
+	})
+	if allocs > budget {
+		t.Errorf("50-job serial AnnotateBatch allocates %.0f objects, budget %d", allocs, budget)
+	}
+}

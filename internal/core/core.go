@@ -26,8 +26,8 @@ type Config struct {
 	APIKeys map[string]string
 	// Workers, when non-zero, overrides the worker count for traffic
 	// generation (World.Workers), TRW detection (Pipeline.Workers), and —
-	// via the pipeline — the feed back half's classify/probe/annotate
-	// pool (Pipeline.Server.Workers). 1 = exact legacy serial path;
+	// via the pipeline — the feed back half's probe and annotate fan-out
+	// (Pipeline.Server.Workers). 1 = exact legacy serial path;
 	// results are identical at any setting.
 	Workers int
 }

@@ -131,10 +131,15 @@ func (s *Scratch) RawVectorInto(dst []float64, sample []packet.Packet) ([]float6
 		return nil, fmt.Errorf("features: empty sample")
 	}
 	n := len(sample)
-	for f := range s.columns {
-		if cap(s.columns[f]) < n {
-			s.columns[f] = make([]float64, n)
+	if cap(s.columns[0]) < n {
+		// One backing array for all columns: warming a scratch costs one
+		// allocation, not one per field.
+		backing := make([]float64, NumFields*n)
+		for f := range s.columns {
+			s.columns[f] = backing[f*n : f*n : (f+1)*n]
 		}
+	}
+	for f := range s.columns {
 		s.columns[f] = s.columns[f][:n]
 	}
 	var fields [NumFields]float64

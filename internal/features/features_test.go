@@ -313,9 +313,9 @@ func TestRawVectorIntoMatchesRawVector(t *testing.T) {
 	}
 }
 
-// TestRawVectorIntoZeroAlloc is the allocation-regression guard for the
-// classify stage's feature-extraction prework: with a warmed scratch and
-// a preallocated destination, extraction must not allocate.
+// TestRawVectorIntoZeroAlloc is the allocation-regression guard for
+// AnnotateBatch's per-goroutine extraction scratch: with a warmed
+// scratch and a preallocated destination, extraction must not allocate.
 func TestRawVectorIntoZeroAlloc(t *testing.T) {
 	sample := sampleFlow(200, 250*time.Millisecond)
 	var s Scratch

@@ -1,0 +1,206 @@
+package pipeline
+
+import (
+	"bytes"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"exiot/internal/durable"
+	"exiot/internal/feedserve"
+	"exiot/internal/notify"
+	"exiot/internal/scanmod"
+	"exiot/internal/simnet"
+	"exiot/internal/trainer"
+	"exiot/internal/trw"
+)
+
+// stampedEvent is one captured sampler event plus its availability time.
+type stampedEvent struct {
+	e  SamplerEvent
+	at time.Time
+}
+
+// captureBackHalf runs the serial sampler over a small world and records
+// the exact event stream the feed server would consume, with the same
+// availability stamps Local would apply. Capturing once and replaying
+// into differently configured servers isolates the back half: any feed
+// difference is the flush fan-out's fault, not the detector's.
+func captureBackHalf(tb testing.TB, seed int64, hours int) ([]stampedEvent, *simnet.World) {
+	tb.Helper()
+	cfg := simnet.DefaultConfig(seed)
+	cfg.NumInfected = 120
+	cfg.NumNonIoT = 25
+	cfg.NumResearch = 3
+	cfg.NumMisconfig = 15
+	cfg.NumBackscat = 5
+	cfg.Days = (hours + 23) / 24
+	cfg.MaxPacketsPerHostHour = 1200
+	w := simnet.NewWorld(cfg)
+
+	delay := DefaultLocalConfig().CollectionDelay + DefaultLocalConfig().ProcessingDelay
+	var events []stampedEvent
+	var at time.Time
+	sampler := NewSamplerWorkers(trw.Default(), 0, 1, func(e SamplerEvent) {
+		events = append(events, stampedEvent{e: e, at: at})
+	})
+	start := w.Start()
+	for h := 0; h < hours; h++ {
+		hour := start.Add(time.Duration(h) * time.Hour)
+		at = hour.Add(time.Hour).Add(delay)
+		sampler.ProcessHour(w.GenerateHour(hour), hour.Add(time.Hour))
+	}
+	end := start.Add(time.Duration(hours) * time.Hour)
+	at = end.Add(delay)
+	sampler.Flush(end)
+	if len(events) == 0 {
+		tb.Fatal("sampler produced no events")
+	}
+	return events, w
+}
+
+// backHalfServer builds a fresh feed server over w with the given
+// back-half worker count.
+func backHalfServer(w *simnet.World, seed int64, workers int) *Server {
+	scfg := DefaultServerConfig()
+	scfg.ScanMod = scanmod.Config{BatchSize: 25, BatchWait: 30 * time.Minute}
+	scfg.Trainer = trainer.Config{SearchIterations: 2, Seed: seed}
+	scfg.Workers = workers
+	return NewServer(scfg, w, w.Registry(), &notify.MemoryMailer{})
+}
+
+// replayBackHalf drives a captured event stream into a fresh server with
+// the given back-half worker count.
+func replayBackHalf(tb testing.TB, seed int64, hours, workers int) *Server {
+	tb.Helper()
+	events, w := captureBackHalf(tb, seed, hours)
+	srv := backHalfServer(w, seed, workers)
+	for _, se := range events {
+		srv.HandleEvent(se.e, se.at)
+	}
+	last := events[len(events)-1].at
+	srv.FlushScans(last)
+	srv.Tick(last)
+	return srv
+}
+
+// TestBackHalfFeedEquivalence is the back half's determinism proof: the
+// same event stream into a server whose scan-batch flush fans out across
+// four workers must yield a feed byte-identical to the serial one —
+// records, order, and lifetime counters alike.
+func TestBackHalfFeedEquivalence(t *testing.T) {
+	const seed, hours = 210, 10
+	serial := replayBackHalf(t, seed, hours, 1)
+	parallel := replayBackHalf(t, seed, hours, 4)
+
+	sRecs := serial.Historical().Find(nil)
+	pRecs := parallel.Historical().Find(nil)
+	if len(sRecs) == 0 {
+		t.Fatal("serial replay produced no records")
+	}
+	if len(pRecs) != len(sRecs) {
+		t.Fatalf("historical size differs: workers=4 got %d, workers=1 got %d", len(pRecs), len(sRecs))
+	}
+	for i := range sRecs {
+		if !reflect.DeepEqual(pRecs[i], sRecs[i]) {
+			t.Fatalf("historical record %d differs:\n workers=4: %+v\n workers=1: %+v", i, pRecs[i], sRecs[i])
+		}
+	}
+	if s, p := serial.latest.Find(nil), parallel.latest.Find(nil); !reflect.DeepEqual(s, p) {
+		t.Errorf("latest DB differs: workers=4 has %d records, workers=1 has %d", len(p), len(s))
+	}
+	if s, p := serial.Counters(), parallel.Counters(); s != p {
+		t.Errorf("counters differ:\n workers=4: %+v\n workers=1: %+v", p, s)
+	}
+}
+
+// driveReceiver applies events[from:to) the way exiotd's receive mode
+// does: WAL append (dur may be nil), synchronous HandleEvent, and at each
+// hour's last event the OnHourMerged housekeeping — Tick, then a snapshot
+// attempt. quietAt's hour and the final one flush the scan batch first,
+// so they end quiescent; any other hour end with scanners still buffered
+// defers its snapshot.
+func driveReceiver(srv *Server, dur *Durable, events []stampedEvent, from, to int, quietAt time.Time) {
+	for i := from; i < to; i++ {
+		se := events[i]
+		if dur != nil {
+			dur.Append(se.e, se.at)
+		}
+		srv.HandleEvent(se.e, se.at)
+		final := i == len(events)-1
+		if !final && events[i+1].at.Equal(se.at) {
+			continue
+		}
+		if final || se.at.Equal(quietAt) {
+			srv.FlushScans(se.at)
+		}
+		srv.Tick(se.at)
+		if dur != nil {
+			dur.MaybeSnapshot(se.at, false)
+		}
+	}
+}
+
+// TestDurableReceiverSnapshotsAtHourEnd pins the receiver wiring at
+// Server.Workers 4: the snapshot attempt at a quiescent hour end writes
+// one (every appended sequence is applied by then — delivery is
+// synchronous), and a restart recovers from that snapshot plus the WAL
+// tail to the uninterrupted run's export.
+func TestDurableReceiverSnapshotsAtHourEnd(t *testing.T) {
+	const seed, hours, workers = 213, 8, 4
+	events, w := captureBackHalf(t, seed, hours)
+	quietAt := events[len(events)/3].at
+	export := func(srv *Server) []byte {
+		return srv.NewFeedCache(feedserve.Config{}).Current().ExportNDJSON()
+	}
+
+	base := backHalfServer(w, seed, workers)
+	driveReceiver(base, nil, events, 0, len(events), quietAt)
+	want := export(base)
+	if base.Counters().RecordsCreated == 0 {
+		t.Fatal("uninterrupted run produced no records")
+	}
+
+	dcfg := DurableConfig{Dir: t.TempDir(), Sync: durable.SyncOff}
+	open := func() (*Server, *Durable) {
+		srv := backHalfServer(w, seed, workers)
+		dur, err := OpenDurable(dcfg, srv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, dur
+	}
+
+	// First process: stopped two thirds of the way through, mid-hour, with
+	// no final snapshot (Durable.Close takes none).
+	srv, dur := open()
+	stop := len(events) * 2 / 3
+	driveReceiver(srv, dur, events, 0, stop, quietAt)
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dcfg.Dir, "snap-*.snap")); len(snaps) == 0 {
+		t.Fatal("no snapshot on disk after a quiescent hour end at Server.Workers 4")
+	}
+
+	// Second process: snapshot + WAL tail, then the rest of the stream.
+	srv, dur = open()
+	rec := dur.Recovery()
+	if rec.SnapshotSeq == 0 || rec.ReplayedEvents == 0 {
+		t.Fatalf("recovery did not use snapshot + WAL tail: %+v", rec)
+	}
+	if got := rec.Events(); got != uint64(stop) {
+		t.Fatalf("recovered %d events, the first process applied %d", got, stop)
+	}
+	driveReceiver(srv, dur, events, stop, len(events), quietAt)
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := export(srv); !bytes.Equal(got, want) {
+		t.Errorf("recovered export differs from the uninterrupted run's (%d vs %d bytes)", len(got), len(want))
+	}
+	if got, want := srv.Counters(), base.Counters(); got != want {
+		t.Errorf("counters differ:\n recovered:     %+v\n uninterrupted: %+v", got, want)
+	}
+}

@@ -406,14 +406,6 @@ func (d *Durable) Append(e SamplerEvent, availableAt time.Time) {
 	d.mu.Unlock()
 }
 
-// Handle appends one event and delivers it to the server (the receiver
-// path: WAL first, then apply).
-func (d *Durable) Handle(e SamplerEvent, availableAt time.Time) {
-	d.Append(e, availableAt)
-	d.server.HandleEvent(e, availableAt)
-	d.MaybeSnapshot(availableAt, false)
-}
-
 // MaybeSnapshot writes a full-state snapshot when due: the simulated
 // clock advanced past the cadence (or force), state actually changed,
 // and the server is quiescent. A non-quiescent server defers (counted
@@ -456,10 +448,8 @@ func (d *Durable) MaybeSnapshot(now time.Time, force bool) {
 }
 
 // Close syncs and releases the state directory. It takes no final
-// snapshot itself: only a caller that can guarantee every appended
-// record has reached the server (Local.Close, after Finish drains the
-// classify stage) may safely force one — a snapshot claiming sequences
-// the state does not yet contain would lose those events on recovery.
+// snapshot itself: only a caller that knows the server is quiescent
+// (Local.Close, after Finish flushes the scan batch) can force one.
 // The synced WAL covers the tail either way.
 func (d *Durable) Close() error {
 	err := d.mgr.Close()

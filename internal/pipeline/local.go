@@ -20,9 +20,9 @@ type LocalConfig struct {
 	// Workers sets the detection worker count: 0 = GOMAXPROCS,
 	// 1 = the exact legacy serial path, >1 = that many detector shards.
 	// Unless Server.Workers is set explicitly, the same count drives the
-	// back half: the classify stage's worker pool, the ZMap probe pool,
-	// and the annotate fan-out. The event stream (and therefore the feed)
-	// is identical at any setting; only throughput changes.
+	// back half's scan-batch flush: the ZMap probe pool and the annotate
+	// fan-out. The event stream (and therefore the feed) is identical at
+	// any setting; only throughput changes.
 	Workers int
 
 	// CollectionDelay models CAIDA's collect/compress/store lag before an
@@ -58,9 +58,6 @@ type Local struct {
 	cfg     LocalConfig
 	sampler *Sampler
 	server  *Server
-	// stage is the classify worker pool (nil on the serial path, where
-	// sampler events go straight to the server).
-	stage *ClassifyStage
 	// durable persists state when configured; skip counts regenerated
 	// events already covered by the recovered state, which are neither
 	// re-logged nor re-delivered.
@@ -106,34 +103,20 @@ func NewDurableLocal(cfg LocalConfig, prober zmap.Prober, reg *registry.Registry
 		l.durable = dur
 		l.skip = dur.Recovery().Events()
 	}
+	// The WAL sits ahead of delivery, in the sampler's (serial) emit
+	// order, and delivery is synchronous, so log order always equals
+	// server apply order. The first skip events of a resumed run are
+	// already part of the recovered state: regeneration heals any
+	// torn-away WAL tail.
 	emit := func(e SamplerEvent) {
-		l.server.HandleEvent(e, l.availableAt)
-	}
-	// One knob for the whole back half: with more than one effective
-	// worker, sampler events route through the classify stage, which
-	// pre-processes them concurrently and re-serializes by sequence
-	// number — the server sees the identical event order either way.
-	if l.server.workers > 1 {
-		l.stage = NewClassifyStage(l.server, l.server.workers)
-		emit = func(e SamplerEvent) {
-			l.stage.Enqueue(e, l.availableAt)
-		}
-	}
-	if l.durable != nil {
-		// The WAL sits ahead of delivery, in the sampler's (serial) emit
-		// order — the same order the classify stage re-serializes to, so
-		// log order always equals server apply order. The first skip
-		// events of a resumed run are already part of the recovered
-		// state: regeneration heals any torn-away WAL tail.
-		deliver := emit
-		emit = func(e SamplerEvent) {
+		if l.durable != nil {
 			if l.skip > 0 {
 				l.skip--
 				return
 			}
 			l.durable.Append(e, l.availableAt)
-			deliver(e)
 		}
+		l.server.HandleEvent(e, l.availableAt)
 	}
 	l.sampler = NewSamplerWorkers(cfg.TRW, cfg.MinSamples, cfg.Workers, emit)
 	return l, nil
@@ -147,9 +130,6 @@ func (l *Local) ProcessHour(pkts []packet.Packet, hour time.Time) {
 	hourEnd := hour.Add(time.Hour)
 	l.availableAt = hourEnd.Add(l.cfg.CollectionDelay).Add(l.cfg.ProcessingDelay)
 	l.sampler.ProcessHour(pkts, hourEnd)
-	if l.stage != nil {
-		l.stage.Drain()
-	}
 	l.server.Tick(l.availableAt)
 	if l.durable != nil && l.skip == 0 {
 		// Hour boundaries are the natural quiescent points; a pending
@@ -163,9 +143,6 @@ func (l *Local) ProcessHour(pkts []packet.Packet, hour time.Time) {
 func (l *Local) Finish(now time.Time) {
 	l.availableAt = now.Add(l.cfg.CollectionDelay).Add(l.cfg.ProcessingDelay)
 	l.sampler.Flush(now)
-	if l.stage != nil {
-		l.stage.Close()
-	}
 	l.server.FlushScans(l.availableAt)
 	l.server.Tick(l.availableAt)
 }
@@ -174,9 +151,9 @@ func (l *Local) Finish(now time.Time) {
 func (l *Local) Durable() *Durable { return l.durable }
 
 // Close finalizes persistence: a last snapshot is taken (the server is
-// quiescent after Finish, and the classify stage is drained, so every
-// logged event is in the exported state) and the state directory is
-// released. Safe to call with durability disabled.
+// quiescent after Finish, and every logged event is in the exported
+// state) and the state directory is released. Safe to call with
+// durability disabled.
 func (l *Local) Close() error {
 	if l.durable == nil {
 		return nil

@@ -123,10 +123,6 @@ type Server struct {
 type pendingFlow struct {
 	batch       *organizer.Batch
 	availableAt time.Time
-	// raw/rawErr carry the classify stage's precomputed feature vector
-	// (nil when the event arrived on the serial path).
-	raw    []float64
-	rawErr error
 	// trace is the flow's live trace (nil when untraced); scanEnq stamps
 	// when the flow entered the scan-module buffer so the scanmod span
 	// can report the batching wait.
@@ -174,21 +170,10 @@ func NewServer(cfg ServerConfig, prober zmap.Prober, reg *registry.Registry, mai
 // Notifier exposes the e-mail notifier (nil when disabled).
 func (s *Server) Notifier() *notify.Notifier { return s.notifier }
 
-// Workers returns the effective back-half worker count (after the
-// GOMAXPROCS default is resolved).
-func (s *Server) Workers() int { return s.workers }
-
 // HandleEvent consumes one sampler event. availableAt is the simulated
 // wall-clock instant the event reached the feed server (hour publish +
 // collection + processing delays).
 func (s *Server) HandleEvent(e SamplerEvent, availableAt time.Time) {
-	s.handlePrepared(e, nil, nil, availableAt)
-}
-
-// handlePrepared is HandleEvent with the classify stage's precomputed
-// feature vector attached (nil raw and rawErr on the serial path, where
-// the vector is computed at flush time instead).
-func (s *Server) handlePrepared(e SamplerEvent, raw []float64, rawErr error, availableAt time.Time) {
 	s.liveness.Beat()
 	s.mu.Lock()
 	if availableAt.After(s.clock) {
@@ -198,7 +183,7 @@ func (s *Server) handlePrepared(e SamplerEvent, raw []float64, rawErr error, ava
 
 	switch e.Kind {
 	case SamplerBatch:
-		s.handleBatch(e.Batch, raw, rawErr, availableAt, e.Trace)
+		s.handleBatch(e.Batch, availableAt, e.Trace)
 	case SamplerFlowEnd:
 		s.handleFlowEnd(e, availableAt)
 	case SamplerReport:
@@ -210,8 +195,8 @@ func (s *Server) handlePrepared(e SamplerEvent, raw []float64, rawErr error, ava
 	s.Tick(availableAt)
 }
 
-func (s *Server) handleBatch(b *organizer.Batch, raw []float64, rawErr error, availableAt time.Time, flow *trace.Flow) {
-	pf := &pendingFlow{batch: b, availableAt: availableAt, raw: raw, rawErr: rawErr, trace: flow}
+func (s *Server) handleBatch(b *organizer.Batch, availableAt time.Time, flow *trace.Flow) {
+	pf := &pendingFlow{batch: b, availableAt: availableAt, trace: flow}
 	if flow != nil {
 		pf.scanEnq = time.Now()
 	}
@@ -268,8 +253,6 @@ func (s *Server) resolveTagged(tagged []scanmod.Tagged, now time.Time) {
 			Batch:       pf.batch,
 			Scan:        &tagged[i].Result,
 			Match:       tagged[i].Match,
-			Raw:         pf.raw,
-			RawErr:      pf.rawErr,
 			PortsProbed: portsPerHost,
 			Trace:       pf.trace,
 		})

@@ -1,8 +1,8 @@
 // Package trace follows individual sampler events across the eX-IoT
 // pipeline: each traced flow accumulates typed spans (sampler organize,
-// wire transport, classify pre-compute, scan-module batching, active
-// probing, annotation, enrichment, store emit) with a queue-wait vs.
-// work-time split and stage-specific attributes. Trace IDs derive
+// wire transport, scan-module batching, active probing, annotation,
+// enrichment, store emit) with a queue-wait vs. work-time split and
+// stage-specific attributes. Trace IDs derive
 // deterministically from event content (source IP, event kind, and the
 // event's own timestamps) — never from the wall clock, randomness, or
 // node-local counters — so the same flow gets the same ID at any worker

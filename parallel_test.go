@@ -1,9 +1,9 @@
 // Cross-package equivalence proof for the parallel ingest path: a
 // multi-day deployment run with Workers: 8 (sharded TRW detection +
-// parallel hour generation + the classify-stage worker pool and probe
-// fan-out in the feed back half) must produce the same feed, detector
-// stats, server counters, and evaluation tables as the exact legacy
-// serial path (Workers: 1).
+// parallel hour generation + the probe and annotate fan-out at each
+// scan-batch flush in the feed back half) must produce the same feed,
+// detector stats, server counters, and evaluation tables as the exact
+// legacy serial path (Workers: 1).
 package exiot_test
 
 import (
@@ -60,9 +60,9 @@ func TestParallelIngestEquivalence(t *testing.T) {
 		t.Errorf("detector stats differ:\n workers=8: %+v\n workers=1: %+v", pStats, sStats)
 	}
 
-	// The back half (classify worker pool, probe fan-out, batch
-	// inference) must leave the server's lifetime counters untouched too:
-	// same records, banner labels, retrains, and notifications.
+	// The back half (probe and annotate fan-out, batch inference) must
+	// leave the server's lifetime counters untouched too: same records,
+	// banner labels, retrains, and notifications.
 	if sc, pc := serial.Sys.Feed().Counters(), parallel.Sys.Feed().Counters(); sc != pc {
 		t.Errorf("server counters differ:\n workers=8: %+v\n workers=1: %+v", pc, sc)
 	}

@@ -83,7 +83,7 @@ func TestTraceFeedEquivalence(t *testing.T) {
 
 // TestWhyEndpointLineage proves GET /api/v1/records/{ip}/why joins a
 // feed record with its retained trace: the full per-stage lineage of a
-// traced 24 h run, classify worker pool included.
+// traced 24 h run at four workers.
 func TestWhyEndpointLineage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hour pipeline run")
@@ -150,7 +150,7 @@ func TestWhyEndpointLineage(t *testing.T) {
 	for _, sp := range rep.Trace.Spans {
 		stages[sp.Stage] = true
 	}
-	for _, want := range []string{"sampler", "classify", "scanmod", "probe", "annotate", "enrich", "emit"} {
+	for _, want := range []string{"sampler", "scanmod", "probe", "annotate", "enrich", "emit"} {
 		if !stages[want] {
 			t.Fatalf("lineage missing %q span; got stages %v", want, stages)
 		}
