@@ -1,7 +1,7 @@
 // Command exiotd is the eX-IoT feed server of Fig. 2: it receives sampled
 // flows from the CAIDA-side flowsampler (or runs a self-contained
 // simulation), drives the scan/annotate/update-classifier modules,
-// maintains the three databases, and serves the authenticated REST API.
+// maintains the feed databases, and serves the authenticated REST API.
 //
 // Split deployment (with cmd/telescopegen + cmd/flowsampler):
 //
@@ -283,16 +283,16 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 				server.HandleEvent(e, availableAt)
 			},
 			OnHourMerged: func(hourEnd, availableAt time.Time, final bool) {
-				// A merged hour is the cluster's quiescent point — the
-				// same place Local.ProcessHour ticks the feed and attempts
-				// a snapshot (a pending scan batch defers it to a later
-				// hour).
+				// The same housekeeping Local.ProcessHour does at an hour
+				// end. The end-of-input FlushScans is not a logged input:
+				// only a snapshot taken after it keeps the last batch's
+				// records across a restart, so final forces one.
 				if final {
 					server.FlushScans(availableAt)
 				}
 				server.Tick(availableAt)
 				if dur != nil {
-					dur.MaybeSnapshot(availableAt, false)
+					dur.MaybeSnapshot(availableAt, final)
 				}
 			},
 		})

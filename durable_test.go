@@ -4,7 +4,9 @@
 // after recovery in a fresh process, finish with a feed byte-identical
 // to an uninterrupted run: same latest and historical records, same
 // lifetime counters, same NDJSON bulk export. The proof holds at any
-// worker count (serial, and sharded detection with the flush fan-out).
+// worker count (serial, and sharded detection with the flush fan-out),
+// and recovery really is a snapshot plus a WAL tail: hour-end snapshots
+// are written with scanners still buffered.
 package exiot_test
 
 import (
@@ -70,8 +72,9 @@ func driveProofHours(l *pipeline.Local, w *simnet.World, from, to int) {
 }
 
 // feedFingerprint is everything the ISSUE's equivalence bar compares:
-// the live DB, the two-week archive, lifetime counters, and the bulk
-// NDJSON export exactly as the REST API streams it.
+// the latest view (the archive's still-active records), the two-week
+// archive, lifetime counters, and the bulk NDJSON export exactly as the
+// REST API streams it.
 type feedFingerprint struct {
 	latest     []feed.Record
 	historical []feed.Record
@@ -82,10 +85,12 @@ type feedFingerprint struct {
 func fingerprintFeed(t *testing.T, s *pipeline.Server) feedFingerprint {
 	t.Helper()
 	var fp feedFingerprint
-	for _, d := range s.Latest().Export() {
-		fp.latest = append(fp.latest, d.Value)
-	}
 	fp.historical = s.Records(api.Query{})
+	for _, r := range fp.historical {
+		if r.Active {
+			fp.latest = append(fp.latest, r)
+		}
+	}
 	fp.counters = s.Counters()
 
 	apiSrv := api.NewServer(s, s.Notifier())
@@ -191,6 +196,9 @@ func TestKillRecoverEquivalence(t *testing.T) {
 			// survives, and even its tail gets mangled.
 			crashed, cw := durableProofLocal(t, seed, tc.workers, dir)
 			driveProofHours(crashed, cw, 0, tc.crashHour)
+			if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap")); len(snaps) == 0 {
+				t.Fatal("hard-stopped run left no snapshot: hour-end snapshots are not being written")
+			}
 			damageWALTail(t, dir, tc.damage)
 
 			// The damaged directory still passes a coarse sanity scan:
@@ -209,9 +217,14 @@ func TestKillRecoverEquivalence(t *testing.T) {
 			if d == nil {
 				t.Fatal("recovery run has no durable layer")
 			}
-			if got := d.Recovery().Events(); got == 0 {
+			info := d.Recovery()
+			if info.Events() == 0 {
 				t.Fatal("recovery found no prior state")
 			}
+			if info.SnapshotSeq == 0 || uint64(info.ReplayedEvents) >= info.Events() {
+				t.Fatalf("recovery did not restore a snapshot and replay only the tail: %+v", info)
+			}
+			t.Logf("recovered from snapshot through seq %d + %d WAL events", info.SnapshotSeq, info.ReplayedEvents)
 			driveProofHours(rec, rw, 0, durableProofHours)
 			rec.Finish(rw.Start().Add(durableProofHours * time.Hour))
 			if err := rec.Close(); err != nil {

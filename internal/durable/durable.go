@@ -41,16 +41,12 @@ var (
 	metWALSegments = telemetry.Default().Gauge("exiot_wal_segments",
 		"Live WAL segment files in the state directory.")
 	metSnapshots = telemetry.Default().CounterVec("exiot_snapshots_total",
-		"Snapshot attempts, by result (written|deferred).", "result")
+		"Snapshot attempts, by result (written|failed).", "result")
 	metSnapshotBytes = telemetry.Default().Gauge("exiot_snapshot_last_bytes",
 		"Payload size of the most recently written snapshot.")
 	metReplayRecords = telemetry.Default().Counter("exiot_replay_records_total",
 		"WAL records re-applied during crash recovery.")
 )
-
-// SnapshotDeferred counts one snapshot attempt that found the owner in
-// a non-quiescent state and was postponed.
-func SnapshotDeferred() { metSnapshots.With("deferred").Inc() }
 
 // castagnoli is the CRC32C polynomial table used for all framing
 // checksums (the same polynomial storage systems use; hardware

@@ -432,11 +432,12 @@ func (m *Manager) NextSeq() uint64 {
 func (m *Manager) WriteSnapshot(meta SnapshotMeta, payload []byte) error {
 	if err := m.Sync(); err != nil {
 		metWALErrors.Inc()
+		metSnapshots.With("failed").Inc()
 		return err
 	}
 	if _, err := writeSnapshotFile(m.opts.Dir, meta, payload); err != nil {
 		metWALErrors.Inc()
-		metSnapshots.With("deferred").Inc()
+		metSnapshots.With("failed").Inc()
 		return err
 	}
 	metSnapshots.With("written").Inc()

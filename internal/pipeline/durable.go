@@ -2,11 +2,9 @@ package pipeline
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"exiot/internal/durable"
@@ -29,9 +27,9 @@ import (
 // replay reproduces every downstream effect: record inserts, END_FLOW
 // updates, trainer-window growth, recomputed retrains, notifications.
 
-// serverState is the snapshot payload: the feed server's full mutable
-// state at a quiescent point (no organized flow awaiting probe
-// results).
+// serverState is the snapshot payload: the feed server's whole mutable
+// state. A snapshot may be taken whenever HandleEvent has returned;
+// scanners buffered for the next probe sweep travel with it.
 type serverState struct {
 	// ObjectIDCounter raises the process-global ID counter on restore so
 	// fresh IDs cannot collide with restored ones.
@@ -42,15 +40,18 @@ type serverState struct {
 	LastAttempt time.Time `json:"last_attempt"`
 	Counters    Counters  `json:"counters"`
 
-	Latest     []store.Doc[feed.Record]          `json:"latest"`
-	Historical []store.Doc[feed.Record]          `json:"historical"`
-	LatestID   map[store.ObjectID]store.ObjectID `json:"latest_id"`
-	Active     []store.KVItem                    `json:"active"`
+	Historical []store.Doc[feed.Record] `json:"historical"`
+	Active     []store.KVItem           `json:"active"`
 
-	// PendingEnds are flow ends parked for records still waiting on a
-	// scan batch; unlike pending batches they may never drain, so they
-	// are part of the snapshot (wire-encoded, sorted by IP).
-	PendingEnds []encodedEvent `json:"pending_ends,omitempty"`
+	// ScanPending is the scan module's buffer in arrival order (an IP
+	// detected twice sits there twice), ScanOldestAdded its age anchor,
+	// ScanFlows the organized flows waiting on that sweep and
+	// PendingEnds the flow ends parked behind them — both wire-encoded
+	// and sorted by IP.
+	ScanPending     []packet.IP    `json:"scan_buffer,omitempty"`
+	ScanOldestAdded time.Time      `json:"scan_oldest_added"`
+	ScanFlows       []encodedEvent `json:"scan_flows,omitempty"`
+	PendingEnds     []encodedEvent `json:"pending_ends,omitempty"`
 
 	Traffic []TrafficHour `json:"traffic,omitempty"`
 	Trainer trainer.State `json:"trainer"`
@@ -71,28 +72,38 @@ type encodedEvent struct {
 	Payload []byte `json:"payload"`
 }
 
-// Quiescent reports whether the server is at a snapshot-safe point: no
-// organized flow is parked awaiting active-measurement results and the
-// scan module's batch buffer is empty. (Parked flow *ends* are fine —
-// they are serialized with the snapshot.)
-func (s *Server) Quiescent() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pendingBatches) == 0 && !s.scanModHasPending()
+// encodeEvents wire-encodes buffered events for a snapshot, sorted by
+// IP.
+func encodeEvents(events []SamplerEvent) ([]encodedEvent, error) {
+	sort.Slice(events, func(i, j int) bool { return events[i].IP < events[j].IP })
+	out := make([]encodedEvent, 0, len(events))
+	for _, e := range events {
+		kind, payload, err := EncodeEvent(e)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: encode buffered event: %w", err)
+		}
+		out = append(out, encodedEvent{Kind: uint8(kind), Payload: payload})
+	}
+	return out, nil
 }
 
-// ExportState serializes the server's full mutable state. The server
-// must be quiescent (see Quiescent); in-flight scan batches have no
-// serial form because probe results live in the simulated world, not in
-// the server.
-func (s *Server) ExportState() ([]byte, error) {
-	if !s.Quiescent() {
-		return nil, errors.New("pipeline: export requires a quiescent server (scan batch in flight)")
+func (enc encodedEvent) decode(want SamplerEventKind) (SamplerEvent, error) {
+	e, err := DecodeEvent(wire.Frame{Kind: wire.Kind(enc.Kind), Payload: enc.Payload})
+	if err != nil {
+		return e, fmt.Errorf("pipeline: decode buffered event: %w", err)
 	}
+	if e.Kind != want {
+		return e, fmt.Errorf("pipeline: buffered event has frame kind %d", enc.Kind)
+	}
+	return e, nil
+}
+
+// ExportState serializes the server's full mutable state. Call it
+// between events (HandleEvent, Tick and FlushScans are not running).
+func (s *Server) ExportState() ([]byte, error) {
 	scanned, tagged := s.scanMod.Stats()
 	st := serverState{
 		ObjectIDCounter: store.ObjectIDCounterValue(),
-		Latest:          s.latest.Export(),
 		Historical:      s.historical.Export(),
 		Active:          s.active.Export(),
 		Traffic:         s.traffic.export(),
@@ -100,15 +111,16 @@ func (s *Server) ExportState() ([]byte, error) {
 		ScanScanned:     scanned,
 		ScanTagged:      tagged,
 	}
+	st.ScanPending, st.ScanOldestAdded = s.scanMod.Buffer()
 
 	s.mu.Lock()
 	st.Clock = s.clock
 	st.LastRetrain = s.lastRetrain
 	st.LastAttempt = s.lastAttempt
 	st.Counters = s.counters
-	st.LatestID = make(map[store.ObjectID]store.ObjectID, len(s.latestID))
-	for k, v := range s.latestID {
-		st.LatestID[k] = v
+	flows := make([]SamplerEvent, 0, len(s.pendingBatches))
+	for ip, pf := range s.pendingBatches {
+		flows = append(flows, SamplerEvent{Kind: SamplerBatch, IP: ip, Batch: pf.batch})
 	}
 	ends := make([]SamplerEvent, 0, len(s.pendingEnds))
 	for _, e := range s.pendingEnds {
@@ -117,13 +129,12 @@ func (s *Server) ExportState() ([]byte, error) {
 	model := s.lastModel
 	s.mu.Unlock()
 
-	sort.Slice(ends, func(i, j int) bool { return ends[i].IP < ends[j].IP })
-	for _, e := range ends {
-		kind, payload, err := EncodeEvent(e)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: encode pending end: %w", err)
-		}
-		st.PendingEnds = append(st.PendingEnds, encodedEvent{Kind: uint8(kind), Payload: payload})
+	var err error
+	if st.ScanFlows, err = encodeEvents(flows); err != nil {
+		return nil, err
+	}
+	if st.PendingEnds, err = encodeEvents(ends); err != nil {
+		return nil, err
 	}
 
 	if s.notifier != nil {
@@ -145,27 +156,40 @@ func (s *Server) ExportState() ([]byte, error) {
 }
 
 // RestoreState reinstates a state exported by ExportState. Meant for a
-// freshly constructed server, before any event is handled.
+// freshly constructed server, before any event is handled. Restored
+// flows come back untraced, like WAL-replayed ones.
 func (s *Server) RestoreState(payload []byte) error {
 	var st serverState
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return fmt.Errorf("pipeline: decode snapshot: %w", err)
 	}
 	store.BumpObjectIDCounter(st.ObjectIDCounter)
-	s.latest.Restore(st.Latest)
 	s.historical.Restore(st.Historical)
 	s.active.Restore(st.Active)
 	s.traffic.restore(st.Traffic)
 	s.trainer.RestoreState(st.Trainer)
 	s.scanMod.RestoreStats(st.ScanScanned, st.ScanTagged)
+	s.scanMod.RestoreBuffer(st.ScanPending, st.ScanOldestAdded)
 
+	flows := make(map[packet.IP]*pendingFlow, len(st.ScanFlows))
+	for _, enc := range st.ScanFlows {
+		e, err := enc.decode(SamplerBatch)
+		if err != nil {
+			return err
+		}
+		flows[e.Batch.IP] = &pendingFlow{batch: e.Batch}
+	}
 	ends := make(map[packet.IP]SamplerEvent, len(st.PendingEnds))
 	for _, enc := range st.PendingEnds {
-		e, err := DecodeEvent(wire.Frame{Kind: wire.Kind(enc.Kind), Payload: enc.Payload})
+		e, err := enc.decode(SamplerFlowEnd)
 		if err != nil {
-			return fmt.Errorf("pipeline: decode pending end: %w", err)
+			return err
 		}
-		ends[e.IP] = e
+		// Only a buffered flow's record can replay a parked end; older
+		// snapshots also hold ends that were parked behind nothing.
+		if _, ok := flows[e.IP]; ok {
+			ends[e.IP] = e
+		}
 	}
 
 	if s.notifier != nil && st.Notifier != nil {
@@ -192,10 +216,7 @@ func (s *Server) RestoreState(payload []byte) error {
 	s.lastRetrain = st.LastRetrain
 	s.lastAttempt = st.LastAttempt
 	s.counters = st.Counters
-	s.latestID = make(map[store.ObjectID]store.ObjectID, len(st.LatestID))
-	for k, v := range st.LatestID {
-		s.latestID[k] = v
-	}
+	s.pendingBatches = flows
 	s.pendingEnds = ends
 	s.lastModel = model
 	s.mu.Unlock()
@@ -205,10 +226,6 @@ func (s *Server) RestoreState(payload []byte) error {
 	metFeedActive.Set(float64(s.active.Len()))
 	return nil
 }
-
-// Latest exposes the active threat-information database (state
-// verification in tests and dashboards).
-func (s *Server) Latest() *store.Collection[feed.Record] { return s.latest }
 
 // setRetrainHook installs fn to observe every successful retrain (the
 // durability layer appends a marker record). Runs outside the server
@@ -232,8 +249,7 @@ type DurableConfig struct {
 	// SegmentBytes rotates WAL segments past this size.
 	SegmentBytes int64
 	// SnapshotEvery takes a full-state snapshot when the simulated clock
-	// has advanced this far since the last one (default 6 h). Snapshots
-	// wait for a quiescent server.
+	// has advanced this far since the last one (default 6 h).
 	SnapshotEvery time.Duration
 	// Retain is the snapshot/WAL retention window (default 14 days, the
 	// feed's historical lapse).
@@ -272,18 +288,18 @@ func (r RecoveryInfo) Events() uint64 {
 }
 
 // Durable binds a feed server to a state directory: every consumed
-// event is appended to the WAL before delivery, snapshots are taken at
-// quiescent points, and OpenDurable performs crash recovery.
+// event is appended to the WAL before delivery, snapshots are taken
+// between events, and OpenDurable performs crash recovery.
 type Durable struct {
-	cfg      DurableConfig
-	mgr      *durable.Manager
-	server   *Server
-	rec      RecoveryInfo
-	muts     atomic.Int64 // store mutations since the last snapshot
-	events   uint64       // lifetime events applied (snapshot + replay + live)
-	mu       sync.Mutex
-	lastSnap time.Time // simulated TakenAt of the last snapshot
-	err      error     // sticky: first append/snapshot failure
+	cfg        DurableConfig
+	mgr        *durable.Manager
+	server     *Server
+	rec        RecoveryInfo
+	mu         sync.Mutex
+	events     uint64    // lifetime events applied (snapshot + replay + live)
+	snapEvents uint64    // events at the last snapshot
+	lastSnap   time.Time // simulated TakenAt of the last snapshot
+	err        error     // sticky: first append/snapshot failure
 }
 
 // OpenDurable attaches server to the state directory in cfg and
@@ -319,6 +335,7 @@ func OpenDurable(cfg DurableConfig, server *Server) (*Durable, error) {
 		}
 		d.rec.SnapshotSeq = meta.LastSeq
 		d.rec.SnapshotEvents = meta.EventCount
+		d.snapEvents = meta.EventCount
 		d.lastSnap = meta.TakenAt
 	}
 	stats, err := mgr.Replay(meta.LastSeq, func(rec durable.Record) error {
@@ -347,12 +364,8 @@ func OpenDurable(cfg DurableConfig, server *Server) (*Durable, error) {
 		return nil, err
 	}
 
-	// Hooks go in only after replay: replayed events must not re-log
-	// themselves, and recomputed retrains must not append new markers.
-	countMut := func(store.Mutation) { d.muts.Add(1) }
-	server.latest.SetHook(countMut)
-	server.historical.SetHook(countMut)
-	server.active.SetHook(countMut)
+	// The hook goes in only after replay: recomputed retrains must not
+	// append new markers.
 	server.setRetrainHook(func(m *trainer.TrainedModel, now time.Time) {
 		marker, err := json.Marshal(map[string]any{
 			"trained_at": m.TrainedAt,
@@ -407,22 +420,15 @@ func (d *Durable) Append(e SamplerEvent, availableAt time.Time) {
 }
 
 // MaybeSnapshot writes a full-state snapshot when due: the simulated
-// clock advanced past the cadence (or force), state actually changed,
-// and the server is quiescent. A non-quiescent server defers (counted
-// in exiot_snapshots_total{result="deferred"}); the next call retries.
+// clock advanced past the cadence and an event was applied since the
+// last one, or force. Call it between events.
 func (d *Durable) MaybeSnapshot(now time.Time, force bool) {
 	d.mu.Lock()
-	due := force || d.lastSnap.IsZero() || now.Sub(d.lastSnap) >= d.cfg.SnapshotEvery
 	events := d.events
+	due := force || (events != d.snapEvents &&
+		(d.lastSnap.IsZero() || now.Sub(d.lastSnap) >= d.cfg.SnapshotEvery))
 	d.mu.Unlock()
 	if !due {
-		return
-	}
-	if !force && d.muts.Load() == 0 {
-		return // nothing changed since the last snapshot
-	}
-	if !d.server.Quiescent() {
-		durable.SnapshotDeferred()
 		return
 	}
 	span := telemetry.Default().StartSpan("snapshot")
@@ -441,16 +447,15 @@ func (d *Durable) MaybeSnapshot(now time.Time, force bool) {
 		d.setErr(err)
 		return
 	}
-	d.muts.Store(0)
 	d.mu.Lock()
+	d.snapEvents = events
 	d.lastSnap = now
 	d.mu.Unlock()
 }
 
 // Close syncs and releases the state directory. It takes no final
-// snapshot itself: only a caller that knows the server is quiescent
-// (Local.Close, after Finish flushes the scan batch) can force one.
-// The synced WAL covers the tail either way.
+// snapshot itself (Local.Close forces one first); the synced WAL covers
+// the tail either way.
 func (d *Durable) Close() error {
 	err := d.mgr.Close()
 	if first := d.Err(); first != nil {

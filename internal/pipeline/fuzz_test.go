@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"os"
 	"testing"
 	"time"
 
@@ -58,6 +59,43 @@ func FuzzDecodeEventV2(f *testing.F) {
 		// A decoded packet is ~10x its minimum encoding; a merged hour is
 		// at most 3600 small reports (~2 MB with the sort buffer).
 		if limit := uint64(64*len(payload) + 4<<20); got > limit {
+			t.Errorf("%d payload bytes cost %d allocated bytes (limit %d)", len(payload), got, limit)
+		}
+	})
+}
+
+// FuzzRestoreState feeds RestoreState what it reads from disk. Whatever
+// the bytes, it must refuse them or leave a server that can flush its
+// restored scan buffer and export itself again, for work that stays
+// within a constant multiple of the input.
+func FuzzRestoreState(f *testing.F) {
+	const seed = 217
+	midHour, _, _, w := midHourState(f, seed)
+	payload, err := midHour.ExportState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(payload)
+	parent, err := os.ReadFile("testdata/snapshot_parent.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(parent)
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		srv := backHalfServer(w, seed, 1)
+		got := allocatedBytes(func() {
+			if srv.RestoreState(payload) != nil {
+				return
+			}
+			srv.FlushScans(time.Date(2021, 4, 8, 14, 0, 0, 0, time.UTC))
+			if _, err := srv.ExportState(); err != nil {
+				t.Errorf("export after an accepted restore: %v", err)
+			}
+		})
+		// A buffered scanner is two bytes of JSON and a few hundred of
+		// probe results.
+		if limit := uint64(512*len(payload) + 1<<20); got > limit {
 			t.Errorf("%d payload bytes cost %d allocated bytes (limit %d)", len(payload), got, limit)
 		}
 	})

@@ -132,8 +132,6 @@ func (l *Local) ProcessHour(pkts []packet.Packet, hour time.Time) {
 	l.sampler.ProcessHour(pkts, hourEnd)
 	l.server.Tick(l.availableAt)
 	if l.durable != nil && l.skip == 0 {
-		// Hour boundaries are the natural quiescent points; a pending
-		// scan batch defers the snapshot to a later hour.
 		l.durable.MaybeSnapshot(l.availableAt, false)
 	}
 }
@@ -150,10 +148,10 @@ func (l *Local) Finish(now time.Time) {
 // Durable exposes the persistence layer (nil when disabled).
 func (l *Local) Durable() *Durable { return l.durable }
 
-// Close finalizes persistence: a last snapshot is taken (the server is
-// quiescent after Finish, and every logged event is in the exported
-// state) and the state directory is released. Safe to call with
-// durability disabled.
+// Close finalizes persistence: a last snapshot is taken (Finish's
+// FlushScans is not a logged input, so only a snapshot keeps the last
+// batch's records) and the state directory is released. Safe to call
+// with durability disabled.
 func (l *Local) Close() error {
 	if l.durable == nil {
 		return nil

@@ -1,7 +1,7 @@
 // Package pipeline wires eX-IoT's modules into the two halves of Fig. 2:
 // the Sampler (the CAIDA-side flow detection & sampling binary) and the
 // Server (the eX-IoT feed server: scan module, annotate module, update
-// classifier, the three databases, notifications, and the API source).
+// classifier, the feed databases, notifications, and the API source).
 // A Local pipeline runs both halves in one process with simulated
 // collection delays, which is how the experiments and examples drive it.
 package pipeline

@@ -31,7 +31,7 @@ import (
 // the sampler ahead of it dies.
 var (
 	metFeedRecords = telemetry.Default().Counter("exiot_feed_records_total",
-		"CTI records inserted into the latest + historical databases.")
+		"CTI records inserted into the historical database.")
 	metFeedFlowEnds = telemetry.Default().Counter("exiot_feed_flow_ends_total",
 		"END_FLOW updates applied to existing feed records.")
 	metFeedActive = telemetry.Default().Gauge("exiot_feed_active_records",
@@ -91,8 +91,8 @@ type Server struct {
 	trainer   *trainer.Trainer
 	notifier  *notify.Notifier
 
-	// The paper's three databases.
-	latest     *store.Collection[feed.Record] // active threat information
+	// Two of the paper's three databases: its latest database, the
+	// active threat information, is the historical one's Active records.
 	historical *store.Collection[feed.Record] // two-week archive
 	active     *store.KV                      // IP → historical ObjectID of the live record
 
@@ -101,11 +101,10 @@ type Server struct {
 	traffic *trafficStats
 
 	mu sync.Mutex
-	// latestID pairs historical ObjectIDs with their latest-DB twin.
-	latestID map[store.ObjectID]store.ObjectID
 	// pendingBatches holds organized flows awaiting active-measurement
-	// results; pendingEnds holds flow ends that arrived before their
-	// record materialized (the scan batch had not flushed yet).
+	// results, one per source in the scan module's buffer; pendingEnds
+	// holds the ends of those flows that arrived before the batch
+	// flushed.
 	pendingBatches map[packet.IP]*pendingFlow
 	pendingEnds    map[packet.IP]SamplerEvent
 	clock          time.Time
@@ -121,8 +120,7 @@ type Server struct {
 }
 
 type pendingFlow struct {
-	batch       *organizer.Batch
-	availableAt time.Time
+	batch *organizer.Batch
 	// trace is the flow's live trace (nil when untraced); scanEnq stamps
 	// when the flow entered the scan-module buffer so the scanmod span
 	// can report the batching wait.
@@ -152,10 +150,8 @@ func NewServer(cfg ServerConfig, prober zmap.Prober, reg *registry.Registry, mai
 		scanMod:        scanmod.New(cfg.ScanMod, scanner, recog.NewDB()),
 		annotator:      annotate.New(enrich.New(reg)),
 		trainer:        trainer.New(cfg.Trainer),
-		latest:         store.NewCollection[feed.Record](),
 		historical:     store.NewCollection[feed.Record](),
 		active:         store.NewKV(),
-		latestID:       make(map[store.ObjectID]store.ObjectID),
 		pendingBatches: make(map[packet.IP]*pendingFlow),
 		pendingEnds:    make(map[packet.IP]SamplerEvent),
 		traffic:        newTrafficStats(),
@@ -196,7 +192,7 @@ func (s *Server) HandleEvent(e SamplerEvent, availableAt time.Time) {
 }
 
 func (s *Server) handleBatch(b *organizer.Batch, availableAt time.Time, flow *trace.Flow) {
-	pf := &pendingFlow{batch: b, availableAt: availableAt, trace: flow}
+	pf := &pendingFlow{batch: b, trace: flow}
 	if flow != nil {
 		pf.scanEnq = time.Now()
 	}
@@ -260,11 +256,15 @@ func (s *Server) resolveTagged(tagged []scanmod.Tagged, now time.Time) {
 	recs, errs := s.annotator.AnnotateBatch(jobs, s.workers)
 	for k := range jobs {
 		if errs[k] != nil {
-			// Malformed flow; nothing to record. Close out its trace so
-			// the failure is still visible in the store.
+			// Malformed flow; nothing to record, and nothing for its
+			// parked end to update. Close out its trace so the failure is
+			// still visible in the store.
 			if f := jobs[k].Trace; f != nil {
 				f.Span("emit", time.Now(), time.Now(), trace.Str("outcome", "rejected"))
 				trace.Default().Finish(f)
+			}
+			if end, ok := s.takeParkedEnd(jobs[k].Batch.IP); ok {
+				s.finishEndTrace(end, "no_record")
 			}
 			continue
 		}
@@ -299,9 +299,7 @@ func (s *Server) finishRecord(b *organizer.Batch, rec feed.Record, raw []float64
 	}
 
 	histID := s.historical.Insert(appearedAt, rec)
-	latestID := s.latest.Insert(appearedAt, rec)
 	s.mu.Lock()
-	s.latestID[histID] = latestID
 	s.counters.RecordsCreated++
 	s.mu.Unlock()
 	s.active.Set(activeKey(rec.IP), string(histID))
@@ -325,13 +323,19 @@ func (s *Server) finishRecord(b *organizer.Batch, rec feed.Record, raw []float64
 	}
 
 	// A flow end may have raced ahead of the scan batch; apply it now.
-	s.mu.Lock()
-	end, hasEnd := s.pendingEnds[b.IP]
-	delete(s.pendingEnds, b.IP)
-	s.mu.Unlock()
-	if hasEnd {
+	if end, ok := s.takeParkedEnd(b.IP); ok {
 		s.handleFlowEnd(end, appearedAt)
 	}
+}
+
+// takeParkedEnd removes and returns the flow end parked behind ip's
+// buffered flow, if any.
+func (s *Server) takeParkedEnd(ip packet.IP) (SamplerEvent, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	end, ok := s.pendingEnds[ip]
+	delete(s.pendingEnds, ip)
+	return end, ok
 }
 
 func (s *Server) handleFlowEnd(e SamplerEvent, availableAt time.Time) {
@@ -339,14 +343,13 @@ func (s *Server) handleFlowEnd(e SamplerEvent, availableAt time.Time) {
 	idStr, ok := s.active.Get(activeKey(ipStr))
 	if !ok {
 		// The record may still be waiting on the scan batch; park the
-		// end until emitRecord replays it. Ends for flows the organizer
-		// dropped are parked too, but they are swept with the map. A
-		// parked event keeps its live trace and finishes on replay.
+		// end until finishRecord replays it (it keeps its live trace and
+		// finishes then). With no flow buffered — the organizer dropped
+		// the sample, or the end already came — nothing would replay it.
 		s.mu.Lock()
-		parked := false
-		if _, waiting := s.pendingBatches[e.IP]; waiting || s.scanModHasPending() {
+		_, parked := s.pendingBatches[e.IP]
+		if parked {
 			s.pendingEnds[e.IP] = e
-			parked = true
 		}
 		s.mu.Unlock()
 		if !parked {
@@ -367,14 +370,8 @@ func (s *Server) handleFlowEnd(e SamplerEvent, availableAt time.Time) {
 	// status updates instead of scanning for the latest record of an IP.
 	s.historical.Update(histID, update)
 	s.mu.Lock()
-	latestID, hasTwin := s.latestID[histID]
-	delete(s.latestID, histID)
 	s.counters.FlowsEnded++
 	s.mu.Unlock()
-	if hasTwin {
-		s.latest.Update(latestID, update)
-		s.latest.Delete(latestID)
-	}
 	s.active.Del(activeKey(ipStr))
 	metFeedFlowEnds.Inc()
 	metFeedActive.Set(float64(s.active.Len()))
@@ -393,13 +390,12 @@ func (s *Server) finishEndTrace(e SamplerEvent, outcome string) {
 	trace.Default().Finish(e.Trace)
 }
 
-// Tick runs time-driven housekeeping: scan-batch age flush, the daily
-// retrain, and historical expiry. Call with the advancing simulated
-// clock. HandleEvent calls it for every event, so both checks are O(1)
-// until something is due: a retrain, or an hour's records lapsing.
+// Tick runs time-driven housekeeping: the daily retrain and historical
+// expiry. Call with the advancing simulated clock. HandleEvent calls it
+// for every event, so both checks are O(1) until something is due: a
+// retrain, or an hour's records lapsing. The scan batch's age flush is
+// not here: the scan module checks it when the next scanner arrives.
 func (s *Server) Tick(now time.Time) {
-	// Age-based scan flush happens inside Enqueue; here we force a flush
-	// when the batch has been waiting past the trigger with no arrivals.
 	s.maybeRetrain(now)
 	s.historical.Expire(now.Add(-s.cfg.HistoricalWindow))
 }
@@ -508,11 +504,6 @@ func (s *Server) Counters() Counters {
 
 // UnknownBanners exposes the scan module's unknown-banner dump.
 func (s *Server) UnknownBanners() []string { return s.scanMod.UnknownBanners() }
-
-// scanModHasPending reports whether the scan module still buffers
-// un-probed scanners. Caller holds s.mu (the scan module itself is only
-// driven from the event path).
-func (s *Server) scanModHasPending() bool { return s.scanMod.Pending() > 0 }
 
 func activeKey(ip string) string { return "active:" + ip }
 

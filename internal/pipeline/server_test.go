@@ -10,8 +10,8 @@ import (
 )
 
 // reportServer returns a server holding records live records — each in
-// the historical and latest databases with its active key, as
-// finishRecord leaves them — and a per-second report event for it, with
+// the historical database with its active key, as finishRecord leaves
+// them — and a per-second report event for it, with
 // the instant both arrive at.
 func reportServer(records int) (*Server, SamplerEvent, time.Time) {
 	at := time.Date(2020, 12, 9, 1, 6, 0, 0, time.UTC)
@@ -19,7 +19,6 @@ func reportServer(records int) (*Server, SamplerEvent, time.Time) {
 	for i := 0; i < records; i++ {
 		rec := feed.Record{IP: fmt.Sprintf("10.%d.%d.%d", i>>16, i>>8&255, i&255), Active: true}
 		id := srv.historical.Insert(at, rec)
-		srv.latest.Insert(at, rec)
 		srv.active.Set(activeKey(rec.IP), string(id))
 	}
 	rep := &trw.SecondReport{Second: at.Add(-time.Hour), Total: 40, TCP: 40,

@@ -6,6 +6,7 @@
 package scanmod
 
 import (
+	"slices"
 	"time"
 
 	"exiot/internal/packet"
@@ -150,6 +151,21 @@ func (m *Module) Stats() (scanned, tagged int64) {
 // recovered server's dashboard totals match the uninterrupted run.
 func (m *Module) RestoreStats(scanned, tagged int64) {
 	m.scanned, m.tagged = scanned, tagged
+}
+
+// Buffer returns the scanners awaiting the next flush, in arrival order
+// (an IP detected twice sits there twice), and when the oldest was
+// added: with Stats, the module's whole mutable state.
+func (m *Module) Buffer() (pending []packet.IP, oldestAdded time.Time) {
+	return slices.Clone(m.pending), m.oldestAdded
+}
+
+// RestoreBuffer reinstates a buffer taken with Buffer, so a recovered
+// server flushes the same batch at the same arrival as the
+// uninterrupted run.
+func (m *Module) RestoreBuffer(pending []packet.IP, oldestAdded time.Time) {
+	m.pending, m.oldestAdded = slices.Clone(pending), oldestAdded
+	metPending.Set(float64(len(m.pending)))
 }
 
 // UnknownBanners exposes the rule base's unknown-banner dump.

@@ -111,7 +111,7 @@ func TestExpireMatchesReferenceWalk(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			real, ref := NewCollection[doc](), newRefCollection()
 			var got []Mutation
-			real.SetHook(func(m Mutation) { got = append(got, m) })
+			real.AddHook(func(m Mutation) { got = append(got, m) })
 
 			var ids []ObjectID // every id ever minted, live or not
 			pick := func() ObjectID {
@@ -226,8 +226,8 @@ func TestExpireReturnsWithoutWalking(t *testing.T) {
 	}
 }
 
-// TestDeleteBoundsTombstones is the latest database's life: records come
-// and go and Expire is never called.
+// TestDeleteBoundsTombstones is the life of a collection that is never
+// expired: records come and go by Delete alone.
 func TestDeleteBoundsTombstones(t *testing.T) {
 	c := NewCollection[doc]()
 	keep := []ObjectID{c.Insert(base, doc{IP: "first"})}

@@ -6,9 +6,8 @@ import (
 )
 
 // This file is the durability surface of the store package: full-state
-// export/restore used by snapshots, plus mutation hooks that let the
-// durability layer observe write traffic (for snapshot cadence) without
-// the stores knowing anything about WALs.
+// export/restore used by snapshots, plus the mutation hooks that let the
+// feed-serving cache observe a collection's write traffic.
 
 // Doc pairs a document with its ObjectID for export.
 type Doc[T any] struct {
@@ -75,8 +74,7 @@ func (kv *KV) Export() []KVItem {
 	return out
 }
 
-// Restore replaces the store's contents with an exported state. The
-// mutation hook does not fire.
+// Restore replaces the store's contents with an exported state.
 func (kv *KV) Restore(items []KVItem) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
@@ -88,52 +86,22 @@ func (kv *KV) Restore(items []KVItem) {
 	}
 }
 
-// Mutation describes one store write for observers.
+// Mutation describes one collection write for observers.
 type Mutation struct {
-	// Op is the operation name: insert|update|delete|expire for
-	// collections, set|del for KV.
+	// Op is the operation name: insert|update|delete|expire.
 	Op string
-	// ID is the affected document (collection mutations).
+	// ID is the affected document.
 	ID ObjectID
-	// Key is the affected key (KV mutations).
-	Key string
 }
 
-// SetHook installs fn to observe every mutation. The hook runs with the
-// store's lock held, so it must be fast and must not call back into the
-// store. Restore never fires it. Pass nil to remove. SetHook owns a
-// single slot; observers registered with AddHook are unaffected.
-func (c *Collection[T]) SetHook(fn func(Mutation)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.hook = fn
-}
-
-// AddHook appends an additional mutation observer alongside whatever
-// SetHook installed — the durability layer and the feed-serving cache
-// can both watch the same collection. Same contract as SetHook hooks:
-// runs under the store's lock, must be fast, must not call back in.
-// Added hooks cannot be removed.
+// AddHook appends fn to the observers of every mutation. A hook runs
+// with the store's lock held, so it must be fast and must not call back
+// into the store. Restore never fires it. Added hooks cannot be
+// removed.
 func (c *Collection[T]) AddHook(fn func(Mutation)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.extra = append(c.extra, fn)
-}
-
-// SetHook installs fn to observe every KV mutation; same contract as
-// Collection.SetHook.
-func (kv *KV) SetHook(fn func(Mutation)) {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	kv.hook = fn
-}
-
-// AddHook appends an additional KV mutation observer; same contract as
-// Collection.AddHook.
-func (kv *KV) AddHook(fn func(Mutation)) {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	kv.extra = append(kv.extra, fn)
+	c.hooks = append(c.hooks, fn)
 }
 
 // ObjectIDCounterValue reports the process-global ObjectID counter, for

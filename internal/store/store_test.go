@@ -1,7 +1,6 @@
 package store
 
 import (
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -185,36 +184,5 @@ func TestKVConcurrency(t *testing.T) {
 	wg.Wait()
 	if kv.Len() != 8 {
 		t.Errorf("Len = %d, want 8", kv.Len())
-	}
-}
-
-func TestAddHookCoexistsWithSetHook(t *testing.T) {
-	c := NewCollection[int]()
-	var set, extra1, extra2 []string
-	c.SetHook(func(m Mutation) { set = append(set, m.Op) })
-	c.AddHook(func(m Mutation) { extra1 = append(extra1, m.Op) })
-	c.AddHook(func(m Mutation) { extra2 = append(extra2, m.Op) })
-
-	id := c.Insert(time.Unix(100, 0), 1)
-	c.Update(id, func(v *int) { *v = 2 })
-	// Replacing the SetHook slot must not disturb added observers.
-	c.SetHook(nil)
-	c.Delete(id)
-
-	if want := []string{"insert", "update"}; !reflect.DeepEqual(set, want) {
-		t.Errorf("SetHook saw %v, want %v", set, want)
-	}
-	want := []string{"insert", "update", "delete"}
-	if !reflect.DeepEqual(extra1, want) || !reflect.DeepEqual(extra2, want) {
-		t.Errorf("AddHook observers saw %v / %v, want %v", extra1, extra2, want)
-	}
-
-	kv := NewKV()
-	var kvOps []string
-	kv.AddHook(func(m Mutation) { kvOps = append(kvOps, m.Op+":"+m.Key) })
-	kv.Set("a", "1")
-	kv.Del("a")
-	if want := []string{"set:a", "del:a"}; !reflect.DeepEqual(kvOps, want) {
-		t.Errorf("KV AddHook saw %v, want %v", kvOps, want)
 	}
 }

@@ -67,6 +67,9 @@ func FromSaved(saved *ml.SavedModel) (*TrainedModel, error) {
 	if saved == nil {
 		return nil, nil
 	}
+	if saved.Forest == nil {
+		return nil, fmt.Errorf("trainer: archived model %s lacks a forest", saved.TrainedAt)
+	}
 	m := &TrainedModel{
 		Forest:    saved.Forest,
 		TrainedAt: saved.TrainedAt,
