@@ -117,7 +117,7 @@ func run(server, key string, args []string) error {
 	case "capinfo":
 		return runCapinfo(args[1:], os.Stdout)
 	case "state":
-		return runState(args[1:])
+		return runState(args[1:], os.Stdout)
 	default:
 		return fmt.Errorf("unknown command %q", args[0])
 	}
@@ -126,7 +126,7 @@ func run(server, key string, args []string) error {
 // runState inspects a durable state directory offline: per-file
 // snapshot and WAL segment metadata (inspect) or CRC validation with a
 // non-zero exit on damage (verify).
-func runState(args []string) error {
+func runState(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("state", flag.ExitOnError)
 	dir := fs.String("dir", "", "durable state directory (exiotd -state-dir)")
 	asJSON := fs.Bool("json", false, "emit the raw inspection report as JSON")
@@ -151,22 +151,22 @@ func runState(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(string(raw))
+			fmt.Fprintln(out, string(raw))
 			return nil
 		}
-		printStateReport(info)
-		return printWALTraces(*dir)
+		printStateReport(out, info)
+		return printWALTraces(out, *dir)
 	case "verify":
 		problems, err := durable.Verify(*dir)
 		if err != nil {
 			return err
 		}
 		if len(problems) == 0 {
-			fmt.Println("ok: every snapshot and WAL segment passes CRC validation")
+			fmt.Fprintln(out, "ok: every snapshot and WAL segment passes CRC validation")
 			return nil
 		}
 		for _, p := range problems {
-			fmt.Println("PROBLEM:", p)
+			fmt.Fprintln(out, "PROBLEM:", p)
 		}
 		return fmt.Errorf("%d problem(s) found", len(problems))
 	default:
@@ -174,19 +174,19 @@ func runState(args []string) error {
 	}
 }
 
-func printStateReport(info *durable.DirInfo) {
-	fmt.Printf("state directory %s\n", info.Dir)
-	fmt.Printf("snapshots (%d):\n", len(info.Snapshots))
+func printStateReport(out io.Writer, info *durable.DirInfo) {
+	fmt.Fprintf(out, "state directory %s\n", info.Dir)
+	fmt.Fprintf(out, "snapshots (%d):\n", len(info.Snapshots))
 	for _, s := range info.Snapshots {
 		status := "valid"
 		if !s.Valid {
 			status = "CORRUPT: " + s.Error
 		}
-		fmt.Printf("  %s  %8d bytes  last_seq=%d events=%d taken=%s  %s\n",
+		fmt.Fprintf(out, "  %s  %8d bytes  last_seq=%d events=%d taken=%s  %s\n",
 			s.Name, s.Size, s.Meta.LastSeq, s.Meta.EventCount,
 			s.Meta.TakenAt.Format("2006-01-02T15:04:05Z"), status)
 	}
-	fmt.Printf("wal segments (%d):\n", len(info.Segments))
+	fmt.Fprintf(out, "wal segments (%d):\n", len(info.Segments))
 	for _, s := range info.Segments {
 		status := "valid"
 		switch {
@@ -195,16 +195,18 @@ func printStateReport(info *durable.DirInfo) {
 		case s.TornBytes > 0:
 			status = fmt.Sprintf("TORN TAIL: %d bytes after seq %d", s.TornBytes, s.LastSeq)
 		}
-		fmt.Printf("  %s  %8d bytes  seq %d..%d  %d records (%d events, %d retrains)  %s\n",
-			s.Name, s.Size, s.FirstSeq, s.LastSeq, s.Records, s.Events, s.Retrains, status)
+		fmt.Fprintf(out, "  %s  v%d  %8d bytes  seq %d..%d  %d records (%d events, %d retrains)  %s\n",
+			s.Name, s.Version, s.Size, s.FirstSeq, s.LastSeq, s.Records, s.Events, s.Retrains, status)
 	}
 }
 
 // printWALTraces decodes the sampler events logged in the WAL and lists
 // their deterministic trace IDs — the offline half of a forensics join:
 // the same IDs key the live server's /traces store and each feed
-// record's provenance.trace_id.
-func printWALTraces(dir string) error {
+// record's provenance.trace_id. An event that does not decode is listed
+// by sequence number and makes the command fail: a log this tool cannot
+// read must not look like a log without traces.
+func printWALTraces(out io.Writer, dir string) error {
 	type line struct {
 		seq  uint64
 		kind string
@@ -212,12 +214,17 @@ func printWALTraces(dir string) error {
 		id   string
 	}
 	var lines []line
+	var undecodable []string
 	err := durable.ScanRecords(dir, func(rec durable.Record) error {
 		if rec.Type != durable.RecordEvent {
 			return nil
 		}
-		e, err := pipeline.DecodeEvent(wire.Frame{Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
-		if err != nil || e.TraceID == 0 {
+		e, err := pipeline.DecodeEvent(wire.Frame{Version: rec.Version, Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
+		if err != nil {
+			undecodable = append(undecodable, fmt.Sprintf("seq %6d  frame kind %d, codec %d: %v", rec.Seq, rec.Kind, rec.Version, err))
+			return nil
+		}
+		if e.TraceID == 0 {
 			return nil // reports and pre-tracing events carry no ID
 		}
 		l := line{seq: rec.Seq, id: e.TraceID.String()}
@@ -233,9 +240,16 @@ func printWALTraces(dir string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("traced wal events (%d):\n", len(lines))
+	fmt.Fprintf(out, "traced wal events (%d):\n", len(lines))
 	for _, l := range lines {
-		fmt.Printf("  seq %6d  %-8s  %-15s  trace %s\n", l.seq, l.kind, l.ip, l.id)
+		fmt.Fprintf(out, "  seq %6d  %-8s  %-15s  trace %s\n", l.seq, l.kind, l.ip, l.id)
+	}
+	if len(undecodable) > 0 {
+		fmt.Fprintf(out, "UNDECODABLE wal events (%d):\n", len(undecodable))
+		for _, l := range undecodable {
+			fmt.Fprintf(out, "  %s\n", l)
+		}
+		return fmt.Errorf("%d WAL event(s) could not be decoded", len(undecodable))
 	}
 	return nil
 }

@@ -10,11 +10,12 @@
 //	wal-<startSeq>.seg   append log segments (CRC32C-framed records)
 //	snap-<lastSeq>.snap  full-state snapshots (CRC-framed JSON payload)
 //
-// The WAL records *inputs* (wire-encoded sampler events), not store
-// mutations: replaying the log through the unmodified processing path
-// reproduces every downstream effect — record inserts, END_FLOW
-// updates, trainer-window growth, retrains, notifications — because the
-// pipeline is deterministic given its inputs (see DESIGN.md,
+// The WAL records *inputs* — sampler events in the wire's v2 binary
+// encoding, the same bytes a shard ships (pipeline.AppendEncodeEvent) —
+// not store mutations: replaying the log through the unmodified
+// processing path reproduces every downstream effect — record inserts,
+// END_FLOW updates, trainer-window growth, retrains, notifications —
+// because the pipeline is deterministic given its inputs (see DESIGN.md,
 // "Durability and recovery determinism"). Snapshots bound replay time
 // and drive log compaction keyed to the feed's historical lapse window.
 package durable
@@ -106,8 +107,15 @@ type Record struct {
 	AvailableAt time.Time
 	// Kind is the wire frame kind of the embedded event (RecordEvent).
 	Kind uint8
+	// Version is the codec of the embedded event, as wire.Frame.Version
+	// numbers it (RecordEvent): wire.Version2 in the segments this binary
+	// writes, 0 — the legacy JSON — in a version-1 segment. Build the
+	// wire.Frame for pipeline.DecodeEvent from Kind, Version and Payload.
+	Version uint8
 	// Payload is the wire-encoded event (RecordEvent) or the retrain
-	// metadata JSON (RecordRetrain).
+	// metadata JSON (RecordRetrain). It aliases the reader's buffer and
+	// is valid only during the callback that receives the Record: copy
+	// it to keep it.
 	Payload []byte
 }
 

@@ -494,6 +494,13 @@ func TestTornTailFuzz(t *testing.T) {
 			if err := os.WriteFile(dst, mut, 0o644); err != nil {
 				t.Fatalf("write corrupted copy: %v", err)
 			}
+			if pos >= 8 && pos < 12 {
+				// Any byte of the version flipped reads as a version above
+				// this binary's: a newer exiotd's segment, refused where
+				// it lies, not repaired away.
+				refusedUntouched(t, dir)
+				continue
+			}
 			recs, stats, m := replayAll(t, dir, 0)
 			if len(recs) != 0 || !stats.Truncated {
 				t.Fatalf("header flip at %d: replayed %d records truncated=%v, want 0/true",

@@ -12,8 +12,11 @@ import (
 
 // SegmentInfo describes one WAL segment file.
 type SegmentInfo struct {
-	Name      string `json:"name"`
-	Size      int64  `json:"size"`
+	Name string `json:"name"`
+	Size int64  `json:"size"`
+	// Version is the segment's format version (0 when the header is
+	// unreadable): 2 holds binary event payloads, 1 the legacy JSON.
+	Version   uint32 `json:"version"`
 	StartSeq  uint64 `json:"start_seq"`
 	FirstSeq  uint64 `json:"first_seq,omitempty"`
 	LastSeq   uint64 `json:"last_seq,omitempty"`
@@ -105,6 +108,7 @@ func Inspect(dir string) (*DirInfo, error) {
 		si := SegmentInfo{
 			Name:     sc.name,
 			Size:     sc.size,
+			Version:  sc.version,
 			StartSeq: sc.startSeq,
 			FirstSeq: sc.firstSeq,
 			LastSeq:  sc.lastSeq,
@@ -139,8 +143,9 @@ func Verify(dir string) ([]string, error) {
 // then sequence order, without a Manager. Offline forensics tooling
 // (`exiotctl state inspect`) uses it to decode the logged events — e.g.
 // to list the trace IDs recorded in sampler batches for joining against
-// a live server's /traces store. Torn segment tails are skipped, not
-// errors; fn returning an error stops the scan.
+// a live server's /traces store. A Record's Payload is valid only until
+// fn returns. Torn segment tails are skipped, not errors; fn returning
+// an error stops the scan.
 func ScanRecords(dir string, fn func(Record) error) error {
 	segs, err := listSegments(dir)
 	if err != nil {

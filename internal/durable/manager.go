@@ -1,8 +1,10 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -31,6 +33,7 @@ type Manager struct {
 	segPath  string
 	segLen   int64
 	nextSeq  uint64
+	frame    []byte // the record being appended; reused
 	lastSync time.Time
 	dirty    bool
 	started  bool
@@ -68,7 +71,9 @@ func (m *Manager) Dir() string { return m.opts.Dir }
 // LatestSnapshot loads the most recent valid snapshot, returning its
 // meta and opaque payload, or a zero meta and nil payload when the
 // directory has none. A corrupt newest snapshot falls back to the next
-// older valid one — the torn file is skipped, not fatal.
+// older valid one — the torn file is skipped, not fatal. A snapshot from
+// a newer format is not corruption: it is an error, and older ones are
+// not tried in its place.
 func (m *Manager) LatestSnapshot() (SnapshotMeta, []byte, error) {
 	names, err := listSnapshots(m.opts.Dir)
 	if err != nil {
@@ -76,6 +81,9 @@ func (m *Manager) LatestSnapshot() (SnapshotMeta, []byte, error) {
 	}
 	for i := len(names) - 1; i >= 0; i-- {
 		meta, payload, err := readSnapshot(filepath.Join(m.opts.Dir, names[i]))
+		if errors.Is(err, errNewerFormat) {
+			return SnapshotMeta{}, nil, err
+		}
 		if err != nil {
 			continue // corrupt or unreadable; try the previous one
 		}
@@ -88,7 +96,9 @@ func (m *Manager) LatestSnapshot() (SnapshotMeta, []byte, error) {
 // valid record with Seq > fromSeq. Validation covers every record (CRC,
 // framing, sequence continuity); the walk stops at the first invalid
 // record — the torn tail — and everything after it is reported as
-// truncated, never applied, and never a panic. Must be called before
+// truncated, never applied, and never a panic. A Record's Payload is
+// valid only until apply returns. A segment from a newer format is an
+// error, whatever was applied before it. Must be called before
 // StartAppend.
 func (m *Manager) Replay(fromSeq uint64, apply func(Record) error) (ReplayStats, error) {
 	m.mu.Lock()
@@ -149,7 +159,8 @@ func (m *Manager) Replay(fromSeq uint64, apply func(Record) error) (ReplayStats,
 // range is entirely at or below fromSeq — that is, wholly covered by
 // the snapshot recovery starts from (the shape compaction leaves
 // behind). Any other gap ends the replayable prefix like a torn record
-// does. Caller holds m.mu.
+// does. A segment from a newer format fails the scan: StartAppend must
+// not mistake it for a corrupt one and remove it. Caller holds m.mu.
 func (m *Manager) scanAllLocked(fromSeq uint64, fn func(Record) error) ([]segScan, error) {
 	names, err := listSegments(m.opts.Dir)
 	if err != nil {
@@ -172,6 +183,9 @@ func (m *Manager) scanAllLocked(fromSeq uint64, fn func(Record) error) ([]segSca
 		sc, err := scanSegment(path, cb)
 		if err != nil {
 			return scans, fmt.Errorf("durable: scan %s: %w", name, err)
+		}
+		if errors.Is(sc.headerErr, errNewerFormat) {
+			return scans, sc.headerErr
 		}
 		if gap {
 			sc.gap = true
@@ -241,12 +255,14 @@ func (m *Manager) StartAppend(minNextSeq uint64) error {
 		m.nextSeq = minNextSeq
 	}
 
-	// Reuse the tail segment when the next sequence extends it
-	// contiguously (its header start seq must match for an empty one);
-	// otherwise truncate its torn bytes in place and rotate to a fresh
-	// segment named by the next sequence.
-	reuse := tail != nil && ((tail.records > 0 && tail.lastSeq+1 == m.nextSeq) ||
-		(tail.records == 0 && tail.startSeq == m.nextSeq))
+	// Reuse the tail segment when it is at the version this binary
+	// writes and the next sequence extends it contiguously (its header
+	// start seq must match for an empty one); otherwise truncate its
+	// torn bytes in place and rotate to a fresh segment named by the
+	// next sequence. A version-1 tail is never appended to.
+	reuse := tail != nil && tail.version == segVersion &&
+		((tail.records > 0 && tail.lastSeq+1 == m.nextSeq) ||
+			(tail.records == 0 && tail.startSeq == m.nextSeq))
 	if reuse {
 		f, err := os.OpenFile(tail.path, os.O_RDWR, 0o644)
 		if err != nil {
@@ -315,10 +331,15 @@ func (m *Manager) openSegmentLocked(startSeq uint64) error {
 	return nil
 }
 
-// AppendEvent appends one wire-encoded sampler event and returns its
-// assigned sequence number.
+// AppendEvent appends one sampler event — payload in the wire's v2
+// binary layout, kind its frame kind — and returns its assigned sequence
+// number. The record is handed to the kernel in one write before
+// AppendEvent returns; payload is not retained.
 func (m *Manager) AppendEvent(kind uint8, availableAt time.Time, payload []byte) (uint64, error) {
-	seq, err := m.append(RecordEvent, encodeEventBody(availableAt, kind, payload))
+	var head [eventHeadSize]byte
+	binary.LittleEndian.PutUint64(head[:], uint64(availableAt.UnixNano()))
+	head[8] = kind
+	seq, err := m.append(RecordEvent, head[:], payload)
 	if err == nil {
 		metWALAppendEvent.Inc()
 	}
@@ -327,20 +348,28 @@ func (m *Manager) AppendEvent(kind uint8, availableAt time.Time, payload []byte)
 
 // AppendRetrain appends one retrain marker (metadata JSON).
 func (m *Manager) AppendRetrain(meta []byte) (uint64, error) {
-	seq, err := m.append(RecordRetrain, meta)
+	seq, err := m.append(RecordRetrain, nil, meta)
 	if err == nil {
 		metWALAppendRetrain.Inc()
 	}
 	return seq, err
 }
 
-func (m *Manager) append(typ RecordType, body []byte) (uint64, error) {
+// append frames one record — length, CRC, type, sequence, then head and
+// body — in the manager's reused buffer and writes it with one Write.
+func (m *Manager) append(typ RecordType, head, body []byte) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.started || m.closed {
 		return 0, errors.New("durable: append before StartAppend or after Close")
 	}
-	frame := encodeRecord(typ, m.nextSeq, body)
+	frame := append(m.frame[:0], 0, 0, 0, 0, 0, 0, 0, 0, byte(typ)) // length and CRC backpatched
+	frame = binary.LittleEndian.AppendUint64(frame, m.nextSeq)
+	frame = append(frame, head...)
+	frame = append(frame, body...)
+	binary.LittleEndian.PutUint32(frame[0:], uint32(len(frame)-recHeaderSize))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[recHeaderSize:], castagnoli))
+	m.frame = frame
 	if m.segLen > segHeaderSize && m.segLen+int64(len(frame)) > m.opts.SegmentBytes {
 		if err := m.rotateLocked(); err != nil {
 			metWALErrors.Inc()

@@ -107,6 +107,19 @@ func writeSnapshotFile(dir string, meta SnapshotMeta, payload []byte) (string, e
 	return final, nil
 }
 
+// checkSnapVersion accepts the one snapshot version there is; a higher
+// one is a newer exiotd's file (errNewerFormat), not a corrupt one.
+func checkSnapVersion(name string, v uint32) error {
+	switch {
+	case v > snapVersion:
+		return fmt.Errorf("durable: %s: snapshot version %d, this binary reads up to %d: %w",
+			name, v, snapVersion, errNewerFormat)
+	case v != snapVersion:
+		return fmt.Errorf("durable: %s: unsupported version %d", name, v)
+	}
+	return nil
+}
+
 // readSnapshotMeta parses and validates only a snapshot's header and
 // meta block (cheap: no payload read, no CRC).
 func readSnapshotMeta(path string) (SnapshotMeta, error) {
@@ -123,8 +136,8 @@ func readSnapshotMeta(path string) (SnapshotMeta, error) {
 	if string(hdr[:8]) != snapMagic {
 		return meta, fmt.Errorf("durable: %s: bad magic", filepath.Base(path))
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != snapVersion {
-		return meta, fmt.Errorf("durable: %s: unsupported version %d", filepath.Base(path), v)
+	if err := checkSnapVersion(filepath.Base(path), binary.LittleEndian.Uint32(hdr[8:])); err != nil {
+		return meta, err
 	}
 	metaLen := binary.LittleEndian.Uint32(hdr[12:])
 	if metaLen > maxRecordSize {
@@ -154,8 +167,8 @@ func readSnapshot(path string) (SnapshotMeta, []byte, error) {
 	if string(raw[:8]) != snapMagic {
 		return meta, nil, fmt.Errorf("durable: %s: bad magic", name)
 	}
-	if v := binary.LittleEndian.Uint32(raw[8:]); v != snapVersion {
-		return meta, nil, fmt.Errorf("durable: %s: unsupported version %d", name, v)
+	if err := checkSnapVersion(name, binary.LittleEndian.Uint32(raw[8:])); err != nil {
+		return meta, nil, err
 	}
 	metaLen := int64(binary.LittleEndian.Uint32(raw[12:]))
 	payloadLen := int64(binary.LittleEndian.Uint32(raw[16:]))

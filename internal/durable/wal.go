@@ -1,7 +1,9 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -22,6 +24,13 @@ import (
 // RecordEvent body: i64 availableAt (UnixNano, UTC) | u8 wireKind | event bytes.
 // RecordRetrain body: metadata JSON.
 //
+// The header's version names the codec of the event bytes. Version 2,
+// the only one written, holds the wire's v2 binary payloads
+// (pipeline.AppendEncodeEvent); version 1 held JSON payloads and is
+// read, never written or appended to, for one release. A version above
+// segVersion is a state directory from a newer exiotd: refused, not
+// repaired.
+//
 // All integers are little-endian. Sequence numbers are strictly
 // consecutive within a segment and across the live log, so a CRC match
 // with a wrong seq is still rejected. A record that fails any check
@@ -29,13 +38,35 @@ import (
 
 const (
 	segMagic      = "EXWALSEG"
-	segVersion    = 1
+	segVersion    = 2
+	segVersionV1  = 1 // JSON event payloads; read-only
 	segHeaderSize = 8 + 4 + 4 + 8
 	recHeaderSize = 4 + 4
+	// recPrefixSize is the type and sequence every payload starts with,
+	// eventHeadSize the availableAt and wire kind ahead of event bytes.
+	recPrefixSize = 1 + 8
+	eventHeadSize = 8 + 1
 	// maxRecordSize bounds a record's payload so a corrupted length
 	// field cannot trigger a giant allocation during replay.
 	maxRecordSize = 64 << 20
+	// scanBufSize is the read buffer of one segment pass.
+	scanBufSize = 64 << 10
 )
+
+// errNewerFormat marks a well-formed segment or snapshot header whose
+// version is above the one this binary writes. Recovery stops on it and
+// touches no file: deleting it as corruption would destroy the state a
+// newer exiotd left.
+var errNewerFormat = errors.New("state directory written by a newer exiotd")
+
+// payloadCodec maps a segment version to the wire.Frame.Version that
+// decodes its event bytes: 0 is the legacy JSON, 2 wire.Version2.
+func payloadCodec(segVer uint32) uint8 {
+	if segVer == segVersionV1 {
+		return 0
+	}
+	return 2
+}
 
 // segmentName renders the canonical file name for a starting sequence.
 func segmentName(startSeq uint64) string {
@@ -63,46 +94,27 @@ func encodeSegmentHeader(startSeq uint64) []byte {
 	return hdr
 }
 
-// encodeRecord frames one record: header + payload, CRC included.
-func encodeRecord(typ RecordType, seq uint64, body []byte) []byte {
-	payload := make([]byte, 1+8+len(body))
-	payload[0] = byte(typ)
-	binary.LittleEndian.PutUint64(payload[1:], seq)
-	copy(payload[9:], body)
-	frame := make([]byte, recHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[recHeaderSize:], payload)
-	return frame
-}
-
-// encodeEventBody renders a RecordEvent body.
-func encodeEventBody(availableAt time.Time, kind uint8, payload []byte) []byte {
-	body := make([]byte, 8+1+len(payload))
-	binary.LittleEndian.PutUint64(body, uint64(availableAt.UnixNano()))
-	body[8] = kind
-	copy(body[9:], payload)
-	return body
-}
-
-// decodeRecord parses a validated payload into a Record.
-func decodeRecord(payload []byte) (Record, error) {
-	if len(payload) < 9 {
+// decodeRecord parses a validated payload into a Record whose Payload
+// aliases it; codec is what the segment's version says event bytes are
+// in (payloadCodec).
+func decodeRecord(payload []byte, codec uint8) (Record, error) {
+	if len(payload) < recPrefixSize {
 		return Record{}, fmt.Errorf("durable: record payload too short (%d bytes)", len(payload))
 	}
 	rec := Record{
 		Type: RecordType(payload[0]),
 		Seq:  binary.LittleEndian.Uint64(payload[1:]),
 	}
-	body := payload[9:]
+	body := payload[recPrefixSize:]
 	switch rec.Type {
 	case RecordEvent:
-		if len(body) < 9 {
+		if len(body) < eventHeadSize {
 			return Record{}, fmt.Errorf("durable: event record body too short (%d bytes)", len(body))
 		}
 		rec.AvailableAt = time.Unix(0, int64(binary.LittleEndian.Uint64(body))).UTC()
 		rec.Kind = body[8]
-		rec.Payload = body[9:]
+		rec.Version = codec
+		rec.Payload = body[eventHeadSize:]
 	case RecordRetrain:
 		rec.Payload = body
 	default:
@@ -116,6 +128,7 @@ type segScan struct {
 	path      string
 	name      string
 	size      int64
+	version   uint32 // from the header (0 when unreadable)
 	startSeq  uint64 // from the header
 	firstSeq  uint64 // first record (0 when empty)
 	lastSeq   uint64 // last valid record (0 when empty)
@@ -129,9 +142,11 @@ type segScan struct {
 }
 
 // scanSegment validates one segment front to back, invoking fn for every
-// valid record (fn may be nil). Validation stops at the first framing or
-// CRC failure — the torn tail — and never errors for it; only I/O or
-// header problems surface as errors via headerErr/err.
+// valid record (fn may be nil). A Record's Payload is valid only until
+// fn returns: the pass reads through one buffer. Validation stops at the
+// first framing or CRC failure — the torn tail — and never errors for
+// it; only I/O or header problems surface as errors via headerErr/err.
+// A header from a newer format is a headerErr wrapping errNewerFormat.
 func scanSegment(path string, fn func(Record) error) (segScan, error) {
 	sc := segScan{path: path, name: filepath.Base(path)}
 	f, err := os.Open(path)
@@ -142,9 +157,10 @@ func scanSegment(path string, fn func(Record) error) (segScan, error) {
 	if fi, err := f.Stat(); err == nil {
 		sc.size = fi.Size()
 	}
+	br := bufio.NewReaderSize(f, scanBufSize)
 
-	hdr := make([]byte, segHeaderSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+	var hdr [segHeaderSize]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		sc.headerErr = fmt.Errorf("durable: %s: short header: %w", sc.name, err)
 		return sc, nil
 	}
@@ -152,33 +168,47 @@ func scanSegment(path string, fn func(Record) error) (segScan, error) {
 		sc.headerErr = fmt.Errorf("durable: %s: bad magic", sc.name)
 		return sc, nil
 	}
-	if v := binary.LittleEndian.Uint32(hdr[8:]); v != segVersion {
-		sc.headerErr = fmt.Errorf("durable: %s: unsupported version %d", sc.name, v)
-		return sc, nil
-	}
 	if r := binary.LittleEndian.Uint32(hdr[12:]); r != 0 {
 		sc.headerErr = fmt.Errorf("durable: %s: corrupt header (reserved = %#x)", sc.name, r)
 		return sc, nil
 	}
+	v := binary.LittleEndian.Uint32(hdr[8:])
+	if v < segVersionV1 {
+		sc.headerErr = fmt.Errorf("durable: %s: unsupported version %d", sc.name, v)
+		return sc, nil
+	}
+	sc.version = v
+	if v > segVersion {
+		sc.headerErr = fmt.Errorf("durable: %s: segment version %d, this binary reads up to %d: %w",
+			sc.name, v, segVersion, errNewerFormat)
+		return sc, nil
+	}
+	codec := payloadCodec(v)
 	sc.startSeq = binary.LittleEndian.Uint64(hdr[16:])
 	sc.validLen = segHeaderSize
 
-	recHdr := make([]byte, recHeaderSize)
+	var recHdr [recHeaderSize]byte
+	var buf []byte // one payload at a time; grows to the largest record
 	wantSeq := sc.startSeq
 	for {
-		if _, err := io.ReadFull(f, recHdr); err != nil {
+		if _, err := io.ReadFull(br, recHdr[:]); err != nil {
 			sc.torn = err != io.EOF
 			break
 		}
 		payloadLen := binary.LittleEndian.Uint32(recHdr[0:])
 		wantCRC := binary.LittleEndian.Uint32(recHdr[4:])
-		if payloadLen < 9 || payloadLen > maxRecordSize ||
+		if payloadLen < recPrefixSize || payloadLen > maxRecordSize ||
 			sc.validLen+recHeaderSize+int64(payloadLen) > sc.size {
 			sc.torn = true
 			break
 		}
-		payload := make([]byte, payloadLen)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if int(payloadLen) > cap(buf) {
+			// The length was just checked against the file's size, and
+			// doubling keeps a pass to a handful of allocations.
+			buf = make([]byte, max(int(payloadLen), 2*cap(buf)))
+		}
+		payload := buf[:payloadLen]
+		if _, err := io.ReadFull(br, payload); err != nil {
 			sc.torn = true
 			break
 		}
@@ -186,7 +216,7 @@ func scanSegment(path string, fn func(Record) error) (segScan, error) {
 			sc.torn = true
 			break
 		}
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(payload, codec)
 		if err != nil || rec.Seq != wantSeq {
 			sc.torn = true
 			break

@@ -14,11 +14,13 @@ import (
 	"exiot/internal/wire"
 )
 
-// Compact binary payload encodings for the wire. The JSON payloads
-// (bridge.go, kept for the WAL and snapshots) spend most of their bytes
-// on field names and base64; these layouts are field-order binary,
-// big-endian, with packet headers in their native wire format
-// (packet.Marshal). DecodeEvent dispatches on the frame's Version.
+// Compact binary payload encodings: the one form a sampler event takes
+// outside memory — on the wire, in a WAL record, in a snapshot's
+// buffered events. The layouts are field-order binary, big-endian, with
+// packet headers in their native wire format (packet.Marshal).
+// DecodeEvent dispatches on the frame's Version; the JSON payloads it
+// still reads (bridge.go) are what WAL segments and snapshots held
+// before they went binary, and nothing writes them any more.
 //
 // Layouts (all integers big-endian):
 //
@@ -79,7 +81,9 @@ func AppendEncodeEvent(dst []byte, e SamplerEvent) (wire.Kind, []byte, error) {
 		for _, v := range [...]int{r.Total, r.TCP, r.UDP, r.ICMP, r.Backscatter, r.NewScanFlows} {
 			dst = binary.BigEndian.AppendUint64(dst, uint64(int64(v)))
 		}
-		ports := make([]uint16, 0, len(r.PortPackets))
+		// A second rarely touches more ports than the stack array holds.
+		var few [64]uint16
+		ports := few[:0]
 		for port := range r.PortPackets {
 			ports = append(ports, port)
 		}

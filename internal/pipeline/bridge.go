@@ -12,9 +12,11 @@ import (
 	"exiot/internal/wire"
 )
 
-// This file holds the JSON event codec — the form sampler events take in
-// the WAL and the durable snapshot — and the decode entry point shared
-// with the wire's binary codec (binenc.go).
+// This file holds the decode entry point for sampler events and the
+// legacy JSON event codec. Nothing writes JSON events any more — the
+// wire, the WAL and the durable snapshot all carry the binary layout of
+// binenc.go — but DecodeEvent still reads them for one release, out of
+// version-1 WAL segments and snapshots taken before the upgrade.
 
 // flowEndMsg is the JSON payload of a flow-end event. TraceID is omitted
 // when zero, so records written before tracing still decode.
@@ -27,6 +29,10 @@ type flowEndMsg struct {
 }
 
 // EncodeEvent serializes a sampler event as a JSON payload.
+//
+// Deprecated: use AppendEncodeEvent. Nothing under internal/ or cmd/
+// calls this; it stays exported only while the benchmark's codec.json_*
+// rungs time it, and goes with them and DecodeEvent's JSON branch.
 func EncodeEvent(e SamplerEvent) (wire.Kind, []byte, error) {
 	switch e.Kind {
 	case SamplerBatch:
@@ -59,11 +65,12 @@ func EncodeEvent(e SamplerEvent) (wire.Kind, []byte, error) {
 }
 
 // DecodeEvent deserializes a frame back into a sampler event,
-// dispatching on the frame's Version: frames off the wire
-// (wire.Version2) carry the compact binary payloads (binenc.go), Version
-// 0 frames — how the WAL and snapshots wrap their records — the JSON.
-// The payload is fully copied out, so the frame's (pooled) buffer may be
-// reused as soon as DecodeEvent returns.
+// dispatching on the frame's Version: wire.Version2 — frames off the
+// wire, WAL records of a version-2 segment, a snapshot's events tagged
+// "v":2 — is the compact binary payload (binenc.go); Version 0 is the
+// JSON a version-1 segment or an untagged snapshot event holds. The
+// payload is fully copied out, so the frame's (pooled) buffer, or the
+// log reader's, may be reused as soon as DecodeEvent returns.
 func DecodeEvent(f wire.Frame) (SamplerEvent, error) {
 	if f.Version == wire.Version2 {
 		return decodeEventV2(f)

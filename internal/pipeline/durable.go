@@ -20,8 +20,9 @@ import (
 
 // This file wires the durable subsystem into the feed server. Design
 // (see DESIGN.md, "Durability and recovery determinism"): the WAL logs
-// the server's *inputs* — wire-encoded sampler events plus the
-// simulated instant each became available — and recovery replays them
+// the server's *inputs* — sampler events in the wire's v2 binary
+// encoding (binenc.go) plus the simulated instant each became
+// available — and recovery replays them
 // through the unmodified HandleEvent path on top of the latest
 // snapshot. Because the pipeline is deterministic given its inputs,
 // replay reproduces every downstream effect: record inserts, END_FLOW
@@ -67,8 +68,12 @@ type serverState struct {
 }
 
 // encodedEvent is one wire-encoded sampler event inside a snapshot.
+// Version is the payload's codec as wire.Frame.Version numbers it:
+// wire.Version2 in every snapshot written now, absent (0, the legacy
+// JSON) in one written before the WAL and the snapshot went binary.
 type encodedEvent struct {
 	Kind    uint8  `json:"kind"`
+	Version uint8  `json:"v,omitempty"`
 	Payload []byte `json:"payload"`
 }
 
@@ -78,17 +83,17 @@ func encodeEvents(events []SamplerEvent) ([]encodedEvent, error) {
 	sort.Slice(events, func(i, j int) bool { return events[i].IP < events[j].IP })
 	out := make([]encodedEvent, 0, len(events))
 	for _, e := range events {
-		kind, payload, err := EncodeEvent(e)
+		kind, payload, err := AppendEncodeEvent(nil, e)
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: encode buffered event: %w", err)
 		}
-		out = append(out, encodedEvent{Kind: uint8(kind), Payload: payload})
+		out = append(out, encodedEvent{Kind: uint8(kind), Version: wire.Version2, Payload: payload})
 	}
 	return out, nil
 }
 
 func (enc encodedEvent) decode(want SamplerEventKind) (SamplerEvent, error) {
-	e, err := DecodeEvent(wire.Frame{Kind: wire.Kind(enc.Kind), Payload: enc.Payload})
+	e, err := DecodeEvent(wire.Frame{Version: enc.Version, Kind: wire.Kind(enc.Kind), Payload: enc.Payload})
 	if err != nil {
 		return e, fmt.Errorf("pipeline: decode buffered event: %w", err)
 	}
@@ -300,6 +305,7 @@ type Durable struct {
 	snapEvents uint64    // events at the last snapshot
 	lastSnap   time.Time // simulated TakenAt of the last snapshot
 	err        error     // sticky: first append/snapshot failure
+	scratch    []byte    // Append's encode buffer; reused, not under mu
 }
 
 // OpenDurable attaches server to the state directory in cfg and
@@ -342,7 +348,9 @@ func OpenDurable(cfg DurableConfig, server *Server) (*Durable, error) {
 		if rec.Type != durable.RecordEvent {
 			return nil
 		}
-		e, err := DecodeEvent(wire.Frame{Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
+		// DecodeEvent copies everything out of the payload, which is the
+		// log reader's buffer and gone once this callback returns.
+		e, err := DecodeEvent(wire.Frame{Version: rec.Version, Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
 		if err != nil {
 			return fmt.Errorf("pipeline: replay seq %d: %w", rec.Seq, err)
 		}
@@ -403,11 +411,13 @@ func (d *Durable) setErr(err error) {
 	d.mu.Unlock()
 }
 
-// Append logs one sampler event ahead of its delivery to the server.
-// Call in delivery order.
+// Append logs one sampler event, in the wire's binary encoding, ahead of
+// its delivery to the server. Call in delivery order, from one goroutine
+// at a time.
 func (d *Durable) Append(e SamplerEvent, availableAt time.Time) {
-	kind, payload, err := EncodeEvent(e)
+	kind, payload, err := AppendEncodeEvent(d.scratch[:0], e)
 	if err == nil {
+		d.scratch = payload
 		_, err = d.mgr.AppendEvent(uint8(kind), availableAt, payload)
 	}
 	if err != nil {

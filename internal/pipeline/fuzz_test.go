@@ -16,6 +16,11 @@ import (
 // first, so a fuzzed report anywhere else stretches the fill. Whatever
 // the bytes, nothing may panic, and the work must stay within a constant
 // multiple of the input plus one hour's worth of merged reports.
+//
+// The same decoder now reads the WAL's event records and a snapshot's
+// buffered events (both hold these payloads; a record's CRC only proves
+// the bytes are the ones written), so this is their fuzzer too. The
+// framing around a WAL payload has its own: durable.FuzzScanSegment.
 func FuzzDecodeEventV2(f *testing.F) {
 	epoch := time.Date(2021, 4, 8, 14, 0, 0, 0, time.UTC).Unix()
 	for _, e := range mixedEvents(f) {

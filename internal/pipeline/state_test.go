@@ -9,6 +9,7 @@ import (
 
 	"exiot/internal/packet"
 	"exiot/internal/simnet"
+	"exiot/internal/wire"
 )
 
 // midHourState drives a fresh server into the state a snapshot used to
@@ -78,6 +79,20 @@ func TestSnapshotMidHourRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every buffered event travels in the wire's binary encoding, tagged.
+	var st serverState
+	if err := json.Unmarshal(payload, &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.ScanFlows) < 3 || len(st.PendingEnds) != 1 {
+		t.Fatalf("export holds %d scan flows and %d parked ends, want the buffered three or more and one", len(st.ScanFlows), len(st.PendingEnds))
+	}
+	for _, enc := range append(st.ScanFlows, st.PendingEnds...) {
+		if enc.Version != wire.Version2 {
+			t.Errorf("a fresh export carries a buffered event (frame kind %d) tagged v=%d, want %d", enc.Kind, enc.Version, wire.Version2)
+		}
+	}
+
 	restored := backHalfServer(w, seed, 1)
 	if err := restored.RestoreState(payload); err != nil {
 		t.Fatal(err)

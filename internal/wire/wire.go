@@ -63,9 +63,10 @@ const (
 )
 
 // Version2 marks every frame read off a connection: binary payloads,
-// shard/epoch tags. Version 0 — the zero value of Frame, never seen on
-// the wire — is how the WAL and snapshots wrap their JSON payloads for
-// pipeline.DecodeEvent.
+// shard/epoch tags. The WAL and snapshots wrap their event payloads in
+// a Frame of the same version for pipeline.DecodeEvent. Version 0 — the
+// zero value of Frame, never seen on the wire — wraps the JSON payloads
+// of WAL segments and snapshots written before they went binary.
 const Version2 = 2
 
 // Frame flags.
