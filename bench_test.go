@@ -434,9 +434,9 @@ func BenchmarkAblationForestLayout(b *testing.B) {
 // BenchmarkIngestThroughput measures the full ingest hot path — hour
 // generation plus TRW detection — at 1, 4, and GOMAXPROCS workers,
 // reporting pkts/sec and ns/pkt so the parallel speedup is visible in the
-// bench trajectory. Workers=1 is the exact legacy serial path; higher
-// counts use the parallel generator and the sharded detector, whose
-// output is proven identical (TestParallelIngestEquivalence).
+// bench trajectory. Detection is serial at every count; higher counts
+// use the parallel generator, whose output is proven identical
+// (TestParallelIngestEquivalence).
 func BenchmarkIngestThroughput(b *testing.B) {
 	cfg := simnet.DefaultConfig(2040)
 	cfg.NumInfected = 400
@@ -459,7 +459,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
 				hourPkts := w.GenerateHourWorkers(hour, workers)
-				sampler := pipeline.NewSamplerWorkers(trw.Default(), 0, workers, func(pipeline.SamplerEvent) {})
+				sampler := pipeline.NewSampler(trw.Default(), 0, func(pipeline.SamplerEvent) {})
 				sampler.ProcessHour(hourPkts, hourEnd)
 				sampler.Flush(hourEnd)
 				wall += time.Since(start).Nanoseconds()
@@ -547,7 +547,7 @@ func backHalfEvents(b *testing.B) ([]stampedBenchEvent, *simnet.World) {
 		delay := pipeline.DefaultLocalConfig().CollectionDelay +
 			pipeline.DefaultLocalConfig().ProcessingDelay
 		var at time.Time
-		sampler := pipeline.NewSamplerWorkers(trw.Default(), 0, 1, func(e pipeline.SamplerEvent) {
+		sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
 			benchBackHalfEvents = append(benchBackHalfEvents, stampedBenchEvent{e: e, at: at})
 		})
 		start := w.Start()

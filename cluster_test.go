@@ -48,7 +48,7 @@ func runSingleNode(w *simnet.World, hours [][]packet.Packet) *pipeline.Server {
 	delay := lcfg.CollectionDelay + lcfg.ProcessingDelay
 	srv := pipeline.NewServer(pipeline.DefaultServerConfig(), w, w.Registry(), nil)
 	var at time.Time
-	sampler := pipeline.NewSamplerWorkers(trw.Default(), 0, 1, func(e pipeline.SamplerEvent) {
+	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
 		srv.HandleEvent(e, at)
 	})
 	for h, pkts := range hours {
@@ -119,7 +119,7 @@ func runCluster(t *testing.T, w *simnet.World, hours [][]packet.Packet, nodes in
 				encBuf  []byte
 				sendErr error
 			)
-			sampler := pipeline.NewSamplerWorkers(trw.Default(), 0, 1, func(e pipeline.SamplerEvent) {
+			sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
 				kind, data, err := pipeline.AppendEncodeEvent(encBuf[:0], e)
 				if err != nil {
 					sendErr = err

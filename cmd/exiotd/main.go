@@ -64,7 +64,7 @@ func main() {
 		backscat  = flag.Int("backscatter", 10, "backscatter sources (world rebuild)")
 		whois     = flag.Bool("notify-whois", false, "send WHOIS abuse-contact notifications")
 		modelDir  = flag.String("models", "", "model archive directory (archive daily models; restore latest on start)")
-		workers   = flag.Int("workers", 0, "worker count for generation, detection, and feed classification (0 = GOMAXPROCS, 1 = serial)")
+		workers   = flag.Int("workers", 0, "worker count for generation, the probe pool and the annotate fan-out (0 = GOMAXPROCS, 1 = serial)")
 		telAddr   = flag.String("telemetry-addr", "", "operator telemetry listen address (/metrics, /healthz, /debug/pprof); empty disables")
 
 		stateDir  = flag.String("state-dir", "", "durable state directory (WAL + snapshots; recover on start, empty disables)")

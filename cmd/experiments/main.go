@@ -26,7 +26,7 @@ func main() {
 		scale   = flag.String("scale", "default", "quick | default")
 		seed    = flag.Int64("seed", 42, "simulation seed")
 		mdOut   = flag.String("md", "", "also write a Markdown report to this path")
-		workers = flag.Int("workers", 0, "worker count for generation, detection, and feed classification (0 = GOMAXPROCS, 1 = serial)")
+		workers = flag.Int("workers", 0, "worker count for generation, the probe pool and the annotate fan-out (0 = GOMAXPROCS, 1 = serial)")
 		scnOut  = flag.String("scenarios-out", "BENCH_scenarios.json", "benchjson baseline written by the scenarios experiment (empty disables)")
 	)
 	flag.Parse()

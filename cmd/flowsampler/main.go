@@ -47,7 +47,6 @@ func main() {
 		pollEvery  = flag.Duration("poll", 5*time.Second, "poll interval with -follow")
 		threshold  = flag.Int("threshold", 100, "TRW detection threshold (packets)")
 		sampleSize = flag.Int("sample", 200, "post-detection sample size (packets)")
-		workers    = flag.Int("workers", 0, "detection workers (0 = GOMAXPROCS, 1 = serial)")
 		shard      = flag.String("shard", "0/1", "shard ownership \"i/N\" (0-based): this node keeps source-hash partition i of N; exiotd -shards must equal N")
 
 		traceSample = flag.Int("trace-sample", 0, "trace every Nth sampler event: 0 disables, 1 traces all (shipped events keep their IDs)")
@@ -69,7 +68,6 @@ func main() {
 		pollEvery:  *pollEvery,
 		threshold:  *threshold,
 		sampleSize: *sampleSize,
-		workers:    *workers,
 		shardID:    shardID,
 		shardCount: shardCount,
 	}
@@ -97,13 +95,13 @@ func parseShard(s string) (id, count int, err error) {
 // runConfig carries flowsampler's run parameters. The node owns
 // source-hash partition shardID of shardCount (0 of 1 = everything).
 type runConfig struct {
-	in, connect                    string
-	replay                         bool
-	replayWarp                     float64
-	follow                         bool
-	pollEvery                      time.Duration
-	threshold, sampleSize, workers int
-	shardID, shardCount            int
+	in, connect           string
+	replay                bool
+	replayWarp            float64
+	follow                bool
+	pollEvery             time.Duration
+	threshold, sampleSize int
+	shardID, shardCount   int
 }
 
 func run(cfg runConfig) error {
@@ -118,7 +116,7 @@ func run(cfg runConfig) error {
 	trwCfg := trw.Default()
 	trwCfg.DetectionThreshold = cfg.threshold
 	trwCfg.SampleSize = cfg.sampleSize
-	sampler := pipeline.NewSamplerWorkers(trwCfg, 0, cfg.workers, func(e pipeline.SamplerEvent) {
+	sampler := pipeline.NewSampler(trwCfg, 0, func(e pipeline.SamplerEvent) {
 		var sendStart time.Time
 		if e.Trace != nil {
 			sendStart = time.Now()
@@ -281,9 +279,8 @@ func processHour(sampler *pipeline.Sampler, cfg runConfig, hour time.Time) error
 			return err
 		}
 		// Shard ownership: keep only this node's hash partition of the
-		// source space — the same partition function the in-process
-		// sharded detector uses, so the cluster-wide union of events is
-		// exactly the single-node event set.
+		// source space, so the cluster-wide union of events is exactly
+		// the single-node event set.
 		if trw.ShardIndex(p.SrcIP, cfg.shardCount) != cfg.shardID {
 			continue
 		}

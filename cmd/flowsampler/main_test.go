@@ -69,7 +69,7 @@ func TestRunShipsEventsOverWire(t *testing.T) {
 	defer recv.Close()
 
 	cfg := runConfig{in: dir, connect: recv.Addr(), pollEvery: time.Second,
-		threshold: 100, sampleSize: 200, workers: 2, shardCount: 1}
+		threshold: 100, sampleSize: 200, shardCount: 1}
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRunShardedSpeaksV2(t *testing.T) {
 
 	for node := 0; node < nodes; node++ {
 		cfg := runConfig{in: dir, connect: recv.Addr(), pollEvery: time.Second,
-			threshold: 100, sampleSize: 200, workers: 1,
+			threshold: 100, sampleSize: 200,
 			shardID: node, shardCount: nodes}
 		if err := run(cfg); err != nil {
 			t.Fatalf("node %d: %v", node, err)
@@ -173,7 +173,7 @@ func TestRunEmptyDir(t *testing.T) {
 	}
 	defer recv.Close()
 	cfg := runConfig{in: t.TempDir(), connect: recv.Addr(), pollEvery: time.Second,
-		threshold: 100, sampleSize: 200, workers: 1, shardCount: 1}
+		threshold: 100, sampleSize: 200, shardCount: 1}
 	if err := run(cfg); err == nil {
 		t.Error("empty capture dir accepted")
 	}
@@ -181,7 +181,7 @@ func TestRunEmptyDir(t *testing.T) {
 
 func TestRunMissingDir(t *testing.T) {
 	cfg := runConfig{in: "/nonexistent/captures", connect: "127.0.0.1:1", pollEvery: time.Second,
-		threshold: 100, sampleSize: 200, workers: 1, shardCount: 1}
+		threshold: 100, sampleSize: 200, shardCount: 1}
 	if err := run(cfg); err == nil {
 		t.Error("missing dir accepted")
 	}

@@ -4,7 +4,7 @@
 // after recovery in a fresh process, finish with a feed byte-identical
 // to an uninterrupted run: same latest and historical records, same
 // lifetime counters, same NDJSON bulk export. The proof holds at any
-// worker count (serial, and sharded detection with the flush fan-out),
+// worker count (serial, and parallel generation with the flush fan-out),
 // and recovery really is a snapshot plus a WAL tail: hour-end snapshots
 // are written with scanners still buffered.
 package exiot_test

@@ -40,7 +40,7 @@ func (nullSource) Snapshot() api.Snapshot                { return api.Snapshot{}
 var stagePrefixes = map[string]string{
 	"generation":     "exiot_simnet_",
 	"pcap io":        "exiot_pcap_",
-	"trw detection":  "exiot_trw_",
+	"trw detection":  "exiot_flowtable_",
 	"sampler":        "exiot_sampler_",
 	"organizer":      "exiot_organizer_",
 	"active probing": "exiot_zmap_",

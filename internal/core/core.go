@@ -25,10 +25,9 @@ type Config struct {
 	// APIKeys maps token → client name for the REST API.
 	APIKeys map[string]string
 	// Workers, when non-zero, overrides the worker count for traffic
-	// generation (World.Workers), TRW detection (Pipeline.Workers), and —
-	// via the pipeline — the feed back half's probe and annotate fan-out
-	// (Pipeline.Server.Workers). 1 = exact legacy serial path;
-	// results are identical at any setting.
+	// generation (World.Workers) and — via Pipeline.Workers — the feed
+	// back half's probe pool and annotate fan-out. 1 = serial; results
+	// are identical at any setting.
 	Workers int
 }
 

@@ -35,7 +35,7 @@ func Throughput(scale Scale) ThroughputResult {
 	pkts := w.GenerateHour(hour)
 
 	var reports int64
-	sampler := pipeline.NewSamplerWorkers(trw.Default(), 0, scale.Workers, func(e pipeline.SamplerEvent) {
+	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
 		if e.Kind == pipeline.SamplerReport {
 			reports++
 		}
@@ -45,7 +45,6 @@ func Throughput(scale Scale) ThroughputResult {
 	wall := time.Since(start)
 
 	st := sampler.DetectorStats()
-	sampler.Close()
 	res := ThroughputResult{
 		Packets:       int64(len(pkts)),
 		WallTime:      wall,

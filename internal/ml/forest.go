@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -54,6 +55,50 @@ func (f *Forest) PredictProba(x []float64) float64 {
 		sum += t.PredictProba(x)
 	}
 	return sum / float64(len(f.Trees))
+}
+
+// Validate reports whether a forest decoded from bytes this process did
+// not write is safe to walk and Flatten over numFeatures-wide vectors.
+// It holds every tree to what treeBuilder's pre-order layout always
+// produces: a non-empty node list in which each interior node's two
+// distinct children sit at higher indices (so a walk terminates) and
+// every node but the root has exactly one parent (so Flatten's arena,
+// sized by node count, is filled exactly once), splits read a feature
+// the vector has against a finite threshold, and leaves carry a
+// probability.
+func (f *Forest) Validate(numFeatures int) error {
+	for ti, t := range f.Trees {
+		if t == nil || len(t.Nodes) == 0 {
+			return fmt.Errorf("ml: tree %d is empty", ti)
+		}
+		parents := make([]int32, len(t.Nodes))
+		for i, n := range t.Nodes {
+			if n.Feature < 0 {
+				if !(n.Prob >= 0 && n.Prob <= 1) {
+					return fmt.Errorf("ml: tree %d leaf %d: probability %v outside [0, 1]", ti, i, n.Prob)
+				}
+				continue
+			}
+			if n.Feature >= numFeatures {
+				return fmt.Errorf("ml: tree %d node %d splits on feature %d of %d", ti, i, n.Feature, numFeatures)
+			}
+			if math.IsNaN(n.Threshold) || math.IsInf(n.Threshold, 0) {
+				return fmt.Errorf("ml: tree %d node %d: threshold %v is not finite", ti, i, n.Threshold)
+			}
+			l, r := int(n.Left), int(n.Right)
+			if l <= i || r <= i || l >= len(t.Nodes) || r >= len(t.Nodes) || l == r {
+				return fmt.Errorf("ml: tree %d node %d: children %d, %d are not two later nodes of %d", ti, i, l, r, len(t.Nodes))
+			}
+			parents[l]++
+			parents[r]++
+		}
+		for i, p := range parents[1:] {
+			if p != 1 {
+				return fmt.Errorf("ml: tree %d node %d has %d parents", ti, i+1, p)
+			}
+		}
+	}
+	return nil
 }
 
 // TrainForest fits a random forest with bootstrap sampling and per-split

@@ -417,3 +417,51 @@ func TestFeatureImportances(t *testing.T) {
 		t.Errorf("empty forest importances = %v", got)
 	}
 }
+
+// TestForestValidate holds a decoded forest to the shape training
+// produces: one hostile forest per rule is refused (each would panic or
+// loop in Flatten / PredictProba), and trained forests pass.
+func TestForestValidate(t *testing.T) {
+	ds := xor(200, 3)
+	trained := TrainForest(&ds, ForestConfig{NumTrees: 8, Seed: 4})
+	if err := trained.Validate(ds.NumFeatures()); err != nil {
+		t.Fatalf("trained forest refused: %v", err)
+	}
+	if err := (&Forest{}).Validate(0); err != nil {
+		t.Errorf("empty forest refused: %v", err)
+	}
+
+	leaf := func(p float64) treeNode { return treeNode{Feature: -1, Prob: p} }
+	split := func(f int, l, r int32) treeNode { return treeNode{Feature: f, Threshold: 0.5, Left: l, Right: r} }
+	hostile := map[string][]*Tree{
+		"nil tree":        {nil},
+		"empty tree":      {{}},
+		"child past end":  {{Nodes: []treeNode{split(0, 1, 2), leaf(0)}}},
+		"negative child":  {{Nodes: []treeNode{split(0, -1, 1), leaf(0)}}},
+		"self loop":       {{Nodes: []treeNode{split(0, 0, 1), leaf(0)}}},
+		"backward child":  {{Nodes: []treeNode{split(0, 1, 2), split(0, 0, 2), leaf(0)}}},
+		"same child":      {{Nodes: []treeNode{split(0, 1, 1), leaf(0)}}},
+		"shared child":    {{Nodes: []treeNode{split(0, 1, 2), split(0, 2, 3), leaf(0), leaf(1)}}},
+		"orphan node":     {{Nodes: []treeNode{split(0, 1, 2), leaf(0), leaf(1), leaf(1)}}},
+		"feature too big": {{Nodes: []treeNode{split(2, 1, 2), leaf(0), leaf(1)}}},
+		"prob above one":  {{Nodes: []treeNode{leaf(1.5)}}},
+		"prob NaN":        {{Nodes: []treeNode{leaf(math.NaN())}}},
+		"threshold inf": {{Nodes: []treeNode{
+			{Feature: 0, Threshold: math.Inf(1), Left: 1, Right: 2}, leaf(0), leaf(1)}}},
+	}
+	for name, trees := range hostile {
+		if err := (&Forest{Trees: trees}).Validate(2); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	// The same shapes with the defect removed pass, so each case above
+	// fails for its own rule.
+	ok := &Forest{Trees: []*Tree{
+		{Nodes: []treeNode{leaf(1)}},
+		{Nodes: []treeNode{split(1, 1, 2), split(0, 3, 4), leaf(0), leaf(0.25), leaf(1)}},
+	}}
+	if err := ok.Validate(2); err != nil {
+		t.Errorf("well-formed forest refused: %v", err)
+	}
+	ok.Flatten().PredictProba([]float64{0, 1})
+}

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -81,11 +82,15 @@ func FuzzRestoreState(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(payload)
-	parent, err := os.ReadFile("testdata/snapshot_parent.json")
-	if err != nil {
-		f.Fatal(err)
+	// A snapshot the parent format wrote, one carrying a (valid) model,
+	// and one whose forest points a child outside its tree.
+	for _, name := range []string{"snapshot_parent.json", "snapshot_model.json", "snapshot_model_child_out_of_range.json"} {
+		committed, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(committed)
 	}
-	f.Add(parent)
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		srv := backHalfServer(w, seed, 1)

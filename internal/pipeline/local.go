@@ -17,12 +17,11 @@ type LocalConfig struct {
 	MinSamples int
 	Server     ServerConfig
 
-	// Workers sets the detection worker count: 0 = GOMAXPROCS,
-	// 1 = the exact legacy serial path, >1 = that many detector shards.
-	// Unless Server.Workers is set explicitly, the same count drives the
-	// back half's scan-batch flush: the ZMap probe pool and the annotate
-	// fan-out. The event stream (and therefore the feed) is identical at
-	// any setting; only throughput changes.
+	// Workers sizes the back half's scan-batch flush — the ZMap probe
+	// pool and the annotate fan-out — unless Server.Workers is set
+	// explicitly: 0 = GOMAXPROCS, 1 = serial. Detection is serial at any
+	// setting (the telescope scales by `flowsampler -shard i/N`). The
+	// feed is identical at any setting; only throughput changes.
 	Workers int
 
 	// CollectionDelay models CAIDA's collect/compress/store lag before an
@@ -118,7 +117,7 @@ func NewDurableLocal(cfg LocalConfig, prober zmap.Prober, reg *registry.Registry
 		}
 		l.server.HandleEvent(e, l.availableAt)
 	}
-	l.sampler = NewSamplerWorkers(cfg.TRW, cfg.MinSamples, cfg.Workers, emit)
+	l.sampler = NewSampler(cfg.TRW, cfg.MinSamples, emit)
 	return l, nil
 }
 

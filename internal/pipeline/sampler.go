@@ -8,7 +8,6 @@ package pipeline
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"time"
 
@@ -77,23 +76,18 @@ type SamplerEvent struct {
 }
 
 // Sampler is the CAIDA-side half: TRW detection plus the packet
-// organizer, consuming hourly packet batches. With one worker it runs the
-// serial detector on the caller's goroutine; with more it runs the
-// sharded detector, which surfaces the same event set in no particular
-// order.
+// organizer, consuming hourly packet batches on the caller's goroutine.
+// The telescope scales by running one Sampler per source partition
+// (`flowsampler -shard i/N`), not by threads inside one.
 //
 // Events buffer per hour and emit at the ProcessHour/Flush barrier in
 // *canonical* order — a total order derived purely from event content
 // (see canonCompare), never from processing position. It is the only
 // event order the system defines, and it makes the emitted stream a pure
-// function of the hour's packet set: serial, sharded-in-process, and an
-// N-node cluster merge (Aggregator) all deliver byte-identical hours.
-// Emission stays on the caller's goroutine, so the organizer and
-// everything downstream remain single-threaded.
+// function of the hour's packet set: one sampler and an N-node cluster
+// merge (Aggregator) deliver byte-identical hours.
 type Sampler struct {
-	detector *trw.Detector        // workers == 1
-	sharded  *trw.ShardedDetector // workers > 1
-	workers  int
+	detector *trw.Detector
 	org      *organizer.Organizer
 	emit     func(SamplerEvent)
 
@@ -112,21 +106,9 @@ type Sampler struct {
 	accepted, dropped            *telemetry.Counter
 }
 
-// NewSampler builds the CAIDA-side half on the serial (single-worker)
-// path.
+// NewSampler builds the CAIDA-side half.
 func NewSampler(trwCfg trw.Config, minSamples int, emit func(SamplerEvent)) *Sampler {
-	return NewSamplerWorkers(trwCfg, minSamples, 1, emit)
-}
-
-// NewSamplerWorkers builds the CAIDA-side half with an explicit detection
-// worker count: 0 selects GOMAXPROCS, 1 the serial detector, >1 a sharded
-// detector with that many shards.
-func NewSamplerWorkers(trwCfg trw.Config, minSamples, workers int, emit func(SamplerEvent)) *Sampler {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	s := &Sampler{
-		workers:   workers,
 		org:       organizer.New(),
 		emit:      emit,
 		liveness:  telemetry.DefaultHealth().Register("ingest", ingestMaxAge),
@@ -139,16 +121,17 @@ func NewSamplerWorkers(trwCfg trw.Config, minSamples, workers int, emit func(Sam
 	if minSamples > 0 {
 		s.org.MinSamples = minSamples
 	}
-	if workers == 1 {
-		s.detector = trw.NewDetector(trwCfg, s.onDetectorEvent)
-	} else {
-		s.sharded = trw.NewShardedDetector(trwCfg, workers, s.onDetectorEvent)
-	}
+	s.detector = trw.NewDetector(trwCfg, s.onDetectorEvent)
 	return s
 }
 
-// Workers returns the detection worker count (1 = serial).
-func (s *Sampler) Workers() int { return s.workers }
+// NewSamplerWorkers is NewSampler; the worker count is ignored.
+//
+// Deprecated: detection is serial per process and the telescope scales by
+// `flowsampler -shard i/N`. Kept only for callers under bench/.
+func NewSamplerWorkers(trwCfg trw.Config, minSamples, _ int, emit func(SamplerEvent)) *Sampler {
+	return NewSampler(trwCfg, minSamples, emit)
+}
 
 func (s *Sampler) onDetectorEvent(e trw.Event) {
 	switch e.Kind {
@@ -284,15 +267,10 @@ func (s *Sampler) ProcessHour(pkts []packet.Packet, hourEnd time.Time) {
 	span := telemetry.Default().StartSpan("detect")
 	defer span.End()
 	defer s.liveness.Beat()
-	if s.sharded != nil {
-		s.sharded.ProcessBatch(pkts)
-		s.sharded.EndHour(hourEnd)
-	} else {
-		for i := range pkts {
-			s.detector.Process(&pkts[i])
-		}
-		s.detector.EndHour(hourEnd)
+	for i := range pkts {
+		s.detector.Process(&pkts[i])
 	}
+	s.detector.EndHour(hourEnd)
 	s.flushPending()
 	s.hoursProcessed++
 	s.packetsTotal += int64(len(pkts))
@@ -300,35 +278,14 @@ func (s *Sampler) ProcessHour(pkts []packet.Packet, hourEnd time.Time) {
 	metSamplerHours.Inc()
 }
 
-// Flush ends all live flows (end of a simulation run). On the sharded
-// path it also stops the shard goroutines: the sampler accepts no further
-// hours after Flush, but stats remain readable.
+// Flush ends all live flows (end of a simulation run).
 func (s *Sampler) Flush(now time.Time) {
-	if s.sharded != nil {
-		s.sharded.Flush(now)
-		s.flushPending()
-		s.sharded.Close()
-		return
-	}
 	s.detector.Flush(now)
 	s.flushPending()
 }
 
-// Close stops the shard goroutines without flushing (abandoning a run
-// early). Idempotent; a no-op on the serial path or after Flush.
-func (s *Sampler) Close() {
-	if s.sharded != nil {
-		s.sharded.Close()
-	}
-}
-
 // DetectorStats exposes the underlying detector counters.
-func (s *Sampler) DetectorStats() trw.Stats {
-	if s.sharded != nil {
-		return s.sharded.Stats()
-	}
-	return s.detector.Stats()
-}
+func (s *Sampler) DetectorStats() trw.Stats { return s.detector.Stats() }
 
 // OrganizerStats exposes (accepted, dropped) counters.
 func (s *Sampler) OrganizerStats() (accepted, dropped int64) { return s.org.Stats() }

@@ -10,10 +10,9 @@ import (
 	"exiot/internal/trw"
 )
 
-// TestSamplerEmitsCanonicalOrderFromAnyDetectorOrder pins the licence the
-// sharded detector's unordered hand-off rests on: whatever order detector
-// events reach the Sampler in, the stream it emits at the barrier is
-// byte-identical. A simnet hour's detector events (reports, full and
+// TestSamplerEmitsCanonicalOrderFromAnyDetectorOrder pins what makes the
+// canonical order the only order: whatever order detector events reach
+// the Sampler in, the stream it emits at the barrier is byte-identical. A simnet hour's detector events (reports, full and
 // short samples, flow ends) go through one Sampler in detector order and
 // in seven seeded shuffles.
 func TestSamplerEmitsCanonicalOrderFromAnyDetectorOrder(t *testing.T) {

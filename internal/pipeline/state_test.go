@@ -229,10 +229,39 @@ func TestRestoreStateRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hostile models are one edit away from a committed snapshot that
+	// restores and classifies; each would panic in Flatten, in the first
+	// prediction, or in the normalizer.
+	model, err := os.ReadFile("testdata/snapshot_model.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit := func(old, new string) []byte {
+		if !bytes.Contains(model, []byte(old)) {
+			t.Fatalf("snapshot_model.json lacks %s", old)
+		}
+		return bytes.Replace(model, []byte(old), []byte(new), 1)
+	}
+	good := backHalfServer(w, 213, 1)
+	if err := good.RestoreState(model); err != nil {
+		t.Fatalf("snapshot_model.json: %v", err)
+	}
+	if m := good.LastModel(); m == nil || m.Forest.Flatten().NumTrees() != 1 {
+		t.Fatal("snapshot_model.json restored without its model")
+	}
+	badChild, err := os.ReadFile("testdata/snapshot_model_child_out_of_range.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, payload := range map[string][]byte{
-		"not JSON":                   []byte("snapshot"),
-		"a flow end as a scan flow":  endAsFlow,
-		"a model without its forest": []byte(`{"model":{"normalizer":{}}}`),
+		"not JSON":                    []byte("snapshot"),
+		"a flow end as a scan flow":   endAsFlow,
+		"a model without its forest":  []byte(`{"model":{"normalizer":{}}}`),
+		"a nil tree":                  edit(`"trees":[`, `"trees":[null,`),
+		"a child outside the tree":    badChild,
+		"a child shared by two nodes": edit(`"l":3,"r":4`, `"l":2,"r":4`),
+		"a feature past the vector":   edit(`"f":117`, `"f":120`),
+		"a normalizer one short":      edit(`"mean":[0,`, `"mean":[`),
 	} {
 		if err := backHalfServer(w, 213, 1).RestoreState(payload); err == nil {
 			t.Errorf("%s: restored without error", name)

@@ -41,9 +41,9 @@ type Result struct {
 }
 
 // Run builds the scenario's world from seed, drives the full
-// TRW→probe→classify pipeline over its hours with the given detection
-// worker count, and scores the feed against ground truth. hours <= 0
-// uses the scenario's canonical span.
+// TRW→probe→classify pipeline over its hours, and scores the feed
+// against ground truth. workers sizes traffic generation only (the
+// scored run is serial). hours <= 0 uses the scenario's canonical span.
 func Run(sc Scenario, seed int64, hours, workers int) Result {
 	res, _, _ := RunTap(sc, seed, hours, workers)
 	return res
@@ -74,7 +74,7 @@ func RunTap(sc Scenario, seed int64, hours, workers int) (Result, uint64, Truth)
 	var at time.Time
 	digest := fnv.New64a()
 	var encBuf []byte
-	sampler := pipeline.NewSamplerWorkers(trw.Default(), 0, workers, func(e pipeline.SamplerEvent) {
+	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
 		if kind, data, err := pipeline.AppendEncodeEvent(encBuf[:0], e); err == nil {
 			digest.Write([]byte{byte(kind)})
 			digest.Write(data)

@@ -77,8 +77,8 @@ func NewID(ip packet.IP, triggerHour time.Time, seq uint64) ID {
 // EventID derives the deterministic trace ID for a sampler event purely
 // from the event's own content: the flow's source address, the event
 // kind, and two of its timestamps (nanosecond precision). Because no
-// node-local state is involved, every deployment shape — serial,
-// sharded-in-process, or an N-node cluster — assigns the same ID to the
+// node-local state is involved, every deployment shape — one node or
+// an N-node cluster — assigns the same ID to the
 // same event, which is what lets a distributed run produce a feed
 // byte-identical to a single-node one. Zero means "no trace".
 func EventID(ip packet.IP, kind uint8, t1, t2 time.Time) ID {

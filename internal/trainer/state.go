@@ -88,5 +88,14 @@ func FromSaved(saved *ml.SavedModel) (*TrainedModel, error) {
 	if m.Normalizer == nil {
 		return nil, fmt.Errorf("trainer: archived model %s lacks a normalizer", saved.TrainedAt)
 	}
+	// The archive is bytes this process may not have written: nothing in
+	// it may index past the flow vector the model will be applied to.
+	if n := m.Normalizer; len(n.Min) != features.Dim || len(n.Max) != features.Dim || len(n.Mean) != features.Dim {
+		return nil, fmt.Errorf("trainer: archived model %s: normalizer is %d/%d/%d wide, want %d",
+			saved.TrainedAt, len(n.Min), len(n.Max), len(n.Mean), features.Dim)
+	}
+	if err := m.Forest.Validate(features.Dim); err != nil {
+		return nil, fmt.Errorf("trainer: archived model %s: %w", saved.TrainedAt, err)
+	}
 	return m, nil
 }

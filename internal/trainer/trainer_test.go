@@ -206,4 +206,18 @@ func TestLoadLatestRoundTrip(t *testing.T) {
 	if err != nil || m != nil {
 		t.Errorf("empty dir: %v, %v", m, err)
 	}
+	// A newer archive whose forest could not have been trained — a tree
+	// without nodes — is a load error, not a panic at the first prediction.
+	saved, err := loadLatest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved.TrainedAt = saved.TrainedAt.Add(time.Hour)
+	saved.Forest.Trees[0] = &ml.Tree{}
+	if _, err := ml.SaveModel(dir, saved); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := LoadLatest(dir); err == nil {
+		t.Errorf("hostile archive loaded: %+v", m)
+	}
 }

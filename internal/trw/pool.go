@@ -37,26 +37,3 @@ func RecycleSample(b []packet.Packet) {
 	b = b[:0]
 	samplePool.Put(&b)
 }
-
-// shardBatchPool recycles the sharded detector's per-flush routing
-// batches. The coordinator draws a batch per shard per flush; the shard
-// goroutine returns it after processing.
-var shardBatchPool sync.Pool // holds *[]*packet.Packet
-
-func newShardBatch() []*packet.Packet {
-	if v := shardBatchPool.Get(); v != nil {
-		return (*v.(*[]*packet.Packet))[:0]
-	}
-	return make([]*packet.Packet, 0, shardBatchSize)
-}
-
-func putShardBatch(b []*packet.Packet) {
-	if cap(b) == 0 {
-		return
-	}
-	// Drop the packet pointers so a pooled batch cannot pin an hour's
-	// packet slab in memory between flushes.
-	clear(b)
-	b = b[:0]
-	shardBatchPool.Put(&b)
-}

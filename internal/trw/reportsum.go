@@ -1,8 +1,22 @@
 package trw
 
+import "exiot/internal/packet"
+
+// ShardIndex spreads the 32-bit source address over n shards with a
+// Fibonacci multiplicative hash, so adjacent addresses (a scanning /24,
+// say) do not pile onto one shard. It is exported because it defines
+// shard *ownership* for the whole system: a multi-node telescope
+// deployment partitions source space with it (`flowsampler -shard i/N`
+// keeps exactly the packets where ShardIndex(src, N) == i), which is
+// what makes the cluster merge byte-identical to a single-node run.
+func ShardIndex(ip packet.IP, n int) int {
+	h := uint64(uint32(ip)) * 0x9E3779B97F4A7C15
+	return int((h >> 32) % uint64(n))
+}
+
 // ReportSum merges the per-second reports of one hour's partitions — the
-// shards of a ShardedDetector, or the ingest nodes of a cluster — back
-// into the reports one detector over the whole telescope would emit.
+// ingest nodes of a cluster — back into the reports one detector over
+// the whole telescope would emit.
 // Every partition's detector counts only its own slice of the source
 // space, so a second's merged report is the field-wise sum of the
 // partitions' reports for it (commutative: arrival order is irrelevant),
@@ -15,11 +29,7 @@ type ReportSum struct {
 }
 
 // Add folds r into the running sum for its second. r is not retained.
-func (a *ReportSum) Add(r *SecondReport) { a.add(r, nil) }
-
-// add is Add with r's recycled-form port tallies (see
-// Detector.recycleReports) passed alongside.
-func (a *ReportSum) add(r *SecondReport, pairs []portPair) {
+func (a *ReportSum) Add(r *SecondReport) {
 	sec := r.Second.UnixNano()
 	if a.bySec == nil {
 		a.bySec = make(map[int64]*SecondReport)
@@ -41,14 +51,11 @@ func (a *ReportSum) add(r *SecondReport, pairs []portPair) {
 	dst.Backscatter += r.Backscatter
 	dst.NewScanFlows += r.NewScanFlows
 	// A second without port activity keeps its nil map.
-	if n := len(r.PortPackets) + len(pairs); n > 0 && dst.PortPackets == nil {
+	if n := len(r.PortPackets); n > 0 && dst.PortPackets == nil {
 		dst.PortPackets = make(map[uint16]int, n)
 	}
 	for port, n := range r.PortPackets {
 		dst.PortPackets[port] += n
-	}
-	for _, pc := range pairs {
-		dst.PortPackets[pc.port] += int(pc.n)
 	}
 }
 

@@ -25,15 +25,13 @@ import (
 )
 
 // Telemetry handles for the arena flow table (see docs/OPERATIONS.md).
-// The shard label is the shard index on the sharded path, "serial" on the
-// single-detector path.
 var (
-	metFlowTableEntries = telemetry.Default().GaugeVec("exiot_flowtable_entries",
-		"Live source-flow entries in a detector's arena flow table.", "shard")
-	metFlowTableArena = telemetry.Default().GaugeVec("exiot_flowtable_arena_capacity",
-		"Allocated entry slots in a detector's flow-table arena (slab length).", "shard")
-	metFlowTableFree = telemetry.Default().GaugeVec("exiot_flowtable_free_entries",
-		"Flow-table arena slots on the free list awaiting reuse.", "shard")
+	metFlowTableEntries = telemetry.Default().Gauge("exiot_flowtable_entries",
+		"Live source-flow entries in the detector's arena flow table.")
+	metFlowTableArena = telemetry.Default().Gauge("exiot_flowtable_arena_capacity",
+		"Allocated entry slots in the detector's flow-table arena (slab length).")
+	metFlowTableFree = telemetry.Default().Gauge("exiot_flowtable_free_entries",
+		"Flow-table arena slots on the free list awaiting reuse.")
 )
 
 // Config holds the detector's operating thresholds. The zero value is
@@ -121,20 +119,6 @@ type SecondReport struct {
 	Backscatter  int
 	NewScanFlows int
 	PortPackets  map[uint16]int
-
-	// Recycled-report form (sharded detectors only): the port tallies sit
-	// at [pairOff, pairOff+pairLen) of the owning detector's portPairs
-	// arena instead of in PortPackets. The coordinator folds them into
-	// the merged map (ReportSum) at the barrier; reports that escape
-	// downstream never carry these.
-	pairOff, pairLen int32
-}
-
-// portPair is one flat (port, packet count) tally in a recycling
-// detector's per-hour arena.
-type portPair struct {
-	port uint16
-	n    uint32
 }
 
 // Event is one detector output.
@@ -209,19 +193,6 @@ type Detector struct {
 	portCount   []uint32
 	portTouched []uint16
 
-	// recycleReports switches flushSecond to a reusable report struct
-	// whose port tallies live as flat (port, count) pairs in the portPairs
-	// arena instead of a freshly allocated map. Only the sharded detector
-	// enables it: its collect hook copies the struct immediately and the
-	// coordinator folds the pairs into the merged per-second maps at the
-	// barrier (then truncates the arena), so nothing downstream ever sees
-	// a recycled report and a whole hour of reports costs zero per-second
-	// allocations. The serial path keeps heap-allocated reports and maps
-	// because consumers retain them.
-	recycleReports bool
-	repScratch     SecondReport
-	portPairs      []portPair
-
 	// Same-source run cache: one table probe serves consecutive packets
 	// of one source (scanners burst). Invalidated by every sweep.
 	lastIP  packet.IP
@@ -229,38 +200,26 @@ type Detector struct {
 
 	// ended is the sweep's reusable scratch of expired arena indices.
 	ended []int32
-
-	// Cached flow-table gauge series (label: shard index or "serial").
-	gaugeEntries, gaugeArena, gaugeFree *telemetry.Gauge
 }
 
 // NewDetector creates a detector that delivers events to emit.
 func NewDetector(cfg Config, emit func(Event)) *Detector {
-	return newDetector(cfg, "serial", emit)
-}
-
-// newDetector is NewDetector with an explicit flow-table gauge label (the
-// sharded detector labels each shard's table by index).
-func newDetector(cfg Config, label string, emit func(Event)) *Detector {
 	cfg = cfg.withDefaults()
 	// Epoch buckets at 1/8 of the flow-end gap keep boundary-epoch
 	// rescans short without inflating the bucket index.
 	epochLen := int64(cfg.FlowEndGap) / 8
 	return &Detector{
-		cfg:          cfg,
-		emit:         emit,
-		tbl:          newFlowTable(epochLen),
-		thresholdN:   int32(cfg.DetectionThreshold),
-		sampleN:      cfg.SampleSize,
-		expiryGapN:   int64(cfg.ExpiryGap),
-		minDurN:      int64(cfg.MinDuration),
-		flowEndGapN:  int64(cfg.FlowEndGap),
-		portCount:    make([]uint32, 65536),
-		portTouched:  make([]uint16, 0, 256),
-		lastIdx:      -1,
-		gaugeEntries: metFlowTableEntries.With(label),
-		gaugeArena:   metFlowTableArena.With(label),
-		gaugeFree:    metFlowTableFree.With(label),
+		cfg:         cfg,
+		emit:        emit,
+		tbl:         newFlowTable(epochLen),
+		thresholdN:  int32(cfg.DetectionThreshold),
+		sampleN:     cfg.SampleSize,
+		expiryGapN:  int64(cfg.ExpiryGap),
+		minDurN:     int64(cfg.MinDuration),
+		flowEndGapN: int64(cfg.FlowEndGap),
+		portCount:   make([]uint32, 65536),
+		portTouched: make([]uint16, 0, 256),
+		lastIdx:     -1,
 	}
 }
 
@@ -370,46 +329,23 @@ func (d *Detector) tickSecond(ts int64) {
 // flushSecond emits the report for the current second, moves the clock to
 // the next second, and resets the counters.
 func (d *Detector) flushSecond() {
-	var rep *SecondReport
-	if d.recycleReports {
-		d.repScratch = SecondReport{
-			Second:       unixTime(d.curSec),
-			Total:        d.repTotal,
-			TCP:          d.repTCP,
-			UDP:          d.repUDP,
-			ICMP:         d.repICMP,
-			Backscatter:  d.repBackscat,
-			NewScanFlows: d.repNewScans,
+	rep := &SecondReport{
+		Second:       unixTime(d.curSec),
+		Total:        d.repTotal,
+		TCP:          d.repTCP,
+		UDP:          d.repUDP,
+		ICMP:         d.repICMP,
+		Backscatter:  d.repBackscat,
+		NewScanFlows: d.repNewScans,
+	}
+	if len(d.portTouched) > 0 {
+		m := make(map[uint16]int, len(d.portTouched))
+		for _, port := range d.portTouched {
+			m[port] = int(d.portCount[port])
+			d.portCount[port] = 0
 		}
-		rep = &d.repScratch
-		if len(d.portTouched) > 0 {
-			rep.pairOff = int32(len(d.portPairs))
-			rep.pairLen = int32(len(d.portTouched))
-			for _, port := range d.portTouched {
-				d.portPairs = append(d.portPairs, portPair{port: port, n: d.portCount[port]})
-				d.portCount[port] = 0
-			}
-			d.portTouched = d.portTouched[:0]
-		}
-	} else {
-		rep = &SecondReport{
-			Second:       unixTime(d.curSec),
-			Total:        d.repTotal,
-			TCP:          d.repTCP,
-			UDP:          d.repUDP,
-			ICMP:         d.repICMP,
-			Backscatter:  d.repBackscat,
-			NewScanFlows: d.repNewScans,
-		}
-		if len(d.portTouched) > 0 {
-			m := make(map[uint16]int, len(d.portTouched))
-			for _, port := range d.portTouched {
-				m[port] = int(d.portCount[port])
-				d.portCount[port] = 0
-			}
-			rep.PortPackets = m
-			d.portTouched = d.portTouched[:0]
-		}
+		rep.PortPackets = m
+		d.portTouched = d.portTouched[:0]
 	}
 	d.repTotal, d.repTCP, d.repUDP, d.repICMP = 0, 0, 0, 0
 	d.repBackscat, d.repNewScans = 0, 0
@@ -487,9 +423,9 @@ func (d *Detector) EndHour(now time.Time) {
 // updateGauges refreshes the flow-table occupancy/arena gauges. Called at
 // sweep boundaries (hourly), never on the packet path.
 func (d *Detector) updateGauges() {
-	d.gaugeEntries.Set(float64(d.tbl.len()))
-	d.gaugeArena.Set(float64(d.tbl.arenaCap()))
-	d.gaugeFree.Set(float64(d.tbl.freeCount()))
+	metFlowTableEntries.Set(float64(d.tbl.len()))
+	metFlowTableArena.Set(float64(d.tbl.arenaCap()))
+	metFlowTableFree.Set(float64(d.tbl.freeCount()))
 }
 
 // ActiveSources returns the number of tracked source flows.

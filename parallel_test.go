@@ -1,9 +1,9 @@
 // Cross-package equivalence proof for the parallel ingest path: a
-// multi-day deployment run with Workers: 8 (sharded TRW detection +
-// parallel hour generation + the probe and annotate fan-out at each
-// scan-batch flush in the feed back half) must produce the same feed,
-// detector stats, server counters, and evaluation tables as the exact
-// legacy serial path (Workers: 1).
+// multi-day deployment run with Workers: 8 (parallel hour generation +
+// the probe and annotate fan-out at each scan-batch flush in the feed
+// back half; detection is serial at any setting) must produce the same
+// feed, detector stats, server counters, and evaluation tables as the
+// serial path (Workers: 1).
 package exiot_test
 
 import (

@@ -52,7 +52,7 @@ func runReplayNode(t *testing.T, w *simnet.World, dir string) *pipeline.Server {
 	delay := lcfg.CollectionDelay + lcfg.ProcessingDelay
 	srv := pipeline.NewServer(pipeline.DefaultServerConfig(), w, w.Registry(), nil)
 	var at time.Time
-	sampler := pipeline.NewSamplerWorkers(trw.Default(), 0, 1, func(e pipeline.SamplerEvent) {
+	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
 		srv.HandleEvent(e, at)
 	})
 	rep := replay.New(replay.Config{
@@ -151,7 +151,7 @@ func TestReplaySingleFileEquivalence(t *testing.T) {
 	delay := lcfg.CollectionDelay + lcfg.ProcessingDelay
 	srv := pipeline.NewServer(pipeline.DefaultServerConfig(), captureW, captureW.Registry(), nil)
 	var at time.Time
-	sampler := pipeline.NewSamplerWorkers(trw.Default(), 0, 1, func(e pipeline.SamplerEvent) {
+	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
 		srv.HandleEvent(e, at)
 	})
 	rep := replay.New(replay.Config{Emit: func(pkts []packet.Packet, hour time.Time) error {
