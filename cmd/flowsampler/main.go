@@ -199,6 +199,10 @@ func run(cfg runConfig) error {
 	}
 
 	processed := map[time.Time]bool{}
+	// One packet buffer for every hour: the sampler does not retain the
+	// slice it is handed, so an hour only allocates when it outgrows
+	// every hour before it.
+	var pkts []packet.Packet
 	for {
 		hours, err := pcapio.ListHours(cfg.in)
 		if err != nil {
@@ -210,7 +214,7 @@ func run(cfg runConfig) error {
 				continue
 			}
 			curEpoch = hour.Add(time.Hour).Unix()
-			if err := processHour(sampler, cfg, hour); err != nil {
+			if pkts, err = processHour(sampler, cfg, hour, pkts[:0]); err != nil {
 				return err
 			}
 			// Hour barrier: this shard has emitted everything for the
@@ -262,13 +266,14 @@ func run(cfg runConfig) error {
 	return nil
 }
 
-func processHour(sampler *pipeline.Sampler, cfg runConfig, hour time.Time) error {
+// processHour reads one hour's capture into pkts (handed in empty),
+// runs it through the sampler and returns the buffer for the next hour.
+func processHour(sampler *pipeline.Sampler, cfg runConfig, hour time.Time, pkts []packet.Packet) ([]packet.Packet, error) {
 	hr, err := pcapio.OpenHour(cfg.in, hour)
 	if err != nil {
-		return err
+		return pkts, err
 	}
 	defer hr.Close()
-	var pkts []packet.Packet
 	var p packet.Packet
 	for {
 		err := hr.Next(&p)
@@ -276,7 +281,7 @@ func processHour(sampler *pipeline.Sampler, cfg runConfig, hour time.Time) error
 			break
 		}
 		if err != nil {
-			return err
+			return pkts, err
 		}
 		// Shard ownership: keep only this node's hash partition of the
 		// source space, so the cluster-wide union of events is exactly
@@ -287,5 +292,5 @@ func processHour(sampler *pipeline.Sampler, cfg runConfig, hour time.Time) error
 		pkts = append(pkts, p)
 	}
 	sampler.ProcessHour(pkts, hour.Add(time.Hour))
-	return nil
+	return pkts, nil
 }

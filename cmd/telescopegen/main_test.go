@@ -73,7 +73,7 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 
 func readAll(t *testing.T, path string) []byte {
 	t.Helper()
-	hr, err := pcapio.OpenFile(path)
+	hr, err := pcapio.OpenCapture(path)
 	if err != nil {
 		t.Fatal(err)
 	}

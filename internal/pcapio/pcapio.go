@@ -42,7 +42,9 @@ const bufSize = 1 << 16
 // and each open used to allocate a fresh 64 KiB bufio buffer plus a gzip
 // coder (the gzip.Writer alone carries ~800 KiB of deflate state). The
 // pools below recycle them across hours; Reset on the way out of the
-// pool makes reuse indistinguishable from a fresh allocation.
+// pool makes reuse indistinguishable from a fresh allocation. A reader
+// takes two bufio.Readers: one under the decompressor, one as the
+// decode window over the read-ahead.
 var (
 	bufWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, bufSize) }}
 	bufReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bufSize) }}
@@ -65,6 +67,7 @@ const (
 	versionMinor = 4
 	snapLen      = 65535
 	linkTypeRaw  = 101 // raw IPv4
+	recHdrLen    = 16  // per-record header: sec, frac, incl_len, orig_len
 )
 
 // ErrNotPcap is returned when a stream does not begin with the pcap magic.
@@ -130,8 +133,9 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 
 // Reader reads packets from a pcap stream.
 type Reader struct {
-	r       *bufio.Reader
-	scratch []byte
+	// r is the read window: records are decoded in place out of its
+	// buffer, so it must hold a whole record body (bufSize > snapLen).
+	r *bufio.Reader
 	// fracMul scales the record timestamp fraction field to nanoseconds:
 	// 1000 for classic microsecond captures, 1 for nanosecond captures.
 	fracMul int64
@@ -162,7 +166,7 @@ func newReaderBuf(br *bufio.Reader) (*Reader, error) {
 	if lt := binary.LittleEndian.Uint32(hdr[20:]); lt != linkTypeRaw {
 		return nil, fmt.Errorf("pcapio: unsupported link type %d", lt)
 	}
-	return &Reader{r: br, scratch: make([]byte, 0, 128), fracMul: fracMul}, nil
+	return &Reader{r: br, fracMul: fracMul}, nil
 }
 
 // Index returns the number of packets successfully read so far.
@@ -184,28 +188,35 @@ func (r *Reader) torn(what string, err error) error {
 // a capture cut mid-record (a torn tail) returns an error wrapping
 // io.ErrUnexpectedEOF that names the torn record's index — never a
 // garbage packet.
+//
+// The record header and then the body are peeked in the read window and
+// decoded where they lie. Every return leaves the stream where reading
+// the same bytes out of it would have: a short peek discards the part it
+// saw, and a refused record is still consumed.
 func (r *Reader) Next(p *packet.Packet) error {
-	var rec [16]byte
-	if _, err := io.ReadFull(r.r, rec[:]); err != nil {
-		if err == io.EOF {
+	rec, err := r.r.Peek(recHdrLen)
+	if err != nil {
+		if err == io.EOF && len(rec) == 0 {
 			return io.EOF // clean end: no bytes of a next record
 		}
+		r.r.Discard(len(rec))
 		return r.torn("header", err)
 	}
 	sec := binary.LittleEndian.Uint32(rec[0:])
 	frac := binary.LittleEndian.Uint32(rec[4:])
 	inclLen := binary.LittleEndian.Uint32(rec[8:])
+	r.r.Discard(recHdrLen)
 	if inclLen > snapLen {
 		return fmt.Errorf("pcapio: packet record %d: length %d exceeds snaplen", r.index, inclLen)
 	}
-	if cap(r.scratch) < int(inclLen) {
-		r.scratch = make([]byte, inclLen)
-	}
-	buf := r.scratch[:inclLen]
-	if _, err := io.ReadFull(r.r, buf); err != nil {
+	body, err := r.r.Peek(int(inclLen))
+	if err != nil {
+		r.r.Discard(len(body))
 		return r.torn("body", err)
 	}
-	if _, err := p.Unmarshal(buf); err != nil {
+	_, err = p.Unmarshal(body)
+	r.r.Discard(len(body))
+	if err != nil {
 		return fmt.Errorf("pcapio: packet record %d: %w", r.index, err)
 	}
 	p.Timestamp = time.Unix(int64(sec), int64(frac)*r.fracMul).UTC()
@@ -293,41 +304,23 @@ func (hw *HourWriter) Close() error {
 
 // OpenHour opens the hourly capture file for hour inside dir.
 func OpenHour(dir string, hour time.Time) (*HourReader, error) {
-	return OpenFile(filepath.Join(dir, HourFileName(hour)))
+	return OpenCapture(filepath.Join(dir, HourFileName(hour)))
 }
 
-// HourReader reads one capture file, gzip-compressed or plain
-// (gz is nil for uncompressed captures opened via OpenCapture).
+// HourReader reads one capture file, gzip-compressed or plain. Between
+// the file and the Reader's window sits a read-ahead goroutine (see
+// readahead.go), so the file is read — and inflated — while the caller
+// works on the packets already returned. Next and Close must not be
+// called concurrently.
 type HourReader struct {
 	f  *os.File
-	gz *gzip.Reader
+	fb *bufio.Reader // file side: sniffed for the gzip magic, feeds gz or ahead
+	gz *gzip.Reader  // nil for uncompressed captures
+	// ahead is nil until the stream is set up; Close handles every
+	// partly-built state.
+	ahead *readAhead
+	win   *bufio.Reader // the Reader's window over ahead
 	*Reader
-}
-
-// OpenFile opens a capture file by path.
-func OpenFile(path string) (*HourReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("open capture: %w", err)
-	}
-	gz := gzReaderPool.Get().(*gzip.Reader)
-	if err := gz.Reset(f); err != nil {
-		gzReaderPool.Put(gz)
-		f.Close()
-		return nil, fmt.Errorf("open gzip: %w", err)
-	}
-	br := bufReaderPool.Get().(*bufio.Reader)
-	br.Reset(gz)
-	r, err := newReaderBuf(br)
-	if err != nil {
-		bufReaderPool.Put(br)
-		gz.Close()
-		gzReaderPool.Put(gz)
-		f.Close()
-		return nil, err
-	}
-	metHoursOpened.Inc()
-	return &HourReader{f: f, gz: gz, Reader: r}, nil
 }
 
 // OpenCapture opens a capture file by path, accepting both plain .pcap
@@ -339,53 +332,55 @@ func OpenCapture(path string) (*HourReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("open capture: %w", err)
 	}
-	br := bufReaderPool.Get().(*bufio.Reader)
-	br.Reset(f)
-	magic, err := br.Peek(2)
-	if err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		// Gzip container: insert the decompressor between file and buffer.
-		gz := gzReaderPool.Get().(*gzip.Reader)
-		if err := gz.Reset(br); err != nil {
-			gzReaderPool.Put(gz)
-			br.Reset(nil)
-			bufReaderPool.Put(br)
-			f.Close()
+	hr := &HourReader{f: f, fb: bufReaderPool.Get().(*bufio.Reader)}
+	hr.fb.Reset(f)
+	var src io.Reader = hr.fb
+	if magic, err := hr.fb.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
+		// Gzip container: the decompressor goes between file and read-ahead.
+		hr.gz = gzReaderPool.Get().(*gzip.Reader)
+		if err := hr.gz.Reset(hr.fb); err != nil {
+			// Header refused: the coder never started, so there is
+			// nothing for Close to close.
+			gzReaderPool.Put(hr.gz)
+			hr.gz = nil
+			hr.Close()
 			return nil, fmt.Errorf("open gzip: %w", err)
 		}
-		r, err := NewReader(gz)
-		if err != nil {
-			gz.Close()
-			gzReaderPool.Put(gz)
-			br.Reset(nil)
-			bufReaderPool.Put(br)
-			f.Close()
-			return nil, err
-		}
-		metHoursOpened.Inc()
-		return &HourReader{f: f, gz: gz, Reader: r}, nil
+		src = hr.gz
 	}
-	r, err := newReaderBuf(br)
-	if err != nil {
-		br.Reset(nil)
-		bufReaderPool.Put(br)
-		f.Close()
+	hr.ahead = startReadAhead(src)
+	hr.win = bufReaderPool.Get().(*bufio.Reader)
+	hr.win.Reset(hr.ahead)
+	if hr.Reader, err = newReaderBuf(hr.win); err != nil {
+		hr.Close()
 		return nil, err
 	}
 	metHoursOpened.Inc()
-	return &HourReader{f: f, Reader: r}, nil
+	return hr, nil
 }
 
-// Close closes the capture file and recycles the stream buffers.
+// Close stops the read-ahead, closes the capture file and recycles the
+// stream buffers. The read-ahead goroutine has exited before anything it
+// reads from goes back to a pool or is closed.
 func (hr *HourReader) Close() error {
+	if hr.ahead != nil {
+		hr.ahead.stop()
+	}
+	if hr.win != nil {
+		hr.win.Reset(nil)
+		bufReaderPool.Put(hr.win)
+	}
 	var gzErr error
 	if hr.gz != nil {
-		gzErr = hr.gz.Close()
-		if gzErr == nil {
+		// A decompressor that failed is dropped, not reused.
+		if gzErr = hr.gz.Close(); gzErr == nil {
 			gzReaderPool.Put(hr.gz)
 		}
 	}
-	hr.Reader.r.Reset(nil)
-	bufReaderPool.Put(hr.Reader.r)
+	// The pooled decompressor still points at fb until its next Reset;
+	// resetting fb means it cannot reach the closed file through it.
+	hr.fb.Reset(nil)
+	bufReaderPool.Put(hr.fb)
 	if err := hr.f.Close(); err != nil {
 		return err
 	}

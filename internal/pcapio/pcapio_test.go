@@ -203,7 +203,7 @@ func TestListHoursMissingDir(t *testing.T) {
 
 func TestOpenFileErrors(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := OpenFile(dir + "/missing.pcap.gz"); err == nil {
+	if _, err := OpenCapture(dir + "/missing.pcap.gz"); err == nil {
 		t.Error("want error for missing file")
 	}
 	// Non-gzip content.
@@ -211,8 +211,16 @@ func TestOpenFileErrors(t *testing.T) {
 	if err := os.WriteFile(path, []byte("plain text"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFile(path); err == nil {
+	if _, err := OpenCapture(path); err == nil {
 		t.Error("want error for non-gzip file")
+	}
+	// Gzip magic, then nothing a gzip header could be: refused at open,
+	// by a decompressor that may never have been started.
+	if err := os.WriteFile(path, []byte("\x1f\x8bnot a gzip header"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenCapture(path); err == nil {
+		t.Error("want error for bad gzip header")
 	}
 }
 

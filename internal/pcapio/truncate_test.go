@@ -2,6 +2,7 @@ package pcapio
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
 	"io"
@@ -96,6 +97,74 @@ func TestTruncatedTailEveryOffset(t *testing.T) {
 	}
 	if err := rd.Next(&p); !errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("intact stream: want bare io.EOF, got %v", err)
+	}
+
+	t.Run("OpenCapture", testTruncatedAcrossBlocks)
+}
+
+// testTruncatedAcrossBlocks is the same sweep through OpenCapture's
+// read-ahead, on a capture larger than the whole ring: cuts one byte
+// before, on and one byte after a block boundary, and a header tear, a
+// body tear and a clean record boundary beside it — at the first block,
+// at the last block of the ring and at the first block past it. Plain
+// and gzip-compressed, each cut must yield every whole record before it
+// and then the same verdict the in-memory sweep demands.
+func testTruncatedAcrossBlocks(t *testing.T) {
+	const n = 85_000 // ~4.5 MiB of stream
+	raw, _ := buildStream(t, n)
+	// Every record of buildStream's is the same size.
+	recLen := (len(raw) - 24) / n
+	if len(raw) != 24+n*recLen || len(raw) <= (readAheadBlocks+1)*readAheadBlock {
+		t.Fatalf("stream of %d bytes in %d-byte records does not span the ring", len(raw), recLen)
+	}
+	dir := t.TempDir()
+	for _, blocks := range []int{1, readAheadBlocks, readAheadBlocks + 1} {
+		edge := blocks * readAheadBlock
+		straddler := (edge - 24) / recLen // the record the block boundary falls in
+		recStart := 24 + straddler*recLen
+		for _, cut := range []int{edge - 1, edge, edge + 1, recStart, recStart + 7, recStart + recHdrLen + 9} {
+			whole := (cut - 24) / recLen
+			torn := (cut-24)%recLen != 0
+			plain := filepath.Join(dir, "cut.pcap")
+			if err := os.WriteFile(plain, raw[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			zipped := filepath.Join(dir, "cut.pcap.gz")
+			var zbuf bytes.Buffer
+			zw, _ := gzip.NewWriterLevel(&zbuf, gzip.NoCompression) // the container matters here, not the coding
+			zw.Write(raw[:cut])
+			zw.Close()
+			if err := os.WriteFile(zipped, zbuf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range []string{plain, zipped} {
+				hr, err := OpenCapture(path)
+				if err != nil {
+					t.Fatalf("cut %d: open %s: %v", cut, path, err)
+				}
+				var p packet.Packet
+				for i := 0; i < whole; i++ {
+					if err := hr.Next(&p); err != nil {
+						t.Fatalf("cut %d %s: intact packet %d: %v", cut, path, i, err)
+					}
+				}
+				err = hr.Next(&p)
+				switch {
+				case !torn && err != io.EOF:
+					t.Fatalf("cut %d %s: cut on a record boundary: want bare io.EOF, got %v", cut, path, err)
+				case torn && !errors.Is(err, io.ErrUnexpectedEOF):
+					t.Fatalf("cut %d %s: want io.ErrUnexpectedEOF-wrapped error, got %v", cut, path, err)
+				case torn && !strings.Contains(err.Error(), fmt.Sprintf("record %d torn", whole)):
+					t.Fatalf("cut %d %s: error %q does not name torn record index %d", cut, path, err, whole)
+				}
+				if hr.Index() != whole {
+					t.Fatalf("cut %d %s: Index() = %d, want %d", cut, path, hr.Index(), whole)
+				}
+				if err := hr.Close(); err != nil {
+					t.Fatalf("cut %d %s: close: %v", cut, path, err)
+				}
+			}
+		}
 	}
 }
 

@@ -156,12 +156,18 @@ func (r *Replayer) ReplayDir(dir string) error {
 		return fmt.Errorf("replay: no capture hours found in %s", dir)
 	}
 	for _, hour := range hours {
+		// Open before flushing the previous hour: the capture's read-ahead
+		// inflates this file while Emit works through that one. A failed
+		// open still lets the earlier hours out first.
+		hr, openErr := pcapio.OpenHour(dir, hour)
 		if err := r.beginHour(hour); err != nil {
+			if openErr == nil {
+				hr.Close()
+			}
 			return err
 		}
-		hr, err := pcapio.OpenHour(dir, hour)
-		if err != nil {
-			return err
+		if openErr != nil {
+			return openErr
 		}
 		readErr := r.readAll(hr)
 		closeErr := hr.Close()

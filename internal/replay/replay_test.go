@@ -295,3 +295,34 @@ func TestHourBufferReuse(t *testing.T) {
 		t.Fatal("no packets emitted")
 	}
 }
+
+// TestReplayDirOpenErrorKeepsEarlierHours pins what an unreadable hour
+// costs: the replayer opens hour h+1 before it flushes hour h (so the
+// capture's read-ahead works through Emit), and an open that fails must
+// still let hour h out before the error is returned.
+func TestReplayDirOpenErrorKeepsEarlierHours(t *testing.T) {
+	dir := t.TempDir()
+	base := time.Date(2021, 4, 7, 0, 0, 0, 0, time.UTC)
+	want := writeHour(t, dir, base, 60, 11)
+	bad := filepath.Join(dir, pcapio.HourFileName(base.Add(time.Hour)))
+	if err := os.WriteFile(bad, []byte("neither gzip nor pcap, but long enough to hold a header"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var rec emitRecorder
+	r := New(Config{Emit: rec.emit})
+	if err := r.ReplayDir(dir); !errors.Is(err, pcapio.ErrNotPcap) {
+		t.Fatalf("want the second hour's open error, got %v", err)
+	}
+	if len(rec.hours) != 1 || !rec.hours[0].Equal(base) {
+		t.Fatalf("emitted hours %v, want only %v", rec.hours, base)
+	}
+	if len(rec.pkts[0]) != len(want) {
+		t.Fatalf("first hour: %d packets, want %d", len(rec.pkts[0]), len(want))
+	}
+	for i := range want {
+		if rec.pkts[0][i] != want[i] {
+			t.Fatalf("first hour packet %d mismatch", i)
+		}
+	}
+}
