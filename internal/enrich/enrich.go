@@ -122,16 +122,61 @@ func ComputeFlowStats(sample []packet.Packet) FlowStats {
 	if len(sample) == 0 {
 		return st
 	}
-	uniqueDst := make(map[packet.IP]struct{}, len(sample))
+	// Distinct destinations are counted on a sorted copy, which stays on
+	// the stack for samples of up to 256 packets; a per-flow set cost
+	// more than the rest of the annotation.
+	dsts := make([]packet.IP, 0, 256)
 	for i := range sample {
 		st.TargetPorts[sample[i].DstPort]++
-		uniqueDst[sample[i].DstIP] = struct{}{}
+		dsts = append(dsts, sample[i].DstIP)
 	}
-	st.AddrRepetition = float64(len(sample)) / float64(len(uniqueDst))
+	tmp := make([]packet.IP, 256)
+	if len(dsts) > len(tmp) {
+		tmp = make([]packet.IP, len(dsts))
+	}
+	st.AddrRepetition = float64(len(sample)) / float64(countDistinct(dsts, tmp[:len(dsts)]))
 	if span := sample[len(sample)-1].Timestamp.Sub(sample[0].Timestamp).Seconds(); span > 0 {
 		st.RatePPS = float64(len(sample)-1) / span
 	}
 	return st
+}
+
+// countDistinct returns the number of distinct addresses in ips, which
+// it sorts by LSD radix, a byte at a time, with tmp (of the same length)
+// as scratch. Random scan targets make a comparison sort mispredict on
+// nearly every comparison; the radix passes do not branch on the keys.
+func countDistinct(ips, tmp []packet.IP) int {
+	var count [4][256]uint32
+	for _, ip := range ips {
+		count[0][uint8(ip)]++
+		count[1][uint8(ip>>8)]++
+		count[2][uint8(ip>>16)]++
+		count[3][uint8(ip>>24)]++
+	}
+	for d := range count {
+		shift := 8 * d
+		c := &count[d]
+		if c[uint8(ips[0]>>shift)] == uint32(len(ips)) {
+			continue // every address shares this byte
+		}
+		var sum uint32
+		for b := range c {
+			sum, c[b] = sum+c[b], sum
+		}
+		for _, ip := range ips {
+			b := uint8(ip >> shift)
+			tmp[c[b]] = ip
+			c[b]++
+		}
+		ips, tmp = tmp, ips
+	}
+	unique := 1
+	for i := 1; i < len(ips); i++ {
+		if ips[i] != ips[i-1] {
+			unique++
+		}
+	}
+	return unique
 }
 
 // Enricher annotates feed records from the registry and sampled traffic.

@@ -3,12 +3,14 @@ package enrich
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"exiot/internal/feed"
 	"exiot/internal/packet"
 	"exiot/internal/registry"
+	"exiot/internal/simnet/simnettest"
 )
 
 var t0 = time.Date(2020, 12, 9, 7, 0, 0, 0, time.UTC)
@@ -129,10 +131,45 @@ func TestAddrRepetition(t *testing.T) {
 	if st.AddrRepetition != 50 {
 		t.Errorf("addr repetition = %v, want 50", st.AddrRepetition)
 	}
+	// Longer than the on-stack copy: 300 packets over 150 destinations.
+	long := tcpSample(300, func(i int, p *packet.Packet) {
+		p.DstIP = packet.IP(0x0A000000 + uint32(i%150)*9973)
+	})
+	if st := ComputeFlowStats(long); st.AddrRepetition != 2 {
+		t.Errorf("300-packet addr repetition = %v, want 2", st.AddrRepetition)
+	}
 	if st := ComputeFlowStats(nil); st.AddrRepetition != 0 || st.RatePPS != 0 {
 		t.Errorf("empty sample stats = %+v", st)
 	}
 }
+
+// TestAddrRepetitionMatchesSet holds the sorted-copy distinct count to
+// the set it replaced, on real-shaped flows.
+func TestAddrRepetitionMatchesSet(t *testing.T) {
+	for _, flow := range simnettest.Flows(2021, 2) {
+		set := map[packet.IP]struct{}{}
+		for _, p := range flow {
+			set[p.DstIP] = struct{}{}
+		}
+		want := float64(len(flow)) / float64(len(set))
+		if got := ComputeFlowStats(flow).AddrRepetition; got != want {
+			t.Fatalf("%d-packet flow: addr repetition %v, want %v", len(flow), got, want)
+		}
+	}
+}
+
+func BenchmarkComputeFlowStats(b *testing.B) {
+	flows := slices.DeleteFunc(simnettest.Flows(2021, 2), func(flow []packet.Packet) bool {
+		return len(flow) < simnettest.SampleSize
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchStats = ComputeFlowStats(flows[i%len(flows)])
+	}
+}
+
+var benchStats FlowStats
 
 func TestIsBenignRDNS(t *testing.T) {
 	benign := []string{

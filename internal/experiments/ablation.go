@@ -126,6 +126,7 @@ func flowDataset(w *simnet.World, hours, sampleSize int) ml.Dataset {
 	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
 
 	var ds ml.Dataset
+	var scratch features.Scratch
 	for _, src := range srcs {
 		sample := bySrc[src]
 		if len(sample) < sampleSize/2 || len(sample) < 10 {
@@ -144,7 +145,7 @@ func flowDataset(w *simnet.World, hours, sampleSize int) ml.Dataset {
 		default:
 			continue
 		}
-		raw, err := features.RawVector(sample)
+		raw, err := scratch.RawVectorInto(nil, sample)
 		if err != nil {
 			continue
 		}

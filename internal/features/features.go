@@ -8,7 +8,7 @@ package features
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"exiot/internal/packet"
 )
@@ -68,9 +68,9 @@ func FeatureName(i int) string {
 	return FieldNames[i/NumStats] + ":" + StatNames[i%NumStats]
 }
 
-// PacketFields extracts the Table II field vector from one packet. prev is
-// the previous packet's timestamp from the same source (zero for the
-// first packet, yielding inter-arrival 0).
+// PacketFields extracts the Table II field vector from one packet.
+// interArrival is the seconds since the previous packet from the same
+// source (0 for the first packet).
 func PacketFields(p *packet.Packet, fields *[NumFields]float64, interArrival float64) {
 	fields[FieldProto] = float64(p.Proto)
 	fields[FieldDstPort] = float64(p.DstPort)
@@ -113,13 +113,15 @@ func RawVector(sample []packet.Packet) ([]float64, error) {
 	return s.RawVectorInto(nil, sample)
 }
 
-// Scratch holds the reusable working buffers of flow-vector extraction
-// (the per-field value columns). A worker that extracts many vectors
-// keeps one Scratch and calls RawVectorInto repeatedly; after the first
-// call the extraction itself is allocation-free. A Scratch must not be
-// shared between goroutines.
+// Scratch holds the reusable working buffers of flow-vector extraction:
+// one column of order keys per field and the buffer rank selection
+// scatters into, all in one backing array. A worker that extracts many
+// vectors keeps one Scratch and calls RawVectorInto repeatedly; after
+// the first call the extraction itself is allocation-free. A Scratch
+// must not be shared between goroutines.
 type Scratch struct {
-	columns [NumFields][]float64
+	columns [NumFields][]uint64
+	buf     []uint64
 }
 
 // RawVectorInto computes the flow vector into dst (grown when its
@@ -131,18 +133,23 @@ func (s *Scratch) RawVectorInto(dst []float64, sample []packet.Packet) ([]float6
 		return nil, fmt.Errorf("features: empty sample")
 	}
 	n := len(sample)
-	if cap(s.columns[0]) < n {
-		// One backing array for all columns: warming a scratch costs one
+	if cap(s.buf) < n {
+		// One backing array for every buffer: warming a scratch costs one
 		// allocation, not one per field.
-		backing := make([]float64, NumFields*n)
+		backing := make([]uint64, (NumFields+1)*n)
 		for f := range s.columns {
 			s.columns[f] = backing[f*n : f*n : (f+1)*n]
 		}
+		s.buf = backing[NumFields*n : NumFields*n : (NumFields+1)*n]
 	}
 	for f := range s.columns {
 		s.columns[f] = s.columns[f][:n]
 	}
 	var fields [NumFields]float64
+	var lo, hi [NumFields]uint64
+	for f := range lo {
+		lo[f] = math.MaxUint64
+	}
 	for i := range sample {
 		ia := 0.0
 		if i > 0 {
@@ -153,7 +160,10 @@ func (s *Scratch) RawVectorInto(dst []float64, sample []packet.Packet) ([]float6
 		}
 		PacketFields(&sample[i], &fields, ia)
 		for f := 0; f < NumFields; f++ {
-			s.columns[f][i] = fields[f]
+			k := orderKey(fields[f])
+			s.columns[f][i] = k
+			lo[f] = min(lo[f], k)
+			hi[f] = max(hi[f], k)
 		}
 	}
 
@@ -161,33 +171,10 @@ func (s *Scratch) RawVectorInto(dst []float64, sample []packet.Packet) ([]float6
 		dst = make([]float64, 0, Dim)
 	}
 	dst = dst[:0]
-	for f := 0; f < NumFields; f++ {
-		col := s.columns[f]
-		slices.Sort(col)
-		dst = append(dst,
-			col[0],
-			quantileSorted(col, 0.25),
-			quantileSorted(col, 0.50),
-			quantileSorted(col, 0.75),
-			col[n-1],
-		)
+	for f := range s.columns {
+		dst = summarize(dst, s.columns[f], s.buf[:n], lo[f], hi[f])
 	}
 	return dst, nil
-}
-
-// quantileSorted returns the q-quantile of sorted values with linear
-// interpolation (the common "linear" method).
-func quantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // Normalizer anchors feature scaling to a training dataset: MinMax

@@ -1,13 +1,18 @@
 package features
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"exiot/internal/packet"
 	"exiot/internal/simnet"
+	"exiot/internal/simnet/simnettest"
 )
 
 func sampleFlow(n int, gap time.Duration) []packet.Packet {
@@ -276,6 +281,233 @@ func TestIoTVsToolVectorsSeparable(t *testing.T) {
 		t.Errorf("IoT inter-arrival (%.4f) should exceed tool inter-arrival (%.4f)",
 			mean(iotMedianIA), mean(toolMedianIA))
 	}
+}
+
+// TestRawVectorGoldenDigest pins the flow vectors of real-shaped traffic
+// bit for bit. The digest was computed by the full-sort extraction
+// (slices.Sort + quantileSorted on float64 columns); any change to what
+// RawVectorInto returns for these flows, in any bit, changes it.
+func TestRawVectorGoldenDigest(t *testing.T) {
+	const want = 0x26ec8ed32962475a
+	flows := simnettest.Flows(2021, 8)
+	if len(flows) < 500 {
+		t.Fatalf("only %d flows, want ≥ 500", len(flows))
+	}
+	var s Scratch
+	var v []float64
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, flow := range flows {
+		var err error
+		if v, err = s.RawVectorInto(v, flow); err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range v {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+			h.Write(buf[:])
+		}
+	}
+	if got := h.Sum64(); got != want {
+		t.Errorf("digest over %d flows = %#x, want %#x", len(flows), got, uint64(want))
+	}
+}
+
+// quantileSorted returns the q-quantile of sorted values with linear
+// interpolation (the common "linear" method).
+func quantileSorted(sorted []float64, q float64) float64 {
+	if len(sorted) == 1 {
+		return sorted[0]
+	}
+	pos := q * float64(len(sorted)-1)
+	lo := int(pos)
+	frac := pos - float64(lo)
+	if lo+1 >= len(sorted) {
+		return sorted[len(sorted)-1]
+	}
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+}
+
+// sortSummary is the five-number summary as RawVectorInto computed it
+// before it selected ranks: sort the column, read min and max off its
+// ends and interpolate the quartiles. It sorts col in place.
+func sortSummary(dst, col []float64) []float64 {
+	slices.Sort(col)
+	return append(dst,
+		col[0],
+		quantileSorted(col, 0.25),
+		quantileSorted(col, 0.50),
+		quantileSorted(col, 0.75),
+		col[len(col)-1],
+	)
+}
+
+// sortRawVector is the full-sort extraction RawVectorInto replaced, kept
+// as the reference it is measured and checked against. cols are reused
+// float64 columns.
+func sortRawVector(cols *[NumFields][]float64, dst []float64, sample []packet.Packet) []float64 {
+	for f := range cols {
+		cols[f] = cols[f][:0]
+	}
+	var fields [NumFields]float64
+	for i := range sample {
+		ia := 0.0
+		if i > 0 {
+			ia = sample[i].Timestamp.Sub(sample[i-1].Timestamp).Seconds()
+		}
+		PacketFields(&sample[i], &fields, ia)
+		for f := range cols {
+			cols[f] = append(cols[f], fields[f])
+		}
+	}
+	dst = dst[:0]
+	for f := range cols {
+		dst = sortSummary(dst, cols[f])
+	}
+	return dst
+}
+
+// checkSummary compares summarize on col's order keys with sortSummary
+// on col, bit for bit. Zeros compare by ==: a float sort ties -0 with
+// +0, so which of the two it leaves at a rank is its own choice.
+func checkSummary(t *testing.T, name string, col []float64) {
+	t.Helper()
+	keys := make([]uint64, len(col))
+	for i, v := range col {
+		keys[i] = orderKey(v)
+	}
+	lo, hi := minMax(keys)
+	got := summarize(nil, keys, make([]uint64, len(keys)), lo, hi)
+	want := sortSummary(nil, slices.Clone(col))
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(got[i] == 0 && want[i] == 0) {
+			t.Fatalf("%s, n=%d: %s = %v (%#x), sort gives %v (%#x)", name, len(col),
+				StatNames[i], got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestSummaryMatchesSort runs column shapes from Table II traffic and a
+// few it never has (negative, subnormal) at lengths around the
+// insertion-sort cut-off, the sample size and far beyond it.
+func TestSummaryMatchesSort(t *testing.T) {
+	shapes := []struct {
+		name  string
+		value func(rng *rand.Rand, i, n int) float64
+	}{
+		{"constant", func(*rand.Rand, int, int) float64 { return 0.1 }},
+		{"0/1", func(rng *rand.Rand, _, _ int) float64 { return float64(rng.Intn(2)) }},
+		{"small ints", func(rng *rand.Rand, _, _ int) float64 { return float64(rng.Intn(64)) }},
+		{"uint32", func(rng *rand.Rand, _, _ int) float64 { return float64(rng.Uint32()) }},
+		{"uint16", func(rng *rand.Rand, _, _ int) float64 { return float64(uint16(rng.Uint32())) }},
+		{"inter-arrival", func(rng *rand.Rand, i, _ int) float64 {
+			if i == 0 {
+				return 0
+			}
+			return rng.ExpFloat64() * 0.05
+		}},
+		{"cluster+outlier", func(rng *rand.Rand, i, n int) float64 {
+			if i == n/2 {
+				return 1e9
+			}
+			return 1 + rng.Float64()*1e-9
+		}},
+		{"ascending", func(_ *rand.Rand, i, _ int) float64 { return float64(i) * 0.7 }},
+		{"descending", func(_ *rand.Rand, i, n int) float64 { return float64(n-i) * 1.3 }},
+		// Keys within 256 of each other: every bucket is one distinct key.
+		{"subnormal", func(rng *rand.Rand, _, _ int) float64 {
+			return math.SmallestNonzeroFloat64 * float64(rng.Intn(256))
+		}},
+		{"negative", func(rng *rand.Rand, _, _ int) float64 {
+			switch rng.Intn(5) {
+			case 0:
+				return -rng.ExpFloat64()
+			case 1:
+				return math.SmallestNonzeroFloat64 * float64(rng.Intn(1000))
+			case 2:
+				return -math.SmallestNonzeroFloat64 * float64(rng.Intn(1000))
+			case 3:
+				return math.Copysign(0, -1)
+			default:
+				return -float64(rng.Intn(10))
+			}
+		}},
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 31, 32, 33, 199, 200, 201, 70000} {
+		for _, s := range shapes {
+			rng := rand.New(rand.NewSource(int64(n)))
+			col := make([]float64, n)
+			for i := range col {
+				col[i] = s.value(rng, i, n)
+			}
+			checkSummary(t, s.name, col)
+		}
+	}
+}
+
+// FuzzSummary checks summarize against the sort on arbitrary finite
+// columns. Each 8 bytes of data make one value: the float64 with those
+// bits when shift%64 is 0, else the integer they encode shifted right by
+// shift%64, so the shift sets how many distinct values a column can
+// hold. Non-finite values are dropped: every Table II field is finite
+// (see summarize), and NaN has no place in a float sort to match.
+func FuzzSummary(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.25)), uint8(0))
+	var ramp, subnormals []byte
+	for i := uint64(0); i < 200; i++ {
+		ramp = binary.LittleEndian.AppendUint64(ramp, i*0x9E3779B97F4A7C15)
+		subnormals = binary.LittleEndian.AppendUint64(subnormals, 0x105+i*37%200)
+	}
+	for _, shift := range []uint8{0, 1, 32, 48, 56, 62, 63} {
+		f.Add(ramp, shift)
+	}
+	f.Add(subnormals, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, shift uint8) {
+		var col []float64
+		for ; len(data) >= 8; data = data[8:] {
+			u := binary.LittleEndian.Uint64(data)
+			v := math.Float64frombits(u)
+			if s := shift % 64; s != 0 {
+				v = float64(u >> s)
+			}
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				col = append(col, v)
+			}
+		}
+		if len(col) > 0 {
+			checkSummary(t, "fuzz", col)
+		}
+	})
+}
+
+// BenchmarkRawVectorInto extracts the 200-packet flows of seeded simnet
+// traffic with a warm scratch. The sort arm runs the full-sort reference
+// on the same flows, so the two arms' ratio is what selection buys.
+func BenchmarkRawVectorInto(b *testing.B) {
+	flows := slices.DeleteFunc(simnettest.Flows(2021, 8), func(flow []packet.Packet) bool {
+		return len(flow) < simnettest.SampleSize
+	})
+	b.Run("select", func(b *testing.B) {
+		var s Scratch
+		dst, err := s.RawVectorInto(nil, flows[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst, _ = s.RawVectorInto(dst, flows[i%len(flows)])
+		}
+	})
+	b.Run("sort", func(b *testing.B) {
+		var cols [NumFields][]float64
+		dst := sortRawVector(&cols, nil, flows[0])
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = sortRawVector(&cols, dst, flows[i%len(flows)])
+		}
+	})
 }
 
 func mean(xs []float64) float64 {
