@@ -17,8 +17,8 @@ import (
 	"time"
 )
 
-// campaignRow mirrors the wire entry for both the tracked and legacy
-// one-shot shapes (legacy rows simply have no ID/lifetime fields).
+// campaignRow mirrors the fields of one tracked campaign on the wire
+// that the table shows.
 type campaignRow struct {
 	ID        string         `json:"id"`
 	Signature string         `json:"signature"`
@@ -65,7 +65,7 @@ func runCampaigns(c client, args []string, out io.Writer) error {
 }
 
 func printCampaignTable(out io.Writer, resp *campaignsResponse) {
-	mode := "one-shot inference"
+	mode := "no tracker"
 	if resp.Tracked {
 		mode = "tracked"
 	}
@@ -76,16 +76,12 @@ func printCampaignTable(out io.Writer, resp *campaignsResponse) {
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "ID\tDEVICES\tRECORDS\tPORTS\tTOOL\tCOUNTRIES\tFIRST SEEN\tLAST SEEN\tSTATUS")
 	for _, row := range resp.Campaigns {
-		id := row.ID
-		if id == "" {
-			id = "-"
-		}
 		tool := row.Tool
 		if tool == "" {
 			tool = "-"
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			id, row.Devices, row.Records, portList(row.Ports), tool,
+			row.ID, row.Devices, row.Records, portList(row.Ports), tool,
 			topCountries(row.Countries, 3), seenStamp(row.FirstSeen),
 			seenStamp(row.LastSeen), orDash(row.Status))
 	}

@@ -69,24 +69,6 @@ func TestCampaignsRendersTrackedTable(t *testing.T) {
 	}
 }
 
-func TestCampaignsRendersLegacyTable(t *testing.T) {
-	legacy := `{"count":1,"campaigns":[
-	  {"signature":"23","ports":[23],"devices":9,"records":30,"countries":{"CN":9}}]}`
-	c := campaignServer(t, legacy)
-	var out bytes.Buffer
-	if err := runCampaigns(c, nil, &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	if !strings.Contains(got, "1 campaign(s) (one-shot inference)") {
-		t.Errorf("missing legacy header: %q", got)
-	}
-	// Legacy rows have no ID or lifetime: dashes, not blanks or zero times.
-	if !strings.Contains(got, "-") || strings.Contains(got, "0001-01-01") {
-		t.Errorf("legacy row rendered zero values:\n%s", got)
-	}
-}
-
 func TestCampaignsJSONPassthrough(t *testing.T) {
 	c := campaignServer(t, trackedBody)
 	var out bytes.Buffer
@@ -98,12 +80,13 @@ func TestCampaignsJSONPassthrough(t *testing.T) {
 }
 
 func TestCampaignsEmpty(t *testing.T) {
-	c := campaignServer(t, `{"count":0,"tracked":true,"campaigns":[]}`)
+	// What a server without a campaign tracker answers.
+	c := campaignServer(t, `{"campaigns":[],"count":0,"tracked":false}`)
 	var out bytes.Buffer
 	if err := runCampaigns(c, nil, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "0 campaign(s)") {
+	if !strings.Contains(out.String(), "0 campaign(s) (no tracker)") {
 		t.Errorf("empty table output: %q", out.String())
 	}
 }

@@ -74,7 +74,6 @@ func main() {
 		traceSample = flag.Int("trace-sample", 0, "trace every Nth sampler event: 0 disables, 1 traces all (feed bytes are identical either way)")
 		traceSlow   = flag.Duration("trace-slow", 0, "log completed traces slower than this end-to-end (0 disables the slow log)")
 
-		feedCache   = flag.Bool("feed-cache", true, "serve /records and /export from the snapshot-backed feed cache (cursor pagination, ETags, SSE deltas)")
 		feedRebuild = flag.Duration("feed-rebuild-every", 2*time.Second, "minimum interval between feed snapshot/export rebuilds")
 
 		consoleOn = flag.Bool("console", false, "serve the operator dashboard at /console/ on the telemetry address (requires -telemetry-addr)")
@@ -90,7 +89,6 @@ func main() {
 		Sync:          durable.SyncPolicy(*stateSync),
 		SnapshotEvery: *stateSnap,
 	}
-	fcfg := feedCacheConfig{enabled: *feedCache, rebuildEvery: *feedRebuild}
 	if *simulate && *replayIn != "" {
 		log.Fatal("-simulate and -replay are mutually exclusive")
 	}
@@ -99,7 +97,7 @@ func main() {
 	}
 	rcfg := replayConfig{path: *replayIn, warp: *replayWrp}
 	if err := run(*listen, *shards, *apiAddr, *apiKey, *simulate, *hours, *seed,
-		*infected, *nonIoT, *research, *misconfig, *backscat, *whois, *modelDir, *workers, *telAddr, *consoleOn, dcfg, fcfg, rcfg); err != nil {
+		*infected, *nonIoT, *research, *misconfig, *backscat, *whois, *modelDir, *workers, *telAddr, *consoleOn, dcfg, *feedRebuild, rcfg); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -110,15 +108,9 @@ type replayConfig struct {
 	warp float64
 }
 
-// feedCacheConfig carries the -feed-cache / -feed-rebuild-every flags.
-type feedCacheConfig struct {
-	enabled      bool
-	rebuildEvery time.Duration
-}
-
 func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours int, seed int64,
 	infected, nonIoT, research, misconfig, backscat int, whois bool, modelDir string, workers int, telAddr string,
-	consoleOn bool, dcfg pipeline.DurableConfig, fcfg feedCacheConfig, rcfg replayConfig) error {
+	consoleOn bool, dcfg pipeline.DurableConfig, rebuildEvery time.Duration, rcfg replayConfig) error {
 	var opMux *http.ServeMux
 	if telAddr != "" {
 		// The operator mux is separate from the public API: it carries
@@ -308,28 +300,43 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 		fmt.Printf("receiving sampler events on %s (merging %d ingest shards)\n", recv.Addr(), shards)
 	}
 
-	apiSrv := api.NewServer(source, source.Notifier())
-	apiSrv.AddKey(apiKey, "cli-provisioned")
-	var cache *feedserve.Cache
-	if fcfg.enabled {
-		cache = source.NewFeedCache(feedserve.Config{RebuildEvery: fcfg.rebuildEvery})
-		apiSrv.SetFeedCache(cache)
-	}
+	var consoleMux *http.ServeMux
 	if consoleOn {
-		// The campaign tracker feeds both the console and /api/v1/campaigns.
-		// It updates from feed-cache rebuilds when the cache is on; the
-		// console's own tick loop covers the cache-off case.
-		tracker := campaign.NewTracker(campaign.TrackerConfig{})
-		apiSrv.SetCampaignTracker(tracker)
-		if cache != nil {
-			// Rebuilds refresh the tracker from here on; the snapshot the
-			// cache built at construction seeds it immediately.
-			cache.OnRebuild(func(s *feedserve.Snapshot) {
-				tracker.Update(s.Records(), time.Now())
-			})
-			tracker.Update(cache.Current().Records(), time.Now())
-		}
-		con := console.New(console.Config{
+		consoleMux = opMux
+		fmt.Printf("operator console on http://%s/console/\n", telAddr)
+	}
+	apiSrv, cache, stop := serveFeed(source, apiKey, rebuildEvery, consoleMux)
+	defer stop()
+	snap := cache.Current()
+	fmt.Printf("feed cache: %d records, export %d B raw / %d B gzip, rebuild every %s\n",
+		snap.Len(), len(snap.ExportNDJSON()), len(snap.ExportGzip()), rebuildEvery)
+	fmt.Printf("REST API on http://%s (key: %s)\n", apiAddr, apiKey)
+	return http.ListenAndServe(apiAddr, apiSrv)
+}
+
+// serveFeed builds what exiotd serves over the pipeline's server: the
+// keyed REST API, the feed cache behind it, and the campaign tracker the
+// cache's rebuilds refresh. With a non-nil consoleMux it also mounts and
+// starts the operator console there. stop closes what serveFeed started.
+func serveFeed(source *pipeline.Server, apiKey string, rebuildEvery time.Duration,
+	consoleMux *http.ServeMux) (apiSrv *api.Server, cache *feedserve.Cache, stop func()) {
+	apiSrv = api.NewServer(source, source.Notifier())
+	apiSrv.AddKey(apiKey, "cli-provisioned")
+	cache = source.NewFeedCache(feedserve.Config{RebuildEvery: rebuildEvery})
+	apiSrv.SetFeedCache(cache)
+
+	// Rebuilds refresh the tracker from here on; the snapshot the cache
+	// built at construction seeds it now.
+	tracker := campaign.NewTracker(campaign.TrackerConfig{})
+	cache.OnRebuild(func(s *feedserve.Snapshot) {
+		tracker.Update(s.Records(), time.Now())
+	})
+	tracker.Update(cache.Current().Records(), time.Now())
+	apiSrv.SetCampaignTracker(tracker)
+
+	var con *console.Console
+	if consoleMux != nil {
+		con = console.New(console.Config{
 			Source:  source,
 			Why:     source,
 			Traces:  trace.Default().Store(),
@@ -337,18 +344,14 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 			Tracker: tracker,
 			Feed:    cache,
 		})
-		con.Register(opMux)
+		con.Register(consoleMux)
 		con.Start()
-		defer con.Close()
-		fmt.Printf("operator console on http://%s/console/\n", telAddr)
 	}
-	if cache != nil {
-		cache.Start()
-		defer cache.Close()
-		snap := cache.Current()
-		fmt.Printf("feed cache on: %d records, export %d B raw / %d B gzip, rebuild every %s\n",
-			snap.Len(), len(snap.ExportNDJSON()), len(snap.ExportGzip()), fcfg.rebuildEvery)
+	cache.Start()
+	return apiSrv, cache, func() {
+		if con != nil {
+			con.Close()
+		}
+		cache.Close()
 	}
-	fmt.Printf("REST API on http://%s (key: %s)\n", apiAddr, apiKey)
-	return http.ListenAndServe(apiAddr, apiSrv)
 }

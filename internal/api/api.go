@@ -143,14 +143,6 @@ type WhySource interface {
 	Why(ip string) (WhyReport, bool)
 }
 
-// CampaignTracker is the cross-hour campaign view (implemented by
-// campaign.Tracker): stable IDs, lifetimes, and trajectories, versus the
-// anonymous one-shot inference the API falls back to without one.
-type CampaignTracker interface {
-	Campaigns() []campaign.Tracked
-	LastUpdate() time.Time
-}
-
 // Server is the authenticated REST API server.
 type Server struct {
 	source   Source
@@ -161,9 +153,9 @@ type Server struct {
 	// cache is the optional snapshot-backed feed read path (nil = every
 	// read walks the document store, the pre-distribution behavior).
 	cache *feedserve.Cache
-	// tracker is the optional cross-hour campaign view (nil = one-shot
-	// inference per request, the legacy behavior).
-	tracker CampaignTracker
+	// tracker is the cross-hour campaign view (nil = an empty, untracked
+	// campaign table).
+	tracker *campaign.Tracker
 
 	metrics *telemetry.Registry
 	health  *telemetry.Health
@@ -211,7 +203,6 @@ func (s *Server) routes() []route {
 		ep("GET", "/api/v1/campaigns", "campaigns", true, s.handleCampaigns),
 		ep("GET", "/api/v1/export", "export", true, s.handleExport),
 		ep("GET", "/api/v1/events", "events", true, s.handleEvents),
-		ep("GET", "/{$}", "dashboard", true, s.handleDashboard),
 	}
 }
 
@@ -267,17 +258,15 @@ func (s *Server) feedCache() *feedserve.Cache {
 }
 
 // SetCampaignTracker installs the cross-hour campaign view behind
-// /api/v1/campaigns. With a tracker, the endpoint serves tracked
-// campaigns — stable IDs, first/last seen, status, history — instead of
-// re-running one-shot inference per request.
-func (s *Server) SetCampaignTracker(t CampaignTracker) {
+// /api/v1/campaigns: stable IDs, first/last seen, status, history.
+func (s *Server) SetCampaignTracker(t *campaign.Tracker) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tracker = t
 }
 
 // campaignTracker returns the installed tracker, or nil.
-func (s *Server) campaignTracker() CampaignTracker {
+func (s *Server) campaignTracker() *campaign.Tracker {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.tracker
@@ -396,7 +385,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if _, ok := q.seqMode(); ok {
-		writeError(w, http.StatusNotImplemented, "cursor pagination requires the feed cache (-feed-cache)")
+		writeError(w, http.StatusNotImplemented, "cursor pagination requires the feed cache")
 		return
 	}
 	records := s.source.Records(q)
@@ -404,6 +393,38 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		"count":   len(records),
 		"records": records,
 	})
+}
+
+// handleExport streams the feed as NDJSON — the paper's bulk raw-data
+// channel for researchers and operators. Filters mirror /records. With
+// the feed cache installed, the unfiltered bulk path serves the
+// precomputed (optionally gzip'd) export buffer with a strong ETag.
+func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
+	q, err := parseQuery(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if r.URL.Query().Get("limit") == "" {
+		q.Limit = 0 // bulk export defaults to everything
+	}
+	if c := s.feedCache(); c != nil && s.serveExportFromSnapshot(w, r, c, q) {
+		return
+	}
+	if _, ok := q.seqMode(); ok {
+		writeError(w, http.StatusNotImplemented, "cursor pagination requires the feed cache")
+		return
+	}
+	records := s.source.Records(q)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Disposition", `attachment; filename="exiot-export.ndjson"`)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	for i := range records {
+		if err := enc.Encode(&records[i]); err != nil {
+			return // client went away mid-stream
+		}
+	}
 }
 
 func (s *Server) handleRecordByIP(w http.ResponseWriter, r *http.Request) {
@@ -490,49 +511,13 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCampaigns runs campaign inference over the feed and returns the
-// inferred groups — the campaign-analysis extension exposed as an API.
 func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
-	minSize := 0
-	if v := r.URL.Query().Get("min_size"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeError(w, http.StatusBadRequest, "invalid min_size")
-			return
-		}
-		minSize = n
-	}
-	if tr := s.campaignTracker(); tr != nil {
-		s.serveTrackedCampaigns(w, tr, minSize)
-		return
-	}
-	records := s.source.Records(Query{Label: feed.LabelIoT, Limit: 0})
-	campaigns := campaign.Infer(records, campaign.Config{MinSize: minSize})
-	type entry struct {
-		Signature string         `json:"signature"`
-		Tool      string         `json:"tool,omitempty"`
-		Ports     []uint16       `json:"ports"`
-		Devices   int            `json:"devices"`
-		Records   int            `json:"records"`
-		Countries map[string]int `json:"countries"`
-	}
-	out := make([]entry, 0, len(campaigns))
-	for i := range campaigns {
-		c := &campaigns[i]
-		out = append(out, entry{
-			Signature: c.Signature.String(),
-			Tool:      c.Signature.Tool,
-			Ports:     c.Signature.Ports,
-			Devices:   c.Size(),
-			Records:   c.Records,
-			Countries: c.Countries,
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(out), "campaigns": out})
+	CampaignsHandler(s.campaignTracker())(w, r)
 }
 
-// TrackedCampaignJSON is one tracked campaign on the wire: the legacy
-// entry fields plus the identity and lifetime the tracker maintains.
+// TrackedCampaignJSON is one tracked campaign on the wire: its scan
+// signature and membership plus the identity and lifetime the tracker
+// maintains.
 type TrackedCampaignJSON struct {
 	ID        string                  `json:"id"`
 	Signature string                  `json:"signature"`
@@ -548,41 +533,61 @@ type TrackedCampaignJSON struct {
 	History   []campaign.HistoryPoint `json:"history,omitempty"`
 }
 
-// serveTrackedCampaigns renders the cross-hour campaign table.
-func (s *Server) serveTrackedCampaigns(w http.ResponseWriter, tr CampaignTracker, minSize int) {
-	asOf := tr.LastUpdate()
-	tracked := tr.Campaigns()
-	out := make([]TrackedCampaignJSON, 0, len(tracked))
-	for i := range tracked {
-		c := &tracked[i]
-		if c.Size() < minSize {
-			continue
+// CampaignsHandler serves tr's cross-hour campaign table, dropping
+// campaigns with fewer than the optional min_size devices. A nil tracker
+// serves an empty table marked untracked. /api/v1/campaigns and the
+// console's /console/api/campaigns are both this handler.
+func CampaignsHandler(tr *campaign.Tracker) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		minSize := 0
+		if v := r.URL.Query().Get("min_size"); v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 1 {
+				writeError(w, http.StatusBadRequest, "invalid min_size")
+				return
+			}
+			minSize = n
 		}
-		status := "active"
-		if !c.Active(asOf) {
-			status = "decaying"
+		if tr == nil {
+			writeJSON(w, http.StatusOK, map[string]any{
+				"count": 0, "tracked": false, "campaigns": []TrackedCampaignJSON{},
+			})
+			return
 		}
-		out = append(out, TrackedCampaignJSON{
-			ID:        c.ID,
-			Signature: c.Signature.String(),
-			Tool:      c.Signature.Tool,
-			Ports:     c.Signature.Ports,
-			Devices:   c.Size(),
-			Records:   c.Records,
-			Countries: c.Countries,
-			FirstSeen: c.FirstSeen,
-			LastSeen:  c.LastSeen,
-			Status:    status,
-			Updates:   c.Updates,
-			History:   c.History,
+		asOf := tr.LastUpdate()
+		tracked := tr.Campaigns()
+		out := make([]TrackedCampaignJSON, 0, len(tracked))
+		for i := range tracked {
+			c := &tracked[i]
+			if c.Size() < minSize {
+				continue
+			}
+			status := "active"
+			if !c.Active(asOf) {
+				status = "decaying"
+			}
+			out = append(out, TrackedCampaignJSON{
+				ID:        c.ID,
+				Signature: c.Signature.String(),
+				Tool:      c.Signature.Tool,
+				Ports:     c.Signature.Ports,
+				Devices:   c.Size(),
+				Records:   c.Records,
+				Countries: c.Countries,
+				FirstSeen: c.FirstSeen,
+				LastSeen:  c.LastSeen,
+				Status:    status,
+				Updates:   c.Updates,
+				History:   c.History,
+			})
+		}
+		writeJSON(w, http.StatusOK, map[string]any{
+			"count":     len(out),
+			"tracked":   true,
+			"as_of":     asOf,
+			"campaigns": out,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":     len(out),
-		"tracked":   true,
-		"as_of":     asOf,
-		"campaigns": out,
-	})
 }
 
 // handleTraffic serves the hourly telescope traffic statistics when the

@@ -50,13 +50,17 @@ func (f *fakeSource) Snapshot() Snapshot {
 		TopVendors: map[string]int{"MikroTik": 2}}
 }
 
-func testServer(t *testing.T) (*httptest.Server, *fakeSource, *notify.Notifier) {
-	t.Helper()
-	src := &fakeSource{records: []feed.Record{
+func newFakeSource() *fakeSource {
+	return &fakeSource{records: []feed.Record{
 		{IP: "1.2.3.4", Label: feed.LabelIoT, CountryCode: "CN", ASN: 4134, Active: true, DetectedAt: t0},
 		{IP: "5.6.7.8", Label: feed.LabelNonIoT, CountryCode: "US", ASN: 7922, Active: false, DetectedAt: t0.Add(time.Hour)},
 		{IP: "9.10.11.12", Label: feed.LabelIoT, CountryCode: "CN", ASN: 4837, Active: true, DetectedAt: t0.Add(2 * time.Hour)},
 	}}
+}
+
+func testServer(t *testing.T) (*httptest.Server, *fakeSource, *notify.Notifier) {
+	t.Helper()
+	src := newFakeSource()
 	notifier := notify.New(notify.Config{}, &notify.MemoryMailer{})
 	s := NewServer(src, notifier)
 	s.AddKey("secret-token", "test-client")
@@ -275,28 +279,6 @@ func TestQueryMatches(t *testing.T) {
 	}
 }
 
-func TestDashboardPage(t *testing.T) {
-	ts, _, _ := testServer(t)
-	resp, body := get(t, ts, "/", "secret-token")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/html") {
-		t.Errorf("content type = %q", ct)
-	}
-	page := string(body)
-	for _, want := range []string{"eX-IoT", "Internet snapshot", "Top countries", "Query builder"} {
-		if !strings.Contains(page, want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
-	// Unauthenticated dashboard access is rejected.
-	resp, _ = get(t, ts, "/", "")
-	if resp.StatusCode != http.StatusUnauthorized {
-		t.Errorf("unauthenticated dashboard status = %d", resp.StatusCode)
-	}
-}
-
 func TestExportNDJSON(t *testing.T) {
 	ts, src, _ := testServer(t)
 	resp, body := get(t, ts, "/api/v1/export", "secret-token")
@@ -332,9 +314,11 @@ func TestExportNDJSON(t *testing.T) {
 	}
 }
 
-func TestCampaignsEndpoint(t *testing.T) {
-	ts, src, _ := testServer(t)
-	// Seed enough same-signature IoT records to form a campaign.
+// trackedServer serves a feed holding one five-device campaign, with a
+// campaign tracker updated over it once at each of the given instants.
+func trackedServer(t *testing.T, updates ...time.Time) *httptest.Server {
+	t.Helper()
+	src := newFakeSource()
 	for i := 0; i < 5; i++ {
 		src.records = append(src.records, feed.Record{
 			IP:          fmt.Sprintf("9.9.9.%d", i+1),
@@ -344,7 +328,28 @@ func TestCampaignsEndpoint(t *testing.T) {
 			Tool:        "Mirai-like scanner",
 		})
 	}
-	resp, body := get(t, ts, "/api/v1/campaigns", "secret-token")
+	tracker := campaign.NewTracker(campaign.TrackerConfig{})
+	for _, at := range updates {
+		tracker.Update(src.Records(Query{Label: feed.LabelIoT}), at)
+	}
+	s := NewServer(src, nil)
+	s.AddKey("secret-token", "test-client")
+	s.SetCampaignTracker(tracker)
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+func TestCampaignsEndpoint(t *testing.T) {
+	// Without a tracker the table is empty and says so.
+	plain, _, _ := testServer(t)
+	resp, body := get(t, plain, "/api/v1/campaigns", "secret-token")
+	if resp.StatusCode != http.StatusOK || string(body) != `{"campaigns":[],"count":0,"tracked":false}`+"\n" {
+		t.Errorf("untracked campaigns: %d %s", resp.StatusCode, body)
+	}
+
+	ts := trackedServer(t, t0)
+	resp, body = get(t, ts, "/api/v1/campaigns", "secret-token")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
@@ -424,30 +429,8 @@ func TestTrafficEndpoint(t *testing.T) {
 }
 
 func TestCampaignsTrackedMode(t *testing.T) {
-	ts, src, _ := testServer(t)
-	for i := 0; i < 5; i++ {
-		src.records = append(src.records, feed.Record{
-			IP:          fmt.Sprintf("9.9.9.%d", i+1),
-			Label:       feed.LabelIoT,
-			CountryCode: "CN",
-			TargetPorts: map[uint16]int{23: 180, 2323: 20},
-			Tool:        "Mirai-like scanner",
-		})
-	}
-	// Find the server the httptest wrapper serves so we can install the
-	// tracker: testServer returns only the httptest handle, so build a
-	// tracker-backed server directly instead.
-	s := NewServer(src, nil)
-	s.AddKey("secret-token", "test-client")
-	tracker := campaign.NewTracker(campaign.TrackerConfig{})
-	for i := 0; i < 3; i++ {
-		tracker.Update(src.Records(Query{Label: feed.LabelIoT}), t0.Add(time.Duration(i)*time.Hour))
-	}
-	s.SetCampaignTracker(tracker)
-	ts2 := httptest.NewServer(s)
-	t.Cleanup(ts2.Close)
-
-	resp, body := get(t, ts2, "/api/v1/campaigns", "secret-token")
+	ts := trackedServer(t, t0, t0.Add(time.Hour), t0.Add(2*time.Hour))
+	resp, body := get(t, ts, "/api/v1/campaigns", "secret-token")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
@@ -471,13 +454,8 @@ func TestCampaignsTrackedMode(t *testing.T) {
 	}
 
 	// min_size still filters in tracked mode.
-	resp, body = get(t, ts2, "/api/v1/campaigns?min_size=100", "secret-token")
+	resp, body = get(t, ts, "/api/v1/campaigns?min_size=100", "secret-token")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"count":0`) {
 		t.Errorf("tracked min_size filter: %d %s", resp.StatusCode, body)
-	}
-	// The untracked server still answers with the legacy shape.
-	resp, body = get(t, ts, "/api/v1/campaigns", "secret-token")
-	if resp.StatusCode != http.StatusOK || strings.Contains(string(body), `"tracked":true`) {
-		t.Errorf("legacy endpoint changed shape: %s", body)
 	}
 }

@@ -65,12 +65,7 @@ func TestAPIDocMatchesRouteTable(t *testing.T) {
 		t.Fatalf("route table has only %d endpoints", len(eps))
 	}
 	for _, ep := range eps {
-		if ep.Path == "/{$}" {
-			// The dashboard route; documented as GET /.
-			if !strings.Contains(doc, "dashboard") {
-				t.Error("docs/API.md does not document the dashboard route")
-			}
-		} else if !strings.Contains(doc, "`"+ep.Path+"`") && !strings.Contains(doc, ep.Path+"`") && !strings.Contains(doc, ep.Path+" ") && !strings.Contains(doc, ep.Path+"\n") {
+		if !strings.Contains(doc, "`"+ep.Path+"`") && !strings.Contains(doc, ep.Path+"`") && !strings.Contains(doc, ep.Path+" ") && !strings.Contains(doc, ep.Path+"\n") {
 			t.Errorf("route %s %s is wired but not documented in docs/API.md", ep.Method, ep.Path)
 		}
 		// The metering section must name every endpoint label.
@@ -106,8 +101,8 @@ func TestFeedConsumersDocMatchesSurface(t *testing.T) {
 	doc := readDoc(t, "../../docs/FEED_CONSUMERS.md")
 
 	// Every consumer-facing feed route must be in the guide. Operator
-	// plumbing (/metrics, /healthz, the dashboard) is deliberately out
-	// of scope, so this is one-directional.
+	// plumbing (/metrics, /healthz) is deliberately out of scope, so
+	// this is one-directional.
 	for _, path := range []string{
 		"/api/v1/records",
 		"/api/v1/export",
@@ -144,9 +139,7 @@ func TestFeedConsumersDocMatchesSurface(t *testing.T) {
 
 func TestOperationsDocCoversFeedFlags(t *testing.T) {
 	doc := readDoc(t, "../../docs/OPERATIONS.md")
-	for _, flag := range []string{"-feed-cache", "-feed-rebuild-every"} {
-		if !strings.Contains(doc, "`"+flag+"`") {
-			t.Errorf("exiotd flag %s is missing from docs/OPERATIONS.md", flag)
-		}
+	if !strings.Contains(doc, "`-feed-rebuild-every`") {
+		t.Error("exiotd flag -feed-rebuild-every is missing from docs/OPERATIONS.md")
 	}
 }

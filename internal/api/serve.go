@@ -5,7 +5,7 @@ package api
 // bytes from an immutable snapshot (one atomic pointer load, zero locks),
 // with strong ETags, If-None-Match 304s, sequence-cursor pagination, and
 // /events pushing record deltas over SSE. Without a cache the handlers
-// in api.go/dashboard.go keep the original store-walking behavior.
+// in api.go keep the original store-walking behavior.
 
 import (
 	"bytes"
@@ -243,7 +243,7 @@ func (s *Server) serveExportFromSnapshot(w http.ResponseWriter, r *http.Request,
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c := s.feedCache()
 	if c == nil {
-		writeError(w, http.StatusNotImplemented, "event streaming requires the feed cache (-feed-cache)")
+		writeError(w, http.StatusNotImplemented, "event streaming requires the feed cache")
 		return
 	}
 	since := uint64(0)

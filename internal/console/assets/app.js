@@ -37,6 +37,12 @@ function td(text, cls) {
   return cell;
 }
 
+/* [key, count] pairs of a count map, largest first, key order on ties. */
+function byCount(counts) {
+  return Object.entries(counts || {})
+    .sort((a, b) => b[1] - a[1] || a[0].localeCompare(b[0]));
+}
+
 /* ---------- feed volume chart ---------- */
 
 function polyline(points, color, width) {
@@ -83,12 +89,16 @@ function renderOverview(ov) {
   $("#t-records").textContent = fmtInt(snap.total_records);
   $("#t-active").textContent = fmtInt(snap.active_records);
   $("#t-iot").textContent = fmtInt(snap.iot_records);
+  $("#t-benign").textContent = fmtInt(snap.benign_records);
   $("#t-rph").textContent =
     snap.records_per_hour === undefined ? "–" : snap.records_per_hour.toFixed(1);
   $("#t-seq").textContent = ov.feed ? fmtInt(ov.feed.last_seq) : "–";
   $("#t-sse").textContent = fmtInt(ov.sse_clients);
 
   drawVolume(ov.volume);
+  renderTop("#top-countries", snap.top_countries);
+  renderTop("#top-ports", snap.top_ports);
+  renderTop("#top-vendors", snap.top_vendors);
 
   const stageBody = $("#stage-table tbody");
   stageBody.replaceChildren();
@@ -102,6 +112,16 @@ function renderOverview(ov) {
 
   renderHealth(ov.health);
   renderCluster(ov.cluster);
+}
+
+function renderTop(sel, counts) {
+  const body = $(sel + " tbody");
+  body.replaceChildren();
+  for (const [key, n] of byCount(counts)) {
+    const tr = document.createElement("tr");
+    tr.append(td(key), td(fmtInt(n), "num"));
+    body.appendChild(tr);
+  }
 }
 
 function renderHealth(health) {
@@ -220,9 +240,7 @@ function sparkline(history) {
 }
 
 function topCountries(countries) {
-  if (!countries) return "–";
-  return Object.entries(countries)
-    .sort((a, b) => b[1] - a[1] || a[0].localeCompare(b[0]))
+  return byCount(countries)
     .slice(0, 3)
     .map(([cc, n]) => `${cc}:${n}`)
     .join(",") || "–";

@@ -19,7 +19,6 @@ import (
 
 	"exiot/internal/api"
 	"exiot/internal/campaign"
-	"exiot/internal/feed"
 	"exiot/internal/feedserve"
 	"exiot/internal/telemetry"
 	"exiot/internal/trace"
@@ -55,18 +54,14 @@ type Config struct {
 	Registry *telemetry.Registry
 	// Health feeds the component health panel.
 	Health *telemetry.Health
-	// Tracker is the cross-hour campaign view. When Feed is also set,
-	// wire the tracker to Feed.OnRebuild externally (exiotd does); with
-	// no feed cache the console updates it itself from Source every
-	// TrackEvery.
+	// Tracker is the cross-hour campaign view. The console only reads
+	// it; whoever builds it keeps it updated (exiotd does so from the
+	// feed cache's rebuild hook).
 	Tracker *campaign.Tracker
 	// Feed relays live record frames into the console event stream.
 	Feed *feedserve.Cache
 	// TickEvery is the stats sampling cadence (default 2s).
 	TickEvery time.Duration
-	// TrackEvery is the fallback tracker-update cadence used only when
-	// Tracker is set and Feed is not (default 60s).
-	TrackEvery time.Duration
 	// RingSize bounds the feed-volume ring (default 900 points — 30
 	// minutes at the default tick).
 	RingSize int
@@ -107,7 +102,6 @@ type Console struct {
 		records, flowEnds, events, packets float64
 		valid                              bool
 	}
-	lastTrack time.Time
 
 	done chan struct{}
 	once sync.Once
@@ -122,9 +116,6 @@ func New(cfg Config) *Console {
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 2 * time.Second
 	}
-	if cfg.TrackEvery <= 0 {
-		cfg.TrackEvery = time.Minute
-	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 900
 	}
@@ -135,8 +126,7 @@ func New(cfg Config) *Console {
 }
 
 // Tick takes one stats sample at now: difference the volume counters
-// against the previous tick, append a ring point, and (in fallback mode)
-// refresh the campaign tracker.
+// against the previous tick and append a ring point.
 func (c *Console) Tick(now time.Time) {
 	reg := c.cfg.Registry
 	records := reg.Sum(volumeFamilies.records)
@@ -162,16 +152,7 @@ func (c *Console) Tick(now time.Time) {
 	if len(c.ring) > c.cfg.RingSize {
 		c.ring = c.ring[len(c.ring)-c.cfg.RingSize:]
 	}
-	track := c.cfg.Tracker != nil && c.cfg.Feed == nil && c.cfg.Source != nil &&
-		now.Sub(c.lastTrack) >= c.cfg.TrackEvery
-	if track {
-		c.lastTrack = now
-	}
 	c.mu.Unlock()
-
-	if track {
-		c.cfg.Tracker.Update(c.cfg.Source.Records(api.Query{Label: feed.LabelIoT}), now)
-	}
 	metConsoleTicks.Inc()
 }
 
@@ -231,7 +212,7 @@ func (c *Console) routes() []struct {
 	}{
 		ep("GET", "/console/api/overview", "console_overview", c.handleOverview),
 		ep("GET", "/console/api/traces", "console_traces", c.handleTraces),
-		ep("GET", "/console/api/campaigns", "console_campaigns", c.handleCampaigns),
+		ep("GET", "/console/api/campaigns", "console_campaigns", api.CampaignsHandler(c.cfg.Tracker)),
 		ep("GET", "/console/api/record/{ip}", "console_record", c.handleRecord),
 		ep("GET", "/console/api/events", "console_events", c.handleEvents),
 	}

@@ -368,32 +368,6 @@ func TestEventsStreamEmitsStats(t *testing.T) {
 	}
 }
 
-func TestTrackerFallbackUpdates(t *testing.T) {
-	// With a tracker but no feed cache, ticks drive tracker updates at
-	// the TrackEvery cadence.
-	src := &fakeSource{records: iotRecords(5)}
-	tracker := campaign.NewTracker(campaign.TrackerConfig{})
-	c := New(Config{
-		Registry:   newRegistry(t),
-		Source:     src,
-		Tracker:    tracker,
-		TrackEvery: 10 * time.Second,
-	})
-	c.Tick(t0)
-	if got := len(tracker.Campaigns()); got != 1 {
-		t.Fatalf("first tick should seed the tracker: %d campaigns", got)
-	}
-	// Within the cadence window: no re-update.
-	c.Tick(t0.Add(2 * time.Second))
-	if tracker.LastUpdate() != t0 {
-		t.Error("tracker updated before TrackEvery elapsed")
-	}
-	c.Tick(t0.Add(11 * time.Second))
-	if tracker.LastUpdate() != t0.Add(11*time.Second) {
-		t.Error("tracker not refreshed after TrackEvery")
-	}
-}
-
 func TestEndpointsMatchRoutes(t *testing.T) {
 	c := New(Config{Registry: newRegistry(t)})
 	eps := c.Endpoints()

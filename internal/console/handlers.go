@@ -165,42 +165,6 @@ func (c *Console) handleTraces(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"n": n, "stages": stages})
 }
 
-func (c *Console) handleCampaigns(w http.ResponseWriter, _ *http.Request) {
-	if c.cfg.Tracker == nil {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"count": 0, "tracked": false, "campaigns": []api.TrackedCampaignJSON{},
-		})
-		return
-	}
-	asOf := c.cfg.Tracker.LastUpdate()
-	tracked := c.cfg.Tracker.Campaigns()
-	out := make([]api.TrackedCampaignJSON, 0, len(tracked))
-	for i := range tracked {
-		tc := &tracked[i]
-		status := "active"
-		if !tc.Active(asOf) {
-			status = "decaying"
-		}
-		out = append(out, api.TrackedCampaignJSON{
-			ID:        tc.ID,
-			Signature: tc.Signature.String(),
-			Tool:      tc.Signature.Tool,
-			Ports:     tc.Signature.Ports,
-			Devices:   tc.Size(),
-			Records:   tc.Records,
-			Countries: tc.Countries,
-			FirstSeen: tc.FirstSeen,
-			LastSeen:  tc.LastSeen,
-			Status:    status,
-			Updates:   tc.Updates,
-			History:   tc.History,
-		})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count": len(out), "tracked": true, "as_of": asOf, "campaigns": out,
-	})
-}
-
 // handleRecord is the provenance drill-down: the feed record joined
 // with its retained trace when the backend can provide it.
 func (c *Console) handleRecord(w http.ResponseWriter, r *http.Request) {

@@ -136,15 +136,15 @@ func TestSequenceAssignment(t *testing.T) {
 		t.Fatal("ItemsSince(lastSeq) should be empty")
 	}
 
-	// A delete changes the fingerprint even with no new sequences.
+	// A removal changes the fingerprint even with no new sequences.
 	fp3 := snap3.Fingerprint()
-	coll.Delete(ids[0])
+	coll.Expire(t0.Add(time.Second)) // only ids[0] is stamped before it
 	snap4 := c.Rebuild()
 	if snap4.Len() != 3 || snap4.Fingerprint() == fp3 {
-		t.Fatalf("delete: len=%d, fingerprint changed=%v", snap4.Len(), snap4.Fingerprint() != fp3)
+		t.Fatalf("expire: len=%d, fingerprint changed=%v", snap4.Len(), snap4.Fingerprint() != fp3)
 	}
 	if snap4.LastSeq() != 5 {
-		t.Fatalf("delete minted a sequence: lastSeq=%d", snap4.LastSeq())
+		t.Fatalf("expire minted a sequence: lastSeq=%d", snap4.LastSeq())
 	}
 }
 
@@ -238,14 +238,14 @@ func TestCloseDisconnectsSubscribers(t *testing.T) {
 }
 
 func TestOnRebuildHook(t *testing.T) {
-	coll, c, ids := newCache(t, 2)
+	coll, c, _ := newCache(t, 2)
 
 	var calls []int
 	c.OnRebuild(func(s *Snapshot) { calls = append(calls, s.Len()) })
 
 	// Hook sees each successful rebuild's snapshot.
 	c.Rebuild()
-	coll.Insert(t0, rec("z.example", true))
+	coll.Insert(t0.Add(time.Hour), rec("z.example", true))
 	c.Rebuild()
 	if len(calls) != 2 || calls[0] != 2 || calls[1] != 3 {
 		t.Fatalf("hook calls = %v, want [2 3]", calls)
@@ -259,7 +259,7 @@ func TestOnRebuildHook(t *testing.T) {
 
 	// A hook may call back into the cache without deadlocking.
 	c.OnRebuild(func(s *Snapshot) { _ = c.Current() })
-	coll.Delete(ids[0])
+	coll.Expire(t0.Add(time.Second)) // only the first record is stamped before it
 	c.Rebuild()
 	if got := calls[len(calls)-1]; got != 2 {
 		t.Fatalf("hook after removal saw %d records, want 2", got)

@@ -11,9 +11,8 @@ import (
 )
 
 // refCollection is Collection as it stood before retention kept a bound
-// on its stamps: Delete leaves its tombstone to Expire, and Expire visits
-// every entry and hex-decodes every id. The differential test drives it
-// beside the real one.
+// on its stamps: Expire visits every entry and hex-decodes every id. The
+// differential test drives it beside the real one.
 type refCollection struct {
 	docs  map[ObjectID]doc
 	order []ObjectID
@@ -48,15 +47,6 @@ func (r *refCollection) update(id ObjectID, fn func(*doc)) bool {
 	fn(&d)
 	r.docs[id] = d
 	r.muts = append(r.muts, Mutation{Op: "update", ID: id})
-	return true
-}
-
-func (r *refCollection) delete(id ObjectID) bool {
-	if _, ok := r.docs[id]; !ok {
-		return false
-	}
-	delete(r.docs, id)
-	r.muts = append(r.muts, Mutation{Op: "delete", ID: id})
 	return true
 }
 
@@ -148,12 +138,6 @@ func TestExpireMatchesReferenceWalk(t *testing.T) {
 					if a, b := real.Update(id, flip), ref.update(id, flip); a != b {
 						t.Fatalf("step %d: Update(%s) = %v, reference %v", step, id, a, b)
 					}
-				case k < 70:
-					op = "delete"
-					id := pick()
-					if a, b := real.Delete(id), ref.delete(id); a != b {
-						t.Fatalf("step %d: Delete(%s) = %v, reference %v", step, id, a, b)
-					}
 				case k < 97:
 					op = "expire"
 					// Around a retention window behind the clock, or right on
@@ -206,14 +190,15 @@ func TestExpireMatchesReferenceWalk(t *testing.T) {
 }
 
 // TestExpireReturnsWithoutWalking pins the O(1) path: a walk would have
-// dropped the tombstone.
+// dropped the planted slot.
 func TestExpireReturnsWithoutWalking(t *testing.T) {
 	c := NewCollection[doc]()
 	var ids []ObjectID
 	for i := 0; i < 3; i++ {
 		ids = append(ids, c.Insert(base.Add(time.Duration(i)*time.Hour), doc{}))
 	}
-	c.Delete(ids[1])
+	// A slot whose document is gone: only a walk of order drops it.
+	delete(c.docs, ids[1])
 	if n := c.Expire(base); n != 0 || len(c.order) != 3 {
 		t.Fatalf("Expire at the oldest stamp removed %d and left %d entries, want 0 and 3 (no walk)", n, len(c.order))
 	}
@@ -223,27 +208,6 @@ func TestExpireReturnsWithoutWalking(t *testing.T) {
 	}
 	if want := base.Add(2 * time.Hour).Unix(); c.minStamp != want {
 		t.Fatalf("minStamp = %d after the walk, want %d", c.minStamp, want)
-	}
-}
-
-// TestDeleteBoundsTombstones is the life of a collection that is never
-// expired: records come and go by Delete alone.
-func TestDeleteBoundsTombstones(t *testing.T) {
-	c := NewCollection[doc]()
-	keep := []ObjectID{c.Insert(base, doc{IP: "first"})}
-	for i := 0; i < 10_000; i++ {
-		id := c.Insert(base, doc{IP: "flow"})
-		if i == 5000 {
-			keep = append(keep, c.Insert(base, doc{IP: "middle"}))
-		}
-		c.Delete(id)
-		if len(c.order) > 2*c.Len() {
-			t.Fatalf("cycle %d: order holds %d entries for %d documents", i, len(c.order), c.Len())
-		}
-	}
-	keep = append(keep, c.Insert(base, doc{IP: "last"}))
-	if ids, _ := c.FindIDs(nil); !reflect.DeepEqual(ids, keep) {
-		t.Fatalf("survivors %v, want %v in insertion order", ids, keep)
 	}
 }
 

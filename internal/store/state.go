@@ -88,7 +88,7 @@ func (kv *KV) Restore(items []KVItem) {
 
 // Mutation describes one collection write for observers.
 type Mutation struct {
-	// Op is the operation name: insert|update|delete|expire.
+	// Op is the operation name: insert|update|expire.
 	Op string
 	// ID is the affected document.
 	ID ObjectID

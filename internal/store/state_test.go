@@ -10,10 +10,14 @@ func TestCollectionExportRestore(t *testing.T) {
 	src := NewCollection[string]()
 	ts := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
 	var ids []ObjectID
-	for _, v := range []string{"a", "b", "c"} {
-		ids = append(ids, src.Insert(ts, v))
+	for i, v := range []string{"a", "b", "c"} {
+		stamp := ts
+		if i == 1 {
+			stamp = ts.Add(-time.Hour) // the one Expire drops
+		}
+		ids = append(ids, src.Insert(stamp, v))
 	}
-	src.Delete(ids[1])
+	src.Expire(ts)
 
 	exported := src.Export()
 	if len(exported) != 2 {
@@ -72,9 +76,9 @@ func TestMutationHooks(t *testing.T) {
 	ts := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
 	id := c.Insert(ts, 1)
 	c.Update(id, func(v *int) { *v = 2 })
-	c.Delete(id)
+	c.Expire(ts.Add(time.Second))
 	c.Restore(nil) // must not fire
-	want := []string{"insert", "update", "delete"}
+	want := []string{"insert", "update", "expire"}
 	if len(muts) != len(want) {
 		t.Fatalf("got %d collection mutations, want %d", len(muts), len(want))
 	}

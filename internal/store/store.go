@@ -22,10 +22,9 @@ import (
 // Counts aggregate across collections.
 var (
 	metStoreInserts = telemetry.Default().CounterVec("exiot_store_ops_total",
-		"Document-store operations, by op (insert|update|delete|expire).", "op")
+		"Document-store operations, by op (insert|update|expire).", "op")
 	opInsert = metStoreInserts.With("insert")
 	opUpdate = metStoreInserts.With("update")
-	opDelete = metStoreInserts.With("delete")
 	opExpire = metStoreInserts.With("expire")
 )
 
@@ -59,12 +58,13 @@ func (id ObjectID) Time() time.Time {
 type Collection[T any] struct {
 	mu   sync.RWMutex
 	docs map[ObjectID]T
-	// order preserves insertion sequence for deterministic scans. An
-	// entry whose id is no longer in docs is a tombstone left by Delete.
+	// order preserves insertion sequence for deterministic scans. It can
+	// name an id that is no longer in docs: Restore keeps a duplicated id
+	// twice, and a sweep that expires the first copy skips the second.
 	order []entry
 	// minStamp is a lower bound on the stamps of the live documents:
-	// Insert and Restore lower it, a sweep makes it exact, and Delete
-	// leaves it low until the next sweep. noStamp for a new collection.
+	// Insert and Restore lower it and a sweep makes it exact. noStamp for
+	// a new collection.
 	minStamp int64
 	// hooks observe mutations (see AddHook in state.go).
 	hooks []func(Mutation)
@@ -179,25 +179,6 @@ func (c *Collection[T]) FindIDs(filter func(T) bool) ([]ObjectID, []T) {
 	return ids, docs
 }
 
-// Delete removes a document. Its slot in order stays behind as a
-// tombstone until tombstones outnumber live documents, when one sweep
-// drops them all: amortised O(1), and order never exceeds twice the live
-// count.
-func (c *Collection[T]) Delete(id ObjectID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.docs[id]; !ok {
-		return false
-	}
-	delete(c.docs, id)
-	opDelete.Inc()
-	c.notify(Mutation{Op: "delete", ID: id})
-	if len(c.order) > 2*len(c.docs) {
-		c.sweep(math.MinInt64)
-	}
-	return true
-}
-
 // Expire deletes documents whose ObjectID timestamp is older than cutoff
 // and returns how many were removed — the historical database's lapsing
 // two-week retention. It costs O(1) unless minStamp says something may be
@@ -219,9 +200,9 @@ func (c *Collection[T]) Expire(cutoff time.Time) int {
 	return removed
 }
 
-// sweep walks order once: it drops tombstones, removes every live
-// document stamped below limit (firing its "expire" mutation, in
-// insertion order), and makes minStamp exact. Caller holds c.mu.
+// sweep walks order once: it drops entries no longer in docs, removes
+// every live document stamped below limit (firing its "expire" mutation,
+// in insertion order), and makes minStamp exact. Caller holds c.mu.
 func (c *Collection[T]) sweep(limit int64) int {
 	removed := 0
 	keep := c.order[:0]

@@ -50,11 +50,11 @@ func TestCollectionCRUD(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("Len = %d", c.Len())
 	}
-	if !c.Delete(id) || c.Delete(id) {
-		t.Error("Delete semantics wrong")
+	if n := c.Expire(base.Add(time.Second)); n != 1 {
+		t.Errorf("Expire removed %d, want 1", n)
 	}
 	if _, ok := c.Get(id); ok {
-		t.Error("deleted doc still readable")
+		t.Error("expired doc still readable")
 	}
 }
 
