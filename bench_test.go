@@ -522,16 +522,17 @@ func BenchmarkAdaptivity(b *testing.B) {
 
 // benchBackHalf caches a captured sampler event stream: the serial
 // sampler runs once over a fixed world, and every bench iteration
-// replays the identical events into a fresh feed server.
+// replays the identical events into a fresh pipeline.BackHalf.
 var (
 	benchBackHalfOnce   sync.Once
 	benchBackHalfEvents []stampedBenchEvent
 	benchBackHalfWorld  *simnet.World
 )
 
+// stampedBenchEvent is one sampler event and the end of its hour.
 type stampedBenchEvent struct {
-	e  pipeline.SamplerEvent
-	at time.Time
+	e       pipeline.SamplerEvent
+	hourEnd time.Time
 }
 
 func backHalfEvents(b *testing.B) ([]stampedBenchEvent, *simnet.World) {
@@ -544,20 +545,17 @@ func backHalfEvents(b *testing.B) ([]stampedBenchEvent, *simnet.World) {
 		cfg.NumBackscat = 8
 		cfg.MaxPacketsPerHostHour = 1200
 		w := simnet.NewWorld(cfg)
-		delay := pipeline.DefaultLocalConfig().CollectionDelay +
-			pipeline.DefaultLocalConfig().ProcessingDelay
-		var at time.Time
+		var hourEnd time.Time
 		sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
-			benchBackHalfEvents = append(benchBackHalfEvents, stampedBenchEvent{e: e, at: at})
+			benchBackHalfEvents = append(benchBackHalfEvents, stampedBenchEvent{e, hourEnd})
 		})
 		start := w.Start()
 		for h := 0; h < 6; h++ {
 			hour := start.Add(time.Duration(h) * time.Hour)
-			at = hour.Add(time.Hour).Add(delay)
-			sampler.ProcessHour(w.GenerateHour(hour), hour.Add(time.Hour))
+			hourEnd = hour.Add(time.Hour)
+			sampler.ProcessHour(w.GenerateHour(hour), hourEnd)
 		}
-		at = start.Add(6 * time.Hour).Add(delay)
-		sampler.Flush(start.Add(6 * time.Hour))
+		sampler.Flush(hourEnd)
 		benchBackHalfWorld = w
 	})
 	if len(benchBackHalfEvents) == 0 {
@@ -569,9 +567,9 @@ func backHalfEvents(b *testing.B) ([]stampedBenchEvent, *simnet.World) {
 // BenchmarkBackHalfThroughput measures the feed back half — probe,
 // classify, enrich, store — on a fixed event stream at 1, 4, and
 // GOMAXPROCS workers, reporting events/sec and ns/event. Delivery is
-// HandleEvent at every count; Workers only sizes the scan-batch flush
-// (probe pool + annotate fan-out), whose output is proven identical
-// (TestBackHalfFeedEquivalence).
+// BackHalf.Deliver at every count, with one EndHour at the end of input;
+// Workers only sizes the scan-batch flush (probe pool + annotate
+// fan-out), whose output is proven identical (TestBackHalfFeedEquivalence).
 func BenchmarkBackHalfThroughput(b *testing.B) {
 	events, w := backHalfEvents(b)
 	counts := []int{1, 4}
@@ -583,16 +581,17 @@ func BenchmarkBackHalfThroughput(b *testing.B) {
 			b.ReportAllocs()
 			var wall int64
 			for i := 0; i < b.N; i++ {
-				scfg := pipeline.DefaultServerConfig()
-				scfg.Workers = workers
-				srv := pipeline.NewServer(scfg, w, w.Registry(), nil)
-				last := events[len(events)-1].at
+				lcfg := pipeline.DefaultLocalConfig()
+				lcfg.Workers = workers
+				back, err := pipeline.NewBackHalf(lcfg, w, w.Registry(), nil)
+				if err != nil {
+					b.Fatal(err)
+				}
 				start := time.Now()
 				for _, se := range events {
-					srv.HandleEvent(se.e, se.at)
+					back.Deliver(se.e, se.hourEnd)
 				}
-				srv.FlushScans(last)
-				srv.Tick(last)
+				back.EndHour(events[len(events)-1].hourEnd, true)
 				wall += time.Since(start).Nanoseconds()
 			}
 			total := int64(b.N) * int64(len(events))

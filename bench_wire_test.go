@@ -28,7 +28,7 @@ func BenchmarkWireThroughput(b *testing.B) {
 		defer recv.Close()
 		sender := wire.NewSenderV2(recv.Addr(), 0, 1)
 		defer sender.Close()
-		epoch := events[0].at.Unix()
+		epoch := events[0].hourEnd.Unix()
 		var encBuf []byte
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -1,9 +1,9 @@
 // Cross-package equivalence proof for the distributed telescope: N ≥ 1
-// flowsampler-style ingest nodes, each owning one hash partition of the
-// source space and shipping events over the wire (binary payloads,
-// batched writes, hour barriers, forced reconnects), must produce a feed
-// byte-identical to a single-node run over the same packets once the
-// receiver-side aggregator merges their streams.
+// ingest nodes running the shipped node half, each owning one hash
+// partition of the source space and shipping events over the wire (binary
+// payloads, batched writes, hour barriers, forced reconnects), must
+// produce a feed byte-identical to pipeline.Local over the same packets
+// once the shipped receiver merges their streams.
 package exiot_test
 
 import (
@@ -18,7 +18,6 @@ import (
 	"exiot/internal/packet"
 	"exiot/internal/pipeline"
 	"exiot/internal/simnet"
-	"exiot/internal/telemetry"
 	"exiot/internal/trw"
 	"exiot/internal/wire"
 )
@@ -40,62 +39,48 @@ func clusterWorldHours(seed int64, hours int) (*simnet.World, [][]packet.Packet)
 	return w, pergen
 }
 
-// runSingleNode is the reference topology: one sampler feeding one feed
-// server directly, with the same hour-end availability stamps and tick
-// cadence the cluster's aggregator applies.
-func runSingleNode(w *simnet.World, hours [][]packet.Packet) *pipeline.Server {
-	lcfg := pipeline.DefaultLocalConfig()
-	delay := lcfg.CollectionDelay + lcfg.ProcessingDelay
-	srv := pipeline.NewServer(pipeline.DefaultServerConfig(), w, w.Registry(), nil)
-	var at time.Time
-	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
-		srv.HandleEvent(e, at)
-	})
+// runLocal is the reference topology, the one exiotd -simulate ships:
+// pipeline.Local over the same hours.
+func runLocal(w *simnet.World, hours [][]packet.Packet) *pipeline.Server {
+	local := pipeline.NewLocal(pipeline.DefaultLocalConfig(), w, w.Registry(), nil)
 	for h, pkts := range hours {
-		hourEnd := w.Start().Add(time.Duration(h+1) * time.Hour)
-		at = hourEnd.Add(delay)
-		sampler.ProcessHour(pkts, hourEnd)
-		srv.Tick(at)
+		local.ProcessHour(pkts, w.Start().Add(time.Duration(h)*time.Hour))
 	}
-	// End of input: the flush events belong to the pseudo-hour after the
-	// last capture — the same epoch convention flowsampler ships.
-	flushAt := w.Start().Add(time.Duration(len(hours)) * time.Hour)
-	at = flushAt.Add(time.Hour).Add(delay)
-	sampler.Flush(flushAt)
-	srv.FlushScans(at)
-	srv.Tick(at)
-	return srv
+	local.Finish(w.Start().Add(time.Duration(len(hours)) * time.Hour))
+	return local.Server()
 }
 
-// runCluster runs `nodes` concurrent ingest nodes against one in-process
-// feed server. Each node keeps only its ShardIndex partition, ships over
-// a real TCP connection, and drops its connection at staggered points so
-// reconnect replays hit the aggregator's dedup. seed varies the reconnect
-// stagger across trials.
+// flakyLink is a node's wire connection that drops on a seeded coin flip
+// before and after every barrier: the next flush redials and replays the
+// whole batch, which the aggregator must dedup by sequence.
+type flakyLink struct {
+	*wire.Sender
+	rng *rand.Rand
+}
+
+func (l flakyLink) Barrier(epoch int64, final bool) error {
+	if l.rng.Intn(2) == 0 {
+		l.ResetConn()
+	}
+	err := l.Sender.Barrier(epoch, final)
+	if l.rng.Intn(2) == 0 {
+		l.ResetConn()
+	}
+	return err
+}
+
+// runCluster runs the shipped split shape: `nodes` concurrent
+// pipeline.Shippers (flowsampler -shard i/nodes), each over a real TCP
+// connection that drops at seeded points, into the shipped receiver (the
+// BackHalf behind its merge, as in exiotd -shards nodes). seed varies the
+// reconnect stagger across trials.
 func runCluster(t *testing.T, w *simnet.World, hours [][]packet.Packet, nodes int, seed int64) *pipeline.Server {
 	t.Helper()
-	lcfg := pipeline.DefaultLocalConfig()
-	srv := pipeline.NewServer(pipeline.DefaultServerConfig(), w, w.Registry(), nil)
-
-	merged := make(chan struct{})
-	agg := pipeline.NewAggregator(pipeline.AggregatorConfig{
-		Shards:          nodes,
-		CollectionDelay: lcfg.CollectionDelay,
-		ProcessingDelay: lcfg.ProcessingDelay,
-		Emit: func(e pipeline.SamplerEvent, at time.Time) {
-			srv.HandleEvent(e, at)
-		},
-		OnHourMerged: func(_, at time.Time, final bool) {
-			if final {
-				srv.FlushScans(at)
-			}
-			srv.Tick(at)
-			if final {
-				close(merged)
-			}
-		},
-		Health: telemetry.NewHealth(),
-	})
+	back, err := pipeline.NewBackHalf(pipeline.DefaultLocalConfig(), w, w.Registry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := back.Receive(nodes)
 	recv, err := wire.NewReceiver("127.0.0.1:0", func(f wire.Frame) {
 		if err := agg.Ingest(f); err != nil {
 			t.Errorf("cluster ingest: %v", err)
@@ -111,82 +96,44 @@ func runCluster(t *testing.T, w *simnet.World, hours [][]packet.Packet, nodes in
 		wg.Add(1)
 		go func(node int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed + int64(node)))
 			sender := wire.NewSenderV2(recv.Addr(), node, nodes)
 			defer sender.Close()
-			var (
-				epoch   int64
-				encBuf  []byte
-				sendErr error
-			)
-			sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
-				kind, data, err := pipeline.AppendEncodeEvent(encBuf[:0], e)
-				if err != nil {
-					sendErr = err
+			link := flakyLink{sender, rand.New(rand.NewSource(seed + int64(node)))}
+			ship := pipeline.NewShipper(trw.Default(), node, nodes, link)
+			for h, pkts := range hours {
+				if err := ship.ProcessHour(pkts, w.Start().Add(time.Duration(h)*time.Hour)); err != nil {
+					t.Errorf("node %d: %v", node, err)
 					return
 				}
-				encBuf = data[:0]
-				if err := sender.Queue(kind, epoch, data); err != nil {
-					sendErr = err
-				}
-			})
-			for h, pkts := range hours {
-				hourEnd := w.Start().Add(time.Duration(h+1) * time.Hour)
-				epoch = hourEnd.Unix()
-				var mine []packet.Packet
-				for i := range pkts {
-					if trw.ShardIndex(pkts[i].SrcIP, nodes) == node {
-						mine = append(mine, pkts[i])
-					}
-				}
-				sampler.ProcessHour(mine, hourEnd)
-				// Drop the connection mid-batch on some hours: the next
-				// flush redials and replays the whole batch, which the
-				// aggregator must dedup by sequence.
-				if rng.Intn(2) == 0 {
-					sender.ResetConn()
-				}
-				if err := sender.Barrier(epoch, false); err != nil {
-					sendErr = err
-				}
-				if rng.Intn(2) == 0 {
-					sender.ResetConn()
-				}
 			}
-			flushAt := w.Start().Add(time.Duration(len(hours)) * time.Hour)
-			epoch = flushAt.Add(time.Hour).Unix()
-			sampler.Flush(flushAt)
-			if err := sender.Barrier(epoch, true); err != nil {
-				sendErr = err
-			}
-			if sendErr != nil {
-				t.Errorf("node %d: ship events: %v", node, sendErr)
+			if err := ship.Finish(w.Start().Add(time.Duration(len(hours)) * time.Hour)); err != nil {
+				t.Errorf("node %d: %v", node, err)
 			}
 		}(node)
 	}
 	wg.Wait()
-
-	select {
-	case <-merged:
-	case <-time.After(60 * time.Second):
-		t.Fatalf("cluster merge never completed: %d hours still pending", agg.PendingHours())
+	// A barrier returns once acked, after the receiver's handler ran the
+	// merge it completed: every node's final barrier is back, so every
+	// hour has merged.
+	if n := agg.PendingHours(); n != 0 {
+		t.Fatalf("cluster merge incomplete: %d hours still pending", n)
 	}
-	return srv
+	return back.Server()
 }
 
 // TestClusterFeedEquivalence is the distributed telescope's headline
 // proof: a sharded deployment — real TCP, binary frames, shuffled
 // per-node progress, forced reconnects — produces a feed export, traffic
-// table, and lifetime counters byte-identical to the single-node
-// pipeline over the same packet set. One shard is the unsharded split
-// deployment (flowsampler → exiotd); three is a cluster.
+// table, and lifetime counters byte-identical to pipeline.Local over the
+// same packet set. One shard is the unsharded split deployment
+// (flowsampler → exiotd); three is a cluster.
 func TestClusterFeedEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-hour cluster run")
 	}
 	const hours = 3
 	w, pergen := clusterWorldHours(4242, hours)
-	base := runSingleNode(w, pergen)
+	base := runLocal(w, pergen)
 	fixed := w.Start().Add(1000 * time.Hour)
 	clock := func() time.Time { return fixed }
 	baseSnap := base.NewFeedCache(feedserve.Config{Clock: clock}).Current()

@@ -95,22 +95,15 @@ func main() {
 	if *shards < 1 {
 		log.Fatal("-shards must be at least 1")
 	}
-	rcfg := replayConfig{path: *replayIn, warp: *replayWrp}
 	if err := run(*listen, *shards, *apiAddr, *apiKey, *simulate, *hours, *seed,
-		*infected, *nonIoT, *research, *misconfig, *backscat, *whois, *modelDir, *workers, *telAddr, *consoleOn, dcfg, *feedRebuild, rcfg); err != nil {
+		*infected, *nonIoT, *research, *misconfig, *backscat, *whois, *modelDir, *workers, *telAddr, *consoleOn, dcfg, *feedRebuild, *replayIn, *replayWrp); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// replayConfig carries the -replay / -replay-warp flags.
-type replayConfig struct {
-	path string
-	warp float64
-}
-
 func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours int, seed int64,
 	infected, nonIoT, research, misconfig, backscat int, whois bool, modelDir string, workers int, telAddr string,
-	consoleOn bool, dcfg pipeline.DurableConfig, rebuildEvery time.Duration, rcfg replayConfig) error {
+	consoleOn bool, dcfg pipeline.DurableConfig, rebuildEvery time.Duration, replayIn string, replayWarp float64) error {
 	var opMux *http.ServeMux
 	if telAddr != "" {
 		// The operator mux is separate from the public API: it carries
@@ -147,83 +140,33 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 	pcfg.Workers = workers
 	pcfg.Server.Notify = notify.Config{NotifyWhois: whois}
 	pcfg.Server.Trainer.ModelDir = modelDir
+	pcfg.Durable = dcfg
 
 	var source *pipeline.Server
-	if rcfg.path != "" {
-		// Replay mode: ingest a recorded capture through the same Local
-		// pipeline -simulate drives, at the configured time-warp. The
-		// world is rebuilt from the shared seed only so active probes are
-		// answered (split-mode convention); the packets come entirely
-		// from the capture.
-		pcfg.Durable = dcfg
+	if simulate || replayIn != "" {
+		// -simulate and -replay drive the same Local pipeline and differ
+		// only in where the hours come from. On -replay the world is
+		// rebuilt from the shared seed only so active probes are answered
+		// (split-mode convention); the packets come from the capture.
 		local, err := pipeline.NewDurableLocal(pcfg, w, w.Registry(), mailer)
 		if err != nil {
 			return fmt.Errorf("open state dir: %w", err)
 		}
+		// On resume the input is re-driven from its start: deliveries the
+		// recovered state holds are skipped, and that heals a torn tail.
+		printRecovery(local.Durable())
 		start := time.Now()
-		rep := replay.New(replay.Config{
-			Warp: rcfg.warp,
-			Emit: func(pkts []packet.Packet, hour time.Time) error {
-				local.ProcessHour(pkts, hour)
-				return nil
-			},
-		})
-		err = rep.Replay(rcfg.path)
-		switch {
-		case err == nil:
-		case errors.Is(err, io.ErrUnexpectedEOF):
-			// A torn capture already emitted everything before the tear;
-			// serve the partial feed and tell the operator (exiotctl
-			// capinfo triages the damaged file).
-			fmt.Printf("warning: %v\n", err)
-		default:
+		ran, end, err := driveLocal(local, w, hours, replayIn, replayWarp)
+		if err != nil {
 			return err
 		}
-		if rep.Hours() == 0 {
-			return fmt.Errorf("replay %s: no capture hours ingested", rcfg.path)
-		}
-		local.Finish(rep.End())
+		local.Finish(end)
 		if err := local.Close(); err != nil {
 			return fmt.Errorf("close state dir: %w", err)
 		}
 		c := local.Server().Counters()
-		fmt.Printf("replayed %d h (%d packets) in %v: %d records, %d banner labels, %d retrains, %d emails\n",
-			rep.Hours(), rep.Packets(), time.Since(start).Round(time.Millisecond),
-			c.RecordsCreated, c.BannersLabeled, c.ModelRetrains, c.EmailsSent)
-		fmt.Print(telemetry.Default().StageSummary())
-		telemetry.DefaultHealth().Freeze()
-		source = local.Server()
-	} else if simulate {
-		pcfg.Durable = dcfg
-		local, err := pipeline.NewDurableLocal(pcfg, w, w.Registry(), mailer)
-		if err != nil {
-			return fmt.Errorf("open state dir: %w", err)
-		}
-		if d := local.Durable(); d != nil {
-			if r := d.Recovery(); r.Events() > 0 {
-				fmt.Printf("recovered feed state: snapshot through seq %d (%d events) + %d WAL events replayed",
-					r.SnapshotSeq, r.SnapshotEvents, r.ReplayedEvents)
-				if r.Truncated {
-					fmt.Print(" (torn tail truncated; regeneration heals it)")
-				}
-				fmt.Println()
-			}
-		}
-		start := time.Now()
-		// On resume the world regenerates every hour from the shared seed;
-		// deliveries already covered by the recovered state are skipped, so
-		// the run continues exactly where the previous process stopped.
-		for h := 0; h < hours; h++ {
-			hour := w.Start().Add(time.Duration(h) * time.Hour)
-			local.ProcessHour(w.GenerateHour(hour), hour)
-		}
-		local.Finish(w.Start().Add(time.Duration(hours) * time.Hour))
-		if err := local.Close(); err != nil {
-			return fmt.Errorf("close state dir: %w", err)
-		}
-		c := local.Server().Counters()
-		fmt.Printf("simulated %d h in %v: %d records, %d banner labels, %d retrains, %d emails\n",
-			hours, time.Since(start).Round(time.Millisecond),
+		fmt.Printf("%s in %v: %d records, %d banner labels, %d retrains, %d emails\n",
+			ran, time.Since(start).Round(time.Millisecond),
 			c.RecordsCreated, c.BannersLabeled, c.ModelRetrains, c.EmailsSent)
 		fmt.Print(telemetry.Default().StageSummary())
 		// The batch run is over; the process now serves a static feed.
@@ -231,63 +174,27 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 		telemetry.DefaultHealth().Freeze()
 		source = local.Server()
 	} else {
-		server := pipeline.NewServer(pcfg.Server, w, w.Registry(), mailer)
-		source = server
-		var dur *pipeline.Durable
-		if dcfg.Dir != "" {
-			var err error
-			if dur, err = pipeline.OpenDurable(dcfg, server); err != nil {
-				return fmt.Errorf("open state dir: %w", err)
-			}
-			defer dur.Close()
-			if r := dur.Recovery(); r.Events() > 0 {
-				fmt.Printf("recovered feed state: snapshot through seq %d (%d events) + %d WAL events replayed\n",
-					r.SnapshotSeq, r.SnapshotEvents, r.ReplayedEvents)
-			}
+		back, err := pipeline.NewBackHalf(pcfg, w, w.Registry(), mailer)
+		if err != nil {
+			return fmt.Errorf("open state dir: %w", err)
 		}
+		defer back.Close()
+		printRecovery(back.Durable())
+		source = back.Server()
 		// The recovered state's model (retrained from the restored window)
 		// wins over the disk archive: it matches the recovered feed.
-		if modelDir != "" && server.LastModel() == nil {
-			if err := server.RestoreModel(modelDir); err != nil {
+		if modelDir != "" && source.LastModel() == nil {
+			if err := source.RestoreModel(modelDir); err != nil {
 				return fmt.Errorf("restore model: %w", err)
 			}
-			if m := server.LastModel(); m != nil {
+			if m := source.LastModel(); m != nil {
 				fmt.Printf("restored model trained %s (AUC %.3f)\n", m.TrainedAt.Format(time.RFC3339), m.AUC)
 			}
 		}
 		// The wire carries the streams of -shards flowsampler nodes; the
 		// aggregator reorders, dedups, and merges them into the canonical
-		// hour before anything reaches the feed modules.
-		agg := pipeline.NewAggregator(pipeline.AggregatorConfig{
-			Shards:          shards,
-			CollectionDelay: pcfg.CollectionDelay,
-			ProcessingDelay: pcfg.ProcessingDelay,
-			Emit: func(e pipeline.SamplerEvent, availableAt time.Time) {
-				// Events selected by the sender's deterministic trace
-				// ID pick their trace back up at merge time.
-				pipeline.TraceIncoming(&e, time.Now())
-				// WAL ahead of delivery, in arrival order. Delivery is
-				// synchronous, so every appended sequence is applied by
-				// the time the hour has merged and a snapshot is tried.
-				if dur != nil {
-					dur.Append(e, availableAt)
-				}
-				server.HandleEvent(e, availableAt)
-			},
-			OnHourMerged: func(hourEnd, availableAt time.Time, final bool) {
-				// The same housekeeping Local.ProcessHour does at an hour
-				// end. The end-of-input FlushScans is not a logged input:
-				// only a snapshot taken after it keeps the last batch's
-				// records across a restart, so final forces one.
-				if final {
-					server.FlushScans(availableAt)
-				}
-				server.Tick(availableAt)
-				if dur != nil {
-					dur.MaybeSnapshot(availableAt, final)
-				}
-			},
-		})
+		// hour before the back half sees them.
+		agg := back.Receive(shards)
 		recv, err := wire.NewReceiver(listen, func(f wire.Frame) {
 			if err := agg.Ingest(f); err != nil {
 				log.Printf("cluster ingest: %v", err)
@@ -312,6 +219,53 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 		snap.Len(), len(snap.ExportNDJSON()), len(snap.ExportGzip()), rebuildEvery)
 	fmt.Printf("REST API on http://%s (key: %s)\n", apiAddr, apiKey)
 	return http.ListenAndServe(apiAddr, apiSrv)
+}
+
+// driveLocal runs the input's hours through local — the capture at
+// replayIn, or else the simulated world's first hours — and returns what
+// ran, for the summary, and the end of the last hour.
+func driveLocal(local *pipeline.Local, w *simnet.World, hours int, replayIn string, warp float64) (string, time.Time, error) {
+	if replayIn == "" {
+		for h := 0; h < hours; h++ {
+			hour := w.Start().Add(time.Duration(h) * time.Hour)
+			local.ProcessHour(w.GenerateHour(hour), hour)
+		}
+		return fmt.Sprintf("simulated %d h", hours), w.Start().Add(time.Duration(hours) * time.Hour), nil
+	}
+	rep := replay.New(replay.Config{
+		Warp: warp,
+		Emit: func(pkts []packet.Packet, hour time.Time) error {
+			local.ProcessHour(pkts, hour)
+			return nil
+		},
+	})
+	switch err := rep.Replay(replayIn); {
+	case err == nil:
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		// A torn capture already emitted everything before the tear;
+		// serve the partial feed and tell the operator (exiotctl
+		// capinfo triages the damaged file).
+		fmt.Printf("warning: %v\n", err)
+	default:
+		return "", time.Time{}, err
+	}
+	if rep.Hours() == 0 {
+		return "", time.Time{}, fmt.Errorf("replay %s: no capture hours ingested", replayIn)
+	}
+	return fmt.Sprintf("replayed %d h (%d packets)", rep.Hours(), rep.Packets()), rep.End(), nil
+}
+
+// printRecovery reports the state recovered from -state-dir, if any.
+func printRecovery(d *pipeline.Durable) {
+	if d == nil || d.Recovery().Events() == 0 {
+		return
+	}
+	r, torn := d.Recovery(), ""
+	if r.Truncated {
+		torn = " (torn tail truncated)"
+	}
+	fmt.Printf("recovered feed state: snapshot through seq %d (%d events) + %d WAL events replayed%s\n",
+		r.SnapshotSeq, r.SnapshotEvents, r.ReplayedEvents, torn)
 }
 
 // serveFeed builds what exiotd serves over the pipeline's server: the

@@ -149,12 +149,3 @@ func (e *Env) IoTIndicators() feed.IndicatorSet {
 	}
 	return s
 }
-
-// AllIndicators returns every source address in the feed.
-func (e *Env) AllIndicators() feed.IndicatorSet {
-	s := make(feed.IndicatorSet)
-	for _, rec := range e.Records() {
-		s.Add(rec.IP)
-	}
-	return s
-}

@@ -42,20 +42,15 @@ type AggregatorConfig struct {
 	// carry ShardCount == N and ShardID < N.
 	Shards int
 
-	// CollectionDelay and ProcessingDelay stamp each merged hour's
-	// feed-availability time, mirroring LocalConfig.
-	CollectionDelay time.Duration
-	ProcessingDelay time.Duration
-
 	// Emit receives every merged event in canonical order together with
-	// the hour's availability time. Runs on the ingesting goroutine,
+	// the end of the hour it belongs to. Runs on the ingesting goroutine,
 	// serialized by the aggregator's lock.
-	Emit func(SamplerEvent, time.Time)
+	Emit func(e SamplerEvent, hourEnd time.Time)
 
 	// OnHourMerged, if set, fires after an hour's events have all been
-	// emitted: hourEnd is the hour's end, final reports whether every
-	// shard marked the hour as its last (end of input).
-	OnHourMerged func(hourEnd, availableAt time.Time, final bool)
+	// emitted: final reports whether every shard marked the hour as its
+	// last (end of input).
+	OnHourMerged func(hourEnd time.Time, final bool)
 
 	// Health receives the merge-liveness check; nil uses the process
 	// default registry.
@@ -299,16 +294,20 @@ func (a *Aggregator) mergeHour(epoch int64) {
 
 	slices.SortFunc(merged, canonCompare)
 
+	// The final barrier travels under the epoch after the last hour's; its
+	// events, the end-of-input flush, belong to the last hour (BackHalf).
 	hourEnd := time.Unix(epoch, 0).UTC()
-	availableAt := hourEnd.Add(a.cfg.CollectionDelay).Add(a.cfg.ProcessingDelay)
+	if final {
+		hourEnd = hourEnd.Add(-time.Hour)
+	}
 	for _, ev := range merged {
-		a.cfg.Emit(ev, availableAt)
+		a.cfg.Emit(ev, hourEnd)
 	}
 	metClusterMergeDepth.Set(float64(len(merged)))
 	metClusterHoursMerged.Inc()
 	a.liveness.Beat()
 	if a.cfg.OnHourMerged != nil {
-		a.cfg.OnHourMerged(hourEnd, availableAt, final)
+		a.cfg.OnHourMerged(hourEnd, final)
 	}
 }
 

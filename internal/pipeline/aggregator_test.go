@@ -72,7 +72,8 @@ func aggReport(sec time.Time, total int, ports map[uint16]int) SamplerEvent {
 	}}
 }
 
-// mergeCapture records everything an aggregator releases downstream.
+// mergeCapture records everything an aggregator releases downstream:
+// ats holds the hour each event was filed under.
 type mergeCapture struct {
 	events []SamplerEvent
 	ats    []time.Time
@@ -83,14 +84,12 @@ type mergeCapture struct {
 func captureAggregator(shards int, health *telemetry.Health) (*Aggregator, *mergeCapture) {
 	cap := &mergeCapture{}
 	agg := NewAggregator(AggregatorConfig{
-		Shards:          shards,
-		CollectionDelay: 3 * time.Hour,
-		ProcessingDelay: 30 * time.Minute,
-		Emit: func(e SamplerEvent, at time.Time) {
+		Shards: shards,
+		Emit: func(e SamplerEvent, hourEnd time.Time) {
 			cap.events = append(cap.events, e)
-			cap.ats = append(cap.ats, at)
+			cap.ats = append(cap.ats, hourEnd)
 		},
-		OnHourMerged: func(hourEnd, _ time.Time, final bool) {
+		OnHourMerged: func(hourEnd time.Time, final bool) {
 			cap.hours = append(cap.hours, hourEnd)
 			cap.finals = append(cap.finals, final)
 		},
@@ -158,7 +157,8 @@ func flatten(ss []*shardStream) []wire.Frame {
 
 // TestAggregatorMergeContent checks the merged stream itself: summed
 // per-second reports, zero-filled gaps with the nil-map convention, and
-// per-hour availability stamps.
+// the hour each event is filed under — the final flush under the last
+// real hour, not its own barrier epoch.
 func TestAggregatorMergeContent(t *testing.T) {
 	ss, hour := clusterFrames(t)
 	agg, cap := captureAggregator(3, telemetry.NewHealth())
@@ -167,8 +167,10 @@ func TestAggregatorMergeContent(t *testing.T) {
 	if len(cap.hours) != 3 {
 		t.Fatalf("merged %d hours, want 3", len(cap.hours))
 	}
-	if got, want := cap.hours[0], hour.Add(time.Hour); !got.Equal(want) {
-		t.Errorf("first merged hour end %v, want %v", got, want)
+	for i, want := range []time.Time{hour.Add(time.Hour), hour.Add(2 * time.Hour), hour.Add(2 * time.Hour)} {
+		if got := cap.hours[i]; !got.Equal(want) {
+			t.Errorf("merged hour %d filed under %v, want %v", i, got, want)
+		}
 	}
 	if cap.finals[0] || cap.finals[1] || !cap.finals[2] {
 		t.Errorf("final flags %v, want [false false true]", cap.finals)
@@ -200,15 +202,19 @@ func TestAggregatorMergeContent(t *testing.T) {
 		t.Errorf("summed second 2 ports %v, want %v", reps[2].PortPackets, want)
 	}
 
-	// Every event of one hour carries that hour's availability stamp.
-	wantAt := hour.Add(time.Hour).Add(3 * time.Hour).Add(30 * time.Minute)
+	// Every event of one hour carries that hour's end; the flush's flow
+	// end (the last event) carries the last real hour's.
+	wantAt := hour.Add(time.Hour)
 	for i, at := range cap.ats {
 		if at.Before(wantAt) {
-			t.Fatalf("event %d available at %v, before first hour's %v", i, at, wantAt)
+			t.Fatalf("event %d filed under %v, before the first hour's %v", i, at, wantAt)
 		}
 	}
 	if !cap.ats[0].Equal(wantAt) {
-		t.Errorf("first event available at %v, want %v", cap.ats[0], wantAt)
+		t.Errorf("first event filed under %v, want %v", cap.ats[0], wantAt)
+	}
+	if last := cap.ats[len(cap.ats)-1]; !last.Equal(hour.Add(2 * time.Hour)) {
+		t.Errorf("final flush filed under %v, want the last hour's end %v", last, hour.Add(2*time.Hour))
 	}
 	if agg.PendingHours() != 0 {
 		t.Errorf("PendingHours() = %d after full drain, want 0", agg.PendingHours())

@@ -59,29 +59,57 @@ func captureBackHalf(tb testing.TB, seed int64, hours int) ([]stampedEvent, *sim
 	return events, w
 }
 
+// backHalfConfig is the back half the tests drive: small scan batches,
+// a cheap trainer, and the given scan-flush worker count.
+func backHalfConfig(seed int64, workers int) LocalConfig {
+	cfg := DefaultLocalConfig()
+	cfg.Server.ScanMod = scanmod.Config{BatchSize: 25, BatchWait: 30 * time.Minute}
+	cfg.Server.Trainer = trainer.Config{SearchIterations: 2, Seed: seed}
+	cfg.Server.Workers = workers
+	return cfg
+}
+
 // backHalfServer builds a fresh feed server over w with the given
 // back-half worker count.
 func backHalfServer(w *simnet.World, seed int64, workers int) *Server {
-	scfg := DefaultServerConfig()
-	scfg.ScanMod = scanmod.Config{BatchSize: 25, BatchWait: 30 * time.Minute}
-	scfg.Trainer = trainer.Config{SearchIterations: 2, Seed: seed}
-	scfg.Workers = workers
-	return NewServer(scfg, w, w.Registry(), &notify.MemoryMailer{})
+	return NewServer(backHalfConfig(seed, workers).Server, w, w.Registry(), &notify.MemoryMailer{})
 }
 
-// replayBackHalf drives a captured event stream into a fresh server with
-// the given back-half worker count.
+// newBackHalf builds the shipped back half over that server's
+// configuration, recovering from dcfg.Dir when set.
+func newBackHalf(tb testing.TB, w *simnet.World, seed int64, workers int, dcfg DurableConfig) *BackHalf {
+	tb.Helper()
+	cfg := backHalfConfig(seed, workers)
+	cfg.Durable = dcfg
+	b, err := NewBackHalf(cfg, w, w.Registry(), &notify.MemoryMailer{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// feedHours hands events[from:to) to b the way the receiver's merge does:
+// each event under its hour, EndHour after each hour's last event, and
+// the stream's last event ends the input.
+func feedHours(b *BackHalf, events []stampedEvent, from, to int) {
+	delay := DefaultLocalConfig().CollectionDelay + DefaultLocalConfig().ProcessingDelay
+	for i := from; i < to; i++ {
+		hourEnd := events[i].at.Add(-delay)
+		b.Deliver(events[i].e, hourEnd)
+		if final := i == len(events)-1; final || !events[i+1].at.Equal(events[i].at) {
+			b.EndHour(hourEnd, final)
+		}
+	}
+}
+
+// replayBackHalf drives a captured event stream into a fresh back half
+// with the given worker count.
 func replayBackHalf(tb testing.TB, seed int64, hours, workers int) *Server {
 	tb.Helper()
 	events, w := captureBackHalf(tb, seed, hours)
-	srv := backHalfServer(w, seed, workers)
-	for _, se := range events {
-		srv.HandleEvent(se.e, se.at)
-	}
-	last := events[len(events)-1].at
-	srv.FlushScans(last)
-	srv.Tick(last)
-	return srv
+	b := newBackHalf(tb, w, seed, workers, DurableConfig{})
+	feedHours(b, events, 0, len(events))
+	return b.Server()
 }
 
 // TestBackHalfFeedEquivalence is the back half's determinism proof: the
@@ -117,32 +145,6 @@ func exportNDJSON(srv *Server) []byte {
 	return srv.NewFeedCache(feedserve.Config{}).Current().ExportNDJSON()
 }
 
-// driveReceiver applies events[from:to) the way exiotd's receive mode
-// does: WAL append (dur may be nil), synchronous HandleEvent, and at each
-// hour's last event the OnHourMerged housekeeping — Tick, then a snapshot
-// attempt. The stream's last event also flushes the scan batch, which no
-// WAL record stands for, so it forces its snapshot.
-func driveReceiver(srv *Server, dur *Durable, events []stampedEvent, from, to int) {
-	for i := from; i < to; i++ {
-		se := events[i]
-		if dur != nil {
-			dur.Append(se.e, se.at)
-		}
-		srv.HandleEvent(se.e, se.at)
-		final := i == len(events)-1
-		if !final && events[i+1].at.Equal(se.at) {
-			continue
-		}
-		if final {
-			srv.FlushScans(se.at)
-		}
-		srv.Tick(se.at)
-		if dur != nil {
-			dur.MaybeSnapshot(se.at, final)
-		}
-	}
-}
-
 // TestDurableReceiverSnapshotsAtHourEnd pins the receiver wiring at
 // Server.Workers 4: an hour end writes its snapshot with scanners still
 // buffered (every appended sequence is applied by then — delivery is
@@ -153,8 +155,9 @@ func TestDurableReceiverSnapshotsAtHourEnd(t *testing.T) {
 	const seed, hours, workers = 213, 8, 4
 	events, w := captureBackHalf(t, seed, hours)
 
-	base := backHalfServer(w, seed, workers)
-	driveReceiver(base, nil, events, 0, len(events))
+	baseHalf := newBackHalf(t, w, seed, workers, DurableConfig{})
+	feedHours(baseHalf, events, 0, len(events))
+	base := baseHalf.Server()
 	want := exportNDJSON(base)
 	if base.Counters().RecordsCreated == 0 {
 		t.Fatal("uninterrupted run produced no records")
@@ -162,13 +165,9 @@ func TestDurableReceiverSnapshotsAtHourEnd(t *testing.T) {
 
 	// Every third hour end is due: hours 1, 4 and 7, not the last.
 	dcfg := DurableConfig{Dir: t.TempDir(), Sync: durable.SyncOff, SnapshotEvery: 3 * time.Hour}
-	open := func() (*Server, *Durable) {
-		srv := backHalfServer(w, seed, workers)
-		dur, err := OpenDurable(dcfg, srv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv, dur
+	open := func() (*BackHalf, *Server, *Durable) {
+		b := newBackHalf(t, w, seed, workers, dcfg)
+		return b, b.Server(), b.Durable()
 	}
 	same := func(when string, srv *Server) {
 		t.Helper()
@@ -184,12 +183,12 @@ func TestDurableReceiverSnapshotsAtHourEnd(t *testing.T) {
 	// buffered and must write its snapshot all the same; then on to two
 	// thirds of the stream and stopped there, mid-hour, with no final
 	// snapshot (Durable.Close takes none).
-	srv, dur := open()
+	b, srv, dur := open()
 	hourEnd := 1
 	for events[hourEnd].at.Equal(events[hourEnd-1].at) {
 		hourEnd++
 	}
-	driveReceiver(srv, dur, events, 0, hourEnd)
+	feedHours(b, events, 0, hourEnd)
 	if srv.scanMod.Pending() == 0 {
 		t.Fatal("the first hour end finds no scanner buffered: the test needs another seed")
 	}
@@ -198,13 +197,13 @@ func TestDurableReceiverSnapshotsAtHourEnd(t *testing.T) {
 			hourEnd, srv.scanMod.Pending(), meta.LastSeq, err)
 	}
 	stop := len(events) * 2 / 3
-	driveReceiver(srv, dur, events, hourEnd, stop)
+	feedHours(b, events, hourEnd, stop)
 	if err := dur.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Second process: snapshot + WAL tail, then the rest of the stream.
-	srv, dur = open()
+	b, srv, dur = open()
 	rec := dur.Recovery()
 	if rec.SnapshotSeq == 0 || rec.ReplayedEvents == 0 {
 		t.Fatalf("recovery did not use snapshot + WAL tail: %+v", rec)
@@ -212,7 +211,7 @@ func TestDurableReceiverSnapshotsAtHourEnd(t *testing.T) {
 	if got := rec.Events(); got != uint64(stop) {
 		t.Fatalf("recovered %d events, the first process applied %d", got, stop)
 	}
-	driveReceiver(srv, dur, events, stop, len(events))
+	feedHours(b, events, stop, len(events))
 	if err := dur.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,7 @@ func TestDurableReceiverSnapshotsAtHourEnd(t *testing.T) {
 
 	// Third process: nothing left to replay, and the final flush's
 	// records are there.
-	srv, dur = open()
+	_, srv, dur = open()
 	if rec := dur.Recovery(); rec.ReplayedEvents != 0 || rec.Events() != uint64(len(events)) {
 		t.Fatalf("restart after the end of input replayed the WAL: %+v", rec)
 	}

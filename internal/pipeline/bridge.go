@@ -109,37 +109,3 @@ func DecodeEvent(f wire.Frame) (SamplerEvent, error) {
 		return SamplerEvent{}, fmt.Errorf("decode event: unknown frame kind %d", f.Kind)
 	}
 }
-
-// TraceIncoming starts a trace for a decoded wire event on the
-// receiving side, recording the transport hop as a "wire" span
-// (receivedAt = the instant the frame arrived, before decoding). The
-// sampling decision is a pure function of the wire-carried trace ID, so
-// sender and receiver select the same events. No-op when tracing is off
-// or the event carries no ID.
-func TraceIncoming(e *SamplerEvent, receivedAt time.Time) {
-	if e.TraceID == 0 || !trace.Default().Enabled() {
-		return
-	}
-	f := trace.Default().Sample(e.TraceID, e.traceIP(), e.traceKind())
-	if f == nil {
-		return
-	}
-	f.Span("wire", receivedAt, receivedAt)
-	e.Trace = f
-}
-
-// traceIP renders the event's source address for trace metadata.
-func (e *SamplerEvent) traceIP() string {
-	if e.Kind == SamplerBatch && e.Batch != nil {
-		return e.Batch.IPString
-	}
-	return e.IP.String()
-}
-
-// traceKind renders the event kind for trace metadata.
-func (e *SamplerEvent) traceKind() string {
-	if e.Kind == SamplerBatch {
-		return "batch"
-	}
-	return "flow_end"
-}

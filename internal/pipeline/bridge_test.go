@@ -7,7 +7,6 @@ import (
 	"exiot/internal/organizer"
 	"exiot/internal/packet"
 	"exiot/internal/simnet"
-	"exiot/internal/telemetry"
 	"exiot/internal/trw"
 	"exiot/internal/wire"
 )
@@ -120,8 +119,8 @@ func TestBridgeErrors(t *testing.T) {
 	}
 }
 
-// TestSplitPipelineOverWire runs the sampler half and the server half in
-// the same process but connected only through the wire transport — the
+// TestSplitPipelineOverWire runs the node half and the server half in the
+// same process but connected only through the wire transport — the
 // deployment shape of cmd/flowsampler + cmd/exiotd at one shard: binary
 // frames, an hour barrier per hour, the aggregator in front of the feed.
 func TestSplitPipelineOverWire(t *testing.T) {
@@ -129,21 +128,13 @@ func TestSplitPipelineOverWire(t *testing.T) {
 	w := newWorld(cfg)
 
 	// Server side.
-	srvCfg := DefaultServerConfig()
-	srvCfg.ScanMod.BatchSize = 20
-	server := NewServer(srvCfg, w, w.Registry(), nil)
-	hoursMerged := 0
-	agg := NewAggregator(AggregatorConfig{
-		Shards: 1,
-		Emit:   server.HandleEvent,
-		OnHourMerged: func(_, at time.Time, final bool) {
-			hoursMerged++
-			if final {
-				server.FlushScans(at)
-			}
-		},
-		Health: telemetry.NewHealth(),
-	})
+	lcfg := DefaultLocalConfig()
+	lcfg.Server.ScanMod.BatchSize = 20
+	back, err := NewBackHalf(lcfg, w, w.Registry(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := back.Receive(1)
 	recv, err := wire.NewReceiver("127.0.0.1:0", func(f wire.Frame) {
 		if err := agg.Ingest(f); err != nil {
 			t.Errorf("ingest: %v", err)
@@ -153,47 +144,30 @@ func TestSplitPipelineOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recv.Close()
+	merged := metClusterHoursMerged.Value()
 
-	// Sampler side, shipping over the wire.
+	// Node side, shipping over the wire.
 	sender := wire.NewSenderV2(recv.Addr(), 0, 1)
 	defer sender.Close()
-	var (
-		epoch  int64
-		encBuf []byte
-	)
-	sampler := NewSampler(trw.Default(), 0, func(e SamplerEvent) {
-		kind, data, err := AppendEncodeEvent(encBuf[:0], e)
-		if err != nil {
-			t.Errorf("encode: %v", err)
-			return
-		}
-		encBuf = data[:0]
-		if err := sender.Queue(kind, epoch, data); err != nil {
-			t.Errorf("queue: %v", err)
-		}
-	})
-
+	node := NewShipper(trw.Default(), 0, 1, sender)
 	const hours = 3
 	for h := 0; h < hours; h++ {
 		hour := w.Start().Add(time.Duration(h) * time.Hour)
-		epoch = hour.Add(time.Hour).Unix()
-		sampler.ProcessHour(w.GenerateHour(hour), hour.Add(time.Hour))
-		if err := sender.Barrier(epoch, false); err != nil {
+		if err := node.ProcessHour(w.GenerateHour(hour), hour); err != nil {
 			t.Fatal(err)
 		}
 	}
-	flushAt := w.Start().Add(hours * time.Hour)
-	epoch = flushAt.Add(time.Hour).Unix()
-	sampler.Flush(flushAt)
-	// Barrier returns once the receiver acked, i.e. after its handler —
-	// and therefore the merge — ran; Close joins the handler goroutine.
-	if err := sender.Barrier(epoch, true); err != nil {
+	// The final barrier returns once the receiver acked, i.e. after its
+	// handler — and therefore the merge — ran; Close joins the handler
+	// goroutine.
+	if err := node.Finish(w.Start().Add(hours * time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	recv.Close()
 
-	if hoursMerged != hours+1 {
-		t.Errorf("merged %d hours, want %d (one per hour + final flush)", hoursMerged, hours+1)
+	server := back.Server()
+	if got := metClusterHoursMerged.Value() - merged; got != hours+1 {
+		t.Errorf("merged %d hours, want %d (one per hour + final flush)", got, hours+1)
 	}
 	if server.Counters().RecordsCreated == 0 {
 		t.Error("no records crossed the wire")

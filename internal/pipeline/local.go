@@ -11,7 +11,8 @@ import (
 	"exiot/internal/zmap"
 )
 
-// LocalConfig parameterizes a single-process pipeline.
+// LocalConfig parameterizes a single-process pipeline; a BackHalf alone
+// ignores the sampler's TRW and MinSamples.
 type LocalConfig struct {
 	TRW        trw.Config
 	MinSamples int
@@ -50,20 +51,14 @@ func DefaultLocalConfig() LocalConfig {
 	}
 }
 
-// Local runs the sampler and the feed server in one process, modeling the
-// availability delays of the distributed deployment so feed latency is
-// still measurable.
+// Local runs the sampler and the feed server's back half in one process,
+// modeling the availability delays of the distributed deployment so feed
+// latency is still measurable.
 type Local struct {
-	cfg     LocalConfig
 	sampler *Sampler
-	server  *Server
-	// durable persists state when configured; skip counts regenerated
-	// events already covered by the recovered state, which are neither
-	// re-logged nor re-delivered.
-	durable *Durable
-	skip    uint64
-
-	availableAt time.Time
+	back    *BackHalf
+	// hourEnd names the hour the sampler is emitting.
+	hourEnd time.Time
 }
 
 // NewLocal assembles a single-process pipeline. When cfg.Durable.Dir is
@@ -81,43 +76,20 @@ func NewLocal(cfg LocalConfig, prober zmap.Prober, reg *registry.Registry, maile
 // state from cfg.Durable.Dir when configured. The error is always nil
 // with durability disabled.
 func NewDurableLocal(cfg LocalConfig, prober zmap.Prober, reg *registry.Registry, mailer notify.Mailer) (*Local, error) {
-	if cfg.CollectionDelay == 0 {
-		cfg.CollectionDelay = DefaultLocalConfig().CollectionDelay
+	back, err := NewBackHalf(cfg, prober, reg, mailer)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.ProcessingDelay == 0 {
-		cfg.ProcessingDelay = DefaultLocalConfig().ProcessingDelay
+	// A resumed run re-drives the same hours: the first events it
+	// regenerates are already part of the recovered state, and
+	// regeneration heals any torn-away WAL tail.
+	if back.durable != nil {
+		back.skip = back.durable.Recovery().Events()
 	}
-	if cfg.Server.Workers == 0 {
-		cfg.Server.Workers = cfg.Workers
-	}
-	l := &Local{cfg: cfg}
-	l.server = NewServer(cfg.Server, prober, reg, mailer)
-	if cfg.Durable.Dir != "" {
-		// Recovery runs here: snapshot restore plus WAL replay through
-		// the normal event path, before the first regenerated hour.
-		dur, err := OpenDurable(cfg.Durable, l.server)
-		if err != nil {
-			return nil, err
-		}
-		l.durable = dur
-		l.skip = dur.Recovery().Events()
-	}
-	// The WAL sits ahead of delivery, in the sampler's (serial) emit
-	// order, and delivery is synchronous, so log order always equals
-	// server apply order. The first skip events of a resumed run are
-	// already part of the recovered state: regeneration heals any
-	// torn-away WAL tail.
-	emit := func(e SamplerEvent) {
-		if l.durable != nil {
-			if l.skip > 0 {
-				l.skip--
-				return
-			}
-			l.durable.Append(e, l.availableAt)
-		}
-		l.server.HandleEvent(e, l.availableAt)
-	}
-	l.sampler = NewSampler(cfg.TRW, cfg.MinSamples, emit)
+	l := &Local{back: back}
+	l.sampler = NewSampler(cfg.TRW, cfg.MinSamples, func(e SamplerEvent) {
+		back.Deliver(e, l.hourEnd)
+	})
 	return l, nil
 }
 
@@ -126,41 +98,28 @@ func NewDurableLocal(cfg LocalConfig, prober zmap.Prober, reg *registry.Registry
 func (l *Local) ProcessHour(pkts []packet.Packet, hour time.Time) {
 	span := telemetry.Default().StartSpan("hour")
 	defer span.End()
-	hourEnd := hour.Add(time.Hour)
-	l.availableAt = hourEnd.Add(l.cfg.CollectionDelay).Add(l.cfg.ProcessingDelay)
-	l.sampler.ProcessHour(pkts, hourEnd)
-	l.server.Tick(l.availableAt)
-	if l.durable != nil && l.skip == 0 {
-		l.durable.MaybeSnapshot(l.availableAt, false)
-	}
+	l.hourEnd = hour.Add(time.Hour)
+	l.sampler.ProcessHour(pkts, l.hourEnd)
+	l.back.EndHour(l.hourEnd, false)
 }
 
-// Finish ends all live flows and flushes pending scans at the end of a
-// run.
+// Finish ends all live flows at now, the end of the last hour, and
+// closes the input: the flush belongs to that hour (BackHalf).
 func (l *Local) Finish(now time.Time) {
-	l.availableAt = now.Add(l.cfg.CollectionDelay).Add(l.cfg.ProcessingDelay)
+	l.hourEnd = now
 	l.sampler.Flush(now)
-	l.server.FlushScans(l.availableAt)
-	l.server.Tick(l.availableAt)
+	l.back.EndHour(now, true)
 }
 
 // Durable exposes the persistence layer (nil when disabled).
-func (l *Local) Durable() *Durable { return l.durable }
+func (l *Local) Durable() *Durable { return l.back.durable }
 
-// Close finalizes persistence: a last snapshot is taken (Finish's
-// FlushScans is not a logged input, so only a snapshot keeps the last
-// batch's records) and the state directory is released. Safe to call
-// with durability disabled.
-func (l *Local) Close() error {
-	if l.durable == nil {
-		return nil
-	}
-	l.durable.MaybeSnapshot(l.availableAt, true)
-	return l.durable.Close()
-}
+// Close releases the state directory; Finish took the last snapshot.
+// Safe to call with durability disabled.
+func (l *Local) Close() error { return l.back.Close() }
 
 // Server exposes the feed-server half (API source, stores, counters).
-func (l *Local) Server() *Server { return l.server }
+func (l *Local) Server() *Server { return l.back.server }
 
 // Sampler exposes the CAIDA-side half (detector statistics).
 func (l *Local) Sampler() *Sampler { return l.sampler }

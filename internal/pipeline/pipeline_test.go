@@ -299,7 +299,7 @@ func TestTrafficAggregation(t *testing.T) {
 	}
 	// The aggregate must match what the detector processed (reports cover
 	// every packet).
-	processed := l.Sampler().PacketsProcessed()
+	processed := l.Sampler().DetectorStats().Processed
 	if total < processed*9/10 || total > processed {
 		t.Errorf("aggregated %d packets, detector processed %d", total, processed)
 	}

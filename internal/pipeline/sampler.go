@@ -91,9 +91,6 @@ type Sampler struct {
 	org      *organizer.Organizer
 	emit     func(SamplerEvent)
 
-	hoursProcessed int
-	packetsTotal   int64
-
 	// pending buffers the current hour's events until the barrier, where
 	// they sort into canonical order and emit.
 	pending []SamplerEvent
@@ -272,8 +269,6 @@ func (s *Sampler) ProcessHour(pkts []packet.Packet, hourEnd time.Time) {
 	}
 	s.detector.EndHour(hourEnd)
 	s.flushPending()
-	s.hoursProcessed++
-	s.packetsTotal += int64(len(pkts))
 	metSamplerPackets.Add(int64(len(pkts)))
 	metSamplerHours.Inc()
 }
@@ -289,6 +284,3 @@ func (s *Sampler) DetectorStats() trw.Stats { return s.detector.Stats() }
 
 // OrganizerStats exposes (accepted, dropped) counters.
 func (s *Sampler) OrganizerStats() (accepted, dropped int64) { return s.org.Stats() }
-
-// PacketsProcessed returns the lifetime packet count.
-func (s *Sampler) PacketsProcessed() int64 { return s.packetsTotal }

@@ -181,7 +181,7 @@ func (s *Server) HandleEvent(e SamplerEvent, availableAt time.Time) {
 	case SamplerBatch:
 		s.handleBatch(e.Batch, availableAt, e.Trace)
 	case SamplerFlowEnd:
-		s.handleFlowEnd(e, availableAt)
+		s.handleFlowEnd(e)
 	case SamplerReport:
 		s.traffic.add(e.Report)
 		s.mu.Lock()
@@ -324,7 +324,7 @@ func (s *Server) finishRecord(b *organizer.Batch, rec feed.Record, raw []float64
 
 	// A flow end may have raced ahead of the scan batch; apply it now.
 	if end, ok := s.takeParkedEnd(b.IP); ok {
-		s.handleFlowEnd(end, appearedAt)
+		s.handleFlowEnd(end)
 	}
 }
 
@@ -338,7 +338,7 @@ func (s *Server) takeParkedEnd(ip packet.IP) (SamplerEvent, bool) {
 	return end, ok
 }
 
-func (s *Server) handleFlowEnd(e SamplerEvent, availableAt time.Time) {
+func (s *Server) handleFlowEnd(e SamplerEvent) {
 	ipStr := e.IP.String()
 	idStr, ok := s.active.Get(activeKey(ipStr))
 	if !ok {
@@ -376,7 +376,6 @@ func (s *Server) handleFlowEnd(e SamplerEvent, availableAt time.Time) {
 	metFeedFlowEnds.Inc()
 	metFeedActive.Set(float64(s.active.Len()))
 	s.finishEndTrace(e, "applied")
-	_ = availableAt
 }
 
 // finishEndTrace closes out a flow-end event's trace (no-op when
@@ -462,25 +461,6 @@ func (s *Server) RestoreModel(dir string) error {
 	s.lastModel = m
 	s.lastRetrain = m.TrainedAt
 	s.mu.Unlock()
-	return nil
-}
-
-// ForceRetrain runs a training cycle immediately (experiments).
-func (s *Server) ForceRetrain(now time.Time) error {
-	m, err := s.trainer.Retrain(now)
-	if err != nil {
-		return err
-	}
-	s.installModel(m)
-	s.mu.Lock()
-	s.lastModel = m
-	s.counters.ModelRetrains++
-	s.lastRetrain = now
-	hook := s.onRetrain
-	s.mu.Unlock()
-	if hook != nil {
-		hook(m, now)
-	}
 	return nil
 }
 

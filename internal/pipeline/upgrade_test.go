@@ -76,14 +76,10 @@ func copyWALV1(tb testing.TB) string {
 	return dir
 }
 
-func openWALV1(tb testing.TB, w *simnet.World, dir string) (*Server, *Durable) {
+func openWALV1(tb testing.TB, w *simnet.World, dir string) (*BackHalf, *Server, *Durable) {
 	tb.Helper()
-	srv := backHalfServer(w, walV1Seed, 1)
-	dur, err := OpenDurable(DurableConfig{Dir: dir, Sync: durable.SyncOff}, srv)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return srv, dur
+	b := newBackHalf(tb, w, walV1Seed, 1, DurableConfig{Dir: dir, Sync: durable.SyncOff})
+	return b, b.Server(), b.Durable()
 }
 
 // TestRecoverParentFormatWAL is the upgrade: a state directory the
@@ -112,7 +108,7 @@ func TestRecoverParentFormatWAL(t *testing.T) {
 	w := walV1World()
 
 	// The directory as committed.
-	srv, dur := openWALV1(t, w, copyWALV1(t))
+	_, srv, dur := openWALV1(t, w, copyWALV1(t))
 	rec := dur.Recovery()
 	if rec.SnapshotSeq != golden.SnapshotSeq || rec.ReplayedEvents != golden.ReplayedEvents ||
 		rec.Events() != golden.Events || rec.Truncated {
@@ -146,8 +142,9 @@ func TestRecoverParentFormatWAL(t *testing.T) {
 	if err != nil || uint64(len(events)) != golden.Events {
 		t.Fatalf("decoded %d of the fixture's %d events (%v)", len(events), golden.Events, err)
 	}
-	base := backHalfServer(w, walV1Seed, 1)
-	driveReceiver(base, nil, events, 0, len(events))
+	baseHalf := newBackHalf(t, w, walV1Seed, 1, DurableConfig{})
+	feedHours(baseHalf, events, 0, len(events))
+	base := baseHalf.Server()
 	want := exportNDJSON(base)
 
 	// The parent stopped earlier: every append is one write, so a kill
@@ -168,11 +165,11 @@ func TestRecoverParentFormatWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, dur = openWALV1(t, w, dir)
+	b, srv, dur := openWALV1(t, w, dir)
 	if got := dur.Recovery().Events(); got != uint64(stop) {
 		t.Fatalf("recovered %d events from a log cut after %d", got, stop)
 	}
-	driveReceiver(srv, dur, events, stop, again)
+	feedHours(b, events, stop, again)
 	if err := dur.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +186,12 @@ func TestRecoverParentFormatWAL(t *testing.T) {
 	}
 
 	// Second hard stop, over both formats.
-	srv, dur = openWALV1(t, w, dir)
+	b, srv, dur = openWALV1(t, w, dir)
 	if rec := dur.Recovery(); rec.Events() != uint64(again) || rec.Truncated ||
 		rec.ReplayedEvents != again-int(rec.SnapshotSeq) {
 		t.Fatalf("recovery over the mixed log: %+v, want %d events", rec, again)
 	}
-	driveReceiver(srv, dur, events, again, len(events))
+	feedHours(b, events, again, len(events))
 	if err := dur.Close(); err != nil {
 		t.Fatal(err)
 	}

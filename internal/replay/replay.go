@@ -4,9 +4,9 @@
 // ROADMAP's "real-pcap and adversarial ingestion" item calls for: read a
 // capture (hourly directory or single file, plain or gzip), group the
 // packets into the same hour batches simnet produces, and hand each hour
-// to an Emit callback — exiotd's Local.ProcessHour or flowsampler's
-// sampler+barrier path — so a replayed capture drives the exact EndHour
-// sweep cadence live ingestion does, including empty hours.
+// to an Emit callback — pipeline.Local.ProcessHour in exiotd, the
+// pipeline.Shipper in flowsampler — so a replayed capture drives the
+// exact EndHour sweep cadence live ingestion does, including empty hours.
 //
 // Scheduling is a deterministic virtual clock: at Warp == 0 ("as fast as
 // possible") the loop never reads a wall clock and never sleeps, so a
@@ -119,8 +119,8 @@ func (r *Replayer) Packets() int64 { return r.packets }
 func (r *Replayer) Hours() int64 { return r.hours }
 
 // End returns the start of the pseudo-hour after the last emitted hour —
-// the instant to pass to Local.Finish (or use as the final barrier
-// epoch) once replay completes. Zero if nothing was emitted.
+// the instant to pass to Local.Finish or Shipper.Finish once replay
+// completes. Zero if nothing was emitted.
 func (r *Replayer) End() time.Time {
 	if !r.started {
 		return time.Time{}
@@ -146,14 +146,20 @@ func (r *Replayer) Replay(path string) error {
 
 // ReplayDir replays every hourly capture in dir in chronological order,
 // filling gaps between published hours with empty emits so the
-// pipeline's hourly flow-end sweeps keep their cadence.
+// pipeline's hourly flow-end sweeps keep their cadence. Hours already
+// emitted are skipped, so calling it again as the directory grows (a
+// follower polling for newly published hours) emits each hour once; a
+// call that finds nothing new emits nothing.
 func (r *Replayer) ReplayDir(dir string) error {
 	hours, err := pcapio.ListHours(dir)
 	if err != nil {
 		return err
 	}
+	for r.started && len(hours) > 0 && hours[0].Before(r.curHour) {
+		hours = hours[1:]
+	}
 	if len(hours) == 0 {
-		return fmt.Errorf("replay: no capture hours found in %s", dir)
+		return nil
 	}
 	for _, hour := range hours {
 		// Open before flushing the previous hour: the capture's read-ahead

@@ -114,6 +114,50 @@ func TestReplayDirGapFill(t *testing.T) {
 	}
 }
 
+// TestReplayDirFollowsGrowingDir is the follower's contract: ReplayDir
+// called again after the directory gained an hour emits only what is new,
+// filling the gap before it, and a call that finds nothing new (or an
+// empty directory) emits nothing.
+func TestReplayDirFollowsGrowingDir(t *testing.T) {
+	dir := t.TempDir()
+	base := time.Date(2021, 4, 8, 0, 0, 0, 0, time.UTC)
+	var rec emitRecorder
+	r := New(Config{Emit: rec.emit})
+	if err := r.ReplayDir(dir); err != nil || len(rec.hours) != 0 {
+		t.Fatalf("empty directory: %d hours emitted, err %v", len(rec.hours), err)
+	}
+	writeHour(t, dir, base, 20, 1)
+	writeHour(t, dir, base.Add(time.Hour), 30, 2)
+	if err := r.ReplayDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ReplayDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.hours) != 2 {
+		t.Fatalf("two calls over two hours emitted %d hours, want 2", len(rec.hours))
+	}
+	// Hour 2 is never published; hour 3 is.
+	want3 := writeHour(t, dir, base.Add(3*time.Hour), 40, 3)
+	if err := r.ReplayDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.hours) != 4 {
+		t.Fatalf("emitted %d hours after the directory grew, want 4", len(rec.hours))
+	}
+	for i, h := range rec.hours {
+		if want := base.Add(time.Duration(i) * time.Hour); !h.Equal(want) {
+			t.Errorf("emit %d: hour %v, want %v", i, h, want)
+		}
+	}
+	if n := []int{len(rec.pkts[0]), len(rec.pkts[1]), len(rec.pkts[2]), len(rec.pkts[3])}; n[0] != 20 || n[1] != 30 || n[2] != 0 || n[3] != len(want3) {
+		t.Errorf("hours carried %v packets, want [20 30 0 %d]", n, len(want3))
+	}
+	if r.Packets() != 90 || r.Hours() != 4 || !r.End().Equal(base.Add(4*time.Hour)) {
+		t.Errorf("Packets %d, Hours %d, End %v; want 90, 4, %v", r.Packets(), r.Hours(), r.End(), base.Add(4*time.Hour))
+	}
+}
+
 // TestReplayFileHourBoundaries proves single-file replay derives hour
 // boundaries from packet timestamps, including empty fills for silent
 // hours in the middle of the capture.

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"exiot/internal/packet"
 	"exiot/internal/pipeline"
 	"exiot/internal/telemetry"
 	"exiot/internal/trw"
@@ -63,71 +62,75 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
+// mergeLink stands in for one node's wire connection: it numbers the
+// node's frames the way wire.Sender does and hands each straight to the
+// Aggregator, so a partitioned run needs no TCP.
+type mergeLink struct {
+	agg          *pipeline.Aggregator
+	shard, count int
+	seq          uint64
+}
+
+func (l *mergeLink) Queue(kind wire.Kind, epoch int64, payload []byte) error {
+	return l.ingest(kind, epoch, 0, payload)
+}
+
+func (l *mergeLink) Barrier(epoch int64, final bool) error {
+	var flags uint8
+	if final {
+		flags = wire.FlagFinal
+	}
+	return l.ingest(wire.KindHourEnd, epoch, flags, nil)
+}
+
+func (l *mergeLink) ingest(kind wire.Kind, epoch int64, flags uint8, payload []byte) error {
+	l.seq++
+	return l.agg.Ingest(wire.Frame{
+		Seq: l.seq, Kind: kind, Payload: payload, Version: wire.Version2, Flags: flags,
+		ShardID: uint16(l.shard), ShardCount: uint16(l.count), HourEpoch: epoch,
+	})
+}
+
 // partitionedDigest runs a scenario the way an n-node cluster does and
-// returns RunTap's digest over the merged stream: n samplers each fed
-// the trw.ShardIndex slice of every hour (the `flowsampler -shard i/n`
-// filter), their events shipped as v2 wire frames with per-shard
-// sequence numbers and a barrier closing every hour and the final flush,
-// ingested shard after shard, hour by hour, into one Aggregator.
+// returns RunTap's digest over the merged stream: n pipeline.Shippers —
+// the `flowsampler -shard i/n` node half — each fed every hour, ship
+// through in-process links, node after node, hour by hour, into one
+// Aggregator.
 func partitionedDigest(t *testing.T, sc Scenario, seed int64, hours, n int) uint64 {
 	t.Helper()
 	w, _ := sc.Setup(seed, hours)
-	encode := func(e pipeline.SamplerEvent) (wire.Kind, []byte) {
-		kind, data, err := pipeline.AppendEncodeEvent(nil, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return kind, data
-	}
 	digest := fnv.New64a()
 	final := false
 	agg := pipeline.NewAggregator(pipeline.AggregatorConfig{
 		Shards: n,
 		Health: telemetry.NewHealth(),
 		Emit: func(e pipeline.SamplerEvent, _ time.Time) {
-			kind, data := encode(e)
+			kind, data, err := pipeline.AppendEncodeEvent(nil, e)
+			if err != nil {
+				t.Fatal(err)
+			}
 			digest.Write([]byte{byte(kind)})
 			digest.Write(data)
 		},
-		OnHourMerged: func(_, _ time.Time, f bool) { final = f },
+		OnHourMerged: func(_ time.Time, f bool) { final = f },
 	})
-	var epoch int64
-	seq := make([]uint64, n)
-	ship := func(shard int, kind wire.Kind, flags uint8, payload []byte) {
-		seq[shard]++
-		if err := agg.Ingest(wire.Frame{
-			Seq: seq[shard], Kind: kind, Payload: payload, Version: wire.Version2, Flags: flags,
-			ShardID: uint16(shard), ShardCount: uint16(n), HourEpoch: epoch,
-		}); err != nil {
+	nodes := make([]*pipeline.Shipper, n)
+	for i := range nodes {
+		nodes[i] = pipeline.NewShipper(trw.Default(), i, n, &mergeLink{agg: agg, shard: i, count: n})
+	}
+	for h := 0; h < hours; h++ {
+		hour := w.Start().Add(time.Duration(h) * time.Hour)
+		pkts := w.GenerateHourWorkers(hour, 4)
+		for _, node := range nodes {
+			if err := node.ProcessHour(pkts, hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, node := range nodes {
+		if err := node.Finish(w.Start().Add(time.Duration(hours) * time.Hour)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	samplers := make([]*pipeline.Sampler, n)
-	for i := range samplers {
-		samplers[i] = pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
-			kind, payload := encode(e)
-			ship(i, kind, 0, payload)
-		})
-	}
-	mine := make([][]packet.Packet, n)
-	for h := 0; h < hours; h++ {
-		hourEnd := w.Start().Add(time.Duration(h+1) * time.Hour)
-		epoch = hourEnd.Unix()
-		for _, p := range w.GenerateHourWorkers(hourEnd.Add(-time.Hour), 4) {
-			si := trw.ShardIndex(p.SrcIP, n)
-			mine[si] = append(mine[si], p)
-		}
-		for i, s := range samplers {
-			s.ProcessHour(mine[i], hourEnd)
-			ship(i, wire.KindHourEnd, 0, nil)
-			mine[i] = mine[i][:0]
-		}
-	}
-	flushAt := w.Start().Add(time.Duration(hours) * time.Hour)
-	epoch = flushAt.Add(time.Hour).Unix()
-	for i, s := range samplers {
-		s.Flush(flushAt)
-		ship(i, wire.KindHourEnd, wire.FlagFinal, nil)
 	}
 	if !final || agg.PendingHours() != 0 {
 		t.Fatalf("merge incomplete: final=%v, %d hours pending", final, agg.PendingHours())

@@ -68,10 +68,13 @@ func RunTap(sc Scenario, seed int64, hours, workers int) (Result, uint64, Truth)
 		packets += int64(len(pergen[h]))
 	}
 
-	lcfg := pipeline.DefaultLocalConfig()
-	delay := lcfg.CollectionDelay + lcfg.ProcessingDelay
-	srv := pipeline.NewServer(pipeline.DefaultServerConfig(), w, w.Registry(), nil)
-	var at time.Time
+	// The digest taps the sampler; the events go on into the shipped
+	// back half, exactly as in pipeline.Local.
+	back, err := pipeline.NewBackHalf(pipeline.DefaultLocalConfig(), w, w.Registry(), nil)
+	if err != nil {
+		panic(err) // unreachable: no state directory
+	}
+	var hourEnd time.Time
 	digest := fnv.New64a()
 	var encBuf []byte
 	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
@@ -80,24 +83,20 @@ func RunTap(sc Scenario, seed int64, hours, workers int) (Result, uint64, Truth)
 			digest.Write(data)
 			encBuf = data[:0]
 		}
-		srv.HandleEvent(e, at)
+		back.Deliver(e, hourEnd)
 	})
 
 	started := time.Now()
 	for h, pkts := range pergen {
-		hourEnd := w.Start().Add(time.Duration(h+1) * time.Hour)
-		at = hourEnd.Add(delay)
+		hourEnd = w.Start().Add(time.Duration(h+1) * time.Hour)
 		sampler.ProcessHour(pkts, hourEnd)
-		srv.Tick(at)
+		back.EndHour(hourEnd, false)
 	}
-	flushAt := w.Start().Add(time.Duration(hours) * time.Hour)
-	at = flushAt.Add(time.Hour).Add(delay)
-	sampler.Flush(flushAt)
-	srv.FlushScans(at)
-	srv.Tick(at)
+	sampler.Flush(hourEnd)
+	back.EndHour(hourEnd, true)
 	elapsed := time.Since(started)
 
-	res := score(w, truth, srv)
+	res := score(w, truth, back.Server())
 	res.Name = sc.Name
 	res.Hours = hours
 	res.Workers = workers

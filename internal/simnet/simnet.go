@@ -103,14 +103,6 @@ func (h *Host) ActiveDuring(from, to time.Time) bool {
 	return false
 }
 
-// FirstActive returns the start of the host's first scan session.
-func (h *Host) FirstActive() time.Time {
-	if len(h.sessions) == 0 {
-		return time.Time{}
-	}
-	return h.sessions[0].start
-}
-
 // FirstActiveIn returns the start of the host's first scan session
 // overlapping [from, to).
 func (h *Host) FirstActiveIn(from, to time.Time) (time.Time, bool) {

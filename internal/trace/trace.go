@@ -51,28 +51,9 @@ var (
 )
 
 // ID identifies one traced sampler event. It is a pure function of the
-// flow's source address, its trigger hour, and the sampler's event
-// sequence number, so every pipeline replica and replay derives the
-// same value. Zero means "no trace".
+// event's content (EventID), so every pipeline replica and replay
+// derives the same value. Zero means "no trace".
 type ID uint64
-
-// NewID derives the deterministic trace ID for an event from a local
-// sequence counter. EventID is preferred where the same event can be
-// produced by different processes (a sharded cluster): a node-local
-// sequence diverges across deployment shapes, event content does not.
-func NewID(ip packet.IP, triggerHour time.Time, seq uint64) ID {
-	var buf [20]byte
-	binary.BigEndian.PutUint32(buf[0:], uint32(ip))
-	binary.BigEndian.PutUint64(buf[4:], uint64(triggerHour.Unix()))
-	binary.BigEndian.PutUint64(buf[12:], seq)
-	h := fnv.New64a()
-	h.Write(buf[:])
-	id := ID(h.Sum64())
-	if id == 0 {
-		id = 1 // reserve 0 for "untraced"
-	}
-	return id
-}
 
 // EventID derives the deterministic trace ID for a sampler event purely
 // from the event's own content: the flow's source address, the event

@@ -15,29 +15,33 @@ import (
 
 func testIP(n uint32) packet.IP { return packet.IP(n) }
 
-func TestNewIDDeterministic(t *testing.T) {
-	hour := time.Date(2023, 4, 1, 12, 0, 0, 0, time.UTC)
-	a := NewID(testIP(0x01020304), hour, 7)
-	b := NewID(testIP(0x01020304), hour, 7)
+func TestEventIDDeterministic(t *testing.T) {
+	first := time.Date(2023, 4, 1, 12, 0, 0, 0, time.UTC)
+	detected := first.Add(90 * time.Second)
+	a := EventID(testIP(0x01020304), 1, first, detected)
+	b := EventID(testIP(0x01020304), 1, first, detected)
 	if a != b {
 		t.Fatalf("same inputs produced different IDs: %s vs %s", a, b)
 	}
 	if a == 0 {
 		t.Fatal("ID must never be zero (reserved for untraced)")
 	}
-	if c := NewID(testIP(0x01020304), hour, 8); c == a {
-		t.Fatalf("different seq produced the same ID %s", a)
+	if c := EventID(testIP(0x01020304), 2, first, detected); c == a {
+		t.Fatalf("different kind produced the same ID %s", a)
 	}
-	if c := NewID(testIP(0x01020305), hour, 7); c == a {
+	if c := EventID(testIP(0x01020305), 1, first, detected); c == a {
 		t.Fatalf("different IP produced the same ID %s", a)
 	}
-	if c := NewID(testIP(0x01020304), hour.Add(time.Hour), 7); c == a {
-		t.Fatalf("different hour produced the same ID %s", a)
+	if c := EventID(testIP(0x01020304), 1, first.Add(time.Nanosecond), detected); c == a {
+		t.Fatalf("different first timestamp produced the same ID %s", a)
+	}
+	if c := EventID(testIP(0x01020304), 1, first, detected.Add(time.Nanosecond)); c == a {
+		t.Fatalf("different second timestamp produced the same ID %s", a)
 	}
 }
 
 func TestIDStringRoundTrip(t *testing.T) {
-	id := NewID(testIP(0xC0A80101), time.Unix(1700000000, 0), 42)
+	id := EventID(testIP(0xC0A80101), 1, time.Unix(1700000000, 0), time.Unix(1700000042, 0))
 	parsed, err := ParseID(id.String())
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +254,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		tr := NewTracer(NewStore(4096, 8))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			id := NewID(testIP(uint32(i)), hour, uint64(i))
+			id := EventID(testIP(uint32(i)), 1, hour, hour.Add(time.Duration(i)))
 			f := tr.Sample(id, "ip", "batch")
 			f.Span("sampler", hour, hour)
 			tr.Finish(f)
@@ -261,7 +265,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		tr.SetSampleEvery(1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			id := NewID(testIP(uint32(i)), hour, uint64(i))
+			id := EventID(testIP(uint32(i)), 1, hour, hour.Add(time.Duration(i)))
 			f := tr.Sample(id, "ip", "batch")
 			f.Span("sampler", hour, hour)
 			tr.Finish(f)

@@ -139,9 +139,6 @@ func (s *SPRT) observe(step float64) Verdict {
 	return s.verdict
 }
 
-// Verdict returns the current decision state.
-func (s *SPRT) Verdict() Verdict { return s.verdict }
-
 // Observed returns the number of observations consumed.
 func (s *SPRT) Observed() int { return s.observed }
 

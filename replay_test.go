@@ -19,7 +19,6 @@ import (
 	"exiot/internal/pipeline"
 	"exiot/internal/replay"
 	"exiot/internal/simnet"
-	"exiot/internal/trw"
 )
 
 // writeCaptureDir persists each generated hour as the hourly pcap.gz
@@ -43,39 +42,25 @@ func writeCaptureDir(t *testing.T, dir string, w *simnet.World, hours [][]packet
 	}
 }
 
-// runReplayNode drives the single-node pipeline from the capture
-// directory via the replay engine instead of in-memory hours — the
-// exiotd -replay path.
-func runReplayNode(t *testing.T, w *simnet.World, dir string) *pipeline.Server {
+// replayLocal is exiotd -replay: pipeline.Local driven from a capture
+// (directory or single file) by the replay engine at warp=0.
+func replayLocal(t *testing.T, w *simnet.World, path string) *pipeline.Server {
 	t.Helper()
-	lcfg := pipeline.DefaultLocalConfig()
-	delay := lcfg.CollectionDelay + lcfg.ProcessingDelay
-	srv := pipeline.NewServer(pipeline.DefaultServerConfig(), w, w.Registry(), nil)
-	var at time.Time
-	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
-		srv.HandleEvent(e, at)
-	})
+	local := pipeline.NewLocal(pipeline.DefaultLocalConfig(), w, w.Registry(), nil)
 	rep := replay.New(replay.Config{
 		// warp=0: no pacing, and the engine must never consult a clock.
 		Now:   func() time.Time { t.Error("replay consulted wall clock at warp=0"); return time.Time{} },
 		Sleep: func(time.Duration) { t.Error("replay slept at warp=0") },
 		Emit: func(pkts []packet.Packet, hour time.Time) error {
-			hourEnd := hour.Add(time.Hour)
-			at = hourEnd.Add(delay)
-			sampler.ProcessHour(pkts, hourEnd)
-			srv.Tick(at)
+			local.ProcessHour(pkts, hour)
 			return nil
 		},
 	})
-	if err := rep.ReplayDir(dir); err != nil {
+	if err := rep.Replay(path); err != nil {
 		t.Fatal(err)
 	}
-	flushAt := rep.End()
-	at = flushAt.Add(time.Hour).Add(delay)
-	sampler.Flush(flushAt)
-	srv.FlushScans(at)
-	srv.Tick(at)
-	return srv
+	local.Finish(rep.End())
+	return local.Server()
 }
 
 // TestReplayFeedEquivalence is the replay harness's headline proof:
@@ -88,12 +73,12 @@ func TestReplayFeedEquivalence(t *testing.T) {
 	}
 	const hours = 3
 	w, pergen := clusterWorldHours(7331, hours)
-	live := runSingleNode(w, pergen)
+	live := runLocal(w, pergen)
 
 	dir := t.TempDir()
 	captureW, captureGen := clusterWorldHours(7331, hours)
 	writeCaptureDir(t, dir, captureW, captureGen)
-	replayed := runReplayNode(t, captureW, dir)
+	replayed := replayLocal(t, captureW, dir)
 
 	fixed := w.Start().Add(1000 * time.Hour)
 	clock := func() time.Time { return fixed }
@@ -126,7 +111,7 @@ func TestReplaySingleFileEquivalence(t *testing.T) {
 	}
 	const hours = 3
 	w, pergen := clusterWorldHours(7331, hours)
-	live := runSingleNode(w, pergen)
+	live := runLocal(w, pergen)
 
 	dir := t.TempDir()
 	captureW, captureGen := clusterWorldHours(7331, hours)
@@ -147,28 +132,7 @@ func TestReplaySingleFileEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lcfg := pipeline.DefaultLocalConfig()
-	delay := lcfg.CollectionDelay + lcfg.ProcessingDelay
-	srv := pipeline.NewServer(pipeline.DefaultServerConfig(), captureW, captureW.Registry(), nil)
-	var at time.Time
-	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
-		srv.HandleEvent(e, at)
-	})
-	rep := replay.New(replay.Config{Emit: func(pkts []packet.Packet, hour time.Time) error {
-		hourEnd := hour.Add(time.Hour)
-		at = hourEnd.Add(delay)
-		sampler.ProcessHour(pkts, hourEnd)
-		srv.Tick(at)
-		return nil
-	}})
-	if err := rep.ReplayFile(dir + "/" + pcapio.HourFileName(captureW.Start())); err != nil {
-		t.Fatal(err)
-	}
-	flushAt := rep.End()
-	at = flushAt.Add(time.Hour).Add(delay)
-	sampler.Flush(flushAt)
-	srv.FlushScans(at)
-	srv.Tick(at)
+	srv := replayLocal(t, captureW, dir+"/"+pcapio.HourFileName(captureW.Start()))
 
 	fixed := w.Start().Add(1000 * time.Hour)
 	clock := func() time.Time { return fixed }
@@ -176,5 +140,11 @@ func TestReplaySingleFileEquivalence(t *testing.T) {
 	repSnap := srv.NewFeedCache(feedserve.Config{Clock: clock}).Current()
 	if !bytes.Equal(liveSnap.ExportNDJSON(), repSnap.ExportNDJSON()) {
 		t.Error("single-file replay export differs from the live export")
+	}
+	if lc, rc := live.Counters(), srv.Counters(); lc != rc {
+		t.Errorf("server counters differ:\n replay: %+v\n live:   %+v", rc, lc)
+	}
+	if lt, rt := live.Traffic(), srv.Traffic(); !reflect.DeepEqual(lt, rt) {
+		t.Errorf("traffic tables differ: replay %d hours, live %d hours", len(rt), len(lt))
 	}
 }
