@@ -1,151 +1,29 @@
-// Cross-package inertness proof for the operator console: a full
-// simulated day with the console enabled — feed cache rebuilding, the
-// campaign tracker riding the rebuild hook, the stats ring ticking, and
-// a polling client hammering every console endpoint throughout the run —
-// must export NDJSON byte-identical to the console-disabled run, and the
-// untraced packet path must stay at zero allocations per packet with a
-// live console in the process. The console reads counters the pipeline
-// already maintains; it never writes to the feed or the hot path.
 package exiot_test
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"exiot/internal/campaign"
 	"exiot/internal/console"
-	"exiot/internal/feedserve"
 	"exiot/internal/packet"
 	"exiot/internal/trw"
 )
 
-const consoleProofHours = 24
-
-func consoleBaselineRun(t *testing.T, seed int64) feedFingerprint {
-	t.Helper()
-	l, w := durableProofLocal(t, seed, 4, "")
-	driveProofHours(l, w, 0, consoleProofHours)
-	l.Finish(w.Start().Add(consoleProofHours * time.Hour))
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return fingerprintFeed(t, l.Server())
-}
-
+// TestConsoleFeedEquivalence is the operator console's inertness proof:
+// a full day with the console live — the feed cache rebuilding, the
+// campaign tracker riding the rebuild hook, the stats ring ticking and a
+// client polling every console page throughout — exports the feed the
+// console-less run does. The console reads counters the pipeline already
+// keeps; it never writes to the feed or the hot path. The console the
+// client polled saw real data: a full volume ring and tracked campaigns.
 func TestConsoleFeedEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-hour pipeline runs")
-	}
-	const seed = 4242
-	base := consoleBaselineRun(t, seed)
-	if base.ndjson == "" {
-		t.Fatal("baseline run produced an empty feed; the proof would be vacuous")
-	}
-
-	// The console-enabled run: same seed and worker count, but with the
-	// full operator surface live — hourly cache rebuilds feeding the
-	// campaign tracker, a stats tick per hour, and a client polling the
-	// dashboard and every JSON endpoint while hours process.
-	l, w := durableProofLocal(t, seed, 4, "")
-	srv := l.Server()
-	cache := srv.NewFeedCache(feedserve.Config{})
-	defer cache.Close()
-	tracker := campaign.NewTracker(campaign.TrackerConfig{})
-	cache.OnRebuild(func(s *feedserve.Snapshot) {
-		tracker.Update(s.Records(), s.BuiltAt())
-	})
-
-	con := console.New(console.Config{
-		Source:  srv,
-		Why:     srv,
-		Tracker: tracker,
-		Feed:    cache,
-	})
-	mux := http.NewServeMux()
-	con.Register(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	paths := []string{
-		"/console/",
-		"/console/api/overview",
-		"/console/api/traces",
-		"/console/api/campaigns",
-		"/console/api/record/203.0.113.1",
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	var pollMu sync.Mutex
-	polls := 0
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			resp, err := http.Get(ts.URL + paths[i%len(paths)])
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				pollMu.Lock()
-				polls++
-				pollMu.Unlock()
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-
-	for h := 0; h < consoleProofHours; h++ {
-		hour := w.Start().Add(time.Duration(h) * time.Hour)
-		l.ProcessHour(w.GenerateHour(hour), hour)
-		cache.Rebuild()
-		con.Tick(hour)
-	}
-	l.Finish(w.Start().Add(consoleProofHours * time.Hour))
-	cache.Rebuild()
-	close(stop)
-	wg.Wait()
-	if polls == 0 {
+	out := prove(t, consoleWorld, row{name: "workers=4 console", workers: 4, console: true})
+	if out.polls == 0 {
 		t.Fatal("the polling client never completed a request; the proof would be vacuous")
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	fp := fingerprintFeed(t, srv)
-	if fp.ndjson != base.ndjson {
-		t.Fatal("NDJSON export differs between console-enabled and console-disabled runs")
-	}
-	if string(cache.Current().ExportNDJSON()) != base.ndjson {
-		t.Fatal("snapshot export differs from the console-disabled run")
-	}
-
-	// The console the client was polling saw real data: an overview with
-	// a populated volume ring and a tracked campaign set with stable IDs.
-	get := func(path string) []byte {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d: %s", path, resp.StatusCode, body)
-		}
-		return body
+	if string(out.cache.Current().ExportNDJSON()) != out.fp.export {
+		t.Fatal("the console's feed cache exports other bytes than the store walk")
 	}
 	var ov struct {
 		Volume []struct {
@@ -155,11 +33,9 @@ func TestConsoleFeedEquivalence(t *testing.T) {
 			Records int `json:"records"`
 		} `json:"feed"`
 	}
-	if err := json.Unmarshal(get("/console/api/overview"), &ov); err != nil {
-		t.Fatal(err)
-	}
-	if len(ov.Volume) != consoleProofHours {
-		t.Fatalf("volume ring has %d points, want %d", len(ov.Volume), consoleProofHours)
+	decodeJSON(t, get(out.console, "/console/api/overview"), &ov)
+	if len(ov.Volume) != consoleWorld.hours {
+		t.Fatalf("volume ring has %d points, want %d", len(ov.Volume), consoleWorld.hours)
 	}
 	var total float64
 	for _, p := range ov.Volume {
@@ -177,9 +53,7 @@ func TestConsoleFeedEquivalence(t *testing.T) {
 			ID string `json:"id"`
 		} `json:"campaigns"`
 	}
-	if err := json.Unmarshal(get("/console/api/campaigns"), &camps); err != nil {
-		t.Fatal(err)
-	}
+	decodeJSON(t, get(out.console, "/console/api/campaigns"), &camps)
 	if !camps.Tracked {
 		t.Fatal("campaigns endpoint is not in tracked mode")
 	}

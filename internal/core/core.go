@@ -24,11 +24,6 @@ type Config struct {
 	Pipeline pipeline.LocalConfig
 	// APIKeys maps token → client name for the REST API.
 	APIKeys map[string]string
-	// Workers, when non-zero, overrides the worker count for traffic
-	// generation (World.Workers) and — via Pipeline.Workers — the feed
-	// back half's probe pool and annotate fan-out. 1 = serial; results
-	// are identical at any setting.
-	Workers int
 }
 
 // DefaultConfig returns a laptop-scale deployment seeded with seed.
@@ -54,10 +49,6 @@ type System struct {
 func NewSystem(cfg Config) *System {
 	if cfg.World.NumInfected == 0 && cfg.World.NumNonIoT == 0 {
 		cfg.World = simnet.DefaultConfig(cfg.World.Seed)
-	}
-	if cfg.Workers != 0 {
-		cfg.World.Workers = cfg.Workers
-		cfg.Pipeline.Workers = cfg.Workers
 	}
 	s := &System{cfg: cfg}
 	s.world = simnet.NewWorld(cfg.World)

@@ -87,6 +87,7 @@ func (s Scale) systemConfig() core.Config {
 	cfg := core.DefaultConfig(s.Seed)
 	cfg.World = s.worldConfig()
 	cfg.Pipeline = pipeline.DefaultLocalConfig()
+	cfg.Pipeline.Workers = s.Workers
 	cfg.Pipeline.Server.ScanMod = scanmod.Config{BatchSize: 200, BatchWait: 45 * time.Minute}
 	cfg.Pipeline.Server.Trainer = trainer.Config{
 		WindowDays:       14,
@@ -94,7 +95,6 @@ func (s Scale) systemConfig() core.Config {
 		SearchIterations: s.SearchIterations,
 		Seed:             s.Seed,
 	}
-	cfg.Workers = s.Workers
 	return cfg
 }
 

@@ -3,11 +3,14 @@ package pcapio
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -155,49 +158,107 @@ func FuzzReaderNext(f *testing.F) {
 		f.Add(seed.data, uint16(0))
 		f.Add(seed.data, uint16(7))
 	}
-	scratch := make([]byte, snapLen)
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
-		open := func() (*Reader, error) {
-			if chunk == 0 {
-				return NewReader(bytes.NewReader(data))
-			}
-			return NewReader(&chunkReader{data: data, n: int(chunk)})
+		var src io.Reader = bytes.NewReader(data)
+		if chunk != 0 {
+			src = &chunkReader{data: data, n: int(chunk)}
 		}
-		got, gotErr := open()
+		got, gotErr := NewReader(src)
 		// The reference reads through a window of its own.
 		want, wantErr := newReaderBuf(bufio.NewReaderSize(bytes.NewReader(data), bufSize))
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("open: %v, reference %v", gotErr, wantErr)
+		lockstep(t, got, gotErr, want, wantErr, len(data), false)
+	})
+}
+
+// FuzzOpenCapture holds a capture file opened the shipped way — the gzip
+// container sniffed and inflated, the stream handed over through the
+// read-ahead ring — to the reference decoder over gzip.NewReader (or the
+// raw bytes, when they carry no gzip magic): the same packets and the
+// same class of error, for any file contents.
+func FuzzOpenCapture(f *testing.F) {
+	for _, seed := range fuzzSeeds() {
+		var z bytes.Buffer
+		zw := gzip.NewWriter(&z)
+		zw.Write(seed.data)
+		zw.Close()
+		gz := z.Bytes()
+		f.Add(gz)
+		f.Add(gz[:len(gz)-3]) // trailer torn
+		flipped := append([]byte(nil), gz...)
+		flipped[len(flipped)-5] ^= 1 // CRC mismatch
+		f.Add(flipped)
+	}
+	f.Add([]byte{0x1f, 0x8b, 8}) // header torn
+	f.Add(fuzzSeeds()[0].data)   // no gzip container
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "capture.pcap.gz")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if gotErr != nil {
+		hr, gotErr := OpenCapture(path)
+		var got *Reader
+		if gotErr == nil {
+			defer hr.Close()
+			got = hr.Reader
+		}
+		var ref io.Reader = bytes.NewReader(data)
+		var want *Reader
+		var wantErr error
+		if len(data) >= 2 && data[0] == 0x1f && data[1] == 0x8b {
+			ref, wantErr = gzip.NewReader(bytes.NewReader(data))
+		}
+		if wantErr == nil {
+			want, wantErr = newReaderBuf(bufio.NewReaderSize(ref, bufSize))
+		}
+		// A gzip stream inflates to more bytes than it holds (deflate's
+		// ratio is at most 1032:1), and a gzip error is sticky: the walk
+		// ends at the first error.
+		lockstep(t, got, gotErr, want, wantErr, 1032*len(data)+bufSize, true)
+	})
+}
+
+// lockstep reads got and the reference want, opened with errors gotErr
+// and wantErr, in step until the stream ends: both must open or fail
+// alike, then return the same packets and the same class of error at the
+// same Index(), and no packet after a torn record. n bounds the bytes a
+// stream can hold; untilError ends the walk at the first error.
+func lockstep(t *testing.T, got *Reader, gotErr error, want *Reader, wantErr error, n int, untilError bool) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("open: %v, reference %v", gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	scratch := make([]byte, snapLen)
+	torn := false
+	// Every call consumes at least a record header or ends the stream,
+	// so this bounds the walk.
+	for step := 0; step <= n/recHdrLen+2; step++ {
+		var gp, wp packet.Packet
+		gerr, werr := got.Next(&gp), refNext(want, scratch, &wp)
+		if errClass(gerr) != errClass(werr) {
+			t.Fatalf("step %d: %v, reference %v", step, gerr, werr)
+		}
+		if got.Index() != want.Index() {
+			t.Fatalf("step %d: Index() %d, reference %d", step, got.Index(), want.Index())
+		}
+		switch errClass(gerr) {
+		case "packet":
+			if torn {
+				t.Fatalf("step %d: a packet after a torn record", step)
+			}
+			if gp != wp {
+				t.Fatalf("step %d: packet %+v, reference %+v", step, gp, wp)
+			}
+		case "torn":
+			torn = true
+		case "eof":
 			return
 		}
-		torn := false
-		// Every call consumes at least a record header or ends the
-		// stream, so this bounds the walk.
-		for step := 0; step <= len(data)/recHdrLen+2; step++ {
-			var gp, wp packet.Packet
-			gerr, werr := got.Next(&gp), refNext(want, scratch, &wp)
-			if errClass(gerr) != errClass(werr) {
-				t.Fatalf("step %d: %v, reference %v", step, gerr, werr)
-			}
-			if got.Index() != want.Index() {
-				t.Fatalf("step %d: Index() %d, reference %d", step, got.Index(), want.Index())
-			}
-			switch errClass(gerr) {
-			case "packet":
-				if torn {
-					t.Fatalf("step %d: a packet after a torn record", step)
-				}
-				if gp != wp {
-					t.Fatalf("step %d: packet %+v, reference %+v", step, gp, wp)
-				}
-			case "torn":
-				torn = true
-			case "eof":
-				return
-			}
+		if untilError && gerr != nil {
+			return
 		}
-		t.Fatalf("no end of stream within %d records of a %d-byte input", len(data)/recHdrLen+2, len(data))
-	})
+	}
+	t.Fatalf("no end of stream within %d records of a %d-byte input", n/recHdrLen+2, n)
 }

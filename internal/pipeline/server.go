@@ -389,14 +389,17 @@ func (s *Server) finishEndTrace(e SamplerEvent, outcome string) {
 	trace.Default().Finish(e.Trace)
 }
 
-// Tick runs time-driven housekeeping: the daily retrain and historical
-// expiry. Call with the advancing simulated clock. HandleEvent calls it
-// for every event, so both checks are O(1) until something is due: a
-// retrain, or an hour's records lapsing. The scan batch's age flush is
-// not here: the scan module checks it when the next scanner arrives.
+// Tick runs time-driven housekeeping: the daily retrain, historical
+// expiry and the retirement of traffic hours past the same lapse. Call
+// with the advancing simulated clock. HandleEvent calls it for every
+// event, so every check is O(1) until something is due: a retrain, or an
+// hour's records or traffic lapsing. The scan batch's age flush is not
+// here: the scan module checks it when the next scanner arrives.
 func (s *Server) Tick(now time.Time) {
 	s.maybeRetrain(now)
-	s.historical.Expire(now.Add(-s.cfg.HistoricalWindow))
+	cutoff := now.Add(-s.cfg.HistoricalWindow)
+	s.historical.Expire(cutoff)
+	s.traffic.retire(cutoff)
 }
 
 // FlushScans forces the scan module's pending batch through (end of a
@@ -606,8 +609,9 @@ func trimTop(m map[string]int, n int) {
 	}
 }
 
-// Traffic returns the hourly telescope traffic statistics, each hour's
-// port tally trimmed to its top 10 entries.
+// Traffic returns the hourly telescope traffic statistics of the
+// historical window, each hour's port tally trimmed to its top 10
+// entries.
 func (s *Server) Traffic() []TrafficHour {
 	return s.traffic.snapshot(10)
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"exiot/internal/api"
@@ -20,6 +21,9 @@ type TrafficHour = api.TrafficHour
 type trafficStats struct {
 	mu    sync.Mutex
 	hours map[time.Time]*TrafficHour
+	// oldestEnd is the unix-nano end of the earliest hour held (0 when
+	// none): retire's lock-free test for whether anything has lapsed.
+	oldestEnd atomic.Int64
 }
 
 func newTrafficStats() *trafficStats {
@@ -35,6 +39,7 @@ func (t *trafficStats) add(rep *trw.SecondReport) {
 	if !ok {
 		b = &TrafficHour{Hour: hour, TopPorts: make(map[uint16]int)}
 		t.hours[hour] = b
+		t.track(hour)
 	}
 	b.Total += int64(rep.Total)
 	b.TCP += int64(rep.TCP)
@@ -48,6 +53,32 @@ func (t *trafficStats) add(rep *trw.SecondReport) {
 	b.Seconds++
 	for port, n := range rep.PortPackets {
 		b.TopPorts[port] += n
+	}
+}
+
+// track notes that hour is held. Call it with mu held.
+func (t *trafficStats) track(hour time.Time) {
+	if end := hour.Add(time.Hour).UnixNano(); t.oldestEnd.Load() == 0 || end < t.oldestEnd.Load() {
+		t.oldestEnd.Store(end)
+	}
+}
+
+// retire drops the hours that end at or before cutoff, the historical
+// database's lapse. It runs on every event and takes no lock until the
+// oldest hour is due.
+func (t *trafficStats) retire(cutoff time.Time) {
+	if end := t.oldestEnd.Load(); end == 0 || end > cutoff.UnixNano() {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.oldestEnd.Store(0)
+	for hour := range t.hours {
+		if hour.Add(time.Hour).After(cutoff) {
+			t.track(hour)
+		} else {
+			delete(t.hours, hour)
+		}
 	}
 }
 
@@ -77,6 +108,7 @@ func (t *trafficStats) restore(hours []TrafficHour) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.hours = make(map[time.Time]*TrafficHour, len(hours))
+	t.oldestEnd.Store(0)
 	for _, h := range hours {
 		cp := h
 		cp.TopPorts = make(map[uint16]int, len(h.TopPorts))
@@ -84,6 +116,7 @@ func (t *trafficStats) restore(hours []TrafficHour) {
 			cp.TopPorts[k] = v
 		}
 		t.hours[h.Hour] = &cp
+		t.track(h.Hour)
 	}
 }
 

@@ -1,126 +1,52 @@
-// Cross-package inertness proof for the feed distribution layer: after
-// a full simulated day, the snapshot-backed read path must serve a bulk
-// NDJSON export byte-identical to walking the document store — through
-// the cache directly, through the REST API, and through the gzip
-// variant — at any worker count. The cache is a pure view: installing
-// it changes how bytes are served, never which bytes.
 package exiot_test
 
 import (
 	"bytes"
 	"compress/gzip"
-	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 
-	"exiot/internal/api"
 	"exiot/internal/feedserve"
 )
 
+// TestSnapshotExportEquivalence is the feed distribution layer's
+// inertness proof. Every row's fingerprint already holds the snapshot
+// export equal to the store walk; here the cached REST API serves those
+// bytes too — plain, as the precomputed gzip variant, and revalidated to
+// a body-less 304 by the ETag it advertised — at any worker count.
 func TestSnapshotExportEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-hour simulation")
-	}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			l, w := durableProofLocal(t, 7117, workers, "")
-			driveProofHours(l, w, 0, 24)
-			l.Finish(w.Start().Add(24 * time.Hour))
-			if err := l.Close(); err != nil {
-				t.Fatal(err)
-			}
-			srv := l.Server()
-
-			// The reference: the API's store-walked export, captured before
-			// any cache exists.
-			legacy := fingerprintFeed(t, srv)
-			if legacy.ndjson == "" {
-				t.Fatal("simulation produced an empty feed; the proof would be vacuous")
-			}
-
-			cache := srv.NewFeedCache(feedserve.Config{})
+	for _, r := range []row{{name: "workers=1", workers: 1}, {name: "workers=4", workers: 4}} {
+		t.Run(r.name, func(t *testing.T) {
+			out := prove(t, dayWorld, r)
+			cache := out.server.NewFeedCache(feedserve.Config{})
 			defer cache.Close()
-			snap := cache.Current()
-			if snap.Len() == 0 {
-				t.Fatal("cache built an empty snapshot over a populated feed")
-			}
-			if string(snap.ExportNDJSON()) != legacy.ndjson {
-				t.Fatal("snapshot export differs from the store-walked export")
-			}
+			h := feedAPI(out.server, cache)
 
-			// Through the API with the cache installed: identity encoding…
-			apiSrv := api.NewServer(srv, srv.Notifier())
-			apiSrv.AddKey("proof-key", "serve-test")
-			apiSrv.SetFeedCache(cache)
-			ts := httptest.NewServer(apiSrv)
-			defer ts.Close()
-
-			fetch := func(gz bool) (*http.Response, []byte) {
-				t.Helper()
-				req, err := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/export", nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				req.Header.Set("X-API-Key", "proof-key")
-				if gz {
-					req.Header.Set("Accept-Encoding", "gzip")
-				}
-				resp, err := http.DefaultClient.Do(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				body, err := io.ReadAll(resp.Body)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("export status = %d", resp.StatusCode)
-				}
-				return resp, body
+			plain := get(h, "/api/v1/export")
+			if plain.Code != http.StatusOK || plain.Body.String() != out.fp.export {
+				t.Fatalf("cached API export (status %d) differs from the store-walked export", plain.Code)
 			}
-
-			resp, body := fetch(false)
-			if string(body) != legacy.ndjson {
-				t.Fatal("cached API export differs from the store-walked export")
-			}
-			etag := resp.Header.Get("ETag")
+			etag := plain.Header().Get("ETag")
 			if etag == "" {
 				t.Fatal("cached export carries no ETag")
 			}
 
-			// …and the precomputed gzip variant decompresses to the same bytes.
-			gresp, gzBody := fetch(true)
-			if gresp.Header.Get("Content-Encoding") != "gzip" {
-				t.Fatalf("Content-Encoding = %q", gresp.Header.Get("Content-Encoding"))
+			gz := get(h, "/api/v1/export", "Accept-Encoding", "gzip")
+			if enc := gz.Header().Get("Content-Encoding"); enc != "gzip" {
+				t.Fatalf("Content-Encoding = %q", enc)
 			}
-			zr, err := gzip.NewReader(bytes.NewReader(gzBody))
+			zr, err := gzip.NewReader(bytes.NewReader(gz.Body.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw, err := io.ReadAll(zr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(raw) != legacy.ndjson {
-				t.Fatal("gzip export does not decompress to the store-walked bytes")
+			if raw, err := io.ReadAll(zr); err != nil || string(raw) != out.fp.export {
+				t.Fatalf("gzip export does not decompress to the store-walked bytes (%v)", err)
 			}
 
-			// The validator the export advertised revalidates to a body-less 304.
-			req, _ := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/export", nil)
-			req.Header.Set("X-API-Key", "proof-key")
-			req.Header.Set("If-None-Match", etag)
-			cresp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cresp.Body.Close()
-			b, _ := io.ReadAll(cresp.Body)
-			if cresp.StatusCode != http.StatusNotModified || len(b) != 0 {
-				t.Fatalf("conditional export: status=%d body=%d bytes", cresp.StatusCode, len(b))
+			cond := get(h, "/api/v1/export", "If-None-Match", etag)
+			if cond.Code != http.StatusNotModified || cond.Body.Len() != 0 {
+				t.Fatalf("conditional export: status=%d body=%d bytes", cond.Code, cond.Body.Len())
 			}
 		})
 	}
