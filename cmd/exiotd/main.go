@@ -168,7 +168,7 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 		fmt.Printf("%s in %v: %d records, %d banner labels, %d retrains, %d emails\n",
 			ran, time.Since(start).Round(time.Millisecond),
 			c.RecordsCreated, c.BannersLabeled, c.ModelRetrains, c.EmailsSent)
-		fmt.Print(telemetry.Default().StageSummary())
+		fmt.Print(telemetry.Default().LayerSummary())
 		// The batch run is over; the process now serves a static feed.
 		// Freeze health so /healthz reports idle instead of stalled.
 		telemetry.DefaultHealth().Freeze()

@@ -166,7 +166,7 @@ func run(runList, scaleName string, seed int64, mdOut string, workers int, scnOu
 		}
 		fmt.Printf("wrote %s\n", mdOut)
 	}
-	if summary := telemetry.Default().StageSummary(); summary != "" {
+	if summary := telemetry.Default().LayerSummary(); summary != "" {
 		fmt.Print(summary)
 	}
 	return nil

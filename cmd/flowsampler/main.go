@@ -150,6 +150,6 @@ func run(cfg runConfig) error {
 	if err := node.Finish(rep.End()); err != nil {
 		return fmt.Errorf("ship events: %w", err)
 	}
-	fmt.Print(telemetry.Default().StageSummary())
+	fmt.Print(telemetry.Default().LayerSummary())
 	return nil
 }

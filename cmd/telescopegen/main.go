@@ -82,7 +82,7 @@ func run(out string, seed int64, days, hours, infected, nonIoT, research, miscon
 	}
 	fmt.Printf("wrote %d hour(s), %d packets, world: %d infected / %d non-IoT / %d research\n",
 		total, packets, infected, nonIoT, research)
-	if summary := telemetry.Default().StageSummary(); summary != "" {
+	if summary := telemetry.Default().LayerSummary(); summary != "" {
 		fmt.Print(summary)
 	}
 	return nil

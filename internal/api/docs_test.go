@@ -7,6 +7,7 @@ package api_test
 // package, so the default registry holds the full catalogue here.
 
 import (
+	"encoding/json"
 	"os"
 	"reflect"
 	"regexp"
@@ -30,10 +31,6 @@ func readDoc(t *testing.T, path string) string {
 func TestOperationsDocMatchesMetricCatalogue(t *testing.T) {
 	doc := readDoc(t, "../../docs/OPERATIONS.md")
 
-	// The stage histogram registers lazily on the first span; force it
-	// so the catalogue is complete regardless of test order.
-	telemetry.Default().StageTimer("generate")
-
 	registered := map[string]bool{}
 	for _, m := range telemetry.Default().Metrics() {
 		if !strings.HasPrefix(m.Name, "exiot_") {
@@ -53,6 +50,68 @@ func TestOperationsDocMatchesMetricCatalogue(t *testing.T) {
 	for _, tok := range regexp.MustCompile(`exiot_[a-z0-9_]+`).FindAllString(doc, -1) {
 		if !registered[tok] {
 			t.Errorf("docs/OPERATIONS.md mentions %s, which is not a registered metric", tok)
+		}
+	}
+}
+
+// TestLayerVocabularyMatchesLadder keeps production and the benchmark
+// ladder on one vocabulary: every layer registered on exiot_layer_seconds
+// has a row in OPERATIONS.md's layer table (and every row is a
+// registered layer), and names a rung of BENCHMARK.json's per-layer
+// metrics (`<layer>.` or `<layer>_` prefix). simnet is the one exception:
+// the benchmark generates its traffic in setup, outside the ladder.
+func TestLayerVocabularyMatchesLadder(t *testing.T) {
+	doc := readDoc(t, "../../docs/OPERATIONS.md")
+	start := strings.Index(doc, "\n## Layer timing\n")
+	if start < 0 {
+		t.Fatal(`docs/OPERATIONS.md has no "## Layer timing" section`)
+	}
+	section := doc[start+1:]
+	if end := strings.Index(section[1:], "\n## "); end >= 0 {
+		section = section[:end+1]
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `([a-z.]+)` \\|").FindAllStringSubmatch(section, -1) {
+		documented[m[1]] = true
+	}
+
+	var bench struct {
+		PerLayer []struct {
+			Name string `json:"name"`
+		} `json:"per_layer"`
+	}
+	if err := json.Unmarshal([]byte(readDoc(t, "../../BENCHMARK.json")), &bench); err != nil {
+		t.Fatalf("parse BENCHMARK.json: %v", err)
+	}
+
+	fam, ok := telemetry.Default().FamilySnapshot("exiot_layer_seconds")
+	if !ok || len(fam.Series) == 0 {
+		t.Fatal("no layer registered on exiot_layer_seconds; import side effects missing")
+	}
+	registered := map[string]bool{}
+	for _, s := range fam.Series {
+		layer := s.Labels[0]
+		registered[layer] = true
+		if !documented[layer] {
+			t.Errorf("layer %q is registered but has no row in docs/OPERATIONS.md's layer table", layer)
+		}
+		if layer == "simnet" {
+			continue
+		}
+		rung := false
+		for _, m := range bench.PerLayer {
+			if strings.HasPrefix(m.Name, layer+".") || strings.HasPrefix(m.Name, layer+"_") {
+				rung = true
+				break
+			}
+		}
+		if !rung {
+			t.Errorf("layer %q names no per_layer metric in BENCHMARK.json", layer)
+		}
+	}
+	for layer := range documented {
+		if !registered[layer] {
+			t.Errorf("docs/OPERATIONS.md's layer table lists %q, which is not a registered layer", layer)
 		}
 	}
 }

@@ -35,10 +35,16 @@ func (nullSource) Records(api.Query) []feed.Record       { return nil }
 func (nullSource) RecordByIP(string) (feed.Record, bool) { return feed.Record{}, false }
 func (nullSource) Snapshot() api.Snapshot                { return api.Snapshot{} }
 
+// pipelineLayers are the layers the pipeline times (docs/OPERATIONS.md,
+// "Layer timing").
+var pipelineLayers = []string{
+	"simnet", "trw", "wire", "server", "zmap", "annotate", "trainer",
+	"feedserve", "durable.snapshot", "durable.recover",
+}
+
 // stagePrefixes maps each instrumented pipeline stage to its metric
 // name prefix. ISSUE: /metrics must cover at least 8 stages.
 var stagePrefixes = map[string]string{
-	"generation":     "exiot_simnet_",
 	"pcap io":        "exiot_pcap_",
 	"trw detection":  "exiot_flowtable_",
 	"sampler":        "exiot_sampler_",
@@ -87,6 +93,18 @@ func TestMetricsEndpointCoversPipelineStages(t *testing.T) {
 	}
 	if covered < 8 {
 		t.Fatalf("/metrics covers %d pipeline stages, want >= 8", covered)
+	}
+	// Every layer registers its instrument at init, so its series are
+	// scraped before its first call.
+	for _, layer := range pipelineLayers {
+		for _, series := range []string{
+			`exiot_layer_seconds_count{layer="` + layer + `"}`,
+			`exiot_layer_items_total{layer="` + layer + `"}`,
+		} {
+			if !strings.Contains(body, "\n"+series+" ") {
+				t.Errorf("/metrics lacks %s", series)
+			}
+		}
 	}
 }
 

@@ -100,14 +100,14 @@ function renderOverview(ov) {
   renderTop("#top-ports", snap.top_ports);
   renderTop("#top-vendors", snap.top_vendors);
 
-  const stageBody = $("#stage-table tbody");
-  stageBody.replaceChildren();
-  const stages = (ov.stages || []).concat(ov.event_stages || []);
-  for (const st of stages) {
+  const layerBody = $("#layer-table tbody");
+  layerBody.replaceChildren();
+  for (const l of ov.layers || []) {
     const tr = document.createElement("tr");
-    tr.append(td(st.stage), td(fmtInt(st.count), "num"),
-      td(fmtSecs(st.p50), "num"), td(fmtSecs(st.p90), "num"), td(fmtSecs(st.p99), "num"));
-    stageBody.appendChild(tr);
+    tr.append(td(l.layer), td(fmtInt(l.calls), "num"), td(fmtInt(l.items), "num"),
+      td(fmtNS(l.ns_per_item), "num"),
+      td(fmtSecs(l.p50), "num"), td(fmtSecs(l.p90), "num"), td(fmtSecs(l.p99), "num"));
+    layerBody.appendChild(tr);
   }
 
   renderHealth(ov.health);

@@ -83,12 +83,12 @@ type VolumePoint struct {
 	Active float64 `json:"active"`
 }
 
-// volumeFamilies are the counter families differenced into ring points.
-var volumeFamilies = struct{ records, flowEnds, events, packets, active string }{
+// volumeFamilies are the counter families differenced into ring points;
+// packets are the trw layer's items.
+var volumeFamilies = struct{ records, flowEnds, events, active string }{
 	records:  "exiot_feed_records_total",
 	flowEnds: "exiot_feed_flow_ends_total",
 	events:   "exiot_sampler_events_total",
-	packets:  "exiot_sampler_packets_total",
 	active:   "exiot_feed_active_records",
 }
 
@@ -96,12 +96,9 @@ var volumeFamilies = struct{ records, flowEnds, events, packets, active string }
 type Console struct {
 	cfg Config
 
-	mu        sync.Mutex
-	ring      []VolumePoint // bounded, oldest first
-	lastTotal struct {
-		records, flowEnds, events, packets float64
-		valid                              bool
-	}
+	mu   sync.Mutex
+	ring []VolumePoint // bounded, oldest first
+	last *VolumePoint  // the previous tick's counter totals
 
 	done chan struct{}
 	once sync.Once
@@ -129,38 +126,34 @@ func New(cfg Config) *Console {
 // against the previous tick and append a ring point.
 func (c *Console) Tick(now time.Time) {
 	reg := c.cfg.Registry
-	records := reg.Sum(volumeFamilies.records)
-	flowEnds := reg.Sum(volumeFamilies.flowEnds)
-	events := reg.Sum(volumeFamilies.events)
-	packets := reg.Sum(volumeFamilies.packets)
-	active := reg.Sum(volumeFamilies.active)
+	total := VolumePoint{
+		Records:  reg.Sum(volumeFamilies.records),
+		FlowEnds: reg.Sum(volumeFamilies.flowEnds),
+		Events:   reg.Sum(volumeFamilies.events),
+	}
+	for _, l := range reg.LayerStats() {
+		if l.Layer == "trw" {
+			total.Packets = float64(l.Items)
+		}
+	}
+	p := VolumePoint{At: now, Active: reg.Sum(volumeFamilies.active)}
 
 	c.mu.Lock()
-	p := VolumePoint{At: now, Active: active}
-	if c.lastTotal.valid {
+	if last := c.last; last != nil {
 		// Counters are monotonic; clamp anyway so a registry reset (tests)
 		// cannot chart a negative rate.
-		p.Records = max0(records - c.lastTotal.records)
-		p.FlowEnds = max0(flowEnds - c.lastTotal.flowEnds)
-		p.Events = max0(events - c.lastTotal.events)
-		p.Packets = max0(packets - c.lastTotal.packets)
+		p.Records = max(total.Records-last.Records, 0)
+		p.FlowEnds = max(total.FlowEnds-last.FlowEnds, 0)
+		p.Events = max(total.Events-last.Events, 0)
+		p.Packets = max(total.Packets-last.Packets, 0)
 	}
-	c.lastTotal.records, c.lastTotal.flowEnds = records, flowEnds
-	c.lastTotal.events, c.lastTotal.packets = events, packets
-	c.lastTotal.valid = true
+	c.last = &total
 	c.ring = append(c.ring, p)
 	if len(c.ring) > c.cfg.RingSize {
 		c.ring = c.ring[len(c.ring)-c.cfg.RingSize:]
 	}
 	c.mu.Unlock()
 	metConsoleTicks.Inc()
-}
-
-func max0(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // volume copies the current ring, oldest first.

@@ -91,14 +91,15 @@ func TestTickBuildsVolumeRing(t *testing.T) {
 	}
 
 	records.Add(7)
+	reg.Layer("trw").Add(time.Second, 1804)
 	events.With("batch").Add(2)
 	events.With("flow_end").Add(1)
 	active.Set(17)
 	c.Tick(t0.Add(2 * time.Second))
 	ring = c.volume()
 	p := ring[1]
-	if p.Records != 7 || p.Events != 3 || p.Active != 17 {
-		t.Fatalf("second tick deltas = %+v, want records 7 events 3 active 17", p)
+	if p.Records != 7 || p.Events != 3 || p.Packets != 1804 || p.Active != 17 {
+		t.Fatalf("second tick deltas = %+v, want records 7 events 3 packets 1804 active 17", p)
 	}
 
 	// Ring stays bounded.
@@ -119,10 +120,10 @@ func consoleMux(c *Console) *http.ServeMux {
 func TestOverviewHandler(t *testing.T) {
 	reg := newRegistry(t)
 	reg.Counter(volumeFamilies.records, "c").Add(3)
-	// Stage latency: 10 spans in (0, 0.001].
-	st := reg.StageTimer("classify")
+	// Layer timing: 10 annotate calls of 0.5 ms over 3 flows each.
+	annotate := reg.Layer("annotate")
 	for i := 0; i < 10; i++ {
-		st.Observe(0.0005)
+		annotate.Add(500*time.Microsecond, 3)
 	}
 	// Cluster gauges for two shards.
 	reg.GaugeVec("exiot_cluster_shard_seq", "g", "shard").With("s0").Set(42)
@@ -156,11 +157,14 @@ func TestOverviewHandler(t *testing.T) {
 	if len(ov.Volume) != 1 {
 		t.Errorf("volume points = %d, want 1", len(ov.Volume))
 	}
-	if len(ov.Stages) != 1 || ov.Stages[0].Stage != "classify" || ov.Stages[0].Count != 10 {
-		t.Fatalf("stages = %+v", ov.Stages)
+	if len(ov.Layers) != 1 || ov.Layers[0].Layer != "annotate" || ov.Layers[0].Calls != 10 || ov.Layers[0].Items != 30 {
+		t.Fatalf("layers = %+v", ov.Layers)
 	}
-	if p := ov.Stages[0].P99; p <= 0 || p > 0.005 {
-		t.Errorf("classify p99 = %v, want within the first bucket", p)
+	if ns := ov.Layers[0].NsPerItem; ns < 166_666 || ns > 166_667 {
+		t.Errorf("annotate ns/item = %v, want 0.5 ms / 3 flows", ns)
+	}
+	if p := ov.Layers[0].P99; p <= 0 || p > 0.0005 {
+		t.Errorf("annotate p99 = %v, want within the 0.5 ms bucket", p)
 	}
 	if ov.Health == nil || !ov.Health.Healthy || len(ov.Health.Components) != 1 {
 		t.Errorf("health = %+v", ov.Health)
@@ -186,7 +190,7 @@ func TestOverviewEmptySurfaces(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &ov); err != nil {
 		t.Fatal(err)
 	}
-	if ov.Snapshot != nil || ov.Health != nil || len(ov.Stages) != 0 || len(ov.Cluster) != 0 {
+	if ov.Snapshot != nil || ov.Health != nil || len(ov.Layers) != 0 || len(ov.Cluster) != 0 {
 		t.Errorf("empty console leaked panels: %+v", ov)
 	}
 }

@@ -20,15 +20,6 @@ import (
 	"exiot/internal/trace"
 )
 
-// StageLatency is one stage's service-time summary (seconds).
-type StageLatency struct {
-	Stage string  `json:"stage"`
-	Count int64   `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-}
-
 // ShardStatus is one ingest shard's merge-barrier state (empty on a
 // single-node deployment).
 type ShardStatus struct {
@@ -48,16 +39,15 @@ type FeedStatus struct {
 // Overview is the /console/api/overview payload — everything the
 // dashboard's headline panels render in one request.
 type Overview struct {
-	GeneratedAt time.Time         `json:"generated_at"`
-	TickSeconds float64           `json:"tick_seconds"`
-	Snapshot    *api.Snapshot     `json:"snapshot,omitempty"`
-	Feed        *FeedStatus       `json:"feed,omitempty"`
-	Volume      []VolumePoint     `json:"volume"`
-	Stages      []StageLatency    `json:"stages"`
-	EventStages []StageLatency    `json:"event_stages"`
-	Health      *telemetry.Report `json:"health,omitempty"`
-	Cluster     []ShardStatus     `json:"cluster"`
-	SSEClients  float64           `json:"sse_clients"`
+	GeneratedAt time.Time             `json:"generated_at"`
+	TickSeconds float64               `json:"tick_seconds"`
+	Snapshot    *api.Snapshot         `json:"snapshot,omitempty"`
+	Feed        *FeedStatus           `json:"feed,omitempty"`
+	Volume      []VolumePoint         `json:"volume"`
+	Layers      []telemetry.LayerStat `json:"layers"`
+	Health      *telemetry.Report     `json:"health,omitempty"`
+	Cluster     []ShardStatus         `json:"cluster"`
+	SSEClients  float64               `json:"sse_clients"`
 }
 
 func (c *Console) handleOverview(w http.ResponseWriter, _ *http.Request) {
@@ -66,8 +56,7 @@ func (c *Console) handleOverview(w http.ResponseWriter, _ *http.Request) {
 		GeneratedAt: now,
 		TickSeconds: c.cfg.TickEvery.Seconds(),
 		Volume:      c.volume(),
-		Stages:      stageLatencies(c.cfg.Registry, telemetry.StageHistogramName),
-		EventStages: stageLatencies(c.cfg.Registry, "exiot_event_latency_seconds"),
+		Layers:      c.cfg.Registry.LayerStats(),
 		Cluster:     shardStatuses(c.cfg.Registry),
 		SSEClients:  c.cfg.Registry.Sum("exiot_console_sse_clients"),
 	}
@@ -85,36 +74,6 @@ func (c *Console) handleOverview(w http.ResponseWriter, _ *http.Request) {
 		ov.Health = &rep
 	}
 	writeJSON(w, http.StatusOK, ov)
-}
-
-// stageLatencies extracts per-stage p50/p90/p99 from a stage-labeled
-// histogram family, busiest stage first. Families that were never
-// registered (no tracing, say) yield an empty list.
-func stageLatencies(reg *telemetry.Registry, family string) []StageLatency {
-	snap, ok := reg.FamilySnapshot(family)
-	if !ok {
-		return []StageLatency{}
-	}
-	out := make([]StageLatency, 0, len(snap.Series))
-	for _, s := range snap.Series {
-		if s.Hist == nil || s.Hist.Count == 0 || len(s.Labels) == 0 {
-			continue
-		}
-		out = append(out, StageLatency{
-			Stage: s.Labels[0],
-			Count: s.Hist.Count,
-			P50:   s.Hist.P50,
-			P90:   s.Hist.P90,
-			P99:   s.Hist.P99,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Stage < out[j].Stage
-	})
-	return out
 }
 
 // shardStatuses joins the per-shard cluster gauges by shard label.

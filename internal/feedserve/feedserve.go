@@ -23,8 +23,8 @@ import (
 
 // Telemetry handles for the feed-serving layer (see docs/OPERATIONS.md).
 var (
-	metRebuilds = telemetry.Default().Counter("exiot_feedserve_rebuilds_total",
-		"Feed snapshot rebuilds (atomic pointer swaps) completed.")
+	// layerFeedserve times rebuilds; items are the snapshot's records.
+	layerFeedserve = telemetry.Default().Layer("feedserve")
 	metSnapRecords = telemetry.Default().Gauge("exiot_feedserve_snapshot_records",
 		"Records in the current feed snapshot.")
 	metSnapSeq = telemetry.Default().Gauge("exiot_feedserve_snapshot_seq",
@@ -204,6 +204,7 @@ func (c *Cache) Rebuild() *Snapshot {
 func (c *Cache) rebuild() (*Snapshot, []func(*Snapshot)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	start := time.Now()
 	// Clear before exporting: a mutation racing the export re-marks the
 	// cache dirty and re-wakes the loop, so nothing is lost — the next
 	// pass picks it up.
@@ -223,7 +224,7 @@ func (c *Cache) rebuild() (*Snapshot, []func(*Snapshot)) {
 	c.snap.Store(snap)
 	c.lastRebuild = time.Now()
 
-	metRebuilds.Inc()
+	layerFeedserve.Add(c.lastRebuild.Sub(start), snap.Len())
 	metSnapRecords.Set(float64(snap.Len()))
 	metSnapSeq.Set(float64(snap.LastSeq()))
 	metSnapBuilt.Set(float64(snap.BuiltAt().Unix()))

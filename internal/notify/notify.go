@@ -9,6 +9,7 @@ package notify
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -82,6 +83,8 @@ type Notifier struct {
 	mu       sync.Mutex
 	subs     []Subscription
 	lastSent map[string]time.Time // dedup key → last notification
+	// nextRetire is the earliest stamp at which Retire sweeps again.
+	nextRetire time.Time
 }
 
 // New creates a notifier delivering through mailer.
@@ -146,6 +149,23 @@ func (n *Notifier) Process(rec *feed.Record, now time.Time) int {
 		}
 	}
 	return sent
+}
+
+// Retire drops the dedup keys last sent at least RenotifyAfter before
+// now. Call it with the advancing clock that stamps Process, so a dropped
+// key could never suppress a send again. It sweeps at most once per
+// RenotifyAfter (a restored notifier on its first call); other calls
+// cost O(1).
+func (n *Notifier) Retire(now time.Time) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if now.Before(n.nextRetire) {
+		return
+	}
+	n.nextRetire = now.Add(n.cfg.RenotifyAfter)
+	maps.DeleteFunc(n.lastSent, func(_ string, last time.Time) bool {
+		return now.Sub(last) >= n.cfg.RenotifyAfter
+	})
 }
 
 // dueAndMark checks the dedup window and marks the key as notified.

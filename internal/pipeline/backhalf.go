@@ -5,6 +5,7 @@ import (
 
 	"exiot/internal/notify"
 	"exiot/internal/registry"
+	"exiot/internal/telemetry"
 	"exiot/internal/trace"
 	"exiot/internal/zmap"
 )
@@ -22,7 +23,13 @@ type BackHalf struct {
 	// skip counts re-driven events the recovered state already holds
 	// (Local's resume); they are neither logged nor delivered again.
 	skip uint64
+	// hour is the server layer's call: the hour's first delivered event
+	// until EndHour returns.
+	hour telemetry.Hour
 }
+
+// layerServer times the feed server per hour; items are events.
+var layerServer = telemetry.Default().Layer("server")
 
 // NewBackHalf builds the feed server of cfg.Server, recovering its state
 // from cfg.Durable.Dir when set. cfg.Workers sizes the scan-batch flush
@@ -64,6 +71,7 @@ func (b *BackHalf) Deliver(e SamplerEvent, hourEnd time.Time) {
 		}
 		b.durable.Append(e, at)
 	}
+	b.hour.Add(1)
 	b.server.HandleEvent(e, at)
 }
 
@@ -72,6 +80,7 @@ func (b *BackHalf) Deliver(e SamplerEvent, hourEnd time.Time) {
 // snapshot: the flush is no logged input, so only a snapshot keeps its
 // records across a restart.
 func (b *BackHalf) EndHour(hourEnd time.Time, final bool) {
+	b.hour.Add(0)
 	at := hourEnd.Add(b.delay)
 	if final {
 		b.server.FlushScans(at)
@@ -80,6 +89,7 @@ func (b *BackHalf) EndHour(hourEnd time.Time, final bool) {
 	if b.durable != nil && (final || b.skip == 0) {
 		b.durable.MaybeSnapshot(at, final)
 	}
+	layerServer.Close(&b.hour)
 }
 
 // Receive builds exiotd's receiver: the merge of shards ingest streams

@@ -28,6 +28,13 @@ import (
 // replay reproduces every downstream effect: record inserts, END_FLOW
 // updates, trainer-window growth, recomputed retrains, notifications.
 
+// Layers: one call per snapshot (items: records) and per recovery
+// (items: WAL events replayed).
+var (
+	layerSnapshot = telemetry.Default().Layer("durable.snapshot")
+	layerRecover  = telemetry.Default().Layer("durable.recover")
+)
+
 // serverState is the snapshot payload: the feed server's whole mutable
 // state. A snapshot may be taken whenever HandleEvent has returned;
 // scanners buffered for the next probe sweep travel with it.
@@ -326,16 +333,14 @@ func OpenDurable(cfg DurableConfig, server *Server) (*Durable, error) {
 	}
 	d := &Durable{cfg: cfg, mgr: mgr, server: server}
 
-	span := telemetry.Default().StartSpan("recovery")
+	start := time.Now()
 	meta, payload, err := mgr.LatestSnapshot()
 	if err != nil {
-		span.End()
 		mgr.Close()
 		return nil, err
 	}
 	if payload != nil {
 		if err := server.RestoreState(payload); err != nil {
-			span.End()
 			mgr.Close()
 			return nil, fmt.Errorf("pipeline: restore snapshot: %w", err)
 		}
@@ -357,11 +362,11 @@ func OpenDurable(cfg DurableConfig, server *Server) (*Durable, error) {
 		server.HandleEvent(e, rec.AvailableAt)
 		return nil
 	})
-	span.End()
 	if err != nil {
 		mgr.Close()
 		return nil, err
 	}
+	layerRecover.Done(start, stats.Events)
 	d.rec.ReplayedEvents = stats.Events
 	d.rec.ReplayedRetrains = stats.Retrains
 	d.rec.Truncated = stats.Truncated
@@ -441,8 +446,7 @@ func (d *Durable) MaybeSnapshot(now time.Time, force bool) {
 	if !due {
 		return
 	}
-	span := telemetry.Default().StartSpan("snapshot")
-	defer span.End()
+	defer layerSnapshot.Done(time.Now(), d.server.historical.Len())
 	payload, err := d.server.ExportState()
 	if err != nil {
 		d.setErr(err)

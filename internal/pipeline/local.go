@@ -6,7 +6,6 @@ import (
 	"exiot/internal/notify"
 	"exiot/internal/packet"
 	"exiot/internal/registry"
-	"exiot/internal/telemetry"
 	"exiot/internal/trw"
 	"exiot/internal/zmap"
 )
@@ -96,8 +95,6 @@ func NewDurableLocal(cfg LocalConfig, prober zmap.Prober, reg *registry.Registry
 // ProcessHour pushes one simulated hour through both halves. The hour's
 // events surface in the feed at hour-end + collection + processing delay.
 func (l *Local) ProcessHour(pkts []packet.Packet, hour time.Time) {
-	span := telemetry.Default().StartSpan("hour")
-	defer span.End()
 	l.hourEnd = hour.Add(time.Hour)
 	l.sampler.ProcessHour(pkts, l.hourEnd)
 	l.back.EndHour(l.hourEnd, false)

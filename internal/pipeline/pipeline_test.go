@@ -16,6 +16,20 @@ import (
 // the given number of hours.
 func testLocal(t *testing.T, seed int64, hours int) (*Local, *simnet.World) {
 	t.Helper()
+	w, lcfg := testWorld(seed, hours)
+	l := NewLocal(lcfg, w, w.Registry(), &notify.MemoryMailer{})
+
+	start := w.Start()
+	for h := 0; h < hours; h++ {
+		hour := start.Add(time.Duration(h) * time.Hour)
+		l.ProcessHour(w.GenerateHour(hour), hour)
+	}
+	l.Finish(start.Add(time.Duration(hours) * time.Hour))
+	return l, w
+}
+
+// testWorld builds testLocal's small world and pipeline configuration.
+func testWorld(seed int64, hours int) (*simnet.World, LocalConfig) {
 	cfg := simnet.DefaultConfig(seed)
 	cfg.NumInfected = 120
 	cfg.NumNonIoT = 25
@@ -30,15 +44,7 @@ func testLocal(t *testing.T, seed int64, hours int) (*Local, *simnet.World) {
 	lcfg.Server.ScanMod = scanmod.Config{BatchSize: 25, BatchWait: 30 * time.Minute}
 	lcfg.Server.Trainer = trainer.Config{SearchIterations: 2, Seed: seed}
 	lcfg.Server.Notify = notify.Config{NotifyWhois: true}
-	l := NewLocal(lcfg, w, w.Registry(), &notify.MemoryMailer{})
-
-	start := w.Start()
-	for h := 0; h < hours; h++ {
-		hour := start.Add(time.Duration(h) * time.Hour)
-		l.ProcessHour(w.GenerateHour(hour), hour)
-	}
-	l.Finish(start.Add(time.Duration(hours) * time.Hour))
-	return l, w
+	return w, lcfg
 }
 
 func TestEndToEndProducesRecords(t *testing.T) {

@@ -20,14 +20,19 @@ import (
 
 // Telemetry handles for the sampler half (see docs/OPERATIONS.md).
 var (
-	metSamplerPackets = telemetry.Default().Counter("exiot_sampler_packets_total",
-		"Telescope packets fed through flow detection.")
-	metSamplerHours = telemetry.Default().Counter("exiot_sampler_hours_total",
-		"Capture hours processed by the sampler.")
+	// layerTRW times detection: one call per hour, items are packets.
+	layerTRW = telemetry.Default().Layer("trw")
+
 	metSamplerEvents = telemetry.Default().CounterVec("exiot_sampler_events_total",
 		"Sampler events emitted downstream, by kind.", "kind")
+	evBatch   = metSamplerEvents.With("batch")
+	evFlowEnd = metSamplerEvents.With("flow_end")
+	evReport  = metSamplerEvents.With("report")
+
 	metOrganizerFlows = telemetry.Default().CounterVec("exiot_organizer_flows_total",
 		"Sampled flows at the packet organizer, by outcome.", "result")
+	orgAccepted = metOrganizerFlows.With("accepted")
+	orgDropped  = metOrganizerFlows.With("dropped")
 )
 
 // ingestMaxAge is how long the ingest health check tolerates silence
@@ -97,23 +102,14 @@ type Sampler struct {
 
 	// liveness is the ingest health check beaten on every processed hour.
 	liveness *telemetry.Check
-
-	// Cached event-kind counter series (hot path).
-	evBatch, evFlowEnd, evReport *telemetry.Counter
-	accepted, dropped            *telemetry.Counter
 }
 
 // NewSampler builds the CAIDA-side half.
 func NewSampler(trwCfg trw.Config, minSamples int, emit func(SamplerEvent)) *Sampler {
 	s := &Sampler{
-		org:       organizer.New(),
-		emit:      emit,
-		liveness:  telemetry.DefaultHealth().Register("ingest", ingestMaxAge),
-		evBatch:   metSamplerEvents.With("batch"),
-		evFlowEnd: metSamplerEvents.With("flow_end"),
-		evReport:  metSamplerEvents.With("report"),
-		accepted:  metOrganizerFlows.With("accepted"),
-		dropped:   metOrganizerFlows.With("dropped"),
+		org:      organizer.New(),
+		emit:     emit,
+		liveness: telemetry.DefaultHealth().Register("ingest", ingestMaxAge),
 	}
 	if minSamples > 0 {
 		s.org.MinSamples = minSamples
@@ -139,8 +135,8 @@ func (s *Sampler) onDetectorEvent(e trw.Event) {
 			t0 = time.Now()
 		}
 		if b, ok := s.org.Organize(e); ok {
-			s.accepted.Inc()
-			s.evBatch.Inc()
+			orgAccepted.Inc()
+			evBatch.Inc()
 			b.TraceID = trace.EventID(b.IP, uint8(SamplerBatch), b.FirstSeen, b.DetectedAt)
 			ev := SamplerEvent{Kind: SamplerBatch, Batch: &b, TraceID: b.TraceID}
 			if traceOn {
@@ -154,13 +150,13 @@ func (s *Sampler) onDetectorEvent(e trw.Event) {
 			}
 			s.pending = append(s.pending, ev)
 		} else {
-			s.dropped.Inc()
+			orgDropped.Inc()
 		}
 		// The organizer copied (or rejected) the packets; hand the
 		// detector's sample buffer back for the next detection.
 		trw.RecycleSample(e.Sample)
 	case trw.EventFlowEnd:
-		s.evFlowEnd.Inc()
+		evFlowEnd.Inc()
 		ev := SamplerEvent{
 			Kind:       SamplerFlowEnd,
 			IP:         e.IP,
@@ -178,7 +174,7 @@ func (s *Sampler) onDetectorEvent(e trw.Event) {
 		}
 		s.pending = append(s.pending, ev)
 	case trw.EventSecondReport:
-		s.evReport.Inc()
+		evReport.Inc()
 		s.pending = append(s.pending, SamplerEvent{Kind: SamplerReport, Report: e.Report})
 	}
 }
@@ -259,18 +255,17 @@ func (s *Sampler) flushPending() {
 
 // ProcessHour consumes one hour of telescope packets (sorted by time) and
 // then runs the detector's hourly sweep, exactly like the paper's loop
-// over newly published pcap hours.
+// over newly published pcap hours. The trw layer ends before the hour's
+// events go downstream.
 func (s *Sampler) ProcessHour(pkts []packet.Packet, hourEnd time.Time) {
-	span := telemetry.Default().StartSpan("detect")
-	defer span.End()
 	defer s.liveness.Beat()
+	start := time.Now()
 	for i := range pkts {
 		s.detector.Process(&pkts[i])
 	}
 	s.detector.EndHour(hourEnd)
+	layerTRW.Done(start, len(pkts))
 	s.flushPending()
-	metSamplerPackets.Add(int64(len(pkts)))
-	metSamplerHours.Inc()
 }
 
 // Flush ends all live flows (end of a simulation run).

@@ -38,6 +38,8 @@ var (
 		"Live scan flows currently holding an active feed record.")
 	metFeedLastRecord = telemetry.Default().Gauge("exiot_feed_last_record_unix",
 		"Simulated-clock unix time of the most recent record insert.")
+	// layerAnnotate times resolveTagged per flush; items are flows.
+	layerAnnotate = telemetry.Default().Layer("annotate")
 )
 
 // feedMaxAge bounds how long the feed may go without consuming a
@@ -214,8 +216,7 @@ func (s *Server) handleBatch(b *organizer.Batch, availableAt time.Time, flow *tr
 // counters, notifications) runs serially in batch order, so the emitted
 // feed is identical to the fully serial path.
 func (s *Server) resolveTagged(tagged []scanmod.Tagged, now time.Time) {
-	span := telemetry.Default().StartSpan("classify")
-	defer span.End()
+	start := time.Now()
 
 	// Join scan results with their organized flows, preserving order.
 	s.mu.Lock()
@@ -227,7 +228,7 @@ func (s *Server) resolveTagged(tagged []scanmod.Tagged, now time.Time) {
 	s.mu.Unlock()
 
 	// Traced flows get their scan-module spans here: the batching wait
-	// (enqueue → flush start) and the probe sweep window itself.
+	// (enqueue → flush start) and the zmap probe sweep window itself.
 	fw := s.scanMod.LastFlush()
 	portsPerHost := s.scanMod.PortsPerHost()
 
@@ -239,8 +240,8 @@ func (s *Server) resolveTagged(tagged []scanmod.Tagged, now time.Time) {
 		}
 		if pf.trace != nil {
 			pf.trace.SpanAt("scanmod", pf.scanEnq, fw.Start, fw.Start,
-				trace.Int("batch_hosts", fw.Hosts))
-			pf.trace.SpanAt("probe", fw.Start, fw.Start, fw.End,
+				trace.Int("batch_hosts", len(tagged)))
+			pf.trace.SpanAt("zmap", fw.Start, fw.Start, fw.End,
 				trace.Int("ports_probed", portsPerHost),
 				trace.Int("open_ports", len(tagged[i].Result.OpenPorts)),
 				trace.Int("banners", len(tagged[i].Result.Banners)))
@@ -260,7 +261,7 @@ func (s *Server) resolveTagged(tagged []scanmod.Tagged, now time.Time) {
 			// parked end to update. Close out its trace so the failure is
 			// still visible in the store.
 			if f := jobs[k].Trace; f != nil {
-				f.Span("emit", time.Now(), time.Now(), trace.Str("outcome", "rejected"))
+				f.Span("server", time.Now(), time.Now(), trace.Str("outcome", "rejected"))
 				trace.Default().Finish(f)
 			}
 			if end, ok := s.takeParkedEnd(jobs[k].Batch.IP); ok {
@@ -270,6 +271,7 @@ func (s *Server) resolveTagged(tagged []scanmod.Tagged, now time.Time) {
 		}
 		s.finishRecord(jobs[k].Batch, recs[k], jobs[k].Raw, jobs[k].Match, now, jobs[k].Trace)
 	}
+	layerAnnotate.Done(start, len(jobs))
 }
 
 // finishRecord applies one annotated record's stateful tail. Must be
@@ -316,7 +318,7 @@ func (s *Server) finishRecord(b *organizer.Batch, rec feed.Record, raw []float64
 	}
 
 	if flow != nil {
-		flow.Span("emit", emitStart, emitStart,
+		flow.Span("server", emitStart, emitStart,
 			trace.Str("label", rec.Label),
 			trace.Str("label_source", rec.LabelSource))
 		trace.Default().Finish(flow)
@@ -385,21 +387,26 @@ func (s *Server) finishEndTrace(e SamplerEvent, outcome string) {
 		return
 	}
 	now := time.Now()
-	e.Trace.Span("emit", now, now, trace.Str("outcome", outcome))
+	e.Trace.Span("server", now, now, trace.Str("outcome", outcome))
 	trace.Default().Finish(e.Trace)
 }
 
 // Tick runs time-driven housekeeping: the daily retrain, historical
-// expiry and the retirement of traffic hours past the same lapse. Call
-// with the advancing simulated clock. HandleEvent calls it for every
-// event, so every check is O(1) until something is due: a retrain, or an
-// hour's records or traffic lapsing. The scan batch's age flush is not
-// here: the scan module checks it when the next scanner arrives.
+// expiry, the retirement of traffic hours past the same lapse and of
+// notification dedup keys past the renotify window. Call with the
+// advancing simulated clock. HandleEvent calls it for every event, so
+// every check is O(1) until something is due: a retrain, an hour's
+// records or traffic lapsing, or a dedup sweep. The scan batch's age
+// flush is not here: the scan module checks it when the next scanner
+// arrives.
 func (s *Server) Tick(now time.Time) {
 	s.maybeRetrain(now)
 	cutoff := now.Add(-s.cfg.HistoricalWindow)
 	s.historical.Expire(cutoff)
 	s.traffic.retire(cutoff)
+	if s.notifier != nil {
+		s.notifier.Retire(now)
+	}
 }
 
 // FlushScans forces the scan module's pending batch through (end of a

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"exiot/internal/packet"
+	"exiot/internal/telemetry"
 	"exiot/internal/trace"
 	"exiot/internal/trw"
 	"exiot/internal/wire"
@@ -30,7 +31,11 @@ type Shipper struct {
 	enc   []byte          // encode scratch
 	mine  []packet.Packet // partition scratch
 	err   error           // first shipping failure, sticky
+	hour  telemetry.Hour  // wire layer call: first shipped event to barrier
 }
+
+// layerWire times shipping per hour; items are events.
+var layerWire = telemetry.Default().Layer("wire")
 
 // NewShipper builds the node half for partition shardID of shardCount
 // (0 of 1 is the whole telescope), shipping to out.
@@ -41,6 +46,7 @@ func NewShipper(trwCfg trw.Config, shardID, shardCount int, out hourSender) *Shi
 }
 
 func (s *Shipper) ship(e SamplerEvent) {
+	s.hour.Add(1)
 	var sendStart time.Time
 	if e.Trace != nil {
 		sendStart = time.Now()
@@ -87,9 +93,11 @@ func (s *Shipper) Finish(end time.Time) error {
 }
 
 func (s *Shipper) barrier(final bool) error {
+	s.hour.Add(0)
 	if s.err == nil {
 		s.err = s.out.Barrier(s.epoch, final)
 	}
+	layerWire.Close(&s.hour)
 	return s.err
 }
 

@@ -2,6 +2,7 @@ package recog
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"exiot/internal/device"
@@ -198,4 +199,52 @@ func TestNumRules(t *testing.T) {
 	if n := NewDB().NumRules(); n < 30 {
 		t.Errorf("rule base has %d rules, want a realistic base (≥30)", n)
 	}
+}
+
+// FuzzRecogMatch feeds arbitrary banners (attacker-chosen bytes) to the
+// rule base, seeded with every banner in the device catalog. Matching
+// never panics and is a pure function of the banner: two databases
+// agree. A captured model or firmware is text the banner carries, and
+// the unknown-banner log stays bounded.
+func FuzzRecogMatch(f *testing.F) {
+	for i := range device.Catalog {
+		m := &device.Catalog[i]
+		for _, st := range m.Services {
+			for _, fw := range m.Firmwares {
+				f.Add(st.Render(m, fw))
+			}
+		}
+	}
+	for i := range device.NonIoTProfiles {
+		for _, st := range device.NonIoTProfiles[i].Services {
+			f.Add(st.Template)
+		}
+	}
+	a, b := NewDB(), NewDB()
+	captured := map[string]rule{}
+	for _, r := range a.rules {
+		captured[r.name] = r
+	}
+	f.Fuzz(func(t *testing.T, banner string) {
+		got, ok := a.Match(banner)
+		again, okAgain := b.Match(banner)
+		if got != again || ok != okAgain {
+			t.Fatalf("two databases disagree on %q: %+v/%v vs %+v/%v", banner, got, ok, again, okAgain)
+		}
+		if ok {
+			r := captured[got.Rule]
+			if r.modelG >= 0 && !strings.Contains(banner, got.Model) {
+				t.Fatalf("rule %s captured model %q, not in %q", got.Rule, got.Model, banner)
+			}
+			if got.Firmware != "" && !strings.Contains(banner, got.Firmware) {
+				t.Fatalf("rule %s captured firmware %q, not in %q", got.Rule, got.Firmware, banner)
+			}
+		}
+		a.mu.Lock()
+		n := len(a.unknown) // what UnknownBanners copies, without the copy
+		a.mu.Unlock()
+		if n > 10000 {
+			t.Fatalf("unknown-banner log holds %d entries, past its 10,000 bound", n)
+		}
+	})
 }

@@ -17,8 +17,8 @@ import (
 
 // Telemetry handles for the scan-module stage (see docs/OPERATIONS.md).
 var (
-	metBatches = telemetry.Default().Counter("exiot_scanmod_batches_total",
-		"Scan batches flushed to active measurement (size or age trigger).")
+	// layerZmap times the probe sweep: one call per batch, items are hosts.
+	layerZmap   = telemetry.Default().Layer("zmap")
 	metScanners = telemetry.Default().CounterVec("exiot_scanmod_scanners_total",
 		"Scanners actively measured, by fingerprint outcome (tagged|untagged).", "result")
 	metPending = telemetry.Default().Gauge("exiot_scanmod_pending",
@@ -51,12 +51,11 @@ type Tagged struct {
 }
 
 // FlushWindow is the timing of the most recent batch flush: when the
-// probe sweep started and ended, and how many hosts it covered. Traced
-// flows use it for their scanmod/probe spans.
+// probe sweep started and ended. Traced flows use it for their
+// scanmod/zmap spans.
 type FlushWindow struct {
 	Start time.Time
 	End   time.Time
-	Hosts int
 }
 
 // Module buffers scanners and probes them in batches.
@@ -107,15 +106,13 @@ func (m *Module) Flush() []Tagged {
 	if len(m.pending) == 0 {
 		return nil
 	}
-	span := telemetry.Default().StartSpan("probe")
-	defer span.End()
 	ips := m.pending
 	m.pending = nil
 	metPending.Set(0)
-	metBatches.Inc()
-	m.lastFlush = FlushWindow{Start: time.Now(), Hosts: len(ips)}
+	m.lastFlush = FlushWindow{Start: time.Now()}
 	results := m.scanner.ScanBatch(ips)
 	m.lastFlush.End = time.Now()
+	layerZmap.Add(m.lastFlush.End.Sub(m.lastFlush.Start), len(ips))
 	out := make([]Tagged, len(ips))
 	for i := range ips {
 		out[i] = Tagged{IP: ips[i], Result: results[i]}

@@ -14,13 +14,8 @@ import (
 	"exiot/internal/telemetry"
 )
 
-// Telemetry handles for the generation stage (see docs/OPERATIONS.md).
-var (
-	metPacketsGenerated = telemetry.Default().Counter("exiot_simnet_packets_generated_total",
-		"Telescope packets synthesized by the world simulator.")
-	metHoursGenerated = telemetry.Default().Counter("exiot_simnet_hours_generated_total",
-		"Simulated capture hours generated.")
-)
+// layerSimnet times generation per hour; items are packets.
+var layerSimnet = telemetry.Default().Layer("simnet")
 
 // GenerateHour produces every telescope-observed packet with a timestamp
 // in [hour, hour+1h), sorted by time. Generation is deterministic per
@@ -33,12 +28,11 @@ func (w *World) GenerateHour(hour time.Time) []packet.Packet {
 }
 
 // GenerateHourWorkers is GenerateHour with an explicit worker count.
-// workers <= 0 selects GOMAXPROCS; workers == 1 runs the legacy serial
-// path. Each host's rng is seeded from (host seed, hour) alone, so the
+// workers <= 0 selects GOMAXPROCS; workers == 1 generates on the calling
+// goroutine. Each host's rng is seeded from (host seed, hour) alone, so the
 // per-host streams are identical no matter which worker generates them.
 func (w *World) GenerateHourWorkers(hour time.Time, workers int) []packet.Packet {
-	span := telemetry.Default().StartSpan("generate")
-	defer span.End()
+	start := time.Now()
 	hourEnd := hour.Add(time.Hour)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -46,45 +40,33 @@ func (w *World) GenerateHourWorkers(hour time.Time, workers int) []packet.Packet
 	if workers > len(w.hosts) {
 		workers = len(w.hosts)
 	}
-	if workers <= 1 {
-		// Serial path: generate per-host time-ordered runs, then k-way
-		// merge them keyed by (timestamp, host index) — the canonical
-		// order, identical to a stable sort of the runs' concatenation
-		// but without moving every ~150-byte packet O(n log n) times
-		// through the reflect-based sorter (which dominated the ingest
-		// profile before the merge).
-		runs := make([][]packet.Packet, len(w.hosts))
-		for hi, h := range w.hosts {
-			runs[hi] = w.generateHost(nil, h, hour, hourEnd)
-		}
-		merged := mergeRuns(runs)
-		metPacketsGenerated.Add(int64(len(merged)))
-		metHoursGenerated.Inc()
-		return merged
-	}
-
-	// Parallel path: generate per-host sorted runs on a worker pool, then
-	// k-way merge them keyed by (timestamp, host index).
+	// Generate per-host time-ordered runs — on a worker pool when
+	// workers > 1 — then k-way merge them keyed by (timestamp, host
+	// index): the canonical order, identical to a stable sort of the
+	// runs' concatenation but without moving every ~150-byte packet
+	// O(n log n) times through a sorter.
 	runs := make([][]packet.Packet, len(w.hosts))
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				hi := int(next.Add(1)) - 1
-				if hi >= len(w.hosts) {
-					return
-				}
-				runs[hi] = w.generateHost(nil, w.hosts[hi], hour, hourEnd)
-			}
-		}()
+	generate := func() {
+		for hi := int(next.Add(1)) - 1; hi < len(w.hosts); hi = int(next.Add(1)) - 1 {
+			runs[hi] = w.generateHost(nil, w.hosts[hi], hour, hourEnd)
+		}
 	}
-	wg.Wait()
+	if workers <= 1 {
+		generate()
+	} else {
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				generate()
+			}()
+		}
+		wg.Wait()
+	}
 	merged := mergeRuns(runs)
-	metPacketsGenerated.Add(int64(len(merged)))
-	metHoursGenerated.Inc()
+	layerSimnet.Done(start, len(merged))
 	return merged
 }
 

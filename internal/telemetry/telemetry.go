@@ -1,7 +1,7 @@
 // Package telemetry is eX-IoT's observability layer: a dependency-free
 // metrics registry (counters, gauges, histograms with atomic hot paths),
-// lightweight stage spans with an end-of-run summary, and component
-// health tracking with freshness semantics. Every pipeline stage —
+// a per-layer calls/items/seconds instrument with an end-of-run summary,
+// and component health tracking with freshness semantics. Every pipeline stage —
 // traffic generation, pcap I/O, TRW detection, sampling, active probing,
 // classification, enrichment, feed writes, and notification — registers
 // its metrics here, and the API layer exposes the registry in Prometheus
@@ -226,11 +226,12 @@ func (v *GaugeVec) With(values ...string) *Gauge {
 
 // --- Histogram ---
 
-// DefBuckets is the default histogram bucket layout: exponential from
-// 0.5 ms to 60 s, sized for pipeline stage durations in seconds.
+// DefBuckets is the default histogram bucket layout in seconds, sized
+// for one call into a pipeline layer: from a small scan-batch flush
+// (0.1 ms) to a full telescope hour of detection (1 h).
 var DefBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
+	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
+	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 300, 900, 3600,
 }
 
 // Histogram counts observations into cumulative buckets and tracks their

@@ -2,10 +2,8 @@ package telemetry
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestCounterConcurrent hammers one counter from many goroutines and
@@ -145,23 +143,4 @@ func TestRegistryTypeMismatchPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("clash", "help")
-}
-
-// TestSpanRecords checks spans land in the stage histogram and surface
-// in the summary.
-func TestSpanRecords(t *testing.T) {
-	r := NewRegistry()
-	sp := r.StartSpan("unit")
-	time.Sleep(2 * time.Millisecond)
-	if d := sp.End(); d <= 0 {
-		t.Fatalf("span duration = %v", d)
-	}
-	r.StageTimer("unit").Observe(0.25)
-	stats := r.StageStats()
-	if len(stats) != 1 || stats[0].Stage != "unit" || stats[0].Count != 2 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	if sum := r.StageSummary(); !strings.Contains(sum, "unit") {
-		t.Fatalf("summary missing stage: %q", sum)
-	}
 }

@@ -1,15 +1,15 @@
 // Package trace follows individual sampler events across the eX-IoT
 // pipeline: each traced flow accumulates typed spans (sampler organize,
-// wire transport, scan-module batching, active probing, annotation,
-// enrichment, store emit) with a queue-wait vs. work-time split and
-// stage-specific attributes. Trace IDs derive
+// wire transport, scan-module batching, zmap probing, annotation,
+// enrichment, the server's stateful tail) with a queue-wait vs.
+// work-time split and stage-specific attributes. Trace IDs derive
 // deterministically from event content (source IP, event kind, and the
 // event's own timestamps) — never from the wall clock, randomness, or
 // node-local counters — so the same flow gets the same ID at any worker
 // count, on any cluster shard, on both sides of the wire, and across a
 // WAL replay. Completed traces land in a bounded lock-sharded ring
-// store (plus a slowest-N-per-stage tail sample), feed the
-// exiot_event_latency_seconds histograms, and surface slow outliers
+// store (plus a slowest-N-per-stage tail sample), feed the end-to-end
+// exiot_event_latency_seconds histogram, and surface slow outliers
 // through a structured log/slog line.
 //
 // Tracing is provably inert: the feed is byte-identical with tracing on
@@ -32,8 +32,8 @@ import (
 	"exiot/internal/telemetry"
 )
 
-// latencyBuckets resolve real per-event stage work, which is orders of
-// magnitude finer than the simulated stage spans DefBuckets target.
+// latencyBuckets resolve one event's end-to-end time, which is orders
+// of magnitude finer than the layer calls DefBuckets target.
 var latencyBuckets = []float64{
 	1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5,
@@ -41,9 +41,9 @@ var latencyBuckets = []float64{
 
 // Telemetry handles (see docs/OPERATIONS.md).
 var (
-	metEventLatency = telemetry.Default().HistogramVec("exiot_event_latency_seconds",
-		"Per-event work time spent in one pipeline stage (traced events only); the total series is end-to-end.",
-		latencyBuckets, "stage")
+	metEventLatency = telemetry.Default().Histogram("exiot_event_latency_seconds",
+		"End-to-end time of one traced event, from sampling to its last span.",
+		latencyBuckets)
 	metSampled = telemetry.Default().Counter("exiot_traces_sampled_total",
 		"Sampler events selected for tracing.")
 	metSlow = telemetry.Default().Counter("exiot_traces_slow_total",
@@ -198,7 +198,7 @@ func (f *Flow) Spans() []Span {
 }
 
 // Tracer owns the sampling decision, the completed-trace store, the
-// latency histograms, and the slow-trace log.
+// end-to-end latency histogram, and the slow-trace log.
 type Tracer struct {
 	sampleEvery atomic.Int64 // 0 = off, 1 = every event, N = id%N == 0
 	slowNs      atomic.Int64 // 0 = slow logging off
@@ -255,9 +255,9 @@ func (t *Tracer) Sample(id ID, ip, kind string) *Flow {
 	return &Flow{ID: id, IP: ip, Kind: kind, Start: time.Now()}
 }
 
-// Finish completes a flow: its spans feed the latency histograms, the
-// flow lands in the store, and it is logged when slower than the
-// threshold. Nil-safe; finishing twice is a no-op.
+// Finish completes a flow: its end-to-end time feeds the latency
+// histogram, the flow lands in the store, and it is logged when slower
+// than the threshold. Nil-safe; finishing twice is a no-op.
 func (t *Tracer) Finish(f *Flow) {
 	if f == nil {
 		return
@@ -275,14 +275,12 @@ func (t *Tracer) Finish(f *Flow) {
 	var slowest string
 	var slowestWork time.Duration
 	for i := range spans {
-		work := spans[i].Work()
-		metEventLatency.With(spans[i].Stage).Observe(work.Seconds())
-		if work >= slowestWork {
+		if work := spans[i].Work(); work >= slowestWork {
 			slowestWork, slowest = work, spans[i].Stage
 		}
 	}
 	total := end.Sub(f.Start)
-	metEventLatency.With("total").Observe(total.Seconds())
+	metEventLatency.Observe(total.Seconds())
 	t.store.Add(f, end)
 
 	if slow := t.slowNs.Load(); slow > 0 && total >= time.Duration(slow) {

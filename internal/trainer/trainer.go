@@ -28,6 +28,8 @@ var (
 		"Labeled examples currently in the sliding training window.")
 	metModelAUC = telemetry.Default().Gauge("exiot_model_auc",
 		"ROC-AUC of the most recently trained model on its test split.")
+	// layerTrainer times Retrain: one call per cycle, items are examples.
+	layerTrainer = telemetry.Default().Layer("trainer")
 )
 
 // Config parameterizes the update-classifier module.
@@ -170,14 +172,14 @@ func (t *Trainer) snapshotDataset(now time.Time) ml.Dataset {
 
 // Retrain runs one daily training cycle as of now.
 func (t *Trainer) Retrain(now time.Time) (*TrainedModel, error) {
-	span := telemetry.Default().StartSpan("retrain")
-	defer span.End()
+	start := time.Now()
 	t.mu.Lock()
 	ds := t.snapshotDataset(now)
 	t.retrains++
 	seed := t.cfg.Seed + int64(t.retrains)
 	metWindowSize.Set(float64(len(t.examples)))
 	t.mu.Unlock()
+	defer layerTrainer.Done(start, ds.Len())
 
 	neg, pos := ds.ClassCounts()
 	if ds.Len() < t.cfg.MinExamples || neg == 0 || pos == 0 {

@@ -56,7 +56,7 @@ func TestWhyEndpointLineage(t *testing.T) {
 	for _, sp := range rep.Trace.Spans {
 		stages[sp.Stage] = true
 	}
-	for _, want := range []string{"sampler", "scanmod", "probe", "annotate", "enrich", "emit"} {
+	for _, want := range []string{"sampler", "scanmod", "zmap", "annotate", "enrich", "server"} {
 		if !stages[want] {
 			t.Fatalf("lineage missing %q span; got stages %v", want, stages)
 		}
