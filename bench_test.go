@@ -432,10 +432,11 @@ func BenchmarkAblationForestLayout(b *testing.B) {
 }
 
 // BenchmarkIngestThroughput measures the full ingest hot path — hour
-// generation plus TRW detection — at 1, 4, and GOMAXPROCS workers,
-// reporting pkts/sec and ns/pkt so the parallel speedup is visible in the
-// bench trajectory. Detection is serial at every count; higher counts
-// use the parallel generator, whose output is proven identical
+// generation plus TRW detection — at GOMAXPROCS 1, 4 and the machine's
+// own (the workers=N sub-benchmark runs at GOMAXPROCS N), reporting
+// pkts/sec and ns/pkt so the parallel speedup is visible in the bench
+// trajectory. Detection is serial at every count; generation fans out
+// across GOMAXPROCS, and its output is proven identical
 // (TestParallelIngestEquivalence).
 func BenchmarkIngestThroughput(b *testing.B) {
 	cfg := simnet.DefaultConfig(2040)
@@ -452,13 +453,14 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	if gmp := runtime.GOMAXPROCS(0); gmp != 1 && gmp != 4 {
 		counts = append(counts, gmp)
 	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, procs := range counts {
+		b.Run(fmt.Sprintf("workers=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.ReportAllocs()
 			var pkts, wall int64
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				hourPkts := w.GenerateHourWorkers(hour, workers)
+				hourPkts := w.GenerateHour(hour)
 				sampler := pipeline.NewSampler(trw.Default(), 0, func(pipeline.SamplerEvent) {})
 				sampler.ProcessHour(hourPkts, hourEnd)
 				sampler.Flush(hourEnd)
@@ -565,25 +567,25 @@ func backHalfEvents(b *testing.B) ([]stampedBenchEvent, *simnet.World) {
 }
 
 // BenchmarkBackHalfThroughput measures the feed back half — probe,
-// classify, enrich, store — on a fixed event stream at 1, 4, and
-// GOMAXPROCS workers, reporting events/sec and ns/event. Delivery is
-// BackHalf.Deliver at every count, with one EndHour at the end of input;
-// Workers only sizes the scan-batch flush (probe pool + annotate
-// fan-out), whose output is proven identical (TestBackHalfFeedEquivalence).
+// classify, enrich, store — on a fixed event stream at GOMAXPROCS 1, 4
+// and the machine's own (workers=N runs at GOMAXPROCS N), reporting
+// events/sec and ns/event. Delivery is BackHalf.Deliver at every count,
+// with one EndHour at the end of input; GOMAXPROCS only sizes the
+// scan-batch flush (probe pool + annotate fan-out), whose output is
+// proven identical (TestBackHalfFeedEquivalence).
 func BenchmarkBackHalfThroughput(b *testing.B) {
 	events, w := backHalfEvents(b)
 	counts := []int{1, 4}
 	if gmp := runtime.GOMAXPROCS(0); gmp != 1 && gmp != 4 {
 		counts = append(counts, gmp)
 	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, procs := range counts {
+		b.Run(fmt.Sprintf("workers=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.ReportAllocs()
 			var wall int64
 			for i := 0; i < b.N; i++ {
-				lcfg := pipeline.DefaultLocalConfig()
-				lcfg.Workers = workers
-				back, err := pipeline.NewBackHalf(lcfg, w, w.Registry(), nil)
+				back, err := pipeline.NewBackHalf(pipeline.DefaultLocalConfig(), w, w.Registry(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -603,8 +605,9 @@ func BenchmarkBackHalfThroughput(b *testing.B) {
 
 // BenchmarkIngestThroughputEndToEnd extends BenchmarkIngestThroughput
 // across the whole pipeline: pre-generated hours flow through detection,
-// active probing, annotation, and the feed server. Reported
-// pkts/sec is end-to-end — what an operator sees per worker knob.
+// active probing, annotation, and the feed server, with workers=N at
+// GOMAXPROCS N. Reported pkts/sec is end-to-end — what an operator sees
+// per GOMAXPROCS.
 func BenchmarkIngestThroughputEndToEnd(b *testing.B) {
 	cfg := simnet.DefaultConfig(2051)
 	cfg.NumInfected = 300
@@ -625,14 +628,13 @@ func BenchmarkIngestThroughputEndToEnd(b *testing.B) {
 	if gmp := runtime.GOMAXPROCS(0); gmp != 1 && gmp != 4 {
 		counts = append(counts, gmp)
 	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, procs := range counts {
+		b.Run(fmt.Sprintf("workers=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.ReportAllocs()
 			var wall int64
 			for i := 0; i < b.N; i++ {
-				lcfg := pipeline.DefaultLocalConfig()
-				lcfg.Workers = workers
-				local := pipeline.NewLocal(lcfg, w, w.Registry(), nil)
+				local := pipeline.NewLocal(pipeline.DefaultLocalConfig(), w, w.Registry(), nil)
 				start := time.Now()
 				for h := 0; h < hours; h++ {
 					local.ProcessHour(pregen[h], w.Start().Add(time.Duration(h)*time.Hour))

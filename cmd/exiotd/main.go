@@ -15,10 +15,12 @@
 //
 //	exiotd -replay captures/ -replay-warp 0 -api 127.0.0.1:8080 -seed 42
 //
-// In split mode the world is rebuilt from the same seed and population
-// flags used by telescopegen so active probes are answered by the same
-// simulated Internet that produced the captures (in a real deployment the
-// prober is the Internet itself).
+// In split and replay mode the world is rebuilt from the same seed and
+// population flags used by telescopegen so active probes are answered by
+// the same simulated Internet that produced the captures (in a real
+// deployment the prober is the Internet itself). The hosts also depend on
+// the world's span, ⌈-hours/24⌉ days here, so pass -hours = 24 ×
+// telescopegen's -days (not its -hours).
 package main
 
 import (
@@ -54,7 +56,7 @@ func main() {
 		simulate  = flag.Bool("simulate", false, "run a self-contained simulation instead of receiving")
 		replayIn  = flag.String("replay", "", "replay a recorded capture (hourly directory or single .pcap/.pcap.gz file) instead of receiving or simulating")
 		replayWrp = flag.Float64("replay-warp", 0, "replay time-warp factor: 0 = as fast as possible, 1 = recorded speed, N = N× speed-up")
-		hours     = flag.Int("hours", 24, "simulated hours with -simulate")
+		hours     = flag.Int("hours", 24, "simulated hours with -simulate; the rebuilt world spans ⌈hours/24⌉ days, so in split or replay mode pass 24 × telescopegen's -days")
 		seed      = flag.Int64("seed", 42, "world seed (must match telescopegen in split mode)")
 
 		infected  = flag.Int("infected", 300, "infected IoT devices (world rebuild)")
@@ -64,7 +66,6 @@ func main() {
 		backscat  = flag.Int("backscatter", 10, "backscatter sources (world rebuild)")
 		whois     = flag.Bool("notify-whois", false, "send WHOIS abuse-contact notifications")
 		modelDir  = flag.String("models", "", "model archive directory (archive daily models; restore latest on start)")
-		workers   = flag.Int("workers", 0, "worker count for generation, the probe pool and the annotate fan-out (0 = GOMAXPROCS, 1 = serial)")
 		telAddr   = flag.String("telemetry-addr", "", "operator telemetry listen address (/metrics, /healthz, /debug/pprof); empty disables")
 
 		stateDir  = flag.String("state-dir", "", "durable state directory (WAL + snapshots; recover on start, empty disables)")
@@ -96,13 +97,13 @@ func main() {
 		log.Fatal("-shards must be at least 1")
 	}
 	if err := run(*listen, *shards, *apiAddr, *apiKey, *simulate, *hours, *seed,
-		*infected, *nonIoT, *research, *misconfig, *backscat, *whois, *modelDir, *workers, *telAddr, *consoleOn, dcfg, *feedRebuild, *replayIn, *replayWrp); err != nil {
+		*infected, *nonIoT, *research, *misconfig, *backscat, *whois, *modelDir, *telAddr, *consoleOn, dcfg, *feedRebuild, *replayIn, *replayWrp); err != nil {
 		log.Fatal(err)
 	}
 }
 
 func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours int, seed int64,
-	infected, nonIoT, research, misconfig, backscat int, whois bool, modelDir string, workers int, telAddr string,
+	infected, nonIoT, research, misconfig, backscat int, whois bool, modelDir, telAddr string,
 	consoleOn bool, dcfg pipeline.DurableConfig, rebuildEvery time.Duration, replayIn string, replayWarp float64) error {
 	var opMux *http.ServeMux
 	if telAddr != "" {
@@ -132,12 +133,10 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 	if wcfg.Days < 1 {
 		wcfg.Days = 1
 	}
-	wcfg.Workers = workers
 	w := simnet.NewWorld(wcfg)
 
 	mailer := &notify.MemoryMailer{}
 	pcfg := pipeline.DefaultLocalConfig()
-	pcfg.Workers = workers
 	pcfg.Server.Notify = notify.Config{NotifyWhois: whois}
 	pcfg.Server.Trainer.ModelDir = modelDir
 	pcfg.Durable = dcfg

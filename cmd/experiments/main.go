@@ -26,16 +26,15 @@ func main() {
 		scale   = flag.String("scale", "default", "quick | default")
 		seed    = flag.Int64("seed", 42, "simulation seed")
 		mdOut   = flag.String("md", "", "also write a Markdown report to this path")
-		workers = flag.Int("workers", 0, "worker count for generation, the probe pool and the annotate fan-out (0 = GOMAXPROCS, 1 = serial)")
 		scnOut  = flag.String("scenarios-out", "BENCH_scenarios.json", "benchjson baseline written by the scenarios experiment (empty disables)")
 	)
 	flag.Parse()
-	if err := run(*runList, *scale, *seed, *mdOut, *workers, *scnOut); err != nil {
+	if err := run(*runList, *scale, *seed, *mdOut, *scnOut); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(runList, scaleName string, seed int64, mdOut string, workers int, scnOut string) error {
+func run(runList, scaleName string, seed int64, mdOut, scnOut string) error {
 	var sc experiments.Scale
 	switch scaleName {
 	case "quick":
@@ -45,7 +44,6 @@ func run(runList, scaleName string, seed int64, mdOut string, workers int, scnOu
 	default:
 		return fmt.Errorf("unknown scale %q", scaleName)
 	}
-	sc.Workers = workers
 
 	want := map[string]bool{}
 	for _, name := range strings.Split(runList, ",") {
@@ -139,7 +137,7 @@ func run(runList, scaleName string, seed int64, mdOut string, workers int, scnOu
 		emit("Banner availability", experiments.BannerAvailability(sc).String())
 	}
 	if pick("scenarios") {
-		rep := experiments.Scenarios(seed, workers)
+		rep := experiments.Scenarios(seed)
 		emit("Adversarial scenario suite", rep.String())
 		if scnOut != "" {
 			data, err := rep.BaselineJSON()

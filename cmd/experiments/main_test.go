@@ -36,11 +36,11 @@ func TestWriteMarkdown(t *testing.T) {
 
 func TestRunStaticTablesOnly(t *testing.T) {
 	// The static tables need no environment and should run instantly.
-	if err := run("tableI,tableII", "quick", 1, "", 2, ""); err != nil {
+	if err := run("tableI,tableII", "quick", 1, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown scale is rejected.
-	if err := run("tableI", "galactic", 1, "", 0, ""); err == nil {
+	if err := run("tableI", "galactic", 1, "", ""); err == nil {
 		t.Error("unknown scale accepted")
 	}
 }
@@ -50,7 +50,7 @@ func TestRunScenariosWritesBaseline(t *testing.T) {
 		t.Skip("full-span scenario suite")
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_scenarios.json")
-	if err := run("scenarios", "quick", 42, "", 1, path); err != nil {
+	if err := run("scenarios", "quick", 42, "", path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -33,15 +33,14 @@ func main() {
 		misconfig = flag.Int("misconfig", 40, "misconfigured nodes")
 		backscat  = flag.Int("backscatter", 10, "DDoS backscatter sources")
 		capPkts   = flag.Int("cap", 4000, "max packets per host per hour")
-		workers   = flag.Int("workers", 0, "generation workers (0 = GOMAXPROCS, 1 = serial)")
 	)
 	flag.Parse()
-	if err := run(*out, *seed, *days, *hours, *infected, *nonIoT, *research, *misconfig, *backscat, *capPkts, *workers); err != nil {
+	if err := run(*out, *seed, *days, *hours, *infected, *nonIoT, *research, *misconfig, *backscat, *capPkts); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(out string, seed int64, days, hours, infected, nonIoT, research, misconfig, backscat, capPkts, workers int) error {
+func run(out string, seed int64, days, hours, infected, nonIoT, research, misconfig, backscat, capPkts int) error {
 	cfg := simnet.DefaultConfig(seed)
 	cfg.Days = days
 	cfg.NumInfected = infected
@@ -50,7 +49,6 @@ func run(out string, seed int64, days, hours, infected, nonIoT, research, miscon
 	cfg.NumMisconfig = misconfig
 	cfg.NumBackscat = backscat
 	cfg.MaxPacketsPerHostHour = capPkts
-	cfg.Workers = workers
 	w := simnet.NewWorld(cfg)
 
 	if err := os.MkdirAll(out, 0o755); err != nil {

@@ -12,7 +12,7 @@ import (
 
 func TestRunWritesReadableHours(t *testing.T) {
 	dir := t.TempDir()
-	if err := run(dir, 7, 1, 2, 40, 8, 2, 5, 2, 500, 2); err != nil {
+	if err := run(dir, 7, 1, 2, 40, 8, 2, 5, 2, 500); err != nil {
 		t.Fatal(err)
 	}
 	hours, err := pcapio.ListHours(dir)
@@ -50,7 +50,7 @@ func TestRunWritesReadableHours(t *testing.T) {
 func TestRunDeterministicPerSeed(t *testing.T) {
 	dir1, dir2 := t.TempDir(), t.TempDir()
 	for _, dir := range []string{dir1, dir2} {
-		if err := run(dir, 11, 1, 1, 30, 5, 1, 3, 1, 400, 1); err != nil {
+		if err := run(dir, 11, 1, 1, 30, 5, 1, 3, 1, 400); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,7 +94,7 @@ func readAll(t *testing.T, path string) []byte {
 }
 
 func TestRunBadOutputDir(t *testing.T) {
-	if err := run("/proc/definitely/not/writable", 1, 1, 1, 5, 1, 1, 1, 1, 100, 1); err == nil {
+	if err := run("/proc/definitely/not/writable", 1, 1, 1, 5, 1, 1, 1, 1, 100); err == nil {
 		t.Error("unwritable output dir accepted")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // keeps; it never writes to the feed or the hot path. The console the
 // client polled saw real data: a full volume ring and tracked campaigns.
 func TestConsoleFeedEquivalence(t *testing.T) {
-	out := prove(t, consoleWorld, row{name: "workers=4 console", workers: 4, console: true})
+	out := prove(t, consoleWorld, row{name: "workers=4 console", procs: 4, console: true})
 	if out.polls == 0 {
 		t.Fatal("the polling client never completed a request; the proof would be vacuous")
 	}

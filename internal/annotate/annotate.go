@@ -14,6 +14,7 @@ import (
 
 	"exiot/internal/device"
 	"exiot/internal/enrich"
+	"exiot/internal/fanout"
 	"exiot/internal/features"
 	"exiot/internal/feed"
 	"exiot/internal/ml"
@@ -103,8 +104,9 @@ type Job struct {
 
 // AnnotateBatch annotates many flows at once: feature extraction,
 // banner labeling, and enrichment fan out across up to workers
-// goroutines, and flows without a banner label are scored through the
-// classifier's batch path in one call. Record i is exactly what
+// goroutines (0 = GOMAXPROCS, 1 = the caller's), and flows without a
+// banner label are scored through the classifier's batch path in one
+// call. Record i is exactly what
 // Annotate(jobs[i]) would produce — the model is read once for the whole
 // batch (retrains never happen mid-flush), every per-record computation
 // is pure, and results land by index — so the parallel feed path stays
@@ -117,7 +119,10 @@ func (a *Annotator) AnnotateBatch(jobs []Job, workers int) ([]feed.Record, []err
 	m := a.model
 	a.mu.RUnlock()
 
-	prepare := func(i int, scratch *features.Scratch) {
+	// One extraction scratch per goroutine, warm after its first flow.
+	scratches := make([]features.Scratch, fanout.Size(len(jobs), workers))
+	fanout.Run(len(jobs), workers, func(w, i int) {
+		scratch := &scratches[w]
 		j := &jobs[i]
 		var annStart time.Time
 		if j.Trace != nil {
@@ -193,8 +198,7 @@ func (a *Annotator) AnnotateBatch(jobs []Job, workers int) ([]feed.Record, []err
 				trace.Str("label_source", rec.LabelSource))
 		}
 		recs[i] = rec
-	}
-	runIndexed(len(jobs), workers, prepare)
+	})
 
 	// Model inference for the unlabeled flows, batched through the
 	// flattened forest when available.
@@ -293,39 +297,6 @@ func joinSources(sources []string) string {
 		s += "," + x
 	}
 	return s
-}
-
-// runIndexed runs fn(0..n-1) across up to workers goroutines (serially
-// on the caller's goroutine when workers <= 1). Each goroutine hands fn
-// its own extraction scratch, warm after its first flow.
-func runIndexed(n, workers int, fn func(int, *features.Scratch)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var scratch features.Scratch
-		for i := 0; i < n; i++ {
-			fn(i, &scratch)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch features.Scratch
-			for i := range next {
-				fn(i, &scratch)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 func lastSeen(b *organizer.Batch) time.Time {

@@ -8,9 +8,13 @@ package api_test
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -196,9 +200,82 @@ func TestFeedConsumersDocMatchesSurface(t *testing.T) {
 	}
 }
 
+// TestOperationsDocCoversFeedFlags holds the Flags table of
+// docs/OPERATIONS.md to the flags the feed's binaries define, both ways:
+// every flag.X("name", …) in a main.go has a row naming `-name` in its
+// Flag column, and every flag a row names is still defined. Upgrade notes
+// in the Meaning column may name removed flags.
 func TestOperationsDocCoversFeedFlags(t *testing.T) {
 	doc := readDoc(t, "../../docs/OPERATIONS.md")
-	if !strings.Contains(doc, "`-feed-rebuild-every`") {
-		t.Error("exiotd flag -feed-rebuild-every is missing from docs/OPERATIONS.md")
+	start := strings.Index(doc, "\n## Flags\n")
+	if start < 0 {
+		t.Fatal("docs/OPERATIONS.md has no Flags section")
 	}
+	section := doc[start+1:]
+	if end := strings.Index(section[1:], "\n## "); end >= 0 {
+		section = section[:end+1]
+	}
+	row := regexp.MustCompile("(?m)^\\| `([a-z]+)` \\| ([^|]*) \\|")
+	name := regexp.MustCompile("`-([a-z0-9-]+)`")
+	documented := map[string]map[string]bool{}
+	for _, m := range row.FindAllStringSubmatch(section, -1) {
+		if documented[m[1]] == nil {
+			documented[m[1]] = map[string]bool{}
+		}
+		for _, f := range name.FindAllStringSubmatch(m[2], -1) {
+			documented[m[1]][f[1]] = true
+		}
+	}
+
+	for _, bin := range []string{"exiotd", "flowsampler", "telescopegen", "experiments"} {
+		defined := definedFlags(t, "../../cmd/"+bin+"/main.go")
+		for f := range defined {
+			if !documented[bin][f] {
+				t.Errorf("%s defines -%s, but the Flags table of docs/OPERATIONS.md has no row for it", bin, f)
+			}
+		}
+		for f := range documented[bin] {
+			if !defined[f] {
+				t.Errorf("the Flags table of docs/OPERATIONS.md lists %s -%s, which it no longer defines", bin, f)
+			}
+		}
+		delete(documented, bin)
+	}
+	for bin := range documented {
+		t.Errorf("the Flags table of docs/OPERATIONS.md has rows for %s, whose flags this test does not read", bin)
+	}
+}
+
+// definedFlags returns the names of the flag.X("name", …) calls in a
+// command's source.
+func definedFlags(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	file, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatalf("parse %s: %v", path, err)
+	}
+	names := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if name, err := strconv.Unquote(lit.Value); err == nil {
+				names[name] = true
+			}
+		}
+		return true
+	})
+	if len(names) == 0 {
+		t.Fatalf("%s defines no flags: is it still the command's flag site?", path)
+	}
+	return names
 }

@@ -35,9 +35,6 @@ type Scale struct {
 	MaxPacketsPerHostHour int
 	// SearchIterations bounds the trainer's hyper-parameter search.
 	SearchIterations int
-	// Workers is the ingest worker count for generation and detection
-	// (0 = GOMAXPROCS, 1 = serial). Results are identical at any setting.
-	Workers int
 }
 
 // DefaultScale returns a laptop-scale run (~1/100 of the paper's volume).
@@ -79,7 +76,6 @@ func (s Scale) worldConfig() simnet.Config {
 	cfg.NumBackscat = s.Backscat
 	cfg.Days = s.Days
 	cfg.MaxPacketsPerHostHour = s.MaxPacketsPerHostHour
-	cfg.Workers = s.Workers
 	return cfg
 }
 
@@ -87,7 +83,6 @@ func (s Scale) systemConfig() core.Config {
 	cfg := core.DefaultConfig(s.Seed)
 	cfg.World = s.worldConfig()
 	cfg.Pipeline = pipeline.DefaultLocalConfig()
-	cfg.Pipeline.Workers = s.Workers
 	cfg.Pipeline.Server.ScanMod = scanmod.Config{BatchSize: 200, BatchWait: 45 * time.Minute}
 	cfg.Pipeline.Server.Trainer = trainer.Config{
 		WindowDays:       14,

@@ -14,7 +14,6 @@ import (
 // accuracy against ground truth.
 type ScenarioReport struct {
 	Seed    int64
-	Workers int
 	Results []scenario.Result
 	specs   []scenario.Scenario
 }
@@ -22,10 +21,10 @@ type ScenarioReport struct {
 // Scenarios runs the adversarial scenario suite. Accuracy metrics are
 // deterministic in (seed, scenario); only the timing fields vary run to
 // run.
-func Scenarios(seed int64, workers int) ScenarioReport {
-	rep := ScenarioReport{Seed: seed, Workers: workers, specs: scenario.Suite()}
+func Scenarios(seed int64) ScenarioReport {
+	rep := ScenarioReport{Seed: seed, specs: scenario.Suite()}
 	for _, sc := range rep.specs {
-		rep.Results = append(rep.Results, scenario.Run(sc, seed, 0, workers))
+		rep.Results = append(rep.Results, scenario.Run(sc, seed, 0))
 	}
 	return rep
 }

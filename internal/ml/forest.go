@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
+
+	"exiot/internal/fanout"
 )
 
 // ForestConfig parameterizes random-forest training.
@@ -102,7 +102,7 @@ func (f *Forest) Validate(numFeatures int) error {
 }
 
 // TrainForest fits a random forest with bootstrap sampling and per-split
-// feature subsampling, training trees in parallel.
+// feature subsampling, training trees across GOMAXPROCS goroutines.
 func TrainForest(ds *Dataset, cfg ForestConfig) *Forest {
 	cfg = cfg.withDefaults(ds.NumFeatures())
 	forest := &Forest{Config: cfg, Trees: make([]*Tree, cfg.NumTrees)}
@@ -115,40 +115,23 @@ func TrainForest(ds *Dataset, cfg ForestConfig) *Forest {
 		seeds[i] = seedRng.Int63()
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > cfg.NumTrees {
-		workers = cfg.NumTrees
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ti := range next {
-				rng := rand.New(rand.NewSource(seeds[ti]))
-				n := int(float64(ds.Len()) * cfg.Subsample)
-				if n < 1 {
-					n = 1
-				}
-				idx := make([]int, n)
-				for i := range idx {
-					idx[i] = rng.Intn(ds.Len())
-				}
-				treeCfg := TreeConfig{
-					MaxDepth:       cfg.MaxDepth,
-					MinSamplesLeaf: cfg.MinSamplesLeaf,
-					MaxFeatures:    cfg.MaxFeatures,
-				}
-				forest.Trees[ti] = TrainTree(ds, treeCfg, idx, rng)
-			}
-		}()
-	}
-	for ti := 0; ti < cfg.NumTrees; ti++ {
-		next <- ti
-	}
-	close(next)
-	wg.Wait()
+	fanout.Run(cfg.NumTrees, 0, func(_, ti int) {
+		rng := rand.New(rand.NewSource(seeds[ti]))
+		n := int(float64(ds.Len()) * cfg.Subsample)
+		if n < 1 {
+			n = 1
+		}
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = rng.Intn(ds.Len())
+		}
+		treeCfg := TreeConfig{
+			MaxDepth:       cfg.MaxDepth,
+			MinSamplesLeaf: cfg.MinSamplesLeaf,
+			MaxFeatures:    cfg.MaxFeatures,
+		}
+		forest.Trees[ti] = TrainTree(ds, treeCfg, idx, rng)
+	})
 	return forest
 }
 

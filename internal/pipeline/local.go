@@ -20,8 +20,9 @@ type LocalConfig struct {
 	// Workers sizes the back half's scan-batch flush — the ZMap probe
 	// pool and the annotate fan-out — unless Server.Workers is set
 	// explicitly: 0 = GOMAXPROCS, 1 = serial. Detection is serial at any
-	// setting (the telescope scales by `flowsampler -shard i/N`). The
-	// feed is identical at any setting; only throughput changes.
+	// setting (the telescope scales by `flowsampler -shard i/N`), and
+	// generation follows GOMAXPROCS. The feed is identical at any
+	// setting; only throughput changes.
 	Workers int
 
 	// CollectionDelay models CAIDA's collect/compress/store lag before an

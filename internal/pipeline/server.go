@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -56,9 +55,10 @@ type ServerConfig struct {
 	// HistoricalWindow is the historical database's lapse (paper: two
 	// weeks).
 	HistoricalWindow time.Duration
-	// Workers bounds the back half's concurrency: the ZMap probe pool
-	// and the annotate fan-out at scan-batch flush (0 = GOMAXPROCS,
-	// 1 = fully serial). The feed is identical at any setting.
+	// Workers bounds the back half's fan-out at scan-batch flush: the
+	// ZMap probe pool and the annotation (0 = GOMAXPROCS, 1 = on the
+	// caller's goroutine). The feed is identical at any setting; 1 is
+	// the serial back half the benchmark measures.
 	Workers int
 }
 
@@ -87,7 +87,6 @@ type Counters struct {
 // events and maintains the CTI feed.
 type Server struct {
 	cfg       ServerConfig
-	workers   int
 	scanMod   *scanmod.Module
 	annotator *annotate.Annotator
 	trainer   *trainer.Trainer
@@ -140,15 +139,10 @@ func NewServer(cfg ServerConfig, prober zmap.Prober, reg *registry.Registry, mai
 	if cfg.HistoricalWindow <= 0 {
 		cfg.HistoricalWindow = 14 * 24 * time.Hour
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	scanner := zmap.NewScanner(prober)
-	scanner.Workers = workers
+	scanner.Workers = cfg.Workers
 	s := &Server{
 		cfg:            cfg,
-		workers:        workers,
 		scanMod:        scanmod.New(cfg.ScanMod, scanner, recog.NewDB()),
 		annotator:      annotate.New(enrich.New(reg)),
 		trainer:        trainer.New(cfg.Trainer),
@@ -210,7 +204,7 @@ func (s *Server) handleBatch(b *organizer.Batch, availableAt time.Time, flow *tr
 
 // resolveTagged joins active-measurement results with their organized
 // flows and emits CTI records. Annotation (feature extraction, forest
-// inference, enrichment) fans out across the configured workers — every
+// inference, enrichment) fans out across cfg.Workers goroutines — every
 // per-record computation is pure and the model is fixed for the whole
 // flush — while the stateful tail (trainer window, store inserts,
 // counters, notifications) runs serially in batch order, so the emitted
@@ -254,7 +248,7 @@ func (s *Server) resolveTagged(tagged []scanmod.Tagged, now time.Time) {
 			Trace:       pf.trace,
 		})
 	}
-	recs, errs := s.annotator.AnnotateBatch(jobs, s.workers)
+	recs, errs := s.annotator.AnnotateBatch(jobs, s.cfg.Workers)
 	for k := range jobs {
 		if errs[k] != nil {
 			// Malformed flow; nothing to record, and nothing for its

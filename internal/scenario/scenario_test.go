@@ -3,6 +3,7 @@ package scenario
 import (
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -41,8 +42,8 @@ func TestScenarioDeterminism(t *testing.T) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			hours := testHours(sc)
-			r1, d1, truth1 := RunTap(sc, 1234, hours, 1)
-			r2, d2, truth2 := RunTap(sc, 1234, hours, 1)
+			r1, d1, truth1 := RunTap(sc, 1234, hours)
+			r2, d2, truth2 := RunTap(sc, 1234, hours)
 			if !reflect.DeepEqual(truth1, truth2) {
 				t.Error("ground-truth labels differ between identical-seed runs")
 			}
@@ -120,7 +121,7 @@ func partitionedDigest(t *testing.T, sc Scenario, seed int64, hours, n int) uint
 	}
 	for h := 0; h < hours; h++ {
 		hour := w.Start().Add(time.Duration(h) * time.Hour)
-		pkts := w.GenerateHourWorkers(hour, 4)
+		pkts := w.GenerateHour(hour)
 		for _, node := range nodes {
 			if err := node.ProcessHour(pkts, hour); err != nil {
 				t.Fatal(err)
@@ -138,17 +139,19 @@ func partitionedDigest(t *testing.T, sc Scenario, seed int64, hours, n int) uint
 	return digest.Sum64()
 }
 
-// TestScenarioWorkerInvariance replays every scenario as one serial
-// sampler and as a 4-partition cluster merge (with 4 generation workers):
-// the merged stream must be the byte-for-byte identical canonical event
-// stream, so the scored accuracy cannot depend on how the telescope is
-// partitioned.
-func TestScenarioWorkerInvariance(t *testing.T) {
+// TestScenarioPartitionInvariance replays every scenario as one sampler
+// generating at GOMAXPROCS 1 and as a 4-partition cluster merge
+// generating at GOMAXPROCS 4: the merged stream must be the byte-for-byte
+// identical canonical event stream, so the scored accuracy cannot depend
+// on how the telescope is partitioned or how many goroutines generate it.
+func TestScenarioPartitionInvariance(t *testing.T) {
 	for _, sc := range Suite() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
 			hours := testHours(sc)
-			_, d1, _ := RunTap(sc, 99, hours, 1)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			_, d1, _ := RunTap(sc, 99, hours)
+			runtime.GOMAXPROCS(4)
 			if d4 := partitionedDigest(t, sc, 99, hours, 4); d1 != d4 {
 				t.Errorf("event stream differs between 1 sampler and 4 partitions: digest %x vs %x", d1, d4)
 			}
@@ -163,8 +166,8 @@ func TestScenarioSeedSensitivity(t *testing.T) {
 	if !ok {
 		t.Fatal("suite is missing stealth-subthreshold")
 	}
-	_, d1, truth1 := RunTap(sc, 1, 3, 1)
-	_, d2, truth2 := RunTap(sc, 2, 3, 1)
+	_, d1, truth1 := RunTap(sc, 1, 3)
+	_, d2, truth2 := RunTap(sc, 2, 3)
 	if reflect.DeepEqual(truth1, truth2) {
 		t.Error("different seeds produced identical ground truth")
 	}
@@ -183,7 +186,7 @@ func TestScenarioSemantics(t *testing.T) {
 	for _, sc := range Suite() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			r := Run(sc, 42, 0, 1)
+			r := Run(sc, 42, 0)
 			switch sc.Name {
 			case "stealth-subthreshold":
 				if r.InjectedRecall != 0 {

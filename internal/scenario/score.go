@@ -13,9 +13,8 @@ import (
 
 // Result is one scenario's scored pipeline run.
 type Result struct {
-	Name    string `json:"name"`
-	Hours   int    `json:"hours"`
-	Workers int    `json:"workers"`
+	Name  string `json:"name"`
+	Hours int    `json:"hours"`
 
 	// Volume and speed (speed excludes world generation).
 	Packets   int64 `json:"packets"`
@@ -42,10 +41,9 @@ type Result struct {
 
 // Run builds the scenario's world from seed, drives the full
 // TRW→probe→classify pipeline over its hours, and scores the feed
-// against ground truth. workers sizes traffic generation only (the
-// scored run is serial). hours <= 0 uses the scenario's canonical span.
-func Run(sc Scenario, seed int64, hours, workers int) Result {
-	res, _, _ := RunTap(sc, seed, hours, workers)
+// against ground truth. hours <= 0 uses the scenario's canonical span.
+func Run(sc Scenario, seed int64, hours int) Result {
+	res, _, _ := RunTap(sc, seed, hours)
 	return res
 }
 
@@ -53,7 +51,7 @@ func Run(sc Scenario, seed int64, hours, workers int) Result {
 // canonical sampler event stream (for determinism proofs: identical
 // digests mean identical detector behaviour, byte for byte) and the
 // scenario's ground truth.
-func RunTap(sc Scenario, seed int64, hours, workers int) (Result, uint64, Truth) {
+func RunTap(sc Scenario, seed int64, hours int) (Result, uint64, Truth) {
 	if hours <= 0 {
 		hours = sc.Hours
 	}
@@ -64,7 +62,7 @@ func RunTap(sc Scenario, seed int64, hours, workers int) (Result, uint64, Truth)
 	pergen := make([][]packet.Packet, hours)
 	var packets int64
 	for h := range pergen {
-		pergen[h] = w.GenerateHourWorkers(w.Start().Add(time.Duration(h)*time.Hour), workers)
+		pergen[h] = w.GenerateHour(w.Start().Add(time.Duration(h) * time.Hour))
 		packets += int64(len(pergen[h]))
 	}
 
@@ -99,7 +97,6 @@ func RunTap(sc Scenario, seed int64, hours, workers int) (Result, uint64, Truth)
 	res := score(w, truth, back.Server())
 	res.Name = sc.Name
 	res.Hours = hours
-	res.Workers = workers
 	res.Packets = packets
 	res.ElapsedNs = elapsed.Nanoseconds()
 	return res, digest.Sum64(), truth

@@ -186,10 +186,6 @@ type Config struct {
 	Start time.Time
 	Days  int
 
-	// Workers is the generation worker-pool size for GenerateHour:
-	// 0 = GOMAXPROCS, 1 = serial. The output is identical either way.
-	Workers int
-
 	// Population sizes.
 	NumInfected  int
 	NumNonIoT    int

@@ -3,13 +3,11 @@ package simnet
 import (
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"exiot/internal/device"
+	"exiot/internal/fanout"
 	"exiot/internal/packet"
 	"exiot/internal/telemetry"
 )
@@ -19,52 +17,21 @@ var layerSimnet = telemetry.Default().Layer("simnet")
 
 // GenerateHour produces every telescope-observed packet with a timestamp
 // in [hour, hour+1h), sorted by time. Generation is deterministic per
-// (world, hour) and independent of the worker count: the canonical order
-// is (timestamp, host index), so the serial sort and the parallel merge
-// produce byte-identical streams. Uses Config.Workers workers
-// (0 = GOMAXPROCS).
+// (world, hour) and independent of GOMAXPROCS: each host's rng is seeded
+// from (host seed, hour) alone, and the canonical order is (timestamp,
+// host index), so the per-host runs fanned out across GOMAXPROCS
+// goroutines merge into the same stream at any setting.
 func (w *World) GenerateHour(hour time.Time) []packet.Packet {
-	return w.GenerateHourWorkers(hour, w.cfg.Workers)
-}
-
-// GenerateHourWorkers is GenerateHour with an explicit worker count.
-// workers <= 0 selects GOMAXPROCS; workers == 1 generates on the calling
-// goroutine. Each host's rng is seeded from (host seed, hour) alone, so the
-// per-host streams are identical no matter which worker generates them.
-func (w *World) GenerateHourWorkers(hour time.Time, workers int) []packet.Packet {
 	start := time.Now()
 	hourEnd := hour.Add(time.Hour)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(w.hosts) {
-		workers = len(w.hosts)
-	}
-	// Generate per-host time-ordered runs — on a worker pool when
-	// workers > 1 — then k-way merge them keyed by (timestamp, host
-	// index): the canonical order, identical to a stable sort of the
-	// runs' concatenation but without moving every ~150-byte packet
-	// O(n log n) times through a sorter.
+	// Generate per-host time-ordered runs, then k-way merge them keyed by
+	// (timestamp, host index): the canonical order, identical to a stable
+	// sort of the runs' concatenation but without moving every ~150-byte
+	// packet O(n log n) times through a sorter.
 	runs := make([][]packet.Packet, len(w.hosts))
-	var next atomic.Int64
-	generate := func() {
-		for hi := int(next.Add(1)) - 1; hi < len(w.hosts); hi = int(next.Add(1)) - 1 {
-			runs[hi] = w.generateHost(nil, w.hosts[hi], hour, hourEnd)
-		}
-	}
-	if workers <= 1 {
-		generate()
-	} else {
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				generate()
-			}()
-		}
-		wg.Wait()
-	}
+	fanout.Run(len(w.hosts), 0, func(_, hi int) {
+		runs[hi] = w.generateHost(nil, w.hosts[hi], hour, hourEnd)
+	})
 	merged := mergeRuns(runs)
 	layerSimnet.Done(start, len(merged))
 	return merged

@@ -8,9 +8,9 @@
 package zmap
 
 import (
-	"runtime"
 	"sync"
 
+	"exiot/internal/fanout"
 	"exiot/internal/packet"
 	"exiot/internal/telemetry"
 )
@@ -95,8 +95,8 @@ type Scanner struct {
 	// account scan latency (the paper runs ZMap at 5k pps).
 	Rate float64
 	// Workers caps ScanBatch's probe concurrency (0 = GOMAXPROCS). The
-	// pipeline wires its classification worker count here so one knob
-	// governs the whole back half.
+	// pipeline wires ServerConfig.Workers here so one knob governs the
+	// whole back half.
 	Workers int
 
 	mu         sync.Mutex
@@ -148,35 +148,9 @@ func (s *Scanner) ScanHost(ip packet.IP) HostResult {
 // 60 minutes) before invoking this.
 func (s *Scanner) ScanBatch(ips []packet.IP) []HostResult {
 	out := make([]HostResult, len(ips))
-	workers := s.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ips) {
-		workers = len(ips)
-	}
-	if workers <= 1 {
-		for i, ip := range ips {
-			out[i] = s.ScanHost(ip)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i] = s.ScanHost(ips[i])
-			}
-		}()
-	}
-	for i := range ips {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	fanout.Run(len(ips), s.Workers, func(_, i int) {
+		out[i] = s.ScanHost(ips[i])
+	})
 	return out
 }
 

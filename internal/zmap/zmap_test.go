@@ -123,33 +123,6 @@ func TestScanBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestScanBatchMoreWorkersThanIPs checks the pool clamps workers to the
-// batch size: batches smaller than GOMAXPROCS still scan every host
-// exactly once, in order.
-func TestScanBatchMoreWorkersThanIPs(t *testing.T) {
-	for _, n := range []int{1, 2, 3} {
-		ips := make([]packet.IP, n)
-		open := map[packet.IP]map[uint16]string{}
-		for i := range ips {
-			ips[i] = packet.IP(0xC0000210 + uint32(i))
-			open[ips[i]] = map[uint16]string{80: "banner"}
-		}
-		f := &fakeProber{open: open, proto: "http"}
-		out := NewScanner(f).ScanBatch(ips)
-		if len(out) != n {
-			t.Fatalf("n=%d: got %d results", n, len(out))
-		}
-		for i := range out {
-			if out[i].IP != ips[i] {
-				t.Errorf("n=%d: result %d is %v, want %v", n, i, out[i].IP, ips[i])
-			}
-			if len(out[i].OpenPorts) == 0 {
-				t.Errorf("n=%d: host %d found no open ports", n, i)
-			}
-		}
-	}
-}
-
 func TestCustomPorts(t *testing.T) {
 	ip := packet.MustParseIP("203.0.113.52")
 	f := &fakeProber{

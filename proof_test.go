@@ -19,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -60,7 +61,7 @@ var (
 	scaleWorld   = world{77, 48, "scale"}
 )
 
-func (w world) build(workers int) *simnet.World {
+func (w world) build() *simnet.World {
 	cfg := simnet.DefaultConfig(w.seed)
 	if w.pop == "small" {
 		cfg.NumInfected, cfg.NumNonIoT, cfg.NumMisconfig, cfg.NumBackscat = 120, 25, 12, 5
@@ -69,23 +70,21 @@ func (w world) build(workers int) *simnet.World {
 		cfg.Days = 2
 	}
 	cfg.MaxPacketsPerHostHour = 600
-	cfg.Workers = workers
 	return simnet.NewWorld(cfg)
 }
 
-func (w world) scale(workers int) experiments.Scale {
+func (w world) scale() experiments.Scale {
 	s := experiments.QuickScale(w.seed)
 	s.Infected, s.NonIoT, s.Research, s.Misconfig, s.Backscat = 150, 30, 3, 20, 6
 	s.Days = w.hours / 24
 	s.MaxPacketsPerHostHour = 600
-	s.Workers = workers
 	return s
 }
 
 // row is one variant: how a world's hours reach the feed server.
 type row struct {
 	name    string
-	workers int
+	procs   int    // GOMAXPROCS for the row (0: leave it), which sizes every fan-out
 	traced  bool   // every event traced
 	shards  int    // 0: pipeline.Local; n: n Shippers over TCP into BackHalf.Receive(n)
 	capture string // "": hours from memory; "dir": replay of hourly captures; "file": of one capture
@@ -107,8 +106,8 @@ type outcome struct {
 }
 
 // baselines holds one plain pipeline.Local run per world, shared by every
-// row on it. Rows never run in parallel (the tracer and the health
-// registry are process globals), so the map needs no lock.
+// row on it. Rows never run in parallel (the tracer, the health registry
+// and GOMAXPROCS are process globals), so the map needs no lock.
 var baselines = map[world]*outcome{}
 
 func baseline(t *testing.T, w world) *outcome {
@@ -119,7 +118,7 @@ func baseline(t *testing.T, w world) *outcome {
 	if b, ok := baselines[w]; ok {
 		return b
 	}
-	b := run(t, w, row{name: "baseline", workers: 1})
+	b := run(t, w, row{name: "baseline", procs: 1})
 	if len(b.fp.historical) == 0 {
 		t.Fatalf("the baseline of %+v produced no feed records: every proof on it would be vacuous", w)
 	}
@@ -153,19 +152,21 @@ func proveRows(t *testing.T, w world, rows ...row) {
 
 func run(t *testing.T, w world, r row) *outcome {
 	t.Helper()
+	if r.procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(r.procs))
+	}
 	if r.traced {
 		trace.Default().SetSampleEvery(1)
 		defer trace.Default().SetSampleEvery(0)
 	}
 	if w.pop == "scale" {
-		env, err := experiments.NewEnv(w.scale(r.workers))
+		env, err := experiments.NewEnv(w.scale())
 		must(t, err)
 		fp := fingerprintOf(t, env.Sys.Feed(), env.Sys.Pipeline().Sampler())
 		return &outcome{fp: fp, server: env.Sys.Feed(), env: env}
 	}
 	out := &outcome{}
 	cfg := pipeline.DefaultLocalConfig()
-	cfg.Workers = r.workers
 	if r.durable { // no fsync, which equivalence does not need; small segments force rotation
 		cfg.Durable = pipeline.DurableConfig{Dir: t.TempDir(), Sync: durable.SyncOff, SegmentBytes: 256 << 10}
 	}
@@ -179,7 +180,7 @@ func run(t *testing.T, w world, r row) *outcome {
 		if problems, err := durable.Verify(cfg.Durable.Dir); err != nil || len(problems) > 0 {
 			t.Fatalf("closed state dir: %v %v", problems, err)
 		}
-		sw := w.build(r.workers)
+		sw := w.build()
 		back, err := pipeline.NewBackHalf(cfg, sw, sw.Registry(), &notify.MemoryMailer{})
 		must(t, err)
 		must(t, back.Close())
@@ -198,7 +199,7 @@ var errHardStop = errors.New("hard stop")
 func runLocal(t *testing.T, w world, r row, cfg pipeline.LocalConfig, src source, out *outcome) {
 	t.Helper()
 	if r.crash > 0 {
-		cw := w.build(r.workers)
+		cw := w.build()
 		crashed, err := pipeline.NewDurableLocal(cfg, cw, cw.Registry(), &notify.MemoryMailer{})
 		must(t, err)
 		stop := cw.Start().Add(time.Duration(r.crash) * time.Hour)
@@ -216,7 +217,7 @@ func runLocal(t *testing.T, w world, r row, cfg pipeline.LocalConfig, src source
 			t.Fatalf("Verify did not flag the damaged WAL tail (%v)", err)
 		}
 	}
-	sw := w.build(r.workers)
+	sw := w.build()
 	l, err := pipeline.NewDurableLocal(cfg, sw, sw.Registry(), &notify.MemoryMailer{})
 	must(t, err)
 	if r.crash > 0 {
@@ -266,7 +267,7 @@ func (l flakyLink) Barrier(epoch int64, final bool) error {
 // seeded points, into the BackHalf behind its merge (exiotd -shards n).
 func runShards(t *testing.T, w world, r row, cfg pipeline.LocalConfig, src source, out *outcome) {
 	t.Helper()
-	sw := w.build(r.workers)
+	sw := w.build()
 	back, err := pipeline.NewBackHalf(cfg, sw, sw.Registry(), &notify.MemoryMailer{})
 	must(t, err)
 	agg := back.Receive(r.shards)
@@ -345,7 +346,7 @@ func newSource(t *testing.T, w world, r row) source {
 	if src, ok := sources[key]; ok {
 		return src
 	}
-	sw := w.build(0)
+	sw := w.build()
 	src := source{hours: w.hours, pergen: make([][]packet.Packet, w.hours)}
 	for h := range src.pergen {
 		src.pergen[h] = sw.GenerateHour(sw.Start().Add(time.Duration(h) * time.Hour))
@@ -633,15 +634,15 @@ func TestReplaySingleFileEquivalence(t *testing.T) {
 // directory is closed) and finishes with the uninterrupted run's feed.
 func TestKillRecoverEquivalence(t *testing.T) {
 	proveRows(t, durableWorld,
-		row{name: "serial-torn-tail", workers: 1, durable: true, crash: 29},
-		row{name: "parallel-bitflip", workers: 4, durable: true, crash: 17, bitflip: true})
+		row{name: "serial-torn-tail", procs: 1, durable: true, crash: 29},
+		row{name: "parallel-bitflip", procs: 4, durable: true, crash: 17, bitflip: true})
 }
 
 // TestParallelIngestEquivalence holds parallel generation and the flush's
 // probe and annotate fan-out to the serial path over two days at the
 // evaluation's configuration, Tables III–V included.
 func TestParallelIngestEquivalence(t *testing.T) {
-	out := prove(t, scaleWorld, row{name: "workers=8", workers: 8})
+	out := prove(t, scaleWorld, row{name: "workers=8", procs: 8})
 	base := baseline(t, scaleWorld)
 	for name, table := range map[string]func(*experiments.Env) any{
 		"III": func(e *experiments.Env) any { return experiments.TableIII(e) },
@@ -665,7 +666,7 @@ func TestComposedFeedEquivalence(t *testing.T) {
 	crash := 1 + rand.New(rand.NewSource(replayWorld.seed)).Intn(replayWorld.hours-1)
 	proveRows(t, clusterWorld,
 		row{name: "3 shards traced durable", shards: 3, traced: true, durable: true},
-		row{name: "workers=4 traced console", workers: 4, traced: true, console: true})
+		row{name: "workers=4 traced console", procs: 4, traced: true, console: true})
 	proveRows(t, replayWorld,
 		row{name: fmt.Sprintf("replay dir durable crash@%d", crash), capture: "dir", durable: true, crash: crash},
 		row{name: "3 shards replay dir", shards: 3, capture: "dir"})

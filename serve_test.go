@@ -16,7 +16,7 @@ import (
 // bytes too — plain, as the precomputed gzip variant, and revalidated to
 // a body-less 304 by the ETag it advertised — at any worker count.
 func TestSnapshotExportEquivalence(t *testing.T) {
-	for _, r := range []row{{name: "workers=1", workers: 1}, {name: "workers=4", workers: 4}} {
+	for _, r := range []row{{name: "workers=1", procs: 1}, {name: "workers=4", procs: 4}} {
 		t.Run(r.name, func(t *testing.T) {
 			out := prove(t, dayWorld, r)
 			cache := out.server.NewFeedCache(feedserve.Config{})

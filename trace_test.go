@@ -14,9 +14,9 @@ import (
 // stream, and live timing capture never touches feed bytes.
 func TestTraceFeedEquivalence(t *testing.T) {
 	proveRows(t, dayWorld,
-		row{name: "workers=1 traced", workers: 1, traced: true},
-		row{name: "workers=4 untraced", workers: 4},
-		row{name: "workers=4 traced", workers: 4, traced: true})
+		row{name: "workers=1 traced", procs: 1, traced: true},
+		row{name: "workers=4 untraced", procs: 4},
+		row{name: "workers=4 traced", procs: 4, traced: true})
 	// Every record carries provenance with a trace ID, tracing on or off.
 	for _, rec := range baseline(t, dayWorld).fp.historical {
 		if rec.Provenance == nil || rec.Provenance.TraceID == "" {
@@ -32,7 +32,7 @@ func TestTraceFeedEquivalence(t *testing.T) {
 // feed record with its retained trace: the full per-stage lineage of a
 // traced day at four workers.
 func TestWhyEndpointLineage(t *testing.T) {
-	out := prove(t, dayWorld, row{name: "workers=4 traced", workers: 4, traced: true})
+	out := prove(t, dayWorld, row{name: "workers=4 traced", procs: 4, traced: true})
 	h := feedAPI(out.server, nil)
 	// Every record is traced at sample-every=1: take the last and demand
 	// the full lineage.
