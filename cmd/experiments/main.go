@@ -26,15 +26,14 @@ func main() {
 		scale   = flag.String("scale", "default", "quick | default")
 		seed    = flag.Int64("seed", 42, "simulation seed")
 		mdOut   = flag.String("md", "", "also write a Markdown report to this path")
-		scnOut  = flag.String("scenarios-out", "BENCH_scenarios.json", "benchjson baseline written by the scenarios experiment (empty disables)")
 	)
 	flag.Parse()
-	if err := run(*runList, *scale, *seed, *mdOut, *scnOut); err != nil {
+	if err := run(*runList, *scale, *seed, *mdOut); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(runList, scaleName string, seed int64, mdOut, scnOut string) error {
+func run(runList, scaleName string, seed int64, mdOut string) error {
 	var sc experiments.Scale
 	switch scaleName {
 	case "quick":
@@ -137,18 +136,7 @@ func run(runList, scaleName string, seed int64, mdOut, scnOut string) error {
 		emit("Banner availability", experiments.BannerAvailability(sc).String())
 	}
 	if pick("scenarios") {
-		rep := experiments.Scenarios(seed)
-		emit("Adversarial scenario suite", rep.String())
-		if scnOut != "" {
-			data, err := rep.BaselineJSON()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(scnOut, data, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", scnOut)
-		}
+		emit("Adversarial scenario suite", experiments.Scenarios(seed).String())
 	}
 	if pick("ablations") {
 		emit("Ablation: TRW", experiments.AblationTRW(sc).String())

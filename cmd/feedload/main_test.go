@@ -3,6 +3,7 @@ package main
 import (
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -27,13 +28,13 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestRunLoadFixedRequestCount(t *testing.T) {
-	var served int
+	var served atomic.Int64 // handlers run concurrently
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("X-API-Key") != "k" {
 			http.Error(w, "unauthorized", http.StatusUnauthorized)
 			return
 		}
-		served++
+		served.Add(1)
 		w.Header().Set("ETag", `"abc"`)
 		if r.Header.Get("If-None-Match") == `"abc"` {
 			w.WriteHeader(http.StatusNotModified)
@@ -52,6 +53,10 @@ func TestRunLoadFixedRequestCount(t *testing.T) {
 	}
 	if res.Requests != 40 {
 		t.Fatalf("requests = %d, want 40", res.Requests)
+	}
+	// The server saw exactly what runLoad sent: the probe plus the 40.
+	if n := served.Load(); n != 41 {
+		t.Fatalf("server answered %d requests, want 41 (probe + 40)", n)
 	}
 	// Conditional mode: after each worker's first 200, everything
 	// revalidates to 304.

@@ -11,7 +11,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -278,4 +280,55 @@ func definedFlags(t *testing.T, path string) map[string]bool {
 		t.Fatalf("%s defines no flags: is it still the command's flag site?", path)
 	}
 	return names
+}
+
+// TestDocCitationsResolve holds the docs and CI to the test suite: every
+// Test*, Benchmark* or Fuzz* name the prose docs cite, and every such
+// name in a -run, -bench or -fuzz pattern of the CI workflow, is a
+// function in some _test.go. A renamed test would otherwise leave
+// `go test -run X` matching nothing, which passes.
+func TestDocCitationsResolve(t *testing.T) {
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w+)\(`)
+	defined := map[string]bool{}
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "../.." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		for _, m := range decl.FindAllStringSubmatch(readDoc(t, path), -1) {
+			defined[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil || len(docs) == 0 {
+		t.Fatalf("no docs/*.md found (%v)", err)
+	}
+	docs = append(docs, "../../README.md", "../../DESIGN.md", "../../EXPERIMENTS.md", "../../.claude/skills/verify/SKILL.md")
+	for _, path := range docs {
+		for _, n := range name.FindAllString(readDoc(t, path), -1) {
+			if !defined[n] {
+				t.Errorf("%s cites %s, which no _test.go defines", strings.TrimPrefix(path, "../../"), n)
+			}
+		}
+	}
+
+	pattern := regexp.MustCompile(`-(?:run|bench|fuzz)[= ]+('[^']*'|\S+)`)
+	for _, m := range pattern.FindAllStringSubmatch(readDoc(t, "../../.github/workflows/ci.yml"), -1) {
+		for _, n := range name.FindAllString(m[1], -1) {
+			if !defined[n] {
+				t.Errorf(".github/workflows/ci.yml runs %s %s, and no _test.go defines %s", m[0][:strings.IndexAny(m[0], "= ")], m[1], n)
+			}
+		}
+	}
 }

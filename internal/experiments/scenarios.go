@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -49,52 +48,4 @@ func (r ScenarioReport) String() string {
 		fmt.Fprintf(&sb, "  %-22s %s\n", sc.Name, sc.BlindSpot)
 	}
 	return sb.String()
-}
-
-// BaselineJSON renders the report in benchjson's Baseline schema so CI
-// compares accuracy the same way it compares throughput: ns_per_op is
-// per-packet pipeline cost, and every accuracy metric rides along in
-// metrics (exact-valued — compare them with `benchjson compare
-// -metrics`).
-func (r ScenarioReport) BaselineJSON() ([]byte, error) {
-	type stat struct {
-		NsPerOp float64            `json:"ns_per_op"`
-		Metrics map[string]float64 `json:"metrics,omitempty"`
-	}
-	benchmarks := make(map[string]stat, len(r.Results))
-	for _, res := range r.Results {
-		nsPerPkt := 0.0
-		if res.Packets > 0 {
-			nsPerPkt = float64(res.ElapsedNs) / float64(res.Packets)
-		}
-		benchmarks["Scenario/"+res.Name] = stat{
-			NsPerOp: nsPerPkt,
-			Metrics: map[string]float64{
-				"packets":            float64(res.Packets),
-				"records":            float64(res.Records),
-				"scan_precision":     res.ScanPrecision,
-				"scan_recall":        res.ScanRecall,
-				"injected_recall":    res.InjectedRecall,
-				"injected_false_fed": float64(res.InjectedFalseFed),
-				"iot_precision":      res.IoTPrecision,
-				"iot_recall":         res.IoTRecall,
-			},
-		}
-	}
-	out := struct {
-		Bench      string          `json:"bench"`
-		Package    string          `json:"package"`
-		Count      int             `json:"count"`
-		Benchmarks map[string]stat `json:"benchmarks"`
-	}{
-		Bench:      fmt.Sprintf("scenario-suite seed=%d", r.Seed),
-		Package:    "internal/scenario",
-		Count:      1,
-		Benchmarks: benchmarks,
-	}
-	data, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }

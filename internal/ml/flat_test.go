@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -100,4 +101,60 @@ func TestFlattenEmptyForest(t *testing.T) {
 	if got := flat.PredictProba([]float64{1, 2}); got != 0 {
 		t.Errorf("empty forest scored %v, want 0", got)
 	}
+}
+
+// BenchmarkForestLayout compares the pointer-tree forest against its
+// flattened node-arena form (and the arena's batch entry point) on
+// identical inputs — the layout ablation behind the classify hot path.
+// Scores are bit-identical across all three; only locality and
+// allocation behaviour differ.
+func BenchmarkForestLayout(b *testing.B) {
+	// A noisy, overlapping dataset: trees grow deep (hundreds of nodes),
+	// which is where node size and arena locality decide the walk cost —
+	// a trivially separable set yields depth-1 trees and hides the
+	// layout entirely.
+	const dim = 120
+	r := rand.New(rand.NewSource(9))
+	var ds Dataset
+	for i := 0; i < 2000; i++ {
+		x := make([]float64, dim)
+		for j := range x {
+			x[j] = r.Float64()
+		}
+		y := 0
+		if x[3]+x[40]*x[90]+0.3*x[117] > 0.95 {
+			y = 1
+		}
+		if r.Float64() < 0.15 {
+			y = 1 - y
+		}
+		ds.Append(x, y)
+	}
+	forest := TrainForest(&ds, ForestConfig{NumTrees: 100, Seed: 1})
+	flat := forest.Flatten()
+
+	b.Run("pointer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			forest.PredictProba(ds.X[i%len(ds.X)])
+		}
+	})
+	b.Run("flat", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			flat.PredictProba(ds.X[i%len(ds.X)])
+		}
+	})
+	b.Run("flat-batch", func(b *testing.B) {
+		rows := ds.X[:256]
+		out := make([]float64, len(rows))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			flat.PredictProbaBatch(rows, out)
+		}
+		// Normalize to per-row cost so the three sub-benches compare
+		// directly.
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+	})
 }

@@ -7,7 +7,7 @@
 // labels for every injected host; the scorer in score.go runs the full
 // TRW→probe→classify pipeline over it and reports per-scenario
 // precision/recall, turning detection accuracy under adversarial
-// traffic into a regression-tracked metric (BENCH_scenarios.json).
+// traffic into a regression-tracked metric (testdata/accuracy.json).
 package scenario
 
 import (

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"encoding/json"
 	"hash/fnv"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -179,14 +181,39 @@ func TestScenarioSeedSensitivity(t *testing.T) {
 // TestScenarioSemantics pins each scenario's designed outcome: the
 // stealth cohort stays invisible to the TRW θ, the botnet waves and
 // diurnal cohorts are caught, and the backscatter storm feeds nothing.
+// Every exact-valued Result field must also equal testdata/accuracy.json,
+// so any accuracy drift fails; on a mismatch the log carries the fresh
+// file to review and commit.
 func TestScenarioSemantics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-span scenario runs")
 	}
+	raw, err := os.ReadFile("testdata/accuracy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixture []Result
+	if err := json.Unmarshal(raw, &fixture); err != nil {
+		t.Fatalf("parse testdata/accuracy.json: %v", err)
+	}
+	want := map[string]Result{}
+	for _, r := range fixture {
+		want[r.Name] = r
+	}
+	if len(want) != len(Suite()) {
+		t.Errorf("testdata/accuracy.json holds %d scenarios, the suite %d", len(want), len(Suite()))
+	}
+	var fresh []Result
 	for _, sc := range Suite() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			r := Run(sc, 42, 0)
+			r := stripTiming(Run(sc, 42, 0))
+			fresh = append(fresh, r)
+			if w, ok := want[sc.Name]; !ok {
+				t.Error("scenario missing from testdata/accuracy.json")
+			} else if r != w {
+				t.Errorf("accuracy differs from testdata/accuracy.json:\n got: %+v\nwant: %+v", r, w)
+			}
 			switch sc.Name {
 			case "stealth-subthreshold":
 				if r.InjectedRecall != 0 {
@@ -205,5 +232,12 @@ func TestScenarioSemantics(t *testing.T) {
 				t.Errorf("scan precision %.3f: background false positives", r.ScanPrecision)
 			}
 		})
+	}
+	if t.Failed() {
+		data, err := json.MarshalIndent(fresh, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("fresh testdata/accuracy.json:\n%s", data)
 	}
 }

@@ -18,7 +18,7 @@ type Result struct {
 
 	// Volume and speed (speed excludes world generation).
 	Packets   int64 `json:"packets"`
-	ElapsedNs int64 `json:"elapsed_ns"`
+	ElapsedNs int64 `json:"elapsed_ns,omitempty"`
 	Records   int   `json:"records"`
 
 	// Scan detection accuracy over every ground-truth scanner in the
