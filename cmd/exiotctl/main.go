@@ -154,8 +154,14 @@ func runState(args []string, out io.Writer) error {
 			fmt.Fprintln(out, string(raw))
 			return nil
 		}
-		printStateReport(out, info)
-		return printWALTraces(out, *dir)
+		refused := printStateReport(out, info)
+		if err := printWALTraces(out, *dir); err != nil {
+			return err
+		}
+		if refused > 0 {
+			return fmt.Errorf("%d file(s) written by another exiotd release", refused)
+		}
+		return nil
 	case "verify":
 		problems, err := durable.Verify(*dir)
 		if err != nil {
@@ -174,12 +180,18 @@ func runState(args []string, out io.Writer) error {
 	}
 }
 
-func printStateReport(out io.Writer, info *durable.DirInfo) {
+// printStateReport prints one row per file and returns how many another
+// release wrote: recovery stops on those, so they are not CORRUPT.
+func printStateReport(out io.Writer, info *durable.DirInfo) (refused int) {
 	fmt.Fprintf(out, "state directory %s\n", info.Dir)
 	fmt.Fprintf(out, "snapshots (%d):\n", len(info.Snapshots))
 	for _, s := range info.Snapshots {
 		status := "valid"
-		if !s.Valid {
+		switch {
+		case s.Refused:
+			status = "REFUSED: " + s.Error
+			refused++
+		case !s.Valid:
 			status = "CORRUPT: " + s.Error
 		}
 		fmt.Fprintf(out, "  %s  %8d bytes  last_seq=%d events=%d taken=%s  %s\n",
@@ -190,22 +202,27 @@ func printStateReport(out io.Writer, info *durable.DirInfo) {
 	for _, s := range info.Segments {
 		status := "valid"
 		switch {
+		case s.Refused:
+			status = "REFUSED: " + s.Error
+			refused++
 		case s.Error != "":
 			status = "CORRUPT: " + s.Error
 		case s.TornBytes > 0:
 			status = fmt.Sprintf("TORN TAIL: %d bytes after seq %d", s.TornBytes, s.LastSeq)
 		}
-		fmt.Fprintf(out, "  %s  v%d  %8d bytes  seq %d..%d  %d records (%d events, %d retrains)  %s\n",
-			s.Name, s.Version, s.Size, s.FirstSeq, s.LastSeq, s.Records, s.Events, s.Retrains, status)
+		fmt.Fprintf(out, "  %s  %8d bytes  seq %d..%d  %d records (%d events, %d retrains)  %s\n",
+			s.Name, s.Size, s.FirstSeq, s.LastSeq, s.Records, s.Events, s.Retrains, status)
 	}
+	return refused
 }
 
 // printWALTraces decodes the sampler events logged in the WAL and lists
 // their deterministic trace IDs — the offline half of a forensics join:
 // the same IDs key the live server's /traces store and each feed
 // record's provenance.trace_id. An event that does not decode is listed
-// by sequence number and makes the command fail: a log this tool cannot
-// read must not look like a log without traces.
+// by sequence number and makes the command fail, as a segment from
+// another release does: a log this tool cannot read must not look like
+// a log without traces.
 func printWALTraces(out io.Writer, dir string) error {
 	type line struct {
 		seq  uint64
@@ -219,9 +236,9 @@ func printWALTraces(out io.Writer, dir string) error {
 		if rec.Type != durable.RecordEvent {
 			return nil
 		}
-		e, err := pipeline.DecodeEvent(wire.Frame{Version: rec.Version, Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
+		e, err := pipeline.DecodeEvent(wire.Frame{Version: wire.Version2, Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
 		if err != nil {
-			undecodable = append(undecodable, fmt.Sprintf("seq %6d  frame kind %d, codec %d: %v", rec.Seq, rec.Kind, rec.Version, err))
+			undecodable = append(undecodable, fmt.Sprintf("seq %6d  frame kind %d: %v", rec.Seq, rec.Kind, err))
 			return nil
 		}
 		if e.TraceID == 0 {

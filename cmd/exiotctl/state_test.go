@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,21 +16,12 @@ import (
 	"exiot/internal/trace"
 )
 
-// mixedStateDir builds a state directory as an upgrade leaves it: the
-// committed parent-format segment (version 1, JSON payloads, traced
-// batches) and, appended by this binary, a version-2 segment holding one
-// traced batch. extra, if any, is appended as a further event payload.
-func mixedStateDir(t *testing.T, id trace.ID, extra []byte) string {
+// stateDir builds a state directory as this binary writes it: one
+// segment holding one traced batch and, if extra is set, a further event
+// payload, then a snapshot through that batch.
+func stateDir(t *testing.T, id trace.ID, extra []byte) string {
 	t.Helper()
 	dir := t.TempDir()
-	const v1 = "wal-0000000000000001.seg"
-	raw, err := os.ReadFile(filepath.Join("../../internal/pipeline/testdata/wal_v1", v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, v1), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	m, err := durable.Open(durable.Options{Dir: dir, Sync: durable.SyncOff})
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +41,9 @@ func mixedStateDir(t *testing.T, id trace.ID, extra []byte) string {
 	if _, err := m.AppendEvent(uint8(kind), at, payload); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.WriteSnapshot(durable.SnapshotMeta{LastSeq: 1, EventCount: 1, TakenAt: at}, []byte("{}")); err != nil {
+		t.Fatal(err)
+	}
 	if extra != nil {
 		if _, err := m.AppendEvent(uint8(kind), at, extra); err != nil {
 			t.Fatal(err)
@@ -60,29 +55,75 @@ func mixedStateDir(t *testing.T, id trace.ID, extra []byte) string {
 	return dir
 }
 
-// TestStateInspectMixedFormats: over a directory holding a version-1 and
-// a version-2 segment, inspect names each segment's format and lists the
-// traced events of both — the JSON ones and the binary one.
-func TestStateInspectMixedFormats(t *testing.T) {
+// TestStateInspectListsTracedEvents: inspect lists every file as valid
+// and each logged event's trace ID, and succeeds.
+func TestStateInspectListsTracedEvents(t *testing.T) {
 	const id = trace.ID(0x5eed5eed5eed5eed)
-	dir := mixedStateDir(t, id, nil)
+	dir := stateDir(t, id, nil)
 	var out bytes.Buffer
 	if err := runState([]string{"-dir", dir, "inspect"}, &out); err != nil {
 		t.Fatalf("inspect: %v\n%s", err, out.String())
 	}
 	report := out.String()
 	for _, want := range []string{
-		"wal-0000000000000001.seg  v1 ",
-		"  v2 ",
-		"trace d116d859955e96c2", // a batch in the version-1 segment
+		"snap-0000000000000001.snap",
+		"wal-0000000000000001.seg",
+		"traced wal events (1):",
 		"203.0.113.77     trace " + id.String(),
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("inspect output lacks %q:\n%s", want, report)
 		}
 	}
-	if strings.Contains(report, "UNDECODABLE") {
-		t.Errorf("a healthy log reports undecodable events:\n%s", report)
+	for _, bad := range []string{"UNDECODABLE", "REFUSED", "CORRUPT"} {
+		if strings.Contains(report, bad) {
+			t.Errorf("a healthy directory reports %s:\n%s", bad, report)
+		}
+	}
+}
+
+// TestStateInspectRefusesOtherReleases: a segment or snapshot from an
+// older or a newer exiotd used to read "CORRUPT", and a refused segment's
+// events were skipped, so the log printed "traced wal events (0)" and
+// the command exited 0. The file is labelled REFUSED, with the error
+// recovery stops on, no trace listing stands in for the unread log, and
+// the command fails.
+func TestStateInspectRefusesOtherReleases(t *testing.T) {
+	for _, row := range []struct {
+		name, file string
+		version    uint32
+		want       string
+	}{
+		{"older segment", "wal-0000000000000001.seg", 1, "state directory written by an older exiotd"},
+		{"newer segment", "wal-0000000000000001.seg", 3, "state directory written by a newer exiotd"},
+		{"newer snapshot", "snap-0000000000000001.snap", 2, "state directory written by a newer exiotd"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := stateDir(t, 7, nil)
+			// Both headers keep their u32 version after an eight-byte magic.
+			path := filepath.Join(dir, row.file)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint32(raw[8:], row.version)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			err = runState([]string{"-dir", dir, "inspect"}, &out)
+			report := out.String()
+			if err == nil {
+				t.Fatalf("inspect over a refused %s succeeded:\n%s", row.file, report)
+			}
+			if !strings.Contains(report, row.file) || !strings.Contains(report, "REFUSED: ") ||
+				!strings.Contains(report, row.want) || strings.Contains(report, "CORRUPT") {
+				t.Errorf("%s is not labelled REFUSED with %q:\n%s", row.file, row.want, report)
+			}
+			if strings.HasPrefix(row.file, "wal-") && strings.Contains(report, "traced wal events") {
+				t.Errorf("a refused segment's log is listed as if read:\n%s", report)
+			}
+		})
 	}
 }
 
@@ -92,18 +133,18 @@ func TestStateInspectMixedFormats(t *testing.T) {
 // "traced wal events (0)" and exited 0. It is listed by sequence number
 // and fails the command.
 func TestStateInspectReportsUndecodableEvents(t *testing.T) {
-	dir := mixedStateDir(t, 7, []byte("not a sample"))
+	dir := stateDir(t, 7, []byte("not a sample"))
 	var out bytes.Buffer
 	err := runState([]string{"-dir", dir, "inspect"}, &out)
 	if err == nil {
 		t.Fatalf("inspect of a log with an undecodable event succeeded:\n%s", out.String())
 	}
 	report := out.String()
-	if !strings.Contains(report, "UNDECODABLE wal events (1):") || !strings.Contains(report, "frame kind 1, codec 2") {
+	if !strings.Contains(report, "UNDECODABLE wal events (1):") || !strings.Contains(report, "seq      2  frame kind 1: ") {
 		t.Errorf("the undecodable event is not listed:\n%s", report)
 	}
 	// The events that do decode are still listed.
-	if !strings.Contains(report, "trace d116d859955e96c2") {
+	if !strings.Contains(report, "trace "+trace.ID(7).String()) {
 		t.Errorf("the decodable events went missing:\n%s", report)
 	}
 }

@@ -32,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"exiot/internal/organizer"
 	"exiot/internal/packet"
 	"exiot/internal/pipeline"
 	"exiot/internal/replay"
@@ -49,7 +50,7 @@ func main() {
 		follow     = flag.Bool("follow", false, "keep polling the -in directory for newly published hours")
 		pollEvery  = flag.Duration("poll", 5*time.Second, "poll interval with -follow")
 		threshold  = flag.Int("threshold", 100, "TRW detection threshold (packets)")
-		sampleSize = flag.Int("sample", 200, "post-detection sample size (packets)")
+		sampleSize = flag.Int("sample", 200, fmt.Sprintf("post-detection sample size (packets, at least %d)", organizer.DefaultMinSamples))
 		shard      = flag.String("shard", "0/1", "shard ownership \"i/N\" (0-based): this node keeps source-hash partition i of N; exiotd -shards must equal N")
 
 		traceSample = flag.Int("trace-sample", 0, "trace every Nth sampler event: 0 disables, 1 traces all (shipped events keep their IDs)")
@@ -103,6 +104,11 @@ type runConfig struct {
 }
 
 func run(cfg runConfig) error {
+	// A shorter sample is dropped by the organizer: nothing would ship.
+	if cfg.sampleSize > 0 && cfg.sampleSize < organizer.DefaultMinSamples {
+		return fmt.Errorf("-sample %d is below the %d packets a sampled flow needs to reach the feed",
+			cfg.sampleSize, organizer.DefaultMinSamples)
+	}
 	sender := wire.NewSenderV2(cfg.connect, cfg.shardID, cfg.shardCount)
 	defer sender.Close()
 	trwCfg := trw.Default()

@@ -2,14 +2,17 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"exiot/internal/feedserve"
+	"exiot/internal/organizer"
 	"exiot/internal/packet"
 	"exiot/internal/pcapio"
 	"exiot/internal/pipeline"
@@ -296,6 +299,27 @@ func TestRunEmptyDir(t *testing.T) {
 	defer recv.Close()
 	if err := run(nodeConfig(t.TempDir(), recv.Addr(), 0, 1)); err == nil {
 		t.Error("empty capture dir accepted")
+	}
+}
+
+// TestRunRefusesSampleBelowOrganizerFloor: every sample shorter than
+// organizer.DefaultMinSamples is dropped before it ships, so such a
+// -sample used to run to the end and ship no record. It is refused at
+// start, naming the floor.
+func TestRunRefusesSampleBelowOrganizerFloor(t *testing.T) {
+	recv, err := wire.NewReceiver("127.0.0.1:0", func(wire.Frame) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	dir := t.TempDir()
+	writeTestCaptures(t, dir, 1)
+	cfg := nodeConfig(dir, recv.Addr(), 0, 1)
+	cfg.sampleSize = organizer.DefaultMinSamples - 1
+	err = run(cfg)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(organizer.DefaultMinSamples)) {
+		t.Errorf("run with -sample %d = %v, want a refusal naming the floor of %d",
+			cfg.sampleSize, err, organizer.DefaultMinSamples)
 	}
 }
 

@@ -63,9 +63,9 @@ const (
 	// SyncAlways fsyncs after every append: no acknowledged record can
 	// be lost, at the cost of one fsync per sampler event.
 	SyncAlways SyncPolicy = "always"
-	// SyncInterval fsyncs at most once per configured interval (plus on
-	// rotation, snapshot, and close): a crash loses at most the last
-	// interval of records, which the simulate path regenerates anyway.
+	// SyncInterval fsyncs at most once a second (plus on rotation,
+	// snapshot, and close): a crash loses at most the last second of
+	// records, which the simulate path regenerates anyway.
 	SyncInterval SyncPolicy = "interval"
 	// SyncOff never fsyncs explicitly; the OS page cache decides. Only
 	// process crashes (not host crashes) are fully survivable.
@@ -106,12 +106,9 @@ type Record struct {
 	// AvailableAt is the simulated feed-arrival instant (RecordEvent).
 	AvailableAt time.Time
 	// Kind is the wire frame kind of the embedded event (RecordEvent).
+	// Build the wire.Frame for pipeline.DecodeEvent from Kind, Payload
+	// and wire.Version2, the only codec a segment holds.
 	Kind uint8
-	// Version is the codec of the embedded event, as wire.Frame.Version
-	// numbers it (RecordEvent): wire.Version2 in the segments this binary
-	// writes, 0 — the legacy JSON — in a version-1 segment. Build the
-	// wire.Frame for pipeline.DecodeEvent from Kind, Version and Payload.
-	Version uint8
 	// Payload is the wire-encoded event (RecordEvent) or the retrain
 	// metadata JSON (RecordRetrain). It aliases the reader's buffer and
 	// is valid only during the callback that receives the Record: copy
@@ -123,10 +120,9 @@ type Record struct {
 type Options struct {
 	// Dir is the state directory (created if missing).
 	Dir string
-	// Sync is the fsync policy (default SyncInterval).
+	// Sync is the fsync policy (default SyncInterval, flushing at most
+	// once a second).
 	Sync SyncPolicy
-	// SyncEvery is the flush period under SyncInterval (default 1s).
-	SyncEvery time.Duration
 	// SegmentBytes rotates the append segment past this size (default
 	// 8 MiB).
 	SegmentBytes int64
@@ -140,9 +136,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Sync == "" {
 		o.Sync = SyncInterval
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = time.Second
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20

@@ -4,31 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
-
-// rawSegment renders a segment file by hand, event records only, the
-// way a binary that wrote format `version` framed them: the one way to
-// make a version-1 segment, or one from the future, now that the manager
-// writes version 2 alone.
-func rawSegment(version uint32, startSeq uint64, payloads ...[]byte) []byte {
-	out := encodeSegmentHeader(startSeq)
-	binary.LittleEndian.PutUint32(out[8:], version)
-	for i, p := range payloads {
-		rec := []byte{byte(RecordEvent)}
-		rec = binary.LittleEndian.AppendUint64(rec, startSeq+uint64(i))
-		rec = binary.LittleEndian.AppendUint64(rec, uint64(testEpoch.UnixNano()))
-		rec = append(rec, 1) // wire kind
-		rec = append(rec, p...)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(rec)))
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(rec, castagnoli))
-		out = append(out, rec...)
-	}
-	return out
-}
 
 // readDir returns every file of dir by name.
 func readDir(t testing.TB, dir string) map[string][]byte {
@@ -67,9 +47,10 @@ func sameDir(t testing.TB, dir string, before map[string][]byte) {
 	}
 }
 
-// refusedUntouched asserts recovery over dir stops on a newer format at
-// every step a starting exiotd takes, and leaves every file as it was.
-func refusedUntouched(t *testing.T, dir string) {
+// refusedUntouched asserts recovery over dir stops on another release's
+// file at every step a starting exiotd takes, leaves every file as it
+// was, and returns the refusal.
+func refusedUntouched(t *testing.T, dir string) error {
 	t.Helper()
 	before := readDir(t, dir)
 	m, err := Open(testOptions(dir))
@@ -79,24 +60,29 @@ func refusedUntouched(t *testing.T, dir string) {
 	defer m.Close()
 	_, _, snapErr := m.LatestSnapshot()
 	_, replayErr := m.Replay(0, func(Record) error { return nil })
-	if !errors.Is(snapErr, errNewerFormat) && !errors.Is(replayErr, errNewerFormat) {
-		t.Fatalf("LatestSnapshot: %v, Replay: %v; want one of them to refuse a newer format", snapErr, replayErr)
+	if !refused(snapErr) && !refused(replayErr) {
+		t.Fatalf("LatestSnapshot: %v, Replay: %v; want one of them to refuse another release's file", snapErr, replayErr)
 	}
 	// StartAppend is what removes corrupt segments: even called past a
-	// refused Replay it must not take the newer one for corrupt.
+	// refused Replay it must not take the refused one for corrupt.
 	if replayErr != nil {
-		if err := m.StartAppend(1); !errors.Is(err, errNewerFormat) {
-			t.Fatalf("StartAppend over a newer segment: %v, want the refusal", err)
+		if err := m.StartAppend(1); !refused(err) {
+			t.Fatalf("StartAppend over a refused segment: %v, want the refusal", err)
 		}
 	}
 	sameDir(t, dir, before)
+	if snapErr != nil {
+		return snapErr
+	}
+	return replayErr
 }
 
 // TestNewerFormatRefused: a segment or snapshot whose header is well
-// formed but names a version above this binary's was written by a newer
-// exiotd. The parent treated either as corrupt — removed the segment and
-// all after it, skipped the snapshot for an older one. Now recovery
-// fails and the directory keeps every byte.
+// formed but names a version other than this binary's was written by
+// another release — above it a newer exiotd, below it (a version-1
+// segment, JSON events) an older one. Either is refused the same way:
+// recovery fails, naming which, and the directory keeps every byte.
+// Only a version-0 header, like bad magic, is corruption and repaired.
 func TestNewerFormatRefused(t *testing.T) {
 	healthy := func(t *testing.T) string {
 		dir := t.TempDir()
@@ -123,40 +109,49 @@ func TestNewerFormatRefused(t *testing.T) {
 		}
 		return dir
 	}
-	bump := func(t *testing.T, path string, version uint32) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint32(raw[8:], version)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	for _, row := range []struct {
+		name    string
+		version uint32
+		want    error
+	}{
+		{"segment", segVersion + 1, ErrNewerFormat},
+		{"older segment", segVersion - 1, ErrOlderFormat},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := healthy(t)
+			segs, err := listSegments(dir)
+			if err != nil || len(segs) < 3 {
+				t.Fatalf("want three segments or more, got %v (%v)", segs, err)
+			}
+			// Not the first: the ones before it replay, and must survive too.
+			setVersion(t, filepath.Join(dir, segs[len(segs)-2]), row.version)
+			if err := refusedUntouched(t, dir); !errors.Is(err, row.want) {
+				t.Errorf("refused with %v, want %v", err, row.want)
+			}
+			info, err := Inspect(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if problems := info.Problems(); len(problems) != 1 || !info.Segments[len(segs)-2].Refused {
+				t.Errorf("Inspect reports %v (segments %+v), want the one refused segment", problems, info.Segments)
+			}
+			if err := ScanRecords(dir, func(Record) error { return nil }); !errors.Is(err, row.want) {
+				t.Errorf("ScanRecords = %v, want the refusal", err)
+			}
+		})
 	}
-
-	t.Run("segment", func(t *testing.T) {
-		dir := healthy(t)
-		segs, err := listSegments(dir)
-		if err != nil || len(segs) < 3 {
-			t.Fatalf("want three segments or more, got %v (%v)", segs, err)
-		}
-		// Not the first: the ones before it replay, and must survive too.
-		bump(t, filepath.Join(dir, segs[len(segs)-2]), segVersion+1)
-		refusedUntouched(t, dir)
-		if problems, err := Verify(dir); err != nil || len(problems) != 1 {
-			t.Errorf("Verify = (%v, %v), want the one newer segment reported", problems, err)
-		}
-	})
 	t.Run("snapshot", func(t *testing.T) {
 		dir := healthy(t)
 		// The newest: the parent fell back to the one through seq 20.
-		bump(t, filepath.Join(dir, snapshotName(40)), snapVersion+1)
-		refusedUntouched(t, dir)
+		setVersion(t, filepath.Join(dir, snapshotName(40)), snapVersion+1)
+		if err := refusedUntouched(t, dir); !errors.Is(err, ErrNewerFormat) {
+			t.Errorf("refused with %v, want %v", err, ErrNewerFormat)
+		}
 	})
 	t.Run("corruption is still repaired", func(t *testing.T) {
 		dir := healthy(t)
 		segs, _ := listSegments(dir)
-		bump(t, filepath.Join(dir, segs[len(segs)-1]), 0)
+		setVersion(t, filepath.Join(dir, segs[len(segs)-1]), 0)
 		recs, stats, m := replayAll(t, dir, 40)
 		if !stats.Truncated || len(recs) == 0 {
 			t.Fatalf("replayed %d records, stats %+v: want the prefix before the version-0 segment", len(recs), stats)
@@ -175,75 +170,66 @@ func TestNewerFormatRefused(t *testing.T) {
 	})
 }
 
-// TestVersion1SegmentReadNeverAppended: a segment from before the WAL
-// went binary replays, flagged with the JSON codec, and stays as it is —
-// new records open a version-2 segment even where the old tail had room.
-func TestVersion1SegmentReadNeverAppended(t *testing.T) {
-	dir := t.TempDir()
-	old := rawSegment(segVersionV1, 1, []byte(`{"a":1}`), []byte(`{"a":2}`), []byte(`{"a":3}`))
-	oldPath := filepath.Join(dir, segmentName(1))
-	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, stats, m := replayAll(t, dir, 0)
-	if len(recs) != 3 || stats.Truncated || stats.LastSeq != 3 {
-		t.Fatalf("replayed %d records, stats %+v: want the version-1 segment's three", len(recs), stats)
-	}
-	for _, rec := range recs {
-		if rec.Version != 0 {
-			t.Errorf("seq %d of a version-1 segment carries codec %d, want 0 (JSON)", rec.Seq, rec.Version)
-		}
-	}
-	if err := m.StartAppend(1); err != nil {
-		t.Fatal(err)
-	}
-	if seq, err := m.AppendEvent(1, testEpoch, []byte("binary")); err != nil || seq != 4 {
-		t.Fatalf("AppendEvent = (%d, %v), want seq 4", seq, err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, err := os.ReadFile(oldPath); err != nil || !bytes.Equal(got, old) {
-		t.Errorf("the version-1 segment changed: %d bytes, was %d (%v)", len(got), len(old), err)
-	}
-	info, err := Inspect(dir)
+// setVersion rewrites the u32 version a segment or snapshot header
+// keeps after its eight-byte magic.
+func setVersion(t testing.TB, path string, version uint32) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(info.Segments) != 2 || info.Segments[0].Version != segVersionV1 ||
-		info.Segments[1].Version != segVersion || info.Segments[1].StartSeq != 4 {
-		t.Fatalf("segments after the append: %+v, want the old one and a version-%d one from seq 4", info.Segments, segVersion)
+	binary.LittleEndian.PutUint32(raw[8:], version)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	recs, stats, _ = replayAll(t, dir, 0)
-	if len(recs) != 4 || stats.Truncated || recs[3].Version != 2 || string(recs[3].Payload) != "binary" {
-		t.Fatalf("mixed log replays %d records, stats %+v, last %+v", len(recs), stats, recs[len(recs)-1])
-	}
+}
 
-	// A torn version-1 tail is cut at its last whole record, and still
-	// not appended to.
-	dir = t.TempDir()
-	oldPath = filepath.Join(dir, segmentName(1))
-	if err := os.WriteFile(oldPath, old[:len(old)-3], 0o644); err != nil {
+// TestRefusalsQuotedInOperations: every refusal a starting exiotd can
+// print is quoted word for word in docs/OPERATIONS.md, so an operator who
+// searches for the line finds what to do about it.
+func TestRefusalsQuotedInOperations(t *testing.T) {
+	raw, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
 		t.Fatal(err)
 	}
-	recs, stats, m = replayAll(t, dir, 0)
-	if len(recs) != 2 || !stats.Truncated {
-		t.Fatalf("torn version-1 tail replays %d records, stats %+v", len(recs), stats)
+	quoted := map[string]bool{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		quoted[strings.TrimSpace(line)] = true
 	}
-	if err := m.StartAppend(1); err != nil {
-		t.Fatal(err)
-	}
-	if seq, err := m.AppendEvent(1, testEpoch, []byte("binary")); err != nil || seq != 3 {
-		t.Fatalf("AppendEvent = (%d, %v), want seq 3", seq, err)
-	}
-	m.Close()
-	if got, _ := os.ReadFile(oldPath); !bytes.Equal(got, rawSegment(segVersionV1, 1, []byte(`{"a":1}`), []byte(`{"a":2}`))) {
-		t.Errorf("the torn version-1 segment is %d bytes after repair, want its two whole records", len(got))
-	}
-	if recs, stats, _ = replayAll(t, dir, 0); len(recs) != 3 || stats.Truncated {
-		t.Fatalf("after repair: %d records, stats %+v", len(recs), stats)
+	for _, row := range []struct {
+		name    string
+		snap    bool
+		version uint32
+	}{
+		{"newer segment", false, segVersion + 1},
+		{"older segment", false, segVersion - 1},
+		{"newer snapshot", true, snapVersion + 1},
+	} {
+		dir := t.TempDir()
+		m, err := Open(testOptions(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The sequence numbers the guide's directory layout shows.
+		if err := m.StartAppend(0x4d3); err != nil {
+			t.Fatal(err)
+		}
+		appendEvents(t, m, 1)
+		if err := m.WriteSnapshot(SnapshotMeta{LastSeq: 0x4d2, TakenAt: testEpoch}, []byte("state")); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, segmentName(0x4d3))
+		if row.snap {
+			path = filepath.Join(dir, snapshotName(0x4d2))
+		}
+		setVersion(t, path, row.version)
+		line := refusedUntouched(t, dir).Error()
+		if !quoted[line] {
+			t.Errorf("%s: docs/OPERATIONS.md does not quote the refusal on a line of its own:\n%s", row.name, line)
+		}
 	}
 }
 

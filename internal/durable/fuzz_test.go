@@ -3,7 +3,6 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -14,11 +13,11 @@ import (
 // appliedRecord is what a replay pass saw of one record, payload by
 // checksum (the payload itself is gone when the callback returns).
 type appliedRecord struct {
-	seq           uint64
-	typ           RecordType
-	kind, version uint8
-	at            int64
-	payload       uint32
+	seq     uint64
+	typ     RecordType
+	kind    uint8
+	at      int64
+	payload uint32
 }
 
 // replayDir opens dir and replays it from the start, as recovery without
@@ -30,8 +29,8 @@ func replayDir(dir string) (*Manager, []appliedRecord, ReplayStats, error) {
 	}
 	var applied []appliedRecord
 	stats, err := m.Replay(0, func(rec Record) error {
-		applied = append(applied, appliedRecord{rec.Seq, rec.Type, rec.Kind, rec.Version,
-			rec.AvailableAt.UnixNano(), crc32.Checksum(rec.Payload, castagnoli)})
+		applied = append(applied, appliedRecord{rec.Seq, rec.Type, rec.Kind, rec.AvailableAt.UnixNano(),
+			crc32.Checksum(rec.Payload, castagnoli)})
 		return nil
 	})
 	return m, applied, stats, err
@@ -43,8 +42,8 @@ func replayDir(dir string) (*Manager, []appliedRecord, ReplayStats, error) {
 // ends inside the file, on a record boundary; and a directory holding
 // only that file recovers — replay, position for appending (which
 // truncates and removes), close — to a log whose next replay applies the
-// same records and finds nothing left to truncate. A file from a newer
-// format is refused instead, and kept.
+// same records and finds nothing left to truncate. A file from another
+// release, older or newer, is refused instead, and kept.
 func FuzzScanSegment(f *testing.F) {
 	dir := f.TempDir()
 	m, err := Open(testOptions(dir))
@@ -65,22 +64,17 @@ func FuzzScanSegment(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	// The parent-format log the pipeline's upgrade test recovers from.
-	v1, err := os.ReadFile("../pipeline/testdata/wal_v1/wal-0000000000000001.seg")
-	if err != nil {
-		f.Fatal(err)
-	}
 	mutated := func(edit func(raw []byte)) []byte {
 		raw := bytes.Clone(v2)
 		edit(raw)
 		return raw
 	}
 	f.Add(v2)
-	f.Add(v1)
 	f.Add(v2[:len(v2)-5])                                             // torn tail
 	f.Add(mutated(func(raw []byte) { raw[segHeaderSize+4] ^= 0x40 })) // first record's CRC
 	f.Add(mutated(func(raw []byte) { binary.LittleEndian.PutUint32(raw[segHeaderSize:], maxRecordSize+1) }))
-	f.Add(mutated(func(raw []byte) { binary.LittleEndian.PutUint32(raw[8:], segVersion+1) }))
+	f.Add(mutated(func(raw []byte) { binary.LittleEndian.PutUint32(raw[8:], segVersion+1) })) // newer
+	f.Add(mutated(func(raw []byte) { binary.LittleEndian.PutUint32(raw[8:], segVersion-1) })) // older
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// Under the name the manager gives a segment with this header.
@@ -126,8 +120,11 @@ func FuzzScanSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		if errors.Is(err, errNewerFormat) {
-			if err := m.StartAppend(1); !errors.Is(err, errNewerFormat) {
+		if refused(err) {
+			if v := binary.LittleEndian.Uint32(raw[8:]); v == 0 || v == segVersion {
+				t.Errorf("a version-%d segment refused: %v", v, err)
+			}
+			if err := m.StartAppend(1); !refused(err) {
 				t.Errorf("StartAppend over a refused segment: %v", err)
 			}
 			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, raw) {

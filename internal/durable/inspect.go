@@ -12,11 +12,8 @@ import (
 
 // SegmentInfo describes one WAL segment file.
 type SegmentInfo struct {
-	Name string `json:"name"`
-	Size int64  `json:"size"`
-	// Version is the segment's format version (0 when the header is
-	// unreadable): 2 holds binary event payloads, 1 the legacy JSON.
-	Version   uint32 `json:"version"`
+	Name      string `json:"name"`
+	Size      int64  `json:"size"`
 	StartSeq  uint64 `json:"start_seq"`
 	FirstSeq  uint64 `json:"first_seq,omitempty"`
 	LastSeq   uint64 `json:"last_seq,omitempty"`
@@ -26,15 +23,19 @@ type SegmentInfo struct {
 	ValidLen  int64  `json:"valid_bytes"`
 	TornBytes int64  `json:"torn_bytes,omitempty"`
 	Error     string `json:"error,omitempty"`
+	// Refused marks an Error that is another release's format, not
+	// damage: recovery stops on it instead of repairing it.
+	Refused bool `json:"refused,omitempty"`
 }
 
 // SnapshotInfo describes one snapshot file.
 type SnapshotInfo struct {
-	Name  string       `json:"name"`
-	Size  int64        `json:"size"`
-	Meta  SnapshotMeta `json:"meta"`
-	Valid bool         `json:"valid"`
-	Error string       `json:"error,omitempty"`
+	Name    string       `json:"name"`
+	Size    int64        `json:"size"`
+	Meta    SnapshotMeta `json:"meta"`
+	Valid   bool         `json:"valid"`
+	Error   string       `json:"error,omitempty"`
+	Refused bool         `json:"refused,omitempty"`
 }
 
 // DirInfo is the full inspection report for a state directory.
@@ -88,7 +89,7 @@ func Inspect(dir string) (*DirInfo, error) {
 		}
 		meta, _, err := readSnapshot(path)
 		if err != nil {
-			si.Error = err.Error()
+			si.Error, si.Refused = err.Error(), refused(err)
 		} else {
 			si.Meta = meta
 			si.Valid = true
@@ -108,7 +109,6 @@ func Inspect(dir string) (*DirInfo, error) {
 		si := SegmentInfo{
 			Name:     sc.name,
 			Size:     sc.size,
-			Version:  sc.version,
 			StartSeq: sc.startSeq,
 			FirstSeq: sc.firstSeq,
 			LastSeq:  sc.lastSeq,
@@ -118,7 +118,7 @@ func Inspect(dir string) (*DirInfo, error) {
 			ValidLen: sc.validLen,
 		}
 		if sc.headerErr != nil {
-			si.Error = sc.headerErr.Error()
+			si.Error, si.Refused = sc.headerErr.Error(), refused(sc.headerErr)
 			si.ValidLen = 0
 			si.TornBytes = sc.size
 		} else if sc.torn {
@@ -144,8 +144,9 @@ func Verify(dir string) ([]string, error) {
 // (`exiotctl state inspect`) uses it to decode the logged events — e.g.
 // to list the trace IDs recorded in sampler batches for joining against
 // a live server's /traces store. A Record's Payload is valid only until
-// fn returns. Torn segment tails are skipped, not errors; fn returning
-// an error stops the scan.
+// fn returns. Torn segment tails and damaged headers are skipped, not
+// errors; a segment from another release, or fn returning an error,
+// stops the scan with that error.
 func ScanRecords(dir string, fn func(Record) error) error {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -156,8 +157,8 @@ func ScanRecords(dir string, fn func(Record) error) error {
 		if err != nil {
 			return fmt.Errorf("durable: scan %s: %w", name, err)
 		}
-		if sc.headerErr != nil {
-			continue // unreadable segment; Inspect/Verify report it
+		if refused(sc.headerErr) {
+			return sc.headerErr
 		}
 	}
 	return nil

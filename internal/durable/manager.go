@@ -72,7 +72,7 @@ func (m *Manager) Dir() string { return m.opts.Dir }
 // meta and opaque payload, or a zero meta and nil payload when the
 // directory has none. A corrupt newest snapshot falls back to the next
 // older valid one — the torn file is skipped, not fatal. A snapshot from
-// a newer format is not corruption: it is an error, and older ones are
+// another release is not corruption: it is an error, and older ones are
 // not tried in its place.
 func (m *Manager) LatestSnapshot() (SnapshotMeta, []byte, error) {
 	names, err := listSnapshots(m.opts.Dir)
@@ -81,7 +81,7 @@ func (m *Manager) LatestSnapshot() (SnapshotMeta, []byte, error) {
 	}
 	for i := len(names) - 1; i >= 0; i-- {
 		meta, payload, err := readSnapshot(filepath.Join(m.opts.Dir, names[i]))
-		if errors.Is(err, errNewerFormat) {
+		if refused(err) {
 			return SnapshotMeta{}, nil, err
 		}
 		if err != nil {
@@ -97,7 +97,7 @@ func (m *Manager) LatestSnapshot() (SnapshotMeta, []byte, error) {
 // framing, sequence continuity); the walk stops at the first invalid
 // record — the torn tail — and everything after it is reported as
 // truncated, never applied, and never a panic. A Record's Payload is
-// valid only until apply returns. A segment from a newer format is an
+// valid only until apply returns. A segment from another release is an
 // error, whatever was applied before it. Must be called before
 // StartAppend.
 func (m *Manager) Replay(fromSeq uint64, apply func(Record) error) (ReplayStats, error) {
@@ -159,7 +159,7 @@ func (m *Manager) Replay(fromSeq uint64, apply func(Record) error) (ReplayStats,
 // range is entirely at or below fromSeq — that is, wholly covered by
 // the snapshot recovery starts from (the shape compaction leaves
 // behind). Any other gap ends the replayable prefix like a torn record
-// does. A segment from a newer format fails the scan: StartAppend must
+// does. A segment from another release fails the scan: StartAppend must
 // not mistake it for a corrupt one and remove it. Caller holds m.mu.
 func (m *Manager) scanAllLocked(fromSeq uint64, fn func(Record) error) ([]segScan, error) {
 	names, err := listSegments(m.opts.Dir)
@@ -184,7 +184,7 @@ func (m *Manager) scanAllLocked(fromSeq uint64, fn func(Record) error) ([]segSca
 		if err != nil {
 			return scans, fmt.Errorf("durable: scan %s: %w", name, err)
 		}
-		if errors.Is(sc.headerErr, errNewerFormat) {
+		if refused(sc.headerErr) {
 			return scans, sc.headerErr
 		}
 		if gap {
@@ -255,12 +255,11 @@ func (m *Manager) StartAppend(minNextSeq uint64) error {
 		m.nextSeq = minNextSeq
 	}
 
-	// Reuse the tail segment when it is at the version this binary
-	// writes and the next sequence extends it contiguously (its header
-	// start seq must match for an empty one); otherwise truncate its
-	// torn bytes in place and rotate to a fresh segment named by the
-	// next sequence. A version-1 tail is never appended to.
-	reuse := tail != nil && tail.version == segVersion &&
+	// Reuse the tail segment when the next sequence extends it
+	// contiguously (its header start seq must match for an empty one);
+	// otherwise truncate its torn bytes in place and rotate to a fresh
+	// segment named by the next sequence.
+	reuse := tail != nil &&
 		((tail.records > 0 && tail.lastSeq+1 == m.nextSeq) ||
 			(tail.records == 0 && tail.startSeq == m.nextSeq))
 	if reuse {
@@ -415,7 +414,7 @@ func (m *Manager) policySyncLocked() error {
 	case SyncAlways:
 		return m.syncLocked()
 	case SyncInterval:
-		if time.Since(m.lastSync) >= m.opts.SyncEvery {
+		if time.Since(m.lastSync) >= time.Second {
 			return m.syncLocked()
 		}
 	}
@@ -474,7 +473,7 @@ func (m *Manager) WriteSnapshot(meta SnapshotMeta, payload []byte) error {
 	if err := m.compact(meta); err != nil {
 		return err
 	}
-	m.updateSegmentGaugeLocked()
+	m.updateSegmentGauge()
 	return nil
 }
 
@@ -532,10 +531,6 @@ func (m *Manager) compact(latest SnapshotMeta) error {
 }
 
 func (m *Manager) updateSegmentGauge() {
-	m.updateSegmentGaugeLocked()
-}
-
-func (m *Manager) updateSegmentGaugeLocked() {
 	if segs, err := listSegments(m.opts.Dir); err == nil {
 		metWALSegments.Set(float64(len(segs)))
 	}

@@ -107,19 +107,6 @@ func writeSnapshotFile(dir string, meta SnapshotMeta, payload []byte) (string, e
 	return final, nil
 }
 
-// checkSnapVersion accepts the one snapshot version there is; a higher
-// one is a newer exiotd's file (errNewerFormat), not a corrupt one.
-func checkSnapVersion(name string, v uint32) error {
-	switch {
-	case v > snapVersion:
-		return fmt.Errorf("durable: %s: snapshot version %d, this binary reads up to %d: %w",
-			name, v, snapVersion, errNewerFormat)
-	case v != snapVersion:
-		return fmt.Errorf("durable: %s: unsupported version %d", name, v)
-	}
-	return nil
-}
-
 // readSnapshotMeta parses and validates only a snapshot's header and
 // meta block (cheap: no payload read, no CRC).
 func readSnapshotMeta(path string) (SnapshotMeta, error) {
@@ -136,7 +123,7 @@ func readSnapshotMeta(path string) (SnapshotMeta, error) {
 	if string(hdr[:8]) != snapMagic {
 		return meta, fmt.Errorf("durable: %s: bad magic", filepath.Base(path))
 	}
-	if err := checkSnapVersion(filepath.Base(path), binary.LittleEndian.Uint32(hdr[8:])); err != nil {
+	if err := checkVersion(filepath.Base(path), "snapshot", binary.LittleEndian.Uint32(hdr[8:]), snapVersion); err != nil {
 		return meta, err
 	}
 	metaLen := binary.LittleEndian.Uint32(hdr[12:])
@@ -167,7 +154,7 @@ func readSnapshot(path string) (SnapshotMeta, []byte, error) {
 	if string(raw[:8]) != snapMagic {
 		return meta, nil, fmt.Errorf("durable: %s: bad magic", name)
 	}
-	if err := checkSnapVersion(name, binary.LittleEndian.Uint32(raw[8:])); err != nil {
+	if err := checkVersion(name, "snapshot", binary.LittleEndian.Uint32(raw[8:]), snapVersion); err != nil {
 		return meta, nil, err
 	}
 	metaLen := int64(binary.LittleEndian.Uint32(raw[12:]))

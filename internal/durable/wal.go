@@ -25,11 +25,10 @@ import (
 // RecordRetrain body: metadata JSON.
 //
 // The header's version names the codec of the event bytes. Version 2,
-// the only one written, holds the wire's v2 binary payloads
-// (pipeline.AppendEncodeEvent); version 1 held JSON payloads and is
-// read, never written or appended to, for one release. A version above
-// segVersion is a state directory from a newer exiotd: refused, not
-// repaired.
+// the only one read or written, holds the wire's v2 binary payloads
+// (pipeline.AppendEncodeEvent). Any other well-formed version comes from
+// another release — 1 (JSON payloads) from an older exiotd, above 2 from
+// a newer one — and is refused, not repaired (checkVersion).
 //
 // All integers are little-endian. Sequence numbers are strictly
 // consecutive within a segment and across the live log, so a CRC match
@@ -39,7 +38,6 @@ import (
 const (
 	segMagic      = "EXWALSEG"
 	segVersion    = 2
-	segVersionV1  = 1 // JSON event payloads; read-only
 	segHeaderSize = 8 + 4 + 4 + 8
 	recHeaderSize = 4 + 4
 	// recPrefixSize is the type and sequence every payload starts with,
@@ -53,19 +51,33 @@ const (
 	scanBufSize = 64 << 10
 )
 
-// errNewerFormat marks a well-formed segment or snapshot header whose
-// version is above the one this binary writes. Recovery stops on it and
-// touches no file: deleting it as corruption would destroy the state a
-// newer exiotd left.
-var errNewerFormat = errors.New("state directory written by a newer exiotd")
+// ErrNewerFormat and ErrOlderFormat mark a file another release wrote: a
+// segment or snapshot header, or a snapshot's event tag, above or below
+// this binary's version. Recovery stops on either and touches no file:
+// only that release can read it, and deleting it would destroy it.
+var (
+	ErrNewerFormat = errors.New("state directory written by a newer exiotd")
+	ErrOlderFormat = errors.New("state directory written by an older exiotd")
+)
 
-// payloadCodec maps a segment version to the wire.Frame.Version that
-// decodes its event bytes: 0 is the legacy JSON, 2 wire.Version2.
-func payloadCodec(segVer uint32) uint8 {
-	if segVer == segVersionV1 {
-		return 0
+// refused reports whether err is a file from another release.
+func refused(err error) bool {
+	return errors.Is(err, ErrNewerFormat) || errors.Is(err, ErrOlderFormat)
+}
+
+// checkVersion accepts the one version of a file kind (what) this binary
+// writes. Another non-zero version is another release's file, refused;
+// version 0 is corruption.
+func checkVersion(name, what string, v, want uint32) error {
+	switch {
+	case v == want:
+		return nil
+	case v > want:
+		return fmt.Errorf("durable: %s: %s version %d, this binary reads up to %d: %w", name, what, v, want, ErrNewerFormat)
+	case v > 0:
+		return fmt.Errorf("durable: %s: %s version %d, this binary reads only %d: %w", name, what, v, want, ErrOlderFormat)
 	}
-	return 2
+	return fmt.Errorf("durable: %s: unsupported version %d", name, v)
 }
 
 // segmentName renders the canonical file name for a starting sequence.
@@ -95,9 +107,8 @@ func encodeSegmentHeader(startSeq uint64) []byte {
 }
 
 // decodeRecord parses a validated payload into a Record whose Payload
-// aliases it; codec is what the segment's version says event bytes are
-// in (payloadCodec).
-func decodeRecord(payload []byte, codec uint8) (Record, error) {
+// aliases it.
+func decodeRecord(payload []byte) (Record, error) {
 	if len(payload) < recPrefixSize {
 		return Record{}, fmt.Errorf("durable: record payload too short (%d bytes)", len(payload))
 	}
@@ -113,7 +124,6 @@ func decodeRecord(payload []byte, codec uint8) (Record, error) {
 		}
 		rec.AvailableAt = time.Unix(0, int64(binary.LittleEndian.Uint64(body))).UTC()
 		rec.Kind = body[8]
-		rec.Version = codec
 		rec.Payload = body[eventHeadSize:]
 	case RecordRetrain:
 		rec.Payload = body
@@ -128,7 +138,6 @@ type segScan struct {
 	path      string
 	name      string
 	size      int64
-	version   uint32 // from the header (0 when unreadable)
 	startSeq  uint64 // from the header
 	firstSeq  uint64 // first record (0 when empty)
 	lastSeq   uint64 // last valid record (0 when empty)
@@ -146,7 +155,8 @@ type segScan struct {
 // fn returns: the pass reads through one buffer. Validation stops at the
 // first framing or CRC failure — the torn tail — and never errors for
 // it; only I/O or header problems surface as errors via headerErr/err.
-// A header from a newer format is a headerErr wrapping errNewerFormat.
+// A header from another release is a headerErr wrapping ErrNewerFormat
+// or ErrOlderFormat.
 func scanSegment(path string, fn func(Record) error) (segScan, error) {
 	sc := segScan{path: path, name: filepath.Base(path)}
 	f, err := os.Open(path)
@@ -172,18 +182,10 @@ func scanSegment(path string, fn func(Record) error) (segScan, error) {
 		sc.headerErr = fmt.Errorf("durable: %s: corrupt header (reserved = %#x)", sc.name, r)
 		return sc, nil
 	}
-	v := binary.LittleEndian.Uint32(hdr[8:])
-	if v < segVersionV1 {
-		sc.headerErr = fmt.Errorf("durable: %s: unsupported version %d", sc.name, v)
+	if err := checkVersion(sc.name, "segment", binary.LittleEndian.Uint32(hdr[8:]), segVersion); err != nil {
+		sc.headerErr = err
 		return sc, nil
 	}
-	sc.version = v
-	if v > segVersion {
-		sc.headerErr = fmt.Errorf("durable: %s: segment version %d, this binary reads up to %d: %w",
-			sc.name, v, segVersion, errNewerFormat)
-		return sc, nil
-	}
-	codec := payloadCodec(v)
 	sc.startSeq = binary.LittleEndian.Uint64(hdr[16:])
 	sc.validLen = segHeaderSize
 
@@ -216,7 +218,7 @@ func scanSegment(path string, fn func(Record) error) (segScan, error) {
 			sc.torn = true
 			break
 		}
-		rec, err := decodeRecord(payload, codec)
+		rec, err := decodeRecord(payload)
 		if err != nil || rec.Seq != wantSeq {
 			sc.torn = true
 			break

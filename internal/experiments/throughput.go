@@ -35,7 +35,7 @@ func Throughput(scale Scale) ThroughputResult {
 	pkts := w.GenerateHour(hour)
 
 	var reports int64
-	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
+	sampler := pipeline.NewSampler(trw.Default(), func(e pipeline.SamplerEvent) {
 		if e.Kind == pipeline.SamplerReport {
 			reports++
 		}

@@ -38,28 +38,18 @@ type Batch struct {
 	TraceID trace.ID `json:"trace_id,omitempty"`
 }
 
-// Organizer filters and normalizes sampled flows.
+// Organizer filters and normalizes sampled flows. The zero value is
+// ready to use.
 type Organizer struct {
-	// MinSamples drops flows sampled below this size.
-	MinSamples int
-
 	accepted int64
 	dropped  int64
 }
 
-// New creates an organizer with the default minimum sample size.
-func New() *Organizer {
-	return &Organizer{MinSamples: DefaultMinSamples}
-}
-
 // Organize converts a detector sample event into a batch. ok is false
-// when the flow is dropped for insufficient samples.
+// when the flow is dropped for having fewer than DefaultMinSamples
+// packets.
 func (o *Organizer) Organize(e trw.Event) (Batch, bool) {
-	min := o.MinSamples
-	if min <= 0 {
-		min = DefaultMinSamples
-	}
-	if e.Kind != trw.EventSample || len(e.Sample) < min {
+	if e.Kind != trw.EventSample || len(e.Sample) < DefaultMinSamples {
 		o.dropped++
 		return Batch{}, false
 	}

@@ -39,7 +39,7 @@ func sampleEvent(ip string, n int) trw.Event {
 }
 
 func TestOrganizeAccepts(t *testing.T) {
-	o := New()
+	var o Organizer
 	b, ok := o.Organize(sampleEvent("203.0.113.1", 200))
 	if !ok {
 		t.Fatal("full sample rejected")
@@ -54,7 +54,7 @@ func TestOrganizeAccepts(t *testing.T) {
 }
 
 func TestOrganizeDropsShortFlows(t *testing.T) {
-	o := New()
+	var o Organizer
 	if _, ok := o.Organize(sampleEvent("203.0.113.2", 10)); ok {
 		t.Error("10-packet sample should be dropped (node malfunction)")
 	}
@@ -71,7 +71,7 @@ func TestOrganizeDropsShortFlows(t *testing.T) {
 }
 
 func TestOrganizeIgnoresNonSampleEvents(t *testing.T) {
-	o := New()
+	var o Organizer
 	if _, ok := o.Organize(trw.Event{Kind: trw.EventFlowEnd}); ok {
 		t.Error("non-sample event organized")
 	}
@@ -82,7 +82,7 @@ func TestOrganizeSortsByArrival(t *testing.T) {
 	// Shuffle a few packets out of order (merged capture workers).
 	e.Sample[10], e.Sample[50] = e.Sample[50], e.Sample[10]
 	e.Sample[20], e.Sample[80] = e.Sample[80], e.Sample[20]
-	o := New()
+	var o Organizer
 	b, ok := o.Organize(e)
 	if !ok {
 		t.Fatal("rejected")
@@ -101,7 +101,7 @@ func TestOrganizeSortsByArrival(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	o := New()
+	var o Organizer
 	b, ok := o.Organize(sampleEvent("203.0.113.4", 120))
 	if !ok {
 		t.Fatal("rejected")

@@ -398,7 +398,7 @@ func TestAggregatorRejectsOutOfHourReports(t *testing.T) {
 }
 
 // TestAggregatorRejectsBadFrames covers the guard rails: frames that did
-// not come off the wire (Version 0, the WAL's JSON wrapping) and
+// not come off the wire (Version 0, the legacy JSON wrapping) and
 // mismatched shard topologies are errors, not corruption.
 func TestAggregatorRejectsBadFrames(t *testing.T) {
 	agg, _ := captureAggregator(3, telemetry.NewHealth())

@@ -41,7 +41,7 @@ func captureBackHalf(tb testing.TB, seed int64, hours int) ([]stampedEvent, *sim
 	delay := DefaultLocalConfig().CollectionDelay + DefaultLocalConfig().ProcessingDelay
 	var events []stampedEvent
 	var at time.Time
-	sampler := NewSampler(trw.Default(), 0, func(e SamplerEvent) {
+	sampler := NewSampler(trw.Default(), func(e SamplerEvent) {
 		events = append(events, stampedEvent{e: e, at: at})
 	})
 	start := w.Start()

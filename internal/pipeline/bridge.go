@@ -13,10 +13,10 @@ import (
 )
 
 // This file holds the decode entry point for sampler events and the
-// legacy JSON event codec. Nothing writes JSON events any more — the
-// wire, the WAL and the durable snapshot all carry the binary layout of
-// binenc.go — but DecodeEvent still reads them for one release, out of
-// version-1 WAL segments and snapshots taken before the upgrade.
+// legacy JSON event codec. The wire, the WAL and the snapshot carry only
+// the binary layout of binenc.go (JSON state is durable.ErrOlderFormat);
+// EncodeEvent and DecodeEvent's JSON branch serve only the benchmark's
+// codec.json_* rungs, and go with them.
 
 // flowEndMsg is the JSON payload of a flow-end event. TraceID is omitted
 // when zero, so records written before tracing still decode.
@@ -66,11 +66,11 @@ func EncodeEvent(e SamplerEvent) (wire.Kind, []byte, error) {
 
 // DecodeEvent deserializes a frame back into a sampler event,
 // dispatching on the frame's Version: wire.Version2 — frames off the
-// wire, WAL records of a version-2 segment, a snapshot's events tagged
-// "v":2 — is the compact binary payload (binenc.go); Version 0 is the
-// JSON a version-1 segment or an untagged snapshot event holds. The
-// payload is fully copied out, so the frame's (pooled) buffer, or the
-// log reader's, may be reused as soon as DecodeEvent returns.
+// wire, WAL records, a snapshot's events — is the compact binary payload
+// (binenc.go). Any other Version is EncodeEvent's JSON, which only the
+// benchmark's codec.json_* rungs still pass. The payload is fully copied
+// out, so the frame's (pooled) buffer, or the log reader's, may be
+// reused as soon as DecodeEvent returns.
 func DecodeEvent(f wire.Frame) (SamplerEvent, error) {
 	if f.Version == wire.Version2 {
 		return decodeEventV2(f)

@@ -25,7 +25,7 @@ func TestIngestAllocBudget(t *testing.T) {
 	hourEnd := hour.Add(time.Hour)
 
 	allocbudget.Check(t, 2, [2]float64{21406, 21436}, func() { // 19,460 and 19,488
-		sampler := NewSampler(trw.Default(), 0, func(SamplerEvent) {})
+		sampler := NewSampler(trw.Default(), func(SamplerEvent) {})
 		sampler.ProcessHour(w.GenerateHour(hour), hourEnd)
 		sampler.Flush(hourEnd)
 	})
@@ -50,7 +50,7 @@ func TestBackHalfAllocBudget(t *testing.T) {
 	}
 	var events []stamped
 	var hourEnd time.Time
-	sampler := NewSampler(trw.Default(), 0, func(e SamplerEvent) {
+	sampler := NewSampler(trw.Default(), func(e SamplerEvent) {
 		events = append(events, stamped{e, hourEnd})
 	})
 	for h := 0; h < 6; h++ {

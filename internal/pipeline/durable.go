@@ -75,9 +75,9 @@ type serverState struct {
 }
 
 // encodedEvent is one wire-encoded sampler event inside a snapshot.
-// Version is the payload's codec as wire.Frame.Version numbers it:
-// wire.Version2 in every snapshot written now, absent (0, the legacy
-// JSON) in one written before the WAL and the snapshot went binary.
+// Version is the payload's codec as wire.Frame.Version numbers it, and
+// the only mark that tells a JSON-era event (absent, 0) from a binary one
+// (wire.Version2, the only one read or written).
 type encodedEvent struct {
 	Kind    uint8  `json:"kind"`
 	Version uint8  `json:"v,omitempty"`
@@ -99,8 +99,19 @@ func encodeEvents(events []SamplerEvent) ([]encodedEvent, error) {
 	return out, nil
 }
 
+// decode reads one buffered event back. An event tagged with another
+// codec comes from another release and refuses the snapshot, as a
+// segment or snapshot header of another version does.
 func (enc encodedEvent) decode(want SamplerEventKind) (SamplerEvent, error) {
-	e, err := DecodeEvent(wire.Frame{Version: enc.Version, Kind: wire.Kind(enc.Kind), Payload: enc.Payload})
+	if enc.Version != wire.Version2 {
+		refusal := durable.ErrOlderFormat
+		if enc.Version > wire.Version2 {
+			refusal = durable.ErrNewerFormat
+		}
+		return SamplerEvent{}, fmt.Errorf("pipeline: buffered event tagged v=%d, this binary reads only v=%d: %w",
+			enc.Version, wire.Version2, refusal)
+	}
+	e, err := DecodeEvent(wire.Frame{Version: wire.Version2, Kind: wire.Kind(enc.Kind), Payload: enc.Payload})
 	if err != nil {
 		return e, fmt.Errorf("pipeline: decode buffered event: %w", err)
 	}
@@ -169,20 +180,14 @@ func (s *Server) ExportState() ([]byte, error) {
 
 // RestoreState reinstates a state exported by ExportState. Meant for a
 // freshly constructed server, before any event is handled. Restored
-// flows come back untraced, like WAL-replayed ones.
+// flows come back untraced, like WAL-replayed ones. A snapshot whose
+// buffered events another release wrote is refused before anything is
+// restored.
 func (s *Server) RestoreState(payload []byte) error {
 	var st serverState
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return fmt.Errorf("pipeline: decode snapshot: %w", err)
 	}
-	store.BumpObjectIDCounter(st.ObjectIDCounter)
-	s.historical.Restore(st.Historical)
-	s.active.Restore(st.Active)
-	s.traffic.restore(st.Traffic)
-	s.trainer.RestoreState(st.Trainer)
-	s.scanMod.RestoreStats(st.ScanScanned, st.ScanTagged)
-	s.scanMod.RestoreBuffer(st.ScanPending, st.ScanOldestAdded)
-
 	flows := make(map[packet.IP]*pendingFlow, len(st.ScanFlows))
 	for _, enc := range st.ScanFlows {
 		e, err := enc.decode(SamplerBatch)
@@ -203,6 +208,14 @@ func (s *Server) RestoreState(payload []byte) error {
 			ends[e.IP] = e
 		}
 	}
+
+	store.BumpObjectIDCounter(st.ObjectIDCounter)
+	s.historical.Restore(st.Historical)
+	s.active.Restore(st.Active)
+	s.traffic.restore(st.Traffic)
+	s.trainer.RestoreState(st.Trainer)
+	s.scanMod.RestoreStats(st.ScanScanned, st.ScanTagged)
+	s.scanMod.RestoreBuffer(st.ScanPending, st.ScanOldestAdded)
 
 	if s.notifier != nil && st.Notifier != nil {
 		if err := s.notifier.RestoreState(*st.Notifier); err != nil {
@@ -249,23 +262,19 @@ func (s *Server) setRetrainHook(fn func(m *trainer.TrainedModel, now time.Time))
 }
 
 // DurableConfig parameterizes feed-state persistence. A zero Dir
-// disables the subsystem entirely.
+// disables the subsystem entirely. Snapshots, and the WAL segments they
+// cover, are kept for the feed's 14-day historical lapse.
 type DurableConfig struct {
 	// Dir is the state directory holding WAL segments and snapshots.
 	Dir string
 	// Sync is the WAL fsync policy (durable.SyncAlways / SyncInterval /
-	// SyncOff; default interval).
+	// SyncOff; default interval, flushing once a second).
 	Sync durable.SyncPolicy
-	// SyncInterval is the flush period under the interval policy.
-	SyncInterval time.Duration
 	// SegmentBytes rotates WAL segments past this size.
 	SegmentBytes int64
 	// SnapshotEvery takes a full-state snapshot when the simulated clock
 	// has advanced this far since the last one (default 6 h).
 	SnapshotEvery time.Duration
-	// Retain is the snapshot/WAL retention window (default 14 days, the
-	// feed's historical lapse).
-	Retain time.Duration
 }
 
 func (c DurableConfig) withDefaults() DurableConfig {
@@ -324,9 +333,7 @@ func OpenDurable(cfg DurableConfig, server *Server) (*Durable, error) {
 	mgr, err := durable.Open(durable.Options{
 		Dir:          cfg.Dir,
 		Sync:         cfg.Sync,
-		SyncEvery:    cfg.SyncInterval,
 		SegmentBytes: cfg.SegmentBytes,
-		Retain:       cfg.Retain,
 	})
 	if err != nil {
 		return nil, err
@@ -355,7 +362,7 @@ func OpenDurable(cfg DurableConfig, server *Server) (*Durable, error) {
 		}
 		// DecodeEvent copies everything out of the payload, which is the
 		// log reader's buffer and gone once this callback returns.
-		e, err := DecodeEvent(wire.Frame{Version: rec.Version, Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
+		e, err := DecodeEvent(wire.Frame{Version: wire.Version2, Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
 		if err != nil {
 			return fmt.Errorf("pipeline: replay seq %d: %w", rec.Seq, err)
 		}

@@ -1,11 +1,15 @@
 package pipeline
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"exiot/internal/durable"
 	"exiot/internal/telemetry"
 	"exiot/internal/wire"
 )
@@ -73,7 +77,9 @@ func FuzzDecodeEventV2(f *testing.F) {
 // FuzzRestoreState feeds RestoreState what it reads from disk. Whatever
 // the bytes, it must refuse them or leave a server that can flush its
 // restored scan buffer and export itself again, for work that stays
-// within a constant multiple of the input.
+// within a constant multiple of the input. A refusal as another
+// release's snapshot, older or newer, must point at a buffered event of
+// that release's codec and restore nothing.
 func FuzzRestoreState(f *testing.F) {
 	const seed = 217
 	midHour, _, _, w := midHourState(f, seed)
@@ -82,7 +88,9 @@ func FuzzRestoreState(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(payload)
-	// A snapshot the parent format wrote, one carrying a (valid) model,
+	f.Add(bytes.ReplaceAll(payload, []byte(`"v":2`), []byte(`"v":3`))) // newer
+	f.Add(bytes.ReplaceAll(payload, []byte(`,"v":2`), nil))            // older
+	// A snapshot an older release wrote, one carrying a (valid) model,
 	// and one whose forest points a child outside its tree.
 	for _, name := range []string{"snapshot_parent.json", "snapshot_model.json", "snapshot_model_child_out_of_range.json"} {
 		committed, err := os.ReadFile(filepath.Join("testdata", name))
@@ -94,8 +102,9 @@ func FuzzRestoreState(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		srv := backHalfServer(w, seed, 1)
+		var err error
 		got := allocatedBytes(func() {
-			if srv.RestoreState(payload) != nil {
+			if err = srv.RestoreState(payload); err != nil {
 				return
 			}
 			srv.FlushScans(time.Date(2021, 4, 8, 14, 0, 0, 0, time.UTC))
@@ -107,6 +116,25 @@ func FuzzRestoreState(f *testing.F) {
 		// probe results.
 		if limit := uint64(512*len(payload) + 1<<20); got > limit {
 			t.Errorf("%d payload bytes cost %d allocated bytes (limit %d)", len(payload), got, limit)
+		}
+
+		older, newer := errors.Is(err, durable.ErrOlderFormat), errors.Is(err, durable.ErrNewerFormat)
+		if !older && !newer {
+			return
+		}
+		var st serverState
+		if json.Unmarshal(payload, &st) != nil {
+			t.Fatalf("refused a payload that is no snapshot: %v", err)
+		}
+		tagged := false
+		for _, enc := range append(st.ScanFlows, st.PendingEnds...) {
+			tagged = tagged || (older && enc.Version < wire.Version2) || (newer && enc.Version > wire.Version2)
+		}
+		if !tagged {
+			t.Errorf("refused with %v, but no buffered event carries that release's tag", err)
+		}
+		if srv.historical.Len() != 0 || srv.Counters() != (Counters{}) {
+			t.Errorf("a refused snapshot restored %d records, counters %+v", srv.historical.Len(), srv.Counters())
 		}
 	})
 }

@@ -11,11 +11,10 @@ import (
 )
 
 // LocalConfig parameterizes a single-process pipeline; a BackHalf alone
-// ignores the sampler's TRW and MinSamples.
+// ignores the sampler's TRW.
 type LocalConfig struct {
-	TRW        trw.Config
-	MinSamples int
-	Server     ServerConfig
+	TRW    trw.Config
+	Server ServerConfig
 
 	// Workers sizes the back half's scan-batch flush — the ZMap probe
 	// pool and the annotate fan-out — unless Server.Workers is set
@@ -87,7 +86,7 @@ func NewDurableLocal(cfg LocalConfig, prober zmap.Prober, reg *registry.Registry
 		back.skip = back.durable.Recovery().Events()
 	}
 	l := &Local{back: back}
-	l.sampler = NewSampler(cfg.TRW, cfg.MinSamples, func(e SamplerEvent) {
+	l.sampler = NewSampler(cfg.TRW, func(e SamplerEvent) {
 		back.Deliver(e, l.hourEnd)
 	})
 	return l, nil

@@ -93,7 +93,7 @@ type SamplerEvent struct {
 // merge (Aggregator) deliver byte-identical hours.
 type Sampler struct {
 	detector *trw.Detector
-	org      *organizer.Organizer
+	org      organizer.Organizer
 	emit     func(SamplerEvent)
 
 	// pending buffers the current hour's events until the barrier, where
@@ -104,26 +104,24 @@ type Sampler struct {
 	liveness *telemetry.Check
 }
 
-// NewSampler builds the CAIDA-side half.
-func NewSampler(trwCfg trw.Config, minSamples int, emit func(SamplerEvent)) *Sampler {
+// NewSampler builds the CAIDA-side half. Samples shorter than
+// organizer.DefaultMinSamples are dropped.
+func NewSampler(trwCfg trw.Config, emit func(SamplerEvent)) *Sampler {
 	s := &Sampler{
-		org:      organizer.New(),
 		emit:     emit,
 		liveness: telemetry.DefaultHealth().Register("ingest", ingestMaxAge),
-	}
-	if minSamples > 0 {
-		s.org.MinSamples = minSamples
 	}
 	s.detector = trw.NewDetector(trwCfg, s.onDetectorEvent)
 	return s
 }
 
-// NewSamplerWorkers is NewSampler; the worker count is ignored.
+// NewSamplerWorkers is NewSampler; the minimum sample size and the
+// worker count are ignored.
 //
 // Deprecated: detection is serial per process and the telescope scales by
 // `flowsampler -shard i/N`. Kept only for callers under bench/.
-func NewSamplerWorkers(trwCfg trw.Config, minSamples, _ int, emit func(SamplerEvent)) *Sampler {
-	return NewSampler(trwCfg, minSamples, emit)
+func NewSamplerWorkers(trwCfg trw.Config, _, _ int, emit func(SamplerEvent)) *Sampler {
+	return NewSampler(trwCfg, emit)
 }
 
 func (s *Sampler) onDetectorEvent(e trw.Event) {

@@ -29,7 +29,7 @@ func TestSamplerEmitsCanonicalOrderFromAnyDetectorOrder(t *testing.T) {
 
 	var stream []byte
 	kinds := map[SamplerEventKind]int{}
-	s := NewSampler(trw.Default(), 0, func(e SamplerEvent) {
+	s := NewSampler(trw.Default(), func(e SamplerEvent) {
 		kinds[e.Kind]++
 		kind, data, err := AppendEncodeEvent(stream, e)
 		if err != nil {

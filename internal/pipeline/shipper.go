@@ -41,7 +41,7 @@ var layerWire = telemetry.Default().Layer("wire")
 // (0 of 1 is the whole telescope), shipping to out.
 func NewShipper(trwCfg trw.Config, shardID, shardCount int, out hourSender) *Shipper {
 	s := &Shipper{out: out, shardID: shardID, shardCount: shardCount}
-	s.sampler = NewSampler(trwCfg, 0, s.ship)
+	s.sampler = NewSampler(trwCfg, s.ship)
 	return s
 }
 

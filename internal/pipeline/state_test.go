@@ -3,10 +3,12 @@ package pipeline
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"testing"
 	"time"
 
+	"exiot/internal/durable"
 	"exiot/internal/packet"
 	"exiot/internal/simnet"
 	"exiot/internal/wire"
@@ -130,51 +132,31 @@ func TestSnapshotMidHourRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreParentFormatSnapshot restores a snapshot written before the
-// scan buffer travelled with it (testdata/snapshot_parent.json, taken by
-// commit 35d262a: `latest` and `latest_id` present, buffer empty, one
-// end parked behind no flow). The twin collection is ignored, the
-// undrainable end dropped, and the restored records still end.
+// TestRestoreParentFormatSnapshot: testdata/snapshot_parent.json was
+// taken by commit 35d262a, before snapshots tagged their buffered events:
+// its one parked end is untagged JSON. An older exiotd's snapshot is
+// refused as its version-1 segments are, before anything is restored.
 func TestRestoreParentFormatSnapshot(t *testing.T) {
 	payload, err := os.ReadFile("testdata/snapshot_parent.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(payload, &fields); err != nil {
+	var st serverState
+	if err := json.Unmarshal(payload, &st); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"latest", "latest_id", "pending_ends"} {
-		if _, ok := fields[key]; !ok {
-			t.Fatalf("testdata snapshot has no %q: not the parent's format", key)
-		}
+	if len(st.PendingEnds) != 1 || st.PendingEnds[0].Version != 0 || len(st.Historical) == 0 {
+		t.Fatalf("testdata snapshot parks %d ends (%+v) over %d records: not the parent's format",
+			len(st.PendingEnds), st.PendingEnds, len(st.Historical))
 	}
 
 	_, w := captureBackHalf(t, 213, 1)
 	srv := backHalfServer(w, 213, 1)
-	if err := srv.RestoreState(payload); err != nil {
-		t.Fatal(err)
+	if err := srv.RestoreState(payload); !errors.Is(err, durable.ErrOlderFormat) {
+		t.Fatalf("RestoreState = %v, want the older-exiotd refusal", err)
 	}
-	live := srv.Historical().Find(nil)
-	if c := srv.Counters(); c.RecordsCreated != 10 || len(live) != 10 || srv.ActiveCount() != 10 {
-		t.Fatalf("restored %d records (%d active), counters %+v; the snapshot holds 10 live ones",
-			len(live), srv.ActiveCount(), c)
-	}
-	if len(srv.pendingEnds) != 0 || srv.scanMod.Pending() != 0 {
-		t.Errorf("restored %d parked ends and %d buffered scanners, want none", len(srv.pendingEnds), srv.scanMod.Pending())
-	}
-
-	ip, err := packet.ParseIP(live[0].IP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := live[0].AppearedAt.Add(time.Hour)
-	srv.HandleEvent(SamplerEvent{Kind: SamplerFlowEnd, IP: ip, LastSeen: at}, at)
-	if rec, _ := srv.RecordByIP(live[0].IP); rec.Active || srv.ActiveCount() != 9 {
-		t.Errorf("flow end after restore left %s active (%d active records)", live[0].IP, srv.ActiveCount())
-	}
-	if _, err := srv.ExportState(); err != nil {
-		t.Errorf("export after a parent-format restore: %v", err)
+	if n := len(srv.Historical().Find(nil)); n != 0 || srv.Counters() != (Counters{}) {
+		t.Errorf("a refused snapshot restored %d records, counters %+v", n, srv.Counters())
 	}
 }
 

@@ -1,13 +1,12 @@
 package pipeline
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,228 +14,155 @@ import (
 	"exiot/internal/durable"
 	"exiot/internal/simnet"
 	"exiot/internal/trw"
-	"exiot/internal/wire"
 )
 
-// testdata/wal_v1 is a state directory written by commit 987755c, the
-// last one whose WAL and snapshots held JSON events: that commit's
-// OpenDurable on an empty directory, then Append + HandleEvent (Tick at
-// each hour's end) over five hours of walV1World's sampler stream — 24
-// packets a sample, one per-second report in 120 kept — a forced
-// snapshot mid-hour with three scanners buffered, one of them ended and
-// detected again, and Close with no final snapshot. golden.json is what
-// the same commit recovered from the directory it had written.
-const (
-	walV1Dir      = "testdata/wal_v1"
-	walV1Segment  = "wal-0000000000000001.seg"
-	walV1Snapshot = "snap-0000000000000060.snap"
-	walV1Seed     = 221
-)
-
-// walV1World is the world the fixture's events were detected in; the
-// server needs it to probe the recovered scanners.
-func walV1World() *simnet.World {
-	cfg := simnet.DefaultConfig(walV1Seed)
-	cfg.NumInfected = 60
-	cfg.NumNonIoT = 6
-	cfg.NumResearch = 1
-	cfg.NumMisconfig = 2
-	cfg.NumBackscat = 1
-	cfg.Days = 1
-	cfg.MaxPacketsPerHostHour = 600
-	return simnet.NewWorld(cfg)
-}
-
-type walV1Golden struct {
-	Events         uint64   `json:"events"`
-	SnapshotSeq    uint64   `json:"snapshot_seq"`
-	ReplayedEvents int      `json:"replayed_events"`
-	ExportSHA256   string   `json:"export_sha256"`
-	Counters       Counters `json:"counters"`
-	Scanned        int64    `json:"scanned"`
-	Tagged         int64    `json:"tagged"`
-	ScanBuffer     int      `json:"scan_buffer"`
-	ParkedEnds     int      `json:"parked_ends"`
-}
-
-// copyWALV1 copies the fixture's segment and snapshot into a fresh
-// directory.
-func copyWALV1(tb testing.TB) string {
-	tb.Helper()
-	dir := tb.TempDir()
-	for _, name := range []string{walV1Segment, walV1Snapshot} {
-		raw, err := os.ReadFile(filepath.Join(walV1Dir, name))
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			tb.Fatal(err)
+// writtenStateDir is a state directory as this binary leaves it: a
+// server recovered from nothing appends and applies the captured stream
+// up to a busy mid-hour, with scanners buffered and one end parked, takes
+// a snapshot there, applies a few more events and stops.
+func writtenStateDir(t *testing.T) (string, *simnet.World) {
+	t.Helper()
+	const seed = 217
+	_, applied, rest, w := midHourState(t, seed)
+	dir := t.TempDir()
+	srv := backHalfServer(w, seed, 1)
+	dur, err := OpenDurable(DurableConfig{Dir: dir, Sync: durable.SyncOff}, srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply := func(events []stampedEvent) {
+		for _, se := range events {
+			dur.Append(se.e, se.at)
+			srv.HandleEvent(se.e, se.at)
 		}
 	}
-	return dir
-}
-
-func openWALV1(tb testing.TB, w *simnet.World, dir string) (*BackHalf, *Server, *Durable) {
-	tb.Helper()
-	b := newBackHalf(tb, w, walV1Seed, 1, DurableConfig{Dir: dir, Sync: durable.SyncOff})
-	return b, b.Server(), b.Durable()
-}
-
-// TestRecoverParentFormatWAL is the upgrade: a state directory the
-// parent commit wrote — JSON events in a version-1 segment and in the
-// snapshot's scan_flows and pending_ends — recovers to the state the
-// parent recovered from it; what is appended afterwards goes to a new
-// version-2 segment and the old file keeps its bytes; and the mixed
-// directory survives a second hard stop.
-func TestRecoverParentFormatWAL(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join(walV1Dir, "golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden walV1Golden
-	if err := json.Unmarshal(raw, &golden); err != nil {
-		t.Fatal(err)
-	}
-	snapshot, err := os.ReadFile(filepath.Join(walV1Dir, walV1Snapshot))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(snapshot, []byte(`"scan_flows":[{"kind":1,"payload":"eyJ`)) ||
-		!bytes.Contains(snapshot, []byte(`"pending_ends":[{"kind":2,"payload":"eyJ`)) {
-		t.Fatal("the fixture snapshot's buffered events are not untagged JSON: not the parent's format")
-	}
-	w := walV1World()
-
-	// The directory as committed.
-	_, srv, dur := openWALV1(t, w, copyWALV1(t))
-	rec := dur.Recovery()
-	if rec.SnapshotSeq != golden.SnapshotSeq || rec.ReplayedEvents != golden.ReplayedEvents ||
-		rec.Events() != golden.Events || rec.Truncated {
-		t.Fatalf("recovery %+v, the parent's was snapshot through %d + %d events", rec, golden.SnapshotSeq, golden.ReplayedEvents)
-	}
+	apply(applied)
+	dur.MaybeSnapshot(applied[len(applied)-1].at, true)
+	apply(rest[:5])
 	if err := dur.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(exportNDJSON(srv))
-	if got := hex.EncodeToString(sum[:]); got != golden.ExportSHA256 {
-		t.Errorf("recovered export digest %s, the parent's %s", got, golden.ExportSHA256)
-	}
-	if got := srv.Counters(); got != golden.Counters {
-		t.Errorf("recovered counters %+v, the parent's %+v", got, golden.Counters)
-	}
-	if scanned, tagged := srv.scanMod.Stats(); scanned != golden.Scanned || tagged != golden.Tagged {
-		t.Errorf("recovered scanned/tagged %d/%d, the parent's %d/%d", scanned, tagged, golden.Scanned, golden.Tagged)
-	}
-	if srv.scanMod.Pending() != golden.ScanBuffer || len(srv.pendingEnds) != golden.ParkedEnds {
-		t.Errorf("recovered %d buffered scanners and %d parked ends, the parent %d and %d",
-			srv.scanMod.Pending(), len(srv.pendingEnds), golden.ScanBuffer, golden.ParkedEnds)
-	}
+	return dir, w
+}
 
-	// The stream, out of the log itself.
-	var events []stampedEvent
-	err = durable.ScanRecords(walV1Dir, func(rec durable.Record) error {
-		e, err := DecodeEvent(wire.Frame{Version: rec.Version, Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
-		events = append(events, stampedEvent{e, rec.AvailableAt})
-		return err
-	})
-	if err != nil || uint64(len(events)) != golden.Events {
-		t.Fatalf("decoded %d of the fixture's %d events (%v)", len(events), golden.Events, err)
-	}
-	baseHalf := newBackHalf(t, w, walV1Seed, 1, DurableConfig{})
-	feedHours(baseHalf, events, 0, len(events))
-	base := baseHalf.Server()
-	want := exportNDJSON(base)
-
-	// The parent stopped earlier: every append is one write, so a kill
-	// after record `stop` leaves the segment cut exactly there.
-	dir := copyWALV1(t)
-	stop := int(golden.SnapshotSeq) + golden.ReplayedEvents/3
-	again := stop + golden.ReplayedEvents/3
-	v1Path := filepath.Join(dir, walV1Segment)
-	offsets, _, err := durable.RecordOffsets(v1Path)
+// retagSnapshot rewrites the newest snapshot of dir with every buffered
+// event tagged v (0 drops the tag, as a JSON-era snapshot has none).
+func retagSnapshot(t *testing.T, dir string, v uint8) {
+	t.Helper()
+	m, err := durable.Open(durable.Options{Dir: dir, Sync: durable.SyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(v1Path, offsets[stop]); err != nil {
+	defer m.Close()
+	meta, payload, err := m.LatestSnapshot()
+	if err != nil || payload == nil {
+		t.Fatalf("no snapshot to retag (%v)", err)
+	}
+	var st serverState
+	if err := json.Unmarshal(payload, &st); err != nil {
 		t.Fatal(err)
 	}
-	v1Bytes, err := os.ReadFile(v1Path)
-	if err != nil {
+	if len(st.ScanFlows) == 0 || len(st.PendingEnds) == 0 {
+		t.Fatalf("snapshot buffers %d flows and %d ends, want both", len(st.ScanFlows), len(st.PendingEnds))
+	}
+	for _, events := range [][]encodedEvent{st.ScanFlows, st.PendingEnds} {
+		for i := range events {
+			events[i].Version = v
+		}
+	}
+	if payload, err = json.Marshal(st); err != nil {
 		t.Fatal(err)
 	}
-
-	b, srv, dur := openWALV1(t, w, dir)
-	if got := dur.Recovery().Events(); got != uint64(stop) {
-		t.Fatalf("recovered %d events from a log cut after %d", got, stop)
-	}
-	feedHours(b, events, stop, again)
-	if err := dur.Close(); err != nil {
+	if err := m.WriteSnapshot(meta, payload); err != nil {
 		t.Fatal(err)
-	}
-	if got, err := os.ReadFile(v1Path); err != nil || !bytes.Equal(got, v1Bytes) {
-		t.Errorf("the version-1 segment changed under the appends: %d bytes, was %d (%v)", len(got), len(v1Bytes), err)
-	}
-	info, err := durable.Inspect(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if segs := info.Segments; len(segs) != 2 || segs[0].Version != 1 || segs[0].Events != stop ||
-		segs[1].Version != 2 || segs[1].StartSeq != uint64(stop)+1 || segs[1].Events != again-stop {
-		t.Fatalf("after %d appends over a version-1 log of %d: segments %+v", again-stop, stop, info.Segments)
-	}
-
-	// Second hard stop, over both formats.
-	b, srv, dur = openWALV1(t, w, dir)
-	if rec := dur.Recovery(); rec.Events() != uint64(again) || rec.Truncated ||
-		rec.ReplayedEvents != again-int(rec.SnapshotSeq) {
-		t.Fatalf("recovery over the mixed log: %+v, want %d events", rec, again)
-	}
-	feedHours(b, events, again, len(events))
-	if err := dur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := exportNDJSON(srv); !bytes.Equal(got, want) {
-		t.Errorf("export after two stops differs from the uninterrupted run's (%d vs %d bytes)", len(got), len(want))
-	}
-	if got, want := srv.Counters(), base.Counters(); got != want || want.RecordsCreated == 0 || want.FlowsEnded == 0 {
-		t.Errorf("counters after two stops %+v, uninterrupted %+v", got, want)
 	}
 }
 
-// TestOpenDurableRefusesNewerFormat: a segment or a snapshot whose
-// version is above this binary's makes OpenDurable fail, naming the
-// cause, and leaves the directory as it found it. The parent deleted
-// such a segment as corrupt and skipped such a snapshot for an older
-// one.
+// setHeaderVersion rewrites the u32 version a segment or snapshot header
+// keeps after its eight-byte magic.
+func setHeaderVersion(t *testing.T, path string, v uint32) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[8:], v)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenDurableRefusesNewerFormat: a state directory holding a file
+// another release wrote makes OpenDurable fail, naming whether that
+// release is older or newer, and leaves every file as it found it. A
+// newer one is a segment or snapshot header above this binary's version,
+// or a snapshot event tagged above v2; an older one a version-1 segment
+// (JSON events) or an untagged snapshot event. The directory is one this
+// binary wrote, and recovers as it is.
 func TestOpenDurableRefusesNewerFormat(t *testing.T) {
-	w := walV1World()
-	for _, name := range []string{walV1Segment, walV1Snapshot} {
-		dir := copyWALV1(t)
-		// Both headers keep their u32 version after an eight-byte magic.
-		path := filepath.Join(dir, name)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint32(raw[8:], 3)
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := dirContents(t, dir)
-
-		_, err = OpenDurable(DurableConfig{Dir: dir, Sync: durable.SyncOff}, backHalfServer(w, walV1Seed, 1))
-		if err == nil || !strings.Contains(err.Error(), "state directory written by a newer exiotd") {
-			t.Errorf("%s at version 3: OpenDurable = %v, want the newer-exiotd refusal", name, err)
-		}
-		after := dirContents(t, dir)
-		if len(after) != len(before) {
-			t.Errorf("%s at version 3: the directory went from %d files to %d", name, len(before), len(after))
-		}
-		for file, raw := range before {
-			if !bytes.Equal(after[file], raw) {
-				t.Errorf("%s at version 3: %s was modified or removed", name, file)
+	written, w := writtenStateDir(t)
+	files := dirContents(t, written)
+	snaps, err := filepath.Glob(filepath.Join(written, "snap-*.snap"))
+	const segment = "wal-0000000000000001.seg"
+	if err != nil || len(snaps) != 1 || files[segment] == nil || len(files) != 2 {
+		t.Fatalf("the written directory holds %d files, want one segment and one snapshot", len(files))
+	}
+	snapshot := filepath.Base(snaps[0])
+	copyDir := func(t *testing.T) string {
+		dir := t.TempDir()
+		for name, raw := range files {
+			if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+				t.Fatal(err)
 			}
 		}
+		return dir
+	}
+
+	// Unedited, the directory recovers through the snapshot and the tail.
+	dur, err := OpenDurable(DurableConfig{Dir: copyDir(t), Sync: durable.SyncOff}, backHalfServer(w, 217, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := dur.Recovery(); rec.SnapshotSeq == 0 || rec.ReplayedEvents != 5 || rec.Truncated {
+		t.Errorf("recovery of the written directory: %+v, want a snapshot and the five events after it", rec)
+	}
+	dur.Close()
+
+	ops, err := os.ReadFile("../../docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := map[string]bool{}
+	for _, line := range strings.Split(string(ops), "\n") {
+		quoted[strings.TrimSpace(line)] = true
+	}
+	for _, row := range []struct {
+		name string
+		edit func(t *testing.T, dir string)
+		want error
+	}{
+		{"newer segment", func(t *testing.T, dir string) { setHeaderVersion(t, filepath.Join(dir, segment), 3) }, durable.ErrNewerFormat},
+		{"newer snapshot", func(t *testing.T, dir string) { setHeaderVersion(t, filepath.Join(dir, snapshot), 3) }, durable.ErrNewerFormat},
+		{"newer snapshot events", func(t *testing.T, dir string) { retagSnapshot(t, dir, 3) }, durable.ErrNewerFormat},
+		{"older segment", func(t *testing.T, dir string) { setHeaderVersion(t, filepath.Join(dir, segment), 1) }, durable.ErrOlderFormat},
+		{"older snapshot events", func(t *testing.T, dir string) { retagSnapshot(t, dir, 0) }, durable.ErrOlderFormat},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dir := copyDir(t)
+			row.edit(t, dir)
+			before := dirContents(t, dir)
+			_, err := OpenDurable(DurableConfig{Dir: dir, Sync: durable.SyncOff}, backHalfServer(w, 217, 1))
+			if !errors.Is(err, row.want) {
+				t.Fatalf("OpenDurable = %v, want the refusal %q", err, row.want)
+			}
+			// The one refusal whose line names no file: the guide quotes it.
+			if row.name == "older snapshot events" && !quoted[err.Error()] {
+				t.Errorf("docs/OPERATIONS.md does not quote the refusal on a line of its own:\n%s", err)
+			}
+			if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+				t.Errorf("the refused directory changed: %d files, was %d", len(after), len(before))
+			}
+		})
 	}
 }
 

@@ -75,7 +75,7 @@ func RunTap(sc Scenario, seed int64, hours int) (Result, uint64, Truth) {
 	var hourEnd time.Time
 	digest := fnv.New64a()
 	var encBuf []byte
-	sampler := pipeline.NewSampler(trw.Default(), 0, func(e pipeline.SamplerEvent) {
+	sampler := pipeline.NewSampler(trw.Default(), func(e pipeline.SamplerEvent) {
 		if kind, data, err := pipeline.AppendEncodeEvent(encBuf[:0], e); err == nil {
 			digest.Write([]byte{byte(kind)})
 			digest.Write(data)

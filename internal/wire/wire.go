@@ -65,8 +65,8 @@ const (
 // Version2 marks every frame read off a connection: binary payloads,
 // shard/epoch tags. The WAL and snapshots wrap their event payloads in
 // a Frame of the same version for pipeline.DecodeEvent. Version 0 — the
-// zero value of Frame, never seen on the wire — wraps the JSON payloads
-// of WAL segments and snapshots written before they went binary.
+// zero value of Frame, never seen on the wire — wraps the legacy JSON
+// payloads only the benchmark's codec rungs still produce.
 const Version2 = 2
 
 // Frame flags.
