@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -34,10 +35,11 @@ func budgetRecord(i int) feed.Record {
 }
 
 // TestRecordsAllocBudget bounds the allocations of one
-// GET /api/v1/records?limit=100 through the full handler stack over 10k
-// records: served from the snapshot, revalidated to a 304, and walked
-// from the store. Each ceiling is ⌊1.10 × the allocs/op recorded for
-// that path⌋; the recorded count follows each row.
+// GET /api/v1/records through the full handler stack over 10k records:
+// ?limit=100 served from the snapshot, revalidated to a 304, and walked
+// from the store, plus a filtered window and a cursor page served from
+// the snapshot. Each ceiling is ⌊1.10 × the allocs/op recorded for that
+// path⌋; the recorded count follows each row.
 func TestRecordsAllocBudget(t *testing.T) {
 	coll := store.NewCollection[feed.Record]()
 	for i := 0; i < 10_000; i++ {
@@ -53,8 +55,8 @@ func TestRecordsAllocBudget(t *testing.T) {
 
 	// Each request is built once and served repeatedly, as a polling
 	// consumer's would be: the budget counts the server's allocations.
-	request := func(etag string) *http.Request {
-		req := httptest.NewRequest(http.MethodGet, "/api/v1/records?limit=100", nil)
+	request := func(query, etag string) *http.Request {
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/records?"+query, nil)
 		req.Header.Set("X-API-Key", "k")
 		if etag != "" {
 			req.Header.Set("If-None-Match", etag)
@@ -62,7 +64,7 @@ func TestRecordsAllocBudget(t *testing.T) {
 		return req
 	}
 	w := httptest.NewRecorder()
-	snap.ServeHTTP(w, request(""))
+	snap.ServeHTTP(w, request("limit=100", ""))
 	etag := w.Header().Get("ETag")
 	if etag == "" {
 		t.Fatal("no ETag on the snapshot response")
@@ -76,9 +78,11 @@ func TestRecordsAllocBudget(t *testing.T) {
 		runs    int
 		ceiling float64
 	}{
-		{"snapshot", snap, request(""), http.StatusOK, 100, 40},                // 37
-		{"snapshot_304", snap, request(etag), http.StatusNotModified, 100, 24}, // 22
-		{"store_walk", walk, request(""), http.StatusOK, 3, 1168},              // 1,062
+		{"snapshot", snap, request("limit=100", ""), http.StatusOK, 100, 40},                      // 37
+		{"snapshot_304", snap, request("limit=100", etag), http.StatusNotModified, 100, 24},       // 22
+		{"store_walk", walk, request("limit=100", ""), http.StatusOK, 3, 1168},                    // 1,062
+		{"snapshot_filtered", snap, request("limit=100&active=true", ""), http.StatusOK, 100, 42}, // 39
+		{"snapshot_cursor", snap, request("cursor=0&limit=500", ""), http.StatusOK, 100, 46},      // 42
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			allocbudget.Check(t, c.runs, [2]float64{c.ceiling, c.ceiling}, func() {
@@ -89,5 +93,53 @@ func TestRecordsAllocBudget(t *testing.T) {
 				}
 			})
 		})
+	}
+}
+
+// TestWindowBytesFlat holds the bytes one filtered window and one cursor
+// page allocate over 100k records to within 10 % of what they allocate
+// over 10k: each walk stops at the end of its page, so neither may cost
+// in proportion to the snapshot.
+func TestWindowBytesFlat(t *testing.T) {
+	queries := []string{"limit=100&active=true", "cursor=0&limit=500"}
+	bytesPerRequest := func(records int) []float64 {
+		coll := store.NewCollection[feed.Record]()
+		for i := 0; i < records; i++ {
+			coll.Insert(t0.Add(time.Duration(i)*time.Second), budgetRecord(i))
+		}
+		cache := feedserve.New(coll, feedserve.Config{})
+		defer cache.Close()
+		s := NewServer(&collSource{coll: coll}, nil)
+		s.AddKey("k", "test")
+		s.SetFeedCache(cache)
+		out := make([]float64, len(queries))
+		for i, q := range queries {
+			req := httptest.NewRequest(http.MethodGet, "/api/v1/records?"+q, nil)
+			req.Header.Set("X-API-Key", "k")
+			serve := func() {
+				w := httptest.NewRecorder()
+				s.ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					t.Fatalf("%s: status %d", q, w.Code)
+				}
+			}
+			serve()
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				serve()
+			}
+			runtime.ReadMemStats(&after)
+			out[i] = float64(after.TotalAlloc-before.TotalAlloc) / runs
+		}
+		return out
+	}
+	small, large := bytesPerRequest(10_000), bytesPerRequest(100_000)
+	for i, q := range queries {
+		t.Logf("%s: %.0f B/request at 10k records, %.0f at 100k", q, small[i], large[i])
+		if r := large[i] / small[i]; r > 1.10 || r < 1/1.10 {
+			t.Errorf("%s: %.0f B/request at 100k records is %.2f× the %.0f at 10k", q, large[i], r, small[i])
+		}
 	}
 }

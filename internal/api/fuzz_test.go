@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -17,35 +18,66 @@ import (
 // /records and /export of an API serving a small fixed snapshot: the
 // answer is 200, 304 or 400 — never a 5xx, never a panic — a 200 body
 // parses as JSON (records) or NDJSON (export), and replaying the ETag it
-// advertised revalidates to a body-less 304.
+// advertised revalidates to a body-less 304. A 200 body is also the
+// reference's, byte for byte: the cacheless store-walk server's for a
+// window query, and refSeqBody's full walk for a cursor or since=<seq>
+// query.
 func FuzzRecordsQuery(f *testing.F) {
+	// Twelve records over three countries and both labels. Updating
+	// three of them moves their sequence numbers past the rest, so
+	// sequence order is not insertion order; a fourth update keeps its
+	// bytes and its sequence number.
+	coll := store.NewCollection[feed.Record]()
+	var ids []store.ObjectID
+	for i := range 12 {
+		label := feed.LabelIoT
+		if i%3 == 2 {
+			label = feed.LabelNonIoT
+		}
+		rec := serveRec(i, label)
+		rec.CountryCode = []string{"CN", "US", "BR"}[i%3]
+		rec.Active = i%4 != 1
+		ids = append(ids, coll.Insert(t0.Add(time.Duration(i)*time.Minute), rec))
+	}
+	cache := feedserve.New(coll, feedserve.Config{Clock: func() time.Time { return t0 }})
+	f.Cleanup(cache.Close)
+	for _, i := range []int{7, 1, 4} {
+		coll.Update(ids[i], func(r *feed.Record) { r.Active = !r.Active })
+	}
+	coll.Update(ids[0], func(*feed.Record) {})
+	snap := cache.Rebuild()
+	last := snap.LastSeq()
+
 	for _, q := range []string{
 		"", "limit=2", "label=iot&country=CN", "active=true&asn=7", "since=2020-12-09T00:03:00Z",
 		"since=3&limit=1", "cursor=2", "prefix=10.0.0.0/30", "limit=-1", "since=x", "prefix=10.0.0.0/40",
 		"cursor=18446744073709551616", "%zz&limit=1", "label=IoT;limit=1",
+		"limit=0", "country=US&limit=50", "country=ZZ", "country=ZZ&cursor=0",
+		fmt.Sprintf("cursor=%d", last), fmt.Sprintf("cursor=%d&country=BR&limit=1", last-1), fmt.Sprintf("cursor=%d&country=US", last-1),
+		"cursor=0&active=false&limit=2", "since=5&label=non-IoT",
 	} {
 		f.Add(q, "")
 		f.Add(q, "*")
 	}
 	f.Add("", `"bogus", W/"x"`)
 
-	coll := store.NewCollection[feed.Record]()
-	for i := range 6 {
-		label := feed.LabelIoT
-		if i%3 == 2 {
-			label = feed.LabelNonIoT
+	newServer := func(c *feedserve.Cache) *Server {
+		s := NewServer(&collSource{coll: coll}, nil)
+		s.AddKey("k", "fuzz")
+		if c != nil {
+			s.SetFeedCache(c)
 		}
-		coll.Insert(t0.Add(time.Duration(i)*time.Minute), serveRec(i, label))
+		return s
 	}
-	cache := feedserve.New(coll, feedserve.Config{Clock: func() time.Time { return t0 }})
-	f.Cleanup(cache.Close)
-	s := NewServer(&collSource{coll: coll}, nil)
-	s.AddKey("k", "fuzz")
-	s.SetFeedCache(cache)
-	serve := func(path, rawQuery, ifNoneMatch string) *httptest.ResponseRecorder {
+	cached, walk := newServer(cache), newServer(nil)
+	request := func(path, rawQuery string) *http.Request {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
 		req.URL.RawQuery = rawQuery
 		req.Header.Set("X-API-Key", "k")
+		return req
+	}
+	serve := func(s *Server, path, rawQuery, ifNoneMatch string) *httptest.ResponseRecorder {
+		req := request(path, rawQuery)
 		if ifNoneMatch != "" {
 			req.Header.Set("If-None-Match", ifNoneMatch)
 		}
@@ -56,10 +88,28 @@ func FuzzRecordsQuery(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, rawQuery, ifNoneMatch string) {
 		for _, path := range []string{"/api/v1/records", "/api/v1/export"} {
-			rec := serve(path, rawQuery, ifNoneMatch)
+			rec := serve(cached, path, rawQuery, ifNoneMatch)
 			body := rec.Body.Bytes()
 			switch rec.Code {
 			case http.StatusOK:
+				req := request(path, rawQuery)
+				q, err := parseQuery(req)
+				if err != nil {
+					t.Fatalf("%s?%s: 200 for a query that does not parse: %v", path, rawQuery, err)
+				}
+				export := path == "/api/v1/export"
+				if export && req.URL.Query().Get("limit") == "" {
+					q.Limit = 0
+				}
+				var want []byte
+				if after, ok := q.seqMode(); ok {
+					want = refSeqBody(snap, &q, after, export)
+				} else {
+					want = serve(walk, path, rawQuery, "").Body.Bytes()
+				}
+				if !bytes.Equal(body, want) {
+					t.Fatalf("%s?%s: body differs from the reference\n got %q\nwant %q", path, rawQuery, body, want)
+				}
 				if path == "/api/v1/records" {
 					if !json.Valid(body) {
 						t.Fatalf("%s?%s: 200 body is not JSON: %q", path, rawQuery, body)
@@ -76,11 +126,41 @@ func FuzzRecordsQuery(f *testing.F) {
 				t.Fatalf("%s?%s (If-None-Match %q): status %d: %s", path, rawQuery, ifNoneMatch, rec.Code, body)
 			}
 			if etag := rec.Header().Get("ETag"); etag != "" {
-				again := serve(path, rawQuery, etag)
+				again := serve(cached, path, rawQuery, etag)
 				if again.Code != http.StatusNotModified || again.Body.Len() != 0 {
 					t.Fatalf("%s?%s: replaying ETag %s: status %d, %d body bytes", path, rawQuery, etag, again.Code, again.Body.Len())
 				}
 			}
 		}
 	})
+}
+
+// refSeqBody is the full-walk reference for a cursor or since=<seq>
+// query: every item past the cursor, filtered, then cut to the limit —
+// the /records body (with has_more and next_cursor) or the /export
+// NDJSON.
+func refSeqBody(snap *feedserve.Snapshot, q *Query, after uint64, export bool) []byte {
+	var all []*feedserve.Item
+	for _, it := range snap.ItemsSince(after) {
+		if q.Matches(&it.Rec) {
+			all = append(all, it)
+		}
+	}
+	sel := all
+	info := cursorInfo{next: after}
+	if q.Limit > 0 && len(all) > q.Limit {
+		sel = all[:q.Limit]
+		info.hasMore = true
+		info.next = sel[len(sel)-1].Seq
+	} else if snap.LastSeq() > after {
+		info.next = snap.LastSeq()
+	}
+	if !export {
+		return recordsBody(sel, &info)
+	}
+	var b bytes.Buffer
+	for _, it := range sel {
+		b.Write(it.Line)
+	}
+	return b.Bytes()
 }

@@ -13,6 +13,7 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -69,46 +70,24 @@ func acceptsGzip(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
 }
 
-// filterItems narrows items to those matching the query's content
-// filters; with none set it returns items unchanged.
-func filterItems(items []*feedserve.Item, q *Query) []*feedserve.Item {
-	if !q.filters() {
-		return items
-	}
-	out := make([]*feedserve.Item, 0, len(items))
-	for _, it := range items {
-		if q.Matches(&it.Rec) {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
 // snapshotWindow selects the legacy /records view from a snapshot:
 // insertion order, content filters applied, most recent Limit entries —
-// the exact record set source.Records(q) would return.
+// the exact record set source.Records(q) would return. It walks back
+// from the newest item and stops at the Limit-th match, so only
+// Limit == 0 walks the whole snapshot.
 func snapshotWindow(snap *feedserve.Snapshot, q *Query) []*feedserve.Item {
 	items := snap.Items()
-	if !q.filters() {
-		start := 0
-		if q.Limit > 0 && len(items) > q.Limit {
-			start = len(items) - q.Limit
-		}
-		sel := make([]*feedserve.Item, 0, len(items)-start)
-		for i := start; i < len(items); i++ {
-			sel = append(sel, &items[i])
-		}
-		return sel
+	want := len(items)
+	if q.Limit > 0 {
+		want = min(q.Limit, len(items))
 	}
-	sel := make([]*feedserve.Item, 0, len(items))
-	for i := range items {
+	sel := make([]*feedserve.Item, 0, want)
+	for i := len(items) - 1; i >= 0 && len(sel) < want; i-- {
 		if q.Matches(&items[i].Rec) {
 			sel = append(sel, &items[i])
 		}
 	}
-	if q.Limit > 0 && len(sel) > q.Limit {
-		sel = sel[len(sel)-q.Limit:]
-	}
+	slices.Reverse(sel)
 	return sel
 }
 
@@ -161,12 +140,16 @@ func (s *Server) serveRecordsFromSnapshot(w http.ResponseWriter, r *http.Request
 
 	var body []byte
 	if after, ok := q.seqMode(); ok {
-		// Delta mode: everything past the cursor in change-sequence order.
-		all := filterItems(snap.ItemsSince(after), &q)
+		// Delta mode: the page past the cursor in change-sequence order,
+		// and one match more to tell whether another page follows.
+		n := 0
+		if q.Limit > 0 {
+			n = q.Limit + 1
+		}
+		sel := snap.ItemsAfter(after, n, q.Matches)
 		info := cursorInfo{next: after}
-		sel := all
-		if q.Limit > 0 && len(all) > q.Limit {
-			sel = all[:q.Limit]
+		if q.Limit > 0 && len(sel) > q.Limit {
+			sel = sel[:q.Limit]
 			info.hasMore = true
 			info.next = sel[len(sel)-1].Seq
 		} else if snap.LastSeq() > after {
@@ -220,10 +203,7 @@ func (s *Server) serveExportFromSnapshot(w http.ResponseWriter, r *http.Request,
 
 	var sel []*feedserve.Item
 	if seq {
-		sel = filterItems(snap.ItemsSince(after), &q)
-		if q.Limit > 0 && len(sel) > q.Limit {
-			sel = sel[:q.Limit]
-		}
+		sel = snap.ItemsAfter(after, q.Limit, q.Matches)
 	} else {
 		sel = snapshotWindow(snap, &q)
 	}

@@ -214,7 +214,8 @@ func (c *Cache) rebuild() (*Snapshot, []func(*Snapshot)) {
 	if prev != nil {
 		prevLast = prev.LastSeq()
 	}
-	snap, err := buildSnapshot(c.coll.Export(), prev, &c.lastSeq, c.cfg.Clock())
+	docs, versions := c.coll.ExportVersions()
+	snap, err := buildSnapshot(docs, versions, prev, &c.lastSeq, c.cfg.Clock())
 	if err != nil {
 		// feed.Record always marshals; treat failure as "keep serving
 		// the previous snapshot" rather than poisoning the read path.

@@ -2,9 +2,11 @@ package feedserve
 
 import (
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"encoding/json"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"time"
 
@@ -31,6 +33,9 @@ type Item struct {
 	Line []byte
 	// Rec is the decoded record, for query filtering.
 	Rec feed.Record
+	// version is the record's store write version when Line was made:
+	// while it stays the same, the next rebuild reuses Line.
+	version uint64
 }
 
 // Snapshot is an immutable point-in-time view of the feed. It is built
@@ -56,6 +61,9 @@ type Snapshot struct {
 	// snapshot rather than per request.
 	export     []byte
 	exportGzip []byte
+	// marshaled counts the records this build encoded; the rest reused
+	// the previous snapshot's lines.
+	marshaled int
 }
 
 // Len returns the number of records in the snapshot.
@@ -97,67 +105,125 @@ func (s *Snapshot) ExportGzip() []byte { return s.exportGzip }
 // ascending Seq order — the delta a consumer at cursor `since` has not
 // seen yet.
 func (s *Snapshot) ItemsSince(since uint64) []*Item {
+	return s.ItemsAfter(since, 0, nil)
+}
+
+// ItemsAfter returns pointers to the first n items with Seq > after
+// whose record satisfies match, in ascending Seq order. A nil match
+// takes every item, and n <= 0 takes every match. The walk starts at the
+// cursor and stops at the n-th match, so a page costs its length over
+// the share of records that match, not the size of the snapshot.
+func (s *Snapshot) ItemsAfter(after uint64, n int, match func(*feed.Record) bool) []*Item {
 	start := sort.Search(len(s.bySeq), func(i int) bool {
-		return s.items[s.bySeq[i]].Seq > since
+		return s.items[s.bySeq[i]].Seq > after
 	})
-	out := make([]*Item, 0, len(s.bySeq)-start)
-	for _, idx := range s.bySeq[start:] {
-		out = append(out, &s.items[idx])
+	rest := s.bySeq[start:]
+	if n <= 0 || n > len(rest) {
+		n = len(rest)
+	}
+	out := make([]*Item, 0, n)
+	for _, idx := range rest {
+		if len(out) == n {
+			break
+		}
+		if it := &s.items[idx]; match == nil || match(&it.Rec) {
+			out = append(out, it)
+		}
 	}
 	return out
 }
 
 // buildSnapshot assembles a fresh snapshot from an exported collection
-// state. prev (nil on the first build) supplies change detection:
-// records whose marshaled bytes are unchanged keep their sequence
-// number, everything new or different draws the next one from lastSeq.
-func buildSnapshot(docs []store.Doc[feed.Record], prev *Snapshot, lastSeq *uint64, now time.Time) (*Snapshot, error) {
+// state and its write versions. prev (nil on the first build) supplies
+// change detection: a record whose version is the one prev marshaled
+// keeps prev's line and sequence number without being encoded again;
+// any other record is encoded, and keeps its sequence number only if
+// its bytes are unchanged, drawing the next one from lastSeq otherwise.
+func buildSnapshot(docs []store.Doc[feed.Record], versions []uint64, prev *Snapshot, lastSeq *uint64, now time.Time) (*Snapshot, error) {
 	snap := &Snapshot{
 		items:   make([]Item, 0, len(docs)),
 		index:   make(map[store.ObjectID]int, len(docs)),
 		builtAt: now,
 	}
 
-	// Marshal every record into one buffer with the exact settings of
-	// the store-walked export path (json.Encoder, HTML escaping off),
-	// then alias each line as a subslice — no per-record copies.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	// Encode what changed into fresh, with the exact settings of the
+	// store-walked export path (json.Encoder, HTML escaping off); every
+	// other line is prev's. kept[i] is the prev item whose line docs[i]
+	// reuses (nil when encoded), and docs[i]'s line ends at ends[i] in
+	// the export.
+	var fresh bytes.Buffer
+	enc := json.NewEncoder(&fresh)
 	enc.SetEscapeHTML(false)
-	offsets := make([]int, len(docs)+1)
+	kept := make([]*Item, len(docs))
+	ends := make([]int, len(docs))
+	seqs := make([]uint64, len(docs))
+	next := *lastSeq
+	size := 0
 	for i := range docs {
-		offsets[i] = buf.Len()
-		if err := enc.Encode(&docs[i].Value); err != nil {
-			return nil, err
-		}
-	}
-	offsets[len(docs)] = buf.Len()
-	snap.export = buf.Bytes()
-
-	for i := range docs {
-		line := snap.export[offsets[i]:offsets[i+1]]
-		seq := uint64(0)
+		var old *Item
 		if prev != nil {
-			if pi, ok := prev.index[docs[i].ID]; ok && bytes.Equal(prev.items[pi].Line, line) {
-				seq = prev.items[pi].Seq
+			if pi, ok := prev.index[docs[i].ID]; ok {
+				old = &prev.items[pi]
 			}
 		}
-		if seq == 0 {
-			*lastSeq++
-			seq = *lastSeq
+		if old != nil && old.version == versions[i] {
+			kept[i] = old
+			seqs[i] = old.Seq
+			size += len(old.Line)
+		} else {
+			at := fresh.Len()
+			if err := enc.Encode(&docs[i].Value); err != nil {
+				return nil, err
+			}
+			snap.marshaled++
+			line := fresh.Bytes()[at:]
+			size += len(line)
+			if old != nil && bytes.Equal(old.Line, line) {
+				seqs[i] = old.Seq
+			} else {
+				next++
+				seqs[i] = next
+			}
 		}
-		snap.index[docs[i].ID] = len(snap.items)
-		snap.items = append(snap.items, Item{ID: docs[i].ID, Seq: seq, Line: line, Rec: docs[i].Value})
+		ends[i] = size
 	}
-	snap.lastSeq = *lastSeq
+
+	// With nothing kept, fresh is the export. Otherwise lay the lines
+	// out in one buffer of exactly their size, which the snapshot keeps
+	// for its life. Either way each line is a subslice of the export.
+	snap.export = fresh.Bytes()
+	if len(snap.export) != size {
+		snap.export = make([]byte, 0, size)
+		from := 0 // where the next encoded line starts in fresh
+		for i := range docs {
+			if kept[i] != nil {
+				snap.export = append(snap.export, kept[i].Line...)
+				continue
+			}
+			n := ends[i] - len(snap.export)
+			snap.export = append(snap.export, fresh.Bytes()[from:from+n]...)
+			from += n
+		}
+	}
+	start := 0
+	for i := range docs {
+		snap.index[docs[i].ID] = len(snap.items)
+		snap.items = append(snap.items, Item{
+			ID: docs[i].ID, Seq: seqs[i], Line: snap.export[start:ends[i]],
+			Rec: docs[i].Value, version: versions[i],
+		})
+		start = ends[i]
+	}
+	*lastSeq = next
+	snap.lastSeq = next
 
 	snap.bySeq = make([]int, len(snap.items))
 	for i := range snap.bySeq {
 		snap.bySeq[i] = i
 	}
-	sort.Slice(snap.bySeq, func(a, b int) bool {
-		return snap.items[snap.bySeq[a]].Seq < snap.items[snap.bySeq[b]].Seq
-	})
+	// Items sharing a sequence number are copies of one restored
+	// document, with the same bytes, so their order cannot show.
+	slices.SortFunc(snap.bySeq, func(a, b int) int { return cmp.Compare(seqs[a], seqs[b]) })
 
 	h := fnv.New64a()
 	_, _ = h.Write(snap.export)

@@ -80,6 +80,12 @@ func FuzzDecodeEventV2(f *testing.F) {
 // within a constant multiple of the input. A refusal as another
 // release's snapshot, older or newer, must point at a buffered event of
 // that release's codec and restore nothing.
+//
+// An exec costs a few milliseconds, but the seeds are ~60 KB snapshots,
+// and minimizing an input that finds new coverage re-runs the target
+// once per trimmed byte run: under the default minimization budget
+// (60 s) one such input takes a short run's whole time. Run it with
+// -fuzzminimizetime 100x, as CI does.
 func FuzzRestoreState(f *testing.F) {
 	const seed = 217
 	midHour, _, _, w := midHourState(f, seed)

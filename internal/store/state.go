@@ -18,32 +18,44 @@ type Doc[T any] struct {
 // Export returns every live document with its ID, in insertion order —
 // the exact shape Restore accepts.
 func (c *Collection[T]) Export() []Doc[T] {
+	docs, _ := c.ExportVersions()
+	return docs
+}
+
+// ExportVersions is Export plus each document's write version, read
+// under the same lock: versions[i] belongs to docs[i]. Versions are
+// never reused within a collection, so a document whose version equals
+// the one an earlier export gave it has not been written since.
+func (c *Collection[T]) ExportVersions() (docs []Doc[T], versions []uint64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]Doc[T], 0, len(c.docs))
+	docs = make([]Doc[T], 0, len(c.docs))
+	versions = make([]uint64, 0, len(c.docs))
 	for _, e := range c.order {
-		doc, ok := c.docs[e.id]
+		s, ok := c.docs[e.id]
 		if !ok {
 			continue
 		}
-		out = append(out, Doc[T]{ID: e.id, Value: doc})
+		docs = append(docs, Doc[T]{ID: e.id, Value: s.doc})
+		versions = append(versions, s.version)
 	}
-	return out
+	return docs, versions
 }
 
 // Restore replaces the collection's contents with an exported state.
-// Insertion order follows the slice order. Neither telemetry counters
-// nor the mutation hook fire: a restore reconstructs state, it does not
-// re-perform operations.
+// Insertion order follows the slice order. Every restored document gets
+// a fresh write version. Neither telemetry counters nor the mutation
+// hook fire: a restore reconstructs state, it does not re-perform
+// operations.
 func (c *Collection[T]) Restore(docs []Doc[T]) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.docs = make(map[ObjectID]T, len(docs))
+	c.docs = make(map[ObjectID]slot[T], len(docs))
 	c.order = make([]entry, 0, len(docs))
 	c.minStamp = noStamp
 	for _, d := range docs {
 		e := newEntry(d.ID)
-		c.docs[d.ID] = d.Value
+		c.write(d.ID, d.Value)
 		c.order = append(c.order, e)
 		c.minStamp = min(c.minStamp, e.stamp)
 	}

@@ -38,6 +38,41 @@ func TestCollectionExportRestore(t *testing.T) {
 	}
 }
 
+// TestWriteVersions checks the versions ExportVersions hands out: Insert,
+// Update and Restore each give the written document the next one, a
+// write to nothing moves none, expiry drops the expired document's, and
+// the documents are exactly Export's.
+func TestWriteVersions(t *testing.T) {
+	c := NewCollection[string]()
+	ts := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
+	a := c.Insert(ts.Add(-time.Hour), "a")
+	b := c.Insert(ts, "b")
+	versions := func() []uint64 {
+		t.Helper()
+		docs, vers := c.ExportVersions()
+		if !reflect.DeepEqual(docs, c.Export()) || len(vers) != len(docs) {
+			t.Fatalf("ExportVersions gave %v with %d versions, Export %v", docs, len(vers), c.Export())
+		}
+		return vers
+	}
+	if got := versions(); !reflect.DeepEqual(got, []uint64{1, 2}) {
+		t.Fatalf("after two inserts: versions %v, want [1 2]", got)
+	}
+	c.Update(a, func(*string) {}) // a write, even if nothing changed
+	c.Update("missing", func(*string) {})
+	if got := versions(); !reflect.DeepEqual(got, []uint64{3, 2}) {
+		t.Fatalf("after updating a: versions %v, want [3 2]", got)
+	}
+	c.Expire(ts)
+	if got := versions(); !reflect.DeepEqual(got, []uint64{2}) {
+		t.Fatalf("after expiring a: versions %v, want [2]", got)
+	}
+	c.Restore([]Doc[string]{{ID: b, Value: "b"}, {ID: a, Value: "a"}})
+	if got := versions(); !reflect.DeepEqual(got, []uint64{4, 5}) {
+		t.Fatalf("after a restore: versions %v, want fresh ones [4 5]", got)
+	}
+}
+
 func TestKVExportRestorePreservesTTL(t *testing.T) {
 	now := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }

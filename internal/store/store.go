@@ -57,7 +57,7 @@ func (id ObjectID) Time() time.Time {
 // Collection is a typed in-memory document store keyed by ObjectID.
 type Collection[T any] struct {
 	mu   sync.RWMutex
-	docs map[ObjectID]T
+	docs map[ObjectID]slot[T]
 	// order preserves insertion sequence for deterministic scans. It can
 	// name an id that is no longer in docs: Restore keeps a duplicated id
 	// twice, and a sweep that expires the first copy skips the second.
@@ -68,6 +68,24 @@ type Collection[T any] struct {
 	minStamp int64
 	// hooks observe mutations (see AddHook in state.go).
 	hooks []func(Mutation)
+	// version is the last write version handed out (see slot).
+	version uint64
+}
+
+// slot is one live document with its write version: the collection's
+// version counter as of the Insert, Update or Restore that last wrote
+// it. The counter only grows, so a document whose version has not moved
+// since an earlier export is unchanged since that export.
+type slot[T any] struct {
+	doc     T
+	version uint64
+}
+
+// write stores doc under id with the next write version. Caller holds
+// c.mu.
+func (c *Collection[T]) write(id ObjectID, doc T) {
+	c.version++
+	c.docs[id] = slot[T]{doc: doc, version: c.version}
 }
 
 // notify fires every installed mutation hook. Caller holds c.mu.
@@ -92,7 +110,7 @@ const noStamp = math.MaxInt64
 
 // NewCollection creates an empty collection.
 func NewCollection[T any]() *Collection[T] {
-	return &Collection[T]{docs: make(map[ObjectID]T), minStamp: noStamp}
+	return &Collection[T]{docs: make(map[ObjectID]slot[T]), minStamp: noStamp}
 }
 
 // Insert stores doc under a fresh ObjectID stamped with ts.
@@ -101,7 +119,7 @@ func (c *Collection[T]) Insert(ts time.Time, doc T) ObjectID {
 	e := newEntry(id)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.docs[id] = doc
+	c.write(id, doc)
 	c.order = append(c.order, e)
 	c.minStamp = min(c.minStamp, e.stamp)
 	opInsert.Inc()
@@ -113,8 +131,8 @@ func (c *Collection[T]) Insert(ts time.Time, doc T) ObjectID {
 func (c *Collection[T]) Get(id ObjectID) (T, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	doc, ok := c.docs[id]
-	return doc, ok
+	s, ok := c.docs[id]
+	return s.doc, ok
 }
 
 // Update applies fn to the document under id; it reports whether the
@@ -124,12 +142,12 @@ func (c *Collection[T]) Get(id ObjectID) (T, bool) {
 func (c *Collection[T]) Update(id ObjectID, fn func(*T)) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	doc, ok := c.docs[id]
+	s, ok := c.docs[id]
 	if !ok {
 		return false
 	}
-	fn(&doc)
-	c.docs[id] = doc
+	fn(&s.doc)
+	c.write(id, s.doc)
 	opUpdate.Inc()
 	c.notify(Mutation{Op: "update", ID: id})
 	return true
@@ -149,12 +167,12 @@ func (c *Collection[T]) Find(filter func(T) bool) []T {
 	defer c.mu.RUnlock()
 	var out []T
 	for _, e := range c.order {
-		doc, ok := c.docs[e.id]
+		s, ok := c.docs[e.id]
 		if !ok {
 			continue
 		}
-		if filter == nil || filter(doc) {
-			out = append(out, doc)
+		if filter == nil || filter(s.doc) {
+			out = append(out, s.doc)
 		}
 	}
 	return out
@@ -167,13 +185,13 @@ func (c *Collection[T]) FindIDs(filter func(T) bool) ([]ObjectID, []T) {
 	var ids []ObjectID
 	var docs []T
 	for _, e := range c.order {
-		doc, ok := c.docs[e.id]
+		s, ok := c.docs[e.id]
 		if !ok {
 			continue
 		}
-		if filter == nil || filter(doc) {
+		if filter == nil || filter(s.doc) {
 			ids = append(ids, e.id)
-			docs = append(docs, doc)
+			docs = append(docs, s.doc)
 		}
 	}
 	return ids, docs
