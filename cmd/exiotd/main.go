@@ -214,8 +214,8 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 	apiSrv, cache, stop := serveFeed(source, apiKey, rebuildEvery, consoleMux)
 	defer stop()
 	snap := cache.Current()
-	fmt.Printf("feed cache: %d records, export %d B raw / %d B gzip, rebuild every %s\n",
-		snap.Len(), len(snap.ExportNDJSON()), len(snap.ExportGzip()), rebuildEvery)
+	fmt.Printf("feed cache: %d records, export %d B raw, rebuild every %s\n",
+		snap.Len(), len(snap.ExportNDJSON()), rebuildEvery)
 	fmt.Printf("REST API on http://%s (key: %s)\n", apiAddr, apiKey)
 	return http.ListenAndServe(apiAddr, apiSrv)
 }

@@ -398,7 +398,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 // handleExport streams the feed as NDJSON — the paper's bulk raw-data
 // channel for researchers and operators. Filters mirror /records. With
 // the feed cache installed, the unfiltered bulk path serves the
-// precomputed (optionally gzip'd) export buffer with a strong ETag.
+// precomputed export buffer, or its gzip form, with a strong ETag.
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	q, err := parseQuery(r)
 	if err != nil {

@@ -8,7 +8,6 @@ package api
 // in api.go keep the original store-walking behavior.
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -66,8 +65,35 @@ func checkConditional(w http.ResponseWriter, r *http.Request, endpoint, etag str
 	return false
 }
 
+// acceptsGzip reports whether the request's Accept-Encoding gives gzip
+// a q-value above 0 (RFC 9110 §12.5.3): its own, or else that of "*".
+// "gzip;q=0" refuses gzip even beside "*".
 func acceptsGzip(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
+	gzipQ, anyQ := -1.0, -1.0
+	for _, elem := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
+		coding, params, _ := strings.Cut(elem, ";")
+		q := 1.0
+		for _, param := range strings.Split(params, ";") {
+			name, value, _ := strings.Cut(param, "=")
+			if strings.EqualFold(strings.TrimSpace(name), "q") {
+				v, err := strconv.ParseFloat(strings.TrimSpace(value), 64)
+				if err != nil {
+					v = 0 // an unreadable weight is no consent
+				}
+				q = v
+			}
+		}
+		switch coding = strings.TrimSpace(coding); {
+		case strings.EqualFold(coding, "gzip"):
+			gzipQ = q
+		case coding == "*":
+			anyQ = q
+		}
+	}
+	if gzipQ >= 0 {
+		return gzipQ > 0
+	}
+	return anyQ > 0
 }
 
 // snapshotWindow selects the legacy /records view from a snapshot:
@@ -102,27 +128,35 @@ type cursorInfo struct {
 }
 
 func recordsBody(items []*feedserve.Item, cursor *cursorInfo) []byte {
-	var b bytes.Buffer
-	b.WriteString(`{"count":`)
-	b.WriteString(strconv.Itoa(len(items)))
+	var headBuf [96]byte
+	head := append(headBuf[:0], `{"count":`...)
+	head = strconv.AppendInt(head, int64(len(items)), 10)
 	if cursor != nil {
-		fmt.Fprintf(&b, `,"has_more":%t,"next_cursor":%d`, cursor.hasMore, cursor.next)
+		head = append(head, `,"has_more":`...)
+		head = strconv.AppendBool(head, cursor.hasMore)
+		head = append(head, `,"next_cursor":`...)
+		head = strconv.AppendUint(head, cursor.next, 10)
 	}
-	b.WriteString(`,"records":`)
+	head = append(head, `,"records":`...)
 	if len(items) == 0 {
-		b.WriteString("null")
-	} else {
-		b.WriteByte('[')
-		for i, it := range items {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.Write(it.Line[:len(it.Line)-1]) // strip the NDJSON '\n'
-		}
-		b.WriteByte(']')
+		return append(append(make([]byte, 0, len(head)+6), head...), "null}\n"...)
 	}
-	b.WriteString("}\n")
-	return b.Bytes()
+
+	// Each line's '\n' becomes the ',' or ']' after it, so the records
+	// take exactly the lines' bytes, plus '[' before and "}\n" after.
+	size := len(head) + 1 + 2
+	for _, it := range items {
+		size += len(it.Line)
+	}
+	b := append(make([]byte, 0, size), head...)
+	b = append(b, '[')
+	for i, it := range items {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, it.Line[:len(it.Line)-1]...) // strip the NDJSON '\n'
+	}
+	return append(b, "]}\n"...)
 }
 
 // serveRecordsFromSnapshot handles GET /records off the feed snapshot.
@@ -170,17 +204,27 @@ func (s *Server) serveRecordsFromSnapshot(w http.ResponseWriter, r *http.Request
 }
 
 // serveExportFromSnapshot handles GET /export off the feed snapshot.
-// The unfiltered bulk path writes the precomputed export buffer (gzip'd
-// when the client accepts it); filtered, limited, and delta requests
-// concatenate the matching pre-marshaled lines. Either way the NDJSON
-// bytes are identical to the store-walked encoder output. Returns false
-// if no snapshot is available yet.
+// The unfiltered bulk path writes the precomputed export buffer, or its
+// gzip form when the client accepts gzip: a second representation, with
+// its own ETag, and Vary: Accept-Encoding on both. Filtered, limited,
+// and delta requests concatenate the matching pre-marshaled lines.
+// Either way the NDJSON bytes are identical to the store-walked encoder
+// output. Returns false if no snapshot is available yet.
 func (s *Server) serveExportFromSnapshot(w http.ResponseWriter, r *http.Request, c *feedserve.Cache, q Query) bool {
 	snap := c.Current()
 	if snap == nil {
 		return false
 	}
+	after, seq := q.seqMode()
+	bulk := !seq && !q.filters() && q.Limit == 0
+	gz := bulk && acceptsGzip(r)
 	etag := snapshotETag(snap, r.URL.RawQuery)
+	if gz {
+		etag = strings.TrimSuffix(etag, `"`) + `-gzip"`
+	}
+	if bulk {
+		w.Header().Set("Vary", "Accept-Encoding")
+	}
 	if checkConditional(w, r, "export", etag) {
 		return true
 	}
@@ -188,10 +232,9 @@ func (s *Server) serveExportFromSnapshot(w http.ResponseWriter, r *http.Request,
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Content-Disposition", `attachment; filename="exiot-export.ndjson"`)
 
-	after, seq := q.seqMode()
-	if !seq && !q.filters() && q.Limit == 0 {
+	if bulk {
 		body := snap.ExportNDJSON()
-		if acceptsGzip(r) {
+		if gz {
 			w.Header().Set("Content-Encoding", "gzip")
 			body = snap.ExportGzip()
 		}

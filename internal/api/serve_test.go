@@ -353,6 +353,113 @@ func TestSnapshotExportPaths(t *testing.T) {
 	}
 }
 
+// TestRecordsBodyExactSize holds recordsBody to one allocation of
+// exactly the body's size, for legacy and cursor pages, empty or not.
+func TestRecordsBodyExactSize(t *testing.T) {
+	items := []*feedserve.Item{{Line: []byte(`{"ip":"a"}` + "\n")}, {Line: []byte(`{"ip":"bc"}` + "\n")}}
+	for _, tc := range []struct {
+		items  []*feedserve.Item
+		cursor *cursorInfo
+		want   string
+	}{
+		{nil, nil, `{"count":0,"records":null}`},
+		{items, nil, `{"count":2,"records":[{"ip":"a"},{"ip":"bc"}]}`},
+		{nil, &cursorInfo{next: 7}, `{"count":0,"has_more":false,"next_cursor":7,"records":null}`},
+		{items[:1], &cursorInfo{next: 18446744073709551615, hasMore: true},
+			`{"count":1,"has_more":true,"next_cursor":18446744073709551615,"records":[{"ip":"a"}]}`},
+	} {
+		body := recordsBody(tc.items, tc.cursor)
+		if string(body) != tc.want+"\n" {
+			t.Errorf("body %q, want %q", body, tc.want+"\n")
+		}
+		if cap(body) != len(body) {
+			t.Errorf("%q: capacity %d for %d bytes", body, cap(body), len(body))
+		}
+		if n := testing.AllocsPerRun(10, func() { recordsBody(tc.items, tc.cursor) }); n != 1 {
+			t.Errorf("%q: %.0f allocations", body, n)
+		}
+	}
+}
+
+// TestExportContentNegotiation checks which representation of the
+// unfiltered export each Accept-Encoding selects (RFC 9110 §12.5.3):
+// gzip only when gzip, or else "*", has a q-value above 0. The gzip
+// representation has its own strong ETag, each revalidates only with
+// its own, and both, 200 or 304, carry Vary: Accept-Encoding.
+func TestExportContentNegotiation(t *testing.T) {
+	_, cached, _, _ := cachedServer(t, 8)
+	serve := func(path, acceptEncoding, ifNoneMatch string) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set("X-API-Key", "k")
+		if acceptEncoding != "" {
+			req.Header.Set("Accept-Encoding", acceptEncoding)
+		}
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		w := httptest.NewRecorder()
+		cached.Config.Handler.ServeHTTP(w, req)
+		return w
+	}
+	plainTag := serve("/api/v1/export", "", "").Header().Get("ETag")
+	gzipTag := serve("/api/v1/export", "gzip", "").Header().Get("ETag")
+	if want := strings.TrimSuffix(plainTag, `"`) + `-gzip"`; gzipTag != want {
+		t.Fatalf("gzip ETag %s, want %s (identity ETag %s)", gzipTag, want, plainTag)
+	}
+
+	for _, tc := range []struct {
+		accept string
+		gzip   bool
+	}{
+		{"", false},
+		{"gzip", true},
+		{"GZIP", true},
+		{"deflate, gzip;q=1.0", true},
+		{"gzip;q=0.5", true},
+		{"gzip;q=0", false},
+		{"gzip; q=0.000", false},
+		{"*", true},
+		{"*;q=0", false},
+		{"gzip;q=0, *", false},
+		{"identity, *;q=0.1", true},
+		{"br, deflate", false},
+		{"gzipped", false},
+		{"gzip;q=much", false},
+	} {
+		t.Run(tc.accept, func(t *testing.T) {
+			own, other := plainTag, gzipTag
+			if tc.gzip {
+				own, other = gzipTag, plainTag
+			}
+			resp := serve("/api/v1/export", tc.accept, "")
+			if got := resp.Header().Get("Content-Encoding") == "gzip"; got != tc.gzip {
+				t.Fatalf("gzip = %v, want %v", got, tc.gzip)
+			}
+			if tag := resp.Header().Get("ETag"); tag != own {
+				t.Fatalf("ETag %s, want %s", tag, own)
+			}
+			if v := resp.Header().Get("Vary"); v != "Accept-Encoding" {
+				t.Fatalf("200 Vary = %q", v)
+			}
+			cond := serve("/api/v1/export", tc.accept, own)
+			if cond.Code != http.StatusNotModified || cond.Header().Get("ETag") != own || cond.Header().Get("Vary") != "Accept-Encoding" {
+				t.Fatalf("revalidation with its own ETag: status %d, ETag %s, Vary %q",
+					cond.Code, cond.Header().Get("ETag"), cond.Header().Get("Vary"))
+			}
+			if cond := serve("/api/v1/export", tc.accept, other); cond.Code != http.StatusOK {
+				t.Fatalf("revalidation with the other representation's ETag: status %d", cond.Code)
+			}
+		})
+	}
+
+	// A filtered export has one representation: never gzip, no Vary.
+	resp := serve("/api/v1/export?label=IoT", "gzip", "")
+	if resp.Header().Get("Content-Encoding") != "" || resp.Header().Get("Vary") != "" {
+		t.Fatalf("filtered export: Content-Encoding %q, Vary %q", resp.Header().Get("Content-Encoding"), resp.Header().Get("Vary"))
+	}
+}
+
 // sseLines streams response lines into a channel so tests can apply
 // timeouts to reads from a connection that never closes on its own.
 func sseLines(t *testing.T, body io.Reader) <-chan string {

@@ -3,8 +3,9 @@
 // from the document store's Export hooks on change. Reads never take a
 // lock — they load the current snapshot pointer and serve pre-marshaled
 // bytes — while a single background rebuilder turns store mutations
-// into fresh snapshots, precomputed gzip'd bulk exports, and SSE record
-// deltas for subscribers. This is how operational telescope feeds
+// into fresh snapshots, precomputed bulk exports, and SSE record deltas
+// for subscribers. A snapshot's gzip export is built on the first
+// request for it, from deflate blocks shared with earlier snapshots. This is how operational telescope feeds
 // (GreyNoise/DShield-style) serve millions of consumers: snapshots for
 // bulk, sequence-numbered deltas for freshness.
 package feedserve
@@ -23,7 +24,8 @@ import (
 
 // Telemetry handles for the feed-serving layer (see docs/OPERATIONS.md).
 var (
-	// layerFeedserve times rebuilds; items are the snapshot's records.
+	// layerFeedserve times rebuilds, whose items are the snapshot's
+	// records, and gzip exports built on request, with no items.
 	layerFeedserve = telemetry.Default().Layer("feedserve")
 	metSnapRecords = telemetry.Default().Gauge("exiot_feedserve_snapshot_records",
 		"Records in the current feed snapshot.")
@@ -32,7 +34,7 @@ var (
 	metSnapBuilt = telemetry.Default().Gauge("exiot_feedserve_snapshot_built_unix",
 		"Wall-clock unix time the current snapshot was built (age = now - this).")
 	metExportBytes = telemetry.Default().GaugeVec("exiot_feedserve_export_bytes",
-		"Size of the precomputed bulk export, by encoding (raw|gzip).", "encoding")
+		"Size of the bulk export, by encoding (raw at each rebuild, gzip when a gzip export is built).", "encoding")
 	metSSEClients = telemetry.Default().Gauge("exiot_feedserve_sse_clients",
 		"Currently connected SSE delta subscribers.")
 	metSSEEvents = telemetry.Default().Counter("exiot_feedserve_sse_events_total",
@@ -230,7 +232,6 @@ func (c *Cache) rebuild() (*Snapshot, []func(*Snapshot)) {
 	metSnapSeq.Set(float64(snap.LastSeq()))
 	metSnapBuilt.Set(float64(snap.BuiltAt().Unix()))
 	metExportBytes.With("raw").Set(float64(len(snap.ExportNDJSON())))
-	metExportBytes.With("gzip").Set(float64(len(snap.ExportGzip())))
 
 	if len(c.subs) > 0 {
 		c.broadcastLocked(snap, prevLast)

@@ -3,11 +3,14 @@ package feedserve
 import (
 	"bytes"
 	"cmp"
-	"compress/gzip"
+	"compress/flate"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"hash/fnv"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"exiot/internal/feed"
@@ -39,7 +42,8 @@ type Item struct {
 }
 
 // Snapshot is an immutable point-in-time view of the feed. It is built
-// once and never mutated; readers obtain it through an atomic pointer
+// once and never mutated, apart from its gzip export, which the first
+// ExportGzip call builds; readers obtain it through an atomic pointer
 // load (Cache.Current) and use it lock-free for as long as they like —
 // the RCU discipline that keeps the read path zero-lock.
 type Snapshot struct {
@@ -56,14 +60,41 @@ type Snapshot struct {
 	// any record is added, updated, or removed, and backs strong ETags.
 	fp      uint64
 	builtAt time.Time
-	// export is the full NDJSON bulk export (items' lines concatenated);
-	// exportGzip is the same bytes gzip-compressed, built once per
-	// snapshot rather than per request.
-	export     []byte
-	exportGzip []byte
+	// export is the full NDJSON bulk export (items' lines concatenated).
+	export []byte
+	// parts cuts the export into deflate blocks, in export order.
+	parts []part
+	// gz is the export gzip-compressed, built by the first ExportGzip.
+	gzOnce sync.Once
+	gz     []byte
 	// marshaled counts the records this build encoded; the rest reused
-	// the previous snapshot's lines.
-	marshaled int
+	// the previous snapshot's lines. compressed counts the blocks this
+	// snapshot's gzip export deflated; the rest an earlier snapshot had.
+	marshaled  int
+	compressed int
+}
+
+// blockCut sets the gzip block size: a block ends after each record
+// whose ObjectID hashes to 0 mod blockCut, so a block holds blockCut
+// records on average, and where it ends depends on IDs alone.
+const blockCut = 64
+
+// block is one run of export lines deflated on its own. Snapshots that
+// hold the same run of lines share the block, and the first of them to
+// build its gzip export fills z.
+type block struct {
+	once sync.Once
+	// z is the block's lines at BestSpeed, ending in a sync flush: a
+	// raw deflate stream that any other such stream may follow.
+	z []byte
+}
+
+// part places a block in one snapshot.
+type part struct {
+	blk *block
+	// first is the index of the block's first item, and off the export
+	// offset of its first byte; the block runs to the next part's.
+	first, off int
 }
 
 // Len returns the number of records in the snapshot.
@@ -97,9 +128,122 @@ func (s *Snapshot) BuiltAt() time.Time { return s.builtAt }
 // ExportNDJSON returns the precomputed bulk export. Shared; read-only.
 func (s *Snapshot) ExportNDJSON() []byte { return s.export }
 
-// ExportGzip returns the precomputed gzip'd bulk export. Shared;
-// read-only.
-func (s *Snapshot) ExportGzip() []byte { return s.exportGzip }
+// ExportGzip returns the bulk export gzip-compressed. The first call
+// builds it, deflating only the blocks no earlier snapshot deflated,
+// and later calls return the same bytes. Shared; read-only.
+func (s *Snapshot) ExportGzip() []byte {
+	s.gzOnce.Do(func() {
+		start := time.Now()
+		s.gz = s.buildGzip()
+		layerFeedserve.Done(start, 0)
+		metExportBytes.With("gzip").Set(float64(len(s.gz)))
+	})
+	return s.gz
+}
+
+// gzipHeader opens a gzip member (RFC 1952): deflate, no flags, no
+// modification time, fastest compression, unknown OS.
+const gzipHeader = "\x1f\x8b\x08\x00\x00\x00\x00\x00\x04\xff"
+
+// finalBlock is an empty stored deflate block with BFINAL set: it ends
+// the deflate stream that the blocks' sync-flushed streams make up.
+const finalBlock = "\x01\x00\x00\xff\xff"
+
+// buildGzip assembles one gzip member from the snapshot's blocks, the
+// way pigz does: the header, each block's deflate stream, the final
+// block, then the CRC-32 and size of the whole export.
+func (s *Snapshot) buildGzip() []byte {
+	size := len(gzipHeader) + len(finalBlock) + 8
+	for k := range s.parts {
+		p := &s.parts[k]
+		end := len(s.export)
+		if k+1 < len(s.parts) {
+			end = s.parts[k+1].off
+		}
+		p.blk.once.Do(func() {
+			p.blk.z = deflateBlock(s.export[p.off:end])
+			s.compressed++
+		})
+		size += len(p.blk.z)
+	}
+	out := make([]byte, 0, size)
+	out = append(out, gzipHeader...)
+	for _, p := range s.parts {
+		out = append(out, p.blk.z...)
+	}
+	out = append(out, finalBlock...)
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(s.export))
+	return binary.LittleEndian.AppendUint32(out, uint32(len(s.export)))
+}
+
+// deflater is a reusable BestSpeed compressor with its output buffer.
+type deflater struct {
+	zw  *flate.Writer
+	out bytes.Buffer
+}
+
+var deflaters = sync.Pool{New: func() any {
+	d := new(deflater)
+	zw, err := flate.NewWriter(&d.out, flate.BestSpeed)
+	if err != nil {
+		panic(err) // BestSpeed is a valid level
+	}
+	d.zw = zw
+	return d
+}}
+
+// deflateBlock compresses raw into a raw deflate stream at BestSpeed,
+// ending in a sync flush, and returns a copy of exactly its size.
+func deflateBlock(raw []byte) []byte {
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	d.out.Reset()
+	d.zw.Reset(&d.out)
+	// Writes to a bytes.Buffer do not fail.
+	_, _ = d.zw.Write(raw)
+	_ = d.zw.Flush()
+	return bytes.Clone(d.out.Bytes())
+}
+
+// cutAfter reports whether a block ends after the record id: whether
+// id's FNV-1a hash is 0 mod blockCut.
+func cutAfter(id store.ObjectID) bool {
+	h := uint32(2166136261)
+	for i := 0; i < len(id); i++ {
+		h ^= uint32(id[i])
+		h *= 16777619
+	}
+	return h%blockCut == 0
+}
+
+// sharedBlock returns s's block that holds exactly the lines at s's
+// positions from — consecutive ones, starting where a block of s
+// starts — or nil when from is anything else (a negative entry marks a
+// line that is not s's).
+func (s *Snapshot) sharedBlock(from []int) *block {
+	if s == nil || from[0] < 0 {
+		return nil
+	}
+	for j, pos := range from {
+		if pos != from[0]+j {
+			return nil
+		}
+	}
+	k, ok := slices.BinarySearchFunc(s.parts, from[0], func(p part, first int) int {
+		return cmp.Compare(p.first, first)
+	})
+	if !ok {
+		return nil
+	}
+	end := len(s.items)
+	if k+1 < len(s.parts) {
+		end = s.parts[k+1].first
+	}
+	if end-from[0] != len(from) {
+		return nil
+	}
+	return s.parts[k].blk
+}
 
 // ItemsSince returns pointers to every item with Seq > since, in
 // ascending Seq order — the delta a consumer at cursor `since` has not
@@ -148,26 +292,29 @@ func buildSnapshot(docs []store.Doc[feed.Record], versions []uint64, prev *Snaps
 
 	// Encode what changed into fresh, with the exact settings of the
 	// store-walked export path (json.Encoder, HTML escaping off); every
-	// other line is prev's. kept[i] is the prev item whose line docs[i]
-	// reuses (nil when encoded), and docs[i]'s line ends at ends[i] in
-	// the export.
+	// other line is prev's. from[i] is the position in prev of the item
+	// whose line docs[i] reuses (-1 when encoded), and docs[i]'s line
+	// ends at ends[i] in the export.
 	var fresh bytes.Buffer
 	enc := json.NewEncoder(&fresh)
 	enc.SetEscapeHTML(false)
-	kept := make([]*Item, len(docs))
+	from := make([]int, len(docs))
 	ends := make([]int, len(docs))
 	seqs := make([]uint64, len(docs))
 	next := *lastSeq
 	size := 0
 	for i := range docs {
+		from[i] = -1
 		var old *Item
 		if prev != nil {
 			if pi, ok := prev.index[docs[i].ID]; ok {
 				old = &prev.items[pi]
+				if old.version == versions[i] {
+					from[i] = pi
+				}
 			}
 		}
-		if old != nil && old.version == versions[i] {
-			kept[i] = old
+		if from[i] >= 0 {
 			seqs[i] = old.Seq
 			size += len(old.Line)
 		} else {
@@ -194,15 +341,15 @@ func buildSnapshot(docs []store.Doc[feed.Record], versions []uint64, prev *Snaps
 	snap.export = fresh.Bytes()
 	if len(snap.export) != size {
 		snap.export = make([]byte, 0, size)
-		from := 0 // where the next encoded line starts in fresh
+		at := 0 // where the next encoded line starts in fresh
 		for i := range docs {
-			if kept[i] != nil {
-				snap.export = append(snap.export, kept[i].Line...)
+			if from[i] >= 0 {
+				snap.export = append(snap.export, prev.items[from[i]].Line...)
 				continue
 			}
 			n := ends[i] - len(snap.export)
-			snap.export = append(snap.export, fresh.Bytes()[from:from+n]...)
-			from += n
+			snap.export = append(snap.export, fresh.Bytes()[at:at+n]...)
+			at += n
 		}
 	}
 	start := 0
@@ -213,6 +360,25 @@ func buildSnapshot(docs []store.Doc[feed.Record], versions []uint64, prev *Snaps
 			Rec: docs[i].Value, version: versions[i],
 		})
 		start = ends[i]
+	}
+
+	// Cut the export into blocks. A block whose lines are all prev's, in
+	// the order of one of prev's blocks, is that block, deflated at most
+	// once for both snapshots.
+	first := 0
+	for i := range docs {
+		if i < len(docs)-1 && !cutAfter(docs[i].ID) {
+			continue
+		}
+		p := part{blk: prev.sharedBlock(from[first : i+1]), first: first}
+		if p.blk == nil {
+			p.blk = new(block)
+		}
+		if first > 0 {
+			p.off = ends[first-1]
+		}
+		snap.parts = append(snap.parts, p)
+		first = i + 1
 	}
 	*lastSeq = next
 	snap.lastSeq = next
@@ -228,18 +394,5 @@ func buildSnapshot(docs []store.Doc[feed.Record], versions []uint64, prev *Snaps
 	h := fnv.New64a()
 	_, _ = h.Write(snap.export)
 	snap.fp = h.Sum64()
-
-	var gz bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&gz, gzip.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(snap.export); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	snap.exportGzip = gz.Bytes()
 	return snap, nil
 }

@@ -13,8 +13,8 @@ import (
 // TestSnapshotExportEquivalence is the feed distribution layer's
 // inertness proof. Every row's fingerprint already holds the snapshot
 // export equal to the store walk; here the cached REST API serves those
-// bytes too — plain, as the precomputed gzip variant, and revalidated to
-// a body-less 304 by the ETag it advertised — at any worker count.
+// bytes too — plain and as the gzip variant, each revalidated to a
+// body-less 304 by the ETag it advertised — at any worker count.
 func TestSnapshotExportEquivalence(t *testing.T) {
 	for _, r := range []row{{name: "workers=1", procs: 1}, {name: "workers=4", procs: 4}} {
 		t.Run(r.name, func(t *testing.T) {
@@ -43,10 +43,18 @@ func TestSnapshotExportEquivalence(t *testing.T) {
 			if raw, err := io.ReadAll(zr); err != nil || string(raw) != out.fp.export {
 				t.Fatalf("gzip export does not decompress to the store-walked bytes (%v)", err)
 			}
+			gzipTag := gz.Header().Get("ETag")
+			if gzipTag == "" || gzipTag == etag {
+				t.Fatalf("gzip export ETag %q, plain export ETag %q", gzipTag, etag)
+			}
 
 			cond := get(h, "/api/v1/export", "If-None-Match", etag)
 			if cond.Code != http.StatusNotModified || cond.Body.Len() != 0 {
 				t.Fatalf("conditional export: status=%d body=%d bytes", cond.Code, cond.Body.Len())
+			}
+			cond = get(h, "/api/v1/export", "Accept-Encoding", "gzip", "If-None-Match", gzipTag)
+			if cond.Code != http.StatusNotModified || cond.Body.Len() != 0 {
+				t.Fatalf("conditional gzip export: status=%d body=%d bytes", cond.Code, cond.Body.Len())
 			}
 		})
 	}
