@@ -67,7 +67,8 @@ func checkConditional(w http.ResponseWriter, r *http.Request, endpoint, etag str
 
 // acceptsGzip reports whether the request's Accept-Encoding gives gzip
 // a q-value above 0 (RFC 9110 §12.5.3): its own, or else that of "*".
-// "gzip;q=0" refuses gzip even beside "*".
+// "gzip;q=0" refuses gzip even beside "*". "x-gzip" counts as "gzip"
+// (RFC 9110 §8.4.1.3).
 func acceptsGzip(r *http.Request) bool {
 	gzipQ, anyQ := -1.0, -1.0
 	for _, elem := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
@@ -84,7 +85,7 @@ func acceptsGzip(r *http.Request) bool {
 			}
 		}
 		switch coding = strings.TrimSpace(coding); {
-		case strings.EqualFold(coding, "gzip"):
+		case strings.EqualFold(coding, "gzip"), strings.EqualFold(coding, "x-gzip"):
 			gzipQ = q
 		case coding == "*":
 			anyQ = q

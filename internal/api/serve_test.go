@@ -307,7 +307,7 @@ func TestSnapshotExportPaths(t *testing.T) {
 		}
 	}
 
-	// gzip negotiation serves the precomputed compressed buffer.
+	// gzip negotiation serves the snapshot's compressed export.
 	req, _ := http.NewRequest(http.MethodGet, cached.URL+"/api/v1/export", nil)
 	req.Header.Set("X-API-Key", "k")
 	req.Header.Set("Accept-Encoding", "gzip")
@@ -415,6 +415,8 @@ func TestExportContentNegotiation(t *testing.T) {
 		{"", false},
 		{"gzip", true},
 		{"GZIP", true},
+		{"x-gzip", true},
+		{"x-gzip;q=0, *", false},
 		{"deflate, gzip;q=1.0", true},
 		{"gzip;q=0.5", true},
 		{"gzip;q=0", false},
