@@ -291,7 +291,6 @@ func serveFeed(source *pipeline.Server, apiKey string, rebuildEvery time.Duratio
 	if consoleMux != nil {
 		con = console.New(console.Config{
 			Source:  source,
-			Why:     source,
 			Traces:  trace.Default().Store(),
 			Health:  telemetry.DefaultHealth(),
 			Tracker: tracker,

@@ -194,7 +194,7 @@ func (s *Server) routes() []route {
 		ep("GET", "/api/v1/snapshot", "snapshot", true, s.handleSnapshot),
 		ep("GET", "/api/v1/records", "records", true, s.handleRecords),
 		ep("GET", "/api/v1/records/{ip}", "record_by_ip", true, s.handleRecordByIP),
-		ep("GET", "/api/v1/records/{ip}/why", "record_why", true, s.handleWhy),
+		ep("GET", "/api/v1/records/{ip}/why", "record_why", true, WhyHandler(s.source)),
 		ep("GET", "/api/v1/stats/countries", "stats_countries", true, s.statsHandler("countries")),
 		ep("GET", "/api/v1/stats/ports", "stats_ports", true, s.statsHandler("ports")),
 		ep("GET", "/api/v1/stats/vendors", "stats_vendors", true, s.statsHandler("vendors")),
@@ -441,25 +441,29 @@ func (s *Server) handleRecordByIP(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec)
 }
 
-// handleWhy serves a record's full provenance: the feed entry plus its
-// retained trace detail, when the backend can join the two.
-func (s *Server) handleWhy(w http.ResponseWriter, r *http.Request) {
-	ws, ok := s.source.(WhySource)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "backend does not track record provenance")
-		return
+// WhyHandler serves a record's full provenance: the feed entry plus its
+// retained trace detail. A src that cannot join the two (no WhySource,
+// or nil) answers 501. /api/v1/records/{ip}/why and the console's
+// /console/api/record/{ip} are both this handler.
+func WhyHandler(src Source) http.HandlerFunc {
+	ws, ok := src.(WhySource)
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !ok {
+			writeError(w, http.StatusNotImplemented, "backend does not track record provenance")
+			return
+		}
+		ip := r.PathValue("ip")
+		if _, err := packet.ParseIP(ip); err != nil {
+			writeError(w, http.StatusBadRequest, "invalid ip")
+			return
+		}
+		rep, ok := ws.Why(ip)
+		if !ok {
+			writeError(w, http.StatusNotFound, "no record for "+ip)
+			return
+		}
+		writeJSON(w, http.StatusOK, rep)
 	}
-	ip := r.PathValue("ip")
-	if _, err := packet.ParseIP(ip); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid ip")
-		return
-	}
-	rep, ok := ws.Why(ip)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no record for "+ip)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
 }
 
 func (s *Server) statsHandler(kind string) http.HandlerFunc {

@@ -69,6 +69,11 @@ func testServer(t *testing.T) (*httptest.Server, *fakeSource, *notify.Notifier) 
 	return ts, src, notifier
 }
 
+// identityClient asks for no encoding and decodes none, so a response
+// reads as the server sent it (http.DefaultClient asks for gzip and
+// decompresses behind the test's back).
+var identityClient = &http.Client{Transport: &http.Transport{DisableCompression: true}}
+
 func get(t *testing.T, ts *httptest.Server, path, token string) (*http.Response, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, ts.URL+path, nil)
@@ -78,7 +83,7 @@ func get(t *testing.T, ts *httptest.Server, path, token string) (*http.Response,
 	if token != "" {
 		req.Header.Set("X-API-Key", token)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := identityClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

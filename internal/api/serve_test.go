@@ -294,8 +294,12 @@ func TestSnapshotExportPaths(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("bulk export differs:\n%s\nvs\n%s", got, want)
 	}
-	if resp.Header.Get("ETag") == "" {
-		t.Error("bulk export has no ETag")
+	etag := resp.Header.Get("ETag")
+	if etag == "" || strings.Contains(etag, "-gzip") {
+		t.Errorf("identity export ETag %q", etag)
+	}
+	if ce := resp.Header.Get("Content-Encoding"); ce != "" || resp.Uncompressed {
+		t.Errorf("identity export: Content-Encoding %q, decompressed by the client %v", ce, resp.Uncompressed)
 	}
 
 	// Filtered and limited exports match the legacy path too.
@@ -311,7 +315,7 @@ func TestSnapshotExportPaths(t *testing.T) {
 	req, _ := http.NewRequest(http.MethodGet, cached.URL+"/api/v1/export", nil)
 	req.Header.Set("X-API-Key", "k")
 	req.Header.Set("Accept-Encoding", "gzip")
-	gresp, err := http.DefaultClient.Do(req)
+	gresp, err := identityClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,8 +345,9 @@ func TestSnapshotExportPaths(t *testing.T) {
 	// Conditional bulk export: 304 with no body.
 	req, _ = http.NewRequest(http.MethodGet, cached.URL+"/api/v1/export", nil)
 	req.Header.Set("X-API-Key", "k")
-	req.Header.Set("If-None-Match", resp.Header.Get("ETag"))
-	cresp, err := http.DefaultClient.Do(req)
+	req.Header.Set("Accept-Encoding", "identity")
+	req.Header.Set("If-None-Match", etag)
+	cresp, err := identityClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,9 @@ var (
 // surface render empty instead of failing.
 type Config struct {
 	// Source answers snapshot and record drill-down queries (the same
-	// backend the public API serves).
+	// backend the public API serves). The drill-down needs it to be an
+	// api.WhySource too, and answers 501 without one.
 	Source api.Source
-	// Why joins a record with its retained trace (usually the same value
-	// as Source; split out so tests can drop it).
-	Why api.WhySource
 	// Traces is the completed-flow store behind the slowest-traces panel.
 	Traces *trace.Store
 	// Registry is the metric registry sampled every tick. Defaults to
@@ -206,7 +204,7 @@ func (c *Console) routes() []struct {
 		ep("GET", "/console/api/overview", "console_overview", c.handleOverview),
 		ep("GET", "/console/api/traces", "console_traces", c.handleTraces),
 		ep("GET", "/console/api/campaigns", "console_campaigns", api.CampaignsHandler(c.cfg.Tracker)),
-		ep("GET", "/console/api/record/{ip}", "console_record", c.handleRecord),
+		ep("GET", "/console/api/record/{ip}", "console_record", api.WhyHandler(c.cfg.Source)),
 		ep("GET", "/console/api/events", "console_events", c.handleEvents),
 	}
 }

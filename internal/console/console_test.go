@@ -278,7 +278,7 @@ func TestRecordHandler(t *testing.T) {
 			},
 		},
 	}
-	c := New(Config{Registry: newRegistry(t), Source: src, Why: src})
+	c := New(Config{Registry: newRegistry(t), Source: src})
 	mux := consoleMux(c)
 
 	rec := httptest.NewRecorder()
@@ -299,12 +299,15 @@ func TestRecordHandler(t *testing.T) {
 		t.Errorf("missing record status = %d", rec.Code)
 	}
 
-	// Without a Why join the record alone comes back.
-	c2 := New(Config{Registry: newRegistry(t), Source: src})
-	rec = httptest.NewRecorder()
-	consoleMux(c2).ServeHTTP(rec, httptest.NewRequest("GET", "/console/api/record/203.0.113.2", nil))
-	if rec.Code != 200 || !strings.Contains(rec.Body.String(), "203.0.113.2") {
-		t.Errorf("source-only drill-down: %d %s", rec.Code, rec.Body)
+	// A source that cannot join records with their traces, or none at
+	// all, has no drill-down to serve.
+	for name, src := range map[string]api.Source{"a plain source": struct{ api.Source }{src}, "no source": nil} {
+		c2 := New(Config{Registry: newRegistry(t), Source: src})
+		rec = httptest.NewRecorder()
+		consoleMux(c2).ServeHTTP(rec, httptest.NewRequest("GET", "/console/api/record/203.0.113.2", nil))
+		if rec.Code != http.StatusNotImplemented {
+			t.Errorf("%s: drill-down status = %d, want 501", name, rec.Code)
+		}
 	}
 }
 

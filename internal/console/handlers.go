@@ -15,7 +15,6 @@ import (
 
 	"exiot/internal/api"
 	"exiot/internal/feedserve"
-	"exiot/internal/packet"
 	"exiot/internal/telemetry"
 	"exiot/internal/trace"
 )
@@ -122,35 +121,6 @@ func (c *Console) handleTraces(w http.ResponseWriter, r *http.Request) {
 		stages = c.cfg.Traces.SlowestByStage(n)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"n": n, "stages": stages})
-}
-
-// handleRecord is the provenance drill-down: the feed record joined
-// with its retained trace when the backend can provide it.
-func (c *Console) handleRecord(w http.ResponseWriter, r *http.Request) {
-	ip := r.PathValue("ip")
-	if _, err := packet.ParseIP(ip); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid ip")
-		return
-	}
-	if c.cfg.Why != nil {
-		rep, ok := c.cfg.Why.Why(ip)
-		if !ok {
-			writeError(w, http.StatusNotFound, "no record for "+ip)
-			return
-		}
-		writeJSON(w, http.StatusOK, rep)
-		return
-	}
-	if c.cfg.Source == nil {
-		writeError(w, http.StatusNotImplemented, "no feed source configured")
-		return
-	}
-	rec, ok := c.cfg.Source.RecordByIP(ip)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no record for "+ip)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.WhyReport{Record: rec})
 }
 
 // statsFrame is one "stats" SSE event: the latest ring point plus the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -49,7 +50,7 @@ type serverState struct {
 	Counters    Counters  `json:"counters"`
 
 	Historical []store.Doc[feed.Record] `json:"historical"`
-	Active     []store.KVItem           `json:"active"`
+	Active     []activeEntry            `json:"active"`
 
 	// ScanPending is the scan module's buffer in arrival order (an IP
 	// detected twice sits there twice), ScanOldestAdded its age anchor,
@@ -72,6 +73,46 @@ type serverState struct {
 	// Model is the active model in ml.SavedModel form (absent before the
 	// first successful retrain).
 	Model json.RawMessage `json:"model,omitempty"`
+}
+
+// activeEntry is one live-flow index entry, sorted by Key in a
+// snapshot: Key is activePrefix and the source's dotted quad, Value its
+// record's ObjectID.
+type activeEntry struct {
+	Key   string         `json:"key"`
+	Value store.ObjectID `json:"value"`
+}
+
+const activePrefix = "active:"
+
+// exportActive lists the live-flow index for a snapshot. Caller holds
+// s.mu.
+func (s *Server) exportActive() []activeEntry {
+	out := make([]activeEntry, 0, len(s.active))
+	for ip, id := range s.active {
+		out = append(out, activeEntry{Key: activePrefix + ip.String(), Value: id})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+// decodeActive rebuilds the live-flow index from a snapshot's entries.
+// An entry without the prefix or with an unparsable address refuses the
+// snapshot.
+func decodeActive(entries []activeEntry) (map[packet.IP]store.ObjectID, error) {
+	active := make(map[packet.IP]store.ObjectID, len(entries))
+	for _, it := range entries {
+		addr, ok := strings.CutPrefix(it.Key, activePrefix)
+		if !ok {
+			return nil, fmt.Errorf("pipeline: live-flow key %q lacks the %q prefix", it.Key, activePrefix)
+		}
+		ip, err := packet.ParseIP(addr)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: live-flow key %q: %w", it.Key, err)
+		}
+		active[ip] = it.Value
+	}
+	return active, nil
 }
 
 // encodedEvent is one wire-encoded sampler event inside a snapshot.
@@ -128,7 +169,6 @@ func (s *Server) ExportState() ([]byte, error) {
 	st := serverState{
 		ObjectIDCounter: store.ObjectIDCounterValue(),
 		Historical:      s.historical.Export(),
-		Active:          s.active.Export(),
 		Traffic:         s.traffic.export(),
 		Trainer:         s.trainer.ExportState(),
 		ScanScanned:     scanned,
@@ -141,6 +181,7 @@ func (s *Server) ExportState() ([]byte, error) {
 	st.LastRetrain = s.lastRetrain
 	st.LastAttempt = s.lastAttempt
 	st.Counters = s.counters
+	st.Active = s.exportActive()
 	flows := make([]SamplerEvent, 0, len(s.pendingBatches))
 	for ip, pf := range s.pendingBatches {
 		flows = append(flows, SamplerEvent{Kind: SamplerBatch, IP: ip, Batch: pf.batch})
@@ -181,12 +222,17 @@ func (s *Server) ExportState() ([]byte, error) {
 // RestoreState reinstates a state exported by ExportState. Meant for a
 // freshly constructed server, before any event is handled. Restored
 // flows come back untraced, like WAL-replayed ones. A snapshot whose
-// buffered events another release wrote is refused before anything is
+// buffered events another release wrote, whose live-flow index names no
+// address or whose model is unusable is refused before anything is
 // restored.
 func (s *Server) RestoreState(payload []byte) error {
 	var st serverState
 	if err := json.Unmarshal(payload, &st); err != nil {
 		return fmt.Errorf("pipeline: decode snapshot: %w", err)
+	}
+	active, err := decodeActive(st.Active)
+	if err != nil {
+		return err
 	}
 	flows := make(map[packet.IP]*pendingFlow, len(st.ScanFlows))
 	for _, enc := range st.ScanFlows {
@@ -209,20 +255,6 @@ func (s *Server) RestoreState(payload []byte) error {
 		}
 	}
 
-	store.BumpObjectIDCounter(st.ObjectIDCounter)
-	s.historical.Restore(st.Historical)
-	s.active.Restore(st.Active)
-	s.traffic.restore(st.Traffic)
-	s.trainer.RestoreState(st.Trainer)
-	s.scanMod.RestoreStats(st.ScanScanned, st.ScanTagged)
-	s.scanMod.RestoreBuffer(st.ScanPending, st.ScanOldestAdded)
-
-	if s.notifier != nil && st.Notifier != nil {
-		if err := s.notifier.RestoreState(*st.Notifier); err != nil {
-			return err
-		}
-	}
-
 	var model *trainer.TrainedModel
 	if len(st.Model) > 0 {
 		var saved ml.SavedModel
@@ -236,6 +268,19 @@ func (s *Server) RestoreState(payload []byte) error {
 		model = m
 	}
 
+	store.BumpObjectIDCounter(st.ObjectIDCounter)
+	s.historical.Restore(st.Historical)
+	s.traffic.restore(st.Traffic)
+	s.trainer.RestoreState(st.Trainer)
+	s.scanMod.RestoreStats(st.ScanScanned, st.ScanTagged)
+	s.scanMod.RestoreBuffer(st.ScanPending, st.ScanOldestAdded)
+
+	if s.notifier != nil && st.Notifier != nil {
+		if err := s.notifier.RestoreState(*st.Notifier); err != nil {
+			return err
+		}
+	}
+
 	s.mu.Lock()
 	s.clock = st.Clock
 	s.lastRetrain = st.LastRetrain
@@ -243,12 +288,13 @@ func (s *Server) RestoreState(payload []byte) error {
 	s.counters = st.Counters
 	s.pendingBatches = flows
 	s.pendingEnds = ends
+	s.active = active
 	s.lastModel = model
 	s.mu.Unlock()
 	if model != nil {
 		s.installModel(model)
 	}
-	metFeedActive.Set(float64(s.active.Len()))
+	metFeedActive.Set(float64(len(active)))
 	return nil
 }
 

@@ -95,7 +95,6 @@ type Server struct {
 	// Two of the paper's three databases: its latest database, the
 	// active threat information, is the historical one's Active records.
 	historical *store.Collection[feed.Record] // two-week archive
-	active     *store.KV                      // IP → historical ObjectID of the live record
 
 	// traffic holds the hourly aggregation of per-second reports (the
 	// report messages the paper's receiver stores in MongoDB).
@@ -108,11 +107,14 @@ type Server struct {
 	// flushed.
 	pendingBatches map[packet.IP]*pendingFlow
 	pendingEnds    map[packet.IP]SamplerEvent
-	clock          time.Time
-	lastRetrain    time.Time
-	lastAttempt    time.Time
-	counters       Counters
-	lastModel      *trainer.TrainedModel
+	// active indexes each live flow's record by source: the paper's Redis
+	// ObjectID cache, which lets a flow end update its record in O(1).
+	active      map[packet.IP]store.ObjectID
+	clock       time.Time
+	lastRetrain time.Time
+	lastAttempt time.Time
+	counters    Counters
+	lastModel   *trainer.TrainedModel
 	// onRetrain observes successful retrains (the durability layer logs
 	// a marker record). See setRetrainHook in durable.go.
 	onRetrain func(m *trainer.TrainedModel, now time.Time)
@@ -147,9 +149,9 @@ func NewServer(cfg ServerConfig, prober zmap.Prober, reg *registry.Registry, mai
 		annotator:      annotate.New(enrich.New(reg)),
 		trainer:        trainer.New(cfg.Trainer),
 		historical:     store.NewCollection[feed.Record](),
-		active:         store.NewKV(),
 		pendingBatches: make(map[packet.IP]*pendingFlow),
 		pendingEnds:    make(map[packet.IP]SamplerEvent),
+		active:         make(map[packet.IP]store.ObjectID),
 		traffic:        newTrafficStats(),
 		liveness:       telemetry.DefaultHealth().Register("feed", feedMaxAge),
 	}
@@ -297,11 +299,12 @@ func (s *Server) finishRecord(b *organizer.Batch, rec feed.Record, raw []float64
 	histID := s.historical.Insert(appearedAt, rec)
 	s.mu.Lock()
 	s.counters.RecordsCreated++
+	s.active[b.IP] = histID
+	live := len(s.active)
 	s.mu.Unlock()
-	s.active.Set(activeKey(rec.IP), string(histID))
 	metFeedRecords.Inc()
 	metFeedLastRecord.Set(float64(appearedAt.Unix()))
-	metFeedActive.Set(float64(s.active.Len()))
+	metFeedActive.Set(float64(live))
 
 	if s.notifier != nil {
 		if sent := s.notifier.Process(&rec, appearedAt); sent > 0 {
@@ -335,14 +338,13 @@ func (s *Server) takeParkedEnd(ip packet.IP) (SamplerEvent, bool) {
 }
 
 func (s *Server) handleFlowEnd(e SamplerEvent) {
-	ipStr := e.IP.String()
-	idStr, ok := s.active.Get(activeKey(ipStr))
+	s.mu.Lock()
+	histID, ok := s.active[e.IP]
 	if !ok {
 		// The record may still be waiting on the scan batch; park the
 		// end until finishRecord replays it (it keeps its live trace and
 		// finishes then). With no flow buffered — the organizer dropped
 		// the sample, or the end already came — nothing would replay it.
-		s.mu.Lock()
 		_, parked := s.pendingBatches[e.IP]
 		if parked {
 			s.pendingEnds[e.IP] = e
@@ -353,7 +355,7 @@ func (s *Server) handleFlowEnd(e SamplerEvent) {
 		}
 		return
 	}
-	histID := store.ObjectID(idStr)
+	s.mu.Unlock()
 	ended := e.LastSeen
 	update := func(rec *feed.Record) {
 		rec.Active = false
@@ -362,15 +364,16 @@ func (s *Server) handleFlowEnd(e SamplerEvent) {
 			rec.LastSeen = e.LastSeen
 		}
 	}
-	// The ObjectID lookup is the whole point of the Redis cache: O(1)
-	// status updates instead of scanning for the latest record of an IP.
+	// The live index is the paper's Redis cache: an O(1) update by
+	// ObjectID instead of a scan for the latest record of an IP.
 	s.historical.Update(histID, update)
 	s.mu.Lock()
 	s.counters.FlowsEnded++
+	delete(s.active, e.IP)
+	live := len(s.active)
 	s.mu.Unlock()
-	s.active.Del(activeKey(ipStr))
 	metFeedFlowEnds.Inc()
-	metFeedActive.Set(float64(s.active.Len()))
+	metFeedActive.Set(float64(live))
 	s.finishEndTrace(e, "applied")
 }
 
@@ -489,8 +492,6 @@ func (s *Server) Counters() Counters {
 // UnknownBanners exposes the scan module's unknown-banner dump.
 func (s *Server) UnknownBanners() []string { return s.scanMod.UnknownBanners() }
 
-func activeKey(ip string) string { return "active:" + ip }
-
 // --- api.Source implementation ---
 
 var _ api.Source = (*Server)(nil)
@@ -505,11 +506,17 @@ func (s *Server) Records(q api.Query) []feed.Record {
 }
 
 // RecordByIP returns the most recent record for ip, preferring the live
-// one.
+// one. ip must match a record's address as written: a non-canonical
+// spelling of a source ("010.0.0.1") finds none of its records.
 func (s *Server) RecordByIP(ip string) (feed.Record, bool) {
-	if idStr, ok := s.active.Get(activeKey(ip)); ok {
-		if rec, ok := s.historical.Get(store.ObjectID(idStr)); ok {
-			return rec, true
+	if addr, err := packet.ParseIP(ip); err == nil {
+		s.mu.Lock()
+		id, live := s.active[addr]
+		s.mu.Unlock()
+		if live {
+			if rec, ok := s.historical.Get(id); ok && rec.IP == ip {
+				return rec, true
+			}
 		}
 	}
 	matches := s.historical.Find(func(r feed.Record) bool { return r.IP == ip })
@@ -630,4 +637,8 @@ func (s *Server) NewFeedCache(cfg feedserve.Config) *feedserve.Cache {
 }
 
 // ActiveCount returns the number of live scan flows with records.
-func (s *Server) ActiveCount() int { return s.active.Len() }
+func (s *Server) ActiveCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.active)
+}

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"exiot/internal/durable"
+	"exiot/internal/feed"
 	"exiot/internal/packet"
 	"exiot/internal/simnet"
+	"exiot/internal/store"
 	"exiot/internal/wire"
 )
 
@@ -160,6 +164,72 @@ func TestRestoreParentFormatSnapshot(t *testing.T) {
 	}
 }
 
+// TestRestoreLiveIndexKeyValueShape: the live-flow index travels in the
+// shape the Redis-style key-value store of earlier releases wrote, an
+// "active:<ip>" key per live record with the zero expiry it always
+// carried. Such a snapshot restores its index, a later flow end ends the
+// restored record through it, and the index is written back without the
+// expiry.
+func TestRestoreLiveIndexKeyValueShape(t *testing.T) {
+	at := time.Date(2020, 12, 9, 1, 0, 0, 0, time.UTC)
+	const ip = "198.51.100.7"
+	id := store.NewObjectID(at)
+	rec, err := json.Marshal(feed.Record{IP: ip, Active: true, AppearedAt: at, LastSeen: at})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := fmt.Sprintf(`{"key":"active:%s","value":"%s"}`, ip, id)
+	payload := func(entry string) []byte {
+		return []byte(fmt.Sprintf(`{"object_id_counter":%d,"clock":%q,"counters":{"RecordsCreated":1},`+
+			`"historical":[{"id":"%s","value":%s}],"active":[%s]}`,
+			store.ObjectIDCounterValue(), at.Format(time.RFC3339), id, rec, entry))
+	}
+
+	srv := NewServer(DefaultServerConfig(), nil, nil, nil)
+	if err := srv.RestoreState(payload(strings.TrimSuffix(entry, "}") + `,"expires_at":"0001-01-01T00:00:00Z"}`)); err != nil {
+		t.Fatal(err)
+	}
+	if n := srv.ActiveCount(); n != 1 {
+		t.Fatalf("ActiveCount = %d after the restore, want 1", n)
+	}
+	exported, err := srv.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"active":[` + entry + `]`; !bytes.Contains(exported, []byte(want)) {
+		t.Errorf("re-exported state lacks %s:\n%s", want, exported)
+	}
+
+	ended := at.Add(40 * time.Minute)
+	srv.HandleEvent(SamplerEvent{Kind: SamplerFlowEnd, IP: packet.MustParseIP(ip), LastSeen: ended}, at.Add(time.Hour))
+	got, ok := srv.Historical().Get(id)
+	if !ok || got.Active || got.EndedAt == nil || !got.EndedAt.Equal(ended) || !got.LastSeen.Equal(ended) {
+		t.Errorf("restored record after its flow end: %+v (found %v)", got, ok)
+	}
+	if c := srv.Counters(); c.FlowsEnded != 1 || c.RecordsCreated != 1 {
+		t.Errorf("counters %+v, want one record created and one flow ended", c)
+	}
+	if n := srv.ActiveCount(); n != 0 {
+		t.Errorf("ActiveCount = %d after the flow end, want 0", n)
+	}
+
+	// An entry the index cannot hold, or a model the server cannot use,
+	// refuses the snapshot whole.
+	for name, bad := range map[string][]byte{
+		"no prefix":   payload(strings.Replace(entry, "active:", "", 1)),
+		"bad address": payload(strings.Replace(entry, ".7", ".700", 1)),
+		"bad model":   bytes.Replace(payload(entry), []byte(`"active":`), []byte(`"model":{"normalizer":{}},"active":`), 1),
+	} {
+		srv := NewServer(DefaultServerConfig(), nil, nil, nil)
+		if err := srv.RestoreState(bad); err == nil {
+			t.Errorf("%s: restored without error", name)
+		}
+		if srv.Historical().Len() != 0 || srv.Counters() != (Counters{}) {
+			t.Errorf("%s: a refused snapshot restored its record", name)
+		}
+	}
+}
+
 // TestParkedEndsAlwaysDrain runs three days of the default world, where
 // a flow end used to be parked whenever any scanner was buffered — its
 // own flow's or not. One parked behind nothing stayed in every snapshot
@@ -236,14 +306,16 @@ func TestRestoreStateRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, payload := range map[string][]byte{
-		"not JSON":                    []byte("snapshot"),
-		"a flow end as a scan flow":   endAsFlow,
-		"a model without its forest":  []byte(`{"model":{"normalizer":{}}}`),
-		"a nil tree":                  edit(`"trees":[`, `"trees":[null,`),
-		"a child outside the tree":    badChild,
-		"a child shared by two nodes": edit(`"l":3,"r":4`, `"l":2,"r":4`),
-		"a feature past the vector":   edit(`"f":117`, `"f":120`),
-		"a normalizer one short":      edit(`"mean":[0,`, `"mean":[`),
+		"not JSON":                         []byte("snapshot"),
+		"a flow end as a scan flow":        endAsFlow,
+		"a model without its forest":       []byte(`{"model":{"normalizer":{}}}`),
+		"a nil tree":                       edit(`"trees":[`, `"trees":[null,`),
+		"a child outside the tree":         badChild,
+		"a child shared by two nodes":      edit(`"l":3,"r":4`, `"l":2,"r":4`),
+		"a feature past the vector":        edit(`"f":117`, `"f":120`),
+		"a normalizer one short":           edit(`"mean":[0,`, `"mean":[`),
+		"an active key without its prefix": []byte(`{"active":[{"key":"198.51.100.7","value":"x"}]}`),
+		"an active key with a bad address": []byte(`{"active":[{"key":"active:198.51.100","value":"x"}]}`),
 	} {
 		if err := backHalfServer(w, 213, 1).RestoreState(payload); err == nil {
 			t.Errorf("%s: restored without error", name)

@@ -13,7 +13,6 @@ package simnet
 
 import (
 	"math/rand"
-	"sort"
 	"strings"
 	"time"
 
@@ -580,11 +579,6 @@ func (w *World) VendorBreakdown() map[string]int {
 		}
 	}
 	return out
-}
-
-// sortHostsByIP gives tests a stable host ordering.
-func sortHostsByIP(hs []*Host) {
-	sort.Slice(hs, func(i, j int) bool { return hs[i].IP < hs[j].IP })
 }
 
 // bannerIsTextual reports whether a banner carries device-identifying text

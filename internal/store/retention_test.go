@@ -222,43 +222,3 @@ func TestObjectIDTimeDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
-
-// TestKVLenLooksOnlyWhenAKeyCanHaveLapsed pins both halves of Len: it is
-// exact about TTLs, and it leaves the map alone until one can have run out.
-func TestKVLenLooksOnlyWhenAKeyCanHaveLapsed(t *testing.T) {
-	now := base
-	kv := NewKVWithClock(func() time.Time { return now })
-	for i := 0; i < 100; i++ {
-		kv.Set(fmt.Sprint("forever", i), "x")
-	}
-	kv.SetTTL("1h", "x", time.Hour)
-	kv.SetTTL("3h", "x", 3*time.Hour)
-	// A lapsed entry SetTTL never saw: only a walk of the map can find it.
-	kv.data["planted"] = kvEntry{expiresAt: base.Add(-time.Second)}
-
-	now = base.Add(time.Hour) // the first expiry is not yet passed
-	if n := kv.Len(); n != 103 {
-		t.Fatalf("Len = %d before any expiry, want 103 (no walk)", n)
-	}
-	now = base.Add(2 * time.Hour)
-	if n := kv.Len(); n != 101 {
-		t.Fatalf("Len = %d after the first expiry, want 101", n)
-	}
-	if want := base.Add(3 * time.Hour); !kv.firstExpiry.Equal(want) {
-		t.Fatalf("firstExpiry = %v after the walk, want %v", kv.firstExpiry, want)
-	}
-	kv.Set("3h", "x") // overwritten without a TTL: the bound is low, never wrong
-	now = base.Add(4 * time.Hour)
-	if n, keys := kv.Len(), kv.Keys(); n != 101 || len(keys) != 101 {
-		t.Fatalf("Len = %d, %d keys, want 101 of each", n, len(keys))
-	}
-	if !kv.firstExpiry.IsZero() {
-		t.Fatalf("firstExpiry = %v with no TTL'd key left", kv.firstExpiry)
-	}
-
-	kv.Restore([]KVItem{{Key: "a", Value: "x", ExpiresAt: base.Add(5 * time.Hour)}, {Key: "b", Value: "x"}})
-	now = base.Add(6 * time.Hour)
-	if n := kv.Len(); n != 1 {
-		t.Fatalf("Len = %d after a restored key lapsed, want 1", n)
-	}
-}

@@ -1,10 +1,5 @@
 package store
 
-import (
-	"sort"
-	"time"
-)
-
 // This file is the durability surface of the store package: full-state
 // export/restore used by snapshots, plus the mutation hooks that let the
 // feed-serving cache observe a collection's write traffic.
@@ -58,43 +53,6 @@ func (c *Collection[T]) Restore(docs []Doc[T]) {
 		c.write(d.ID, d.Value)
 		c.order = append(c.order, e)
 		c.minStamp = min(c.minStamp, e.stamp)
-	}
-}
-
-// KVItem is one exported key-value entry.
-type KVItem struct {
-	Key   string `json:"key"`
-	Value string `json:"value"`
-	// ExpiresAt is the absolute expiry instant (zero = no expiry);
-	// exporting the absolute time keeps TTLs exact across a restart.
-	ExpiresAt time.Time `json:"expires_at,omitempty"`
-}
-
-// Export returns the live (unexpired) entries sorted by key.
-func (kv *KV) Export() []KVItem {
-	now := kv.clock()
-	kv.mu.RLock()
-	defer kv.mu.RUnlock()
-	out := make([]KVItem, 0, len(kv.data))
-	for k, e := range kv.data {
-		if !e.expiresAt.IsZero() && now.After(e.expiresAt) {
-			continue
-		}
-		out = append(out, KVItem{Key: k, Value: e.value, ExpiresAt: e.expiresAt})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// Restore replaces the store's contents with an exported state.
-func (kv *KV) Restore(items []KVItem) {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	kv.data = make(map[string]kvEntry, len(items))
-	kv.firstExpiry = time.Time{}
-	for _, it := range items {
-		kv.data[it.Key] = kvEntry{value: it.Value, expiresAt: it.ExpiresAt}
-		kv.noteExpiry(it.ExpiresAt)
 	}
 }
 

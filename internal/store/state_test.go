@@ -29,12 +29,12 @@ func TestCollectionExportRestore(t *testing.T) {
 	if dst.Len() != 2 {
 		t.Fatalf("restored %d docs, want 2", dst.Len())
 	}
-	gotIDs, gotDocs := dst.FindIDs(nil)
-	if gotIDs[0] != ids[0] || gotIDs[1] != ids[2] {
-		t.Fatalf("restored IDs %v, want [%s %s]", gotIDs, ids[0], ids[2])
+	got := dst.Export()
+	if got[0].ID != ids[0] || got[1].ID != ids[2] {
+		t.Fatalf("restored %v, want IDs [%s %s]", got, ids[0], ids[2])
 	}
-	if gotDocs[0] != "a" || gotDocs[1] != "c" {
-		t.Fatalf("restored docs %v in wrong order", gotDocs)
+	if got[0].Value != "a" || got[1].Value != "c" {
+		t.Fatalf("restored docs %v in wrong order", got)
 	}
 }
 
@@ -70,35 +70,6 @@ func TestWriteVersions(t *testing.T) {
 	c.Restore([]Doc[string]{{ID: b, Value: "b"}, {ID: a, Value: "a"}})
 	if got := versions(); !reflect.DeepEqual(got, []uint64{4, 5}) {
 		t.Fatalf("after a restore: versions %v, want fresh ones [4 5]", got)
-	}
-}
-
-func TestKVExportRestorePreservesTTL(t *testing.T) {
-	now := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
-	clock := func() time.Time { return now }
-	src := NewKVWithClock(clock)
-	src.Set("plain", "1")
-	src.SetTTL("ttl", "2", time.Hour)
-	src.SetTTL("expired", "3", time.Minute)
-	now = now.Add(30 * time.Minute)
-
-	exported := src.Export()
-	if len(exported) != 2 {
-		t.Fatalf("exported %d items, want 2 (expired key skipped)", len(exported))
-	}
-
-	dst := NewKVWithClock(clock)
-	dst.Restore(exported)
-	if v, ok := dst.Get("plain"); !ok || v != "1" {
-		t.Fatalf("plain = (%q, %v), want (1, true)", v, ok)
-	}
-	if v, ok := dst.Get("ttl"); !ok || v != "2" {
-		t.Fatalf("ttl = (%q, %v), want (2, true)", v, ok)
-	}
-	// The absolute expiry must carry over: 31 more minutes crosses it.
-	now = now.Add(31 * time.Minute)
-	if _, ok := dst.Get("ttl"); ok {
-		t.Fatal("ttl key survived past its restored absolute expiry")
 	}
 }
 

@@ -1,16 +1,15 @@
-// Package store provides eX-IoT's three storage backends as in-memory,
-// concurrency-safe substitutes: a document store with Mongo-style
-// ObjectIDs (the "latest threat information" database), a historical
-// variant with a lapsing retention window (the two-week database), and a
-// Redis-like key-value store with optional TTL (the ObjectID cache used
-// for fast END_FLOW status updates).
+// Package store provides eX-IoT's document store as an in-memory,
+// concurrency-safe substitute for MongoDB: a collection keyed by
+// Mongo-style ObjectIDs with a lapsing retention window (the two-week
+// historical database, whose Active records are the latest threat
+// information). The paper's third store, the Redis ObjectID cache for
+// END_FLOW updates, is the feed server's live-flow index.
 package store
 
 import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,7 +136,7 @@ func (c *Collection[T]) Get(id ObjectID) (T, bool) {
 
 // Update applies fn to the document under id; it reports whether the
 // document existed. Searching by ObjectID is O(1), which is exactly why
-// the pipeline caches ObjectIDs in the KV store instead of scanning for
+// the pipeline indexes live records' ObjectIDs instead of scanning for
 // the latest record of an IP.
 func (c *Collection[T]) Update(id ObjectID, fn func(*T)) bool {
 	c.mu.Lock()
@@ -176,25 +175,6 @@ func (c *Collection[T]) Find(filter func(T) bool) []T {
 		}
 	}
 	return out
-}
-
-// FindIDs returns matching (id, document) pairs in insertion order.
-func (c *Collection[T]) FindIDs(filter func(T) bool) ([]ObjectID, []T) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var ids []ObjectID
-	var docs []T
-	for _, e := range c.order {
-		s, ok := c.docs[e.id]
-		if !ok {
-			continue
-		}
-		if filter == nil || filter(s.doc) {
-			ids = append(ids, e.id)
-			docs = append(docs, s.doc)
-		}
-	}
-	return ids, docs
 }
 
 // Expire deletes documents whose ObjectID timestamp is older than cutoff
@@ -241,120 +221,4 @@ func (c *Collection[T]) sweep(limit int64) int {
 	clear(c.order[len(keep):]) // let go of the dropped ids
 	c.order = keep
 	return removed
-}
-
-// KV is a Redis-like string store with optional per-key expiry.
-type KV struct {
-	mu    sync.RWMutex
-	data  map[string]kvEntry
-	clock func() time.Time
-	// firstExpiry is a lower bound on the expiresAt of the TTL'd keys
-	// held, zero when there are none: until the clock passes it no key
-	// can have lapsed, and Len and Keys need not look.
-	firstExpiry time.Time
-}
-
-type kvEntry struct {
-	value     string
-	expiresAt time.Time // zero = no expiry
-}
-
-// NewKV creates an empty KV store using the real clock.
-func NewKV() *KV { return NewKVWithClock(time.Now) }
-
-// NewKVWithClock creates a KV store with an injected clock (tests, and
-// the pipeline's simulated time).
-func NewKVWithClock(clock func() time.Time) *KV {
-	return &KV{data: make(map[string]kvEntry), clock: clock}
-}
-
-// Set stores value under key with no expiry.
-func (kv *KV) Set(key, value string) {
-	kv.SetTTL(key, value, 0)
-}
-
-// SetTTL stores value under key, expiring after ttl (0 = never).
-func (kv *KV) SetTTL(key, value string, ttl time.Duration) {
-	e := kvEntry{value: value}
-	if ttl > 0 {
-		e.expiresAt = kv.clock().Add(ttl)
-	}
-	kv.mu.Lock()
-	kv.data[key] = e
-	kv.noteExpiry(e.expiresAt)
-	kv.mu.Unlock()
-}
-
-// noteExpiry lowers firstExpiry to at (zero = no expiry). Caller holds
-// kv.mu.
-func (kv *KV) noteExpiry(at time.Time) {
-	if !at.IsZero() && (kv.firstExpiry.IsZero() || at.Before(kv.firstExpiry)) {
-		kv.firstExpiry = at
-	}
-}
-
-// sweep deletes the keys that have lapsed by now, if firstExpiry says any
-// can have, and makes firstExpiry exact. Caller holds kv.mu.
-func (kv *KV) sweep(now time.Time) {
-	if kv.firstExpiry.IsZero() || !now.After(kv.firstExpiry) {
-		return
-	}
-	kv.firstExpiry = time.Time{}
-	for k, e := range kv.data {
-		if !e.expiresAt.IsZero() && now.After(e.expiresAt) {
-			delete(kv.data, k)
-			continue
-		}
-		kv.noteExpiry(e.expiresAt)
-	}
-}
-
-// Get fetches key's value if present and unexpired.
-func (kv *KV) Get(key string) (string, bool) {
-	kv.mu.RLock()
-	e, ok := kv.data[key]
-	kv.mu.RUnlock()
-	if !ok {
-		return "", false
-	}
-	if !e.expiresAt.IsZero() && kv.clock().After(e.expiresAt) {
-		kv.Del(key)
-		return "", false
-	}
-	return e.value, true
-}
-
-// Del removes key; it reports whether the key existed.
-func (kv *KV) Del(key string) bool {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	if _, ok := kv.data[key]; !ok {
-		return false
-	}
-	delete(kv.data, key)
-	return true
-}
-
-// Len returns the number of live keys (expired keys are swept lazily).
-func (kv *KV) Len() int {
-	now := kv.clock()
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	kv.sweep(now)
-	return len(kv.data)
-}
-
-// Keys returns the live keys, sorted (deterministic iteration for tests
-// and dashboards).
-func (kv *KV) Keys() []string {
-	now := kv.clock()
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	kv.sweep(now)
-	out := make([]string, 0, len(kv.data))
-	for k := range kv.data {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -76,9 +76,14 @@ func TestCollectionFindInsertionOrder(t *testing.T) {
 	if len(active) != 5 {
 		t.Errorf("filtered Find = %d docs, want 5", len(active))
 	}
-	ids, docs := c.FindIDs(func(d doc) bool { return d.Active })
-	if len(ids) != 5 || len(docs) != 5 {
-		t.Errorf("FindIDs = %d/%d", len(ids), len(docs))
+	exported := c.Export()
+	if len(exported) != len(all) {
+		t.Fatalf("Export = %d docs, Find(nil) %d", len(exported), len(all))
+	}
+	for i, d := range exported {
+		if d.Value != all[i] {
+			t.Errorf("Export[%d] = %v, Find(nil)[%d] = %v", i, d.Value, i, all[i])
+		}
 	}
 }
 
@@ -118,71 +123,5 @@ func TestCollectionConcurrency(t *testing.T) {
 	wg.Wait()
 	if c.Len() != 1600 {
 		t.Errorf("Len = %d, want 1600", c.Len())
-	}
-}
-
-func TestKVBasics(t *testing.T) {
-	kv := NewKV()
-	kv.Set("ip:1.2.3.4", "objid1")
-	v, ok := kv.Get("ip:1.2.3.4")
-	if !ok || v != "objid1" {
-		t.Fatalf("Get = %q, %v", v, ok)
-	}
-	if _, ok := kv.Get("missing"); ok {
-		t.Error("missing key found")
-	}
-	if !kv.Del("ip:1.2.3.4") || kv.Del("ip:1.2.3.4") {
-		t.Error("Del semantics wrong")
-	}
-}
-
-func TestKVTTL(t *testing.T) {
-	now := base
-	kv := NewKVWithClock(func() time.Time { return now })
-	kv.SetTTL("active", "objid", time.Hour)
-	kv.Set("forever", "x")
-	if _, ok := kv.Get("active"); !ok {
-		t.Fatal("fresh TTL key missing")
-	}
-	now = now.Add(2 * time.Hour)
-	if _, ok := kv.Get("active"); ok {
-		t.Error("expired key still readable")
-	}
-	if _, ok := kv.Get("forever"); !ok {
-		t.Error("non-TTL key expired")
-	}
-	if kv.Len() != 1 {
-		t.Errorf("Len = %d, want 1", kv.Len())
-	}
-}
-
-func TestKVKeysSorted(t *testing.T) {
-	kv := NewKV()
-	for _, k := range []string{"c", "a", "b"} {
-		kv.Set(k, "v")
-	}
-	keys := kv.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Errorf("Keys = %v", keys)
-	}
-}
-
-func TestKVConcurrency(t *testing.T) {
-	kv := NewKV()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				k := string(rune('a' + w))
-				kv.SetTTL(k, "v", time.Minute)
-				kv.Get(k)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if kv.Len() != 8 {
-		t.Errorf("Len = %d, want 8", kv.Len())
 	}
 }

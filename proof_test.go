@@ -445,7 +445,7 @@ func attachConsole(t *testing.T, srv *pipeline.Server, out *outcome) (hourDone f
 	t.Cleanup(cache.Close)
 	tracker := campaign.NewTracker(campaign.TrackerConfig{})
 	cache.OnRebuild(func(s *feedserve.Snapshot) { tracker.Update(s.Records(), s.BuiltAt()) })
-	con := console.New(console.Config{Source: srv, Why: srv, Tracker: tracker, Feed: cache})
+	con := console.New(console.Config{Source: srv, Tracker: tracker, Feed: cache})
 	mux := http.NewServeMux()
 	con.Register(mux)
 	ts := httptest.NewServer(mux)
