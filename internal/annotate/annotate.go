@@ -67,23 +67,6 @@ func (a *Annotator) SetModel(m *Model) {
 	a.model = m
 }
 
-// HasModel reports whether a classifier is installed.
-func (a *Annotator) HasModel() bool {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.model != nil
-}
-
-// Annotate turns one organized batch (plus its active-measurement
-// results and optional banner fingerprint) into a CTI record. The banner
-// label, when present, takes precedence over the model prediction — it is
-// the ground truth the model itself trains on.
-func (a *Annotator) Annotate(b *organizer.Batch, scan *zmap.HostResult, match *recog.Match) (feed.Record, error) {
-	jobs := []Job{{Batch: b, Scan: scan, Match: match}}
-	recs, errs := a.AnnotateBatch(jobs, 1)
-	return recs[0], errs[0]
-}
-
 // Job is one flow awaiting annotation.
 type Job struct {
 	Batch *organizer.Batch
@@ -106,8 +89,8 @@ type Job struct {
 // banner labeling, and enrichment fan out across up to workers
 // goroutines (0 = GOMAXPROCS, 1 = the caller's), and flows without a
 // banner label are scored through the classifier's batch path in one
-// call. Record i is exactly what
-// Annotate(jobs[i]) would produce — the model is read once for the whole
+// call. Record i is exactly what a batch of
+// jobs[i] alone would produce — the model is read once for the whole
 // batch (retrains never happen mid-flush), every per-record computation
 // is pure, and results land by index — so the parallel feed path stays
 // byte-identical to the serial one.

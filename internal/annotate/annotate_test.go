@@ -72,7 +72,7 @@ func TestBannerLabelTakesPrecedence(t *testing.T) {
 	ip := reg.PickInfectedHost(rng)
 	b := testBatch(t, ip, 100)
 	match := &recog.Match{IoT: true, Vendor: "Foscam", Type: "IP Camera", Model: "FI9821P", Firmware: "1.11.1.8"}
-	rec, err := a.Annotate(&b, &zmap.HostResult{}, match)
+	rec, err := annotateOne(a, &b, &zmap.HostResult{}, match)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestModelPrediction(t *testing.T) {
 	b := testBatch(t, ip, 100)
 
 	a.SetModel(trainedModel(t, 0.9))
-	rec, err := a.Annotate(&b, nil, nil)
+	rec, err := annotateOne(a, &b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestModelPrediction(t *testing.T) {
 	}
 
 	a.SetModel(trainedModel(t, 0.2))
-	rec, err = a.Annotate(&b, nil, nil)
+	rec, err = annotateOne(a, &b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +117,13 @@ func TestModelPrediction(t *testing.T) {
 
 func TestBootstrapWithoutModel(t *testing.T) {
 	a, reg := testAnnotator(t)
-	if a.HasModel() {
+	if a.model != nil {
 		t.Fatal("fresh annotator claims a model")
 	}
 	rng := newRand(3)
 	ip := reg.PickInfectedHost(rng)
 	b := testBatch(t, ip, 60)
-	rec, err := a.Annotate(&b, nil, nil)
+	rec, err := annotateOne(a, &b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestAnnotateEnriches(t *testing.T) {
 	rng := newRand(4)
 	ip := reg.PickInfectedHost(rng)
 	b := testBatch(t, ip, 100)
-	rec, err := a.Annotate(&b, nil, nil)
+	rec, err := annotateOne(a, &b, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestAnnotateEnriches(t *testing.T) {
 func TestAnnotateEmptySample(t *testing.T) {
 	a, _ := testAnnotator(t)
 	b := organizer.Batch{IPString: "1.2.3.4"}
-	if _, err := a.Annotate(&b, nil, nil); err == nil {
+	if _, err := annotateOne(a, &b, nil, nil); err == nil {
 		t.Error("empty sample should error")
 	}
 }
@@ -174,13 +174,19 @@ func TestScanResultsAttached(t *testing.T) {
 		OpenPorts: []uint16{80, 23},
 		Banners:   []zmap.Banner{{Port: 80, Protocol: "http", Banner: "Server: Boa/0.94.13"}},
 	}
-	rec, err := a.Annotate(&b, scan, nil)
+	rec, err := annotateOne(a, &b, scan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.OpenPorts) != 2 || len(rec.Banners) != 1 {
 		t.Errorf("scan results lost: %+v", rec)
 	}
+}
+
+// annotateOne runs one flow through AnnotateBatch, the shipped path.
+func annotateOne(a *Annotator, b *organizer.Batch, scan *zmap.HostResult, match *recog.Match) (feed.Record, error) {
+	recs, errs := a.AnnotateBatch([]Job{{Batch: b, Scan: scan, Match: match}}, 1)
+	return recs[0], errs[0]
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

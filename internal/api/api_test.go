@@ -232,7 +232,7 @@ func TestAlertRegistration(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	subs := notifier.Subscriptions()
+	subs := notifier.ExportState().Subscriptions
 	if len(subs) != 1 || subs[0].Email != "soc@example.org" {
 		t.Errorf("subscriptions = %+v", subs)
 	}

@@ -56,7 +56,7 @@ func TestDashboardCallsMountedRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	mounted := map[string]bool{}
-	for _, ep := range New(Config{}).Endpoints() {
+	for _, ep := range New(Config{}).routes() {
 		base := strings.TrimSuffix(ep.Path, "/{ip}")
 		mounted[base] = true
 	}

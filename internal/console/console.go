@@ -182,8 +182,8 @@ func (c *Console) Close() {
 	c.once.Do(func() { close(c.done) })
 }
 
-// routes is the console surface: the mux and Endpoints() both derive
-// from it, so the docs drift test sees exactly what is mounted.
+// routes is the console surface: the mux is built from it and the docs
+// drift tests read it, so they see exactly what is mounted.
 func (c *Console) routes() []struct {
 	api.Endpoint
 	handler http.HandlerFunc
@@ -229,14 +229,4 @@ func (c *Console) Register(mux *http.ServeMux) {
 			metConsoleRequests.With("console_static").Inc()
 			http.FileServerFS(sub).ServeHTTP(w, r)
 		})))
-}
-
-// Endpoints returns the console API surface (docs tests).
-func (c *Console) Endpoints() []api.Endpoint {
-	rts := c.routes()
-	out := make([]api.Endpoint, len(rts))
-	for i, rt := range rts {
-		out[i] = rt.Endpoint
-	}
-	return out
 }

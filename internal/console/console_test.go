@@ -377,7 +377,7 @@ func TestEventsStreamEmitsStats(t *testing.T) {
 
 func TestEndpointsMatchRoutes(t *testing.T) {
 	c := New(Config{Registry: newRegistry(t)})
-	eps := c.Endpoints()
+	eps := c.routes()
 	if len(eps) != 5 {
 		t.Fatalf("endpoints = %d, want 5", len(eps))
 	}

@@ -24,7 +24,7 @@ func readDoc(t *testing.T, path string) string {
 
 func TestAPIDocCoversConsoleRoutes(t *testing.T) {
 	doc := readDoc(t, "../../docs/API.md")
-	eps := New(Config{}).Endpoints()
+	eps := New(Config{}).routes()
 	if len(eps) < 5 {
 		t.Fatalf("console route table has only %d endpoints", len(eps))
 	}

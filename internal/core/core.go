@@ -77,9 +77,6 @@ func (s *System) Mailer() *notify.MemoryMailer { return s.mailer }
 // httptest.NewServer or http.ListenAndServe.
 func (s *System) Handler() http.Handler { return s.apiSrv }
 
-// API exposes the API server (key management).
-func (s *System) API() *api.Server { return s.apiSrv }
-
 // RunHours generates and processes the next n simulated hours.
 func (s *System) RunHours(n int) error {
 	limit := s.cfg.World.Days * 24
@@ -113,13 +110,4 @@ func (s *System) RunAll() error {
 // Finish ends all live flows and flushes pending work.
 func (s *System) Finish() {
 	s.pipe.Finish(s.world.Start().Add(time.Duration(s.hoursRun) * time.Hour))
-}
-
-// HoursRun returns the number of processed simulated hours.
-func (s *System) HoursRun() int { return s.hoursRun }
-
-// Clock returns the current simulated instant (end of last processed
-// hour).
-func (s *System) Clock() time.Time {
-	return s.world.Start().Add(time.Duration(s.hoursRun) * time.Hour)
 }

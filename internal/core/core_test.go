@@ -31,14 +31,11 @@ func TestSystemRunAll(t *testing.T) {
 	if err := sys.RunAll(); err != nil {
 		t.Fatal(err)
 	}
-	if sys.HoursRun() != 24 {
-		t.Errorf("HoursRun = %d, want 24", sys.HoursRun())
+	if sys.hoursRun != 24 {
+		t.Errorf("%d hours run, want 24", sys.hoursRun)
 	}
 	if sys.Feed().Counters().RecordsCreated == 0 {
 		t.Error("no records after a full day")
-	}
-	if !sys.Clock().Equal(sys.World().Start().Add(24 * time.Hour)) {
-		t.Errorf("Clock = %v", sys.Clock())
 	}
 }
 
@@ -90,7 +87,13 @@ func TestSystemAPIIntegration(t *testing.T) {
 func TestDefaultConfigFallback(t *testing.T) {
 	// An empty world config falls back to the default population.
 	sys := NewSystem(Config{APIKeys: map[string]string{"k": "c"}})
-	if sys.World().CountKind(simnet.KindInfectedIoT) == 0 {
+	infected := 0
+	for _, h := range sys.World().Hosts() {
+		if h.Kind == simnet.KindInfectedIoT {
+			infected++
+		}
+	}
+	if infected == 0 {
 		t.Error("zero-config system has no infected hosts")
 	}
 }

@@ -65,9 +65,6 @@ func Open(opts Options) (*Manager, error) {
 	return &Manager{opts: opts}, nil
 }
 
-// Dir returns the state directory path.
-func (m *Manager) Dir() string { return m.opts.Dir }
-
 // LatestSnapshot loads the most recent valid snapshot, returning its
 // meta and opaque payload, or a zero meta and nil payload when the
 // directory has none. A corrupt newest snapshot falls back to the next

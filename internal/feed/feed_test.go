@@ -8,7 +8,13 @@ import (
 	"time"
 )
 
-func set(items ...string) IndicatorSet { return NewIndicatorSet(items) }
+func set(items ...string) IndicatorSet {
+	s := IndicatorSet{}
+	for _, it := range items {
+		s.Add(it)
+	}
+	return s
+}
 
 func TestDifferential(t *testing.T) {
 	a := set("1", "2", "3", "4")
@@ -99,32 +105,6 @@ func TestLatency(t *testing.T) {
 	}
 	if got := lat["scanner-truth"]; got != 0 {
 		t.Errorf("truth latency = %v, want 0", got)
-	}
-}
-
-func TestPrecisionCoverage(t *testing.T) {
-	truth := map[string]bool{
-		"a": true, "b": true, "c": true, "d": false, "e": false,
-	}
-	pred := map[string]bool{
-		"a": true, "b": true, "d": true, // c missed (FN), d wrong (FP)
-	}
-	p, c := PrecisionCoverage(pred, truth)
-	if math.Abs(p-2.0/3) > 1e-12 {
-		t.Errorf("precision = %v, want 2/3", p)
-	}
-	if math.Abs(c-2.0/3) > 1e-12 {
-		t.Errorf("coverage = %v, want 2/3", c)
-	}
-	// Indicators not in truth are ignored.
-	pred["zz"] = true
-	p2, c2 := PrecisionCoverage(pred, truth)
-	if p2 != p || c2 != c {
-		t.Error("out-of-truth indicators should not affect metrics")
-	}
-	p, c = PrecisionCoverage(nil, truth)
-	if p != 0 || c != 0 {
-		t.Errorf("empty prediction: p=%v c=%v", p, c)
 	}
 }
 

@@ -8,15 +8,6 @@ import (
 // IndicatorSet is a set of feed indicators (IP addresses as strings).
 type IndicatorSet map[string]struct{}
 
-// NewIndicatorSet builds a set from a list of indicators.
-func NewIndicatorSet(items []string) IndicatorSet {
-	s := make(IndicatorSet, len(items))
-	for _, it := range items {
-		s[it] = struct{}{}
-	}
-	return s
-}
-
 // Add inserts one indicator.
 func (s IndicatorSet) Add(item string) { s[item] = struct{}{} }
 
@@ -152,33 +143,6 @@ func Latency(appearances map[string]map[string]time.Time) map[string]time.Durati
 		}
 	}
 	return out
-}
-
-// PrecisionCoverage computes the paper's accuracy (precision) and
-// coverage (recall) of IoT labeling against banner-derived ground truth:
-// predicted and truth map indicator → is-IoT. Only indicators present in
-// truth participate.
-func PrecisionCoverage(predicted, truth map[string]bool) (precision, coverage float64) {
-	tp, fp, fn := 0, 0, 0
-	for ind, isIoT := range truth {
-		pred, ok := predicted[ind]
-		predIoT := ok && pred
-		switch {
-		case predIoT && isIoT:
-			tp++
-		case predIoT && !isIoT:
-			fp++
-		case !predIoT && isIoT:
-			fn++
-		}
-	}
-	if tp+fp > 0 {
-		precision = float64(tp) / float64(tp+fp)
-	}
-	if tp+fn > 0 {
-		coverage = float64(tp) / float64(tp+fn)
-	}
-	return precision, coverage
 }
 
 // VolumeRow is one Table III row: daily indicator volume.

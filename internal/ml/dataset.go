@@ -7,11 +7,7 @@
 // sklearn dependency with stdlib-only Go.
 package ml
 
-import (
-	"errors"
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // Dataset is a design matrix with binary labels (1 = IoT).
 type Dataset struct {
@@ -34,28 +30,6 @@ func (d *Dataset) NumFeatures() int {
 func (d *Dataset) Append(x []float64, y int) {
 	d.X = append(d.X, x)
 	d.Y = append(d.Y, y)
-}
-
-// Validate checks shape consistency and label domain.
-func (d *Dataset) Validate() error {
-	if len(d.X) != len(d.Y) {
-		return fmt.Errorf("ml: %d samples but %d labels", len(d.X), len(d.Y))
-	}
-	if len(d.X) == 0 {
-		return errors.New("ml: empty dataset")
-	}
-	nf := len(d.X[0])
-	for i, x := range d.X {
-		if len(x) != nf {
-			return fmt.Errorf("ml: sample %d has %d features, want %d", i, len(x), nf)
-		}
-	}
-	for i, y := range d.Y {
-		if y != 0 && y != 1 {
-			return fmt.Errorf("ml: label %d = %d, want 0/1", i, y)
-		}
-	}
-	return nil
 }
 
 // ClassCounts returns (negatives, positives).

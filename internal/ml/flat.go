@@ -70,9 +70,6 @@ func (f *Forest) Flatten() *FlatForest {
 	return ff
 }
 
-// NumTrees returns the ensemble size.
-func (ff *FlatForest) NumTrees() int { return len(ff.Roots) }
-
 // predictTree walks one tree from its arena root to a leaf.
 func (ff *FlatForest) predictTree(root int32, x []float64) float64 {
 	nodes := ff.Nodes

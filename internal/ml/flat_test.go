@@ -29,8 +29,8 @@ func flatTestForest(t testing.TB, trees int) (*Forest, *Dataset) {
 func TestFlattenPredictionsIdentical(t *testing.T) {
 	forest, ds := flatTestForest(t, 50)
 	flat := forest.Flatten()
-	if flat.NumTrees() != len(forest.Trees) {
-		t.Fatalf("NumTrees = %d, want %d", flat.NumTrees(), len(forest.Trees))
+	if len(flat.Roots) != len(forest.Trees) {
+		t.Fatalf("%d roots, want %d trees", len(flat.Roots), len(forest.Trees))
 	}
 	wantNodes := 0
 	for _, tr := range forest.Trees {

@@ -92,15 +92,6 @@ func (c Confusion) F1() float64 {
 	return 2 * p * r / (p + r)
 }
 
-// Accuracy is (TP+TN)/total.
-func (c Confusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(total)
-}
-
 // PrecisionRecallF1 is a convenience wrapper over ConfusionMatrix.
 func PrecisionRecallF1(pred, labels []int) (precision, recall, f1 float64) {
 	c := ConfusionMatrix(pred, labels)

@@ -53,26 +53,6 @@ func (t *Tree) PredictProba(x []float64) float64 {
 	}
 }
 
-// Depth returns the maximum depth of the tree.
-func (t *Tree) Depth() int {
-	var walk func(i int32) int
-	walk = func(i int32) int {
-		n := &t.Nodes[i]
-		if n.Feature < 0 {
-			return 0
-		}
-		l, r := walk(n.Left), walk(n.Right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	if len(t.Nodes) == 0 {
-		return 0
-	}
-	return walk(0)
-}
-
 // treeBuilder holds the working state of one training run.
 type treeBuilder struct {
 	cfg  TreeConfig

@@ -102,15 +102,6 @@ func (n *Notifier) Subscribe(prefix packet.Prefix, email string) {
 	n.subs = append(n.subs, Subscription{Prefix: prefix, Email: email})
 }
 
-// Subscriptions returns the registered alarms.
-func (n *Notifier) Subscriptions() []Subscription {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]Subscription, len(n.subs))
-	copy(out, n.subs)
-	return out
-}
-
 // Process inspects one record and sends due notifications, returning how
 // many e-mails went out. now is the (simulated) clock.
 func (n *Notifier) Process(rec *feed.Record, now time.Time) int {

@@ -118,7 +118,7 @@ func TestMultipleSubscribers(t *testing.T) {
 	if sent := n.Process(&rec, t0); sent != 3 {
 		t.Errorf("sent = %d, want 3", sent)
 	}
-	if len(n.Subscriptions()) != 2 {
-		t.Errorf("subscriptions = %d", len(n.Subscriptions()))
+	if len(n.subs) != 2 {
+		t.Errorf("subscriptions = %d", len(n.subs))
 	}
 }

@@ -49,23 +49,26 @@ func (n *Notifier) ExportState() State {
 	return st
 }
 
-// RestoreState replaces the notifier's alarms and dedup map with an
-// exported state.
-func (n *Notifier) RestoreState(st State) error {
+// RestoreState parses an exported state and returns the func that
+// replaces the notifier's alarms and dedup map with it. Nothing changes
+// before that func runs, so a caller restoring several parts can refuse
+// the whole state when any part fails to parse.
+func (n *Notifier) RestoreState(st State) (apply func(), err error) {
 	subs := make([]Subscription, 0, len(st.Subscriptions))
 	for _, s := range st.Subscriptions {
 		prefix, err := packet.ParsePrefix(s.Prefix)
 		if err != nil {
-			return fmt.Errorf("notify: restore subscription %q: %w", s.Prefix, err)
+			return nil, fmt.Errorf("notify: restore subscription %q: %w", s.Prefix, err)
 		}
 		subs = append(subs, Subscription{Prefix: prefix, Email: s.Email})
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.subs = subs
-	n.lastSent = make(map[string]time.Time, len(st.LastSent))
-	for k, v := range st.LastSent {
-		n.lastSent[k] = v
-	}
-	return nil
+	return func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		n.subs = subs
+		n.lastSent = make(map[string]time.Time, len(st.LastSent))
+		for k, v := range st.LastSent {
+			n.lastSent[k] = v
+		}
+	}, nil
 }

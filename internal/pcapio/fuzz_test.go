@@ -150,7 +150,7 @@ func fuzzSeeds() []fuzzSeed {
 
 // FuzzReaderNext holds the in-place decoder to the copying one it
 // replaced: over any bytes, fed in any chunking, both return the same
-// packets, the same class of error at the same Index(), and leave the
+// packets, the same class of error at the same index, and leave the
 // stream at the same place — checked by reading on past the first error
 // in lockstep until the stream is spent.
 func FuzzReaderNext(f *testing.F) {
@@ -163,7 +163,7 @@ func FuzzReaderNext(f *testing.F) {
 		if chunk != 0 {
 			src = &chunkReader{data: data, n: int(chunk)}
 		}
-		got, gotErr := NewReader(src)
+		got, gotErr := newReader(src)
 		// The reference reads through a window of its own.
 		want, wantErr := newReaderBuf(bufio.NewReaderSize(bytes.NewReader(data), bufSize))
 		lockstep(t, got, gotErr, want, wantErr, len(data), false)
@@ -220,7 +220,7 @@ func FuzzOpenCapture(f *testing.F) {
 // lockstep reads got and the reference want, opened with errors gotErr
 // and wantErr, in step until the stream ends: both must open or fail
 // alike, then return the same packets and the same class of error at the
-// same Index(), and no packet after a torn record. n bounds the bytes a
+// same index, and no packet after a torn record. n bounds the bytes a
 // stream can hold; untilError ends the walk at the first error.
 func lockstep(t *testing.T, got *Reader, gotErr error, want *Reader, wantErr error, n int, untilError bool) {
 	t.Helper()
@@ -240,8 +240,8 @@ func lockstep(t *testing.T, got *Reader, gotErr error, want *Reader, wantErr err
 		if errClass(gerr) != errClass(werr) {
 			t.Fatalf("step %d: %v, reference %v", step, gerr, werr)
 		}
-		if got.Index() != want.Index() {
-			t.Fatalf("step %d: Index() %d, reference %d", step, got.Index(), want.Index())
+		if got.index != want.index {
+			t.Fatalf("step %d: index %d, reference %d", step, got.index, want.index)
 		}
 		switch errClass(gerr) {
 		case "packet":

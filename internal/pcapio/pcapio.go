@@ -77,7 +77,6 @@ var ErrNotPcap = errors.New("pcapio: not a pcap stream")
 type Writer struct {
 	w       *bufio.Writer
 	scratch []byte
-	count   int
 }
 
 // NewWriter writes the pcap global header and returns a Writer.
@@ -120,13 +119,9 @@ func (w *Writer) WritePacket(p *packet.Packet) error {
 	if _, err := w.w.Write(w.scratch); err != nil {
 		return fmt.Errorf("pcap record body: %w", err)
 	}
-	w.count++
 	metPacketsWritten.Inc()
 	return nil
 }
-
-// Count returns the number of packets written so far.
-func (w *Writer) Count() int { return w.count }
 
 // Flush flushes buffered data to the underlying writer.
 func (w *Writer) Flush() error { return w.w.Flush() }
@@ -144,11 +139,7 @@ type Reader struct {
 	index int
 }
 
-// NewReader validates the pcap global header and returns a Reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	return newReaderBuf(bufio.NewReaderSize(r, bufSize))
-}
-
+// newReaderBuf validates the pcap global header and returns a Reader.
 func newReaderBuf(br *bufio.Reader) (*Reader, error) {
 	var hdr [24]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -168,9 +159,6 @@ func newReaderBuf(br *bufio.Reader) (*Reader, error) {
 	}
 	return &Reader{r: br, fracMul: fracMul}, nil
 }
-
-// Index returns the number of packets successfully read so far.
-func (r *Reader) Index() int { return r.index }
 
 // torn maps an EOF hit mid-record onto a clean io.ErrUnexpectedEOF-wrapped
 // error carrying the packet index, so callers can both detect truncation

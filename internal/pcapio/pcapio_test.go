@@ -1,6 +1,7 @@
 package pcapio
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -31,6 +32,12 @@ func randomPacket(r *rand.Rand, ts time.Time) packet.Packet {
 	return p
 }
 
+// newReader opens a pcap stream through a read window of its own, as
+// OpenCapture does.
+func newReader(r io.Reader) (*Reader, error) {
+	return newReaderBuf(bufio.NewReaderSize(r, bufSize))
+}
+
 func TestStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf)
@@ -47,14 +54,11 @@ func TestStreamRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.Count() != 500 {
-		t.Errorf("Count() = %d", w.Count())
-	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	rd, err := NewReader(&buf)
+	rd, err := newReader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +80,10 @@ func TestStreamRoundTrip(t *testing.T) {
 }
 
 func TestNotPcap(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader(make([]byte, 24))); !errors.Is(err, ErrNotPcap) {
+	if _, err := newReader(bytes.NewReader(make([]byte, 24))); !errors.Is(err, ErrNotPcap) {
 		t.Errorf("want ErrNotPcap, got %v", err)
 	}
-	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
+	if _, err := newReader(bytes.NewReader(nil)); err == nil {
 		t.Error("want error for empty stream")
 	}
 }

@@ -22,7 +22,7 @@ import (
 func TestReaderNextZeroAlloc(t *testing.T) {
 	const runs = 2000
 	raw, _ := buildStream(t, runs+10)
-	rd, err := NewReader(bytes.NewReader(raw))
+	rd, err := newReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestReaderNextZeroAlloc(t *testing.T) {
 // refused, and why.
 func TestReaderNextRefusals(t *testing.T) {
 	for _, seed := range fuzzSeeds() {
-		rd, err := NewReader(bytes.NewReader(seed.data))
+		rd, err := newReader(bytes.NewReader(seed.data))
 		if err != nil {
 			t.Fatalf("%s: open: %v", seed.name, err)
 		}
@@ -50,8 +50,8 @@ func TestReaderNextRefusals(t *testing.T) {
 		for err == nil {
 			err = rd.Next(&p)
 		}
-		if rd.Index() != seed.index {
-			t.Errorf("%s: stopped at record %d, want %d", seed.name, rd.Index(), seed.index)
+		if rd.index != seed.index {
+			t.Errorf("%s: stopped at record %d, want %d", seed.name, rd.index, seed.index)
 		}
 		if seed.err == "" {
 			if err != io.EOF {

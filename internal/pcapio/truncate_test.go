@@ -60,7 +60,7 @@ func TestTruncatedTailEveryOffset(t *testing.T) {
 	// A cut at exactly lastRecStart is a clean boundary (the tail record
 	// is wholly absent), so the torn sweep starts one byte inside it.
 	for cut := lastRecStart + 1; cut < len(raw); cut++ {
-		rd, err := NewReader(bytes.NewReader(raw[:cut]))
+		rd, err := newReader(bytes.NewReader(raw[:cut]))
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
@@ -80,12 +80,12 @@ func TestTruncatedTailEveryOffset(t *testing.T) {
 		if want := fmt.Sprintf("record %d", n-1); !strings.Contains(err.Error(), want) {
 			t.Fatalf("cut %d: error %q does not name torn record index %d", cut, err, n-1)
 		}
-		if rd.Index() != n-1 {
-			t.Fatalf("cut %d: Index() = %d, want %d", cut, rd.Index(), n-1)
+		if rd.index != n-1 {
+			t.Fatalf("cut %d: index = %d, want %d", cut, rd.index, n-1)
 		}
 	}
 	// Sanity: the untruncated stream still ends in clean io.EOF.
-	rd, err := NewReader(bytes.NewReader(raw))
+	rd, err := newReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,8 +157,8 @@ func testTruncatedAcrossBlocks(t *testing.T) {
 				case torn && !strings.Contains(err.Error(), fmt.Sprintf("record %d torn", whole)):
 					t.Fatalf("cut %d %s: error %q does not name torn record index %d", cut, path, err, whole)
 				}
-				if hr.Index() != whole {
-					t.Fatalf("cut %d %s: Index() = %d, want %d", cut, path, hr.Index(), whole)
+				if hr.index != whole {
+					t.Fatalf("cut %d %s: index = %d, want %d", cut, path, hr.index, whole)
 				}
 				if err := hr.Close(); err != nil {
 					t.Fatalf("cut %d %s: close: %v", cut, path, err)
@@ -174,7 +174,7 @@ func testTruncatedAcrossBlocks(t *testing.T) {
 func TestTruncatedHeaderStream(t *testing.T) {
 	raw, _ := buildStream(t, 1)
 	for cut := 0; cut < 24; cut++ {
-		if _, err := NewReader(bytes.NewReader(raw[:cut])); err == nil {
+		if _, err := newReader(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("cut %d: header-torn stream opened without error", cut)
 		}
 	}
@@ -198,7 +198,7 @@ func TestMicrosecondCaptureAccepted(t *testing.T) {
 	raw[lastRecStart+6] = byte(us >> 16)
 	raw[lastRecStart+7] = byte(us >> 24)
 
-	rd, err := NewReader(bytes.NewReader(raw))
+	rd, err := newReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("µs-magic stream rejected: %v", err)
 	}
@@ -229,7 +229,7 @@ func TestOpenCaptureSniffsCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := NewReader(bytes.NewReader(raw))
+	rd, err := newReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -189,12 +189,12 @@ func TestDurableReceiverSnapshotsAtHourEnd(t *testing.T) {
 		hourEnd++
 	}
 	feedHours(b, events, 0, hourEnd)
-	if srv.scanMod.Pending() == 0 {
+	if pendingScans(srv) == 0 {
 		t.Fatal("the first hour end finds no scanner buffered: the test needs another seed")
 	}
-	if meta, _, err := dur.Manager().LatestSnapshot(); err != nil || meta.LastSeq != uint64(hourEnd) {
+	if meta, _, err := dur.mgr.LatestSnapshot(); err != nil || meta.LastSeq != uint64(hourEnd) {
 		t.Fatalf("hour end after %d events with %d scanners buffered: latest snapshot is through seq %d (%v)",
-			hourEnd, srv.scanMod.Pending(), meta.LastSeq, err)
+			hourEnd, pendingScans(srv), meta.LastSeq, err)
 	}
 	stop := len(events) * 2 / 3
 	feedHours(b, events, hourEnd, stop)

@@ -223,8 +223,8 @@ func (s *Server) ExportState() ([]byte, error) {
 // freshly constructed server, before any event is handled. Restored
 // flows come back untraced, like WAL-replayed ones. A snapshot whose
 // buffered events another release wrote, whose live-flow index names no
-// address or whose model is unusable is refused before anything is
-// restored.
+// address, whose model is unusable or whose alarm subscriptions name no
+// prefix is refused before anything is restored.
 func (s *Server) RestoreState(payload []byte) error {
 	var st serverState
 	if err := json.Unmarshal(payload, &st); err != nil {
@@ -267,6 +267,14 @@ func (s *Server) RestoreState(payload []byte) error {
 		}
 		model = m
 	}
+	restoreNotifier := func() {}
+	if s.notifier != nil && st.Notifier != nil {
+		apply, err := s.notifier.RestoreState(*st.Notifier)
+		if err != nil {
+			return err
+		}
+		restoreNotifier = apply
+	}
 
 	store.BumpObjectIDCounter(st.ObjectIDCounter)
 	s.historical.Restore(st.Historical)
@@ -274,12 +282,7 @@ func (s *Server) RestoreState(payload []byte) error {
 	s.trainer.RestoreState(st.Trainer)
 	s.scanMod.RestoreStats(st.ScanScanned, st.ScanTagged)
 	s.scanMod.RestoreBuffer(st.ScanPending, st.ScanOldestAdded)
-
-	if s.notifier != nil && st.Notifier != nil {
-		if err := s.notifier.RestoreState(*st.Notifier); err != nil {
-			return err
-		}
-	}
+	restoreNotifier()
 
 	s.mu.Lock()
 	s.clock = st.Clock
@@ -530,6 +533,3 @@ func (d *Durable) Close() error {
 	}
 	return err
 }
-
-// Manager exposes the underlying log manager (tests).
-func (d *Durable) Manager() *durable.Manager { return d.mgr }

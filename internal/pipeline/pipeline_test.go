@@ -140,8 +140,8 @@ func TestFlowEndsUpdateRecords(t *testing.T) {
 	if ended == 0 {
 		t.Error("no flows ended over the run (Finish should close all)")
 	}
-	if srv.ActiveCount() != 0 {
-		t.Errorf("%d flows still active after Finish", srv.ActiveCount())
+	if n := activeCount(srv); n != 0 {
+		t.Errorf("%d flows still active after Finish", n)
 	}
 }
 

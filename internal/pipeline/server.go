@@ -489,9 +489,6 @@ func (s *Server) Counters() Counters {
 	return s.counters
 }
 
-// UnknownBanners exposes the scan module's unknown-banner dump.
-func (s *Server) UnknownBanners() []string { return s.scanMod.UnknownBanners() }
-
 // --- api.Source implementation ---
 
 var _ api.Source = (*Server)(nil)
@@ -634,11 +631,4 @@ func (s *Server) Historical() *store.Collection[feed.Record] { return s.historic
 // api.Server.SetFeedCache to switch the read path over.
 func (s *Server) NewFeedCache(cfg feedserve.Config) *feedserve.Cache {
 	return feedserve.New(s.historical, cfg)
-}
-
-// ActiveCount returns the number of live scan flows with records.
-func (s *Server) ActiveCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.active)
 }

@@ -63,9 +63,6 @@ func TestLiveIndexConcurrentReads(t *testing.T) {
 				if rep, ok := srv.Why(ip); ok && rep.Record.IP != ip {
 					t.Errorf("Why(%s) = the record of %s", ip, rep.Record.IP)
 				}
-				if n := srv.ActiveCount(); n < 0 {
-					t.Errorf("ActiveCount = %d", n)
-				}
 			}
 		}(r)
 	}
@@ -120,22 +117,6 @@ func BenchmarkHandleEventReport(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				srv.HandleEvent(ev, at)
-			}
-		})
-	}
-}
-
-// BenchmarkActiveCount is the exiot_feed_active_records gauge's read,
-// made after every record insert and flow end.
-func BenchmarkActiveCount(b *testing.B) {
-	for _, records := range []int{100, 10_000} {
-		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
-			srv, _, _ := reportServer(records)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if srv.ActiveCount() != records {
-					b.Fatal("active keys lost")
-				}
 			}
 		})
 	}

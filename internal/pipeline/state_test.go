@@ -63,6 +63,19 @@ func midHourState(tb testing.TB, seed int64) (*Server, []stampedEvent, []stamped
 	return srv, applied, events[cut:], w
 }
 
+// activeCount reads the size of the server's live-flow index.
+func activeCount(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.active)
+}
+
+// pendingScans reads how many scanners the scan module buffers.
+func pendingScans(s *Server) int {
+	pending, _ := s.scanMod.Buffer()
+	return len(pending)
+}
+
 // finishStream applies the rest of a captured stream and the end-of-run
 // flush.
 func finishStream(srv *Server, rest []stampedEvent) {
@@ -129,9 +142,9 @@ func TestSnapshotMidHourRoundTrip(t *testing.T) {
 		if scanned, tagged := srv.scanMod.Stats(); scanned != wantScanned || tagged != wantTagged {
 			t.Errorf("%s: scanned/tagged = %d/%d, want %d/%d", name, scanned, tagged, wantScanned, wantTagged)
 		}
-		if len(srv.pendingBatches) != 0 || len(srv.pendingEnds) != 0 || srv.scanMod.Pending() != 0 {
+		if len(srv.pendingBatches) != 0 || len(srv.pendingEnds) != 0 || pendingScans(srv) != 0 {
 			t.Errorf("%s: %d flows, %d ends, %d scanners still buffered after the final flush",
-				name, len(srv.pendingBatches), len(srv.pendingEnds), srv.scanMod.Pending())
+				name, len(srv.pendingBatches), len(srv.pendingEnds), pendingScans(srv))
 		}
 	}
 }
@@ -189,8 +202,8 @@ func TestRestoreLiveIndexKeyValueShape(t *testing.T) {
 	if err := srv.RestoreState(payload(strings.TrimSuffix(entry, "}") + `,"expires_at":"0001-01-01T00:00:00Z"}`)); err != nil {
 		t.Fatal(err)
 	}
-	if n := srv.ActiveCount(); n != 1 {
-		t.Fatalf("ActiveCount = %d after the restore, want 1", n)
+	if n := activeCount(srv); n != 1 {
+		t.Fatalf("the live-flow index holds %d entries after the restore, want 1", n)
 	}
 	exported, err := srv.ExportState()
 	if err != nil {
@@ -209,8 +222,8 @@ func TestRestoreLiveIndexKeyValueShape(t *testing.T) {
 	if c := srv.Counters(); c.FlowsEnded != 1 || c.RecordsCreated != 1 {
 		t.Errorf("counters %+v, want one record created and one flow ended", c)
 	}
-	if n := srv.ActiveCount(); n != 0 {
-		t.Errorf("ActiveCount = %d after the flow end, want 0", n)
+	if n := activeCount(srv); n != 0 {
+		t.Errorf("the live-flow index holds %d entries after the flow end, want 0", n)
 	}
 
 	// An entry the index cannot hold, or a model the server cannot use,
@@ -270,9 +283,10 @@ func TestParkedEndsAlwaysDrain(t *testing.T) {
 }
 
 // TestRestoreStateRefuses: a payload RestoreState cannot stand behind is
-// an error, not a panic at the next flush.
+// an error, not a panic at the next flush, and the server it was meant
+// for is left as it was built.
 func TestRestoreStateRefuses(t *testing.T) {
-	_, w := captureBackHalf(t, 213, 1)
+	events, w := captureBackHalf(t, 213, 3)
 	end, err := encodeEvents([]SamplerEvent{{Kind: SamplerFlowEnd, IP: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -298,10 +312,34 @@ func TestRestoreStateRefuses(t *testing.T) {
 	if err := good.RestoreState(model); err != nil {
 		t.Fatalf("snapshot_model.json: %v", err)
 	}
-	if m := good.LastModel(); m == nil || m.Forest.Flatten().NumTrees() != 1 {
+	if m := good.LastModel(); m == nil || len(m.Forest.Trees) != 1 {
 		t.Fatal("snapshot_model.json restored without its model")
 	}
 	badChild, err := os.ReadFile("testdata/snapshot_model_child_out_of_range.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A real state whose one flaw is an alarm subscription: the notifier
+	// is restored last, so its subscriptions must parse before anything
+	// else is restored.
+	ran := backHalfServer(w, 213, 1)
+	finishStream(ran, events)
+	exported, err := ran.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := backHalfServer(w, 213, 1).RestoreState(exported); err != nil {
+		t.Fatalf("the unedited state: %v", err)
+	}
+	if ran.Historical().Len() == 0 || len(ran.Traffic()) == 0 {
+		t.Fatal("the exported state holds no records or no traffic: nothing to leave behind")
+	}
+	var parts map[string]json.RawMessage
+	if err := json.Unmarshal(exported, &parts); err != nil {
+		t.Fatal(err)
+	}
+	parts["notifier"] = json.RawMessage(`{"subscriptions":[{"prefix":"banana","email":"soc@example.org"}]}`)
+	badSubscription, err := json.Marshal(parts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,9 +354,14 @@ func TestRestoreStateRefuses(t *testing.T) {
 		"a normalizer one short":           edit(`"mean":[0,`, `"mean":[`),
 		"an active key without its prefix": []byte(`{"active":[{"key":"198.51.100.7","value":"x"}]}`),
 		"an active key with a bad address": []byte(`{"active":[{"key":"active:198.51.100","value":"x"}]}`),
+		"a subscription with a bad prefix": badSubscription,
 	} {
-		if err := backHalfServer(w, 213, 1).RestoreState(payload); err == nil {
+		srv := backHalfServer(w, 213, 1)
+		if err := srv.RestoreState(payload); err == nil {
 			t.Errorf("%s: restored without error", name)
+		}
+		if n, h, a := srv.Historical().Len(), len(srv.Traffic()), activeCount(srv); n != 0 || h != 0 || a != 0 {
+			t.Errorf("%s: refused, yet the server holds %d records, %d traffic hours and %d live flows", name, n, h, a)
 		}
 	}
 }

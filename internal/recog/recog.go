@@ -2,16 +2,10 @@
 // application banners into labels: IoT vs non-IoT, plus vendor, device
 // type, model, and firmware version where the banner carries them. It
 // substitutes for the Recog and Ztag rule repositories; like them, the
-// rules are ordered regular expressions with capture groups, and banners
-// that match no rule but look device-like (the paper's generic
-// letters+digits token regex) are dumped to an unknown-banner log for
-// later rule authoring.
+// rules are ordered regular expressions with capture groups.
 package recog
 
-import (
-	"regexp"
-	"sync"
-)
+import "regexp"
 
 // Match is the outcome of fingerprinting one banner.
 type Match struct {
@@ -43,13 +37,9 @@ type rule struct {
 	fwG     int    // capture group index for firmware (-1 = none)
 }
 
-// DB is an ordered fingerprint rule base with an unknown-banner log.
+// DB is an ordered fingerprint rule base. It is read-only once built.
 type DB struct {
-	rules     []rule
-	genericRe *regexp.Regexp
-
-	mu      sync.Mutex
-	unknown []string
+	rules []rule
 }
 
 // NewDB builds the default rule base.
@@ -62,9 +52,6 @@ func NewDB() *DB {
 		}
 	}
 	return &DB{
-		// The paper's generic rule for mining device-like text from
-		// unknown banners.
-		genericRe: regexp.MustCompile(`[a-z]+[-]?[a-z!]*[0-9]+[-]?[-]?[a-z0-9]`),
 		rules: []rule{
 			// --- Vendor-specific IoT rules (detailed extraction) ---
 			mk("mikrotik-ftp", `220 (.+) FTP server \(MikroTik ([\d.]+)\)`, true, "MikroTik", "Router", "", 1, 2),
@@ -121,8 +108,7 @@ func NewDB() *DB {
 }
 
 // Match fingerprints one banner. Rules are evaluated in order; the first
-// hit wins (vendor-specific before generic, as in Recog). Unmatched
-// banners that contain device-like text are recorded in the unknown log.
+// hit wins (vendor-specific before generic, as in Recog).
 func (db *DB) Match(banner string) (Match, bool) {
 	if banner == "" {
 		return Match{}, false
@@ -143,13 +129,6 @@ func (db *DB) Match(banner string) (Match, bool) {
 			m.Firmware = sub[r.fwG]
 		}
 		return m, true
-	}
-	if db.genericRe.MatchString(banner) {
-		db.mu.Lock()
-		if len(db.unknown) < 10000 {
-			db.unknown = append(db.unknown, banner)
-		}
-		db.mu.Unlock()
 	}
 	return Match{}, false
 }
@@ -187,15 +166,3 @@ func better(a, b Match) bool {
 	}
 	return score(a) > score(b)
 }
-
-// UnknownBanners returns a copy of the unknown-banner log.
-func (db *DB) UnknownBanners() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]string, len(db.unknown))
-	copy(out, db.unknown)
-	return out
-}
-
-// NumRules returns the rule count (for docs/metrics).
-func (db *DB) NumRules() int { return len(db.rules) }

@@ -314,15 +314,6 @@ func (r *Registry) Lookup(ip packet.IP) (Info, bool) {
 	return info, true
 }
 
-// RDNS returns the reverse-DNS name for ip, or "" for unallocated space.
-func (r *Registry) RDNS(ip packet.IP) string {
-	info, ok := r.Lookup(ip)
-	if !ok {
-		return ""
-	}
-	return info.RDNS
-}
-
 // PickInfectedHost samples an address for a new infected IoT device,
 // following the per-country infection-density weights.
 func (r *Registry) PickInfectedHost(rng *rand.Rand) packet.IP {
@@ -376,6 +367,3 @@ func hostIn(p packet.Prefix, rng *rand.Rand) packet.IP {
 		}
 	}
 }
-
-// Allocations returns the registry's allocation count (for tests/metrics).
-func (r *Registry) Allocations() int { return len(r.allocs) }

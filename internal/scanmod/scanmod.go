@@ -1,8 +1,8 @@
 // Package scanmod implements eX-IoT's Scan Module: it buffers newly
 // detected scanners into batches (the paper: 100k records or 60
 // minutes), drives the ZMap/ZGrab active measurements against them,
-// applies the Recog/Ztag fingerprint database to the returned banners,
-// and dumps unmatched device-like banners for rule authoring.
+// and applies the Recog/Ztag fingerprint database to the returned
+// banners.
 package scanmod
 
 import (
@@ -98,9 +98,6 @@ func (m *Module) Enqueue(ip packet.IP, now time.Time) []Tagged {
 	return nil
 }
 
-// Pending returns the number of buffered scanners.
-func (m *Module) Pending() int { return len(m.pending) }
-
 // Flush probes every buffered scanner and returns the tagged results.
 func (m *Module) Flush() []Tagged {
 	if len(m.pending) == 0 {
@@ -163,9 +160,4 @@ func (m *Module) Buffer() (pending []packet.IP, oldestAdded time.Time) {
 func (m *Module) RestoreBuffer(pending []packet.IP, oldestAdded time.Time) {
 	m.pending, m.oldestAdded = slices.Clone(pending), oldestAdded
 	metPending.Set(float64(len(m.pending)))
-}
-
-// UnknownBanners exposes the rule base's unknown-banner dump.
-func (m *Module) UnknownBanners() []string {
-	return m.db.UnknownBanners()
 }

@@ -37,8 +37,8 @@ func TestBatchBySize(t *testing.T) {
 	if len(flushed) != 5 {
 		t.Errorf("flushed %d, want 5", len(flushed))
 	}
-	if m.Pending() != 0 {
-		t.Errorf("pending = %d after flush", m.Pending())
+	if len(m.pending) != 0 {
+		t.Errorf("pending = %d after flush", len(m.pending))
 	}
 }
 
@@ -127,17 +127,17 @@ func TestTaggingAgainstWorld(t *testing.T) {
 	}
 }
 
-func TestUnknownBannerDump(t *testing.T) {
-	// A world-less module with a prober returning an unknown device-like
-	// banner must dump it.
-	m := New(Default(), zmap.NewScannerWithPorts(oddProber{}, []uint16{80}), recog.NewDB())
+func TestUnknownBannerUntagged(t *testing.T) {
+	// Every port of the host answers with a device-like banner no rule
+	// matches: the host is probed and banner-grabbed, but left untagged.
+	m := New(Default(), zmap.NewScanner(oddProber{}), recog.NewDB())
 	m.Enqueue(packet.MustParseIP("198.18.0.1"), t0)
 	out := m.Flush()
-	if len(out) != 1 || out[0].Match != nil {
-		t.Fatalf("unexpected tag: %+v", out)
+	if len(out) != 1 || out[0].Match != nil || !out[0].Result.HasBanner() {
+		t.Fatalf("unexpected flush: %+v", out)
 	}
-	if got := m.UnknownBanners(); len(got) != 1 {
-		t.Errorf("unknown dump = %d entries, want 1", len(got))
+	if scanned, tagged := m.Stats(); scanned != 1 || tagged != 0 {
+		t.Errorf("scanned/tagged = %d/%d, want 1/0", scanned, tagged)
 	}
 }
 

@@ -89,16 +89,6 @@ func Suite() []Scenario {
 	}
 }
 
-// ByName returns the named scenario from the suite.
-func ByName(name string) (Scenario, bool) {
-	for _, sc := range Suite() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return Scenario{}, false
-}
-
 // stealthSubThreshold injects low-and-slow scanners whose per-session
 // telescope footprint stays just below the TRW detection threshold:
 // ~30-minute sessions at 10 pps Internet-wide (≈0.04 pps observed,

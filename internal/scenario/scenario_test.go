@@ -164,10 +164,7 @@ func TestScenarioPartitionInvariance(t *testing.T) {
 // TestScenarioSeedSensitivity guards against an accidentally ignored
 // seed: different seeds must build different worlds.
 func TestScenarioSeedSensitivity(t *testing.T) {
-	sc, ok := ByName("stealth-subthreshold")
-	if !ok {
-		t.Fatal("suite is missing stealth-subthreshold")
-	}
+	sc := stealthSubThreshold()
 	_, d1, truth1 := RunTap(sc, 1, 3)
 	_, d2, truth2 := RunTap(sc, 2, 3)
 	if reflect.DeepEqual(truth1, truth2) {

@@ -34,47 +34,3 @@ func (w *World) GrabBanner(ip packet.IP, port uint16) (banner, protocol string, 
 	}
 	return svc.banner, svc.protocol, true
 }
-
-// OpenPorts lists the probe-reachable ports of ip (used by tests).
-func (w *World) OpenPorts(ip packet.IP) []uint16 {
-	h, ok := w.byIP[ip]
-	if !ok || h.behindNAT || h.portsClosed {
-		return nil
-	}
-	ports := make([]uint16, 0, len(h.services))
-	for p := range h.services {
-		ports = append(ports, p)
-	}
-	return ports
-}
-
-// BannerStats summarizes active-probe reachability of the infected
-// population (evaluation of the paper's §VI limitation: <10 % of infected
-// hosts return banners; ~3 % return textual device information).
-type BannerStats struct {
-	Infected      int
-	Reachable     int // at least one service answers a probe
-	TextualBanner int // at least one banner carries device-identifying text
-}
-
-// InfectedBannerStats computes BannerStats over the infected population.
-func (w *World) InfectedBannerStats() BannerStats {
-	var st BannerStats
-	for _, h := range w.hosts {
-		if h.Kind != KindInfectedIoT {
-			continue
-		}
-		st.Infected++
-		if h.behindNAT || h.portsClosed || len(h.services) == 0 {
-			continue
-		}
-		st.Reachable++
-		for _, svc := range h.services {
-			if bannerIsTextual(svc.banner) {
-				st.TextualBanner++
-				break
-			}
-		}
-	}
-	return st
-}

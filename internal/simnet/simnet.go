@@ -13,7 +13,6 @@ package simnet
 
 import (
 	"math/rand"
-	"strings"
 	"time"
 
 	"exiot/internal/device"
@@ -166,12 +165,6 @@ func (h *Host) TargetsAnyPort(ports map[uint16]bool) bool {
 		}
 	}
 	return false
-}
-
-// MiraiLineage reports whether the host is infected with Mirai or one of
-// its descendants.
-func (h *Host) MiraiLineage() bool {
-	return h.Family != nil && h.Family.MiraiLineage
 }
 
 // Config parameterizes world construction. The zero value is unusable;
@@ -549,66 +542,5 @@ func (w *World) HostByIP(ip packet.IP) (*Host, bool) {
 // Registry exposes the registry the world was placed into.
 func (w *World) Registry() *registry.Registry { return w.reg }
 
-// Telescope returns the monitored prefix.
-func (w *World) Telescope() packet.Prefix { return w.cfg.Telescope }
-
 // Start returns the beginning of the simulated span.
 func (w *World) Start() time.Time { return w.cfg.Start }
-
-// Days returns the simulated span length in days.
-func (w *World) Days() int { return w.cfg.Days }
-
-// CountKind returns the number of hosts of kind k.
-func (w *World) CountKind(k HostKind) int {
-	n := 0
-	for _, h := range w.hosts {
-		if h.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
-// VendorBreakdown tallies ground-truth vendors of infected hosts
-// (evaluation only).
-func (w *World) VendorBreakdown() map[string]int {
-	out := map[string]int{}
-	for _, h := range w.hosts {
-		if h.Kind == KindInfectedIoT {
-			out[h.Model.Vendor]++
-		}
-	}
-	return out
-}
-
-// bannerIsTextual reports whether a banner carries device-identifying text
-// per the paper's generic extraction regex (letters+digits tokens such as
-// model numbers). Used by evaluation to measure the ~3 % textual share.
-func bannerIsTextual(banner string) bool {
-	return strings.Contains(banner, "AXIS") || textualToken(banner)
-}
-
-func textualToken(s string) bool {
-	// Simplified shape of the paper's rule "[a-z]+[-]?[a-z!]*[0-9]+...":
-	// a letter run immediately followed by digits (e.g. "FI9821P",
-	// "DIR-615", "RouterOS 6.45").
-	lower := strings.ToLower(s)
-	runLetters := 0
-	for i := 0; i < len(lower); i++ {
-		c := lower[i]
-		switch {
-		case c >= 'a' && c <= 'z':
-			runLetters++
-		case c == '-' && runLetters > 0:
-			// allow a single hyphen inside the token
-		case c >= '0' && c <= '9':
-			if runLetters >= 2 {
-				return true
-			}
-			runLetters = 0
-		default:
-			runLetters = 0
-		}
-	}
-	return false
-}

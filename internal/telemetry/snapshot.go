@@ -52,17 +52,11 @@ func (h *Histogram) Snapshot() HistogramData {
 	return d
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) of the observed values
-// the way Prometheus' histogram_quantile does: find the bucket the rank
-// falls into and interpolate linearly between its bounds. Observations
-// beyond the last finite bucket clamp to that bound; an empty histogram
-// returns NaN.
-func (h *Histogram) Quantile(q float64) float64 {
-	d := h.Snapshot()
-	return quantileFromBuckets(d.Buckets, d.Count, q)
-}
-
-// quantileFromBuckets interpolates a quantile from cumulative buckets.
+// quantileFromBuckets estimates the q-quantile (0 < q < 1) from
+// cumulative buckets the way Prometheus' histogram_quantile does: find the
+// bucket the rank falls into and interpolate linearly between its bounds.
+// Observations beyond the last finite bucket clamp to that bound; an
+// empty histogram gives NaN.
 func quantileFromBuckets(buckets []Bucket, count int64, q float64) float64 {
 	if count == 0 || q <= 0 || q >= 1 || len(buckets) == 0 {
 		return math.NaN()

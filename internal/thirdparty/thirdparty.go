@@ -38,9 +38,6 @@ type Feed struct {
 	obs  map[string]Observation
 }
 
-// Len returns the number of indexed indicators.
-func (f *Feed) Len() int { return len(f.obs) }
-
 // Contains reports whether ip is indexed.
 func (f *Feed) Contains(ip string) bool {
 	_, ok := f.obs[ip]

@@ -53,8 +53,8 @@ func TestGreyNoisePartialIoTCoverage(t *testing.T) {
 		t.Errorf("GreyNoise IoT coverage = %.3f, want ≈0.2", frac)
 	}
 	// Overall feed is much smaller than the telescope's view.
-	if gn.Len() >= all.Len() {
-		t.Errorf("GreyNoise (%d) should see less than the telescope truth (%d)", gn.Len(), all.Len())
+	if len(gn.obs) >= all.Len() {
+		t.Errorf("GreyNoise (%d) should see less than the telescope truth (%d)", len(gn.obs), all.Len())
 	}
 	// Mirai tags exist and are a subset.
 	mirai := gn.MiraiSet()
@@ -79,8 +79,8 @@ func TestGreyNoiseDeterministic(t *testing.T) {
 	w, from, to := bigWorld(t)
 	a := BuildGreyNoise(w, from, to, 5)
 	b := BuildGreyNoise(w, from, to, 5)
-	if a.Len() != b.Len() {
-		t.Fatalf("non-deterministic: %d vs %d", a.Len(), b.Len())
+	if len(a.obs) != len(b.obs) {
+		t.Fatalf("non-deterministic: %d vs %d", len(a.obs), len(b.obs))
 	}
 	for ip := range a.obs {
 		if !b.Contains(ip) {
@@ -93,7 +93,7 @@ func TestDShieldNoIoTFocus(t *testing.T) {
 	w, from, to := bigWorld(t)
 	ds := BuildDShield(w, from, to, 2)
 	iot, _ := truthSets(w, from, to)
-	if ds.Len() == 0 {
+	if len(ds.obs) == 0 {
 		t.Fatal("empty DShield feed")
 	}
 	frac := float64(ds.IndicatorSet().Intersect(iot)) / float64(iot.Len())
@@ -109,7 +109,7 @@ func TestDShieldNoIoTFocus(t *testing.T) {
 func TestBadPacketsIoTOnly(t *testing.T) {
 	w, from, to := bigWorld(t)
 	bp := BuildBadPackets(w, from, to, 3)
-	if bp.Len() == 0 {
+	if len(bp.obs) == 0 {
 		t.Fatal("empty Bad Packets feed")
 	}
 	for ip := range bp.obs {

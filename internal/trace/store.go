@@ -99,17 +99,6 @@ func (s *Store) Add(f *Flow, end time.Time) {
 	s.slowMu.Unlock()
 }
 
-// Len returns the number of flows in the recent ring.
-func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-		n += len(s.shards[i].ring)
-		s.shards[i].mu.Unlock()
-	}
-	return n
-}
-
 // Get returns the completed trace for id, checking the recent ring
 // first and the slowest-per-stage retention second.
 func (s *Store) Get(id ID) (*Detail, bool) {

@@ -200,9 +200,9 @@ func (f *Flow) Spans() []Span {
 // Tracer owns the sampling decision, the completed-trace store, the
 // end-to-end latency histogram, and the slow-trace log.
 type Tracer struct {
-	sampleEvery atomic.Int64 // 0 = off, 1 = every event, N = id%N == 0
-	slowNs      atomic.Int64 // 0 = slow logging off
-	logger      atomic.Pointer[slog.Logger]
+	sampleEvery atomic.Int64                // 0 = off, 1 = every event, N = id%N == 0
+	slowNs      atomic.Int64                // 0 = slow logging off
+	logger      atomic.Pointer[slog.Logger] // nil logs through slog.Default; tests store their own
 	store       *Store
 }
 
@@ -230,9 +230,6 @@ func (t *Tracer) SetSampleEvery(n int) { t.sampleEvery.Store(int64(n)) }
 // SetSlowThreshold sets the end-to-end duration above which a completed
 // trace is logged (0 disables the slow log).
 func (t *Tracer) SetSlowThreshold(d time.Duration) { t.slowNs.Store(int64(d)) }
-
-// SetLogger overrides the slow-trace logger (nil restores slog.Default).
-func (t *Tracer) SetLogger(l *slog.Logger) { t.logger.Store(l) }
 
 // Enabled reports whether any sampling is configured. One atomic load:
 // cheap enough for per-event checks on the hot path.

@@ -137,7 +137,11 @@ func TestStoreRingBoundAndTailRetention(t *testing.T) {
 		f.SpanAt("probe", base, base, base.Add(work))
 		store.Add(f, base.Add(work))
 	}
-	if n := store.Len(); n > 16 {
+	n := 0
+	for i := range store.shards {
+		n += len(store.shards[i].ring)
+	}
+	if n > 16 {
 		t.Fatalf("ring holds %d flows, capacity 16", n)
 	}
 	if _, ok := store.Get(slowID); !ok {
@@ -213,7 +217,7 @@ func TestSlowTraceLogged(t *testing.T) {
 	tr := NewTracer(NewStore(16, 2))
 	tr.SetSampleEvery(1)
 	tr.SetSlowThreshold(time.Nanosecond)
-	tr.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
+	tr.logger.Store(slog.New(slog.NewTextHandler(&buf, nil)))
 	f := tr.Sample(ID(77), "198.51.100.1", "batch")
 	f.SpanAt("probe", f.Start, f.Start, f.Start.Add(time.Millisecond))
 	time.Sleep(time.Microsecond)

@@ -84,15 +84,6 @@ type TrainedModel struct {
 	TestSize   int
 }
 
-// Predict scores one raw feature vector.
-func (m *TrainedModel) Predict(raw []float64) (label int, score float64) {
-	score = m.Forest.PredictProba(m.Normalizer.Apply(raw))
-	if score >= 0.5 {
-		label = 1
-	}
-	return label, score
-}
-
 // ErrNotEnoughData is returned by Retrain when the window cannot support
 // a two-class split.
 var ErrNotEnoughData = errors.New("trainer: not enough labeled data in window")

@@ -54,12 +54,17 @@ func TestRetrainProducesUsableModel(t *testing.T) {
 	// The model predicts the right way around.
 	iot := synthExample(rng, 1, t0)
 	non := synthExample(rng, 0, t0)
-	if lbl, score := m.Predict(iot.Raw); lbl != 1 || score < 0.5 {
-		t.Errorf("IoT example predicted %d (%.2f)", lbl, score)
+	if p := score(m, iot.Raw); p < 0.5 {
+		t.Errorf("IoT example scored %.2f", p)
 	}
-	if lbl, _ := m.Predict(non.Raw); lbl != 0 {
-		t.Errorf("non-IoT example predicted %d", lbl)
+	if p := score(m, non.Raw); p >= 0.5 {
+		t.Errorf("non-IoT example scored %.2f", p)
 	}
+}
+
+// score is the IoT probability the model gives one raw feature vector.
+func score(m *TrainedModel, raw []float64) float64 {
+	return m.Forest.PredictProba(m.Normalizer.Apply(raw))
 }
 
 func TestRetrainRequiresBothClasses(t *testing.T) {
@@ -195,10 +200,8 @@ func TestLoadLatestRoundTrip(t *testing.T) {
 	// The reconstructed model must score identically to the original.
 	for i := 0; i < 20; i++ {
 		ex := synthExample(rng, i%2, t0)
-		l1, s1 := orig.Predict(ex.Raw)
-		l2, s2 := loaded.Predict(ex.Raw)
-		if l1 != l2 || s1 != s2 {
-			t.Fatalf("loaded model diverges: (%d,%.4f) vs (%d,%.4f)", l1, s1, l2, s2)
+		if s1, s2 := score(orig, ex.Raw), score(loaded, ex.Raw); s1 != s2 {
+			t.Fatalf("loaded model diverges: %.4f vs %.4f", s1, s2)
 		}
 	}
 	// Empty dir → nil model, no error.

@@ -3,158 +3,87 @@ package trw
 import (
 	"math"
 	"testing"
-	"testing/quick"
+	"time"
+
+	"exiot/internal/packet"
 )
 
-func TestSPRTParamsValidate(t *testing.T) {
-	if err := DefaultSPRTParams().Validate(); err != nil {
-		t.Fatalf("default params invalid: %v", err)
-	}
-	bad := []SPRTParams{
-		{Theta0: 0, Theta1: 0.8, Alpha: 0.01, Beta: 0.01},
-		{Theta0: 0.2, Theta1: 1, Alpha: 0.01, Beta: 0.01},
-		{Theta0: 0.8, Theta1: 0.2, Alpha: 0.01, Beta: 0.01}, // θ1 ≤ θ0
-		{Theta0: 0.2, Theta1: 0.8, Alpha: 0, Beta: 0.01},
-		{Theta0: 0.2, Theta1: 0.8, Alpha: 0.01, Beta: 1},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad params %d validated", i)
-		}
-	}
-	if _, err := NewSPRT(SPRTParams{}); err == nil {
-		t.Error("zero params accepted")
-	}
+// The Detector's packet threshold is the darknet case of the sequential
+// probability ratio test behind Threshold Random Walk (Jung, Paxson,
+// Berger, Balakrishnan, Oakland 2004; refs [54, 55] of the paper). On a
+// darknet every connection attempt fails, so each packet moves the
+// log-likelihood ratio up by ln(θ1/θ0) and the test declares a scanner
+// after N = ⌈ln((1−β)/α) / ln(θ1/θ0)⌉ packets: TRW is a packet counter.
+// At Jung et al.'s θ0 = 0.2, θ1 = 0.8 and β = 0.01, the paper's 100
+// packets is the false-positive rate α = (1−β)/(θ1/θ0)^100.
+const sprtTheta0, sprtTheta1, sprtBeta = 0.2, 0.8, 0.01
+
+// sprtEps absorbs the last bits of the two rounded logarithms.
+const sprtEps = 1e-9
+
+// darknetSPRT returns the α implied by the Detector's threshold n, the
+// upper bound ln η1 = ln((1−β)/α) and the per-failure step ln(θ1/θ0).
+func darknetSPRT() (n int, alpha, upper, step float64) {
+	n = Default().DetectionThreshold
+	alpha = (1 - sprtBeta) / math.Pow(sprtTheta1/sprtTheta0, float64(n))
+	return n, alpha, math.Log((1 - sprtBeta) / alpha), math.Log(sprtTheta1 / sprtTheta0)
 }
 
-func TestDarknetFailuresReachScannerVerdict(t *testing.T) {
-	params := DefaultSPRTParams()
-	s, err := NewSPRT(params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := params.DarknetThreshold()
-	for i := 0; i < want-1; i++ {
-		if v := s.ObserveFailure(); v != VerdictPending {
-			t.Fatalf("verdict %v after %d failures, want pending until %d", v, i+1, want)
+// sprtCrossing is the packet at which a walk of failures first reaches
+// the upper bound.
+func sprtCrossing(upper, step float64, limit int) int {
+	walk := 0.0
+	for packet := 1; packet <= limit; packet++ {
+		if walk += step; walk >= upper-sprtEps {
+			return packet
 		}
 	}
-	if v := s.ObserveFailure(); v != VerdictScanner {
-		t.Fatalf("verdict %v after %d failures, want scanner", v, want)
-	}
-	if s.Observed() != want {
-		t.Errorf("observed = %d, want %d", s.Observed(), want)
-	}
-	// Decisions are terminal.
-	if v := s.ObserveSuccess(); v != VerdictScanner {
-		t.Error("terminal verdict changed")
-	}
+	return 0
 }
 
-func TestBenignSuccessesReachBenignVerdict(t *testing.T) {
-	s, err := NewSPRT(DefaultSPRTParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := VerdictPending
-	for i := 0; i < 100 && v == VerdictPending; i++ {
-		v = s.ObserveSuccess()
-	}
-	if v != VerdictBenign {
-		t.Fatalf("verdict = %v after successes, want benign", v)
-	}
-}
-
-func TestAlternatingStaysBalanced(t *testing.T) {
-	// With the symmetric default (θ1 = 1 − θ0), a fail and a success
-	// cancel exactly; the walk stays pending forever.
-	s, err := NewSPRT(DefaultSPRTParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		s.ObserveFailure()
-		if v := s.ObserveSuccess(); v != VerdictPending {
-			t.Fatalf("alternating walk decided %v at step %d", v, i)
-		}
+// TestParamsForPaperThreshold: 100 packets at ln 4 per step imply an
+// astronomically small α, so the paper's operating point is extremely
+// conservative about false positives, the right trade for an
+// operational feed.
+func TestParamsForPaperThreshold(t *testing.T) {
+	_, alpha, _, _ := darknetSPRT()
+	if !(alpha > 0) || alpha > 1e-50 {
+		t.Errorf("implied α = %g, want positive and astronomically small", alpha)
 	}
 }
 
 func TestDarknetThresholdFormula(t *testing.T) {
-	p := DefaultSPRTParams()
-	n := p.DarknetThreshold()
-	// Directly: N = ⌈ln((1−β)/α) / ln(θ1/θ0)⌉ = ⌈ln(0.99/1e-5)/ln 4⌉ = 9.
-	want := int(math.Ceil(math.Log(0.99/1e-5) / math.Log(4)))
-	if n != want {
-		t.Errorf("DarknetThreshold = %d, want %d", n, want)
+	n, alpha, upper, step := darknetSPRT()
+	if got := int(math.Ceil(upper/step - sprtEps)); got != n || n != 100 {
+		t.Fatalf("the SPRT at α = %g declares a scanner after %d packets; the Detector counts %d, the paper 100", alpha, got, n)
 	}
 }
 
-// TestParamsForPaperThreshold documents the correspondence between the
-// paper's 100-packet operating point and SPRT parameters.
-func TestParamsForPaperThreshold(t *testing.T) {
-	p, err := ParamsForDarknetThreshold(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.DarknetThreshold(); got != 100 {
-		t.Fatalf("round-trip threshold = %d, want 100", got)
-	}
-	// 100 packets at ln(4) per step implies an astronomically small α:
-	// the paper's operating point is extremely conservative about false
-	// positives, which is the right trade for an operational feed.
-	if p.Alpha > 1e-50 {
-		t.Errorf("implied α = %g, expected astronomically small", p.Alpha)
-	}
-	if _, err := ParamsForDarknetThreshold(0); err == nil {
-		t.Error("zero threshold accepted")
-	}
-	if _, err := ParamsForDarknetThreshold(10000); err == nil {
-		t.Error("unrepresentable threshold accepted")
+func TestDarknetFailuresReachScannerVerdict(t *testing.T) {
+	n, _, upper, step := darknetSPRT()
+	if got := sprtCrossing(upper, step, 2*n); got != n {
+		t.Fatalf("the walk of failures crosses ln η1 = %.6f at packet %d, want %d and not %d", upper, got, n, n-1)
 	}
 }
 
-func TestParamsRoundTripProperty(t *testing.T) {
-	f := func(raw uint16) bool {
-		threshold := int(raw%400) + 1
-		p, err := ParamsForDarknetThreshold(threshold)
-		if err != nil {
-			return false
-		}
-		return p.DarknetThreshold() == threshold
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestSPRTAgreesWithDetectorCounter shows the equivalence the Detector
-// relies on: on darknet traffic (failures only), the SPRT fires at
-// exactly its DarknetThreshold — a pure packet counter.
+// TestSPRTAgreesWithDetectorCounter feeds one source's probes to the
+// shipped Detector and checks that it reports the scanner at the packet
+// where the SPRT walk crosses, no earlier and no later.
 func TestSPRTAgreesWithDetectorCounter(t *testing.T) {
-	for _, threshold := range []int{10, 50, 100, 200} {
-		p, err := ParamsForDarknetThreshold(threshold)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewSPRT(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fired := 0
-		for i := 1; i <= threshold+10; i++ {
-			if s.ObserveFailure() == VerdictScanner && fired == 0 {
-				fired = i
-			}
-		}
-		if fired != threshold {
-			t.Errorf("threshold %d: SPRT fired at %d", threshold, fired)
+	n, _, upper, step := darknetSPRT()
+	want := sprtCrossing(upper, step, 2*n)
+	src := packet.MustParseIP("203.0.113.9")
+	pkts := steadyStream(src, t0, 2*n, time.Second)
+	detected := false
+	d := NewDetector(Default(), func(e Event) { detected = detected || e.Kind == EventScannerDetected })
+	detectedAt := 0
+	for i := range pkts {
+		if d.Process(&pkts[i]); detected {
+			detectedAt = i + 1
+			break
 		}
 	}
-}
-
-func TestVerdictString(t *testing.T) {
-	if VerdictPending.String() != "pending" || VerdictScanner.String() != "scanner" || VerdictBenign.String() != "benign" {
-		t.Error("verdict names wrong")
+	if detectedAt != want || want != n {
+		t.Fatalf("the Detector reports at packet %d, the SPRT walk crosses at %d, the threshold is %d", detectedAt, want, n)
 	}
 }

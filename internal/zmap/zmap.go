@@ -58,9 +58,6 @@ var Protocols = []string{
 	"cwmp", "smb", "modbus", "bacnet", "fox", "sip", "rtsp", "dnp3",
 }
 
-// DefaultRate is the paper's ZMap probe budget (5k pps).
-const DefaultRate = 5000.0
-
 // Banner is one grabbed application banner.
 type Banner struct {
 	Port     uint16 `json:"port"`
@@ -91,9 +88,6 @@ func (r *HostResult) BannerTexts() []string {
 type Scanner struct {
 	prober Prober
 	ports  []uint16
-	// Rate is the simulated probe budget in probes/second, used to
-	// account scan latency (the paper runs ZMap at 5k pps).
-	Rate float64
 	// Workers caps ScanBatch's probe concurrency (0 = GOMAXPROCS). The
 	// pipeline wires ServerConfig.Workers here so one knob governs the
 	// whole back half.
@@ -105,12 +99,7 @@ type Scanner struct {
 
 // NewScanner builds a scanner over the default Table I port set.
 func NewScanner(p Prober) *Scanner {
-	return &Scanner{prober: p, ports: Ports, Rate: DefaultRate}
-}
-
-// NewScannerWithPorts builds a scanner over a custom port set.
-func NewScannerWithPorts(p Prober, ports []uint16) *Scanner {
-	return &Scanner{prober: p, ports: ports, Rate: DefaultRate}
+	return &Scanner{prober: p, ports: Ports}
 }
 
 // NumPorts returns the number of ports probed per host (trace
@@ -159,15 +148,6 @@ func (s *Scanner) ProbesSent() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.probesSent
-}
-
-// SimulatedScanSeconds returns how long the batch would have taken on the
-// wire at the configured probe rate.
-func (s *Scanner) SimulatedScanSeconds(hosts int) float64 {
-	if s.Rate <= 0 {
-		return 0
-	}
-	return float64(hosts) * float64(len(s.ports)) / s.Rate
 }
 
 // PortProtocol guesses the ZGrab protocol for a port (used to decide

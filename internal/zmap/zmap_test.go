@@ -129,25 +129,13 @@ func TestCustomPorts(t *testing.T) {
 		proto: "telnet",
 		open:  map[packet.IP]map[uint16]string{ip: {23: "login: "}},
 	}
-	s := NewScannerWithPorts(f, []uint16{23})
+	s := &Scanner{prober: f, ports: []uint16{23}}
 	res := s.ScanHost(ip)
 	if len(res.OpenPorts) != 1 || res.OpenPorts[0] != 23 {
 		t.Errorf("custom-port scan = %+v", res)
 	}
 	if n := f.queries.Load(); n != 1 {
 		t.Errorf("probed %d ports, want 1", n)
-	}
-}
-
-func TestSimulatedScanSeconds(t *testing.T) {
-	s := NewScanner(&fakeProber{})
-	// 100 hosts × 50 ports at 5000 pps = 1 s.
-	if got := s.SimulatedScanSeconds(100); got != 1.0 {
-		t.Errorf("SimulatedScanSeconds(100) = %v, want 1.0", got)
-	}
-	s.Rate = 0
-	if got := s.SimulatedScanSeconds(100); got != 0 {
-		t.Errorf("zero rate should yield 0, got %v", got)
 	}
 }
 
