@@ -215,7 +215,7 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 	defer stop()
 	snap := cache.Current()
 	fmt.Printf("feed cache: %d records, export %d B raw, rebuild every %s\n",
-		snap.Len(), len(snap.ExportNDJSON()), rebuildEvery)
+		snap.Len(), snap.Size(), rebuildEvery)
 	fmt.Printf("REST API on http://%s (key: %s)\n", apiAddr, apiKey)
 	return http.ListenAndServe(apiAddr, apiSrv)
 }

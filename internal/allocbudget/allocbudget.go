@@ -18,9 +18,7 @@ import (
 // random, which makes any count meaningless, so Check skips under -race.
 func Check(t *testing.T, runs int, ceiling [2]float64, op func()) {
 	t.Helper()
-	if raceEnabled() {
-		t.Skip("sync.Pool drops items at random under -race")
-	}
+	SkipUnderRace(t)
 	for i, procs := range [2]int{1, 4} {
 		got := testing.AllocsPerRun(runs, func() {
 			runtime.GOMAXPROCS(procs)
@@ -30,6 +28,16 @@ func Check(t *testing.T, runs int, ceiling [2]float64, op func()) {
 		if got > ceiling[i] {
 			t.Errorf("GOMAXPROCS %d: %.0f allocs/op, over the budget of %.0f", procs, got, ceiling[i])
 		}
+	}
+}
+
+// SkipUnderRace skips t in a binary built with -race, where sync.Pool
+// drops items at random, so no allocation count or byte total means
+// anything.
+func SkipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled() {
+		t.Skip("sync.Pool drops items at random under -race")
 	}
 }
 

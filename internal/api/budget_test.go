@@ -79,7 +79,7 @@ func TestRecordsAllocBudget(t *testing.T) {
 		ceiling float64
 	}{
 		{"snapshot", snap, request("limit=100", ""), http.StatusOK, 100, 40},                      // 37
-		{"snapshot_304", snap, request("limit=100", etag), http.StatusNotModified, 100, 24},       // 22
+		{"snapshot_304", snap, request("limit=100", etag), http.StatusNotModified, 100, 19},       // 18
 		{"store_walk", walk, request("limit=100", ""), http.StatusOK, 3, 1168},                    // 1,062
 		{"snapshot_filtered", snap, request("limit=100&active=true", ""), http.StatusOK, 100, 42}, // 39
 		{"snapshot_cursor", snap, request("cursor=0&limit=500", ""), http.StatusOK, 100, 46},      // 42

@@ -8,11 +8,10 @@ package api
 // in api.go keep the original store-walking behavior.
 
 import (
-	"fmt"
-	"hash/fnv"
+	"bufio"
 	"io"
+	"math/bits"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -20,19 +19,33 @@ import (
 	"exiot/internal/feedserve"
 )
 
+// exportChunk caps the writes of the identity bulk export.
+const exportChunk = 1 << 20
+
 // sseHeartbeat is the idle-connection keepalive cadence on /events:
 // a comment frame that lets both sides detect a dead peer.
 const sseHeartbeat = 15 * time.Second
 
-// snapshotETag derives a strong ETag from the snapshot's content
-// fingerprint plus the request's query string, so every distinct view
-// (page, filter, delta window) validates independently. The fingerprint
-// hashes the export bytes, so additions, updates, and deletions all
-// change it.
-func snapshotETag(snap *feedserve.Snapshot, rawQuery string) string {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, rawQuery)
-	return fmt.Sprintf("\"%016x-%x\"", snap.Fingerprint(), h.Sum64())
+// snapshotETag derives a strong ETag from a snapshot's content
+// fingerprint fp plus the FNV-1a 64 hash of the request's query string,
+// so every distinct view (page, filter, delta window) validates
+// independently: "<fp as 16 hex digits>-<query hash in hex>". The
+// fingerprint covers every block of the export, so additions, updates,
+// and deletions all change it. It is built in a stack buffer: the
+// revalidations it answers are most of a polling consumer's requests.
+func snapshotETag(fp uint64, rawQuery string) string {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(rawQuery); i++ {
+		h ^= uint64(rawQuery[i])
+		h *= 1099511628211
+	}
+	var buf [40]byte
+	b := append(buf[:0], '"')
+	b = append(b, "000000000000000"[:15-(bits.Len64(fp|1)-1)/4]...)
+	b = strconv.AppendUint(b, fp, 16)
+	b = append(b, '-')
+	b = strconv.AppendUint(b, h, 16)
+	return string(append(b, '"'))
 }
 
 // etagMatch implements If-None-Match: a comma-separated list of entity
@@ -97,27 +110,6 @@ func acceptsGzip(r *http.Request) bool {
 	return anyQ > 0
 }
 
-// snapshotWindow selects the legacy /records view from a snapshot:
-// insertion order, content filters applied, most recent Limit entries —
-// the exact record set source.Records(q) would return. It walks back
-// from the newest item and stops at the Limit-th match, so only
-// Limit == 0 walks the whole snapshot.
-func snapshotWindow(snap *feedserve.Snapshot, q *Query) []*feedserve.Item {
-	items := snap.Items()
-	want := len(items)
-	if q.Limit > 0 {
-		want = min(q.Limit, len(items))
-	}
-	sel := make([]*feedserve.Item, 0, want)
-	for i := len(items) - 1; i >= 0 && len(sel) < want; i-- {
-		if q.Matches(&items[i].Rec) {
-			sel = append(sel, &items[i])
-		}
-	}
-	slices.Reverse(sel)
-	return sel
-}
-
 // recordsBody assembles the /records JSON response from pre-marshaled
 // NDJSON lines. In legacy mode (cursor == nil) the bytes are identical
 // to writeJSON on {"count": n, "records": <records>} — including
@@ -168,7 +160,7 @@ func (s *Server) serveRecordsFromSnapshot(w http.ResponseWriter, r *http.Request
 	if snap == nil {
 		return false
 	}
-	etag := snapshotETag(snap, r.URL.RawQuery)
+	etag := snapshotETag(snap.Fingerprint(), r.URL.RawQuery)
 	if checkConditional(w, r, "records", etag) {
 		return true
 	}
@@ -193,7 +185,7 @@ func (s *Server) serveRecordsFromSnapshot(w http.ResponseWriter, r *http.Request
 		}
 		body = recordsBody(sel, &info)
 	} else {
-		body = recordsBody(snapshotWindow(snap, &q), nil)
+		body = recordsBody(snap.Latest(q.Limit, q.Matches), nil)
 	}
 
 	w.Header().Set("Content-Type", "application/json")
@@ -205,10 +197,11 @@ func (s *Server) serveRecordsFromSnapshot(w http.ResponseWriter, r *http.Request
 }
 
 // serveExportFromSnapshot handles GET /export off the feed snapshot.
-// The unfiltered bulk path writes the precomputed export buffer, or its
-// gzip form when the client accepts gzip: a second representation, with
-// its own ETag, and Vary: Accept-Encoding on both. Filtered, limited,
-// and delta requests concatenate the matching pre-marshaled lines.
+// The unfiltered bulk path writes the snapshot's export from its
+// blocks, or its gzip form when the client accepts gzip: a second
+// representation, with its own ETag, and Vary: Accept-Encoding on both.
+// Filtered, limited, and delta requests concatenate the matching
+// pre-marshaled lines.
 // Either way the NDJSON bytes are identical to the store-walked encoder
 // output. Returns false if no snapshot is available yet.
 func (s *Server) serveExportFromSnapshot(w http.ResponseWriter, r *http.Request, c *feedserve.Cache, q Query) bool {
@@ -219,7 +212,7 @@ func (s *Server) serveExportFromSnapshot(w http.ResponseWriter, r *http.Request,
 	after, seq := q.seqMode()
 	bulk := !seq && !q.filters() && q.Limit == 0
 	gz := bulk && acceptsGzip(r)
-	etag := snapshotETag(snap, r.URL.RawQuery)
+	etag := snapshotETag(snap.Fingerprint(), r.URL.RawQuery)
 	if gz {
 		etag = strings.TrimSuffix(etag, `"`) + `-gzip"`
 	}
@@ -234,14 +227,25 @@ func (s *Server) serveExportFromSnapshot(w http.ResponseWriter, r *http.Request,
 	w.Header().Set("Content-Disposition", `attachment; filename="exiot-export.ndjson"`)
 
 	if bulk {
-		body := snap.ExportNDJSON()
 		if gz {
+			body := snap.ExportGzip()
 			w.Header().Set("Content-Encoding", "gzip")
-			body = snap.ExportGzip()
+			w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(body)
+			return true
 		}
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Header().Set("Content-Length", strconv.Itoa(snap.Size()))
 		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(body)
+		// The blocks (tens of KB each) go out in writes of up to
+		// exportChunk: fewer syscalls on a socket, and a writer that
+		// keeps the whole body (a recorder, a proxy) gets an export of
+		// up to exportChunk in one write instead of growing a buffer to
+		// as much as twice its size.
+		bw := bufio.NewWriterSize(w, min(snap.Size(), exportChunk))
+		if _, err := snap.WriteTo(bw); err == nil {
+			_ = bw.Flush() // an error here is the client gone away
+		}
 		return true
 	}
 
@@ -249,7 +253,7 @@ func (s *Server) serveExportFromSnapshot(w http.ResponseWriter, r *http.Request,
 	if seq {
 		sel = snap.ItemsAfter(after, q.Limit, q.Matches)
 	} else {
-		sel = snapshotWindow(snap, &q)
+		sel = snap.Latest(q.Limit, q.Matches)
 	}
 	w.WriteHeader(http.StatusOK)
 	for _, it := range sel {

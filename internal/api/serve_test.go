@@ -6,6 +6,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -106,6 +107,24 @@ func TestSnapshotRecordsMatchLegacy(t *testing.T) {
 		}
 		if resp.Header.Get("ETag") == "" {
 			t.Errorf("%s: snapshot response has no ETag", path)
+		}
+	}
+}
+
+// TestSnapshotETagFormat holds snapshotETag to the tags it has always
+// issued, byte for byte: the fmt form over the fingerprint, zero-padded
+// to 16 hex digits, and the FNV-1a 64 hash of the raw query.
+func TestSnapshotETagFormat(t *testing.T) {
+	fps := []uint64{0, 1, 0xf, 0x10, 0xabc, 1 << 32, 0x0123456789abcdef, 1<<63 - 1, 1 << 63, ^uint64(0)}
+	queries := []string{"", "limit=100", "cursor=0&limit=500", "active=true&country=CN&limit=100", "since=42", "q=%C3%A9\xff"}
+	for _, fp := range fps {
+		for _, q := range queries {
+			h := fnv.New64a()
+			_, _ = io.WriteString(h, q)
+			want := fmt.Sprintf("\"%016x-%x\"", fp, h.Sum64())
+			if got := snapshotETag(fp, q); got != want {
+				t.Errorf("snapshotETag(%#x, %q) = %s, want %s", fp, q, got, want)
+			}
 		}
 	}
 }

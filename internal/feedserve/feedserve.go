@@ -1,13 +1,16 @@
 // Package feedserve is the CTI feed's distribution read path: an
 // immutable, atomically-swapped in-memory snapshot of the feed rebuilt
-// from the document store's Export hooks on change. Reads never take a
-// lock — they load the current snapshot pointer and serve pre-marshaled
-// bytes — while a single background rebuilder turns store mutations
-// into fresh snapshots, precomputed bulk exports, and SSE record deltas
-// for subscribers. A snapshot's gzip export is built on the first
-// request for it, from deflate blocks shared with earlier snapshots. This is how operational telescope feeds
-// (GreyNoise/DShield-style) serve millions of consumers: snapshots for
-// bulk, sequence-numbered deltas for freshness.
+// from the document store on change. Reads never take a lock — they
+// load the current snapshot pointer and serve pre-marshaled bytes —
+// while a single background rebuilder turns store mutations into fresh
+// snapshots and SSE record deltas for subscribers. A snapshot is a list
+// of blocks of records, and a rebuild shares every block whose records
+// did not change with the previous snapshot, so it allocates what
+// changed. A snapshot's gzip export is built on the first request for
+// it, from the blocks' deflate streams. This is how operational
+// telescope feeds (GreyNoise/DShield-style) serve millions of
+// consumers: snapshots for bulk, sequence-numbered deltas for
+// freshness.
 package feedserve
 
 import (
@@ -46,7 +49,7 @@ var (
 // Config parameterizes the cache.
 type Config struct {
 	// RebuildEvery is the minimum interval between background snapshot
-	// rebuilds — the export precompute cadence. Writes landing inside
+	// rebuilds — the snapshot cadence. Writes landing inside
 	// the interval are coalesced into the next rebuild. 0 means the
 	// 2-second default.
 	RebuildEvery time.Duration
@@ -93,6 +96,7 @@ type Cache struct {
 	mu          sync.Mutex
 	lastSeq     uint64
 	lastRebuild time.Time
+	build       *builder
 	subs        map[*Subscriber]struct{}
 	onRebuild   []func(*Snapshot)
 }
@@ -109,11 +113,12 @@ func New(coll *store.Collection[feed.Record], cfg Config) *Cache {
 		cfg.Clock = time.Now
 	}
 	c := &Cache{
-		coll: coll,
-		cfg:  cfg,
-		wake: make(chan struct{}, 1),
-		done: make(chan struct{}),
-		subs: make(map[*Subscriber]struct{}),
+		coll:  coll,
+		cfg:   cfg,
+		wake:  make(chan struct{}, 1),
+		done:  make(chan struct{}),
+		build: newBuilder(),
+		subs:  make(map[*Subscriber]struct{}),
 	}
 	// The hook runs under the store's lock: just flip the flag and nudge
 	// the rebuilder — never call back into the store from here.
@@ -216,8 +221,8 @@ func (c *Cache) rebuild() (*Snapshot, []func(*Snapshot)) {
 	if prev != nil {
 		prevLast = prev.LastSeq()
 	}
-	docs, versions := c.coll.ExportVersions()
-	snap, err := buildSnapshot(docs, versions, prev, &c.lastSeq, c.cfg.Clock())
+	docs := c.coll.ExportChanged(c.build.see)
+	snap, err := c.build.build(prev, docs, &c.lastSeq, c.cfg.Clock())
 	if err != nil {
 		// feed.Record always marshals; treat failure as "keep serving
 		// the previous snapshot" rather than poisoning the read path.
@@ -231,7 +236,7 @@ func (c *Cache) rebuild() (*Snapshot, []func(*Snapshot)) {
 	metSnapRecords.Set(float64(snap.Len()))
 	metSnapSeq.Set(float64(snap.LastSeq()))
 	metSnapBuilt.Set(float64(snap.BuiltAt().Unix()))
-	metExportBytes.With("raw").Set(float64(len(snap.ExportNDJSON())))
+	metExportBytes.With("raw").Set(float64(snap.Size()))
 
 	if len(c.subs) > 0 {
 		c.broadcastLocked(snap, prevLast)

@@ -37,6 +37,17 @@ func newCache(t *testing.T, n int) (*store.Collection[feed.Record], *Cache, []st
 	return coll, c, ids
 }
 
+// items returns the snapshot's items in insertion order.
+func items(s *Snapshot) []*Item {
+	var out []*Item
+	for _, b := range s.parts {
+		for i := range b.items {
+			out = append(out, &b.items[i])
+		}
+	}
+	return out
+}
+
 func ipFor(i int) string {
 	return string(rune('a'+i%26)) + ".example" // not a real IP; records don't require one
 }
@@ -73,13 +84,17 @@ func TestSnapshotExportMatchesStoreWalk(t *testing.T) {
 		t.Fatal("gzip export does not round-trip to the raw export")
 	}
 
-	// Item lines alias the export buffer and concatenate back to it.
-	var cat bytes.Buffer
-	for _, it := range snap.Items() {
+	// Item lines concatenate back to the export, which WriteTo writes
+	// and Size measures.
+	var cat, written bytes.Buffer
+	for _, it := range items(snap) {
 		cat.Write(it.Line)
 	}
 	if !bytes.Equal(cat.Bytes(), snap.ExportNDJSON()) {
-		t.Fatal("item lines do not concatenate to the export buffer")
+		t.Fatal("item lines do not concatenate to the export")
+	}
+	if n, err := snap.WriteTo(&written); err != nil || n != int64(snap.Size()) || !bytes.Equal(written.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteTo wrote %d bytes (%v), Size is %d, export %d", n, err, snap.Size(), want.Len())
 	}
 }
 
@@ -89,7 +104,7 @@ func TestSequenceAssignment(t *testing.T) {
 	if snap.Len() != 3 || snap.LastSeq() != 3 {
 		t.Fatalf("initial snapshot: len=%d lastSeq=%d, want 3/3", snap.Len(), snap.LastSeq())
 	}
-	for i, it := range snap.Items() {
+	for i, it := range items(snap) {
 		if it.Seq != uint64(i+1) {
 			t.Fatalf("item %d has seq %d, want %d (insertion order)", i, it.Seq, i+1)
 		}
@@ -110,7 +125,7 @@ func TestSequenceAssignment(t *testing.T) {
 		t.Fatalf("after update+insert: len=%d lastSeq=%d, want 4/5", snap3.Len(), snap3.LastSeq())
 	}
 	seqs := []uint64{}
-	for _, it := range snap3.Items() {
+	for _, it := range items(snap3) {
 		seqs = append(seqs, it.Seq)
 	}
 	// Insertion order: [kept(1), updated(4), kept(3), new(5)].

@@ -5,14 +5,19 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
+	"math/rand"
 	"os"
 	"os/exec"
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"exiot/internal/allocbudget"
 	"exiot/internal/feed"
 	"exiot/internal/store"
 )
@@ -24,7 +29,9 @@ type refSnapshot struct {
 	export  []byte
 	ids     []store.ObjectID
 	seqs    []uint64
-	lines   map[store.ObjectID][]byte
+	recs    []feed.Record
+	lines   [][]byte
+	lineOf  map[store.ObjectID][]byte
 	seqByID map[store.ObjectID]uint64
 	lastSeq uint64
 }
@@ -32,7 +39,7 @@ type refSnapshot struct {
 // refBuild is the full rebuild over docs, after prev (nil first).
 func refBuild(t *testing.T, docs []store.Doc[feed.Record], prev *refSnapshot) *refSnapshot {
 	t.Helper()
-	ref := &refSnapshot{lines: map[store.ObjectID][]byte{}, seqByID: map[store.ObjectID]uint64{}}
+	ref := &refSnapshot{lineOf: map[store.ObjectID][]byte{}, seqByID: map[store.ObjectID]uint64{}}
 	if prev != nil {
 		ref.lastSeq = prev.lastSeq
 	}
@@ -44,9 +51,9 @@ func refBuild(t *testing.T, docs []store.Doc[feed.Record], prev *refSnapshot) *r
 		if err := enc.Encode(&d.Value); err != nil {
 			t.Fatal(err)
 		}
-		line := buf.Bytes()[start:]
+		line := append([]byte(nil), buf.Bytes()[start:]...)
 		seq := uint64(0)
-		if prev != nil && bytes.Equal(prev.lines[d.ID], line) {
+		if prev != nil && bytes.Equal(prev.lineOf[d.ID], line) {
 			seq = prev.seqByID[d.ID]
 		}
 		if seq == 0 {
@@ -55,48 +62,107 @@ func refBuild(t *testing.T, docs []store.Doc[feed.Record], prev *refSnapshot) *r
 		}
 		ref.ids = append(ref.ids, d.ID)
 		ref.seqs = append(ref.seqs, seq)
-		ref.lines[d.ID] = append([]byte(nil), line...)
+		ref.recs = append(ref.recs, d.Value)
+		ref.lines = append(ref.lines, line)
+		ref.lineOf[d.ID] = line
 		ref.seqByID[d.ID] = seq
 	}
 	ref.export = buf.Bytes()
 	return ref
 }
 
-// checkAgainstRef fails t unless snap serves exactly what ref built.
-func checkAgainstRef(t *testing.T, snap *Snapshot, ref *refSnapshot) {
+// scratchBuild is the snapshot a new cache builds first over docs: one
+// built from nothing, with no earlier snapshot to share blocks with.
+func scratchBuild(docs []store.Doc[feed.Record]) *Snapshot {
+	coll := store.NewCollection[feed.Record]()
+	coll.Restore(docs)
+	c := New(coll, Config{Clock: func() time.Time { return t0 }})
+	c.Close()
+	return c.Current()
+}
+
+// checkAgainstRef fails t unless snap serves exactly what ref built,
+// with the fingerprint of scratch, a from-scratch build over the same
+// documents.
+func checkAgainstRef(t *testing.T, snap, scratch *Snapshot, ref *refSnapshot) {
 	t.Helper()
-	if !bytes.Equal(snap.ExportNDJSON(), ref.export) {
-		t.Fatalf("export differs from the full rebuild:\n got %q\nwant %q", snap.ExportNDJSON(), ref.export)
+	if !bytes.Equal(snap.ExportNDJSON(), ref.export) || snap.Size() != len(ref.export) {
+		t.Fatalf("export (size %d) differs from the full rebuild:\n got %q\nwant %q", snap.Size(), snap.ExportNDJSON(), ref.export)
 	}
-	h := fnv.New64a()
-	h.Write(ref.export)
-	if snap.Fingerprint() != h.Sum64() {
-		t.Fatalf("fingerprint %x, full rebuild %x", snap.Fingerprint(), h.Sum64())
+	if snap.Fingerprint() != scratch.Fingerprint() {
+		t.Fatalf("fingerprint %x, from-scratch build %x", snap.Fingerprint(), scratch.Fingerprint())
 	}
 	if snap.LastSeq() != ref.lastSeq {
 		t.Fatalf("LastSeq %d, full rebuild %d", snap.LastSeq(), ref.lastSeq)
 	}
-	items := snap.Items()
-	if len(items) != len(ref.ids) {
-		t.Fatalf("%d items, full rebuild %d", len(items), len(ref.ids))
+	items := items(snap)
+	if len(items) != len(ref.ids) || snap.Len() != len(ref.ids) {
+		t.Fatalf("%d items (Len %d), full rebuild %d", len(items), snap.Len(), len(ref.ids))
 	}
 	for i := range items {
 		if items[i].ID != ref.ids[i] || items[i].Seq != ref.seqs[i] {
 			t.Fatalf("item %d is %s seq %d, full rebuild %s seq %d", i, items[i].ID, items[i].Seq, ref.ids[i], ref.seqs[i])
 		}
 	}
+	checkWindows(t, snap, ref)
 }
 
-// checkGzip fails t unless snap's gzip export is exactly the one a
-// snapshot built from scratch over docs and versions serves, and is one
-// gzip member that decompresses to snap's export with nothing after it.
-func checkGzip(t *testing.T, snap *Snapshot, docs []store.Doc[feed.Record], versions []uint64) {
+// checkWindows fails t unless every cursor page and every latest-n
+// window of snap selects what the full rebuild's order selects: pages at
+// cursor 0, a middle sequence number and LastSeq, and windows, each
+// with and without a filter, at several lengths.
+func checkWindows(t *testing.T, snap *Snapshot, ref *refSnapshot) {
 	t.Helper()
-	var lastSeq uint64
-	scratch, err := buildSnapshot(docs, versions, nil, &lastSeq, t0)
-	if err != nil {
-		t.Fatal(err)
+	bySeq := make([]int, len(ref.seqs))
+	for i := range bySeq {
+		bySeq[i] = i
 	}
+	sort.SliceStable(bySeq, func(a, b int) bool { return ref.seqs[bySeq[a]] < ref.seqs[bySeq[b]] })
+	filters := map[string]func(*feed.Record) bool{
+		"all":    nil,
+		"active": func(r *feed.Record) bool { return r.Active },
+		"CN":     func(r *feed.Record) bool { return r.CountryCode == "CN" },
+	}
+	// same fails t unless got holds the items at ref positions want.
+	same := func(what string, got []*Item, want []int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d items, full rebuild %d", what, len(got), len(want))
+		}
+		for j, i := range want {
+			if got[j].ID != ref.ids[i] || got[j].Seq != ref.seqs[i] || !bytes.Equal(got[j].Line, ref.lines[i]) {
+				t.Fatalf("%s: item %d is %s seq %d, full rebuild %s seq %d", what, j, got[j].ID, got[j].Seq, ref.ids[i], ref.seqs[i])
+			}
+		}
+	}
+	for name, match := range filters {
+		for _, n := range []int{0, 1, 5} {
+			for _, after := range []uint64{0, ref.lastSeq / 2, ref.lastSeq} {
+				var want []int
+				for _, i := range bySeq {
+					if ref.seqs[i] > after && (match == nil || match(&ref.recs[i])) && (n <= 0 || len(want) < n) {
+						want = append(want, i)
+					}
+				}
+				same(fmt.Sprintf("ItemsAfter(%d, %d, %s)", after, n, name), snap.ItemsAfter(after, n, match), want)
+			}
+			var want []int
+			for i := len(ref.ids) - 1; i >= 0 && (n <= 0 || len(want) < n); i-- {
+				if match == nil || match(&ref.recs[i]) {
+					want = append(want, i)
+				}
+			}
+			slices.Reverse(want)
+			same(fmt.Sprintf("Latest(%d, %s)", n, name), snap.Latest(n, match), want)
+		}
+	}
+}
+
+// checkGzip fails t unless snap's gzip export is exactly the one scratch,
+// a from-scratch build over the same documents, serves, and is one gzip
+// member that decompresses to snap's export with nothing after it.
+func checkGzip(t *testing.T, snap, scratch *Snapshot) {
+	t.Helper()
 	gz := snap.ExportGzip()
 	if !bytes.Equal(gz, scratch.ExportGzip()) {
 		t.Fatalf("gzip export (%d B) differs from a from-scratch build's (%d B)", len(gz), len(scratch.ExportGzip()))
@@ -129,9 +195,11 @@ func checkGzip(t *testing.T, snap *Snapshot, docs []store.Doc[feed.Record], vers
 // the gzip export after some rebuilds only. Every rebuild, which
 // re-encodes only records whose store version moved, must serve what
 // the full rebuild serves over the same history: the same export,
-// fingerprint, LastSeq and sequence number per record. Every gzip
-// export, built from blocks earlier snapshots may have deflated, must
-// equal a from-scratch build's, byte for byte.
+// LastSeq and sequence number per record, the same cursor pages and
+// latest-n windows, and a from-scratch build's fingerprint, which
+// changes exactly when the export does. Every gzip export, built from
+// blocks earlier snapshots may have deflated, must equal a from-scratch
+// build's, byte for byte.
 //
 // Each input byte is one step: b%7 picks the operation and b/7 its
 // argument.
@@ -171,14 +239,20 @@ func FuzzSnapshotRebuild(f *testing.F) {
 		c := New(coll, Config{Clock: func() time.Time { return t0 }})
 		defer c.Close()
 		ref := refBuild(t, coll.Export(), nil)
-		checkAgainstRef(t, c.Current(), ref)
+		last := c.Current()
+		checkAgainstRef(t, last, scratchBuild(nil), ref)
 		rebuild := func(gz bool) {
 			snap := c.Rebuild()
-			docs, versions := coll.ExportVersions()
+			docs := coll.Export()
+			scratch := scratchBuild(docs)
 			ref = refBuild(t, docs, ref)
-			checkAgainstRef(t, snap, ref)
+			checkAgainstRef(t, snap, scratch, ref)
+			if bytes.Equal(snap.ExportNDJSON(), last.ExportNDJSON()) != (snap.Fingerprint() == last.Fingerprint()) {
+				t.Fatalf("the export changed %v, the fingerprint %x → %x", !bytes.Equal(snap.ExportNDJSON(), last.ExportNDJSON()), last.Fingerprint(), snap.Fingerprint())
+			}
+			last = snap
 			if gz {
-				checkGzip(t, snap, docs, versions)
+				checkGzip(t, snap, scratch)
 			}
 		}
 		pick := func(arg int) (store.ObjectID, bool) {
@@ -278,8 +352,8 @@ func TestRebuildMarshalsOnlyChanged(t *testing.T) {
 // pending counts snap's blocks that no snapshot has deflated yet.
 func pending(snap *Snapshot) int {
 	n := 0
-	for _, p := range snap.parts {
-		if p.blk.z == nil {
+	for _, b := range snap.parts {
+		if b.z == nil {
 			n++
 		}
 	}
@@ -423,5 +497,185 @@ func TestGzipExportSystemGunzip(t *testing.T) {
 	}
 	if !bytes.Equal(raw, snap.ExportNDJSON()) {
 		t.Fatalf("gzip -dc printed %d bytes, the export is %d", len(raw), len(snap.ExportNDJSON()))
+	}
+}
+
+// pollShape is record i of a feed shaped like the consumer-poll
+// benchmark's: about 390 bytes of NDJSON, most fields set.
+func pollShape(rng *rand.Rand, i int) feed.Record {
+	first := t0.Add(time.Duration(i) * time.Second)
+	rec := feed.Record{
+		IP:          fmt.Sprintf("100.%d.%d.%d", i/65536%256, i/256%256, i%256),
+		FirstSeen:   first,
+		DetectedAt:  first.Add(time.Duration(60+rng.Intn(600)) * time.Second),
+		LastSeen:    first.Add(time.Duration(900+rng.Intn(3600)) * time.Second),
+		AppearedAt:  first.Add(4 * time.Hour),
+		Active:      rng.Intn(2) == 0,
+		Label:       feed.LabelNonIoT,
+		Score:       rng.Float64(),
+		LabelSource: feed.SourceModel,
+		CountryCode: []string{"CN", "US", "BR", "IN", "RU", "VN", "KR", "TW"}[rng.Intn(8)],
+		ASN:         4000 + rng.Intn(200),
+		Vendor:      []string{"MikroTik", "Hikvision", "Dahua", "TP-Link", "Huawei", ""}[rng.Intn(6)],
+		TargetPorts: map[uint16]int{23: 100 + rng.Intn(100), 2323: rng.Intn(40), 80: rng.Intn(20)},
+		ScanRatePPS: 1 + 9*rng.Float64(),
+	}
+	if rec.Score >= 0.5 {
+		rec.Label = feed.LabelIoT
+	}
+	return rec
+}
+
+// allocated returns the bytes fn allocates, on every goroutine.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRebuildAllocatesWhatChanged bounds the bytes one rebuild allocates
+// after what the consumer-poll benchmark's writer does between two
+// rebuilds: 160 inserts and 160 updates to consecutive records. That
+// rebuild may allocate 2 MB at 20k records and 4 MB at 200k, and a
+// rebuild with no writes 256 KB at 200k: a rebuild allocates for the
+// blocks that changed and a few words per record, never a copy of the
+// store or of the export. The 200k arm needs about 500 MB and skips
+// under -short; the test skips under -race, where sync.Pool drops items
+// at random.
+func TestRebuildAllocatesWhatChanged(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	for _, c := range []struct {
+		records       int
+		written, idle uint64 // ceilings in bytes; 0 checks nothing
+	}{
+		{20_000, 2 << 20, 0},
+		{200_000, 4 << 20, 256 << 10},
+	} {
+		t.Run(fmt.Sprint(c.records), func(t *testing.T) {
+			if c.records > 20_000 && testing.Short() {
+				t.Skip("200k records need about 500 MB")
+			}
+			// Collect early, so the heap stays near what is live; the
+			// byte counts do not depend on when collections run.
+			defer debug.SetGCPercent(debug.SetGCPercent(25))
+			rng := rand.New(rand.NewSource(2021))
+			coll := store.NewCollection[feed.Record]()
+			ids := make([]store.ObjectID, 0, c.records+160)
+			for i := 0; i < c.records; i++ {
+				ids = append(ids, coll.Insert(t0.Add(time.Duration(i)*time.Second), pollShape(rng, i)))
+			}
+			cache := New(coll, Config{Clock: func() time.Time { return t0 }})
+			defer cache.Close()
+			cache.Rebuild() // the builder's buffers reach their size
+
+			for j := 0; j < 160; j++ {
+				i := len(ids)
+				ids = append(ids, coll.Insert(t0.Add(time.Duration(i)*time.Second), pollShape(rng, i)))
+			}
+			for j := 0; j < 160; j++ {
+				coll.Update(ids[j], func(r *feed.Record) { r.Active = !r.Active })
+			}
+			var snap *Snapshot
+			got := allocated(func() { snap = cache.Rebuild() })
+			t.Logf("after 160 inserts and 160 updates: %d records, %d marshaled, %d B allocated (ceiling %d)", snap.Len(), snap.marshaled, got, c.written)
+			if snap.marshaled != 320 || snap.Len() != c.records+160 {
+				t.Fatalf("the rebuild marshaled %d records and holds %d", snap.marshaled, snap.Len())
+			}
+			if got > c.written {
+				t.Errorf("a rebuild after 320 writes allocated %d B at %d records, over %d", got, c.records, c.written)
+			}
+			if c.idle > 0 {
+				got := allocated(func() { snap = cache.Rebuild() })
+				t.Logf("with no writes: %d B allocated (ceiling %d)", got, c.idle)
+				if got > c.idle {
+					t.Errorf("a rebuild with no writes allocated %d B at %d records, over %d", got, c.records, c.idle)
+				}
+			}
+		})
+	}
+}
+
+// TestServeSharedSnapshotsDuringRebuild serves three snapshots that
+// share blocks, each from several goroutines (the identity export a
+// block at a time and in one slice, the gzip export, cursor pages and
+// latest-n windows), while a fourth rebuild runs over writes that
+// change, append and expire records. Run it under -race: the rebuild
+// reads the blocks the readers read and must write none of them.
+func TestServeSharedSnapshotsDuringRebuild(t *testing.T) {
+	coll, c, ids := newCache(t, 3_000)
+	a := c.Current()
+	for j := 0; j < 20; j++ {
+		coll.Update(ids[j*150], func(r *feed.Record) { r.Active = false })
+	}
+	b := c.Rebuild()
+	for j := 0; j < 30; j++ {
+		coll.Insert(t0.Add(time.Duration(3_000+j)*time.Minute), rec(ipFor(j), j%2 == 0))
+	}
+	d := c.Rebuild()
+	for j := 0; j < 40; j++ {
+		coll.Update(ids[j*70+1], func(r *feed.Record) { r.ScanRatePPS++ })
+	}
+	coll.Expire(t0.Add(100 * time.Minute))
+
+	snaps := []*Snapshot{a, b, d}
+	exports := make([][]byte, len(snaps))
+	for i, s := range snaps {
+		exports[i] = s.ExportNDJSON()
+	}
+	active := func(r *feed.Record) bool { return r.Active }
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for r := 0; r < 4; r++ {
+		for i, s := range snaps {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var buf bytes.Buffer
+				if _, err := s.WriteTo(&buf); err != nil || !bytes.Equal(buf.Bytes(), exports[i]) {
+					errs <- fmt.Sprintf("snapshot %d: WriteTo wrote other bytes (%v)", i, err)
+				}
+				zr, err := gzip.NewReader(bytes.NewReader(s.ExportGzip()))
+				if err != nil {
+					errs <- fmt.Sprintf("snapshot %d: %v", i, err)
+					return
+				}
+				if raw, err := io.ReadAll(zr); err != nil || !bytes.Equal(raw, exports[i]) {
+					errs <- fmt.Sprintf("snapshot %d: gzip export does not decompress to the export (%v)", i, err)
+				}
+				seen := 0
+				for after := uint64(0); ; {
+					page := s.ItemsAfter(after, 500, nil)
+					if len(page) == 0 {
+						break
+					}
+					seen += len(page)
+					after = page[len(page)-1].Seq
+				}
+				if seen != s.Len() {
+					errs <- fmt.Sprintf("snapshot %d: cursor pages held %d of %d records", i, seen, s.Len())
+				}
+				if w := s.Latest(100, active); len(w) == 0 || !w[len(w)-1].Rec.Active {
+					errs <- fmt.Sprintf("snapshot %d: a latest-100 window of active records has %d", i, len(w))
+				}
+				_ = s.Records()
+			}()
+		}
+	}
+	next := c.Rebuild()
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	ref := refBuild(t, coll.Export(), nil)
+	if !bytes.Equal(next.ExportNDJSON(), ref.export) {
+		t.Fatal("the rebuild run beside the readers exports other bytes than the store")
+	}
+	for i, s := range snaps {
+		if !bytes.Equal(s.ExportNDJSON(), exports[i]) {
+			t.Fatalf("snapshot %d changed while a rebuild ran", i)
+		}
 	}
 }

@@ -4,6 +4,8 @@ package store
 // export/restore used by snapshots, plus the mutation hooks that let the
 // feed-serving cache observe a collection's write traffic.
 
+import "math/bits"
+
 // Doc pairs a document with its ObjectID for export.
 type Doc[T any] struct {
 	ID    ObjectID `json:"id"`
@@ -13,28 +15,50 @@ type Doc[T any] struct {
 // Export returns every live document with its ID, in insertion order —
 // the exact shape Restore accepts.
 func (c *Collection[T]) Export() []Doc[T] {
-	docs, _ := c.ExportVersions()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	docs := make([]Doc[T], 0, len(c.docs))
+	for _, e := range c.order {
+		if s, ok := c.docs[e.id]; ok {
+			docs = append(docs, Doc[T]{ID: e.id, Value: s.doc})
+		}
+	}
 	return docs
 }
 
-// ExportVersions is Export plus each document's write version, read
-// under the same lock: versions[i] belongs to docs[i]. Versions are
-// never reused within a collection, so a document whose version equals
-// the one an earlier export gave it has not been written since.
-func (c *Collection[T]) ExportVersions() (docs []Doc[T], versions []uint64) {
+// ExportChanged walks the live documents in insertion order under one
+// read lock, calling seen with each one's ID and write version, and
+// returns each document seen reports changed with its ID, in the same
+// order. Versions are never reused within a collection, so a document
+// whose version equals the one an earlier walk gave it has not been
+// written since. seen runs under the lock: it must not call back into
+// the collection.
+func (c *Collection[T]) ExportChanged(seen func(id ObjectID, version uint64) (changed bool)) []Doc[T] {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	docs = make([]Doc[T], 0, len(c.docs))
-	versions = make([]uint64, 0, len(c.docs))
-	for _, e := range c.order {
-		s, ok := c.docs[e.id]
-		if !ok {
-			continue
+	// Mark the changed documents' positions, then copy them into a slice
+	// of exactly their number. The marking pass reads a slot's version
+	// alone, not a copy of the document: versions start at 1, so 0 is an
+	// entry of order that is no longer live.
+	marked := make([]uint64, (len(c.order)+63)/64)
+	n := 0
+	for i, e := range c.order {
+		if v := c.docs[e.id].version; v != 0 && seen(e.id, v) {
+			marked[i/64] |= 1 << (i % 64)
+			n++
 		}
-		docs = append(docs, Doc[T]{ID: e.id, Value: s.doc})
-		versions = append(versions, s.version)
 	}
-	return docs, versions
+	if n == 0 {
+		return nil
+	}
+	out := make([]Doc[T], 0, n)
+	for w, word := range marked {
+		for ; word != 0; word &= word - 1 {
+			e := c.order[w*64+bits.TrailingZeros64(word)]
+			out = append(out, Doc[T]{ID: e.id, Value: c.docs[e.id].doc})
+		}
+	}
+	return out
 }
 
 // Restore replaces the collection's contents with an exported state.

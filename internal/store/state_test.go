@@ -38,10 +38,11 @@ func TestCollectionExportRestore(t *testing.T) {
 	}
 }
 
-// TestWriteVersions checks the versions ExportVersions hands out: Insert,
+// TestWriteVersions checks the versions ExportChanged hands out: Insert,
 // Update and Restore each give the written document the next one, a
-// write to nothing moves none, expiry drops the expired document's, and
-// the documents are exactly Export's.
+// write to nothing moves none, and expiry drops the expired document's.
+// The walk visits exactly Export's documents, and copies out exactly the
+// ones its callback calls changed.
 func TestWriteVersions(t *testing.T) {
 	c := NewCollection[string]()
 	ts := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
@@ -49,9 +50,24 @@ func TestWriteVersions(t *testing.T) {
 	b := c.Insert(ts, "b")
 	versions := func() []uint64 {
 		t.Helper()
-		docs, vers := c.ExportVersions()
-		if !reflect.DeepEqual(docs, c.Export()) || len(vers) != len(docs) {
-			t.Fatalf("ExportVersions gave %v with %d versions, Export %v", docs, len(vers), c.Export())
+		var ids []ObjectID
+		var vers []uint64
+		changed := c.ExportChanged(func(id ObjectID, v uint64) bool {
+			ids = append(ids, id)
+			vers = append(vers, v)
+			return len(ids)%2 == 1
+		})
+		var want []Doc[string]
+		for i, d := range c.Export() {
+			if i >= len(ids) || ids[i] != d.ID {
+				t.Fatalf("ExportChanged visited %v, Export holds %v", ids, c.Export())
+			}
+			if i%2 == 0 {
+				want = append(want, d)
+			}
+		}
+		if len(ids) != len(c.Export()) || !reflect.DeepEqual(changed, want) {
+			t.Fatalf("ExportChanged visited %d docs and copied %v, want %d and %v", len(ids), changed, len(c.Export()), want)
 		}
 		return vers
 	}
