@@ -93,7 +93,14 @@ func run(server, key string, args []string) error {
 	case "campaigns":
 		return runCampaigns(c, args[1:], os.Stdout)
 	case "export":
-		return c.get("/api/v1/export", nil)
+		// The NDJSON body verbatim: one record is valid JSON too, and
+		// must not come out pretty-printed.
+		raw, err := c.getRaw("/api/v1/export", nil)
+		if err != nil {
+			return err
+		}
+		_, err = os.Stdout.Write(raw)
+		return err
 	case "stats":
 		if len(args) < 2 {
 			return fmt.Errorf("usage: exiotctl stats countries|ports|vendors")

@@ -1,12 +1,21 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
+	"time"
+
+	"exiot/internal/api"
+	"exiot/internal/feed"
+	"exiot/internal/feedserve"
+	"exiot/internal/store"
 )
 
 // apiStub records requests and serves canned JSON.
@@ -101,5 +110,80 @@ func TestCtlErrors(t *testing.T) {
 	}
 	if err := run(ts.URL, "k", []string{"stats"}); err == nil {
 		t.Error("stats without kind accepted")
+	}
+}
+
+// stdout returns what fn writes to os.Stdout.
+func stdout(t *testing.T, fn func() error) ([]byte, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = saved }()
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	err = fn()
+	w.Close()
+	return <-read, err
+}
+
+// TestExportWritesBodyVerbatim: exiotctl export prints exactly the bytes
+// GET /api/v1/export serves, with no newline added, for an empty feed,
+// a one-record feed (valid JSON, so a pretty-printer would indent it)
+// and a longer one.
+func TestExportWritesBodyVerbatim(t *testing.T) {
+	t0 := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
+	for _, n := range []int{0, 1, 5} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			coll := store.NewCollection[feed.Record]()
+			for i := 0; i < n; i++ {
+				coll.Insert(t0.Add(time.Duration(i)*time.Minute), feed.Record{
+					IP:          fmt.Sprintf("203.0.113.%d", i+1),
+					FirstSeen:   t0,
+					Label:       feed.LabelIoT,
+					TargetPorts: map[uint16]int{23: 200},
+				})
+			}
+			cache := feedserve.New(coll, feedserve.Config{})
+			defer cache.Close()
+			srv := api.NewServer(nil, nil)
+			srv.AddKey("k", "test-client")
+			srv.SetFeedCache(cache)
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+
+			req, err := http.NewRequest(http.MethodGet, ts.URL+"/api/v1/export", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("X-API-Key", "k")
+			req.Header.Set("Accept-Encoding", "identity")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /api/v1/export: %d, %v", resp.StatusCode, err)
+			}
+			if got := bytes.Count(want, []byte("\n")); got != n {
+				t.Fatalf("the export holds %d lines, want %d", got, n)
+			}
+
+			got, err := stdout(t, func() error { return run(ts.URL, "k", []string{"export"}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("exiotctl export printed %q, the server sent %q", got, want)
+			}
+		})
 	}
 }

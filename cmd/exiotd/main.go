@@ -110,7 +110,7 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 		// The operator mux is separate from the public API: it carries
 		// pprof and needs no key. The API's own /metrics and /healthz stay
 		// available either way.
-		opMux = telemetry.NewMux(telemetry.Default(), telemetry.DefaultHealth(), true)
+		opMux = telemetry.NewMux()
 		// The trace store rides the operator mux: /traces (list) and
 		// /traces/{id} (span detail). The console registers later, once
 		// the pipeline exists (ServeMux registration is concurrency-safe).
@@ -280,11 +280,11 @@ func serveFeed(source *pipeline.Server, apiKey string, rebuildEvery time.Duratio
 
 	// Rebuilds refresh the tracker from here on; the snapshot the cache
 	// built at construction seeds it now.
-	tracker := campaign.NewTracker(campaign.TrackerConfig{})
+	tracker := campaign.NewTracker()
 	cache.OnRebuild(func(s *feedserve.Snapshot) {
-		tracker.Update(s.Records(), time.Now())
+		tracker.Update(s.EachRecord, time.Now())
 	})
-	tracker.Update(cache.Current().Records(), time.Now())
+	tracker.Update(cache.Current().EachRecord, time.Now())
 	apiSrv.SetCampaignTracker(tracker)
 
 	var con *console.Console

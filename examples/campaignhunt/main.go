@@ -36,7 +36,7 @@ func run() error {
 	records := sys.Feed().Records(api.Query{Label: feed.LabelIoT, Limit: 0})
 	fmt.Printf("feed holds %d IoT records\n\n", len(records))
 
-	campaigns := campaign.Infer(records, campaign.Config{})
+	campaigns := campaign.Infer(records)
 	fmt.Printf("%-34s %8s %8s %-12s %s\n", "signature (ports|tool)", "devices", "records", "countries", "majority family (truth)")
 	for _, c := range campaigns {
 		family := majorityFamily(sys, &c)

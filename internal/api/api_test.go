@@ -333,9 +333,14 @@ func trackedServer(t *testing.T, updates ...time.Time) *httptest.Server {
 			Tool:        "Mirai-like scanner",
 		})
 	}
-	tracker := campaign.NewTracker(campaign.TrackerConfig{})
+	tracker := campaign.NewTracker()
+	recs := src.Records(Query{Label: feed.LabelIoT})
 	for _, at := range updates {
-		tracker.Update(src.Records(Query{Label: feed.LabelIoT}), at)
+		tracker.Update(func(visit func(*feed.Record)) {
+			for i := range recs {
+				visit(&recs[i])
+			}
+		}, at)
 	}
 	s := NewServer(src, nil)
 	s.AddKey("secret-token", "test-client")

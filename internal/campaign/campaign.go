@@ -51,33 +51,20 @@ type Campaign struct {
 // Size returns the number of unique member sources.
 func (c *Campaign) Size() int { return len(c.IPs) }
 
-// Config controls inference.
-type Config struct {
-	// MinPortShare keeps a port in the signature only if it carries at
-	// least this fraction of the flow's packets (default 0.10).
-	MinPortShare float64
-	// MergeJaccard merges signature groups whose port sets overlap at
-	// least this much (default 0.5).
-	MergeJaccard float64
-	// MinSize drops campaigns with fewer unique sources (default 3).
-	MinSize int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinPortShare <= 0 {
-		c.MinPortShare = 0.10
-	}
-	if c.MergeJaccard <= 0 {
-		c.MergeJaccard = 0.5
-	}
-	if c.MinSize <= 0 {
-		c.MinSize = 3
-	}
-	return c
-}
+// The inference operating point.
+const (
+	// minPortShare keeps a port in the signature only if it carries at
+	// least this fraction of the flow's packets.
+	minPortShare = 0.10
+	// mergeJaccard merges signature groups whose port sets overlap at
+	// least this much.
+	mergeJaccard = 0.5
+	// minSize drops campaigns with fewer unique sources.
+	minSize = 3
+)
 
 // signatureOf derives a record's scanning signature.
-func signatureOf(rec *feed.Record, minShare float64) (Signature, bool) {
+func signatureOf(rec *feed.Record) (Signature, bool) {
 	total := 0
 	for _, n := range rec.TargetPorts {
 		total += n
@@ -87,7 +74,7 @@ func signatureOf(rec *feed.Record, minShare float64) (Signature, bool) {
 	}
 	var ports []uint16
 	for p, n := range rec.TargetPorts {
-		if float64(n)/float64(total) >= minShare {
+		if float64(n)/float64(total) >= minPortShare {
 			ports = append(ports, p)
 		}
 	}
@@ -121,20 +108,27 @@ func jaccard(a, b []uint16) float64 {
 }
 
 // Infer groups IoT-labeled records into campaigns.
-func Infer(records []feed.Record, cfg Config) []Campaign {
-	cfg = cfg.withDefaults()
+func Infer(records []feed.Record) []Campaign {
+	return infer(func(visit func(*feed.Record)) {
+		for i := range records {
+			visit(&records[i])
+		}
+	})
+}
 
+// infer groups the IoT-labeled records each visits into campaigns. It
+// keeps no pointer to a record.
+func infer(each func(visit func(*feed.Record))) []Campaign {
 	// Pass 1: exact-signature grouping.
 	groups := map[string]*Campaign{}
 	seen := map[string]map[string]bool{} // signature key → member IPs
-	for i := range records {
-		rec := &records[i]
+	each(func(rec *feed.Record) {
 		if !rec.IsIoT() || rec.Benign {
-			continue
+			return
 		}
-		sig, ok := signatureOf(rec, cfg.MinPortShare)
+		sig, ok := signatureOf(rec)
 		if !ok {
-			continue
+			return
 		}
 		key := sig.String()
 		g, exists := groups[key]
@@ -151,7 +145,7 @@ func Infer(records []feed.Record, cfg Config) []Campaign {
 		if rec.CountryCode != "" {
 			g.Countries[rec.CountryCode]++
 		}
-	}
+	})
 
 	// Pass 2: merge overlapping signatures (largest first absorbs).
 	list := make([]*Campaign, 0, len(groups))
@@ -171,7 +165,7 @@ func Infer(records []feed.Record, cfg Config) []Campaign {
 			if m.Signature.Tool != g.Signature.Tool {
 				continue
 			}
-			if jaccard(m.Signature.Ports, g.Signature.Ports) >= cfg.MergeJaccard {
+			if jaccard(m.Signature.Ports, g.Signature.Ports) >= mergeJaccard {
 				host = i
 				break
 			}
@@ -199,7 +193,7 @@ func Infer(records []feed.Record, cfg Config) []Campaign {
 	// Pass 3: size filter and stable output order.
 	var out []Campaign
 	for _, g := range merged {
-		if g.Size() >= cfg.MinSize {
+		if g.Size() >= minSize {
 			sort.Strings(g.IPs)
 			out = append(out, *g)
 		}

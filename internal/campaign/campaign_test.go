@@ -45,7 +45,7 @@ func TestInferSeparatesFamilies(t *testing.T) {
 		records = append(records, familyRecord(rng, fmt.Sprintf("2.2.%d.%d", i/250, i%250),
 			httpPorts(rng), "", countries[i%3]))
 	}
-	campaigns := Infer(records, Config{})
+	campaigns := Infer(records)
 	if len(campaigns) != 2 {
 		t.Fatalf("campaigns = %d, want 2: %+v", len(campaigns), sigs(campaigns))
 	}
@@ -82,7 +82,7 @@ func TestMergeAbsorbsNoisyVariants(t *testing.T) {
 		records = append(records, familyRecord(rng, fmt.Sprintf("3.3.1.%d", i+1),
 			map[uint16]int{23: 150, 2323: 50}, "", "CN"))
 	}
-	campaigns := Infer(records, Config{})
+	campaigns := Infer(records)
 	if len(campaigns) != 1 {
 		t.Fatalf("campaigns = %d, want 1 after merge: %v", len(campaigns), sigs(campaigns))
 	}
@@ -100,7 +100,7 @@ func TestToolSplitsCampaigns(t *testing.T) {
 		records = append(records, familyRecord(rng, fmt.Sprintf("4.4.1.%d", i+1),
 			map[uint16]int{23: 200}, "", "CN"))
 	}
-	campaigns := Infer(records, Config{})
+	campaigns := Infer(records)
 	if len(campaigns) != 2 {
 		t.Fatalf("same ports but different engines must split: %d campaigns", len(campaigns))
 	}
@@ -116,17 +116,17 @@ func TestFiltersNonIoTAndSmall(t *testing.T) {
 	benign := familyRecord(rng, "5.5.0.2", map[uint16]int{80: 100}, "ZMap", "US")
 	benign.Benign = true
 	records = append(records, benign)
-	// Two-member group falls under MinSize 3.
+	// Two-member group falls under minSize 3.
 	for i := 0; i < 2; i++ {
 		records = append(records, familyRecord(rng, fmt.Sprintf("5.5.1.%d", i+1),
 			map[uint16]int{9999: 100}, "", "DE"))
 	}
-	if got := Infer(records, Config{}); len(got) != 0 {
+	if got := Infer(records); len(got) != 0 {
 		t.Errorf("campaigns = %v, want none", sigs(got))
 	}
 	// Records without port stats are skipped, not crashed on.
 	records = append(records, feed.Record{IP: "5.5.2.1", Label: feed.LabelIoT})
-	if got := Infer(records, Config{}); len(got) != 0 {
+	if got := Infer(records); len(got) != 0 {
 		t.Errorf("portless record created campaign: %v", sigs(got))
 	}
 }
@@ -141,7 +141,7 @@ func TestRepeatInstancesCountOnce(t *testing.T) {
 				map[uint16]int{23: 200}, "", "CN"))
 		}
 	}
-	campaigns := Infer(records, Config{})
+	campaigns := Infer(records)
 	if len(campaigns) != 1 {
 		t.Fatalf("campaigns = %d", len(campaigns))
 	}
@@ -155,7 +155,7 @@ func TestSignatureSharesThreshold(t *testing.T) {
 	// A port carrying 5% of packets is noise and must not enter the
 	// signature at the default 10% threshold.
 	rec := familyRecord(rng, "7.7.0.1", map[uint16]int{23: 190, 8081: 10}, "", "CN")
-	sig, ok := signatureOf(&rec, 0.10)
+	sig, ok := signatureOf(&rec)
 	if !ok {
 		t.Fatal("no signature")
 	}
@@ -182,25 +182,28 @@ func TestJaccard(t *testing.T) {
 }
 
 func TestInferEmptyRecordSet(t *testing.T) {
-	if got := Infer(nil, Config{}); got != nil {
+	if got := Infer(nil); got != nil {
 		t.Errorf("Infer(nil) = %v, want nil", sigs(got))
 	}
-	if got := Infer([]feed.Record{}, Config{}); got != nil {
+	if got := Infer([]feed.Record{}); got != nil {
 		t.Errorf("Infer(empty) = %v, want nil", sigs(got))
 	}
 }
 
 func TestInferSingleRecordBelowMinSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// One lone scanner never makes a campaign at the default MinSize 3 —
-	// but does at MinSize 1, proving the filter (not the grouping) drops it.
-	records := []feed.Record{familyRecord(rng, "8.8.0.1", map[uint16]int{23: 200}, "", "CN")}
-	if got := Infer(records, Config{}); len(got) != 0 {
-		t.Errorf("singleton campaign survived MinSize 3: %v", sigs(got))
-	}
-	got := Infer(records, Config{MinSize: 1})
-	if len(got) != 1 || got[0].Size() != 1 {
-		t.Fatalf("MinSize 1 should keep the singleton: %+v", got)
+	// A lone scanner and a pair never make a campaign at minSize 3, and
+	// a third member makes one: the filter (not the grouping) drops them.
+	var records []feed.Record
+	for i := 1; i <= minSize; i++ {
+		records = append(records, familyRecord(rng, fmt.Sprintf("8.8.0.%d", i), map[uint16]int{23: 200}, "", "CN"))
+		got := Infer(records)
+		if i < minSize && len(got) != 0 {
+			t.Errorf("%d-member group survived minSize %d: %v", i, minSize, sigs(got))
+		}
+		if i == minSize && (len(got) != 1 || got[0].Size() != minSize) {
+			t.Errorf("%d-member group dropped at minSize %d: %+v", i, minSize, got)
+		}
 	}
 }
 
@@ -214,14 +217,15 @@ func TestMergeJaccardBoundary(t *testing.T) {
 		}
 		return records
 	}
-	// {23,2323} vs {23}: jaccard exactly 0.5 — the >= threshold merges it.
+	// {23,2323} vs {23}: jaccard exactly mergeJaccard (0.5) — the >=
+	// threshold merges it.
 	at := build(map[uint16]int{23: 150, 2323: 50}, map[uint16]int{23: 200})
-	if got := Infer(at, Config{MergeJaccard: 0.5}); len(got) != 1 {
+	if got := Infer(at); len(got) != 1 {
 		t.Errorf("jaccard == threshold must merge: %v", sigs(got))
 	}
-	// {23,2323,5555} vs {23}: jaccard 1/3 — below 0.5, stays split.
+	// {23,2323,5555} vs {23}: jaccard 1/3 — below it, stays split.
 	below := build(map[uint16]int{23: 100, 2323: 50, 5555: 50}, map[uint16]int{23: 200})
-	if got := Infer(below, Config{MergeJaccard: 0.5}); len(got) != 2 {
+	if got := Infer(below); len(got) != 2 {
 		t.Errorf("jaccard below threshold must not merge: %v", sigs(got))
 	}
 }
@@ -232,7 +236,7 @@ func TestSignaturePortShareTies(t *testing.T) {
 	// the signature lists them ascending regardless of map iteration.
 	rec := familyRecord(rng, "10.0.0.1", map[uint16]int{2323: 20, 23: 160, 5555: 20}, "", "CN")
 	for i := 0; i < 20; i++ { // map order varies per run; pin across iterations
-		sig, ok := signatureOf(&rec, 0.10)
+		sig, ok := signatureOf(&rec)
 		if !ok {
 			t.Fatal("no signature")
 		}
@@ -243,7 +247,7 @@ func TestSignaturePortShareTies(t *testing.T) {
 	}
 	// Just under the threshold on one of the tied ports: it drops out.
 	rec2 := familyRecord(rng, "10.0.0.2", map[uint16]int{2323: 19, 23: 161, 5555: 20}, "", "CN")
-	sig, _ := signatureOf(&rec2, 0.10)
+	sig, _ := signatureOf(&rec2)
 	if sig.String() != "23,5555" {
 		t.Errorf("sub-threshold port kept: %q", sig.String())
 	}
@@ -264,9 +268,9 @@ func TestInferDeterminism(t *testing.T) {
 		records = append(records, familyRecord(rng, fmt.Sprintf("11.2.%d.%d", i/250, i%250+1),
 			map[uint16]int{5555: 200}, "", "IN"))
 	}
-	first := Infer(records, Config{})
+	first := Infer(records)
 	for run := 0; run < 10; run++ {
-		if got := Infer(records, Config{}); !reflect.DeepEqual(got, first) {
+		if got := Infer(records); !reflect.DeepEqual(got, first) {
 			t.Fatalf("run %d: same records produced different campaigns:\n%+v\nvs\n%+v", run, got, first)
 		}
 	}

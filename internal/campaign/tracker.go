@@ -34,7 +34,7 @@ type Tracked struct {
 	// Updates counts how many updates matched this campaign.
 	Updates int
 	// History samples the campaign's trajectory, oldest first, bounded
-	// by the tracker's MaxHistory.
+	// to maxHistory points.
 	History []HistoryPoint
 }
 
@@ -54,62 +54,45 @@ type HistoryPoint struct {
 	TopCountries []string `json:"top_countries,omitempty"`
 }
 
-// TrackerConfig parameterizes cross-hour tracking on top of the
-// one-shot inference Config.
-type TrackerConfig struct {
-	Config
-	// MatchOverlap links an inferred campaign to a tracked one when
+// The tracking operating point.
+const (
+	// matchOverlap links an inferred campaign to a tracked one when
 	// their member-IP containment (|intersection| / smaller set) is at
-	// least this (default 0.5). Containment rather than jaccard so a
-	// campaign tripling overnight still matches its younger self.
-	MatchOverlap float64
-	// Retire drops a campaign not seen for this long (default 14 days,
-	// the feed's own record-lapse window).
-	Retire time.Duration
-	// MaxHistory bounds each campaign's trajectory samples (default 336
-	// — two weeks of half-hourly points).
-	MaxHistory int
-}
-
-func (c TrackerConfig) withDefaults() TrackerConfig {
-	c.Config = c.Config.withDefaults()
-	if c.MatchOverlap <= 0 {
-		c.MatchOverlap = 0.5
-	}
-	if c.Retire <= 0 {
-		c.Retire = 14 * 24 * time.Hour
-	}
-	if c.MaxHistory <= 0 {
-		c.MaxHistory = 336
-	}
-	return c
-}
+	// least this. Containment rather than jaccard so a campaign tripling
+	// overnight still matches its younger self.
+	matchOverlap = 0.5
+	// retire drops a campaign not seen for longer than this: the feed's
+	// own record-lapse window.
+	retire = 14 * 24 * time.Hour
+	// maxHistory bounds each campaign's trajectory samples: two weeks of
+	// half-hourly points.
+	maxHistory = 336
+)
 
 // Tracker is the incremental clusterer. All methods are safe for
 // concurrent use; Update is typically driven from feed-snapshot
 // rebuilds, Campaigns from the console/API read path.
 type Tracker struct {
 	mu       sync.Mutex
-	cfg      TrackerConfig
 	nextID   int
 	tracked  []*Tracked // birth order (ascending ID)
 	lastSeen time.Time  // instant of the most recent update
 }
 
 // NewTracker builds an empty tracker.
-func NewTracker(cfg TrackerConfig) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults()}
-}
+func NewTracker() *Tracker { return &Tracker{} }
 
-// Update re-infers campaigns over the given records and reconciles them
-// with the tracked set as of now: matched campaigns keep their IDs and
-// grow their history, unmatched inferences are born with fresh IDs, and
-// tracked campaigns beyond the retire window are dropped. Update is
-// deterministic: the same record set against the same tracker state
-// yields the same IDs in the same order, so repeated snapshot rebuilds
-// over an unchanged feed are idempotent.
-func (t *Tracker) Update(records []feed.Record, now time.Time) {
-	inferred := Infer(records, t.cfg.Config)
+// Update re-infers campaigns over the records each visits and
+// reconciles them with the tracked set as of now: matched campaigns keep
+// their IDs and grow their history, unmatched inferences are born with
+// fresh IDs, and tracked campaigns beyond the retire window are dropped.
+// Update is deterministic: the same record set against the same tracker
+// state yields the same IDs in the same order, so repeated snapshot
+// rebuilds over an unchanged feed are idempotent. Update reads the
+// records only while it runs, so each may visit them in place (a feed
+// snapshot's EachRecord, say).
+func (t *Tracker) Update(each func(visit func(*feed.Record)), now time.Time) {
+	inferred := infer(each)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -140,14 +123,14 @@ func (t *Tracker) Update(records []feed.Record, now time.Time) {
 			Records:      inf.Records,
 			Signature:    inf.Signature.String(),
 			TopCountries: inf.TopCountries(3),
-		}, t.cfg.MaxHistory)
+		})
 	}
 
 	// Decay: unmatched campaigns linger (still listed, marked inactive
 	// by their stale LastSeen) until the retire window closes on them.
 	kept := t.tracked[:0]
 	for _, tc := range t.tracked {
-		if !claimed[tc] && now.Sub(tc.LastSeen) > t.cfg.Retire {
+		if !claimed[tc] && now.Sub(tc.LastSeen) > retire {
 			continue
 		}
 		kept = append(kept, tc)
@@ -157,7 +140,7 @@ func (t *Tracker) Update(records []feed.Record, now time.Time) {
 
 // bestMatch finds the unclaimed tracked campaign with the highest
 // member overlap against inf (same tool required, overlap ≥
-// MatchOverlap). Ties break to the older campaign — identity outlives
+// matchOverlap). Ties break to the older campaign — identity outlives
 // splits.
 func (t *Tracker) bestMatch(inf *Campaign, claimed map[*Tracked]bool) *Tracked {
 	members := make(map[string]bool, len(inf.IPs))
@@ -184,7 +167,7 @@ func (t *Tracker) bestMatch(inf *Campaign, claimed map[*Tracked]bool) *Tracked {
 			continue
 		}
 		overlap := float64(inter) / float64(smaller)
-		if overlap >= t.cfg.MatchOverlap && overlap > bestOverlap {
+		if overlap >= matchOverlap && overlap > bestOverlap {
 			best, bestOverlap = tc, overlap
 		}
 	}
@@ -192,8 +175,9 @@ func (t *Tracker) bestMatch(inf *Campaign, claimed map[*Tracked]bool) *Tracked {
 }
 
 // appendHistory appends p, coalescing consecutive identical states so
-// an idle feed does not grow the trajectory, and trims to max points.
-func appendHistory(h []HistoryPoint, p HistoryPoint, max int) []HistoryPoint {
+// an idle feed does not grow the trajectory, and trims to maxHistory
+// points.
+func appendHistory(h []HistoryPoint, p HistoryPoint) []HistoryPoint {
 	if n := len(h); n > 0 {
 		last := h[n-1]
 		if last.Size == p.Size && last.Records == p.Records && last.Signature == p.Signature {
@@ -201,8 +185,8 @@ func appendHistory(h []HistoryPoint, p HistoryPoint, max int) []HistoryPoint {
 		}
 	}
 	h = append(h, p)
-	if len(h) > max {
-		h = h[len(h)-max:]
+	if len(h) > maxHistory {
+		h = h[len(h)-maxHistory:]
 	}
 	return h
 }

@@ -24,12 +24,21 @@ func botRecords(prefix string, n int, ports map[uint16]int, tool, cc string) []f
 	return out
 }
 
+// each visits records in place, as a feed snapshot's EachRecord does.
+func each(records []feed.Record) func(func(*feed.Record)) {
+	return func(visit func(*feed.Record)) {
+		for i := range records {
+			visit(&records[i])
+		}
+	}
+}
+
 func hour(h int) time.Time {
 	return time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(h) * time.Hour)
 }
 
 func TestTrackerStableIDsAcrossRebuilds(t *testing.T) {
-	tr := NewTracker(TrackerConfig{})
+	tr := NewTracker()
 	records := append(
 		botRecords("10.0", 20, map[uint16]int{23: 180, 2323: 20}, "Mirai-like scanner", "CN"),
 		botRecords("10.1", 8, map[uint16]int{8080: 150, 80: 50}, "", "BR")...)
@@ -38,7 +47,7 @@ func TestTrackerStableIDsAcrossRebuilds(t *testing.T) {
 	// console's acceptance bar: IDs, order, and history must not churn.
 	var want []Tracked
 	for rebuild := 0; rebuild < 3; rebuild++ {
-		tr.Update(records, hour(rebuild))
+		tr.Update(each(records), hour(rebuild))
 		got := tr.Campaigns()
 		if len(got) != 2 {
 			t.Fatalf("rebuild %d: campaigns = %d, want 2", rebuild, len(got))
@@ -66,11 +75,11 @@ func TestTrackerStableIDsAcrossRebuilds(t *testing.T) {
 }
 
 func TestTrackerGrowthKeepsIdentity(t *testing.T) {
-	tr := NewTracker(TrackerConfig{})
+	tr := NewTracker()
 	// A Mirai wave recruiting 5 → 15 → 40 bots: same campaign throughout,
 	// even though the later membership dwarfs the earlier one.
 	for i, n := range []int{5, 15, 40} {
-		tr.Update(botRecords("20.0", n, map[uint16]int{23: 200}, "Mirai-like scanner", "CN"), hour(i))
+		tr.Update(each(botRecords("20.0", n, map[uint16]int{23: 200}, "Mirai-like scanner", "CN")), hour(i))
 	}
 	got := tr.Campaigns()
 	if len(got) != 1 {
@@ -90,12 +99,12 @@ func TestTrackerGrowthKeepsIdentity(t *testing.T) {
 }
 
 func TestTrackerBirthDecayRetire(t *testing.T) {
-	tr := NewTracker(TrackerConfig{Retire: 48 * time.Hour})
+	tr := NewTracker()
 	mirai := botRecords("30.0", 10, map[uint16]int{23: 200}, "Mirai-like scanner", "CN")
 	web := botRecords("30.1", 6, map[uint16]int{8080: 200}, "", "BR")
 
-	tr.Update(mirai, hour(0))
-	tr.Update(append(append([]feed.Record{}, mirai...), web...), hour(1))
+	tr.Update(each(mirai), hour(0))
+	tr.Update(each(append(append([]feed.Record{}, mirai...), web...)), hour(1))
 	got := tr.Campaigns()
 	if len(got) != 2 {
 		t.Fatalf("campaigns after birth = %d, want 2", len(got))
@@ -108,8 +117,9 @@ func TestTrackerBirthDecayRetire(t *testing.T) {
 	}
 
 	// The web campaign goes quiet: it decays (listed, inactive) until
-	// the retire window closes.
-	tr.Update(mirai, hour(2))
+	// the 14-day retire window closes. Last seen at hour 1, it is still
+	// listed exactly 14 days later.
+	tr.Update(each(mirai), hour(2))
 	got = tr.Campaigns()
 	if len(got) != 2 {
 		t.Fatalf("campaigns after decay = %d, want 2 (decaying one still listed)", len(got))
@@ -122,14 +132,19 @@ func TestTrackerBirthDecayRetire(t *testing.T) {
 		t.Errorf("decaying campaign misreported: ID=%s active=%v", got[1].ID, got[1].Active(asOf))
 	}
 
-	tr.Update(mirai, hour(2+49))
+	tr.Update(each(mirai), hour(1).Add(retire))
+	if got = tr.Campaigns(); len(got) != 2 || got[1].ID != "C-000002" {
+		t.Fatalf("campaign retired at exactly %v unseen: %d campaigns", retire, len(got))
+	}
+	// Just past the window it is dropped.
+	tr.Update(each(mirai), hour(1).Add(retire+time.Second))
 	got = tr.Campaigns()
 	if len(got) != 1 || got[0].ID != "C-000001" {
 		t.Fatalf("retire failed: %d campaigns, first %s", len(got), got[0].ID)
 	}
 
 	// A campaign reborn after retirement is a new identity.
-	tr.Update(append(append([]feed.Record{}, mirai...), web...), hour(2+50))
+	tr.Update(each(append(append([]feed.Record{}, mirai...), web...)), hour(2).Add(retire))
 	got = tr.Campaigns()
 	if len(got) != 2 || got[1].ID != "C-000003" {
 		t.Fatalf("reborn campaign should draw a fresh ID: %+v", got)
@@ -144,9 +159,9 @@ func TestTrackerDeterminism(t *testing.T) {
 			botRecords("40.2", 5, map[uint16]int{5555: 200}, "", "BR")...)...)
 
 	run := func() []Tracked {
-		tr := NewTracker(TrackerConfig{})
+		tr := NewTracker()
 		for i := 0; i < 4; i++ {
-			tr.Update(records, hour(i))
+			tr.Update(each(records), hour(i))
 		}
 		return tr.Campaigns()
 	}
@@ -157,9 +172,9 @@ func TestTrackerDeterminism(t *testing.T) {
 }
 
 func TestTrackerSplitKeepsOldestIdentity(t *testing.T) {
-	tr := NewTracker(TrackerConfig{})
+	tr := NewTracker()
 	all := botRecords("50.0", 20, map[uint16]int{23: 200}, "", "CN")
-	tr.Update(all, hour(0))
+	tr.Update(each(all), hour(0))
 
 	// Half the botnet retools to a distinguishable signature: the larger
 	// continuation keeps C-000001, the splinter is born as C-000002.
@@ -170,7 +185,7 @@ func TestTrackerSplitKeepsOldestIdentity(t *testing.T) {
 		}
 		next = append(next, rec)
 	}
-	tr.Update(next, hour(1))
+	tr.Update(each(next), hour(1))
 	got := tr.Campaigns()
 	if len(got) != 2 {
 		t.Fatalf("campaigns after split = %d, want 2", len(got))
@@ -184,20 +199,21 @@ func TestTrackerSplitKeepsOldestIdentity(t *testing.T) {
 }
 
 func TestTrackerHistoryBounded(t *testing.T) {
-	tr := NewTracker(TrackerConfig{MaxHistory: 4})
-	for i := 0; i < 10; i++ {
+	tr := NewTracker()
+	const updates = maxHistory + 4
+	for i := 0; i < updates; i++ {
 		// Size changes every update so no coalescing happens.
-		tr.Update(botRecords("60.0", 3+i, map[uint16]int{23: 200}, "", "CN"), hour(i))
+		tr.Update(each(botRecords("60.0", 3+i, map[uint16]int{23: 200}, "", "CN")), hour(i))
 	}
 	got := tr.Campaigns()
 	if len(got) != 1 {
 		t.Fatalf("campaigns = %d", len(got))
 	}
 	h := got[0].History
-	if len(h) != 4 {
-		t.Fatalf("history = %d points, want bounded to 4", len(h))
+	if len(h) != 336 {
+		t.Fatalf("history = %d points, want bounded to 336", len(h))
 	}
-	if h[len(h)-1].Size != 12 || h[0].Size != 9 {
-		t.Errorf("history window wrong: first %d last %d, want 9..12", h[0].Size, h[len(h)-1].Size)
+	if h[len(h)-1].Size != 3+updates-1 || h[0].Size != 3+updates-336 {
+		t.Errorf("history window wrong: first %d last %d, want %d..%d", h[0].Size, h[len(h)-1].Size, 3+updates-336, 3+updates-1)
 	}
 }

@@ -58,14 +58,16 @@ type Config struct {
 	Tracker *campaign.Tracker
 	// Feed relays live record frames into the console event stream.
 	Feed *feedserve.Cache
-	// TickEvery is the stats sampling cadence (default 2s).
-	TickEvery time.Duration
-	// RingSize bounds the feed-volume ring (default 900 points — 30
-	// minutes at the default tick).
-	RingSize int
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
 }
+
+// The console samples stats every tickEvery and keeps ringSize points:
+// 30 minutes.
+const (
+	tickEvery = 2 * time.Second
+	ringSize  = 900
+)
 
 // VolumePoint is one stats tick in the feed-volume ring: per-interval
 // deltas of the pipeline's volume counters plus the active-records
@@ -93,6 +95,8 @@ var volumeFamilies = struct{ records, flowEnds, events, active string }{
 // Console is the embedded operator dashboard.
 type Console struct {
 	cfg Config
+	// tick is the sampling cadence, tickEvery unless a test shortens it.
+	tick time.Duration
 
 	mu   sync.Mutex
 	ring []VolumePoint // bounded, oldest first
@@ -108,16 +112,10 @@ func New(cfg Config) *Console {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.Default()
 	}
-	if cfg.TickEvery <= 0 {
-		cfg.TickEvery = 2 * time.Second
-	}
-	if cfg.RingSize <= 0 {
-		cfg.RingSize = 900
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	return &Console{cfg: cfg, done: make(chan struct{})}
+	return &Console{cfg: cfg, tick: tickEvery, done: make(chan struct{})}
 }
 
 // Tick takes one stats sample at now: difference the volume counters
@@ -147,8 +145,8 @@ func (c *Console) Tick(now time.Time) {
 	}
 	c.last = &total
 	c.ring = append(c.ring, p)
-	if len(c.ring) > c.cfg.RingSize {
-		c.ring = c.ring[len(c.ring)-c.cfg.RingSize:]
+	if len(c.ring) > ringSize {
+		c.ring = c.ring[len(c.ring)-ringSize:]
 	}
 	c.mu.Unlock()
 	metConsoleTicks.Inc()
@@ -164,7 +162,7 @@ func (c *Console) volume() []VolumePoint {
 // Start launches the background sampling loop; Close stops it.
 func (c *Console) Start() {
 	go func() {
-		t := time.NewTicker(c.cfg.TickEvery)
+		t := time.NewTicker(c.tick)
 		defer t.Stop()
 		for {
 			select {

@@ -78,7 +78,7 @@ func TestTickBuildsVolumeRing(t *testing.T) {
 	events := reg.CounterVec(volumeFamilies.events, "c", "kind")
 	active := reg.Gauge(volumeFamilies.active, "g")
 
-	c := New(Config{Registry: reg, RingSize: 3})
+	c := New(Config{Registry: reg})
 	records.Add(10)
 	events.With("batch").Add(5)
 	active.Set(10)
@@ -103,11 +103,11 @@ func TestTickBuildsVolumeRing(t *testing.T) {
 	}
 
 	// Ring stays bounded.
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ringSize; i++ {
 		c.Tick(t0.Add(time.Duration(3+i) * time.Second))
 	}
-	if got := len(c.volume()); got != 3 {
-		t.Fatalf("ring length = %d, want bound 3", got)
+	if got := len(c.volume()); got != ringSize {
+		t.Fatalf("ring length = %d, want bound %d", got, ringSize)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestOverviewEmptySurfaces(t *testing.T) {
 }
 
 func TestTracesHandler(t *testing.T) {
-	store := trace.NewStore(64, 4)
+	store := trace.NewStore()
 	base := time.Now()
 	for i := 1; i <= 6; i++ {
 		f := &trace.Flow{ID: trace.ID(i), IP: "ip", Kind: "batch", Start: base}
@@ -238,8 +238,13 @@ func TestTracesHandler(t *testing.T) {
 }
 
 func TestCampaignsHandler(t *testing.T) {
-	tracker := campaign.NewTracker(campaign.TrackerConfig{})
-	tracker.Update(iotRecords(6), t0)
+	recs := iotRecords(6)
+	tracker := campaign.NewTracker()
+	tracker.Update(func(visit func(*feed.Record)) {
+		for i := range recs {
+			visit(&recs[i])
+		}
+	}, t0)
 	c := New(Config{Registry: newRegistry(t), Tracker: tracker})
 
 	rec := httptest.NewRecorder()
@@ -334,11 +339,11 @@ func TestEventsStreamEmitsStats(t *testing.T) {
 	health := telemetry.NewHealth()
 	health.Register("feed", time.Hour).BeatAt(t0)
 	c := New(Config{
-		Registry:  reg,
-		Health:    health,
-		TickEvery: 20 * time.Millisecond,
-		Clock:     func() time.Time { return t0 },
+		Registry: reg,
+		Health:   health,
+		Clock:    func() time.Time { return t0 },
 	})
+	c.tick = 20 * time.Millisecond
 	c.Tick(t0)
 
 	srv := httptest.NewServer(consoleMux(c))

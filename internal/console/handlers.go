@@ -53,7 +53,7 @@ func (c *Console) handleOverview(w http.ResponseWriter, _ *http.Request) {
 	now := c.cfg.Clock()
 	ov := Overview{
 		GeneratedAt: now,
-		TickSeconds: c.cfg.TickEvery.Seconds(),
+		TickSeconds: c.tick.Seconds(),
 		Volume:      c.volume(),
 		Layers:      c.cfg.Registry.LayerStats(),
 		Cluster:     shardStatuses(c.cfg.Registry),
@@ -169,7 +169,7 @@ func (c *Console) handleEvents(w http.ResponseWriter, r *http.Request) {
 		recordC = sub.C
 	}
 
-	tick := time.NewTicker(c.cfg.TickEvery)
+	tick := time.NewTicker(c.tick)
 	defer tick.Stop()
 	beat := time.NewTicker(sseHeartbeat)
 	defer beat.Stop()

@@ -126,12 +126,13 @@ type Options struct {
 	// SegmentBytes rotates the append segment past this size (default
 	// 8 MiB).
 	SegmentBytes int64
-	// Retain is how long old snapshots stay replayable before
-	// compaction removes them and their covered WAL segments (default
-	// 14 days — the feed's historical lapse window). Measured against
-	// the simulated clock stamped into each snapshot.
-	Retain time.Duration
 }
+
+// retain is how long old snapshots stay replayable before compaction
+// removes them and their covered WAL segments: the feed's historical
+// lapse window, measured against the simulated clock stamped into each
+// snapshot.
+const retain = 14 * 24 * time.Hour
 
 func (o Options) withDefaults() Options {
 	if o.Sync == "" {
@@ -139,9 +140,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
-	}
-	if o.Retain <= 0 {
-		o.Retain = 14 * 24 * time.Hour
 	}
 	return o
 }

@@ -258,7 +258,6 @@ func TestCompactionDropsLapsedState(t *testing.T) {
 	dir := t.TempDir()
 	opts := testOptions(dir)
 	opts.SegmentBytes = 256
-	opts.Retain = 24 * time.Hour
 	m, err := Open(opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -271,10 +270,11 @@ func TestCompactionDropsLapsedState(t *testing.T) {
 		t.Fatalf("WriteSnapshot day 0: %v", err)
 	}
 	appendEvents(t, m, 30)
-	// Two simulated days later: the day-0 snapshot is past the 24h
-	// retention window and every segment it covered becomes garbage.
-	if err := m.WriteSnapshot(SnapshotMeta{LastSeq: 60, EventCount: 60, TakenAt: testEpoch.Add(48 * time.Hour)}, []byte("day-2")); err != nil {
-		t.Fatalf("WriteSnapshot day 2: %v", err)
+	// Fifteen simulated days later: the day-0 snapshot is past the
+	// 14-day retention window and every segment it covered becomes
+	// garbage.
+	if err := m.WriteSnapshot(SnapshotMeta{LastSeq: 60, EventCount: 60, TakenAt: testEpoch.Add(retain + 24*time.Hour)}, []byte("day-15")); err != nil {
+		t.Fatalf("WriteSnapshot day 15: %v", err)
 	}
 	m.Close()
 
@@ -306,8 +306,8 @@ func TestCompactionDropsLapsedState(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	meta, payload, err := m2.LatestSnapshot()
-	if err != nil || meta.LastSeq != 60 || string(payload) != "day-2" {
-		t.Fatalf("LatestSnapshot = (%+v, %q, %v), want the day-2 snapshot", meta, payload, err)
+	if err != nil || meta.LastSeq != 60 || string(payload) != "day-15" {
+		t.Fatalf("LatestSnapshot = (%+v, %q, %v), want the day-15 snapshot", meta, payload, err)
 	}
 	stats, err := m2.Replay(meta.LastSeq, nil)
 	if err != nil {

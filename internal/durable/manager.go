@@ -481,7 +481,7 @@ func (m *Manager) compact(latest SnapshotMeta) error {
 	if err != nil {
 		return fmt.Errorf("durable: list snapshots: %w", err)
 	}
-	cutoff := latest.TakenAt.Add(-m.opts.Retain)
+	cutoff := latest.TakenAt.Add(-retain)
 	oldestRetained := latest.LastSeq
 	for _, name := range names {
 		path := filepath.Join(m.opts.Dir, name)

@@ -145,7 +145,7 @@ type CampaignResult struct {
 // records and scores them against the simulator's malware-family ground
 // truth.
 func Campaigns(e *Env) CampaignResult {
-	inferred := campaign.Infer(e.Records(), campaign.Config{})
+	inferred := campaign.Infer(e.Records())
 	res := CampaignResult{}
 	w := e.Sys.World()
 

@@ -85,8 +85,6 @@ func (s Scale) systemConfig() core.Config {
 	cfg.Pipeline = pipeline.DefaultLocalConfig()
 	cfg.Pipeline.Server.ScanMod = scanmod.Config{BatchSize: 200, BatchWait: 45 * time.Minute}
 	cfg.Pipeline.Server.Trainer = trainer.Config{
-		WindowDays:       14,
-		TrainFrac:        0.2,
 		SearchIterations: s.SearchIterations,
 		Seed:             s.Seed,
 	}

@@ -266,10 +266,11 @@ func TestOnRebuildHook(t *testing.T) {
 		t.Fatalf("hook calls = %v, want [2 3]", calls)
 	}
 
-	// Records() mirrors the snapshot's decoded items in export order.
-	recs := c.Current().Records()
-	if len(recs) != 3 || recs[2].IP != "z.example" {
-		t.Fatalf("Records() = %d entries, last %q", len(recs), recs[len(recs)-1].IP)
+	// EachRecord visits the snapshot's decoded items in export order.
+	var ips []string
+	c.Current().EachRecord(func(r *feed.Record) { ips = append(ips, r.IP) })
+	if len(ips) != 3 || ips[2] != "z.example" {
+		t.Fatalf("EachRecord visited %d records, last %q", len(ips), ips[len(ips)-1])
 	}
 
 	// A hook may call back into the cache without deadlocking.

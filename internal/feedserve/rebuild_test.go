@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"exiot/internal/allocbudget"
+	"exiot/internal/campaign"
 	"exiot/internal/feed"
 	"exiot/internal/store"
 )
@@ -597,6 +598,36 @@ func TestRebuildAllocatesWhatChanged(t *testing.T) {
 	}
 }
 
+// TestCampaignHookAllocates bounds what exiotd's campaign hook, a
+// tracker update over the rebuilt snapshot, allocates at 20k records
+// shaped like the consumer-poll benchmark's: 5 MB. The tracker reads the
+// records in place; a copy of them would add about 10 MB. The test skips
+// under -race, where sync.Pool drops items at random.
+func TestCampaignHookAllocates(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	const records, ceiling = 20_000, 5 << 20
+	rng := rand.New(rand.NewSource(2021))
+	coll := store.NewCollection[feed.Record]()
+	for i := 0; i < records; i++ {
+		coll.Insert(t0.Add(time.Duration(i)*time.Second), pollShape(rng, i))
+	}
+	cache := New(coll, Config{Clock: func() time.Time { return t0 }})
+	defer cache.Close()
+	tracker := campaign.NewTracker()
+	var hook uint64
+	cache.OnRebuild(func(s *Snapshot) {
+		hook = allocated(func() { tracker.Update(s.EachRecord, s.BuiltAt()) })
+	})
+	cache.Rebuild()
+	t.Logf("%d records: the hook allocated %d B (ceiling %d), %d campaigns", records, hook, ceiling, len(tracker.Campaigns()))
+	if len(tracker.Campaigns()) == 0 {
+		t.Fatal("the hook inferred no campaign")
+	}
+	if hook > ceiling {
+		t.Errorf("the campaign hook allocated %d B at %d records, over %d", hook, records, ceiling)
+	}
+}
+
 // TestServeSharedSnapshotsDuringRebuild serves three snapshots that
 // share blocks, each from several goroutines (the identity export a
 // block at a time and in one slice, the gzip export, cursor pages and
@@ -659,7 +690,11 @@ func TestServeSharedSnapshotsDuringRebuild(t *testing.T) {
 				if w := s.Latest(100, active); len(w) == 0 || !w[len(w)-1].Rec.Active {
 					errs <- fmt.Sprintf("snapshot %d: a latest-100 window of active records has %d", i, len(w))
 				}
-				_ = s.Records()
+				n := 0
+				s.EachRecord(func(*feed.Record) { n++ })
+				if n != s.Len() {
+					errs <- fmt.Sprintf("snapshot %d: EachRecord visited %d of %d records", i, n, s.Len())
+				}
 			}()
 		}
 	}

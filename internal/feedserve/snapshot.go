@@ -107,16 +107,15 @@ func (s *Snapshot) Len() int { return s.n }
 // Size returns the length of the bulk export in bytes.
 func (s *Snapshot) Size() int { return s.size }
 
-// Records copies the snapshot's decoded records, in export order — the
-// input shape analysis passes (campaign tracking, say) want.
-func (s *Snapshot) Records() []feed.Record {
-	out := make([]feed.Record, 0, s.n)
+// EachRecord calls visit with each of the snapshot's decoded records in
+// place, in export order, for analysis passes (campaign tracking, say).
+// The records are shared: visit must not modify them.
+func (s *Snapshot) EachRecord(visit func(*feed.Record)) {
 	for _, b := range s.parts {
 		for i := range b.items {
-			out = append(out, b.items[i].Rec)
+			visit(&b.items[i].Rec)
 		}
 	}
-	return out
 }
 
 // LastSeq returns the highest change-sequence number assigned so far;

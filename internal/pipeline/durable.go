@@ -206,7 +206,7 @@ func (s *Server) ExportState() ([]byte, error) {
 		st.Notifier = &ns
 	}
 	if model != nil {
-		saved, err := model.Saved(s.cfg.Trainer.WindowDays)
+		saved, err := model.Saved()
 		if err != nil {
 			return nil, err
 		}

@@ -250,7 +250,7 @@ func TestRestoreModelAcrossRestart(t *testing.T) {
 
 	lcfg := DefaultLocalConfig()
 	lcfg.Server.ScanMod = scanmod.Config{BatchSize: 25, BatchWait: 30 * time.Minute}
-	lcfg.Server.Trainer = trainer.Config{SearchIterations: 2, Seed: 108, ModelDir: dir, MinExamples: 40}
+	lcfg.Server.Trainer = trainer.Config{SearchIterations: 2, Seed: 108, ModelDir: dir}
 	l := NewLocal(lcfg, w, w.Registry(), nil)
 	start := w.Start()
 	for h := 0; h < 30; h++ {

@@ -45,16 +45,20 @@ var (
 // sampler event before /healthz reports it stalled.
 const feedMaxAge = 15 * time.Minute
 
+// The paper's feed operating point.
+const (
+	// retrainEvery is the model refresh period (paper: 24 h).
+	retrainEvery = 24 * time.Hour
+	// historicalWindow is the historical database's lapse (paper: two
+	// weeks).
+	historicalWindow = 14 * 24 * time.Hour
+)
+
 // ServerConfig parameterizes the feed-server half.
 type ServerConfig struct {
 	ScanMod scanmod.Config
 	Trainer trainer.Config
 	Notify  notify.Config
-	// RetrainEvery is the model refresh period (paper: 24 h).
-	RetrainEvery time.Duration
-	// HistoricalWindow is the historical database's lapse (paper: two
-	// weeks).
-	HistoricalWindow time.Duration
 	// Workers bounds the back half's fan-out at scan-batch flush: the
 	// ZMap probe pool and the annotation (0 = GOMAXPROCS, 1 = on the
 	// caller's goroutine). The feed is identical at any setting; 1 is
@@ -65,11 +69,9 @@ type ServerConfig struct {
 // DefaultServerConfig returns the paper's operating point.
 func DefaultServerConfig() ServerConfig {
 	return ServerConfig{
-		ScanMod:          scanmod.Default(),
-		Trainer:          trainer.Default(),
-		Notify:           notify.Config{NotifyWhois: false},
-		RetrainEvery:     24 * time.Hour,
-		HistoricalWindow: 14 * 24 * time.Hour,
+		ScanMod: scanmod.Default(),
+		Trainer: trainer.Default(),
+		Notify:  notify.Config{NotifyWhois: false},
 	}
 }
 
@@ -135,12 +137,6 @@ type pendingFlow struct {
 // probes (the simulated Internet); reg backs enrichment; mailer delivers
 // notifications (nil disables them).
 func NewServer(cfg ServerConfig, prober zmap.Prober, reg *registry.Registry, mailer notify.Mailer) *Server {
-	if cfg.RetrainEvery <= 0 {
-		cfg.RetrainEvery = 24 * time.Hour
-	}
-	if cfg.HistoricalWindow <= 0 {
-		cfg.HistoricalWindow = 14 * 24 * time.Hour
-	}
 	scanner := zmap.NewScanner(prober)
 	scanner.Workers = cfg.Workers
 	s := &Server{
@@ -398,7 +394,7 @@ func (s *Server) finishEndTrace(e SamplerEvent, outcome string) {
 // arrives.
 func (s *Server) Tick(now time.Time) {
 	s.maybeRetrain(now)
-	cutoff := now.Add(-s.cfg.HistoricalWindow)
+	cutoff := now.Add(-historicalWindow)
 	s.historical.Expire(cutoff)
 	s.traffic.retire(cutoff)
 	if s.notifier != nil {
@@ -424,7 +420,7 @@ func (s *Server) installModel(m *trainer.TrainedModel) {
 
 func (s *Server) maybeRetrain(now time.Time) {
 	s.mu.Lock()
-	due := s.lastRetrain.IsZero() || now.Sub(s.lastRetrain) >= s.cfg.RetrainEvery
+	due := s.lastRetrain.IsZero() || now.Sub(s.lastRetrain) >= retrainEvery
 	// During bootstrap a retrain may fail for lack of labeled data; the
 	// 24 h slot is only consumed by a successful train, with a short
 	// cooldown between attempts so ticks stay cheap.

@@ -30,7 +30,7 @@ func TestTrafficRetiresWithHistoricalWindow(t *testing.T) {
 	}
 
 	// The window is every hour that ends after the lapse cutoff.
-	cutoff := now.Add(-DefaultServerConfig().HistoricalWindow)
+	cutoff := now.Add(-historicalWindow)
 	var want []time.Time
 	for h := 0; h < days*24; h++ {
 		if hour := start.Add(time.Duration(h) * time.Hour); hour.Add(time.Hour).After(cutoff) {

@@ -55,21 +55,19 @@ func HealthzHandler(h *Health) http.Handler {
 	})
 }
 
-// NewMux builds the operator-facing telemetry mux: /metrics,
-// /metrics.json, /healthz, and (optionally) the net/http/pprof handlers
-// under /debug/pprof/. exiotd serves this on -telemetry-addr, separate
-// from the public API.
-func NewMux(r *Registry, h *Health, withPprof bool) *http.ServeMux {
+// NewMux builds the operator-facing telemetry mux over the process-wide
+// registry and health: /metrics, /metrics.json, /healthz, and the
+// net/http/pprof handlers under /debug/pprof/. exiotd serves this on
+// -telemetry-addr, separate from the public API.
+func NewMux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.Handle("GET /metrics", MetricsHandler(r))
-	mux.Handle("GET /metrics.json", MetricsJSONHandler(r))
-	mux.Handle("GET /healthz", HealthzHandler(h))
-	if withPprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	}
+	mux.Handle("GET /metrics", MetricsHandler(Default()))
+	mux.Handle("GET /metrics.json", MetricsJSONHandler(Default()))
+	mux.Handle("GET /healthz", HealthzHandler(DefaultHealth()))
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }

@@ -12,20 +12,18 @@ import (
 // outliers an operator is usually hunting survive even when the ring
 // has long since rotated past them.
 type Store struct {
-	perShard int
-	shards   [storeShards]storeShard
+	shards [storeShards]storeShard
 
 	slowMu  sync.Mutex
-	slowPer int
 	slowest map[string][]slowEntry // stage → ascending by work time
 }
 
-const storeShards = 16
-
-// Defaults: 4096 recent flows, slowest 8 per stage.
+// A store keeps the 4096 most recent flows, perShard in each of its
+// storeShards rings, and the slowestPerStage slowest flows per stage.
 const (
-	defaultCapacity = 4096
-	defaultSlowestN = 8
+	storeShards     = 16
+	perShard        = 4096 / storeShards
+	slowestPerStage = 8
 )
 
 type storeShard struct {
@@ -46,20 +44,9 @@ type slowEntry struct {
 	c    *completed
 }
 
-// NewStore builds a store holding up to capacity recent flows and the
-// slowestPerStage slowest flows per stage (0 selects the defaults).
-func NewStore(capacity, slowestPerStage int) *Store {
-	if capacity <= 0 {
-		capacity = defaultCapacity
-	}
-	if slowestPerStage <= 0 {
-		slowestPerStage = defaultSlowestN
-	}
-	per := capacity / storeShards
-	if per < 1 {
-		per = 1
-	}
-	s := &Store{perShard: per, slowPer: slowestPerStage, slowest: make(map[string][]slowEntry)}
+// NewStore builds an empty store.
+func NewStore() *Store {
+	s := &Store{slowest: make(map[string][]slowEntry)}
 	for i := range s.shards {
 		s.shards[i].byID = make(map[ID]*completed)
 	}
@@ -71,13 +58,13 @@ func (s *Store) Add(f *Flow, end time.Time) {
 	c := &completed{flow: f, end: end}
 	sh := &s.shards[uint64(f.ID)%storeShards]
 	sh.mu.Lock()
-	if len(sh.ring) < s.perShard {
+	if len(sh.ring) < perShard {
 		sh.ring = append(sh.ring, c)
 	} else {
 		old := sh.ring[sh.next]
 		delete(sh.byID, old.flow.ID)
 		sh.ring[sh.next] = c
-		sh.next = (sh.next + 1) % s.perShard
+		sh.next = (sh.next + 1) % perShard
 	}
 	sh.byID[f.ID] = c
 	sh.mu.Unlock()
@@ -86,12 +73,12 @@ func (s *Store) Add(f *Flow, end time.Time) {
 	for _, sp := range f.Spans() {
 		work := sp.Work()
 		entries := s.slowest[sp.Stage]
-		if len(entries) == s.slowPer && work <= entries[0].work {
+		if len(entries) == slowestPerStage && work <= entries[0].work {
 			continue
 		}
 		entries = append(entries, slowEntry{work: work, c: c})
 		sort.Slice(entries, func(i, j int) bool { return entries[i].work < entries[j].work })
-		if len(entries) > s.slowPer {
+		if len(entries) > slowestPerStage {
 			entries = entries[1:]
 		}
 		s.slowest[sp.Stage] = entries

@@ -210,7 +210,7 @@ type Tracer struct {
 // normally uses Default.
 func NewTracer(store *Store) *Tracer {
 	if store == nil {
-		store = NewStore(0, 0)
+		store = NewStore()
 	}
 	return &Tracer{store: store}
 }

@@ -66,7 +66,7 @@ func TestIDStringRoundTrip(t *testing.T) {
 }
 
 func TestSamplingDecision(t *testing.T) {
-	tr := NewTracer(NewStore(16, 2))
+	tr := NewTracer(NewStore())
 	if tr.Enabled() {
 		t.Fatal("tracer enabled before configuration")
 	}
@@ -90,7 +90,7 @@ func TestSamplingDecision(t *testing.T) {
 }
 
 func TestFlowSpansAndFinish(t *testing.T) {
-	store := NewStore(16, 2)
+	store := NewStore()
 	tr := NewTracer(store)
 	tr.SetSampleEvery(1)
 	f := tr.Sample(ID(10), "203.0.113.7", "batch")
@@ -121,17 +121,17 @@ func TestFlowSpansAndFinish(t *testing.T) {
 }
 
 func TestStoreRingBoundAndTailRetention(t *testing.T) {
-	// Capacity 16 → 1 per shard; shard count spreads sequential IDs.
-	store := NewStore(16, 1)
+	// Three rings' worth of flows; sequential IDs spread over the shards.
+	store := NewStore()
 	base := time.Now()
 	var slowID ID
-	for i := 1; i <= 200; i++ {
+	for i := 1; i <= 3*perShard*storeShards; i++ {
 		f := &Flow{ID: ID(i), IP: "ip", Kind: "batch", Start: base}
 		work := time.Duration(i) * time.Microsecond
 		if i == 3 {
-			// One early flow does 10x the work of everything after it:
+			// One early flow does 8x the work of everything after it:
 			// the ring rotates past it but the tail retention keeps it.
-			work = 10 * time.Millisecond
+			work = 100 * time.Millisecond
 			slowID = f.ID
 		}
 		f.SpanAt("probe", base, base, base.Add(work))
@@ -141,8 +141,8 @@ func TestStoreRingBoundAndTailRetention(t *testing.T) {
 	for i := range store.shards {
 		n += len(store.shards[i].ring)
 	}
-	if n > 16 {
-		t.Fatalf("ring holds %d flows, capacity 16", n)
+	if n != perShard*storeShards {
+		t.Fatalf("ring holds %d flows, capacity %d", n, perShard*storeShards)
 	}
 	if _, ok := store.Get(slowID); !ok {
 		t.Fatal("slowest-per-stage retention lost the slow outlier")
@@ -163,7 +163,7 @@ func TestStoreRingBoundAndTailRetention(t *testing.T) {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	store := NewStore(16, 2)
+	store := NewStore()
 	f := &Flow{ID: ID(0xabcd), IP: "203.0.113.9", Kind: "batch", Start: time.Now()}
 	f.SpanAt("sampler", f.Start, f.Start, f.Start.Add(time.Millisecond), Str("trigger_hour", "2023-04-01T12:00:00Z"))
 	store.Add(f, f.Start.Add(time.Millisecond))
@@ -214,7 +214,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 func TestSlowTraceLogged(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewTracer(NewStore(16, 2))
+	tr := NewTracer(NewStore())
 	tr.SetSampleEvery(1)
 	tr.SetSlowThreshold(time.Nanosecond)
 	tr.logger.Store(slog.New(slog.NewTextHandler(&buf, nil)))
@@ -235,7 +235,7 @@ func TestSlowTraceLogged(t *testing.T) {
 // path: the sampling check, the nil-flow span calls, and Finish(nil)
 // must not allocate.
 func TestUntracedPathZeroAlloc(t *testing.T) {
-	tr := NewTracer(NewStore(16, 2)) // sampling off
+	tr := NewTracer(NewStore()) // sampling off
 	var f *Flow
 	now := time.Now()
 	if n := testing.AllocsPerRun(1000, func() {
@@ -255,7 +255,7 @@ func TestUntracedPathZeroAlloc(t *testing.T) {
 func BenchmarkTraceOverhead(b *testing.B) {
 	hour := time.Date(2023, 4, 1, 12, 0, 0, 0, time.UTC)
 	b.Run("untraced", func(b *testing.B) {
-		tr := NewTracer(NewStore(4096, 8))
+		tr := NewTracer(NewStore())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			id := EventID(testIP(uint32(i)), 1, hour, hour.Add(time.Duration(i)))
@@ -265,7 +265,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 	})
 	b.Run("traced", func(b *testing.B) {
-		tr := NewTracer(NewStore(4096, 8))
+		tr := NewTracer(NewStore())
 		tr.SetSampleEvery(1)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -278,7 +278,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 }
 
 func TestSlowestByStage(t *testing.T) {
-	store := NewStore(64, 3)
+	store := NewStore()
 	base := time.Now()
 	for i := 1; i <= 10; i++ {
 		f := &Flow{ID: ID(i), IP: "ip", Kind: "batch", Start: base}
@@ -308,13 +308,14 @@ func TestSlowestByStage(t *testing.T) {
 		t.Errorf("classify entries = %d, want 2", got)
 	}
 
-	// n <= 0: everything retained (slowPer caps at 3).
+	// n <= 0: everything retained (10 probe spans, slowestPerStage
+	// caps at 8).
 	all := store.SlowestByStage(0)
-	if len(all["probe"]) != 3 {
-		t.Errorf("uncapped probe entries = %d, want 3 (retention bound)", len(all["probe"]))
+	if len(all["probe"]) != slowestPerStage {
+		t.Errorf("uncapped probe entries = %d, want %d (retention bound)", len(all["probe"]), slowestPerStage)
 	}
 	// Asking beyond retention is clamped, not a panic.
-	if got := store.SlowestByStage(99); len(got["probe"]) != 3 {
-		t.Errorf("overask probe entries = %d, want 3", len(got["probe"]))
+	if got := store.SlowestByStage(99); len(got["probe"]) != slowestPerStage {
+		t.Errorf("overask probe entries = %d, want %d", len(got["probe"]), slowestPerStage)
 	}
 }

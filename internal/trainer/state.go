@@ -45,7 +45,7 @@ func (t *Trainer) RestoreState(st State) {
 }
 
 // Saved converts a trained model into its archival form.
-func (m *TrainedModel) Saved(windowDays int) (*ml.SavedModel, error) {
+func (m *TrainedModel) Saved() (*ml.SavedModel, error) {
 	normRaw, err := json.Marshal(m.Normalizer)
 	if err != nil {
 		return nil, fmt.Errorf("trainer: encode normalizer: %w", err)

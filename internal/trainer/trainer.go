@@ -32,19 +32,23 @@ var (
 	layerTrainer = telemetry.Default().Layer("trainer")
 )
 
+// The paper's training operating point.
+const (
+	// windowDays is the training window (paper: 14 days).
+	windowDays = 14
+	// trainFrac is the training split (paper: 20 % train / 80 % test).
+	trainFrac = 0.2
+	// minExamples gates training until the window holds at least this
+	// many labeled flows (the paper bootstraps for two weeks before
+	// trusting the model).
+	minExamples = 20
+)
+
 // Config parameterizes the update-classifier module.
 type Config struct {
-	// WindowDays is the training window (paper: 14 days).
-	WindowDays int
-	// TrainFrac is the training split (paper: 20 % train / 80 % test).
-	TrainFrac float64
 	// SearchIterations bounds the hyper-parameter search (paper: 1000
 	// iterations; scale down for laptop runs).
 	SearchIterations int
-	// MinExamples gates training until the window holds at least this
-	// many labeled flows (the paper bootstraps for two weeks before
-	// trusting the model). Default 20.
-	MinExamples int
 	// Seed drives splits and search.
 	Seed int64
 	// ModelDir, when set, archives every trained model with its
@@ -56,8 +60,6 @@ type Config struct {
 // budget.
 func Default() Config {
 	return Config{
-		WindowDays:       14,
-		TrainFrac:        0.2,
 		SearchIterations: 12,
 		Seed:             1,
 	}
@@ -99,17 +101,8 @@ type Trainer struct {
 
 // New creates a trainer.
 func New(cfg Config) *Trainer {
-	if cfg.WindowDays <= 0 {
-		cfg.WindowDays = 14
-	}
-	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
-		cfg.TrainFrac = 0.2
-	}
 	if cfg.SearchIterations <= 0 {
 		cfg.SearchIterations = 12
-	}
-	if cfg.MinExamples <= 0 {
-		cfg.MinExamples = 20
 	}
 	return &Trainer{cfg: cfg}
 }
@@ -140,7 +133,7 @@ func (t *Trainer) WindowSize() int {
 
 // evict drops examples older than the window. Caller holds the lock.
 func (t *Trainer) evict(now time.Time) {
-	cutoff := now.Add(-time.Duration(t.cfg.WindowDays) * 24 * time.Hour)
+	cutoff := now.Add(-windowDays * 24 * time.Hour)
 	keep := t.examples[:0]
 	for _, ex := range t.examples {
 		if !ex.Time.Before(cutoff) {
@@ -173,7 +166,7 @@ func (t *Trainer) Retrain(now time.Time) (*TrainedModel, error) {
 	defer layerTrainer.Done(start, ds.Len())
 
 	neg, pos := ds.ClassCounts()
-	if ds.Len() < t.cfg.MinExamples || neg == 0 || pos == 0 {
+	if ds.Len() < minExamples || neg == 0 || pos == 0 {
 		metRetrains.With("starved").Inc()
 		return nil, fmt.Errorf("%w: %d samples (%d IoT / %d non-IoT)", ErrNotEnoughData, ds.Len(), pos, neg)
 	}
@@ -182,7 +175,7 @@ func (t *Trainer) Retrain(now time.Time) (*TrainedModel, error) {
 	// labeled flows per day). At simulation scale we floor the training
 	// portion at 30 samples, converging to the paper's split as the
 	// window grows.
-	frac := t.cfg.TrainFrac
+	frac := trainFrac
 	if float64(ds.Len())*frac < 30 {
 		frac = 30 / float64(ds.Len())
 		if frac > 0.5 {
@@ -217,7 +210,7 @@ func (t *Trainer) Retrain(now time.Time) (*TrainedModel, error) {
 		TestSize:   test.Len(),
 	}
 	if t.cfg.ModelDir != "" {
-		saved, err := m.Saved(t.cfg.WindowDays)
+		saved, err := m.Saved()
 		if err != nil {
 			return nil, err
 		}

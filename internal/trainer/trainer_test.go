@@ -83,7 +83,7 @@ func TestRetrainRequiresBothClasses(t *testing.T) {
 }
 
 func TestWindowEviction(t *testing.T) {
-	tr := New(Config{WindowDays: 14, SearchIterations: 2, Seed: 3})
+	tr := New(Config{SearchIterations: 2, Seed: 3})
 	rng := rand.New(rand.NewSource(3))
 	// 100 stale examples 20 days old, 100 fresh.
 	fillTrainer(tr, rng, 100, t0.Add(-20*24*time.Hour))
@@ -170,11 +170,11 @@ func TestCompareModelsNotEnoughData(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	tr := New(Config{})
-	if tr.cfg.WindowDays != 14 || tr.cfg.TrainFrac != 0.2 || tr.cfg.SearchIterations != 12 {
+	if tr.cfg.SearchIterations != 12 {
 		t.Errorf("defaults = %+v", tr.cfg)
 	}
 	d := Default()
-	if d.WindowDays != 14 || d.TrainFrac != 0.2 {
+	if d.SearchIterations != 12 || d.Seed != 1 {
 		t.Errorf("Default() = %+v", d)
 	}
 }

@@ -169,7 +169,7 @@ func TestFlowTableFreeListReuse(t *testing.T) {
 }
 
 // TestFlowTableSweepBoundary pins the expiry comparison: last <= cutoff
-// ends the flow (the detector's `now - last >= FlowEndGap` inclusive
+// ends the flow (the detector's `now - last >= flowEndGap` inclusive
 // semantics), one nano later survives — even when both entries share the
 // cutoff's epoch bucket.
 func TestFlowTableSweepBoundary(t *testing.T) {

@@ -154,8 +154,8 @@ func syntheticHours() (Config, [][]packet.Packet, []time.Time) {
 		DetectionThreshold: 10,
 		SampleSize:         5,
 		MinDuration:        -1,
-		ExpiryGap:          30 * time.Second,
-		FlowEndGap:         10 * time.Minute,
+		expiryGap:          30 * time.Second,
+		flowEndGap:         10 * time.Minute,
 	}
 	var h0 []packet.Packet
 	for i := 0; i < 40; i++ {
@@ -167,13 +167,13 @@ func syntheticHours() (Config, [][]packet.Packet, []time.Time) {
 			}
 		}
 	}
-	// Six packets, a pause longer than ExpiryGap, then a walk that
+	// Six packets, a pause longer than the expiry gap, then a walk that
 	// restarts from one and crosses the threshold on its own.
 	restart := packet.MustParseIP("198.51.100.200")
 	h0 = append(h0, steadyStream(restart, t0.Add(2*time.Second), 6, time.Second)...)
 	h0 = append(h0, steadyStream(restart, t0.Add(70*time.Second), 12, time.Second)...)
 	// After the silence, a scanner whose flow (like all of the above) is
-	// idle past FlowEndGap at the hour's sweep, and one the sweep must
+	// idle past the flow-end gap at the hour's sweep, and one the sweep must
 	// leave alive: it carries into hour 1.
 	h0 = append(h0, steadyStream(packet.MustParseIP("192.0.2.150"), t0.Add(20*time.Minute), 15, time.Second)...)
 	survivor := packet.MustParseIP("203.0.113.201")

@@ -99,7 +99,7 @@ func (d *refDetector) Process(p *packet.Packet) {
 		return
 	}
 
-	if gap > d.cfg.ExpiryGap {
+	if gap > d.cfg.expiryGap {
 		st.first = p.Timestamp
 		st.count = 1
 		return
@@ -149,7 +149,7 @@ func (d *refDetector) EndHour(now time.Time) {
 	}
 	var ended []packet.IP
 	for ip, st := range d.state {
-		if now.Sub(st.last) >= d.cfg.FlowEndGap {
+		if now.Sub(st.last) >= d.cfg.flowEndGap {
 			ended = append(ended, ip)
 		}
 	}
@@ -285,10 +285,10 @@ func diffCaptured(t *testing.T, seed int64, got, want []capturedEvent) {
 func TestFlowTableMatchesReference(t *testing.T) {
 	cfgs := []Config{
 		{}, // paper operating point
-		{DetectionThreshold: 5, SampleSize: 8, ExpiryGap: 40 * time.Second,
-			MinDuration: 3 * time.Second, FlowEndGap: 10 * time.Minute},
-		{DetectionThreshold: 3, SampleSize: 4, ExpiryGap: 10 * time.Second,
-			MinDuration: -1, FlowEndGap: 2 * time.Minute},
+		{DetectionThreshold: 5, SampleSize: 8, expiryGap: 40 * time.Second,
+			MinDuration: 3 * time.Second, flowEndGap: 10 * time.Minute},
+		{DetectionThreshold: 3, SampleSize: 4, expiryGap: 10 * time.Second,
+			MinDuration: -1, flowEndGap: 2 * time.Minute},
 	}
 	for ci, cfg := range cfgs {
 		for seed := int64(0); seed < 4; seed++ {
@@ -365,12 +365,12 @@ func TestFlowTableMatchesReference(t *testing.T) {
 }
 
 // TestFlowTableReferenceRestartResume pins the walk-restart edge exactly:
-// a source that pauses past ExpiryGap must restart its walk in both
+// a source that pauses past the expiry gap must restart its walk in both
 // implementations, and a detector reused across a Flush must behave like
 // a fresh reference.
 func TestFlowTableReferenceRestartResume(t *testing.T) {
-	cfg := Config{DetectionThreshold: 4, SampleSize: 3, ExpiryGap: 30 * time.Second,
-		MinDuration: -1, FlowEndGap: 5 * time.Minute}
+	cfg := Config{DetectionThreshold: 4, SampleSize: 3, expiryGap: 30 * time.Second,
+		MinDuration: -1, flowEndGap: 5 * time.Minute}
 	var gotEvents, wantEvents []capturedEvent
 	got := NewDetector(cfg, capture(&gotEvents))
 	want := newRefDetector(cfg, capture(&wantEvents))
@@ -387,10 +387,10 @@ func TestFlowTableReferenceRestartResume(t *testing.T) {
 		}
 	}
 	feed(3, time.Second)           // below threshold
-	ts = ts.Add(2 * time.Minute)   // > ExpiryGap: restart
+	ts = ts.Add(2 * time.Minute)   // > expiry gap: restart
 	feed(4, time.Second)           // detect on restart, sample 3
 	feed(2, time.Second)           // post-sample liveness
-	got.EndHour(ts.Add(time.Hour)) // idle > FlowEndGap: end the flow
+	got.EndHour(ts.Add(time.Hour)) // idle > flow-end gap: end the flow
 	want.EndHour(ts.Add(time.Hour))
 	feed(5, time.Second) // the source returns: fresh walk, re-detect
 	got.Flush(ts)

@@ -34,6 +34,16 @@ var (
 		"Flow-table arena slots on the free list awaiting reuse.")
 )
 
+// The paper's flow gaps.
+const (
+	// expiryGap is the maximum inter-arrival gap within a counting flow
+	// (paper: 300 s).
+	expiryGap = 300 * time.Second
+	// flowEndGap is the idle period after which an hourly sweep declares
+	// a scan flow ended (paper: 1 hour).
+	flowEndGap = time.Hour
+)
+
 // Config holds the detector's operating thresholds. The zero value is
 // replaced by the paper's operating point (see Default).
 type Config struct {
@@ -42,15 +52,13 @@ type Config struct {
 	// SampleSize is the number of packets sampled after detection
 	// (paper: 200).
 	SampleSize int
-	// ExpiryGap is the maximum inter-arrival gap within a counting flow
-	// (paper: 300 s).
-	ExpiryGap time.Duration
 	// MinDuration is the minimum flow duration before detection
 	// (paper: 1 minute).
 	MinDuration time.Duration
-	// FlowEndGap is the idle period after which an hourly sweep declares
-	// a scan flow ended (paper: 1 hour).
-	FlowEndGap time.Duration
+	// expiryGap and flowEndGap replace the paper's gaps when set. Only
+	// the reference and partition tests set them, so that short streams
+	// cross both.
+	expiryGap, flowEndGap time.Duration
 }
 
 // Default returns the paper's operating point.
@@ -58,9 +66,9 @@ func Default() Config {
 	return Config{
 		DetectionThreshold: 100,
 		SampleSize:         200,
-		ExpiryGap:          300 * time.Second,
 		MinDuration:        time.Minute,
-		FlowEndGap:         time.Hour,
+		expiryGap:          expiryGap,
+		flowEndGap:         flowEndGap,
 	}
 }
 
@@ -72,8 +80,8 @@ func (c Config) withDefaults() Config {
 	if c.SampleSize <= 0 {
 		c.SampleSize = d.SampleSize
 	}
-	if c.ExpiryGap <= 0 {
-		c.ExpiryGap = d.ExpiryGap
+	if c.expiryGap == 0 {
+		c.expiryGap = d.expiryGap
 	}
 	// A negative MinDuration disables the duration floor explicitly
 	// (ablation studies); zero means "use the paper's default".
@@ -82,8 +90,8 @@ func (c Config) withDefaults() Config {
 	} else if c.MinDuration < 0 {
 		c.MinDuration = 0
 	}
-	if c.FlowEndGap <= 0 {
-		c.FlowEndGap = d.FlowEndGap
+	if c.flowEndGap == 0 {
+		c.flowEndGap = d.flowEndGap
 	}
 	return c
 }
@@ -100,7 +108,7 @@ const (
 	// carries the sampled packets.
 	EventSample
 	// EventFlowEnd fires when the hourly sweep finds a scan flow idle
-	// longer than FlowEndGap.
+	// longer than the flow-end gap.
 	EventFlowEnd
 	// EventSecondReport carries the per-second packet-level report.
 	EventSecondReport
@@ -207,16 +215,16 @@ func NewDetector(cfg Config, emit func(Event)) *Detector {
 	cfg = cfg.withDefaults()
 	// Epoch buckets at 1/8 of the flow-end gap keep boundary-epoch
 	// rescans short without inflating the bucket index.
-	epochLen := int64(cfg.FlowEndGap) / 8
+	epochLen := int64(cfg.flowEndGap) / 8
 	return &Detector{
 		cfg:         cfg,
 		emit:        emit,
 		tbl:         newFlowTable(epochLen),
 		thresholdN:  int32(cfg.DetectionThreshold),
 		sampleN:     cfg.SampleSize,
-		expiryGapN:  int64(cfg.ExpiryGap),
+		expiryGapN:  int64(cfg.expiryGap),
 		minDurN:     int64(cfg.MinDuration),
-		flowEndGapN: int64(cfg.FlowEndGap),
+		flowEndGapN: int64(cfg.flowEndGap),
 		portCount:   make([]uint32, 65536),
 		portTouched: make([]uint16, 0, 256),
 		lastIdx:     -1,
@@ -354,7 +362,7 @@ func (d *Detector) flushSecond() {
 }
 
 // EndHour runs the hourly sweep the paper performs before processing a new
-// hour: scan flows idle longer than FlowEndGap are declared ended (with an
+// hour: scan flows idle longer than flowEndGap are declared ended (with an
 // EventFlowEnd), and stale non-scanner state is dropped. Ended flows are
 // swept in ascending source-IP order so the emitted event sequence is
 // deterministic. The sweep is epoch-incremental: only buckets old enough

@@ -180,7 +180,7 @@ func TestFlowEndAtHourlySweep(t *testing.T) {
 	// Sweep one hour later: flow idle 53+ minutes — not yet ended.
 	d.EndHour(t0.Add(time.Hour))
 	if n := len(eventsOf(events, EventFlowEnd)); n != 0 {
-		t.Fatalf("flow ended too early (idle < FlowEndGap): %d events", n)
+		t.Fatalf("flow ended too early (idle < flowEndGap): %d events", n)
 	}
 	// Sweep two hours later: idle > 1 h — flow must end.
 	d.EndHour(t0.Add(2 * time.Hour))
@@ -326,10 +326,9 @@ func TestConfigWithDefaultsZeroPromotion(t *testing.T) {
 	}{
 		{"all-zero", Config{}, d},
 		{"negative-threshold", Config{DetectionThreshold: -5}, d},
-		{"negative-gaps", Config{ExpiryGap: -time.Second, FlowEndGap: -time.Hour}, d},
-		{"partial", Config{SampleSize: 10, ExpiryGap: time.Minute},
+		{"partial", Config{SampleSize: 10, expiryGap: time.Minute},
 			Config{DetectionThreshold: d.DetectionThreshold, SampleSize: 10,
-				ExpiryGap: time.Minute, MinDuration: d.MinDuration, FlowEndGap: d.FlowEndGap}},
+				expiryGap: time.Minute, MinDuration: d.MinDuration, flowEndGap: d.flowEndGap}},
 	}
 	for _, c := range cases {
 		if got := c.in.withDefaults(); got != c.want {

@@ -172,6 +172,14 @@ func readFrameV2(r io.Reader, f *Frame) error {
 // once this much encoded frame data is pending.
 const senderFlushSize = 128 << 10
 
+// A Flush waits senderRetryInterval between reconnect attempts and gives
+// up after senderMaxRetries of them: ten seconds of an unreachable
+// receiver.
+const (
+	senderRetryInterval = 50 * time.Millisecond
+	senderMaxRetries    = 200
+)
+
 // Sender ships one shard's frames to a receiver with at-least-once
 // delivery: frames accumulate via Queue into one pooled write buffer, go
 // out as a single coalesced write with one cumulative ack, and an
@@ -181,10 +189,10 @@ const senderFlushSize = 128 << 10
 // (shard, sequence) pairs.
 type Sender struct {
 	addr string
-	// RetryInterval is the idle wait between reconnect attempts.
-	RetryInterval time.Duration
-	// MaxRetries bounds reconnect attempts per Flush (0 = unbounded).
-	MaxRetries int
+	// retryInterval and maxRetries start at senderRetryInterval and
+	// senderMaxRetries; tests shorten them.
+	retryInterval time.Duration
+	maxRetries    int
 
 	mu     sync.Mutex
 	conn   net.Conn
@@ -204,8 +212,8 @@ type Sender struct {
 func NewSenderV2(addr string, shardID, shardCount int) *Sender {
 	return &Sender{
 		addr:          addr,
-		RetryInterval: 50 * time.Millisecond,
-		MaxRetries:    200,
+		retryInterval: senderRetryInterval,
+		maxRetries:    senderMaxRetries,
 		shardID:       uint16(shardID),
 		shardCount:    uint16(shardCount),
 	}
@@ -294,10 +302,10 @@ func (s *Sender) flushLocked() error {
 		s.dropConn()
 		metSendRetries.Inc()
 		attempts++
-		if s.MaxRetries > 0 && attempts >= s.MaxRetries {
+		if attempts >= s.maxRetries {
 			return fmt.Errorf("wire: flush through seq %d: receiver unreachable after %d attempts", s.seq, attempts)
 		}
-		time.Sleep(s.RetryInterval)
+		time.Sleep(s.retryInterval)
 	}
 }
 

@@ -123,7 +123,7 @@ func TestReconnectWithoutLoss(t *testing.T) {
 	defer r.Close()
 
 	s := NewSenderV2(r.Addr(), 0, 1)
-	s.RetryInterval = time.Millisecond
+	s.retryInterval = time.Millisecond
 	defer s.Close()
 	if err := s.Queue(KindSample, 3600, []byte("one")); err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestSenderGoesIdleUntilReceiverUp(t *testing.T) {
 	tmp.Close()
 
 	s := NewSenderV2(addr, 0, 1)
-	s.RetryInterval = 10 * time.Millisecond
+	s.retryInterval = 10 * time.Millisecond
 	defer s.Close()
 	if err := s.Queue(KindFlowEnd, 3600, []byte("late")); err != nil {
 		t.Fatal(err)
@@ -197,13 +197,13 @@ func TestSenderGoesIdleUntilReceiverUp(t *testing.T) {
 
 func TestSenderGivesUpAfterMaxRetries(t *testing.T) {
 	s := NewSenderV2("127.0.0.1:1", 0, 1) // nothing listens on port 1
-	s.RetryInterval = time.Millisecond
-	s.MaxRetries = 3
+	s.retryInterval = time.Millisecond
+	s.maxRetries = 3
 	if err := s.Queue(KindControl, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err == nil {
-		t.Error("flush to dead address should fail after MaxRetries")
+		t.Error("flush to dead address should fail after maxRetries")
 	}
 	// The batch is still unacknowledged, so Close retries it and reports
 	// the same failure instead of dropping it silently.
@@ -352,7 +352,7 @@ func TestV2ReconnectReplaysBatch(t *testing.T) {
 	defer r.Close()
 
 	s := NewSenderV2(r.Addr(), 0, 2)
-	s.RetryInterval = time.Millisecond
+	s.retryInterval = time.Millisecond
 	defer s.Close()
 	if err := s.Queue(KindSample, 3600, []byte("a")); err != nil {
 		t.Fatal(err)

@@ -443,8 +443,8 @@ func damageWALTail(t *testing.T, dir string, bitflip bool) {
 func attachConsole(t *testing.T, srv *pipeline.Server, out *outcome) (hourDone func(time.Time), done func()) {
 	cache := srv.NewFeedCache(feedserve.Config{})
 	t.Cleanup(cache.Close)
-	tracker := campaign.NewTracker(campaign.TrackerConfig{})
-	cache.OnRebuild(func(s *feedserve.Snapshot) { tracker.Update(s.Records(), s.BuiltAt()) })
+	tracker := campaign.NewTracker()
+	cache.OnRebuild(func(s *feedserve.Snapshot) { tracker.Update(s.EachRecord, s.BuiltAt()) })
 	con := console.New(console.Config{Source: srv, Tracker: tracker, Feed: cache})
 	mux := http.NewServeMux()
 	con.Register(mux)
