@@ -282,9 +282,9 @@ func serveFeed(source *pipeline.Server, apiKey string, rebuildEvery time.Duratio
 	// built at construction seeds it now.
 	tracker := campaign.NewTracker()
 	cache.OnRebuild(func(s *feedserve.Snapshot) {
-		tracker.Update(s.EachRecord, time.Now())
+		tracker.Update(s.Campaigns(), time.Now())
 	})
-	tracker.Update(cache.Current().EachRecord, time.Now())
+	tracker.Update(cache.Current().Campaigns(), time.Now())
 	apiSrv.SetCampaignTracker(tracker)
 
 	var con *console.Console

@@ -7,6 +7,7 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -691,6 +692,65 @@ func (q *Query) Matches(rec *feed.Record) bool {
 		}
 	}
 	return true
+}
+
+// keyFilter is a query's record filters compiled for snapshot keys.
+type keyFilter struct {
+	none              bool // the query sets no record filter
+	byLabel, byActive bool
+	byPrefix          bool
+	label             feedserve.Label
+	active            bool
+	country           string
+	asn               int
+	since             feedserve.Time
+	prefix            packet.Prefix
+}
+
+// keyFilter compiles q's record filters for snapshot keys. For a query
+// parseQuery returned, the filter passes a key exactly when Matches
+// passes the record the key was taken from, and it parses nothing per
+// record.
+func (q *Query) keyFilter() keyFilter {
+	f := keyFilter{
+		none:     !q.filters(),
+		byLabel:  q.Label != "",
+		label:    feedserve.LabelOf(q.Label),
+		country:  q.Country,
+		asn:      q.ASN,
+		since:    feedserve.Time{Sec: math.MinInt64},
+		byActive: q.Active != nil,
+		byPrefix: q.Prefix != nil,
+	}
+	if !q.Since.IsZero() {
+		f.since = feedserve.TimeOf(q.Since)
+	}
+	if f.byActive {
+		f.active = *q.Active
+	}
+	if f.byPrefix {
+		f.prefix = *q.Prefix
+	}
+	return f
+}
+
+// matcher returns the filter as a snapshot's matcher: nil when it
+// filters nothing, so the snapshot takes every item.
+func (f *keyFilter) matcher() func(*feedserve.Key) bool {
+	if f.none {
+		return nil
+	}
+	return f.match
+}
+
+// match reports whether k passes the filter.
+func (f *keyFilter) match(k *feedserve.Key) bool {
+	return (!f.byLabel || k.Label == f.label) &&
+		(f.country == "" || k.Country == f.country) &&
+		(f.asn == 0 || k.ASN == f.asn) &&
+		(!f.byActive || k.Active == f.active) &&
+		!k.DetectedAt.Before(f.since) &&
+		(!f.byPrefix || !k.BadIP && f.prefix.Contains(k.IP))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

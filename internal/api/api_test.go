@@ -336,11 +336,7 @@ func trackedServer(t *testing.T, updates ...time.Time) *httptest.Server {
 	tracker := campaign.NewTracker()
 	recs := src.Records(Query{Label: feed.LabelIoT})
 	for _, at := range updates {
-		tracker.Update(func(visit func(*feed.Record)) {
-			for i := range recs {
-				visit(&recs[i])
-			}
-		}, at)
+		tracker.Update(campaign.Infer(recs), at)
 	}
 	s := NewServer(src, nil)
 	s.AddKey("secret-token", "test-client")

@@ -47,6 +47,11 @@ func FuzzRecordsQuery(f *testing.F) {
 	coll.Update(ids[0], func(*feed.Record) {})
 	snap := cache.Rebuild()
 	last := snap.LastSeq()
+	// The reference filters the store's records themselves.
+	records := map[store.ObjectID]feed.Record{}
+	for _, d := range coll.Export() {
+		records[d.ID] = d.Value
+	}
 
 	for _, q := range []string{
 		"", "limit=2", "label=iot&country=CN", "active=true&asn=7", "since=2020-12-09T00:03:00Z",
@@ -103,7 +108,7 @@ func FuzzRecordsQuery(f *testing.F) {
 				}
 				var want []byte
 				if after, ok := q.seqMode(); ok {
-					want = refSeqBody(snap, &q, after, export)
+					want = refSeqBody(snap, records, &q, after, export)
 				} else {
 					want = serve(walk, path, rawQuery, "").Body.Bytes()
 				}
@@ -136,13 +141,13 @@ func FuzzRecordsQuery(f *testing.F) {
 }
 
 // refSeqBody is the full-walk reference for a cursor or since=<seq>
-// query: every item past the cursor, filtered, then cut to the limit —
-// the /records body (with has_more and next_cursor) or the /export
-// NDJSON.
-func refSeqBody(snap *feedserve.Snapshot, q *Query, after uint64, export bool) []byte {
+// query: every item past the cursor whose record, looked up in records
+// by ID, q.Matches, then cut to the limit — the /records body (with
+// has_more and next_cursor) or the /export NDJSON.
+func refSeqBody(snap *feedserve.Snapshot, records map[store.ObjectID]feed.Record, q *Query, after uint64, export bool) []byte {
 	var all []*feedserve.Item
 	for _, it := range snap.ItemsSince(after) {
-		if q.Matches(&it.Rec) {
+		if rec := records[it.ID]; q.Matches(&rec) {
 			all = append(all, it)
 		}
 	}
@@ -163,4 +168,50 @@ func refSeqBody(snap *feedserve.Snapshot, q *Query, after uint64, export bool) [
 		b.Write(it.Line)
 	}
 	return b.Bytes()
+}
+
+// FuzzKeyFilter holds the snapshot path's compiled filter to
+// Query.Matches: for any record a snapshot holds and any query
+// parseQuery accepts, the filter passes the record's snapshot key
+// exactly when Matches passes the record. The records' country codes,
+// ASNs, labels and IPs are arbitrary strings and numbers, and their
+// detection times span the years 0 to 9999, as do a since's.
+func FuzzKeyFilter(f *testing.F) {
+	f.Add(feed.LabelIoT, "CN", 4134, true, "10.1.2.3", int64(1_607_472_000), "label=IoT&country=CN&asn=4134&active=true")
+	f.Add(feed.LabelNonIoT, "USA", 0, false, "010.001.2.3", int64(0), "country=USA&prefix=10.0.0.0/8")
+	f.Add("other", "", -7, true, "10.1.2", int64(1_607_472_000), "prefix=10.1.2.0/24&label=non-IoT")
+	f.Add(feed.LabelIoT, "C", 1, false, "256.1.1.1", int64(-9_000_000_000), "since=1678-01-01T00:00:00Z")
+	f.Add(feed.LabelIoT, "BR", 1, false, "192.0.2.1", int64(9_300_000_000), "since=2261-12-31T23:59:59-12:00&asn=1")
+	f.Add(feed.LabelIoT, "BR", 1, true, "192.0.2.1", int64(1_607_472_000), "since=2020-12-09T00:00:00.000000001Z&active=false")
+	f.Add(feed.LabelIoT, "BR", 1, true, "192.0.2.1", int64(-14_700_000_000), "since=1678-01-01T00:00:00Z&label=IoT")
+	f.Add(feed.LabelIoT, "BR", 1, true, "192.0.2.1", int64(-14_700_000_000), "since=1600-01-01T00:00:00Z")
+
+	// The Unix seconds of 0000-01-01 and 10000-01-01: a record's
+	// detection time is JSON, which spans the years between.
+	const first, span = -62_167_219_200, 315_569_520_000
+	f.Fuzz(func(t *testing.T, label, country string, asn int, active bool, ip string, sec int64, rawQuery string) {
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/records", nil)
+		req.URL.RawQuery = rawQuery
+		q, err := parseQuery(req)
+		if err != nil {
+			return
+		}
+		rec := feed.Record{
+			IP: ip, Label: label, CountryCode: country, ASN: asn, Active: active,
+			DetectedAt: time.Unix(first+((sec-first)%span+span)%span, sec&(1<<30-1)%1e9).UTC(),
+		}
+		coll := store.NewCollection[feed.Record]()
+		coll.Insert(t0, rec)
+		cache := feedserve.New(coll, feedserve.Config{Clock: func() time.Time { return t0 }})
+		defer cache.Close()
+		items := cache.Current().Latest(0, nil)
+		if len(items) != 1 {
+			t.Fatalf("the snapshot holds %d items", len(items))
+		}
+		filter := q.keyFilter()
+		got := filter.matcher() == nil || filter.match(&items[0].Key)
+		if want := q.Matches(&rec); got != want {
+			t.Fatalf("?%s: the key filter says %v, Matches %v, for %+v (key %+v)", rawQuery, got, want, rec, items[0].Key)
+		}
+	})
 }

@@ -166,6 +166,7 @@ func (s *Server) serveRecordsFromSnapshot(w http.ResponseWriter, r *http.Request
 	}
 
 	var body []byte
+	filter := q.keyFilter()
 	if after, ok := q.seqMode(); ok {
 		// Delta mode: the page past the cursor in change-sequence order,
 		// and one match more to tell whether another page follows.
@@ -173,7 +174,7 @@ func (s *Server) serveRecordsFromSnapshot(w http.ResponseWriter, r *http.Request
 		if q.Limit > 0 {
 			n = q.Limit + 1
 		}
-		sel := snap.ItemsAfter(after, n, q.Matches)
+		sel := snap.ItemsAfter(after, n, filter.matcher())
 		info := cursorInfo{next: after}
 		if q.Limit > 0 && len(sel) > q.Limit {
 			sel = sel[:q.Limit]
@@ -185,7 +186,7 @@ func (s *Server) serveRecordsFromSnapshot(w http.ResponseWriter, r *http.Request
 		}
 		body = recordsBody(sel, &info)
 	} else {
-		body = recordsBody(snap.Latest(q.Limit, q.Matches), nil)
+		body = recordsBody(snap.Latest(q.Limit, filter.matcher()), nil)
 	}
 
 	w.Header().Set("Content-Type", "application/json")
@@ -250,10 +251,11 @@ func (s *Server) serveExportFromSnapshot(w http.ResponseWriter, r *http.Request,
 	}
 
 	var sel []*feedserve.Item
+	filter := q.keyFilter()
 	if seq {
-		sel = snap.ItemsAfter(after, q.Limit, q.Matches)
+		sel = snap.ItemsAfter(after, q.Limit, filter.matcher())
 	} else {
-		sel = snap.Latest(q.Limit, q.Matches)
+		sel = snap.Latest(q.Limit, filter.matcher())
 	}
 	w.WriteHeader(http.StatusOK)
 	for _, it := range sel {

@@ -6,11 +6,20 @@
 // into campaigns; signature groups with strongly overlapping port sets
 // are merged, so minor per-bot differences (a port seen in one flow but
 // not another) do not fragment a botnet into many campaigns.
+//
+// Infer clusters a slice of records in one pass. A feed that is kept in
+// blocks infers per block instead: a Summarizer turns each block's
+// records into a Summary (the exact-signature grouping), built once with
+// the block, and Merge folds the blocks' summaries into the campaigns
+// Infer finds over the same records. An update then reads the blocks'
+// summaries, not the records.
 package campaign
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"exiot/internal/feed"
@@ -24,17 +33,37 @@ type Signature struct {
 	Tool string
 }
 
-// String renders the signature for display and map keys.
-func (s Signature) String() string {
-	parts := make([]string, len(s.Ports))
-	for i, p := range s.Ports {
-		parts[i] = fmt.Sprintf("%d", p)
+// String renders the signature for display and map keys: the ports,
+// comma-separated, then "|" and the tool when there is one.
+func (s Signature) String() string { return string(appendKey(nil, s.Ports, s.Tool)) }
+
+// appendKey appends the String of the signature ports and tool to dst.
+func appendKey(dst []byte, ports []uint16, tool string) []byte {
+	for i, p := range ports {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, uint64(p), 10)
 	}
-	key := strings.Join(parts, ",")
-	if s.Tool != "" {
-		key += "|" + s.Tool
+	if tool != "" {
+		dst = append(dst, '|')
+		dst = append(dst, tool...)
 	}
-	return key
+	return dst
+}
+
+// parseKey returns the signature whose String is key. Ports hold no
+// '|', so the first one ends them.
+func parseKey(key string) Signature {
+	ports, tool, _ := strings.Cut(key, "|")
+	sig := Signature{Ports: make([]uint16, 0, strings.Count(ports, ",")+1), Tool: tool}
+	for more := true; more; {
+		var p string
+		p, ports, more = strings.Cut(ports, ",")
+		n, _ := strconv.ParseUint(p, 10, 16) // appendKey wrote it
+		sig.Ports = append(sig.Ports, uint16(n))
+	}
+	return sig
 }
 
 // Campaign is one inferred group of coordinated scanners.
@@ -63,72 +92,80 @@ const (
 	minSize = 3
 )
 
-// signatureOf derives a record's scanning signature.
-func signatureOf(rec *feed.Record) (Signature, bool) {
-	total := 0
-	for _, n := range rec.TargetPorts {
-		total += n
-	}
-	if total == 0 {
-		return Signature{}, false
-	}
-	var ports []uint16
-	for p, n := range rec.TargetPorts {
-		if float64(n)/float64(total) >= minPortShare {
-			ports = append(ports, p)
-		}
-	}
-	if len(ports) == 0 {
-		return Signature{}, false
-	}
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	return Signature{Ports: ports, Tool: rec.Tool}, true
+// portCount is one target port and its packets.
+type portCount struct {
+	port uint16
+	n    int
 }
 
-// jaccard computes set overlap of two sorted port slices.
+// appendPorts appends rec's significant target ports to dst, ascending,
+// and reports whether there is any. It walks the port map once, into
+// seen, which it returns for reuse.
+func appendPorts(dst []uint16, seen []portCount, rec *feed.Record) ([]uint16, []portCount, bool) {
+	total := 0
+	seen = seen[:0]
+	for p, n := range rec.TargetPorts {
+		total += n
+		seen = append(seen, portCount{p, n})
+	}
+	if total == 0 {
+		return dst, seen, false
+	}
+	start := len(dst)
+	for _, pc := range seen {
+		if float64(pc.n)/float64(total) >= minPortShare {
+			dst = append(dst, pc.port)
+		}
+	}
+	slices.Sort(dst[start:])
+	return dst, seen, len(dst) > start
+}
+
+// signatureOf derives a record's scanning signature.
+func signatureOf(rec *feed.Record) (Signature, bool) {
+	ports, _, ok := appendPorts(nil, nil, rec)
+	return Signature{Ports: ports, Tool: rec.Tool}, ok
+}
+
+// member reports whether rec can join a campaign at all: an IoT-labeled
+// record not known to be benign.
+func member(rec *feed.Record) bool { return rec.IsIoT() && !rec.Benign }
+
+// jaccard computes set overlap of two ascending port slices, each
+// without repeats.
 func jaccard(a, b []uint16) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	set := make(map[uint16]bool, len(a))
-	for _, p := range a {
-		set[p] = true
-	}
 	inter := 0
-	for _, p := range b {
-		if set[p] {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
 			inter++
+			i++
+			j++
 		}
 	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // Infer groups IoT-labeled records into campaigns.
 func Infer(records []feed.Record) []Campaign {
-	return infer(func(visit func(*feed.Record)) {
-		for i := range records {
-			visit(&records[i])
-		}
-	})
-}
-
-// infer groups the IoT-labeled records each visits into campaigns. It
-// keeps no pointer to a record.
-func infer(each func(visit func(*feed.Record))) []Campaign {
 	// Pass 1: exact-signature grouping.
 	groups := map[string]*Campaign{}
 	seen := map[string]map[string]bool{} // signature key → member IPs
-	each(func(rec *feed.Record) {
-		if !rec.IsIoT() || rec.Benign {
-			return
+	for i := range records {
+		rec := &records[i]
+		if !member(rec) {
+			continue
 		}
 		sig, ok := signatureOf(rec)
 		if !ok {
-			return
+			continue
 		}
 		key := sig.String()
 		g, exists := groups[key]
@@ -145,21 +182,37 @@ func infer(each func(visit func(*feed.Record))) []Campaign {
 		if rec.CountryCode != "" {
 			g.Countries[rec.CountryCode]++
 		}
-	})
-
-	// Pass 2: merge overlapping signatures (largest first absorbs).
-	list := make([]*Campaign, 0, len(groups))
-	for _, g := range groups {
-		list = append(list, g)
 	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].Size() != list[j].Size() {
-			return list[i].Size() > list[j].Size()
-		}
-		return list[i].Signature.String() < list[j].Signature.String()
-	})
-	var merged []*Campaign
-	for _, g := range list {
+	list := make([]keyed, 0, len(groups))
+	for key, g := range groups {
+		list = append(list, keyed{key, g})
+	}
+	return cluster(list)
+}
+
+// keyed is one signature group with its signature's String, rendered
+// once.
+type keyed struct {
+	key string
+	*Campaign
+}
+
+// bySizeThenKey orders groups largest first, then by signature.
+func bySizeThenKey(a, b keyed) int {
+	if c := cmp.Compare(b.Size(), a.Size()); c != 0 {
+		return c
+	}
+	return strings.Compare(a.key, b.key)
+}
+
+// cluster runs passes 2 and 3 over the exact-signature groups, whose
+// member IPs are distinct within each group. It owns the groups.
+func cluster(groups []keyed) []Campaign {
+	// Pass 2: merge overlapping signatures (largest first absorbs). A
+	// host gathers its guests' IPs; pass 3 removes the repeats.
+	slices.SortFunc(groups, bySizeThenKey)
+	var merged []keyed
+	for _, g := range groups {
 		host := -1
 		for i, m := range merged {
 			if m.Signature.Tool != g.Signature.Tool {
@@ -175,15 +228,7 @@ func infer(each func(visit func(*feed.Record))) []Campaign {
 			continue
 		}
 		m := merged[host]
-		members := make(map[string]bool, len(m.IPs))
-		for _, ip := range m.IPs {
-			members[ip] = true
-		}
-		for _, ip := range g.IPs {
-			if !members[ip] {
-				m.IPs = append(m.IPs, ip)
-			}
-		}
+		m.IPs = append(m.IPs, g.IPs...)
 		for cc, n := range g.Countries {
 			m.Countries[cc] += n
 		}
@@ -191,19 +236,19 @@ func infer(each func(visit func(*feed.Record))) []Campaign {
 	}
 
 	// Pass 3: size filter and stable output order.
-	var out []Campaign
+	var kept []keyed
 	for _, g := range merged {
+		slices.Sort(g.IPs)
+		g.IPs = slices.Clip(slices.Compact(g.IPs))
 		if g.Size() >= minSize {
-			sort.Strings(g.IPs)
-			out = append(out, *g)
+			kept = append(kept, g)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Size() != out[j].Size() {
-			return out[i].Size() > out[j].Size()
-		}
-		return out[i].Signature.String() < out[j].Signature.String()
-	})
+	slices.SortFunc(kept, bySizeThenKey)
+	var out []Campaign
+	for _, g := range kept {
+		out = append(out, *g.Campaign)
+	}
 	return out
 }
 

@@ -275,3 +275,70 @@ func TestInferDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeMatchesInfer cuts random feeds into random runs, summarizes
+// each run and merges the summaries: the campaigns must be Infer's over
+// the whole feed, campaign by campaign. The feeds repeat IPs within and
+// across runs, mix in non-IoT, benign and portless records, records
+// without a country and IPs that do not parse, and leave some runs with
+// no member at all.
+func TestMergeMatchesInfer(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	portSets := []map[uint16]int{
+		{23: 180, 2323: 20}, {23: 200}, {23: 150, 2323: 50}, {8080: 100, 80: 60, 81: 40},
+		{5555: 200}, {23: 100, 2323: 50, 5555: 50}, {}, {23: 0},
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(400)
+		records := make([]feed.Record, n)
+		for i := range records {
+			ip := fmt.Sprintf("12.%d.0.%d", rng.Intn(3), rng.Intn(60))
+			if rng.Intn(20) == 0 {
+				ip = fmt.Sprintf("bot-%d", rng.Intn(5))
+			}
+			records[i] = familyRecord(rng, ip, portSets[rng.Intn(len(portSets))],
+				[]string{"", "Mirai-like scanner", "ZMap|x,1"}[rng.Intn(3)], []string{"CN", "US", "", "BRA"}[rng.Intn(4)])
+			switch rng.Intn(10) {
+			case 0:
+				records[i].Label = feed.LabelNonIoT
+			case 1:
+				records[i].Benign = true
+			}
+		}
+		var s Summarizer
+		var parts []*Summary
+		for i := 0; i < n; {
+			end := min(n, i+1+rng.Intn(64))
+			for j := i; j < end; j++ {
+				if key := s.Key(&records[j]); key != "" {
+					s.Add(key, records[j].IP, records[j].CountryCode)
+				}
+			}
+			sum := s.Summary()
+			parts = append(parts, &sum)
+			i = end
+		}
+		want := Infer(records)
+		if got := Merge(parts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%d records, %d runs): Merge differs from Infer:\n got %+v\nwant %+v", trial, n, len(parts), got, want)
+		}
+	}
+}
+
+// TestSignatureKeyRoundTrips renders signatures, tools with the
+// separators in them included, and parses them back.
+func TestSignatureKeyRoundTrips(t *testing.T) {
+	for _, sig := range []Signature{
+		{Ports: []uint16{23}},
+		{Ports: []uint16{0, 23, 2323, 65535}, Tool: "Mirai-like scanner"},
+		{Ports: []uint16{80}, Tool: "a|b,c"},
+	} {
+		key := sig.String()
+		if got := parseKey(key); !reflect.DeepEqual(got, sig) {
+			t.Errorf("%q parses to %+v, want %+v", key, got, sig)
+		}
+	}
+	if got := (Signature{Ports: []uint16{23, 2323}, Tool: "ZMap"}).String(); got != "23,2323|ZMap" {
+		t.Errorf("String = %q", got)
+	}
+}

@@ -1,11 +1,12 @@
 package campaign
 
-// Cross-hour campaign tracking: where Infer is a one-shot clustering of
-// whatever records it is handed, Tracker keeps campaign *identity*
-// across repeated inferences — the feed snapshot is re-clustered after
-// every rebuild, and campaigns that persist keep their IDs, so an
-// operator watching the console sees "C-000003 grew from 12 to 31 bots
-// overnight" instead of a fresh anonymous table every refresh. This is
+// Cross-hour campaign tracking: where Infer and Merge are one-shot
+// clusterings of whatever they are handed, Tracker keeps campaign
+// *identity* across repeated inferences — the feed snapshot's campaigns
+// are handed to it after every rebuild, and campaigns that persist keep
+// their IDs, so an operator watching the console sees "C-000003 grew
+// from 12 to 31 bots overnight" instead of a fresh anonymous table
+// every refresh. This is
 // the longitudinal view the telescope literature argues for: campaigns
 // are born, grow, decay, and die over days, and the interesting signal
 // is the trajectory, not the instant.
@@ -15,8 +16,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"exiot/internal/feed"
 )
 
 // Tracked is one campaign with a stable identity across updates.
@@ -64,8 +63,11 @@ const (
 	// retire drops a campaign not seen for longer than this: the feed's
 	// own record-lapse window.
 	retire = 14 * 24 * time.Hour
-	// maxHistory bounds each campaign's trajectory samples: two weeks of
-	// half-hourly points.
+	// maxHistory bounds each campaign's trajectory: the newest 336
+	// points, two weeks' worth if points came hourly. A point is taken
+	// on each Update whose campaign differs from the previous point in
+	// size, records or signature, not on a clock, so an idle feed adds
+	// none and a busy one can fill the bound in less than two weeks.
 	maxHistory = 336
 )
 
@@ -82,18 +84,15 @@ type Tracker struct {
 // NewTracker builds an empty tracker.
 func NewTracker() *Tracker { return &Tracker{} }
 
-// Update re-infers campaigns over the records each visits and
-// reconciles them with the tracked set as of now: matched campaigns keep
-// their IDs and grow their history, unmatched inferences are born with
-// fresh IDs, and tracked campaigns beyond the retire window are dropped.
-// Update is deterministic: the same record set against the same tracker
-// state yields the same IDs in the same order, so repeated snapshot
-// rebuilds over an unchanged feed are idempotent. Update reads the
-// records only while it runs, so each may visit them in place (a feed
-// snapshot's EachRecord, say).
-func (t *Tracker) Update(each func(visit func(*feed.Record)), now time.Time) {
-	inferred := infer(each)
-
+// Update reconciles the inferred campaigns, as Infer or Merge return
+// them, with the tracked set as of now: matched campaigns keep their IDs
+// and grow their history, unmatched inferences are born with fresh IDs,
+// and tracked campaigns beyond the retire window are dropped. Update is
+// deterministic: the same campaigns against the same tracker state yield
+// the same IDs in the same order, so repeated snapshot rebuilds over an
+// unchanged feed are idempotent. The tracker keeps the campaigns and
+// only reads them, so they may be shared (a feed snapshot's, say).
+func (t *Tracker) Update(inferred []Campaign, now time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.lastSeen = now
@@ -143,22 +142,13 @@ func (t *Tracker) Update(each func(visit func(*feed.Record)), now time.Time) {
 // matchOverlap). Ties break to the older campaign — identity outlives
 // splits.
 func (t *Tracker) bestMatch(inf *Campaign, claimed map[*Tracked]bool) *Tracked {
-	members := make(map[string]bool, len(inf.IPs))
-	for _, ip := range inf.IPs {
-		members[ip] = true
-	}
 	var best *Tracked
 	bestOverlap := 0.0
 	for _, tc := range t.tracked { // ascending ID: first win is oldest
 		if claimed[tc] || tc.Signature.Tool != inf.Signature.Tool {
 			continue
 		}
-		inter := 0
-		for _, ip := range tc.IPs {
-			if members[ip] {
-				inter++
-			}
-		}
+		inter := common(tc.IPs, inf.IPs)
 		smaller := len(tc.IPs)
 		if len(inf.IPs) < smaller {
 			smaller = len(inf.IPs)
@@ -172,6 +162,25 @@ func (t *Tracker) bestMatch(inf *Campaign, claimed map[*Tracked]bool) *Tracked {
 		}
 	}
 	return best
+}
+
+// common counts the strings a and b share. Both are ascending and
+// distinct, as every inferred campaign's IPs are.
+func common(a, b []string) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
 }
 
 // appendHistory appends p, coalescing consecutive identical states so

@@ -24,15 +24,6 @@ func botRecords(prefix string, n int, ports map[uint16]int, tool, cc string) []f
 	return out
 }
 
-// each visits records in place, as a feed snapshot's EachRecord does.
-func each(records []feed.Record) func(func(*feed.Record)) {
-	return func(visit func(*feed.Record)) {
-		for i := range records {
-			visit(&records[i])
-		}
-	}
-}
-
 func hour(h int) time.Time {
 	return time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(h) * time.Hour)
 }
@@ -47,7 +38,7 @@ func TestTrackerStableIDsAcrossRebuilds(t *testing.T) {
 	// console's acceptance bar: IDs, order, and history must not churn.
 	var want []Tracked
 	for rebuild := 0; rebuild < 3; rebuild++ {
-		tr.Update(each(records), hour(rebuild))
+		tr.Update(Infer(records), hour(rebuild))
 		got := tr.Campaigns()
 		if len(got) != 2 {
 			t.Fatalf("rebuild %d: campaigns = %d, want 2", rebuild, len(got))
@@ -79,7 +70,7 @@ func TestTrackerGrowthKeepsIdentity(t *testing.T) {
 	// A Mirai wave recruiting 5 → 15 → 40 bots: same campaign throughout,
 	// even though the later membership dwarfs the earlier one.
 	for i, n := range []int{5, 15, 40} {
-		tr.Update(each(botRecords("20.0", n, map[uint16]int{23: 200}, "Mirai-like scanner", "CN")), hour(i))
+		tr.Update(Infer(botRecords("20.0", n, map[uint16]int{23: 200}, "Mirai-like scanner", "CN")), hour(i))
 	}
 	got := tr.Campaigns()
 	if len(got) != 1 {
@@ -103,8 +94,8 @@ func TestTrackerBirthDecayRetire(t *testing.T) {
 	mirai := botRecords("30.0", 10, map[uint16]int{23: 200}, "Mirai-like scanner", "CN")
 	web := botRecords("30.1", 6, map[uint16]int{8080: 200}, "", "BR")
 
-	tr.Update(each(mirai), hour(0))
-	tr.Update(each(append(append([]feed.Record{}, mirai...), web...)), hour(1))
+	tr.Update(Infer(mirai), hour(0))
+	tr.Update(Infer(append(append([]feed.Record{}, mirai...), web...)), hour(1))
 	got := tr.Campaigns()
 	if len(got) != 2 {
 		t.Fatalf("campaigns after birth = %d, want 2", len(got))
@@ -119,7 +110,7 @@ func TestTrackerBirthDecayRetire(t *testing.T) {
 	// The web campaign goes quiet: it decays (listed, inactive) until
 	// the 14-day retire window closes. Last seen at hour 1, it is still
 	// listed exactly 14 days later.
-	tr.Update(each(mirai), hour(2))
+	tr.Update(Infer(mirai), hour(2))
 	got = tr.Campaigns()
 	if len(got) != 2 {
 		t.Fatalf("campaigns after decay = %d, want 2 (decaying one still listed)", len(got))
@@ -132,19 +123,19 @@ func TestTrackerBirthDecayRetire(t *testing.T) {
 		t.Errorf("decaying campaign misreported: ID=%s active=%v", got[1].ID, got[1].Active(asOf))
 	}
 
-	tr.Update(each(mirai), hour(1).Add(retire))
+	tr.Update(Infer(mirai), hour(1).Add(retire))
 	if got = tr.Campaigns(); len(got) != 2 || got[1].ID != "C-000002" {
 		t.Fatalf("campaign retired at exactly %v unseen: %d campaigns", retire, len(got))
 	}
 	// Just past the window it is dropped.
-	tr.Update(each(mirai), hour(1).Add(retire+time.Second))
+	tr.Update(Infer(mirai), hour(1).Add(retire+time.Second))
 	got = tr.Campaigns()
 	if len(got) != 1 || got[0].ID != "C-000001" {
 		t.Fatalf("retire failed: %d campaigns, first %s", len(got), got[0].ID)
 	}
 
 	// A campaign reborn after retirement is a new identity.
-	tr.Update(each(append(append([]feed.Record{}, mirai...), web...)), hour(2).Add(retire))
+	tr.Update(Infer(append(append([]feed.Record{}, mirai...), web...)), hour(2).Add(retire))
 	got = tr.Campaigns()
 	if len(got) != 2 || got[1].ID != "C-000003" {
 		t.Fatalf("reborn campaign should draw a fresh ID: %+v", got)
@@ -161,7 +152,7 @@ func TestTrackerDeterminism(t *testing.T) {
 	run := func() []Tracked {
 		tr := NewTracker()
 		for i := 0; i < 4; i++ {
-			tr.Update(each(records), hour(i))
+			tr.Update(Infer(records), hour(i))
 		}
 		return tr.Campaigns()
 	}
@@ -174,7 +165,7 @@ func TestTrackerDeterminism(t *testing.T) {
 func TestTrackerSplitKeepsOldestIdentity(t *testing.T) {
 	tr := NewTracker()
 	all := botRecords("50.0", 20, map[uint16]int{23: 200}, "", "CN")
-	tr.Update(each(all), hour(0))
+	tr.Update(Infer(all), hour(0))
 
 	// Half the botnet retools to a distinguishable signature: the larger
 	// continuation keeps C-000001, the splinter is born as C-000002.
@@ -185,7 +176,7 @@ func TestTrackerSplitKeepsOldestIdentity(t *testing.T) {
 		}
 		next = append(next, rec)
 	}
-	tr.Update(each(next), hour(1))
+	tr.Update(Infer(next), hour(1))
 	got := tr.Campaigns()
 	if len(got) != 2 {
 		t.Fatalf("campaigns after split = %d, want 2", len(got))
@@ -203,7 +194,7 @@ func TestTrackerHistoryBounded(t *testing.T) {
 	const updates = maxHistory + 4
 	for i := 0; i < updates; i++ {
 		// Size changes every update so no coalescing happens.
-		tr.Update(each(botRecords("60.0", 3+i, map[uint16]int{23: 200}, "", "CN")), hour(i))
+		tr.Update(Infer(botRecords("60.0", 3+i, map[uint16]int{23: 200}, "", "CN")), hour(i))
 	}
 	got := tr.Campaigns()
 	if len(got) != 1 {
@@ -215,5 +206,39 @@ func TestTrackerHistoryBounded(t *testing.T) {
 	}
 	if h[len(h)-1].Size != 3+updates-1 || h[0].Size != 3+updates-336 {
 		t.Errorf("history window wrong: first %d last %d, want %d..%d", h[0].Size, h[len(h)-1].Size, 3+updates-336, 3+updates-1)
+	}
+}
+
+// TestTrackerHistoryPointsOnChange pins what a history point is: one per
+// update that changes the campaign's size, records or signature. Idle
+// updates add none, whatever time passes between them, and the 337th
+// distinct point drops the oldest.
+func TestTrackerHistoryPointsOnChange(t *testing.T) {
+	tr := NewTracker()
+	bots := func(n int) []Campaign { return Infer(botRecords("70.0", n, map[uint16]int{23: 200}, "", "CN")) }
+	history := func() []HistoryPoint {
+		t.Helper()
+		got := tr.Campaigns()
+		if len(got) != 1 {
+			t.Fatalf("campaigns = %d, want 1", len(got))
+		}
+		return got[0].History
+	}
+	tr.Update(bots(3), hour(0))
+	for i := 1; i <= 5; i++ {
+		tr.Update(bots(3), hour(24*i))
+	}
+	if h := history(); len(h) != 1 || !h[0].At.Equal(hour(0)) {
+		t.Fatalf("five idle updates over five days left %d points", len(h))
+	}
+	for n := 4; n < 3+maxHistory; n++ {
+		tr.Update(bots(n), hour(200+n))
+	}
+	if h := history(); len(h) != maxHistory || h[0].Size != 3 || h[len(h)-1].Size != 2+maxHistory {
+		t.Fatalf("%d distinct updates: %d points, sizes %d..%d", maxHistory, len(h), h[0].Size, h[len(h)-1].Size)
+	}
+	tr.Update(bots(3+maxHistory), hour(300+maxHistory))
+	if h := history(); len(h) != maxHistory || h[0].Size != 4 || h[len(h)-1].Size != 3+maxHistory {
+		t.Fatalf("the %dth distinct point: %d points, sizes %d..%d, want the oldest (3) dropped", maxHistory+1, len(h), h[0].Size, h[len(h)-1].Size)
 	}
 }

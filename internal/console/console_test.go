@@ -240,11 +240,7 @@ func TestTracesHandler(t *testing.T) {
 func TestCampaignsHandler(t *testing.T) {
 	recs := iotRecords(6)
 	tracker := campaign.NewTracker()
-	tracker.Update(func(visit func(*feed.Record)) {
-		for i := range recs {
-			visit(&recs[i])
-		}
-	}, t0)
+	tracker.Update(campaign.Infer(recs), t0)
 	c := New(Config{Registry: newRegistry(t), Tracker: tracker})
 
 	rec := httptest.NewRecorder()

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"exiot/internal/campaign"
 	"exiot/internal/feed"
 	"exiot/internal/store"
 )
@@ -147,7 +148,11 @@ func (b *builder) build(prev *Snapshot, docs []store.Doc[feed.Record], lastSeq *
 		enc.hash.Write(sum[:])
 	}
 	snap.fp = enc.hash.Sum64()
-	snap.bySeq = mergeSeq(prev, remap, snap, rebuilt)
+	if prev != nil && samePlaces(remap, len(snap.parts), rebuilt) {
+		snap.bySeq, snap.camps = prev.bySeq, prev.camps
+	} else {
+		snap.bySeq, snap.camps = mergeSeq(prev, remap, snap, rebuilt), new(campaigns)
+	}
 
 	// The new blocks' records now live there, and records only the
 	// dropped blocks held are gone. An empty index is sized for the
@@ -201,22 +206,28 @@ func (b *builder) shared(rest []seen, prev *Snapshot, remap []int32) int {
 	return k
 }
 
+// samePlaces reports whether a build of n blocks rebuilt none and put
+// each of the previous snapshot's blocks, as remap places them, where it
+// was: whether the new snapshot holds the previous one's blocks in its
+// order, so that it has its sequence order and campaigns.
+func samePlaces(remap []int32, n int, rebuilt []int) bool {
+	if len(rebuilt) > 0 || len(remap) != n {
+		return false
+	}
+	for k, at := range remap {
+		if at != int32(k) {
+			return false
+		}
+	}
+	return true
+}
+
 // mergeSeq orders snap's items by sequence: prev's order, less the
 // dropped blocks' items (remap -1) and with the kept ones renumbered,
 // merged with the rebuilt blocks' items, which are the only ones sorted.
 // Each rebuilt item finds its place in prev's order by binary search, so
-// the kept items are copied, not compared. With nothing rebuilt and
-// every block in its place, the order is prev's.
+// the kept items are copied, not compared.
 func mergeSeq(prev *Snapshot, remap []int32, snap *Snapshot, rebuilt []int) []place {
-	if prev != nil && len(rebuilt) == 0 && len(prev.parts) == len(snap.parts) {
-		same := true
-		for k, at := range remap {
-			same = same && at == int32(k)
-		}
-		if same {
-			return prev.bySeq
-		}
-	}
 	n := 0
 	for _, k := range rebuilt {
 		n += len(snap.parts[k].items)
@@ -267,12 +278,14 @@ type encoder struct {
 	// under way ends.
 	ends      []int
 	marshaled int
+	// camp summarizes each block for campaign inference.
+	camp campaign.Summarizer
 }
 
 // block builds the block over run, which ends after an ID that says so
 // or at the end of the walk. A record the current snapshot holds at its
-// version reuses that item's sequence number, record and line; any
-// other is the next of docs, encoded.
+// version reuses that item: its sequence number, line, key and campaign
+// fields. Any other is the next of docs: encoded, keyed and signed.
 func (e *encoder) block(run []seen, docs []store.Doc[feed.Record]) (*block, error) {
 	blk := &block{items: make([]Item, len(run))}
 	e.scratch.Reset()
@@ -282,15 +295,17 @@ func (e *encoder) block(run []seen, docs []store.Doc[feed.Record]) (*block, erro
 		it := &blk.items[j]
 		old := w.prev
 		if w.known() {
-			*it = Item{ID: old.ID, Seq: old.Seq, version: old.version, Line: old.Line, Rec: old.Rec}
+			*it = *old
 			size += len(old.Line)
 			continue
 		}
+		rec := &docs[0].Value
 		at := e.scratch.Len()
-		if err := e.json.Encode(&docs[0].Value); err != nil {
+		if err := e.json.Encode(rec); err != nil {
 			return nil, err
 		}
-		it.ID, it.version, it.Rec = docs[0].ID, w.version, docs[0].Value
+		it.ID, it.version = docs[0].ID, w.version
+		it.Key, it.sig, it.ip = keyOf(rec), e.camp.Key(rec), rec.IP
 		docs = docs[1:]
 		e.marshaled++
 		line := e.scratch.Bytes()[at:]
@@ -325,5 +340,12 @@ func (e *encoder) block(run []seen, docs []store.Doc[feed.Record]) (*block, erro
 	e.hash.Reset()
 	e.hash.Write(blk.data)
 	blk.sum = e.hash.Sum64()
+
+	for j := range blk.items {
+		if it := &blk.items[j]; it.sig != "" {
+			e.camp.Add(it.sig, it.ip, it.Key.Country)
+		}
+	}
+	blk.camps = e.camp.Summary()
 	return blk, nil
 }

@@ -144,8 +144,8 @@ func TestSequenceAssignment(t *testing.T) {
 	if len(delta) != 2 || delta[0].Seq != 4 || delta[1].Seq != 5 {
 		t.Fatalf("ItemsSince(3) = %v items", len(delta))
 	}
-	if delta[0].Rec.Active || delta[0].Rec.IP == "" {
-		t.Fatalf("delta[0] should be the flow-ended record, got %+v", delta[0].Rec)
+	if delta[0].Key.Active || delta[0].ip != ipFor(1) {
+		t.Fatalf("delta[0] should be the flow-ended record, got %+v", delta[0].Key)
 	}
 	if len(snap3.ItemsSince(5)) != 0 {
 		t.Fatal("ItemsSince(lastSeq) should be empty")
@@ -266,11 +266,13 @@ func TestOnRebuildHook(t *testing.T) {
 		t.Fatalf("hook calls = %v, want [2 3]", calls)
 	}
 
-	// EachRecord visits the snapshot's decoded items in export order.
+	// The hook's snapshot holds the items in export order.
 	var ips []string
-	c.Current().EachRecord(func(r *feed.Record) { ips = append(ips, r.IP) })
+	for _, it := range items(c.Current()) {
+		ips = append(ips, it.ip)
+	}
 	if len(ips) != 3 || ips[2] != "z.example" {
-		t.Fatalf("EachRecord visited %d records, last %q", len(ips), ips[len(ips)-1])
+		t.Fatalf("the snapshot holds %d records, last %q", len(ips), ips[len(ips)-1])
 	}
 
 	// A hook may call back into the cache without deadlocking.

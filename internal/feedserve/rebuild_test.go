@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"os/exec"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -27,49 +28,66 @@ import (
 // again, and a sequence number kept only where a record's bytes equal
 // its line in the previous build.
 type refSnapshot struct {
-	export  []byte
-	ids     []store.ObjectID
-	seqs    []uint64
-	recs    []feed.Record
-	lines   [][]byte
-	lineOf  map[store.ObjectID][]byte
-	seqByID map[store.ObjectID]uint64
+	export []byte
+	docs   []store.Doc[feed.Record]
+	seqs   []uint64
+	lines  [][]byte
+	// at finds a record's place in docs, seqs and lines by its ID.
+	at      map[store.ObjectID]int
 	lastSeq uint64
 }
 
-// refBuild is the full rebuild over docs, after prev (nil first).
-func refBuild(t *testing.T, docs []store.Doc[feed.Record], prev *refSnapshot) *refSnapshot {
+// refBuild is the full rebuild over docs, after prev (nil first). It
+// marshals a record again only when written reports it written since
+// prev, or prev did not hold it; the bytes of any other are prev's. A
+// nil written marshals every record.
+func refBuild(t *testing.T, docs []store.Doc[feed.Record], prev *refSnapshot, written func(store.ObjectID) bool) *refSnapshot {
 	t.Helper()
-	ref := &refSnapshot{lineOf: map[store.ObjectID][]byte{}, seqByID: map[store.ObjectID]uint64{}}
+	ref := &refSnapshot{
+		docs:  docs,
+		seqs:  make([]uint64, len(docs)),
+		lines: make([][]byte, len(docs)),
+		at:    make(map[store.ObjectID]int, len(docs)),
+	}
 	if prev != nil {
 		ref.lastSeq = prev.lastSeq
+		ref.export = make([]byte, 0, len(prev.export))
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	for _, d := range docs {
-		start := buf.Len()
-		if err := enc.Encode(&d.Value); err != nil {
-			t.Fatal(err)
+	for i, d := range docs {
+		old, seq := []byte(nil), uint64(0) // the record's line and sequence in prev
+		if prev != nil {
+			if j, ok := prev.at[d.ID]; ok {
+				old, seq = prev.lines[j], prev.seqs[j]
+			}
 		}
-		line := append([]byte(nil), buf.Bytes()[start:]...)
-		seq := uint64(0)
-		if prev != nil && bytes.Equal(prev.lineOf[d.ID], line) {
-			seq = prev.seqByID[d.ID]
+		line := old
+		if old == nil || written == nil || written(d.ID) {
+			buf.Reset()
+			if err := enc.Encode(&d.Value); err != nil {
+				t.Fatal(err)
+			}
+			line = bytes.Clone(buf.Bytes())
 		}
-		if seq == 0 {
+		if !bytes.Equal(line, old) {
 			ref.lastSeq++
 			seq = ref.lastSeq
 		}
-		ref.ids = append(ref.ids, d.ID)
-		ref.seqs = append(ref.seqs, seq)
-		ref.recs = append(ref.recs, d.Value)
-		ref.lines = append(ref.lines, line)
-		ref.lineOf[d.ID] = line
-		ref.seqByID[d.ID] = seq
+		ref.lines[i], ref.seqs[i], ref.at[d.ID] = line, seq, i
+		ref.export = append(ref.export, line...)
 	}
-	ref.export = buf.Bytes()
 	return ref
+}
+
+// records returns ref's records, in export order.
+func (ref *refSnapshot) records() []feed.Record {
+	recs := make([]feed.Record, len(ref.docs))
+	for i, d := range ref.docs {
+		recs[i] = d.Value
+	}
+	return recs
 }
 
 // scratchBuild is the snapshot a new cache builds first over docs: one
@@ -82,30 +100,72 @@ func scratchBuild(docs []store.Doc[feed.Record]) *Snapshot {
 	return c.Current()
 }
 
-// checkAgainstRef fails t unless snap serves exactly what ref built,
-// with the fingerprint of scratch, a from-scratch build over the same
-// documents.
-func checkAgainstRef(t *testing.T, snap, scratch *Snapshot, ref *refSnapshot) {
+// checkAgainstRef fails t unless snap serves exactly what ref built:
+// the same export, LastSeq, and IDs and sequence numbers in order.
+func checkAgainstRef(t *testing.T, snap *Snapshot, ref *refSnapshot) {
 	t.Helper()
-	if !bytes.Equal(snap.ExportNDJSON(), ref.export) || snap.Size() != len(ref.export) {
-		t.Fatalf("export (size %d) differs from the full rebuild:\n got %q\nwant %q", snap.Size(), snap.ExportNDJSON(), ref.export)
+	// Compare a block at a time, so that a check copies nothing.
+	at := 0
+	for _, b := range snap.parts {
+		if !bytes.HasPrefix(ref.export[at:], b.data) {
+			t.Fatalf("export (size %d) differs from the full rebuild's at byte %d:\n got %q\nwant %q", snap.Size(), at, snap.ExportNDJSON(), ref.export)
+		}
+		at += len(b.data)
 	}
-	if snap.Fingerprint() != scratch.Fingerprint() {
-		t.Fatalf("fingerprint %x, from-scratch build %x", snap.Fingerprint(), scratch.Fingerprint())
+	if at != len(ref.export) || snap.Size() != len(ref.export) {
+		t.Fatalf("export of %d bytes (size %d), the full rebuild's %d", at, snap.Size(), len(ref.export))
 	}
 	if snap.LastSeq() != ref.lastSeq {
 		t.Fatalf("LastSeq %d, full rebuild %d", snap.LastSeq(), ref.lastSeq)
 	}
 	items := items(snap)
-	if len(items) != len(ref.ids) || snap.Len() != len(ref.ids) {
-		t.Fatalf("%d items (Len %d), full rebuild %d", len(items), snap.Len(), len(ref.ids))
+	if len(items) != len(ref.docs) || snap.Len() != len(ref.docs) {
+		t.Fatalf("%d items (Len %d), full rebuild %d", len(items), snap.Len(), len(ref.docs))
 	}
 	for i := range items {
-		if items[i].ID != ref.ids[i] || items[i].Seq != ref.seqs[i] {
-			t.Fatalf("item %d is %s seq %d, full rebuild %s seq %d", i, items[i].ID, items[i].Seq, ref.ids[i], ref.seqs[i])
+		if items[i].ID != ref.docs[i].ID || items[i].Seq != ref.seqs[i] {
+			t.Fatalf("item %d is %s seq %d, full rebuild %s seq %d", i, items[i].ID, items[i].Seq, ref.docs[i].ID, ref.seqs[i])
 		}
 	}
+}
+
+// checkFull fails t unless snap, beyond serving what ref built, has the
+// fingerprint of scratch, a from-scratch build over the same documents,
+// selects every window the full rebuild's order selects, and infers
+// exactly the campaigns campaign.Infer finds over ref's records.
+func checkFull(t *testing.T, snap, scratch *Snapshot, ref *refSnapshot) {
+	t.Helper()
+	checkAgainstRef(t, snap, ref)
+	if snap.Fingerprint() != scratch.Fingerprint() {
+		t.Fatalf("fingerprint %x, from-scratch build %x", snap.Fingerprint(), scratch.Fingerprint())
+	}
 	checkWindows(t, snap, ref)
+	checkCampaigns(t, snap.Campaigns(), campaign.Infer(ref.records()))
+}
+
+// checkCampaigns fails t unless got, a snapshot's merged campaigns, are
+// want, campaign.Infer's, campaign by campaign.
+func checkCampaigns(t *testing.T, got, want []campaign.Campaign) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d campaigns merged from the blocks, campaign.Infer finds %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := &got[i], &want[i]
+		switch {
+		case g.Signature.String() != w.Signature.String():
+			t.Fatalf("campaign %d: signature %q, campaign.Infer's %q", i, g.Signature, w.Signature)
+		case !slices.Equal(g.IPs, w.IPs):
+			t.Fatalf("campaign %d (%s): IPs %q, campaign.Infer's %q", i, w.Signature, g.IPs, w.IPs)
+		case !reflect.DeepEqual(g.Countries, w.Countries):
+			t.Fatalf("campaign %d (%s): countries %v, campaign.Infer's %v", i, w.Signature, g.Countries, w.Countries)
+		case g.Records != w.Records:
+			t.Fatalf("campaign %d (%s): %d records, campaign.Infer's %d", i, w.Signature, g.Records, w.Records)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged campaigns differ from campaign.Infer's:\n got %+v\nwant %+v", got, want)
+	}
 }
 
 // checkWindows fails t unless every cursor page and every latest-n
@@ -119,10 +179,16 @@ func checkWindows(t *testing.T, snap *Snapshot, ref *refSnapshot) {
 		bySeq[i] = i
 	}
 	sort.SliceStable(bySeq, func(a, b int) bool { return ref.seqs[bySeq[a]] < ref.seqs[bySeq[b]] })
-	filters := map[string]func(*feed.Record) bool{
-		"all":    nil,
-		"active": func(r *feed.Record) bool { return r.Active },
-		"CN":     func(r *feed.Record) bool { return r.CountryCode == "CN" },
+	// Each filter reads the key in the snapshot and the record in the
+	// reference.
+	filters := []struct {
+		name string
+		rec  func(*feed.Record) bool
+		key  func(*Key) bool
+	}{
+		{"all", nil, nil},
+		{"active", func(r *feed.Record) bool { return r.Active }, func(k *Key) bool { return k.Active }},
+		{"CN", func(r *feed.Record) bool { return r.CountryCode == "CN" }, func(k *Key) bool { return k.Country == "CN" }},
 	}
 	// same fails t unless got holds the items at ref positions want.
 	same := func(what string, got []*Item, want []int) {
@@ -131,30 +197,30 @@ func checkWindows(t *testing.T, snap *Snapshot, ref *refSnapshot) {
 			t.Fatalf("%s: %d items, full rebuild %d", what, len(got), len(want))
 		}
 		for j, i := range want {
-			if got[j].ID != ref.ids[i] || got[j].Seq != ref.seqs[i] || !bytes.Equal(got[j].Line, ref.lines[i]) {
-				t.Fatalf("%s: item %d is %s seq %d, full rebuild %s seq %d", what, j, got[j].ID, got[j].Seq, ref.ids[i], ref.seqs[i])
+			if got[j].ID != ref.docs[i].ID || got[j].Seq != ref.seqs[i] || !bytes.Equal(got[j].Line, ref.lines[i]) {
+				t.Fatalf("%s: item %d is %s seq %d, full rebuild %s seq %d", what, j, got[j].ID, got[j].Seq, ref.docs[i].ID, ref.seqs[i])
 			}
 		}
 	}
-	for name, match := range filters {
+	for _, f := range filters {
 		for _, n := range []int{0, 1, 5} {
 			for _, after := range []uint64{0, ref.lastSeq / 2, ref.lastSeq} {
 				var want []int
 				for _, i := range bySeq {
-					if ref.seqs[i] > after && (match == nil || match(&ref.recs[i])) && (n <= 0 || len(want) < n) {
+					if ref.seqs[i] > after && (f.rec == nil || f.rec(&ref.docs[i].Value)) && (n <= 0 || len(want) < n) {
 						want = append(want, i)
 					}
 				}
-				same(fmt.Sprintf("ItemsAfter(%d, %d, %s)", after, n, name), snap.ItemsAfter(after, n, match), want)
+				same(fmt.Sprintf("ItemsAfter(%d, %d, %s)", after, n, f.name), snap.ItemsAfter(after, n, f.key), want)
 			}
 			var want []int
-			for i := len(ref.ids) - 1; i >= 0 && (n <= 0 || len(want) < n); i-- {
-				if match == nil || match(&ref.recs[i]) {
+			for i := len(ref.docs) - 1; i >= 0 && (n <= 0 || len(want) < n); i-- {
+				if f.rec == nil || f.rec(&ref.docs[i].Value) {
 					want = append(want, i)
 				}
 			}
 			slices.Reverse(want)
-			same(fmt.Sprintf("Latest(%d, %s)", n, name), snap.Latest(n, match), want)
+			same(fmt.Sprintf("Latest(%d, %s)", n, f.name), snap.Latest(n, f.key), want)
 		}
 	}
 }
@@ -196,11 +262,18 @@ func checkGzip(t *testing.T, snap, scratch *Snapshot) {
 // the gzip export after some rebuilds only. Every rebuild, which
 // re-encodes only records whose store version moved, must serve what
 // the full rebuild serves over the same history: the same export,
-// LastSeq and sequence number per record, the same cursor pages and
-// latest-n windows, and a from-scratch build's fingerprint, which
-// changes exactly when the export does. Every gzip export, built from
-// blocks earlier snapshots may have deflated, must equal a from-scratch
-// build's, byte for byte.
+// LastSeq and sequence number per record, with a fingerprint that
+// changes exactly when the export does. The reference is kept the same
+// way, marshaling only the records each step wrote, so a step costs
+// what it wrote and a compare.
+//
+// Every fullEvery-th rebuild, and the last one of every input, also
+// checks what costs the whole feed: a from-scratch build's fingerprint,
+// the same cursor pages and latest-n windows as the full rebuild's
+// order, the gzip export byte for byte against the from-scratch
+// build's, and the campaigns merged from the blocks' summaries against
+// campaign.Infer over the same records. The records repeat IPs across
+// blocks, and some have IPs that do not parse.
 //
 // Each input byte is one step: b%7 picks the operation and b/7 its
 // argument.
@@ -220,7 +293,12 @@ func FuzzSnapshotRebuild(f *testing.F) {
 	// records and a restore.
 	many := append(bytes.Repeat([]byte{98}, 10), bytes.Repeat([]byte{105}, 14)...)
 	f.Add(append(many, 6, 8, 5, 108, 6, 5, 105, 105, 6, 5, 2, 6, 4, 6, 5))
+	// The longest input: 256 batches of 16 inserts, each rebuilt with
+	// its gzip export, growing the feed to 4,096 records.
+	f.Add(bytes.Repeat([]byte{105, 5}, 256))
 
+	// fullEvery spaces the checks that cost the whole feed.
+	const fullEvery = 16
 	f.Fuzz(func(t *testing.T, steps []byte) {
 		if len(steps) > 512 {
 			steps = steps[:512]
@@ -228,31 +306,53 @@ func FuzzSnapshotRebuild(f *testing.F) {
 		coll := store.NewCollection[feed.Record]()
 		var ids []store.ObjectID
 		record := func(n int) feed.Record {
-			return feed.Record{
-				IP:          fmt.Sprintf("10.1.%d.%d", n/256%256, n%256),
+			rec := feed.Record{
+				IP:          fmt.Sprintf("10.1.%d.%d", n/256%4, n%37),
 				Label:       feed.LabelIoT,
 				Active:      n%2 == 0,
-				CountryCode: []string{"CN", "US", "BR"}[n%3],
+				CountryCode: []string{"CN", "US", "BR", "", "USA"}[n%5],
 				DetectedAt:  t0.Add(time.Duration(n) * time.Minute),
-				TargetPorts: map[uint16]int{23: n},
+				TargetPorts: []map[uint16]int{{23: n}, {23: 150, 2323: 50}, {8080: 3, 80: 2}, {23: 1, 5555: 9}}[n%4],
+				Tool:        []string{"", "Mirai-like scanner"}[n/4%2],
 			}
+			switch {
+			case n%13 == 12:
+				rec.IP = fmt.Sprintf("bot-%d", n%3)
+			case n%9 == 8:
+				rec.Label = feed.LabelNonIoT
+			case n%11 == 10:
+				rec.Benign = true
+			}
+			return rec
 		}
 		c := New(coll, Config{Clock: func() time.Time { return t0 }})
 		defer c.Close()
-		ref := refBuild(t, coll.Export(), nil)
+		ref := refBuild(t, coll.Export(), nil, nil)
 		last := c.Current()
-		checkAgainstRef(t, last, scratchBuild(nil), ref)
-		rebuild := func(gz bool) {
+		checkFull(t, last, scratchBuild(nil), ref)
+		// written holds the records written since the last rebuild;
+		// restored says a restore rewrote them all.
+		written := map[store.ObjectID]bool{}
+		restored := false
+		rebuilds := 0
+		rebuild := func(gz, end bool) {
 			snap := c.Rebuild()
 			docs := coll.Export()
-			scratch := scratchBuild(docs)
-			ref = refBuild(t, docs, ref)
-			checkAgainstRef(t, snap, scratch, ref)
-			if bytes.Equal(snap.ExportNDJSON(), last.ExportNDJSON()) != (snap.Fingerprint() == last.Fingerprint()) {
-				t.Fatalf("the export changed %v, the fingerprint %x → %x", !bytes.Equal(snap.ExportNDJSON(), last.ExportNDJSON()), last.Fingerprint(), snap.Fingerprint())
+			prev := ref
+			ref = refBuild(t, docs, ref, func(id store.ObjectID) bool { return restored || written[id] })
+			clear(written)
+			restored = false
+			checkAgainstRef(t, snap, ref)
+			if bytes.Equal(ref.export, prev.export) != (snap.Fingerprint() == last.Fingerprint()) {
+				t.Fatalf("the export changed %v, the fingerprint %x → %x", !bytes.Equal(ref.export, prev.export), last.Fingerprint(), snap.Fingerprint())
 			}
 			last = snap
 			if gz {
+				snap.ExportGzip()
+			}
+			if rebuilds++; end || rebuilds%fullEvery == 0 {
+				scratch := scratchBuild(docs)
+				checkFull(t, snap, scratch, ref)
 				checkGzip(t, snap, scratch)
 			}
 		}
@@ -269,15 +369,18 @@ func FuzzSnapshotRebuild(f *testing.F) {
 				for j := 0; j <= arg%16; j++ {
 					ids = append(ids, coll.Insert(t0.Add(time.Duration(arg%24)*time.Hour), record(len(ids)+arg)))
 				}
-			case 1: // an update that changes the bytes
+			case 1: // an update that changes the bytes, and the signature
 				if id, ok := pick(arg); ok {
+					written[id] = true
 					coll.Update(id, func(r *feed.Record) {
 						r.Active = !r.Active
 						r.ScanRatePPS += 1
+						r.TargetPorts = map[uint16]int{23: 4, 2323: int(r.ScanRatePPS)}
 					})
 				}
 			case 2: // an update that keeps the bytes
 				if id, ok := pick(arg); ok {
+					written[id] = true
 					coll.Update(id, func(r *feed.Record) { r.Active = !r.Active; r.Active = !r.Active })
 				}
 			case 3: // an expiry sweep
@@ -295,13 +398,14 @@ func FuzzSnapshotRebuild(f *testing.F) {
 					}
 				}
 				coll.Restore(docs)
+				restored = true
 			case 5:
-				rebuild(true)
+				rebuild(true, false)
 			case 6: // a rebuild nobody asks the gzip export of
-				rebuild(false)
+				rebuild(false, false)
 			}
 		}
-		rebuild(true)
+		rebuild(true, true)
 	})
 }
 
@@ -599,52 +703,129 @@ func TestRebuildAllocatesWhatChanged(t *testing.T) {
 }
 
 // TestCampaignHookAllocates bounds what exiotd's campaign hook, a
-// tracker update over the rebuilt snapshot, allocates at 20k records
-// shaped like the consumer-poll benchmark's: 5 MB. The tracker reads the
-// records in place; a copy of them would add about 10 MB. The test skips
-// under -race, where sync.Pool drops items at random.
+// tracker update with the rebuilt snapshot's campaigns, allocates over
+// records shaped like the consumer-poll benchmark's. At 20k records the
+// first update, which merges every block's campaign summary, may
+// allocate 1 MB. At 200k records an update after a rebuild with no
+// writes may allocate 256 KB: that snapshot shares its campaigns with
+// the one before it, so nothing is inferred again. The 200k arm skips
+// under -short; the test skips under -race, where sync.Pool drops items
+// at random.
 func TestCampaignHookAllocates(t *testing.T) {
 	allocbudget.SkipUnderRace(t)
-	const records, ceiling = 20_000, 5 << 20
-	rng := rand.New(rand.NewSource(2021))
-	coll := store.NewCollection[feed.Record]()
-	for i := 0; i < records; i++ {
-		coll.Insert(t0.Add(time.Duration(i)*time.Second), pollShape(rng, i))
+	for _, c := range []struct {
+		records int
+		idle    bool // measure the update after a rebuild with no writes
+		ceiling uint64
+	}{
+		{20_000, false, 1 << 20},
+		{200_000, true, 256 << 10},
+	} {
+		t.Run(fmt.Sprint(c.records), func(t *testing.T) {
+			if c.records > 20_000 && testing.Short() {
+				t.Skip("200k records need about 400 MB")
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(25))
+			rng := rand.New(rand.NewSource(2021))
+			coll := store.NewCollection[feed.Record]()
+			for i := 0; i < c.records; i++ {
+				coll.Insert(t0.Add(time.Duration(i)*time.Second), pollShape(rng, i))
+			}
+			cache := New(coll, Config{Clock: func() time.Time { return t0 }})
+			defer cache.Close()
+			tracker := campaign.NewTracker()
+			var hook uint64
+			cache.OnRebuild(func(s *Snapshot) {
+				hook = allocated(func() { tracker.Update(s.Campaigns(), s.BuiltAt()) })
+			})
+			cache.Rebuild()
+			if c.idle {
+				t.Logf("%d records: the first update allocated %d B", c.records, hook)
+				cache.Rebuild()
+			}
+			t.Logf("%d records: the hook allocated %d B (ceiling %d), %d campaigns", c.records, hook, c.ceiling, len(tracker.Campaigns()))
+			if len(tracker.Campaigns()) == 0 {
+				t.Fatal("the hook inferred no campaign")
+			}
+			if hook > c.ceiling {
+				t.Errorf("the campaign hook allocated %d B at %d records, over %d", hook, c.records, c.ceiling)
+			}
+		})
 	}
-	cache := New(coll, Config{Clock: func() time.Time { return t0 }})
-	defer cache.Close()
-	tracker := campaign.NewTracker()
-	var hook uint64
-	cache.OnRebuild(func(s *Snapshot) {
-		hook = allocated(func() { tracker.Update(s.EachRecord, s.BuiltAt()) })
-	})
-	cache.Rebuild()
-	t.Logf("%d records: the hook allocated %d B (ceiling %d), %d campaigns", records, hook, ceiling, len(tracker.Campaigns()))
-	if len(tracker.Campaigns()) == 0 {
-		t.Fatal("the hook inferred no campaign")
-	}
-	if hook > ceiling {
-		t.Errorf("the campaign hook allocated %d B at %d records, over %d", hook, records, ceiling)
+}
+
+// liveHeap returns the bytes of live heap objects after two forced
+// collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestSnapshotResidentBytes bounds the live heap a feed cache adds over
+// its store at 700 B a record, over records shaped like the
+// consumer-poll benchmark's: the snapshot holds each record's line, its
+// filter key and what campaign inference reads, never a copy of the
+// record, which alone took 520 B. The 200k arm skips under -short; the
+// test skips under -race, which changes what the heap holds.
+func TestSnapshotResidentBytes(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	const ceiling = 700
+	for _, records := range []int{20_000, 200_000} {
+		t.Run(fmt.Sprint(records), func(t *testing.T) {
+			if records > 20_000 && testing.Short() {
+				t.Skip("200k records need about 300 MB")
+			}
+			rng := rand.New(rand.NewSource(2021))
+			coll := store.NewCollection[feed.Record]()
+			for i := 0; i < records; i++ {
+				coll.Insert(t0.Add(time.Duration(i)*time.Second), pollShape(rng, i))
+			}
+			before := liveHeap()
+			cache := New(coll, Config{Clock: func() time.Time { return t0 }})
+			defer cache.Close()
+			perRecord := (float64(liveHeap()) - float64(before)) / float64(records)
+			runtime.KeepAlive(coll)
+			t.Logf("%d records: the cache holds %.0f B a record (ceiling %d)", records, perRecord, ceiling)
+			if perRecord > ceiling {
+				t.Errorf("the cache holds %.0f B a record at %d records, over %d", perRecord, records, ceiling)
+			}
+		})
 	}
 }
 
 // TestServeSharedSnapshotsDuringRebuild serves three snapshots that
 // share blocks, each from several goroutines (the identity export a
-// block at a time and in one slice, the gzip export, cursor pages and
-// latest-n windows), while a fourth rebuild runs over writes that
+// block at a time and in one slice, the gzip export, cursor pages,
+// latest-n windows and campaigns, which the first caller merges), while
+// a fourth rebuild runs over writes that
 // change, append and expire records. Run it under -race: the rebuild
 // reads the blocks the readers read and must write none of them.
 func TestServeSharedSnapshotsDuringRebuild(t *testing.T) {
 	coll, c, ids := newCache(t, 3_000)
+	// camps holds campaign.Infer's campaigns over each snapshot's records.
+	var camps [][]campaign.Campaign
+	infer := func() {
+		var recs []feed.Record
+		for _, d := range coll.Export() {
+			recs = append(recs, d.Value)
+		}
+		camps = append(camps, campaign.Infer(recs))
+	}
 	a := c.Current()
+	infer()
 	for j := 0; j < 20; j++ {
-		coll.Update(ids[j*150], func(r *feed.Record) { r.Active = false })
+		coll.Update(ids[j*150], func(r *feed.Record) { r.Active = false; r.TargetPorts = map[uint16]int{80: 1} })
 	}
 	b := c.Rebuild()
+	infer()
 	for j := 0; j < 30; j++ {
 		coll.Insert(t0.Add(time.Duration(3_000+j)*time.Minute), rec(ipFor(j), j%2 == 0))
 	}
 	d := c.Rebuild()
+	infer()
 	for j := 0; j < 40; j++ {
 		coll.Update(ids[j*70+1], func(r *feed.Record) { r.ScanRatePPS++ })
 	}
@@ -655,7 +836,7 @@ func TestServeSharedSnapshotsDuringRebuild(t *testing.T) {
 	for i, s := range snaps {
 		exports[i] = s.ExportNDJSON()
 	}
-	active := func(r *feed.Record) bool { return r.Active }
+	active := func(k *Key) bool { return k.Active }
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for r := 0; r < 4; r++ {
@@ -687,13 +868,11 @@ func TestServeSharedSnapshotsDuringRebuild(t *testing.T) {
 				if seen != s.Len() {
 					errs <- fmt.Sprintf("snapshot %d: cursor pages held %d of %d records", i, seen, s.Len())
 				}
-				if w := s.Latest(100, active); len(w) == 0 || !w[len(w)-1].Rec.Active {
+				if w := s.Latest(100, active); len(w) == 0 || !w[len(w)-1].Key.Active {
 					errs <- fmt.Sprintf("snapshot %d: a latest-100 window of active records has %d", i, len(w))
 				}
-				n := 0
-				s.EachRecord(func(*feed.Record) { n++ })
-				if n != s.Len() {
-					errs <- fmt.Sprintf("snapshot %d: EachRecord visited %d of %d records", i, n, s.Len())
+				if got := s.Campaigns(); !reflect.DeepEqual(got, camps[i]) {
+					errs <- fmt.Sprintf("snapshot %d: campaigns %+v, campaign.Infer's %+v", i, got, camps[i])
 				}
 			}()
 		}
@@ -704,7 +883,7 @@ func TestServeSharedSnapshotsDuringRebuild(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	ref := refBuild(t, coll.Export(), nil)
+	ref := refBuild(t, coll.Export(), nil, nil)
 	if !bytes.Equal(next.ExportNDJSON(), ref.export) {
 		t.Fatal("the rebuild run beside the readers exports other bytes than the store")
 	}

@@ -11,15 +11,18 @@ import (
 	"sync"
 	"time"
 
+	"exiot/internal/campaign"
 	"exiot/internal/feed"
+	"exiot/internal/packet"
 	"exiot/internal/store"
 )
 
-// Item is one feed record inside a snapshot: the record itself (for
-// filtering), its stable change-sequence number, and its pre-marshaled
-// NDJSON line (terminated by '\n') — the exact bytes the store-walked
-// export path would produce, so snapshot-served responses are
-// byte-identical to walking the document store.
+// Item is one feed record inside a snapshot: its stable change-sequence
+// number, its pre-marshaled NDJSON line (terminated by '\n') — the exact
+// bytes the store-walked export path would produce, so snapshot-served
+// responses are byte-identical to walking the document store — and the
+// few fields that filters and campaign inference read. An item keeps no
+// copy of the record.
 type Item struct {
 	// ID is the record's historical-database ObjectID.
 	ID store.ObjectID
@@ -36,8 +39,83 @@ type Item struct {
 	// Line is the record's NDJSON line, a subslice of its block's bytes
 	// (JSON + trailing '\n').
 	Line []byte
-	// Rec is the decoded record, for query filtering.
-	Rec feed.Record
+	// Key is what a query filter reads of the record.
+	Key Key
+	// sig is the record's campaign signature key, "" when it joins no
+	// campaign, and ip its source address: with the key's country, what
+	// campaign pass 1 reads, so a rebuilt block summarizes the items it
+	// reuses without their records.
+	sig, ip string
+}
+
+// Key is what a query filter reads of a record, taken once when the
+// record is encoded. Each field answers its filter exactly as the
+// record's own field does.
+type Key struct {
+	// Country is the record's country code, whatever its length.
+	Country string
+	ASN     int
+	// DetectedAt is the record's detection time (TimeOf).
+	DetectedAt Time
+	// IP is the record's address, or 0 when BadIP says it does not parse.
+	IP     packet.IP
+	BadIP  bool
+	Label  Label
+	Active bool
+}
+
+// Label is a record's label as a key holds it.
+type Label uint8
+
+// The labels a key tells apart.
+const (
+	LabelOther  Label = iota // any label but the two below
+	LabelIoT                 // feed.LabelIoT
+	LabelNonIoT              // feed.LabelNonIoT
+)
+
+// LabelOf returns the key label of the record label s.
+func LabelOf(s string) Label {
+	switch s {
+	case feed.LabelIoT:
+		return LabelIoT
+	case feed.LabelNonIoT:
+		return LabelNonIoT
+	}
+	return LabelOther
+}
+
+// Time is an instant as a key holds it: Unix seconds, and nanoseconds
+// within the second.
+type Time struct {
+	Sec  int64
+	Nsec int32
+}
+
+// TimeOf returns t as a key holds it. Key times order as their
+// time.Times do: TimeOf(a).Before(TimeOf(b)) exactly when a.Before(b),
+// for every time whose Unix seconds fit an int64.
+func TimeOf(t time.Time) Time {
+	return Time{Sec: t.Unix(), Nsec: int32(t.Nanosecond())}
+}
+
+// Before reports whether a is earlier than b.
+func (a Time) Before(b Time) bool {
+	return a.Sec < b.Sec || a.Sec == b.Sec && a.Nsec < b.Nsec
+}
+
+// keyOf takes rec's key.
+func keyOf(rec *feed.Record) Key {
+	ip, err := packet.ParseIP(rec.IP)
+	return Key{
+		Country:    rec.CountryCode,
+		ASN:        rec.ASN,
+		DetectedAt: TimeOf(rec.DetectedAt),
+		IP:         ip,
+		BadIP:      err != nil,
+		Label:      LabelOf(rec.Label),
+		Active:     rec.Active,
+	}
 }
 
 // Snapshot is an immutable point-in-time view of the feed. It is built
@@ -64,6 +142,9 @@ type Snapshot struct {
 	// gz is the export gzip-compressed, built by the first ExportGzip.
 	gzOnce sync.Once
 	gz     []byte
+	// camps holds the campaigns, merged by the first Campaigns call.
+	// Snapshots with the same blocks share it.
+	camps *campaigns
 	// marshaled counts the records this build encoded; the rest reused
 	// the previous snapshot's lines. compressed counts the blocks this
 	// snapshot's gzip export deflated; the rest an earlier snapshot had.
@@ -88,6 +169,8 @@ type block struct {
 	// cut reports whether the last item's ID ends a block, rather than
 	// the block ending at its snapshot's end.
 	cut bool
+	// camps is campaign pass 1 over the items.
+	camps campaign.Summary
 	// z is data at BestSpeed, ending in a sync flush: a raw deflate
 	// stream that any other such stream may follow. The first snapshot
 	// whose gzip export needs it fills it.
@@ -107,15 +190,26 @@ func (s *Snapshot) Len() int { return s.n }
 // Size returns the length of the bulk export in bytes.
 func (s *Snapshot) Size() int { return s.size }
 
-// EachRecord calls visit with each of the snapshot's decoded records in
-// place, in export order, for analysis passes (campaign tracking, say).
-// The records are shared: visit must not modify them.
-func (s *Snapshot) EachRecord(visit func(*feed.Record)) {
-	for _, b := range s.parts {
-		for i := range b.items {
-			visit(&b.items[i].Rec)
+// campaigns is a snapshot's campaigns, merged once.
+type campaigns struct {
+	once sync.Once
+	list []campaign.Campaign
+}
+
+// Campaigns returns the campaigns inferred over the snapshot's records,
+// exactly what campaign.Infer returns over them. The first call merges
+// the blocks' summaries, and a snapshot holding the same blocks as the
+// one before it shares that one's result, so a rebuild with no writes
+// infers nothing. Shared; read-only.
+func (s *Snapshot) Campaigns() []campaign.Campaign {
+	s.camps.once.Do(func() {
+		sums := make([]*campaign.Summary, len(s.parts))
+		for k, b := range s.parts {
+			sums[k] = &b.camps
 		}
-	}
+		s.camps.list = campaign.Merge(sums)
+	})
+	return s.camps.list
 }
 
 // LastSeq returns the highest change-sequence number assigned so far;
@@ -245,11 +339,11 @@ func (s *Snapshot) ItemsSince(since uint64) []*Item {
 }
 
 // ItemsAfter returns pointers to the first n items with Seq > after
-// whose record satisfies match, in ascending Seq order. A nil match
-// takes every item, and n <= 0 takes every match. The walk starts at the
+// whose key satisfies match, in ascending Seq order. A nil match takes
+// every item, and n <= 0 takes every match. The walk starts at the
 // cursor and stops at the n-th match, so a page costs its length over
 // the share of records that match, not the size of the snapshot.
-func (s *Snapshot) ItemsAfter(after uint64, n int, match func(*feed.Record) bool) []*Item {
+func (s *Snapshot) ItemsAfter(after uint64, n int, match func(*Key) bool) []*Item {
 	start := sort.Search(len(s.bySeq), func(i int) bool {
 		return s.item(s.bySeq[i]).Seq > after
 	})
@@ -262,7 +356,7 @@ func (s *Snapshot) ItemsAfter(after uint64, n int, match func(*feed.Record) bool
 		if len(out) == n {
 			break
 		}
-		if it := s.item(p); match == nil || match(&it.Rec) {
+		if it := s.item(p); match == nil || match(&it.Key) {
 			out = append(out, it)
 		}
 	}
@@ -270,10 +364,10 @@ func (s *Snapshot) ItemsAfter(after uint64, n int, match func(*feed.Record) bool
 }
 
 // Latest returns pointers to the last n items in insertion order whose
-// record satisfies match, oldest first. A nil match takes every item,
+// key satisfies match, oldest first. A nil match takes every item,
 // and n <= 0 takes every match. The walk starts at the newest item and
 // stops at the n-th match, so only n <= 0 walks the whole snapshot.
-func (s *Snapshot) Latest(n int, match func(*feed.Record) bool) []*Item {
+func (s *Snapshot) Latest(n int, match func(*Key) bool) []*Item {
 	if n <= 0 || n > s.n {
 		n = s.n
 	}
@@ -281,7 +375,7 @@ func (s *Snapshot) Latest(n int, match func(*feed.Record) bool) []*Item {
 	for k := len(s.parts) - 1; k >= 0 && len(out) < n; k-- {
 		items := s.parts[k].items
 		for i := len(items) - 1; i >= 0 && len(out) < n; i-- {
-			if match == nil || match(&items[i].Rec) {
+			if match == nil || match(&items[i].Key) {
 				out = append(out, &items[i])
 			}
 		}

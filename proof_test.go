@@ -444,7 +444,7 @@ func attachConsole(t *testing.T, srv *pipeline.Server, out *outcome) (hourDone f
 	cache := srv.NewFeedCache(feedserve.Config{})
 	t.Cleanup(cache.Close)
 	tracker := campaign.NewTracker()
-	cache.OnRebuild(func(s *feedserve.Snapshot) { tracker.Update(s.EachRecord, s.BuiltAt()) })
+	cache.OnRebuild(func(s *feedserve.Snapshot) { tracker.Update(s.Campaigns(), s.BuiltAt()) })
 	con := console.New(console.Config{Source: srv, Tracker: tracker, Feed: cache})
 	mux := http.NewServeMux()
 	con.Register(mux)
