@@ -130,9 +130,6 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 	wcfg.NumMisconfig = misconfig
 	wcfg.NumBackscat = backscat
 	wcfg.Days = (hours + 23) / 24
-	if wcfg.Days < 1 {
-		wcfg.Days = 1
-	}
 	w := simnet.NewWorld(wcfg)
 
 	mailer := &notify.MemoryMailer{}

@@ -54,7 +54,7 @@ func run(out string, seed int64, days, hours, infected, nonIoT, research, miscon
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return fmt.Errorf("create output dir: %w", err)
 	}
-	total := days * 24
+	total := int(w.End().Sub(w.Start()) / time.Hour)
 	if hours > 0 && hours < total {
 		total = hours
 	}

@@ -98,3 +98,19 @@ func TestRunBadOutputDir(t *testing.T) {
 		t.Error("unwritable output dir accepted")
 	}
 }
+
+// TestRunSpanIsTheWorlds asks for the first 2 hours of a world configured
+// with 0 days: the world spans one day, so both hours are written.
+func TestRunSpanIsTheWorlds(t *testing.T) {
+	dir := t.TempDir()
+	if err := run(dir, 7, 0, 2, 10, 2, 1, 1, 1, 200); err != nil {
+		t.Fatal(err)
+	}
+	hours, err := pcapio.ListHours(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hours) != 2 {
+		t.Fatalf("hours = %d, want 2", len(hours))
+	}
+}

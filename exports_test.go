@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -112,64 +113,11 @@ type exportScan struct {
 // interface declared in the module or in a package it imports counts as
 // called, since it is called through that interface.
 func scanExports(root string, scope ...string) (exportScan, error) {
-	mod, err := modulePath(filepath.Join(root, "go.mod"))
+	m, err := loadModule(root)
 	if err != nil {
 		return exportScan{}, err
 	}
-	fset := token.NewFileSet()
-	m := &moduleChecker{fset: fset, files: map[string][]*ast.File{}, dirs: map[string]string{},
-		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}}
-	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		dir := filepath.Dir(p)
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			return err
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, dir)
-		if err != nil {
-			return err
-		}
-		rel = filepath.ToSlash(rel)
-		path := mod
-		if rel != "." {
-			path += "/" + rel
-		}
-		m.files[path] = append(m.files[path], f)
-		m.dirs[path] = rel
-		return nil
-	})
-	if err != nil {
-		return exportScan{}, err
-	}
-	paths := make([]string, 0, len(m.files))
-	for path := range m.files {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	if m.std, err = exportImporter(root, fset, m.files); err != nil {
-		return exportScan{}, err
-	}
-	for _, path := range paths {
-		if _, err := m.Import(path); err != nil {
-			return exportScan{}, err
-		}
-	}
+	paths := m.paths
 
 	used := map[types.Object]bool{}
 	mark := func(obj types.Object) {
@@ -260,6 +208,81 @@ func scanExports(root string, scope ...string) (exportScan, error) {
 	return scan, nil
 }
 
+var (
+	modulesMu sync.Mutex
+	modules   = map[string]*moduleChecker{}
+)
+
+// loadModule type-checks the non-test files of the module rooted at root
+// (go/build constraints honoured), once per root: the export and settings
+// guards read the same module.
+func loadModule(root string) (*moduleChecker, error) {
+	modulesMu.Lock()
+	defer modulesMu.Unlock()
+	if m, ok := modules[root]; ok {
+		return m, nil
+	}
+	mod, err := modulePath(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	fset := token.NewFileSet()
+	m := &moduleChecker{fset: fset, files: map[string][]*ast.File{}, dirs: map[string]string{},
+		pkgs: map[string]*types.Package{}, infos: map[string]*types.Info{}}
+	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		dir := filepath.Dir(p)
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		path := mod
+		if rel != "." {
+			path += "/" + rel
+		}
+		m.files[path] = append(m.files[path], f)
+		m.dirs[path] = rel
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for path := range m.files {
+		m.paths = append(m.paths, path)
+	}
+	sort.Strings(m.paths)
+	if m.std, err = exportImporter(root, fset, m.files); err != nil {
+		return nil, err
+	}
+	for _, path := range m.paths {
+		if _, err := m.Import(path); err != nil {
+			return nil, err
+		}
+	}
+	modules[root] = m
+	return m, nil
+}
+
 func inScope(dir string, scope []string) bool {
 	for _, s := range scope {
 		if dir == s || strings.HasPrefix(dir, s+"/") {
@@ -273,6 +296,7 @@ func inScope(dir string, scope []string) bool {
 // and once each, and imports everything else from export data.
 type moduleChecker struct {
 	fset  *token.FileSet
+	paths []string               // the module's import paths, sorted
 	files map[string][]*ast.File // by import path
 	dirs  map[string]string      // import path → directory relative to the root
 	pkgs  map[string]*types.Package

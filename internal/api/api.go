@@ -559,8 +559,7 @@ func CampaignsHandler(tr *campaign.Tracker) http.HandlerFunc {
 			})
 			return
 		}
-		asOf := tr.LastUpdate()
-		tracked := tr.Campaigns()
+		tracked, asOf := tr.Campaigns()
 		out := make([]TrackedCampaignJSON, 0, len(tracked))
 		for i := range tracked {
 			c := &tracked[i]

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -384,6 +385,112 @@ func TestCampaignsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"count":0`) {
 		t.Errorf("high min_size should filter all: %d %s", resp.StatusCode, body)
 	}
+}
+
+// TestCampaignsTableAgreesWithItsAsOf serves the campaign table while a
+// tracker updates beside it (run it with -race). Updates alternate
+// between a feed holding a three-device and a six-device campaign and one
+// holding only the smaller, so the larger one flips between active and
+// decaying. Every response must read as one state of the tracker: each
+// status follows from the response's own as_of, and the rows are in the
+// order that as_of gives them.
+func TestCampaignsTableAgreesWithItsAsOf(t *testing.T) {
+	bots := func(prefix string, n int, port uint16, tool string) []feed.Record {
+		var out []feed.Record
+		for i := 0; i < n; i++ {
+			out = append(out, feed.Record{IP: fmt.Sprintf("%s.%d", prefix, i+1), Label: feed.LabelIoT,
+				CountryCode: "CN", TargetPorts: map[uint16]int{port: 200}, Tool: tool})
+		}
+		return out
+	}
+	small := bots("9.9.1", 3, 23, "Mirai-like scanner")
+	both := campaign.Infer(append(bots("9.9.2", 6, 8080, ""), small...))
+	alone := campaign.Infer(small)
+	tracker := campaign.NewTracker()
+	tracker.Update(both, t0)
+	handler := CampaignsHandler(tracker)
+
+	stop := make(chan struct{})
+	updated := make(chan struct{})
+	go func() {
+		defer close(updated)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			next := both
+			if i%2 == 1 {
+				next = alone
+			}
+			tracker.Update(next, t0.Add(time.Duration(i)*time.Minute))
+		}
+	}()
+	var wg sync.WaitGroup
+	faults := make([]string, 4)
+	for g := range faults {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300 && faults[g] == ""; i++ {
+				rec := httptest.NewRecorder()
+				handler(rec, httptest.NewRequest(http.MethodGet, "/api/v1/campaigns", nil))
+				faults[g] = campaignTableFault(rec.Body.Bytes())
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-updated
+	for _, f := range faults {
+		if f != "" {
+			t.Error(f)
+		}
+	}
+}
+
+// campaignTableFault returns what is wrong with a /campaigns body read
+// against its own as_of, or "" when nothing is.
+func campaignTableFault(body []byte) string {
+	var out struct {
+		AsOf      time.Time `json:"as_of"`
+		Campaigns []struct {
+			ID       string    `json:"id"`
+			Devices  int       `json:"devices"`
+			LastSeen time.Time `json:"last_seen"`
+			Status   string    `json:"status"`
+		} `json:"campaigns"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		return fmt.Sprintf("%v: %s", err, body)
+	}
+	if len(out.Campaigns) != 2 {
+		return fmt.Sprintf("%d campaigns, want 2: %s", len(out.Campaigns), body)
+	}
+	for _, c := range out.Campaigns {
+		want := "decaying"
+		if !c.LastSeen.Before(out.AsOf) {
+			want = "active"
+		}
+		if c.Status != want {
+			return fmt.Sprintf("%s last seen %v is %q as of %v: %s", c.ID, c.LastSeen, c.Status, out.AsOf, body)
+		}
+	}
+	a, b := out.Campaigns[0], out.Campaigns[1]
+	var ordered bool
+	switch {
+	case a.Status != b.Status:
+		ordered = a.Status == "active"
+	case a.Status == "active":
+		ordered = a.Devices > b.Devices || a.Devices == b.Devices && a.ID < b.ID
+	default:
+		ordered = a.LastSeen.After(b.LastSeen) || a.LastSeen.Equal(b.LastSeen) && a.ID < b.ID
+	}
+	if !ordered {
+		return fmt.Sprintf("rows out of order as of %v: %s", out.AsOf, body)
+	}
+	return ""
 }
 
 // trafficSource wraps fakeSource with traffic stats.

@@ -200,36 +200,23 @@ func appendHistory(h []HistoryPoint, p HistoryPoint) []HistoryPoint {
 	return h
 }
 
-// Campaigns returns the tracked set sorted for display: campaigns seen
-// in the latest update first (size desc, then ID), then decaying ones
-// (most recently seen first, then ID). The returned slice and its
-// history slices are copies safe to hold across updates.
-func (t *Tracker) Campaigns() []Tracked {
+// Campaigns returns the tracked set sorted for display, with the instant
+// of the most recent Update (zero before the first) that the order and
+// each campaign's Active status are taken against: campaigns seen in that
+// update first (size desc, then ID), then decaying ones (most recently
+// seen first, then ID). The slice is the caller's; the member lists,
+// country maps and histories in it are shared with the tracker and must
+// not be modified. The tracker never modifies them either: an Update
+// replaces a campaign's cluster state and only appends to its history.
+func (t *Tracker) Campaigns() ([]Tracked, time.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]Tracked, 0, len(t.tracked))
 	for _, tc := range t.tracked {
-		cp := *tc
-		cp.History = append([]HistoryPoint(nil), tc.History...)
-		cp.IPs = append([]string(nil), tc.IPs...)
-		countries := make(map[string]int, len(tc.Countries))
-		for k, v := range tc.Countries {
-			countries[k] = v
-		}
-		cp.Countries = countries
-		out = append(out, cp)
+		out = append(out, *tc)
 	}
-	asOf := t.lastSeen
-	sortTracked(out, asOf)
-	return out
-}
-
-// LastUpdate reports the instant of the most recent Update (zero before
-// the first).
-func (t *Tracker) LastUpdate() time.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lastSeen
+	sortTracked(out, t.lastSeen)
+	return out, t.lastSeen
 }
 
 // sortTracked orders campaigns for the operator table.

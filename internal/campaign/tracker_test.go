@@ -39,7 +39,7 @@ func TestTrackerStableIDsAcrossRebuilds(t *testing.T) {
 	var want []Tracked
 	for rebuild := 0; rebuild < 3; rebuild++ {
 		tr.Update(Infer(records), hour(rebuild))
-		got := tr.Campaigns()
+		got, _ := tr.Campaigns()
 		if len(got) != 2 {
 			t.Fatalf("rebuild %d: campaigns = %d, want 2", rebuild, len(got))
 		}
@@ -72,7 +72,7 @@ func TestTrackerGrowthKeepsIdentity(t *testing.T) {
 	for i, n := range []int{5, 15, 40} {
 		tr.Update(Infer(botRecords("20.0", n, map[uint16]int{23: 200}, "Mirai-like scanner", "CN")), hour(i))
 	}
-	got := tr.Campaigns()
+	got, _ := tr.Campaigns()
 	if len(got) != 1 {
 		t.Fatalf("campaigns = %d, want 1 (identity across growth)", len(got))
 	}
@@ -96,7 +96,7 @@ func TestTrackerBirthDecayRetire(t *testing.T) {
 
 	tr.Update(Infer(mirai), hour(0))
 	tr.Update(Infer(append(append([]feed.Record{}, mirai...), web...)), hour(1))
-	got := tr.Campaigns()
+	got, _ := tr.Campaigns()
 	if len(got) != 2 {
 		t.Fatalf("campaigns after birth = %d, want 2", len(got))
 	}
@@ -111,11 +111,10 @@ func TestTrackerBirthDecayRetire(t *testing.T) {
 	// the 14-day retire window closes. Last seen at hour 1, it is still
 	// listed exactly 14 days later.
 	tr.Update(Infer(mirai), hour(2))
-	got = tr.Campaigns()
+	got, asOf := tr.Campaigns()
 	if len(got) != 2 {
 		t.Fatalf("campaigns after decay = %d, want 2 (decaying one still listed)", len(got))
 	}
-	asOf := tr.LastUpdate()
 	if !got[0].Active(asOf) || got[0].ID != "C-000001" {
 		t.Errorf("active campaign should sort first: %+v", got[0])
 	}
@@ -124,19 +123,19 @@ func TestTrackerBirthDecayRetire(t *testing.T) {
 	}
 
 	tr.Update(Infer(mirai), hour(1).Add(retire))
-	if got = tr.Campaigns(); len(got) != 2 || got[1].ID != "C-000002" {
+	if got, _ = tr.Campaigns(); len(got) != 2 || got[1].ID != "C-000002" {
 		t.Fatalf("campaign retired at exactly %v unseen: %d campaigns", retire, len(got))
 	}
 	// Just past the window it is dropped.
 	tr.Update(Infer(mirai), hour(1).Add(retire+time.Second))
-	got = tr.Campaigns()
+	got, _ = tr.Campaigns()
 	if len(got) != 1 || got[0].ID != "C-000001" {
 		t.Fatalf("retire failed: %d campaigns, first %s", len(got), got[0].ID)
 	}
 
 	// A campaign reborn after retirement is a new identity.
 	tr.Update(Infer(append(append([]feed.Record{}, mirai...), web...)), hour(2).Add(retire))
-	got = tr.Campaigns()
+	got, _ = tr.Campaigns()
 	if len(got) != 2 || got[1].ID != "C-000003" {
 		t.Fatalf("reborn campaign should draw a fresh ID: %+v", got)
 	}
@@ -154,7 +153,8 @@ func TestTrackerDeterminism(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			tr.Update(Infer(records), hour(i))
 		}
-		return tr.Campaigns()
+		got, _ := tr.Campaigns()
+		return got
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -177,7 +177,7 @@ func TestTrackerSplitKeepsOldestIdentity(t *testing.T) {
 		next = append(next, rec)
 	}
 	tr.Update(Infer(next), hour(1))
-	got := tr.Campaigns()
+	got, _ := tr.Campaigns()
 	if len(got) != 2 {
 		t.Fatalf("campaigns after split = %d, want 2", len(got))
 	}
@@ -196,7 +196,7 @@ func TestTrackerHistoryBounded(t *testing.T) {
 		// Size changes every update so no coalescing happens.
 		tr.Update(Infer(botRecords("60.0", 3+i, map[uint16]int{23: 200}, "", "CN")), hour(i))
 	}
-	got := tr.Campaigns()
+	got, _ := tr.Campaigns()
 	if len(got) != 1 {
 		t.Fatalf("campaigns = %d", len(got))
 	}
@@ -218,7 +218,7 @@ func TestTrackerHistoryPointsOnChange(t *testing.T) {
 	bots := func(n int) []Campaign { return Infer(botRecords("70.0", n, map[uint16]int{23: 200}, "", "CN")) }
 	history := func() []HistoryPoint {
 		t.Helper()
-		got := tr.Campaigns()
+		got, _ := tr.Campaigns()
 		if len(got) != 1 {
 			t.Fatalf("campaigns = %d, want 1", len(got))
 		}
@@ -240,5 +240,42 @@ func TestTrackerHistoryPointsOnChange(t *testing.T) {
 	tr.Update(bots(3+maxHistory), hour(300+maxHistory))
 	if h := history(); len(h) != maxHistory || h[0].Size != 4 || h[len(h)-1].Size != 3+maxHistory {
 		t.Fatalf("the %dth distinct point: %d points, sizes %d..%d, want the oldest (3) dropped", maxHistory+1, len(h), h[0].Size, h[len(h)-1].Size)
+	}
+}
+
+// TestTrackerTableOutlivesUpdates holds a table Campaigns returned while
+// later updates grow, shrink and retire its campaigns and fill their
+// histories past maxHistory: the table shares its lists and maps with the
+// tracker, so it must read afterwards exactly as it did when returned.
+func TestTrackerTableOutlivesUpdates(t *testing.T) {
+	tr := NewTracker()
+	bots := func(n int) []Campaign { return Infer(botRecords("80.0", n, map[uint16]int{23: 200}, "", "CN")) }
+	for n := 3; n < 3+maxHistory-1; n++ {
+		tr.Update(bots(n), hour(n))
+	}
+	held, asOf := tr.Campaigns()
+	want := make([]Tracked, len(held))
+	for i, tc := range held {
+		want[i] = tc
+		want[i].IPs = append([]string(nil), tc.IPs...)
+		want[i].History = append([]HistoryPoint(nil), tc.History...)
+		want[i].Countries = map[string]int{}
+		for k, v := range tc.Countries {
+			want[i].Countries[k] = v
+		}
+	}
+	for n := 3 + maxHistory; n < 3+maxHistory+8; n++ {
+		tr.Update(bots(n), hour(n))
+	}
+	tr.Update(bots(4), hour(1000))
+	tr.Update(nil, hour(1000).Add(retire+time.Hour))
+	if now, _ := tr.Campaigns(); len(now) != 0 {
+		t.Fatalf("%d campaigns left after the retire window", len(now))
+	}
+	if !reflect.DeepEqual(held, want) {
+		t.Errorf("a held table changed under later updates:\n got  %+v\n want %+v", held, want)
+	}
+	if !asOf.Equal(hour(maxHistory + 1)) {
+		t.Errorf("as of %v, want the last update's %v", asOf, hour(maxHistory+1))
 	}
 }

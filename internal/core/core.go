@@ -79,12 +79,8 @@ func (s *System) Handler() http.Handler { return s.apiSrv }
 
 // RunHours generates and processes the next n simulated hours.
 func (s *System) RunHours(n int) error {
-	limit := s.cfg.World.Days * 24
-	if s.cfg.World.Days == 0 {
-		limit = 24
-	}
 	for i := 0; i < n; i++ {
-		if s.hoursRun >= limit {
+		if s.hoursRun >= s.spanHours() {
 			return fmt.Errorf("core: simulated span exhausted after %d hours", s.hoursRun)
 		}
 		hour := s.world.Start().Add(time.Duration(s.hoursRun) * time.Hour)
@@ -96,16 +92,15 @@ func (s *System) RunHours(n int) error {
 
 // RunAll processes the entire configured span and finishes the run.
 func (s *System) RunAll() error {
-	days := s.cfg.World.Days
-	if days <= 0 {
-		days = 1
-	}
-	if err := s.RunHours(days*24 - s.hoursRun); err != nil {
+	if err := s.RunHours(s.spanHours() - s.hoursRun); err != nil {
 		return err
 	}
 	s.Finish()
 	return nil
 }
+
+// spanHours is the length of the world's span in hours.
+func (s *System) spanHours() int { return int(s.world.End().Sub(s.world.Start()) / time.Hour) }
 
 // Finish ends all live flows and flushes pending work.
 func (s *System) Finish() {

@@ -49,6 +49,30 @@ func TestSystemSpanExhaustion(t *testing.T) {
 	}
 }
 
+// TestSpanOfNonPositiveDays runs worlds configured with 0 and -1 days:
+// the world decides their span (one day), and RunHours and RunAll both
+// read it from the world.
+func TestSpanOfNonPositiveDays(t *testing.T) {
+	for _, days := range []int{0, -1} {
+		cfg := smallConfig(203)
+		cfg.World.Days = days
+		cfg.World.NumInfected, cfg.World.NumNonIoT = 10, 3
+		sys := NewSystem(cfg)
+		if got := sys.World().End().Sub(sys.World().Start()); got != 24*time.Hour {
+			t.Errorf("Days %d: world span %v, want 24h", days, got)
+		}
+		if err := sys.RunAll(); err != nil {
+			t.Fatalf("Days %d: RunAll: %v", days, err)
+		}
+		if sys.hoursRun != 24 {
+			t.Errorf("Days %d: %d hours run, want 24", days, sys.hoursRun)
+		}
+		if err := sys.RunHours(1); err == nil {
+			t.Errorf("Days %d: running past the span should error", days)
+		}
+	}
+}
+
 func TestSystemAPIIntegration(t *testing.T) {
 	sys := NewSystem(smallConfig(202))
 	if err := sys.RunHours(8); err != nil {

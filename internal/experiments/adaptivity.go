@@ -38,9 +38,9 @@ type AdaptivityResult struct {
 }
 
 // Adaptivity runs the emerging-botnet experiment: a new, deliberately
-// tool-like family activates on day 1 of a multi-day run; the feed's
-// model-assigned labels on its flows are tracked per day. The paper
-// claims the 24 h retrain over the 14-day window lets the classifier
+// tool-like family activates on simnet.EmergenceDay of a multi-day run;
+// the feed's model-assigned labels on its flows are tracked per day. The
+// paper claims the 24 h retrain over the 14-day window lets the classifier
 // "adaptively learn ... evolving IoT botnets" — this measures that.
 func Adaptivity(scale Scale) (AdaptivityResult, error) {
 	if scale.Days < 3 {
@@ -51,7 +51,7 @@ func Adaptivity(scale Scale) (AdaptivityResult, error) {
 	if count < 40 {
 		count = 40
 	}
-	cfg.World.Emerging = &simnet.EmergingConfig{StartDay: 1, Count: count}
+	cfg.World.Emerging = count
 	sys := core.NewSystem(cfg)
 	if err := sys.RunAll(); err != nil {
 		return AdaptivityResult{}, err
@@ -67,7 +67,7 @@ func Adaptivity(scale Scale) (AdaptivityResult, error) {
 
 	res := AdaptivityResult{
 		FamilyName:    device.EmergingFamily.Name,
-		EmergenceDay:  1,
+		EmergenceDay:  simnet.EmergenceDay,
 		EmergingHosts: len(emerging),
 	}
 	byDay := map[int]*AdaptivityDayRow{}

@@ -5,23 +5,12 @@ import (
 	"math/rand"
 )
 
-// SVMConfig parameterizes the linear SVM baseline (hinge loss, SGD with
-// L2 regularization — Pegasos-style).
-type SVMConfig struct {
-	Epochs int     `json:"epochs"`
-	Lambda float64 `json:"lambda"`
-	Seed   int64   `json:"seed"`
-}
-
-func (c SVMConfig) withDefaults() SVMConfig {
-	if c.Epochs <= 0 {
-		c.Epochs = 20
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 1e-4
-	}
-	return c
-}
+// The linear SVM baseline's training schedule (hinge loss, SGD with L2
+// regularization — Pegasos-style).
+const (
+	svmEpochs = 20
+	svmLambda = 1e-4
+)
 
 // SVM is a trained linear support-vector machine.
 type SVM struct {
@@ -41,17 +30,16 @@ func (s *SVM) PredictProba(x []float64) float64 {
 	return 1 / (1 + math.Exp(-m))
 }
 
-// TrainSVM fits the linear SVM with Pegasos SGD.
-func TrainSVM(ds *Dataset, cfg SVMConfig) *SVM {
-	cfg = cfg.withDefaults()
+// TrainSVM fits the linear SVM with Pegasos SGD, shuffling with seed.
+func TrainSVM(ds *Dataset, seed int64) *SVM {
 	nf := ds.NumFeatures()
 	s := &SVM{W: make([]float64, nf)}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rand.NewSource(seed))
 	t := 1
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < svmEpochs; epoch++ {
 		perm := rng.Perm(ds.Len())
 		for _, i := range perm {
-			eta := 1 / (cfg.Lambda * float64(t))
+			eta := 1 / (svmLambda * float64(t))
 			t++
 			y := float64(2*ds.Y[i] - 1) // {-1,+1}
 			m := s.B
@@ -59,7 +47,7 @@ func TrainSVM(ds *Dataset, cfg SVMConfig) *SVM {
 				m += w * ds.X[i][j]
 			}
 			// L2 shrinkage.
-			scale := 1 - eta*cfg.Lambda
+			scale := 1 - eta*svmLambda
 			if scale < 0 {
 				scale = 0
 			}

@@ -8,31 +8,22 @@ import (
 	"exiot/internal/fanout"
 )
 
-// ForestConfig parameterizes random-forest training.
+// ForestConfig parameterizes random-forest training. Each split examines
+// max(1, ⌊√d⌋) of the d features, and each tree trains on a bootstrap
+// sample as large as the dataset.
 type ForestConfig struct {
-	NumTrees       int     `json:"num_trees"`
-	MaxDepth       int     `json:"max_depth"`
-	MinSamplesLeaf int     `json:"min_samples_leaf"`
-	MaxFeatures    int     `json:"max_features"` // 0 = √d
-	Subsample      float64 `json:"subsample"`    // bootstrap fraction, default 1.0
-	Seed           int64   `json:"seed"`
+	NumTrees       int   `json:"num_trees"`
+	MaxDepth       int   `json:"max_depth"`
+	MinSamplesLeaf int   `json:"min_samples_leaf"`
+	Seed           int64 `json:"seed"`
 }
 
-func (c ForestConfig) withDefaults(numFeatures int) ForestConfig {
+func (c ForestConfig) withDefaults() ForestConfig {
 	if c.NumTrees <= 0 {
 		c.NumTrees = 100
 	}
 	if c.MinSamplesLeaf <= 0 {
 		c.MinSamplesLeaf = 1
-	}
-	if c.MaxFeatures <= 0 {
-		c.MaxFeatures = int(math.Sqrt(float64(numFeatures)))
-		if c.MaxFeatures < 1 {
-			c.MaxFeatures = 1
-		}
-	}
-	if c.Subsample <= 0 || c.Subsample > 1 {
-		c.Subsample = 1.0
 	}
 	return c
 }
@@ -104,8 +95,13 @@ func (f *Forest) Validate(numFeatures int) error {
 // TrainForest fits a random forest with bootstrap sampling and per-split
 // feature subsampling, training trees across GOMAXPROCS goroutines.
 func TrainForest(ds *Dataset, cfg ForestConfig) *Forest {
-	cfg = cfg.withDefaults(ds.NumFeatures())
+	cfg = cfg.withDefaults()
 	forest := &Forest{Config: cfg, Trees: make([]*Tree, cfg.NumTrees)}
+	treeCfg := treeConfig{
+		maxDepth:       cfg.MaxDepth,
+		minSamplesLeaf: cfg.MinSamplesLeaf,
+		maxFeatures:    max(1, int(math.Sqrt(float64(ds.NumFeatures())))),
+	}
 
 	// Pre-derive independent seeds so tree training order cannot change
 	// results.
@@ -117,20 +113,11 @@ func TrainForest(ds *Dataset, cfg ForestConfig) *Forest {
 
 	fanout.Run(cfg.NumTrees, 0, func(_, ti int) {
 		rng := rand.New(rand.NewSource(seeds[ti]))
-		n := int(float64(ds.Len()) * cfg.Subsample)
-		if n < 1 {
-			n = 1
-		}
-		idx := make([]int, n)
+		idx := make([]int, max(1, ds.Len()))
 		for i := range idx {
 			idx[i] = rng.Intn(ds.Len())
 		}
-		treeCfg := TreeConfig{
-			MaxDepth:       cfg.MaxDepth,
-			MinSamplesLeaf: cfg.MinSamplesLeaf,
-			MaxFeatures:    cfg.MaxFeatures,
-		}
-		forest.Trees[ti] = TrainTree(ds, treeCfg, idx, rng)
+		forest.Trees[ti] = trainTree(ds, treeCfg, idx, rng)
 	})
 	return forest
 }

@@ -68,7 +68,7 @@ func TestSplitProportions(t *testing.T) {
 
 func TestTreeFitsTrainingData(t *testing.T) {
 	ds := xor(400, 3)
-	tree := TrainTree(&ds, TreeConfig{}, nil, nil)
+	tree := trainTree(&ds, treeConfig{}, nil, nil)
 	pred := Predictions(tree, &ds)
 	c := ConfusionMatrix(pred, ds.Y)
 	if acc := accuracy(c); acc < 0.99 {
@@ -78,7 +78,7 @@ func TestTreeFitsTrainingData(t *testing.T) {
 
 func TestTreeDepthBound(t *testing.T) {
 	ds := xor(400, 4)
-	tree := TrainTree(&ds, TreeConfig{MaxDepth: 3}, nil, nil)
+	tree := trainTree(&ds, treeConfig{maxDepth: 3}, nil, nil)
 	var depth func(i int32) int
 	depth = func(i int32) int {
 		n := &tree.Nodes[i]
@@ -97,7 +97,7 @@ func TestTreePureLeafShortCircuit(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		ds.Append([]float64{float64(i)}, 1)
 	}
-	tree := TrainTree(&ds, TreeConfig{}, nil, nil)
+	tree := trainTree(&ds, treeConfig{}, nil, nil)
 	if len(tree.Nodes) != 1 || tree.Nodes[0].Feature != -1 {
 		t.Errorf("single-class data should produce a lone leaf, got %d nodes", len(tree.Nodes))
 	}
@@ -136,7 +136,7 @@ func TestForestDeterministicPerSeed(t *testing.T) {
 func TestSVMOnLinearlySeparable(t *testing.T) {
 	train := blobs(600, 4, 9)
 	test := blobs(300, 4, 10)
-	svm := TrainSVM(&train, SVMConfig{Seed: 1})
+	svm := TrainSVM(&train, 1)
 	c := ConfusionMatrix(Predictions(svm, &test), test.Y)
 	if acc := accuracy(c); acc < 0.9 {
 		t.Errorf("SVM accuracy = %.3f on separable blobs, want ≥0.9", acc)
@@ -148,7 +148,7 @@ func TestSVMFailsOnXOR(t *testing.T) {
 	// forest beats the SVM baseline on heterogeneous IoT traffic.
 	train := xor(600, 11)
 	test := xor(300, 12)
-	svm := TrainSVM(&train, SVMConfig{Seed: 1})
+	svm := TrainSVM(&train, 1)
 	auc := ROCAUC(Scores(svm, &test), test.Y)
 	if auc > 0.7 {
 		t.Errorf("linear SVM XOR AUC = %.3f; suspiciously high for a linear model", auc)

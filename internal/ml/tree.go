@@ -5,15 +5,15 @@ import (
 	"sort"
 )
 
-// TreeConfig parameterizes CART training.
-type TreeConfig struct {
-	// MaxDepth bounds tree depth (0 = unbounded).
-	MaxDepth int
-	// MinSamplesLeaf is the minimum samples in a leaf (default 1).
-	MinSamplesLeaf int
-	// MaxFeatures is the number of features examined per split
+// treeConfig parameterizes CART training.
+type treeConfig struct {
+	// maxDepth bounds tree depth (0 = unbounded).
+	maxDepth int
+	// minSamplesLeaf is the minimum samples in a leaf (default 1).
+	minSamplesLeaf int
+	// maxFeatures is the number of features examined per split
 	// (0 = all; forests pass √d).
-	MaxFeatures int
+	maxFeatures int
 }
 
 // treeNode is one node in the flattened tree representation. Leaves have
@@ -55,7 +55,7 @@ func (t *Tree) PredictProba(x []float64) float64 {
 
 // treeBuilder holds the working state of one training run.
 type treeBuilder struct {
-	cfg  TreeConfig
+	cfg  treeConfig
 	x    [][]float64
 	y    []int
 	rng  *rand.Rand
@@ -63,12 +63,12 @@ type treeBuilder struct {
 	nfea int
 }
 
-// TrainTree fits a CART tree on (a view of) ds restricted to idx. A nil
+// trainTree fits a CART tree on (a view of) ds restricted to idx. A nil
 // idx uses every sample. rng drives per-split feature subsampling; it may
-// be nil when MaxFeatures is 0.
-func TrainTree(ds *Dataset, cfg TreeConfig, idx []int, rng *rand.Rand) *Tree {
-	if cfg.MinSamplesLeaf <= 0 {
-		cfg.MinSamplesLeaf = 1
+// be nil when maxFeatures is 0.
+func trainTree(ds *Dataset, cfg treeConfig, idx []int, rng *rand.Rand) *Tree {
+	if cfg.minSamplesLeaf <= 0 {
+		cfg.minSamplesLeaf = 1
 	}
 	if idx == nil {
 		idx = make([]int, ds.Len())
@@ -95,8 +95,8 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 	}
 
 	if pos == 0 || pos == len(idx) ||
-		(b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) ||
-		len(idx) < 2*b.cfg.MinSamplesLeaf {
+		(b.cfg.maxDepth > 0 && depth >= b.cfg.maxDepth) ||
+		len(idx) < 2*b.cfg.minSamplesLeaf {
 		return makeLeaf()
 	}
 
@@ -113,7 +113,7 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 			right = append(right, i)
 		}
 	}
-	if len(left) < b.cfg.MinSamplesLeaf || len(right) < b.cfg.MinSamplesLeaf {
+	if len(left) < b.cfg.minSamplesLeaf || len(right) < b.cfg.minSamplesLeaf {
 		return makeLeaf()
 	}
 
@@ -192,7 +192,7 @@ func weightedGini(leftPos, leftN, rightPos, rightN int) float64 {
 
 // candidateFeatures returns the features to examine for one split.
 func (b *treeBuilder) candidateFeatures() []int {
-	if b.cfg.MaxFeatures <= 0 || b.cfg.MaxFeatures >= b.nfea || b.rng == nil {
+	if b.cfg.maxFeatures <= 0 || b.cfg.maxFeatures >= b.nfea || b.rng == nil {
 		all := make([]int, b.nfea)
 		for i := range all {
 			all[i] = i
@@ -200,5 +200,5 @@ func (b *treeBuilder) candidateFeatures() []int {
 		return all
 	}
 	perm := b.rng.Perm(b.nfea)
-	return perm[:b.cfg.MaxFeatures]
+	return perm[:b.cfg.maxFeatures]
 }

@@ -63,9 +63,6 @@ func baseWorld(seed int64, hours int) *simnet.World {
 	cfg.NumBackscat = 3
 	cfg.MaxPacketsPerHostHour = 600
 	cfg.Days = (hours + 23) / 24
-	if cfg.Days < 1 {
-		cfg.Days = 1
-	}
 	return simnet.NewWorld(cfg)
 }
 

@@ -167,16 +167,46 @@ func (h *Host) TargetsAnyPort(ports map[uint16]bool) bool {
 	return false
 }
 
+// The world the paper measures, fixed. telescope is the monitored dark
+// address space (CAIDA's /8) and worldStart the first simulated instant.
+var (
+	telescope  = packet.MustParsePrefix("10.0.0.0/8")
+	worldStart = time.Date(2020, 12, 7, 0, 0, 0, 0, time.UTC)
+)
+
+const (
+	// natFraction and closedFraction control active-probe reachability
+	// of infected devices. They reproduce the paper's §VI observation
+	// that <10 % of infected hosts return banners.
+	natFraction    = 0.50
+	closedFraction = 0.80
+	// genericBannerFraction is the share of banner-returning IoT devices
+	// whose banners carry no device-identifying text (paper: only ~3 % of
+	// infected hosts yield textual details, i.e. ~30 % of the ~10 %).
+	genericBannerFraction = 0.70
+	// serverBannerFraction is the share of infected IoT devices that run
+	// stock server software (OpenSSH/nginx from a full distro image —
+	// common on gateways and NAS boxes). Their banners read non-IoT, so
+	// banner-derived training labels carry realistic noise: this is a
+	// driver of the paper's coverage gap (recall 77 %).
+	serverBannerFraction = 0.10
+	// toolEmbeddedBannerFraction is the converse: non-IoT scan boxes
+	// (cheap VPSes) exposing embedded-flavored software (dropbear, Boa),
+	// which banner rules mislabel IoT — a driver of the precision gap.
+	toolEmbeddedBannerFraction = 0.25
+)
+
+// EmergenceDay is the zero-based day on which Config.Emerging's botnet
+// activates.
+const EmergenceDay = 1
+
 // Config parameterizes world construction. The zero value is unusable;
 // use DefaultConfig as a baseline.
 type Config struct {
 	Seed     int64
 	Registry *registry.Registry
-	// Telescope is the monitored dark address space.
-	Telescope packet.Prefix
-	// Start and Days bound the simulated period.
-	Start time.Time
-	Days  int
+	// Days bounds the simulated period (at least one day).
+	Days int
 
 	// Population sizes.
 	NumInfected  int
@@ -190,58 +220,23 @@ type Config struct {
 	// inter-arrival statistics (a classifier feature) stay intact.
 	MaxPacketsPerHostHour int
 
-	// NATFraction and ClosedFraction control active-probe reachability of
-	// infected devices. Defaults reproduce the paper's §VI observation
-	// that <10 % of infected hosts return banners.
-	NATFraction    float64
-	ClosedFraction float64
-	// GenericBannerFraction is the share of banner-returning IoT devices
-	// whose banners carry no device-identifying text (paper: only ~3 % of
-	// infected hosts yield textual details, i.e. ~30 % of the ~10 %).
-	GenericBannerFraction float64
-	// ServerBannerFraction is the share of infected IoT devices that run
-	// stock server software (OpenSSH/nginx from a full distro image —
-	// common on gateways and NAS boxes). Their banners read non-IoT, so
-	// banner-derived training labels carry realistic noise: this is a
-	// driver of the paper's coverage gap (recall 77 %).
-	ServerBannerFraction float64
-	// ToolEmbeddedBannerFraction is the converse: non-IoT scan boxes
-	// (cheap VPSes) exposing embedded-flavored software (dropbear, Boa),
-	// which banner rules mislabel IoT — a driver of the precision gap.
-	ToolEmbeddedBannerFraction float64
-
-	// Emerging, when set, injects a previously unseen botnet
-	// (device.EmergingFamily) partway through the span — the drift the
-	// daily retrain must adapt to.
-	Emerging *EmergingConfig
-}
-
-// EmergingConfig parameterizes a mid-deployment botnet emergence.
-type EmergingConfig struct {
-	// StartDay is the zero-based day the new family activates.
-	StartDay int
-	// Count is how many devices it infects.
-	Count int
+	// Emerging, when positive, infects that many devices with a
+	// previously unseen botnet (device.EmergingFamily) that activates on
+	// EmergenceDay — the drift the daily retrain must adapt to.
+	Emerging int
 }
 
 // DefaultConfig returns a laptop-scale world configuration.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Seed:                       seed,
-		Telescope:                  packet.MustParsePrefix("10.0.0.0/8"),
-		Start:                      time.Date(2020, 12, 7, 0, 0, 0, 0, time.UTC),
-		Days:                       1,
-		NumInfected:                300,
-		NumNonIoT:                  60,
-		NumResearch:                6,
-		NumMisconfig:               40,
-		NumBackscat:                10,
-		MaxPacketsPerHostHour:      4000,
-		NATFraction:                0.50,
-		ClosedFraction:             0.80,
-		GenericBannerFraction:      0.70,
-		ServerBannerFraction:       0.10,
-		ToolEmbeddedBannerFraction: 0.25,
+		Seed:                  seed,
+		Days:                  1,
+		NumInfected:           300,
+		NumNonIoT:             60,
+		NumResearch:           6,
+		NumMisconfig:          40,
+		NumBackscat:           10,
+		MaxPacketsPerHostHour: 4000,
 	}
 }
 
@@ -255,26 +250,11 @@ type World struct {
 
 // NewWorld deterministically builds a world from cfg.
 func NewWorld(cfg Config) *World {
-	if cfg.Telescope.Bits == 0 {
-		cfg.Telescope = packet.MustParsePrefix("10.0.0.0/8")
-	}
 	if cfg.Days <= 0 {
 		cfg.Days = 1
 	}
 	if cfg.MaxPacketsPerHostHour <= 0 {
 		cfg.MaxPacketsPerHostHour = 4000
-	}
-	if cfg.NATFraction == 0 && cfg.ClosedFraction == 0 {
-		cfg.NATFraction, cfg.ClosedFraction = 0.50, 0.80
-	}
-	if cfg.GenericBannerFraction == 0 {
-		cfg.GenericBannerFraction = 0.70
-	}
-	if cfg.ServerBannerFraction == 0 {
-		cfg.ServerBannerFraction = 0.10
-	}
-	if cfg.ToolEmbeddedBannerFraction == 0 {
-		cfg.ToolEmbeddedBannerFraction = 0.25
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -292,10 +272,8 @@ func NewWorld(cfg Config) *World {
 	for i := 0; i < cfg.NumResearch; i++ {
 		w.addHost(w.buildNonIoT(rng, true))
 	}
-	if cfg.Emerging != nil {
-		for i := 0; i < cfg.Emerging.Count; i++ {
-			w.addHost(w.buildEmergingInfected(rng, cfg.Emerging.StartDay))
-		}
+	for i := 0; i < cfg.Emerging; i++ {
+		w.addHost(w.buildEmergingInfected(rng))
 	}
 	for i := 0; i < cfg.NumMisconfig; i++ {
 		w.addHost(w.buildMisconfig(rng))
@@ -315,9 +293,7 @@ func (w *World) addHost(h *Host) {
 }
 
 // span returns the simulated period bounds.
-func (w *World) span() (time.Time, time.Time) {
-	return w.cfg.Start, w.cfg.Start.Add(time.Duration(w.cfg.Days) * 24 * time.Hour)
-}
+func (w *World) span() (time.Time, time.Time) { return worldStart, w.End() }
 
 // makeSessions builds scan sessions inside the simulated span. meanDur and
 // meanGap shape session length and inter-session silence.
@@ -353,8 +329,8 @@ func (w *World) buildInfected(rng *rand.Rand) *Host {
 		rate:        fam.RateMin + rng.Float64()*(fam.RateMax-fam.RateMin),
 		jitter:      fam.Jitter,
 		stack:       m.Stack,
-		behindNAT:   rng.Float64() < w.cfg.NATFraction,
-		portsClosed: rng.Float64() < w.cfg.ClosedFraction,
+		behindNAT:   rng.Float64() < natFraction,
+		portsClosed: rng.Float64() < closedFraction,
 		// Long scan sessions with long silences: an infected device is
 		// typically one flow instance per day-ish, so the instance/unique
 		// ratio of a multi-day snapshot stays modest (Table V reports
@@ -363,7 +339,7 @@ func (w *World) buildInfected(rng *rand.Rand) *Host {
 		seed:     rng.Int63(),
 		hops:     uint8(5 + rng.Intn(21)),
 	}
-	if rng.Float64() < w.cfg.ServerBannerFraction {
+	if rng.Float64() < serverBannerFraction {
 		// Stock distro image: the device answers with server software
 		// and its banner truth reads non-IoT.
 		h.services = map[uint16]service{
@@ -376,7 +352,7 @@ func (w *World) buildInfected(rng *rand.Rand) *Host {
 	// Generic devices hide identifying text on every service (vendors
 	// that strip banners, including identifying SSH strings), leaving
 	// only embedded-software hints.
-	generic := rng.Float64() < w.cfg.GenericBannerFraction
+	generic := rng.Float64() < genericBannerFraction
 	for _, st := range m.Services {
 		banner := st.Render(m, h.Firmware)
 		if generic {
@@ -389,15 +365,15 @@ func (w *World) buildInfected(rng *rand.Rand) *Host {
 
 // buildEmergingInfected builds a device infected by the emerging family:
 // identical catalog hardware, but scanning with the new botnet's
-// behaviour and only from startDay onward.
-func (w *World) buildEmergingInfected(rng *rand.Rand, startDay int) *Host {
+// behaviour and only from EmergenceDay onward.
+func (w *World) buildEmergingInfected(rng *rand.Rand) *Host {
 	h := w.buildInfected(rng)
 	h.Family = &device.EmergingFamily
 	h.rate = device.EmergingFamily.RateMin +
 		rng.Float64()*(device.EmergingFamily.RateMax-device.EmergingFamily.RateMin)
 	h.jitter = device.EmergingFamily.Jitter
 	from, to := w.span()
-	emerge := from.Add(time.Duration(startDay) * 24 * time.Hour)
+	emerge := from.Add(EmergenceDay * 24 * time.Hour)
 	if emerge.After(to) {
 		emerge = to
 	}
@@ -456,7 +432,7 @@ func (w *World) buildNonIoT(rng *rand.Rand, research bool) *Host {
 	for _, st := range p.Services {
 		h.services[st.Port] = service{protocol: st.Protocol, banner: st.Template}
 	}
-	if !research && rng.Float64() < w.cfg.ToolEmbeddedBannerFraction {
+	if !research && rng.Float64() < toolEmbeddedBannerFraction {
 		// Cheap VPS running embedded-flavored software: its banner truth
 		// reads IoT even though the host is a scan box.
 		h.services[22] = service{protocol: "ssh", banner: "SSH-2.0-dropbear_2017.75"}
@@ -543,4 +519,8 @@ func (w *World) HostByIP(ip packet.IP) (*Host, bool) {
 func (w *World) Registry() *registry.Registry { return w.reg }
 
 // Start returns the beginning of the simulated span.
-func (w *World) Start() time.Time { return w.cfg.Start }
+func (w *World) Start() time.Time { return worldStart }
+
+// End returns the end of the simulated span: Start plus Days whole days,
+// and never less than one.
+func (w *World) End() time.Time { return worldStart.Add(time.Duration(w.cfg.Days) * 24 * time.Hour) }

@@ -63,7 +63,6 @@ func TestGeneratedPacketsSane(t *testing.T) {
 	if len(pkts) == 0 {
 		t.Fatal("no packets generated")
 	}
-	telescope := w.cfg.Telescope
 	prev := time.Time{}
 	for i := range pkts {
 		p := &pkts[i]

@@ -116,9 +116,7 @@ func mergeRuns(runs [][]packet.Packet) []packet.Packet {
 
 // telescopeShare is the fraction of Internet-wide random-target traffic
 // the telescope observes.
-func (w *World) telescopeShare() float64 {
-	return float64(w.cfg.Telescope.Size()) / math.Pow(2, 32)
-}
+var telescopeShare = float64(telescope.Size()) / math.Pow(2, 32)
 
 func (w *World) generateHost(out []packet.Packet, h *Host, from, to time.Time) []packet.Packet {
 	rng := rand.New(rand.NewSource(h.seed ^ from.Unix()))
@@ -142,7 +140,7 @@ func (w *World) generateSession(out []packet.Packet, h *Host, rng *rand.Rand, st
 	// Misconfigured nodes aim at one mistyped telescope address, so the
 	// telescope sees their full rate; scanners and backscatter sources
 	// spray IPv4 at random, so it sees rate/256.
-	observedRate := h.rate * w.telescopeShare()
+	observedRate := h.rate * telescopeShare
 	if h.Kind == KindMisconfigured {
 		observedRate = h.rate
 	}
@@ -160,7 +158,7 @@ func (w *World) generateSession(out []packet.Packet, h *Host, rng *rand.Rand, st
 	}
 	out = slices.Grow(out, expected)
 
-	gen := newPacketGen(w, h, rng)
+	gen := newPacketGen(h, rng)
 	t := start
 	count := 0
 	for t.Before(end) && count < w.cfg.MaxPacketsPerHostHour {
@@ -177,7 +175,6 @@ func (w *World) generateSession(out []packet.Packet, h *Host, rng *rand.Rand, st
 
 // packetGen builds consecutive packets for one host session.
 type packetGen struct {
-	w   *World
 	h   *Host
 	rng *rand.Rand
 
@@ -189,9 +186,8 @@ type packetGen struct {
 	misconfigDst packet.IP
 }
 
-func newPacketGen(w *World, h *Host, rng *rand.Rand) *packetGen {
+func newPacketGen(h *Host, rng *rand.Rand) *packetGen {
 	g := &packetGen{
-		w:           w,
 		h:           h,
 		rng:         rng,
 		srcPortBase: uint16(32768 + rng.Intn(16384)),
@@ -202,13 +198,13 @@ func newPacketGen(w *World, h *Host, rng *rand.Rand) *packetGen {
 		g.zmapPort = h.Profile.PickPort(rng)
 	}
 	if h.Kind == KindMisconfigured {
-		g.misconfigDst = randomTelescopeIP(w, rng)
+		g.misconfigDst = randomTelescopeIP(rng)
 	}
 	return g
 }
 
-func randomTelescopeIP(w *World, rng *rand.Rand) packet.IP {
-	return w.cfg.Telescope.Nth(uint64(rng.Int63n(int64(w.cfg.Telescope.Size()))))
+func randomTelescopeIP(rng *rand.Rand) packet.IP {
+	return telescope.Nth(uint64(rng.Int63n(int64(telescope.Size()))))
 }
 
 func (g *packetGen) next(ts time.Time) packet.Packet {
@@ -229,7 +225,7 @@ func (g *packetGen) next(ts time.Time) packet.Packet {
 // iotScan emits one SYN probe from an infected IoT device.
 func (g *packetGen) iotScan(ts time.Time) packet.Packet {
 	h, rng := g.h, g.rng
-	dst := randomTelescopeIP(g.w, rng)
+	dst := randomTelescopeIP(rng)
 	p := packet.Packet{
 		Timestamp: ts,
 		TOS:       h.stack.TOS,
@@ -266,7 +262,7 @@ func (g *packetGen) iotScan(ts time.Time) packet.Packet {
 // Nmap, ...), reproducing each tool's published on-wire fingerprint.
 func (g *packetGen) toolScan(ts time.Time) packet.Packet {
 	h, rng := g.h, g.rng
-	dst := randomTelescopeIP(g.w, rng)
+	dst := randomTelescopeIP(rng)
 	p := packet.Packet{
 		Timestamp: ts,
 		TTL:       h.stack.TTL - h.hops,
@@ -338,7 +334,7 @@ func (g *packetGen) misconfig(ts time.Time) packet.Packet {
 // that happens to be a telescope address.
 func (g *packetGen) backscatter(ts time.Time) packet.Packet {
 	h, rng := g.h, g.rng
-	dst := randomTelescopeIP(g.w, rng)
+	dst := randomTelescopeIP(rng)
 	p := packet.Packet{
 		Timestamp: ts,
 		TTL:       h.stack.TTL - h.hops,

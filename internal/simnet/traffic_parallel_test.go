@@ -24,7 +24,7 @@ func TestGenerateHourWorkersEquivalence(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	sawPackets := false
 	for hi := 0; hi < 24; hi++ {
-		hour := cfg.Start.Add(time.Duration(hi) * time.Hour)
+		hour := w.Start().Add(time.Duration(hi) * time.Hour)
 		runtime.GOMAXPROCS(1)
 		serial := w.GenerateHour(hour)
 		if len(serial) > 0 {
@@ -64,13 +64,13 @@ func TestGenerateHourDefaultsParallel(t *testing.T) {
 	w := NewWorld(cfg)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	a := w.GenerateHour(cfg.Start)
-	b := w.GenerateHour(cfg.Start)
+	a := w.GenerateHour(w.Start())
+	b := w.GenerateHour(w.Start())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("repeated GenerateHour calls differ")
 	}
 	runtime.GOMAXPROCS(1)
-	serial := w.GenerateHour(cfg.Start)
+	serial := w.GenerateHour(w.Start())
 	if !reflect.DeepEqual(a, serial) {
 		t.Fatal("GenerateHour at GOMAXPROCS 4 differs from serial")
 	}
@@ -88,7 +88,7 @@ func TestMergeRunsOrdering(t *testing.T) {
 	cfg.NumMisconfig = 4
 	cfg.NumBackscat = 2
 	w := NewWorld(cfg)
-	out := w.GenerateHour(cfg.Start)
+	out := w.GenerateHour(w.Start())
 	for i := 1; i < len(out); i++ {
 		if out[i].Timestamp.Before(out[i-1].Timestamp) {
 			t.Fatalf("packet %d out of order: %v before %v",

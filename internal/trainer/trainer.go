@@ -270,7 +270,7 @@ func (t *Trainer) CompareModels(now time.Time) ([]ModelComparison, error) {
 		return ModelComparison{Name: name, AUC: auc, F1: f1}
 	}
 	rf := ml.TrainForest(&train, ml.ForestConfig{NumTrees: 50, Seed: seed})
-	svm := ml.TrainSVM(&train, ml.SVMConfig{Seed: seed})
+	svm := ml.TrainSVM(&train, seed)
 	gnb := ml.TrainGNB(&train)
 	return []ModelComparison{
 		eval("RandomForest", rf),

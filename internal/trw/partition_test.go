@@ -136,7 +136,7 @@ func simHours(seed int64, n int) ([][]packet.Packet, []time.Time) {
 	hours := make([][]packet.Packet, n)
 	bounds := make([]time.Time, n)
 	for i := 0; i < n; i++ {
-		hour := cfg.Start.Add(time.Duration(i) * time.Hour)
+		hour := w.Start().Add(time.Duration(i) * time.Hour)
 		hours[i] = w.GenerateHour(hour)
 		bounds[i] = hour.Add(time.Hour)
 	}
