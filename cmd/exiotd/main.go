@@ -187,8 +187,9 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 				fmt.Printf("restored model trained %s (AUC %.3f)\n", m.TrainedAt.Format(time.RFC3339), m.AUC)
 			}
 		}
-		// The wire carries the streams of -shards flowsampler nodes; the
-		// aggregator reorders, dedups, and merges them into the canonical
+		// The wire carries the streams of -shards flowsampler nodes, each
+		// in the order it was sent; the aggregator drops replayed frames,
+		// refuses a sequence gap and merges the streams into the canonical
 		// hour before the back half sees them.
 		agg := back.Receive(shards)
 		recv, err := wire.NewReceiver(listen, func(f wire.Frame) {

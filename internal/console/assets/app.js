@@ -155,8 +155,7 @@ function renderCluster(cluster) {
   empty.style.display = "none";
   for (const sh of cluster) {
     const tr = document.createElement("tr");
-    tr.append(td(sh.shard), td(fmtInt(sh.seq), "num"),
-      td(fmtInt(sh.pending_frames), "num"), td(sh.lag_hours.toFixed(1), "num"));
+    tr.append(td(sh.shard), td(fmtInt(sh.seq), "num"), td(sh.lag_hours.toFixed(1), "num"));
     body.appendChild(tr);
   }
 }

@@ -24,7 +24,6 @@ import (
 type ShardStatus struct {
 	Shard    string  `json:"shard"`
 	Seq      float64 `json:"seq"`
-	Pending  float64 `json:"pending_frames"`
 	LagHours float64 `json:"lag_hours"`
 }
 
@@ -96,7 +95,6 @@ func shardStatuses(reg *telemetry.Registry) []ShardStatus {
 		}
 	}
 	collect("exiot_cluster_shard_seq", func(st *ShardStatus, v float64) { st.Seq = v })
-	collect("exiot_cluster_shard_pending_frames", func(st *ShardStatus, v float64) { st.Pending = v })
 	collect("exiot_cluster_shard_lag_hours", func(st *ShardStatus, v float64) { st.LagHours = v })
 	out := make([]ShardStatus, 0, len(byShard))
 	for _, st := range byShard {

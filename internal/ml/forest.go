@@ -19,9 +19,6 @@ type ForestConfig struct {
 }
 
 func (c ForestConfig) withDefaults() ForestConfig {
-	if c.NumTrees <= 0 {
-		c.NumTrees = 100
-	}
 	if c.MinSamplesLeaf <= 0 {
 		c.MinSamplesLeaf = 1
 	}

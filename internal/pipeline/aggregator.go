@@ -16,8 +16,6 @@ import (
 var (
 	metClusterShardSeq = telemetry.Default().GaugeVec("exiot_cluster_shard_seq",
 		"Highest in-order wire sequence applied from one ingest shard.", "shard")
-	metClusterShardPending = telemetry.Default().GaugeVec("exiot_cluster_shard_pending_frames",
-		"Frames from one shard buffered out-of-order, waiting for a sequence gap to fill.", "shard")
 	metClusterShardLag = telemetry.Default().GaugeVec("exiot_cluster_shard_lag_hours",
 		"Hours one shard has completed that the merge barrier is still holding (another shard is behind).", "shard")
 	metClusterMergeDepth = telemetry.Default().Gauge("exiot_cluster_merge_depth_events",
@@ -26,8 +24,6 @@ var (
 		"Hours fully merged across all ingest shards and released downstream.")
 	metClusterDupFrames = telemetry.Default().Counter("exiot_cluster_frames_duplicate_total",
 		"Replayed frames discarded by per-shard sequence tracking (reconnect replays).")
-	metClusterReordered = telemetry.Default().Counter("exiot_cluster_frames_reordered_total",
-		"Frames that arrived ahead of a sequence gap and were buffered for reordering.")
 )
 
 // clusterMergeMaxAge is how long the cluster health check tolerates no
@@ -38,8 +34,8 @@ const clusterMergeMaxAge = 15 * time.Minute
 
 // AggregatorConfig configures the cluster-side deterministic merge.
 type AggregatorConfig struct {
-	// Shards is the expected shard count N; every incoming frame must
-	// carry ShardCount == N and ShardID < N.
+	// Shards is the expected shard count N ≥ 1; every incoming frame
+	// must carry ShardCount == N and ShardID < N.
 	Shards int
 
 	// Emit receives every merged event in canonical order together with
@@ -57,42 +53,36 @@ type AggregatorConfig struct {
 	Health *telemetry.Health
 }
 
-// aggShard is the per-upstream reorder and hour-assembly state.
+// aggShard is one upstream's place in its stream: the hour it is
+// sending and the hours it has closed that the merge still holds.
 type aggShard struct {
-	nextSeq uint64              // next sequence to apply (first is 1)
-	pending map[uint64]aggFrame // decoded frames ahead of a gap
-	hours   map[int64]*aggHour  // open hours, keyed by hour epoch
-	done    map[int64]*aggHour  // barrier-closed hours awaiting merge
-	doneQ   []int64             // sorted epochs of done hours
+	nextSeq uint64    // next sequence to apply (first is 1)
+	open    aggHour   // the hour in progress (its epoch is set once it has a frame)
+	closed  []aggHour // barrier-closed hours awaiting merge, oldest first
+	last    int64     // epoch of the last closed hour
 
-	seqGauge     *telemetry.Gauge
-	pendingGauge *telemetry.Gauge
-	lagGauge     *telemetry.Gauge
+	seqGauge *telemetry.Gauge
+	lagGauge *telemetry.Gauge
 }
 
-// aggFrame is one decoded frame waiting in sequence order.
-type aggFrame struct {
-	barrier bool
-	final   bool
-	epoch   int64
-	ev      SamplerEvent
-}
-
-// aggHour is one shard's event buffer for one hour.
+// aggHour is one shard's events for one hour.
 type aggHour struct {
+	epoch  int64
 	events []SamplerEvent
 	final  bool
 }
 
 // Aggregator k-way merges the event streams of N ingest shards into the
-// single canonical stream a one-node telescope would produce. Each
-// shard's frames are reordered by their per-shard sequence (reconnect
-// replays are dropped, gaps are awaited), buffered per hour epoch, and
-// released only when *every* shard has delivered its KindHourEnd barrier
-// for that hour — then the shards' per-second reports are summed and
-// gap-filled (trw.ReportSum) and the union sorted into canonical order,
-// so the merge output is a pure function of the hour's global packet set.
-// Safe for concurrent Ingest calls (one per upstream connection).
+// single canonical stream a one-node telescope would produce. Each shard
+// delivers its frames as its Shipper sent them: an hour's events, then
+// that hour's KindHourEnd barrier, hour after hour, in sequence order.
+// A replayed frame is dropped; a frame past a sequence gap, or out of
+// that hour order, is refused and nothing of it is kept. A closed hour
+// is released only when *every* shard has closed it — then the shards'
+// per-second reports are summed and gap-filled (trw.ReportSum) and the
+// union sorted into canonical order, so the merge output is a pure
+// function of the hour's global packet set. Safe for concurrent Ingest
+// calls (one per upstream connection).
 type Aggregator struct {
 	mu     sync.Mutex
 	cfg    AggregatorConfig
@@ -105,9 +95,6 @@ type Aggregator struct {
 
 // NewAggregator builds the merge state for cfg.Shards upstreams.
 func NewAggregator(cfg AggregatorConfig) *Aggregator {
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
 	h := cfg.Health
 	if h == nil {
 		h = telemetry.DefaultHealth()
@@ -120,26 +107,23 @@ func NewAggregator(cfg AggregatorConfig) *Aggregator {
 	for i := range a.shards {
 		label := fmt.Sprintf("%d", i)
 		a.shards[i] = &aggShard{
-			nextSeq:      1,
-			pending:      make(map[uint64]aggFrame),
-			hours:        make(map[int64]*aggHour),
-			done:         make(map[int64]*aggHour),
-			seqGauge:     metClusterShardSeq.With(label),
-			pendingGauge: metClusterShardPending.With(label),
-			lagGauge:     metClusterShardLag.With(label),
+			nextSeq:  1,
+			last:     math.MinInt64,
+			seqGauge: metClusterShardSeq.With(label),
+			lagGauge: metClusterShardLag.With(label),
 		}
 	}
 	return a
 }
 
-// Ingest consumes one wire frame. Duplicates (replays of an already
-// applied sequence) are discarded; frames beyond a sequence gap are
-// buffered until the gap fills; everything else lands in its hour's
-// buffer, and a completed hour barrier may release one or more merged
-// hours downstream. A frame that fails validation is not applied (its
-// sequence stays open, so the shard's hour never closes on a hole). The
-// frame's payload is fully decoded before Ingest returns, so pooled
-// payload buffers may be reused immediately.
+// Ingest consumes one wire frame. A replay of an already applied
+// sequence is discarded. A frame that fails validation, skips a
+// sequence, or belongs to an hour other than the shard's open one or to
+// an hour the shard has closed is refused and not applied: its sequence
+// stays open. Every other frame applies at once, and a barrier may
+// release one or more merged hours downstream. The frame's payload is
+// fully decoded before Ingest returns, so pooled payload buffers may be
+// reused immediately.
 func (a *Aggregator) Ingest(f wire.Frame) error {
 	if f.Version != wire.Version2 {
 		return fmt.Errorf("aggregator: frame version %d, want %d", f.Version, wire.Version2)
@@ -152,17 +136,12 @@ func (a *Aggregator) Ingest(f wire.Frame) error {
 		return fmt.Errorf("aggregator: shard id %d out of range", f.ShardID)
 	}
 
-	// Decode outside the lock: decoding is pure, and the payloads of
-	// buffered frames must be copied out before the receiver recycles
-	// them anyway.
-	df := aggFrame{epoch: f.HourEpoch}
-	switch f.Kind {
-	case wire.KindHourEnd:
-		df.barrier = true
-		df.final = f.Flags&wire.FlagFinal != 0
-	default:
-		ev, err := DecodeEvent(f)
-		if err != nil {
+	// Decode outside the lock: decoding is pure.
+	barrier := f.Kind == wire.KindHourEnd
+	var ev SamplerEvent
+	if !barrier {
+		var err error
+		if ev, err = DecodeEvent(f); err != nil {
 			return err
 		}
 		// The merge zero-fills every second between an hour's earliest and
@@ -172,90 +151,60 @@ func (a *Aggregator) Ingest(f wire.Frame) error {
 			sec := ev.Report.Second
 			if off := f.HourEpoch - sec.Unix(); off <= 0 || off > 3600 || sec.Nanosecond() != 0 {
 				return fmt.Errorf("aggregator: shard %d report for %s outside the hour ending %s",
-					f.ShardID, sec.Format(time.RFC3339Nano), time.Unix(f.HourEpoch, 0).UTC().Format(time.RFC3339))
+					f.ShardID, sec.Format(time.RFC3339Nano), epochString(f.HourEpoch))
 			}
 		}
-		df.ev = ev
 	}
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	s := a.shards[f.ShardID]
-	if f.Seq < s.nextSeq {
+	switch {
+	case f.Seq < s.nextSeq:
 		metClusterDupFrames.Inc()
 		return nil
+	case f.Seq > s.nextSeq:
+		return fmt.Errorf("aggregator: shard %d sequence gap: frame %d, want %d", f.ShardID, f.Seq, s.nextSeq)
+	case f.HourEpoch <= s.last:
+		return fmt.Errorf("aggregator: shard %d frame %d is for the hour ending %s, which it has closed",
+			f.ShardID, f.Seq, epochString(f.HourEpoch))
+	case len(s.open.events) > 0 && f.HourEpoch != s.open.epoch:
+		return fmt.Errorf("aggregator: shard %d frame %d is for the hour ending %s while the hour ending %s is open",
+			f.ShardID, f.Seq, epochString(f.HourEpoch), epochString(s.open.epoch))
 	}
-	if f.Seq > s.nextSeq {
-		if _, dup := s.pending[f.Seq]; dup {
-			metClusterDupFrames.Inc()
-			return nil
-		}
-		s.pending[f.Seq] = df
-		metClusterReordered.Inc()
-		s.pendingGauge.Set(float64(len(s.pending)))
+	s.nextSeq++
+	s.seqGauge.Set(float64(f.Seq))
+	s.open.epoch = f.HourEpoch
+	if !barrier {
+		s.open.events = append(s.open.events, ev)
 		return nil
 	}
-
-	// In order: apply, then drain whatever the gap was holding back.
-	a.apply(s, df)
-	for {
-		next, ok := s.pending[s.nextSeq]
-		if !ok {
-			break
-		}
-		delete(s.pending, s.nextSeq)
-		a.apply(s, next)
-	}
-	s.seqGauge.Set(float64(s.nextSeq - 1))
-	s.pendingGauge.Set(float64(len(s.pending)))
+	s.open.final = f.Flags&wire.FlagFinal != 0
+	s.closed = append(s.closed, s.open)
+	s.open = aggHour{}
+	s.last = f.HourEpoch
+	s.lagGauge.Set(float64(len(s.closed)))
 	a.tryMerge()
 	return nil
 }
 
-// apply folds one in-sequence frame into its hour buffer (or closes the
-// hour on a barrier). Caller holds the lock.
-func (a *Aggregator) apply(s *aggShard, df aggFrame) {
-	s.nextSeq++
-	if df.barrier {
-		h := s.hours[df.epoch]
-		if h == nil {
-			h = &aggHour{} // an hour with no events still closes
-		}
-		delete(s.hours, df.epoch)
-		h.final = df.final
-		s.done[df.epoch] = h
-		s.doneQ = append(s.doneQ, df.epoch)
-		slices.Sort(s.doneQ)
-		s.lagGauge.Set(float64(len(s.doneQ)))
-		return
-	}
-	h := s.hours[df.epoch]
-	if h == nil {
-		h = &aggHour{}
-		s.hours[df.epoch] = h
-	}
-	h.events = append(h.events, df.ev)
+// epochString names an hour epoch in errors.
+func epochString(epoch int64) string {
+	return time.Unix(epoch, 0).UTC().Format(time.RFC3339)
 }
 
-// tryMerge releases every hour all shards have completed, oldest first.
-// Caller holds the lock.
+// tryMerge releases the oldest closed hour while every shard has closed
+// it, so hours leave in order. A shard still mid-hour (or silent) holds
+// the barrier, which surfaces as rising lag gauges and, eventually, a
+// stalled cluster-merge health check. Caller holds the lock.
 func (a *Aggregator) tryMerge() {
 	for {
-		// Candidate: the oldest completed hour anywhere. It merges only
-		// once every shard has completed it; a shard still mid-hour (or
-		// silent) holds the barrier, which surfaces as rising lag gauges
-		// and, eventually, a stalled cluster-merge health check.
-		epoch := int64(math.MaxInt64)
-		for _, s := range a.shards {
-			if len(s.doneQ) > 0 && s.doneQ[0] < epoch {
-				epoch = s.doneQ[0]
-			}
-		}
-		if epoch == math.MaxInt64 {
+		if len(a.shards[0].closed) == 0 {
 			return
 		}
-		for _, s := range a.shards {
-			if s.done[epoch] == nil {
+		epoch := a.shards[0].closed[0].epoch
+		for _, s := range a.shards[1:] {
+			if len(s.closed) == 0 || s.closed[0].epoch != epoch {
 				return
 			}
 		}
@@ -263,8 +212,8 @@ func (a *Aggregator) tryMerge() {
 	}
 }
 
-// mergeHour fuses all shards' buffers for epoch into the canonical
-// single-node stream and emits it. Caller holds the lock.
+// mergeHour fuses the shards' oldest closed hours, all at epoch, into
+// the canonical single-node stream and emits it. Caller holds the lock.
 func (a *Aggregator) mergeHour(epoch int64) {
 	final := true
 	var merged []SamplerEvent
@@ -273,10 +222,10 @@ func (a *Aggregator) mergeHour(epoch int64) {
 	// saw its partition of the source space); everything else is a
 	// disjoint union.
 	for _, s := range a.shards {
-		h := s.done[epoch]
-		delete(s.done, epoch)
-		s.doneQ = s.doneQ[1:] // epoch is each shard's oldest completed
-		s.lagGauge.Set(float64(len(s.doneQ)))
+		h := s.closed[0]
+		s.closed[0] = aggHour{}
+		s.closed = s.closed[1:]
+		s.lagGauge.Set(float64(len(s.closed)))
 		if !h.final {
 			final = false
 		}
@@ -311,16 +260,14 @@ func (a *Aggregator) mergeHour(epoch int64) {
 	}
 }
 
-// PendingHours reports how many completed-but-unmerged hours the slowest
-// and fastest shards are apart — zero when the cluster is in lockstep.
+// PendingHours reports the most closed hours any shard has waiting on
+// the barrier — zero when the cluster is in lockstep.
 func (a *Aggregator) PendingHours() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	maxLag := 0
+	longest := 0
 	for _, s := range a.shards {
-		if len(s.doneQ) > maxLag {
-			maxLag = len(s.doneQ)
-		}
+		longest = max(longest, len(s.closed))
 	}
-	return maxLag
+	return longest
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -100,7 +101,7 @@ func captureAggregator(shards int, health *telemetry.Health) (*Aggregator, *merg
 
 // clusterFrames synthesizes a 3-shard, 2-hour cluster conversation with
 // deliberate report gaps and overlaps, plus the final-flush pseudo-hour.
-func clusterFrames(t *testing.T) ([]*shardStream, time.Time) {
+func clusterFrames(t testing.TB) ([]*shardStream, time.Time) {
 	t.Helper()
 	const shards = 3
 	hour := time.Date(2021, 4, 8, 13, 0, 0, 0, time.UTC)
@@ -138,7 +139,7 @@ func clusterFrames(t *testing.T) ([]*shardStream, time.Time) {
 	return ss, hour
 }
 
-func ingestAll(t *testing.T, agg *Aggregator, frames []wire.Frame) {
+func ingestAll(t testing.TB, agg *Aggregator, frames []wire.Frame) {
 	t.Helper()
 	for _, f := range frames {
 		if err := agg.Ingest(f); err != nil {
@@ -221,27 +222,153 @@ func TestAggregatorMergeContent(t *testing.T) {
 	}
 }
 
-// TestAggregatorShuffleAndDuplicates proves determinism under transport
-// chaos: any interleaving of the shards' frames, with every frame
-// delivered twice, merges to the byte-identical stream.
-func TestAggregatorShuffleAndDuplicates(t *testing.T) {
-	ss, _ := clusterFrames(t)
+// FuzzAggregatorInterleave proves determinism under what the transport
+// can do to a shard's stream: shards deliver in any interleaving, and a
+// shard's connection drops and replays from an earlier frame, but each
+// shard's frames keep the order they were sent in. Each schedule byte
+// picks a shard (byte mod 3) and delivers its next frame; a byte of 0xC0
+// or more instead drops that shard's connection, which replays from 1–8
+// frames back. After the schedule every shard delivers the rest. The
+// merged events, hour stamps and final flags must equal the in-order
+// merge, with no frame refused.
+func FuzzAggregatorInterleave(f *testing.F) {
+	for trial := int64(0); trial < 8; trial++ {
+		schedule := make([]byte, 64)
+		rand.New(rand.NewSource(trial)).Read(schedule)
+		f.Add(schedule)
+	}
+	ss, _ := clusterFrames(f)
 	ref, refCap := captureAggregator(3, telemetry.NewHealth())
-	ingestAll(t, ref, flatten(ss))
+	ingestAll(f, ref, flatten(ss))
 
-	for trial := 0; trial < 8; trial++ {
-		frames := flatten(ss)
-		frames = append(frames, frames...) // every frame twice
-		rng := rand.New(rand.NewSource(int64(trial)))
-		rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
-
+	f.Fuzz(func(t *testing.T, schedule []byte) {
 		agg, cap := captureAggregator(3, telemetry.NewHealth())
-		ingestAll(t, agg, frames)
+		next := make([]int, len(ss))
+		deliver := func(shard int) {
+			if frames := ss[shard].frames; next[shard] < len(frames) {
+				if err := agg.Ingest(frames[next[shard]]); err != nil {
+					t.Fatalf("shard %d frame %d: %v", shard, next[shard], err)
+				}
+				next[shard]++
+			}
+		}
+		for _, b := range schedule {
+			shard := int(b) % len(ss)
+			if b >= 0xC0 {
+				next[shard] = max(0, next[shard]-int(b&7)-1)
+				continue
+			}
+			deliver(shard)
+		}
+		for shard, s := range ss {
+			for next[shard] < len(s.frames) {
+				deliver(shard)
+			}
+		}
 		if !reflect.DeepEqual(refCap.events, cap.events) {
-			t.Fatalf("trial %d: shuffled+duplicated delivery diverged from in-order merge", trial)
+			t.Fatal("interleaved delivery with replays diverged from the in-order merge")
 		}
 		if !reflect.DeepEqual(refCap.ats, cap.ats) || !reflect.DeepEqual(refCap.finals, cap.finals) {
-			t.Fatalf("trial %d: availability stamps or final flags diverged", trial)
+			t.Fatal("availability stamps or final flags diverged")
+		}
+		if agg.PendingHours() != 0 {
+			t.Errorf("PendingHours() = %d after every frame, want 0", agg.PendingHours())
+		}
+	})
+}
+
+// gapStream is shard 0 of 1's stream of 20,000 frames, numbered from
+// first: eight hours of 2,499 per-second reports, each hour closed by its
+// barrier, the last one final.
+func gapStream(t *testing.T, first uint64) []wire.Frame {
+	ss := newShardStream(t, 0, 1)
+	ss.seq = first - 1
+	start := time.Date(2021, 4, 8, 0, 0, 0, 0, time.UTC)
+	for h := 0; h < 8; h++ {
+		hour := start.Add(time.Duration(h) * time.Hour)
+		epoch := hour.Add(time.Hour).Unix()
+		for sec := 0; sec < 2499; sec++ {
+			ss.event(epoch, aggReport(hour.Add(time.Duration(sec)*time.Second), 1+sec%7, map[uint16]int{23: 1}))
+		}
+		ss.barrier(epoch, h == 7)
+	}
+	return ss.frames
+}
+
+// liveHeap returns the bytes of live heap objects after two forced
+// collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestAggregatorRefusesGap: a receiver restarted under a live sampler
+// has the shard back at sequence 1 while the sampler sends from 5001.
+// Every one of those frames must be refused and none kept, and the
+// shard's stream from sequence 1 must then merge as if nothing had come
+// before it. A frame out of its shard's hour order is refused the same
+// way.
+func TestAggregatorRefusesGap(t *testing.T) {
+	ref, refCap := captureAggregator(1, telemetry.NewHealth())
+	ingestAll(t, ref, gapStream(t, 1))
+
+	ahead, fromOne := gapStream(t, 5001), gapStream(t, 1)
+	agg, cap := captureAggregator(1, telemetry.NewHealth())
+	before := liveHeap()
+	refused := 0
+	for _, f := range ahead {
+		if agg.Ingest(f) != nil {
+			refused++
+		}
+	}
+	held := liveHeap() - before
+	runtime.KeepAlive(ahead)
+	if refused != len(ahead) {
+		t.Errorf("refused %d of %d frames past a sequence gap", refused, len(ahead))
+	}
+	if n := agg.PendingHours(); n != 0 {
+		t.Errorf("PendingHours() = %d after a refused stream, want 0", n)
+	}
+	t.Logf("%d frames past a gap left %d B of live heap", len(ahead), held)
+	if held > 64<<10 {
+		t.Errorf("%d frames past a gap left %d B of live heap, over 64 KB", len(ahead), held)
+	}
+	ingestAll(t, agg, fromOne)
+	if !reflect.DeepEqual(refCap, cap) {
+		t.Error("the stream from sequence 1 merged differently after the refused one")
+	}
+
+	hourEnd := time.Date(2021, 4, 8, 14, 0, 0, 0, time.UTC)
+	e1, e2 := hourEnd.Unix(), hourEnd.Add(time.Hour).Unix()
+	honest := newShardStream(t, 0, 1)
+	honest.event(e1, aggFlowEnd(0x0A000001, hourEnd.Add(-time.Minute)))
+	honest.barrier(e1, false)
+	honest.event(e2, aggFlowEnd(0x0A000002, hourEnd.Add(time.Minute)))
+	honest.barrier(e2, true)
+	ref, refCap = captureAggregator(1, telemetry.NewHealth())
+	ingestAll(t, ref, honest.frames)
+
+	renumber := func(f wire.Frame, seq uint64) wire.Frame { f.Seq = seq; return f }
+	for _, row := range []struct {
+		name string
+		at   int // honest frames delivered first
+		bad  wire.Frame
+	}{
+		{"an event for the next hour before this hour's barrier", 1, renumber(honest.frames[2], 2)},
+		{"an event for an hour the shard has closed", 2, renumber(honest.frames[0], 3)},
+		{"a barrier for an hour the shard has closed", 2, renumber(honest.frames[1], 3)},
+	} {
+		agg, cap := captureAggregator(1, telemetry.NewHealth())
+		ingestAll(t, agg, honest.frames[:row.at])
+		if err := agg.Ingest(row.bad); err == nil {
+			t.Errorf("%s: accepted", row.name)
+		}
+		ingestAll(t, agg, honest.frames[row.at:])
+		if !reflect.DeepEqual(refCap, cap) {
+			t.Errorf("%s: the refused frame changed the merge", row.name)
 		}
 	}
 }

@@ -67,9 +67,6 @@ type serverState struct {
 
 	Notifier *notify.State `json:"notifier,omitempty"`
 
-	ScanScanned int64 `json:"scan_scanned"`
-	ScanTagged  int64 `json:"scan_tagged"`
-
 	// Model is the active model in ml.SavedModel form (absent before the
 	// first successful retrain).
 	Model json.RawMessage `json:"model,omitempty"`
@@ -165,14 +162,11 @@ func (enc encodedEvent) decode(want SamplerEventKind) (SamplerEvent, error) {
 // ExportState serializes the server's full mutable state. Call it
 // between events (HandleEvent, Tick and FlushScans are not running).
 func (s *Server) ExportState() ([]byte, error) {
-	scanned, tagged := s.scanMod.Stats()
 	st := serverState{
 		ObjectIDCounter: store.ObjectIDCounterValue(),
 		Historical:      s.historical.Export(),
 		Traffic:         s.traffic.export(),
 		Trainer:         s.trainer.ExportState(),
-		ScanScanned:     scanned,
-		ScanTagged:      tagged,
 	}
 	st.ScanPending, st.ScanOldestAdded = s.scanMod.Buffer()
 
@@ -280,7 +274,6 @@ func (s *Server) RestoreState(payload []byte) error {
 	s.historical.Restore(st.Historical)
 	s.traffic.restore(st.Traffic)
 	s.trainer.RestoreState(st.Trainer)
-	s.scanMod.RestoreStats(st.ScanScanned, st.ScanTagged)
 	s.scanMod.RestoreBuffer(st.ScanPending, st.ScanOldestAdded)
 	restoreNotifier()
 
@@ -343,9 +336,6 @@ type RecoveryInfo struct {
 	SnapshotEvents uint64
 	// ReplayedEvents counts WAL event records re-applied on top.
 	ReplayedEvents int
-	// ReplayedRetrains counts retrain markers seen in the replayed tail
-	// (informational; retrains are recomputed, not installed).
-	ReplayedRetrains int
 	// Truncated reports that a torn or corrupt WAL tail was discarded.
 	Truncated bool
 }
@@ -424,7 +414,6 @@ func OpenDurable(cfg DurableConfig, server *Server) (*Durable, error) {
 	}
 	layerRecover.Done(start, stats.Events)
 	d.rec.ReplayedEvents = stats.Events
-	d.rec.ReplayedRetrains = stats.Retrains
 	d.rec.Truncated = stats.Truncated
 	d.events = meta.EventCount + uint64(stats.Events)
 

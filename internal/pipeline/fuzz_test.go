@@ -35,8 +35,9 @@ func FuzzDecodeEventV2(f *testing.F) {
 		}
 		f.Add(uint8(kind), epoch, payload)
 	}
-	// testdata/fuzz adds the two inputs that once broke this path: a
-	// sample claiming 2³²−1 packets, a report a decade before its hour.
+	// testdata/fuzz adds the two inputs that once broke this path, a
+	// sample claiming 2³²−1 packets and a report a decade before its
+	// hour, and a fuzzed frame that is itself the hour's barrier.
 
 	f.Fuzz(func(t *testing.T, kind uint8, epoch int64, payload []byte) {
 		frame := wire.Frame{Version: wire.Version2, ShardCount: 1, HourEpoch: epoch}
@@ -53,14 +54,17 @@ func FuzzDecodeEventV2(f *testing.F) {
 			Health: telemetry.NewHealth(),
 		})
 		got := allocatedBytes(func() {
-			// An epoch too wild to encode fails its own anchor; the rest
-			// then waits on that sequence forever, which is bounded too.
+			// An epoch too wild to encode fails its own anchor; the fuzzed
+			// frame is then refused as a sequence gap, and nothing is kept.
 			_ = agg.Ingest(anchor)
 			if agg.Ingest(fuzzed) != nil {
 				return
 			}
-			if err := agg.Ingest(barrier); err != nil {
-				t.Errorf("barrier after an accepted frame: %v", err)
+			// A fuzzed barrier closes the hour itself, and a second
+			// barrier for a closed hour must be refused.
+			err := agg.Ingest(barrier)
+			if closed := fuzzed.Kind == wire.KindHourEnd; closed != (err != nil) {
+				t.Errorf("barrier after an accepted frame (hour already closed: %v): %v", closed, err)
 			}
 		})
 		if emitted > 3600 {

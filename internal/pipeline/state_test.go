@@ -126,7 +126,6 @@ func TestSnapshotMidHourRoundTrip(t *testing.T) {
 	}
 	finishStream(never, rest)
 	want := exportNDJSON(never)
-	wantScanned, wantTagged := never.scanMod.Stats()
 	if never.Counters().RecordsCreated == 0 || never.Counters().FlowsEnded == 0 {
 		t.Fatalf("the reference run is too quiet to prove anything: %+v", never.Counters())
 	}
@@ -138,9 +137,6 @@ func TestSnapshotMidHourRoundTrip(t *testing.T) {
 		}
 		if got, want := srv.Counters(), never.Counters(); got != want {
 			t.Errorf("%s: counters differ:\n got:  %+v\n want: %+v", name, got, want)
-		}
-		if scanned, tagged := srv.scanMod.Stats(); scanned != wantScanned || tagged != wantTagged {
-			t.Errorf("%s: scanned/tagged = %d/%d, want %d/%d", name, scanned, tagged, wantScanned, wantTagged)
 		}
 		if len(srv.pendingBatches) != 0 || len(srv.pendingEnds) != 0 || pendingScans(srv) != 0 {
 			t.Errorf("%s: %d flows, %d ends, %d scanners still buffered after the final flush",

@@ -67,9 +67,6 @@ type Module struct {
 	pending     []packet.IP
 	oldestAdded time.Time
 	lastFlush   FlushWindow
-
-	scanned int64
-	tagged  int64
 }
 
 // New creates a scan module over the given scanner and rule base.
@@ -117,10 +114,8 @@ func (m *Module) Flush() []Tagged {
 			if match, ok := m.db.MatchAny(results[i].BannerTexts()); ok {
 				matchCopy := match
 				out[i].Match = &matchCopy
-				m.tagged++
 			}
 		}
-		m.scanned++
 		if out[i].Match != nil {
 			metScanners.With("tagged").Inc()
 		} else {
@@ -136,20 +131,9 @@ func (m *Module) LastFlush() FlushWindow { return m.lastFlush }
 // PortsPerHost returns the scanner's per-host probe count.
 func (m *Module) PortsPerHost() int { return m.scanner.NumPorts() }
 
-// Stats returns (scanned, tagged) lifetime counters.
-func (m *Module) Stats() (scanned, tagged int64) {
-	return m.scanned, m.tagged
-}
-
-// RestoreStats reinstates the lifetime counters from a snapshot so a
-// recovered server's dashboard totals match the uninterrupted run.
-func (m *Module) RestoreStats(scanned, tagged int64) {
-	m.scanned, m.tagged = scanned, tagged
-}
-
 // Buffer returns the scanners awaiting the next flush, in arrival order
 // (an IP detected twice sits there twice), and when the oldest was
-// added: with Stats, the module's whole mutable state.
+// added: the module's whole mutable state.
 func (m *Module) Buffer() (pending []packet.IP, oldestAdded time.Time) {
 	return slices.Clone(m.pending), m.oldestAdded
 }

@@ -75,6 +75,7 @@ func TestTaggingAgainstWorld(t *testing.T) {
 	for _, h := range w.Hosts() {
 		m.Enqueue(h.IP, t0)
 	}
+	tagged0, untagged0 := metScanners.With("tagged").Value(), metScanners.With("untagged").Value()
 	out := m.Flush()
 	if len(out) != len(w.Hosts()) {
 		t.Fatalf("flushed %d of %d", len(out), len(w.Hosts()))
@@ -118,12 +119,11 @@ func TestTaggingAgainstWorld(t *testing.T) {
 	if wrongVendor > 0 {
 		t.Errorf("%d vendor misattributions on true IoT devices", wrongVendor)
 	}
-	scanned, tagged := m.Stats()
-	if scanned != int64(len(out)) {
-		t.Errorf("scanned = %d", scanned)
-	}
-	if tagged != int64(taggedIoT+taggedNonIoT) {
-		t.Errorf("tagged = %d, want %d", tagged, taggedIoT+taggedNonIoT)
+	tagged := metScanners.With("tagged").Value() - tagged0
+	untagged := metScanners.With("untagged").Value() - untagged0
+	if tagged != int64(taggedIoT+taggedNonIoT) || tagged+untagged != int64(len(out)) {
+		t.Errorf("exiot_scanmod_scanners_total rose by %d tagged, %d untagged; want %d of %d tagged",
+			tagged, untagged, taggedIoT+taggedNonIoT, len(out))
 	}
 }
 
@@ -132,12 +132,15 @@ func TestUnknownBannerUntagged(t *testing.T) {
 	// matches: the host is probed and banner-grabbed, but left untagged.
 	m := New(Default(), zmap.NewScanner(oddProber{}), recog.NewDB())
 	m.Enqueue(packet.MustParseIP("198.18.0.1"), t0)
+	tagged0, untagged0 := metScanners.With("tagged").Value(), metScanners.With("untagged").Value()
 	out := m.Flush()
 	if len(out) != 1 || out[0].Match != nil || !out[0].Result.HasBanner() {
 		t.Fatalf("unexpected flush: %+v", out)
 	}
-	if scanned, tagged := m.Stats(); scanned != 1 || tagged != 0 {
-		t.Errorf("scanned/tagged = %d/%d, want 1/0", scanned, tagged)
+	tagged := metScanners.With("tagged").Value() - tagged0
+	untagged := metScanners.With("untagged").Value() - untagged0
+	if tagged != 0 || untagged != 1 {
+		t.Errorf("exiot_scanmod_scanners_total rose by %d tagged, %d untagged; want 0 and 1", tagged, untagged)
 	}
 }
 

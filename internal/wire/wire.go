@@ -13,10 +13,10 @@
 // batched into one coalesced write with a single cumulative ack per
 // batch, payloads are binary (see pipeline.AppendEncodeEvent), and
 // read/write scratch is pooled so steady-state frame I/O does not
-// allocate. Delivery is at-least-once: the receiver performs no
+// allocate. Delivery is at-least-once and in order: a reconnect replays
+// from the first unacknowledged frame, and the receiver performs no
 // de-duplication — the (shard, sequence) tags give the downstream
-// aggregator everything it needs to drop replayed frames and reorder
-// across reconnects.
+// aggregator everything it needs to drop replayed frames.
 package wire
 
 import (
@@ -55,11 +55,9 @@ const (
 	KindFlowEnd
 	// KindReport carries a per-second packet-level report.
 	KindReport
-	// KindControl carries control-plane messages.
-	KindControl
 	// KindHourEnd is the hour barrier: the sending shard has emitted
 	// every event for the frame's HourEpoch. Its payload is empty.
-	KindHourEnd
+	KindHourEnd Kind = 5
 )
 
 // Version2 marks every frame read off a connection: binary payloads,

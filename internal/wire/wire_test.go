@@ -68,7 +68,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameSizeLimit(t *testing.T) {
-	f := Frame{Seq: 1, Kind: KindControl, Payload: make([]byte, 16)}
+	f := Frame{Seq: 1, Kind: KindSample, Payload: make([]byte, 16)}
 	raw := appendFrameV2(nil, &f)
 	// Corrupt the length field to exceed the cap.
 	raw[22], raw[23], raw[24], raw[25] = 0xFF, 0xFF, 0xFF, 0xFF
@@ -199,7 +199,7 @@ func TestSenderGivesUpAfterMaxRetries(t *testing.T) {
 	s := NewSenderV2("127.0.0.1:1", 0, 1) // nothing listens on port 1
 	s.retryInterval = time.Millisecond
 	s.maxRetries = 3
-	if err := s.Queue(KindControl, 0, []byte("x")); err != nil {
+	if err := s.Queue(KindSample, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err == nil {
@@ -215,7 +215,7 @@ func TestSenderGivesUpAfterMaxRetries(t *testing.T) {
 func TestSenderClosed(t *testing.T) {
 	s := NewSenderV2("127.0.0.1:1", 0, 1)
 	s.Close()
-	if err := s.Queue(KindControl, 0, nil); err == nil {
+	if err := s.Queue(KindSample, 0, nil); err == nil {
 		t.Error("queue on closed sender should fail")
 	}
 	if err := s.Flush(); err == nil {
