@@ -190,12 +190,16 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 		// The wire carries the streams of -shards flowsampler nodes, each
 		// in the order it was sent; the aggregator drops replayed frames,
 		// refuses a sequence gap and merges the streams into the canonical
-		// hour before the back half sees them.
+		// hour before the back half sees them. A refused frame is not
+		// acked: its sampler replays it, and gives up with an error once
+		// its retries run out.
 		agg := back.Receive(shards)
-		recv, err := wire.NewReceiver(listen, func(f wire.Frame) {
-			if err := agg.Ingest(f); err != nil {
+		recv, err := wire.Listen(listen, func(f wire.Frame) error {
+			err := agg.Ingest(f)
+			if err != nil {
 				log.Printf("cluster ingest: %v", err)
 			}
+			return err
 		})
 		if err != nil {
 			return err

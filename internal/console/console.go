@@ -83,13 +83,26 @@ type VolumePoint struct {
 	Active float64 `json:"active"`
 }
 
-// volumeFamilies are the counter families differenced into ring points;
-// packets are the trw layer's items.
-var volumeFamilies = struct{ records, flowEnds, events, active string }{
-	records:  "exiot_feed_records_total",
-	flowEnds: "exiot_feed_flow_ends_total",
-	events:   "exiot_sampler_events_total",
-	active:   "exiot_feed_active_records",
+// volumeFamilies are the counter families differenced into ring points:
+// records and flow ends are the store's inserts and updates (the process
+// has one store); packets are the trw layer's items.
+var volumeFamilies = struct{ storeOps, events, layerItems, active string }{
+	storeOps:   "exiot_store_ops_total",
+	events:     "exiot_sampler_events_total",
+	layerItems: "exiot_layer_items_total",
+	active:     "exiot_feed_active_records",
+}
+
+// series reads the series of a one-label family whose label is value; 0
+// before that series exists.
+func series(reg *telemetry.Registry, family, value string) float64 {
+	fam, _ := reg.FamilySnapshot(family)
+	for _, s := range fam.Series {
+		if s.Labels[0] == value {
+			return s.Value
+		}
+	}
+	return 0
 }
 
 // Console is the embedded operator dashboard.
@@ -123,14 +136,10 @@ func New(cfg Config) *Console {
 func (c *Console) Tick(now time.Time) {
 	reg := c.cfg.Registry
 	total := VolumePoint{
-		Records:  reg.Sum(volumeFamilies.records),
-		FlowEnds: reg.Sum(volumeFamilies.flowEnds),
+		Records:  series(reg, volumeFamilies.storeOps, "insert"),
+		FlowEnds: series(reg, volumeFamilies.storeOps, "update"),
 		Events:   reg.Sum(volumeFamilies.events),
-	}
-	for _, l := range reg.LayerStats() {
-		if l.Layer == "trw" {
-			total.Packets = float64(l.Items)
-		}
+		Packets:  series(reg, volumeFamilies.layerItems, "trw"),
 	}
 	p := VolumePoint{At: now, Active: reg.Sum(volumeFamilies.active)}
 

@@ -74,7 +74,8 @@ func newRegistry(t *testing.T) *telemetry.Registry {
 
 func TestTickBuildsVolumeRing(t *testing.T) {
 	reg := newRegistry(t)
-	records := reg.Counter(volumeFamilies.records, "c")
+	ops := reg.CounterVec(volumeFamilies.storeOps, "c", "op")
+	records, flowEnds := ops.With("insert"), ops.With("update")
 	events := reg.CounterVec(volumeFamilies.events, "c", "kind")
 	active := reg.Gauge(volumeFamilies.active, "g")
 
@@ -91,6 +92,8 @@ func TestTickBuildsVolumeRing(t *testing.T) {
 	}
 
 	records.Add(7)
+	flowEnds.Add(2)
+	ops.With("expire").Add(9) // expiry is neither records nor flow ends
 	reg.Layer("trw").Add(time.Second, 1804)
 	events.With("batch").Add(2)
 	events.With("flow_end").Add(1)
@@ -98,8 +101,8 @@ func TestTickBuildsVolumeRing(t *testing.T) {
 	c.Tick(t0.Add(2 * time.Second))
 	ring = c.volume()
 	p := ring[1]
-	if p.Records != 7 || p.Events != 3 || p.Packets != 1804 || p.Active != 17 {
-		t.Fatalf("second tick deltas = %+v, want records 7 events 3 packets 1804 active 17", p)
+	if p.Records != 7 || p.FlowEnds != 2 || p.Events != 3 || p.Packets != 1804 || p.Active != 17 {
+		t.Fatalf("second tick deltas = %+v, want records 7 flow ends 2 events 3 packets 1804 active 17", p)
 	}
 
 	// Ring stays bounded.
@@ -119,7 +122,7 @@ func consoleMux(c *Console) *http.ServeMux {
 
 func TestOverviewHandler(t *testing.T) {
 	reg := newRegistry(t)
-	reg.Counter(volumeFamilies.records, "c").Add(3)
+	reg.CounterVec(volumeFamilies.storeOps, "c", "op").With("insert").Add(3)
 	// Layer timing: 10 annotate calls of 0.5 ms over 3 flows each.
 	annotate := reg.Layer("annotate")
 	for i := 0; i < 10; i++ {
@@ -331,7 +334,7 @@ func TestDashboardServed(t *testing.T) {
 
 func TestEventsStreamEmitsStats(t *testing.T) {
 	reg := newRegistry(t)
-	reg.Counter(volumeFamilies.records, "c").Add(5)
+	reg.CounterVec(volumeFamilies.storeOps, "c", "op").With("insert").Add(5)
 	health := telemetry.NewHealth()
 	health.Register("feed", time.Hour).BeatAt(t0)
 	c := New(Config{

@@ -27,8 +27,6 @@ import (
 var (
 	metPacketsWritten = telemetry.Default().Counter("exiot_pcap_packets_written_total",
 		"Packets written to pcap capture streams.")
-	metPacketsRead = telemetry.Default().Counter("exiot_pcap_packets_read_total",
-		"Packets read from pcap capture streams.")
 	metHoursWritten = telemetry.Default().Counter("exiot_pcap_hours_written_total",
 		"Hourly capture files published (atomic rename completed).")
 	metHoursOpened = telemetry.Default().Counter("exiot_pcap_hours_read_total",
@@ -209,7 +207,6 @@ func (r *Reader) Next(p *packet.Packet) error {
 	}
 	p.Timestamp = time.Unix(int64(sec), int64(frac)*r.fracMul).UTC()
 	r.index++
-	metPacketsRead.Inc()
 	return nil
 }
 

@@ -20,8 +20,6 @@ var (
 		"Hours one shard has completed that the merge barrier is still holding (another shard is behind).", "shard")
 	metClusterMergeDepth = telemetry.Default().Gauge("exiot_cluster_merge_depth_events",
 		"Events merged in the most recently completed cluster hour.")
-	metClusterHoursMerged = telemetry.Default().Counter("exiot_cluster_hours_merged_total",
-		"Hours fully merged across all ingest shards and released downstream.")
 	metClusterDupFrames = telemetry.Default().Counter("exiot_cluster_frames_duplicate_total",
 		"Replayed frames discarded by per-shard sequence tracking (reconnect replays).")
 )
@@ -253,7 +251,6 @@ func (a *Aggregator) mergeHour(epoch int64) {
 		a.cfg.Emit(ev, hourEnd)
 	}
 	metClusterMergeDepth.Set(float64(len(merged)))
-	metClusterHoursMerged.Inc()
 	a.liveness.Beat()
 	if a.cfg.OnHourMerged != nil {
 		a.cfg.OnHourMerged(hourEnd, final)

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -135,16 +136,19 @@ func TestSplitPipelineOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := back.Receive(1)
-	recv, err := wire.NewReceiver("127.0.0.1:0", func(f wire.Frame) {
-		if err := agg.Ingest(f); err != nil {
+	recv, err := wire.Listen("127.0.0.1:0", func(f wire.Frame) error {
+		err := agg.Ingest(f)
+		if err != nil {
 			t.Errorf("ingest: %v", err)
 		}
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer recv.Close()
-	merged := metClusterHoursMerged.Value()
+	// Each merged hour closes one server call (OnHourMerged is EndHour).
+	merged := layer("server").Calls
 
 	// Node side, shipping over the wire.
 	sender := wire.NewSenderV2(recv.Addr(), 0, 1)
@@ -166,7 +170,7 @@ func TestSplitPipelineOverWire(t *testing.T) {
 	recv.Close()
 
 	server := back.Server()
-	if got := metClusterHoursMerged.Value() - merged; got != hours+1 {
+	if got := layer("server").Calls - merged; got != hours+1 {
 		t.Errorf("merged %d hours, want %d (one per hour + final flush)", got, hours+1)
 	}
 	if server.Counters().RecordsCreated == 0 {
@@ -174,6 +178,37 @@ func TestSplitPipelineOverWire(t *testing.T) {
 	}
 	if server.Counters().Reports == 0 {
 		t.Error("no reports crossed the wire")
+	}
+}
+
+// failingSender refuses every frame, counting the calls.
+type failingSender struct{ queues, barriers int }
+
+func (f *failingSender) Queue(wire.Kind, int64, []byte) error {
+	f.queues++
+	return errors.New("receiver refused it")
+}
+
+func (f *failingSender) Barrier(int64, bool) error {
+	f.barriers++
+	return errors.New("receiver refused it")
+}
+
+// TestShipperStopsAfterFailure: once a frame fails to ship, the Shipper
+// queues nothing more (each Queue would retry the unacked batch again)
+// and every hour returns the first failure.
+func TestShipperStopsAfterFailure(t *testing.T) {
+	w := newWorld(simnetSmall(301))
+	out := &failingSender{}
+	node := NewShipper(trw.Default(), 0, 1, out)
+	for h := 0; h < 2; h++ {
+		hour := w.Start().Add(time.Duration(h) * time.Hour)
+		if err := node.ProcessHour(w.GenerateHour(hour), hour); err == nil {
+			t.Fatalf("hour %d shipped with every frame refused", h)
+		}
+	}
+	if out.queues != 1 || out.barriers != 0 {
+		t.Errorf("%d Queue and %d Barrier calls after the first refusal, want 1 and 0", out.queues, out.barriers)
 	}
 }
 

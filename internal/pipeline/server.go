@@ -29,10 +29,6 @@ import (
 // server for feedMaxAge — the signal an operator sees when the wire or
 // the sampler ahead of it dies.
 var (
-	metFeedRecords = telemetry.Default().Counter("exiot_feed_records_total",
-		"CTI records inserted into the historical database.")
-	metFeedFlowEnds = telemetry.Default().Counter("exiot_feed_flow_ends_total",
-		"END_FLOW updates applied to existing feed records.")
 	metFeedActive = telemetry.Default().Gauge("exiot_feed_active_records",
 		"Live scan flows currently holding an active feed record.")
 	metFeedLastRecord = telemetry.Default().Gauge("exiot_feed_last_record_unix",
@@ -298,7 +294,6 @@ func (s *Server) finishRecord(b *organizer.Batch, rec feed.Record, raw []float64
 	s.active[b.IP] = histID
 	live := len(s.active)
 	s.mu.Unlock()
-	metFeedRecords.Inc()
 	metFeedLastRecord.Set(float64(appearedAt.Unix()))
 	metFeedActive.Set(float64(live))
 
@@ -368,7 +363,6 @@ func (s *Server) handleFlowEnd(e SamplerEvent) {
 	delete(s.active, e.IP)
 	live := len(s.active)
 	s.mu.Unlock()
-	metFeedFlowEnds.Inc()
 	metFeedActive.Set(float64(live))
 	s.finishEndTrace(e, "applied")
 }

@@ -52,7 +52,9 @@ func (s *Shipper) ship(e SamplerEvent) {
 		sendStart = time.Now()
 	}
 	kind, data, err := AppendEncodeEvent(s.enc[:0], e)
-	if err == nil {
+	if err == nil && s.err == nil {
+		// Nothing queues after a failure: each Queue past the coalescing
+		// threshold would retry the whole unacked batch again.
 		s.enc = data[:0]
 		err = s.out.Queue(kind, s.epoch, data)
 	}

@@ -6,12 +6,6 @@ import (
 	"exiot/internal/telemetry"
 )
 
-// counter returns the live handle for an already-registered counter
-// family (registration is idempotent; help is not compared).
-func counter(name string) *telemetry.Counter {
-	return telemetry.Default().Counter(name, "")
-}
-
 // layer returns one layer's statistics on the default registry (zero
 // before its first call).
 func layer(name string) telemetry.LayerStat {
@@ -27,19 +21,22 @@ func layer(name string) telemetry.LayerStat {
 // against the pipeline's own lifetime counters: the packets the trw layer
 // counted as its items must be exactly the packets the detector reports
 // processing, one trw and one server call per hour (plus the server's
-// end-of-input call), and the feed-insert counter must match the
-// server's RecordsCreated. Catches instrumentation placed on the wrong
-// side of a branch (counting dropped work, or missing a path).
+// end-of-input call), the store's insert and update ops must match the
+// server's RecordsCreated and FlowsEnded, and the zmap layer's hosts must
+// be the scanners the scan module measured. Catches instrumentation
+// placed on the wrong side of a branch (counting dropped work, or missing
+// a path).
 func TestTelemetryMatchesDetectorStats(t *testing.T) {
-	trwBefore, serverBefore := layer("trw"), layer("server")
-	recordsBefore := counter("exiot_feed_records_total").Value()
-	endsBefore := counter("exiot_feed_flow_ends_total").Value()
+	trwBefore, serverBefore, zmapBefore := layer("trw"), layer("server"), layer("zmap")
+	ops := telemetry.Default().CounterVec("exiot_store_ops_total", "", "op")
+	insertsBefore, updatesBefore := ops.With("insert").Value(), ops.With("update").Value()
 	eventsBefore := telemetry.Default().Sum("exiot_sampler_events_total")
+	scannersBefore := telemetry.Default().Sum("exiot_scanmod_scanners_total")
 
 	l, _ := testLocal(t, 104, 6)
 
 	st := l.Sampler().DetectorStats()
-	trwAfter, serverAfter := layer("trw"), layer("server")
+	trwAfter, serverAfter, zmapAfter := layer("trw"), layer("server"), layer("zmap")
 	if got := trwAfter.Items - trwBefore.Items; got != st.Processed {
 		t.Errorf("trw layer items advanced by %d, detector processed %d", got, st.Processed)
 	}
@@ -53,14 +50,18 @@ func TestTelemetryMatchesDetectorStats(t *testing.T) {
 	if got := serverAfter.Items - serverBefore.Items; float64(got) != events {
 		t.Errorf("server layer items advanced by %d, sampler emitted %v events", got, events)
 	}
+	scanners := telemetry.Default().Sum("exiot_scanmod_scanners_total") - scannersBefore
+	if got := zmapAfter.Items - zmapBefore.Items; got == 0 || float64(got) != scanners {
+		t.Errorf("zmap layer items advanced by %d, scan module measured %v scanners", got, scanners)
+	}
 	c := l.Server().Counters()
-	if got := counter("exiot_feed_records_total").Value() - recordsBefore; got != c.RecordsCreated {
-		t.Errorf("exiot_feed_records_total advanced by %d, server created %d", got, c.RecordsCreated)
+	if got := ops.With("insert").Value() - insertsBefore; got != c.RecordsCreated {
+		t.Errorf(`exiot_store_ops_total{op="insert"} advanced by %d, server created %d`, got, c.RecordsCreated)
 	}
-	if got := counter("exiot_feed_flow_ends_total").Value() - endsBefore; got != c.FlowsEnded {
-		t.Errorf("exiot_feed_flow_ends_total advanced by %d, server ended %d", got, c.FlowsEnded)
+	if got := ops.With("update").Value() - updatesBefore; got != c.FlowsEnded {
+		t.Errorf(`exiot_store_ops_total{op="update"} advanced by %d, server ended %d`, got, c.FlowsEnded)
 	}
-	if c.RecordsCreated == 0 {
-		t.Fatal("run produced no records; the telemetry deltas above are vacuous")
+	if c.RecordsCreated == 0 || c.FlowsEnded == 0 {
+		t.Fatal("run produced no records or no flow ends; the telemetry deltas above are vacuous")
 	}
 }

@@ -9,12 +9,13 @@
 // exact EndHour sweep cadence live ingestion does, including empty hours.
 //
 // Scheduling is a deterministic virtual clock: at Warp == 0 ("as fast as
-// possible") the loop never reads a wall clock and never sleeps, so a
+// possible") the loop never consults its clock and never sleeps, so a
 // replay is a pure function of the capture bytes — the property
-// TestReplayFeedEquivalence leans on. At Warp > 0 the recorded timeline
-// is compressed by that factor against an injectable clock (1 = real
-// time, 60 = an hour per minute), with pacing checked once per packet
-// batch so the hot loop stays allocation-free.
+// TestReplayFeedEquivalence leans on (the replay layer reads the wall
+// clock about twice an hour, but nothing emitted depends on it). At
+// Warp > 0 the recorded timeline is compressed by that factor against an
+// injectable clock (1 = real time, 60 = an hour per minute), with pacing
+// checked once per packet batch so the hot loop stays allocation-free.
 package replay
 
 import (
@@ -31,14 +32,11 @@ import (
 
 // Telemetry handles for the replay stage (see docs/OPERATIONS.md).
 var (
-	metPackets = telemetry.Default().Counter("exiot_replay_packets_total",
-		"Packets re-emitted into the pipeline from replayed captures.")
-	metHours = telemetry.Default().Counter("exiot_replay_hours_total",
-		"Capture hours replayed into the pipeline, including empty gap hours.")
 	metWarpLag = telemetry.Default().Gauge("exiot_replay_warp_lag_seconds",
 		"How far a paced replay is running behind its warped schedule (0 when on time or unpaced).")
-	metRate = telemetry.Default().Gauge("exiot_replay_packets_per_second",
-		"Replay ingest rate over the run so far, in packets per wall-clock second.")
+	// layerReplay times each emitted hour's read off the capture; items
+	// are the hour's packets.
+	layerReplay = telemetry.Default().Layer("replay")
 )
 
 // paceEvery is how many packets the paced loop admits between clock
@@ -87,9 +85,13 @@ type Replayer struct {
 	baseRec  time.Time
 	unpaced  int // packets admitted since the last clock check
 
-	wallStart time.Time // first emit, for the rate gauge
-	packets   int64
-	hours     int64
+	// The replay layer's wall clock (never Config.Now): the hour's busy
+	// time so far, and when reading last resumed.
+	busy    time.Duration
+	reading time.Time
+
+	packets int64
+	hours   int64
 }
 
 // New returns a Replayer. Config.Emit is required.
@@ -161,6 +163,7 @@ func (r *Replayer) ReplayDir(dir string) error {
 	if len(hours) == 0 {
 		return nil
 	}
+	r.reading = time.Now()
 	for _, hour := range hours {
 		// Open before flushing the previous hour: the capture's read-ahead
 		// inflates this file while Emit works through that one. A failed
@@ -195,6 +198,7 @@ func (r *Replayer) ReplayDir(dir string) error {
 // from the packet timestamps themselves (a capture spanning several
 // hours emits several batches, with empty fills for silent hours).
 func (r *Replayer) ReplayFile(path string) error {
+	r.reading = time.Now()
 	hr, err := pcapio.OpenCapture(path)
 	if err != nil {
 		return err
@@ -272,21 +276,17 @@ func (r *Replayer) flushTail() error {
 // In paced mode the hour is released no earlier than its recorded end
 // maps to on the warped wall clock, so empty hours still take
 // 1h/Warp of wall time — the cadence a live hourly poller would see.
+// Its replay layer call is charged for reading only, not pacing or Emit.
 func (r *Replayer) emitHour() error {
 	r.paceTo(r.curHour.Add(time.Hour))
+	r.busy += time.Since(r.reading)
 	err := r.cfg.Emit(r.buf, r.curHour)
-	n := int64(len(r.buf))
-	r.packets += n
-	metPackets.Add(n)
+	layerReplay.Add(r.busy, len(r.buf))
+	r.packets += int64(len(r.buf))
 	r.hours++
-	metHours.Inc()
 	r.buf = r.buf[:0]
 	r.curHour = r.curHour.Add(time.Hour)
-	if r.wallStart.IsZero() {
-		r.wallStart = time.Now()
-	} else if elapsed := time.Since(r.wallStart).Seconds(); elapsed > 0 {
-		metRate.Set(float64(r.packets) / elapsed)
-	}
+	r.busy, r.reading = 0, time.Now()
 	return err
 }
 
@@ -304,7 +304,9 @@ func (r *Replayer) paceTo(rec time.Time) {
 	target := r.baseWall.Add(time.Duration(float64(rec.Sub(r.baseRec)) / r.cfg.Warp))
 	if d := target.Sub(r.now()); d > 0 {
 		metWarpLag.Set(0)
+		r.busy += time.Since(r.reading)
 		r.sleep(d)
+		r.reading = time.Now()
 	} else {
 		metWarpLag.Set((-d).Seconds())
 	}

@@ -11,6 +11,7 @@ import (
 
 	"exiot/internal/packet"
 	"exiot/internal/pcapio"
+	"exiot/internal/telemetry"
 )
 
 func testPacket(r *rand.Rand, ts time.Time) packet.Packet {
@@ -65,16 +66,24 @@ func (e *emitRecorder) emit(pkts []packet.Packet, hour time.Time) error {
 	return nil
 }
 
+// gapBase is the first hour writeGapDir publishes.
+var gapBase = time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
+
+// writeGapDir publishes hours 0, 1 and 3 from gapBase into dir, leaving
+// hour 2 a gap, and returns the three hours' packets.
+func writeGapDir(t *testing.T, dir string) (want0, want1, want3 []packet.Packet) {
+	t.Helper()
+	return writeHour(t, dir, gapBase, 40, 1),
+		writeHour(t, dir, gapBase.Add(time.Hour), 25, 2),
+		writeHour(t, dir, gapBase.Add(3*time.Hour), 30, 3)
+}
+
 // TestReplayDirGapFill proves directory replay visits every published
 // hour in order and fills unpublished gaps with empty emits, so the
 // pipeline's hourly sweeps keep their cadence.
 func TestReplayDirGapFill(t *testing.T) {
-	dir := t.TempDir()
-	base := time.Date(2021, 4, 1, 0, 0, 0, 0, time.UTC)
-	// Hours 0, 1, 3 published; hour 2 missing.
-	want0 := writeHour(t, dir, base, 40, 1)
-	want1 := writeHour(t, dir, base.Add(time.Hour), 25, 2)
-	want3 := writeHour(t, dir, base.Add(3*time.Hour), 30, 3)
+	dir, base := t.TempDir(), gapBase
+	want0, want1, want3 := writeGapDir(t, dir)
 
 	var rec emitRecorder
 	r := New(Config{Emit: rec.emit})
@@ -263,6 +272,76 @@ func TestWarpPacingSchedule(t *testing.T) {
 	// the final hour end, divided by 60 — just under 2 minutes.
 	if slept < 90*time.Second || slept > 2*time.Minute {
 		t.Errorf("slept %v across a 2-recorded-hour warp-60 replay, want ≈2m", slept)
+	}
+}
+
+// replayLayer returns the replay layer's totals on the default registry
+// (zero before its first call).
+func replayLayer() telemetry.LayerStat {
+	for _, st := range telemetry.Default().LayerStats() {
+		if st.Layer == "replay" {
+			return st
+		}
+	}
+	return telemetry.LayerStat{}
+}
+
+// TestReplayLayer proves the replay layer makes one call per emitted
+// hour, gap hours included, with the hour's packets as its items, and
+// charges it only the reading: its busy time, Emit's time and the pacing
+// sleeps are disjoint, so together they fit in the run's wall time. A
+// layer charged for a fake sleep's duration, or for the wall time spent
+// in Emit or a sleep, does not fit.
+func TestReplayLayer(t *testing.T) {
+	dir := t.TempDir()
+	writeGapDir(t, dir)
+	for _, warp := range []float64{0, 60} {
+		var (
+			clock      = time.Unix(1_600_000_000, 0)
+			slept      time.Duration // on the fake clock
+			inEmit     time.Duration // wall time inside Emit and Sleep
+			sleepCalls int
+		)
+		r := New(Config{
+			Warp: warp,
+			Emit: func([]packet.Packet, time.Time) error {
+				start := time.Now()
+				time.Sleep(2 * time.Millisecond)
+				inEmit += time.Since(start)
+				return nil
+			},
+			Now: func() time.Time { return clock },
+			Sleep: func(d time.Duration) {
+				start := time.Now()
+				time.Sleep(2 * time.Millisecond)
+				inEmit += time.Since(start)
+				slept += d
+				sleepCalls++
+				clock = clock.Add(d)
+			},
+		})
+		before := replayLayer()
+		start := time.Now()
+		if err := r.ReplayDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(start)
+		after := replayLayer()
+
+		if got := after.Calls - before.Calls; got != r.Hours() || got != 4 {
+			t.Errorf("warp %v: layer calls advanced by %d, Hours() = %d, want 4", warp, got, r.Hours())
+		}
+		if got := after.Items - before.Items; got != r.Packets() || got != 95 {
+			t.Errorf("warp %v: layer items advanced by %d, Packets() = %d, want 95", warp, got, r.Packets())
+		}
+		if (warp > 0) != (sleepCalls > 0) {
+			t.Fatalf("warp %v: %d pacing sleeps", warp, sleepCalls)
+		}
+		busy := time.Duration((after.Seconds - before.Seconds) * float64(time.Second))
+		if busy+inEmit > wall {
+			t.Errorf("warp %v: layer busy %v + Emit and sleeps %v exceed the run's wall time %v (slept %v on the fake clock)",
+				warp, busy, inEmit, wall, slept)
+		}
 	}
 }
 

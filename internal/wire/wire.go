@@ -16,7 +16,9 @@
 // allocate. Delivery is at-least-once and in order: a reconnect replays
 // from the first unacknowledged frame, and the receiver performs no
 // de-duplication — the (shard, sequence) tags give the downstream
-// aggregator everything it needs to drop replayed frames.
+// aggregator everything it needs to drop replayed frames. A frame the
+// receiver's handler refuses is never acked: the receiver closes the
+// connection and the sender replays, as after any other failure.
 package wire
 
 import (
@@ -26,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -288,7 +291,8 @@ func (s *Sender) flushLocked() error {
 	s.wbuf[s.flagsOff] |= FlagAckRequest
 	attempts := 0
 	for {
-		if err := s.tryFlush(); err == nil {
+		err := s.tryFlush()
+		if err == nil {
 			metFramesSent.Add(s.nQueued)
 			s.wbuf = s.wbuf[:0]
 			s.nQueued = 0
@@ -301,11 +305,18 @@ func (s *Sender) flushLocked() error {
 		metSendRetries.Inc()
 		attempts++
 		if attempts >= s.maxRetries {
+			if errors.Is(err, errNoAck) {
+				return fmt.Errorf("wire: flush through seq %d: receiver refused it after %d attempts: %w", s.seq, attempts, err)
+			}
 			return fmt.Errorf("wire: flush through seq %d: receiver unreachable after %d attempts", s.seq, attempts)
 		}
 		time.Sleep(s.retryInterval)
 	}
 }
+
+// errNoAck marks a flush the receiver took without acking it: it closed
+// the connection, which is how a receiver refuses a frame.
+var errNoAck = errors.New("connection closed without an ack")
 
 func (s *Sender) tryFlush() error {
 	if s.conn == nil {
@@ -320,14 +331,17 @@ func (s *Sender) tryFlush() error {
 		s.conn = conn
 	}
 	if _, err := s.conn.Write(s.wbuf); err != nil {
-		return err
+		return fmt.Errorf("%w (%v)", errNoAck, err)
 	}
 	var ack [8]byte
 	if err := s.conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		return err
 	}
 	if _, err := io.ReadFull(s.conn, ack[:]); err != nil {
-		return err
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return err // a slow receiver, not a refusal
+		}
+		return fmt.Errorf("%w (%v)", errNoAck, err)
 	}
 	if got := binary.BigEndian.Uint64(ack[:]); got != s.seq {
 		return fmt.Errorf("wire: cumulative ack %d, want %d", got, s.seq)
@@ -367,12 +381,14 @@ func (s *Sender) Close() error {
 // Receiver accepts sender connections and delivers their frames to a
 // handler. Every frame is delivered, reconnect replays included (the
 // shard/sequence tags let the aggregator de-duplicate), and acks go out
-// only on FlagAckRequest, after the handler returns. Frame payloads are
-// pooled: they are valid only for the duration of the handler call,
-// which must copy anything it retains.
+// only on FlagAckRequest, after the handler returns. A handler that
+// returns an error refuses the frame: the receiver closes the connection
+// without acking, so the sender replays from its first unacked frame.
+// Frame payloads are pooled: they are valid only for the duration of the
+// handler call, which must copy anything it retains.
 type Receiver struct {
 	ln      net.Listener
-	handler func(Frame)
+	handler func(Frame) error
 
 	mu     sync.Mutex
 	wg     sync.WaitGroup
@@ -380,9 +396,17 @@ type Receiver struct {
 	conns  map[net.Conn]struct{}
 }
 
-// NewReceiver listens on addr ("host:0" picks a free port) and invokes
-// handler for every frame, in arrival order per connection.
+// NewReceiver is Listen with a handler that refuses nothing.
+//
+// Deprecated: use Listen. Kept only for callers under bench/.
 func NewReceiver(addr string, handler func(Frame)) (*Receiver, error) {
+	return Listen(addr, func(f Frame) error { handler(f); return nil })
+}
+
+// Listen listens on addr ("host:0" picks a free port) and invokes
+// handler for every frame, in arrival order per connection. An error
+// from handler refuses the frame (see Receiver).
+func Listen(addr string, handler func(Frame) error) (*Receiver, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen: %w", err)
@@ -448,9 +472,12 @@ func (r *Receiver) serve(conn net.Conn) {
 		// several shards share the listener. Deliver before acking so an
 		// acked frame is never lost.
 		metFramesReceived.Inc()
-		r.handler(f)
+		err := r.handler(f)
 		putPayload(f.Payload)
 		f.Payload = nil
+		if err != nil {
+			return
+		}
 		if f.Flags&FlagAckRequest != 0 {
 			var ack [8]byte
 			binary.BigEndian.PutUint64(ack[:], f.Seq)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -202,13 +203,98 @@ func TestSenderGivesUpAfterMaxRetries(t *testing.T) {
 	if err := s.Queue(KindSample, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err == nil {
-		t.Error("flush to dead address should fail after maxRetries")
+	if err := s.Flush(); err == nil || !strings.Contains(err.Error(), "unreachable") {
+		t.Errorf("flush to dead address = %v, want unreachable after maxRetries", err)
 	}
 	// The batch is still unacknowledged, so Close retries it and reports
 	// the same failure instead of dropping it silently.
 	if err := s.Close(); err == nil {
 		t.Error("close with an undeliverable batch should report it")
+	}
+}
+
+// TestRefusedFrameIsNotAcked: a handler that refuses frame k gets no
+// ack sent for it. The receiver closes the connection, the sender
+// replays the unacked batch from its first frame, and once its retries
+// run out Flush says the receiver refused; the batch stays queued, and
+// the next Flush delivers it once the handler accepts.
+func TestRefusedFrameIsNotAcked(t *testing.T) {
+	const k = 5
+	var (
+		mu        sync.Mutex
+		refuse    = true
+		delivered []uint64
+	)
+	r, err := Listen("127.0.0.1:0", func(f Frame) error {
+		mu.Lock()
+		defer mu.Unlock()
+		delivered = append(delivered, f.Seq)
+		if refuse && f.Seq == k {
+			return fmt.Errorf("frame %d refused", f.Seq)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	s := NewSenderV2(r.Addr(), 0, 1)
+	s.retryInterval = time.Millisecond
+	s.maxRetries = 3
+	defer s.Close()
+	queue := func(from, to uint64) {
+		for seq := from; seq <= to; seq++ {
+			if err := s.Queue(KindSample, 3600, []byte{byte(seq)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	queue(1, 2)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Frame k is the batch's last, so it carries the ack request.
+	queue(3, k)
+	err = s.Flush()
+	if err == nil || !strings.Contains(err.Error(), "refused") || !errors.Is(err, errNoAck) {
+		t.Fatalf("Flush over a refused frame = %v, want the receiver's refusal", err)
+	}
+	mu.Lock()
+	want := []uint64{1, 2, 3, 4, k, 3, 4, k, 3, 4, k}
+	if fmt.Sprint(delivered) != fmt.Sprint(want) {
+		t.Errorf("delivered %v, want %v: the batch replayed from its first unacked frame on each of 3 attempts", delivered, want)
+	}
+	mu.Unlock()
+
+	// Straight at the receiver: frame k with the ack request gets the
+	// connection closed, not an ack.
+	conn, err := net.Dial("tcp", r.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	f := Frame{Seq: k, Kind: KindSample, Flags: FlagAckRequest, ShardCount: 1}
+	if _, err := conn.Write(appendFrameV2(append([]byte(nil), magicV2[:]...), &f)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ack [8]byte
+	var ne net.Error
+	if n, err := conn.Read(ack[:]); n != 0 || err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("read %d bytes, err %v; want the connection closed with no ack", n, err)
+	}
+
+	mu.Lock()
+	refuse, delivered = false, nil
+	mu.Unlock()
+	if err := s.Flush(); err != nil {
+		t.Fatalf("Flush once the handler accepts: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(delivered) != fmt.Sprint([]uint64{3, 4, k}) {
+		t.Errorf("after the refusal delivered %v, want [3 4 %d]", delivered, k)
 	}
 }
 

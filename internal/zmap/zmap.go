@@ -26,8 +26,6 @@ var (
 	metBanners = telemetry.Default().CounterVec("exiot_zmap_banners_total",
 		"Application banner grabs on open ports, by protocol and outcome (grabbed|empty).",
 		"protocol", "result")
-	metHostsScanned = telemetry.Default().Counter("exiot_zmap_hosts_scanned_total",
-		"Scanner hosts actively measured (all target ports probed).")
 )
 
 // Prober answers active probes. *simnet.World implements it.
@@ -111,21 +109,14 @@ func (s *Scanner) NumPorts() int { return len(s.ports) }
 func (s *Scanner) ScanHost(ip packet.IP) HostResult {
 	res := HostResult{IP: ip}
 	for _, port := range s.ports {
-		proto := PortProtocol(port)
 		if !s.prober.ProbePort(ip, port) {
-			metProbes.With(proto, "closed").Inc()
 			continue
 		}
-		metProbes.With(proto, "open").Inc()
 		res.OpenPorts = append(res.OpenPorts, port)
 		if banner, bproto, ok := s.prober.GrabBanner(ip, port); ok && banner != "" {
-			metBanners.With(proto, "grabbed").Inc()
 			res.Banners = append(res.Banners, Banner{Port: port, Protocol: bproto, Banner: banner})
-		} else {
-			metBanners.With(proto, "empty").Inc()
 		}
 	}
-	metHostsScanned.Inc()
 	s.mu.Lock()
 	s.probesSent += int64(len(s.ports))
 	s.mu.Unlock()
@@ -133,14 +124,45 @@ func (s *Scanner) ScanHost(ip packet.IP) HostResult {
 }
 
 // ScanBatch probes a batch of hosts in parallel, preserving input order
-// in the result slice. The scan module buffers up to 100k scanners (or
-// 60 minutes) before invoking this.
+// in the result slice, and counts the batch's probe and banner outcomes.
+// The scan module buffers up to 100k scanners (or 60 minutes) before
+// invoking this.
 func (s *Scanner) ScanBatch(ips []packet.IP) []HostResult {
 	out := make([]HostResult, len(ips))
 	fanout.Run(len(ips), s.Workers, func(_, i int) {
 		out[i] = s.ScanHost(ips[i])
 	})
+	s.count(out)
 	return out
+}
+
+// count adds a batch's probe and banner outcomes to the counters by
+// protocol, once per batch: every port was probed on every host, and an
+// open port's grab came back empty unless the host kept its banner. A
+// series is created only once it has counted, as when counting per port.
+func (s *Scanner) count(results []HostResult) {
+	n := map[[3]string]int64{} // {family, protocol, result}
+	for _, port := range s.ports {
+		n[[3]string{"probe", PortProtocol(port), "closed"}] += int64(len(results))
+	}
+	for _, r := range results {
+		for _, port := range r.OpenPorts {
+			proto := PortProtocol(port)
+			n[[3]string{"probe", proto, "closed"}]--
+			n[[3]string{"probe", proto, "open"}]++
+			n[[3]string{"banner", proto, "empty"}]++
+		}
+		for _, b := range r.Banners {
+			n[[3]string{"banner", PortProtocol(b.Port), "empty"}]--
+			n[[3]string{"banner", PortProtocol(b.Port), "grabbed"}]++
+		}
+	}
+	vecs := map[string]*telemetry.CounterVec{"probe": metProbes, "banner": metBanners}
+	for k, v := range n {
+		if v > 0 {
+			vecs[k[0]].With(k[1], k[2]).Add(v)
+		}
+	}
 }
 
 // ProbesSent returns the lifetime probe count.

@@ -6,6 +6,7 @@ import (
 
 	"exiot/internal/packet"
 	"exiot/internal/simnet"
+	"exiot/internal/telemetry"
 )
 
 // fakeProber is a deterministic in-test Internet. ScanBatch probes from
@@ -113,6 +114,54 @@ func TestScanBatchOrderAndParallelism(t *testing.T) {
 		if (len(out[i].OpenPorts) > 0) != wantOpen {
 			t.Errorf("host %d: open=%v want %v", i, out[i].OpenPorts, wantOpen)
 		}
+	}
+}
+
+// TestScanBatchCountsOutcomes pins the batch tally to what counting
+// each probe and banner grab as it happens would give: every target port
+// probed on every host, open or closed by protocol, and each open port's
+// grab grabbed or empty.
+func TestScanBatchCountsOutcomes(t *testing.T) {
+	a, b := packet.MustParseIP("203.0.113.60"), packet.MustParseIP("203.0.113.61")
+	f := &fakeProber{proto: "http", open: map[packet.IP]map[uint16]string{
+		a: {80: "HTTP/1.1 200 OK", 8080: "HTTP/1.1 401", 23: ""},
+	}}
+	httpPorts := 0
+	for _, p := range Ports {
+		if PortProtocol(p) == "http" {
+			httpPorts++
+		}
+	}
+	want := []struct {
+		vec           *telemetry.CounterVec
+		proto, result string
+		n             int64
+	}{
+		{metProbes, "http", "open", 2},
+		{metProbes, "http", "closed", int64(2*httpPorts - 2)},
+		{metProbes, "telnet", "open", 1},
+		{metProbes, "telnet", "closed", 3}, // 23 and 2323 on two hosts, one open
+		{metBanners, "http", "grabbed", 2},
+		{metBanners, "telnet", "empty", 1},
+	}
+	before := make([]int64, len(want))
+	for i, w := range want {
+		before[i] = w.vec.With(w.proto, w.result).Value()
+	}
+	probes := telemetry.Default().Sum("exiot_zmap_probes_total")
+	banners := telemetry.Default().Sum("exiot_zmap_banners_total")
+
+	NewScanner(f).ScanBatch([]packet.IP{a, b})
+	for i, w := range want {
+		if got := w.vec.With(w.proto, w.result).Value() - before[i]; got != w.n {
+			t.Errorf("%s/%s advanced by %d, want %d", w.proto, w.result, got, w.n)
+		}
+	}
+	if got := telemetry.Default().Sum("exiot_zmap_probes_total") - probes; got != float64(2*len(Ports)) {
+		t.Errorf("probes advanced by %v, want %d (every port on both hosts)", got, 2*len(Ports))
+	}
+	if got := telemetry.Default().Sum("exiot_zmap_banners_total") - banners; got != 3 {
+		t.Errorf("banner grabs advanced by %v, want 3 (one per open port)", got)
 	}
 }
 

@@ -271,10 +271,12 @@ func runShards(t *testing.T, w world, r row, cfg pipeline.LocalConfig, src sourc
 	back, err := pipeline.NewBackHalf(cfg, sw, sw.Registry(), &notify.MemoryMailer{})
 	must(t, err)
 	agg := back.Receive(r.shards)
-	recv, err := wire.NewReceiver("127.0.0.1:0", func(f wire.Frame) {
-		if err := agg.Ingest(f); err != nil {
+	recv, err := wire.Listen("127.0.0.1:0", func(f wire.Frame) error {
+		err := agg.Ingest(f)
+		if err != nil {
 			t.Errorf("cluster ingest: %v", err)
 		}
+		return err
 	})
 	must(t, err)
 	defer recv.Close()
