@@ -217,8 +217,8 @@ func printStateReport(out io.Writer, info *durable.DirInfo) (refused int) {
 		case s.TornBytes > 0:
 			status = fmt.Sprintf("TORN TAIL: %d bytes after seq %d", s.TornBytes, s.LastSeq)
 		}
-		fmt.Fprintf(out, "  %s  %8d bytes  seq %d..%d  %d records (%d events, %d retrains)  %s\n",
-			s.Name, s.Size, s.FirstSeq, s.LastSeq, s.Records, s.Events, s.Retrains, status)
+		fmt.Fprintf(out, "  %s  %8d bytes  seq %d..%d  %d records  %s\n",
+			s.Name, s.Size, s.FirstSeq, s.LastSeq, s.Records, status)
 	}
 	return refused
 }
@@ -240,9 +240,6 @@ func printWALTraces(out io.Writer, dir string) error {
 	var lines []line
 	var undecodable []string
 	err := durable.ScanRecords(dir, func(rec durable.Record) error {
-		if rec.Type != durable.RecordEvent {
-			return nil
-		}
 		e, err := pipeline.DecodeEvent(wire.Frame{Version: wire.Version2, Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
 		if err != nil {
 			undecodable = append(undecodable, fmt.Sprintf("seq %6d  frame kind %d: %v", rec.Seq, rec.Kind, err))

@@ -29,11 +29,9 @@ import (
 
 // Telemetry handles for the durability stage (see docs/OPERATIONS.md).
 var (
-	metWALAppends = telemetry.Default().CounterVec("exiot_wal_appends_total",
-		"WAL records appended, by type (event|retrain).", "type")
-	metWALAppendEvent   = metWALAppends.With("event")
-	metWALAppendRetrain = metWALAppends.With("retrain")
-	metWALBytes         = telemetry.Default().Counter("exiot_wal_bytes_total",
+	metWALAppends = telemetry.Default().Counter("exiot_wal_appends_total",
+		"Event records appended to the WAL.")
+	metWALBytes = telemetry.Default().Counter("exiot_wal_bytes_total",
 		"Bytes appended to WAL segments (framing included).")
 	metWALFsyncs = telemetry.Default().Counter("exiot_wal_fsyncs_total",
 		"fsync calls issued by the WAL appender.")
@@ -72,47 +70,18 @@ const (
 	SyncOff SyncPolicy = "off"
 )
 
-// RecordType discriminates WAL records.
-type RecordType uint8
-
-// WAL record types.
-const (
-	// RecordEvent carries one wire-encoded sampler event plus the
-	// simulated instant it became available to the feed server.
-	RecordEvent RecordType = 1
-	// RecordRetrain marks a successful daily retrain with its metadata
-	// (JSON). Replay recomputes retrains deterministically from the
-	// restored trainer window, so these records are observability
-	// markers for `exiotctl state inspect`, not replay inputs.
-	RecordRetrain RecordType = 2
-)
-
-// String names a record type for inspection output.
-func (t RecordType) String() string {
-	switch t {
-	case RecordEvent:
-		return "event"
-	case RecordRetrain:
-		return "retrain"
-	default:
-		return "unknown"
-	}
-}
-
-// Record is one decoded WAL record.
+// Record is one logged sampler event, decoded from the WAL.
 type Record struct {
-	Seq  uint64
-	Type RecordType
-	// AvailableAt is the simulated feed-arrival instant (RecordEvent).
+	Seq uint64
+	// AvailableAt is the simulated feed-arrival instant.
 	AvailableAt time.Time
-	// Kind is the wire frame kind of the embedded event (RecordEvent).
-	// Build the wire.Frame for pipeline.DecodeEvent from Kind, Payload
-	// and wire.Version2, the only codec a segment holds.
+	// Kind is the wire frame kind of the event. Build the wire.Frame for
+	// pipeline.DecodeEvent from Kind, Payload and wire.Version2, the only
+	// codec a segment holds.
 	Kind uint8
-	// Payload is the wire-encoded event (RecordEvent) or the retrain
-	// metadata JSON (RecordRetrain). It aliases the reader's buffer and
-	// is valid only during the callback that receives the Record: copy
-	// it to keep it.
+	// Payload is the wire-encoded event. It aliases the reader's buffer
+	// and is valid only during the callback that receives the Record:
+	// copy it to keep it.
 	Payload []byte
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -60,26 +61,20 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Fatalf("StartAppend: %v", err)
 	}
 	payloads := appendEvents(t, m, 10)
-	if _, err := m.AppendRetrain([]byte(`{"auc":0.91}`)); err != nil {
-		t.Fatalf("AppendRetrain: %v", err)
-	}
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
 	recs, stats, _ := replayAll(t, dir, 0)
-	if len(recs) != 11 {
-		t.Fatalf("replayed %d records, want 11", len(recs))
+	if len(recs) != 10 {
+		t.Fatalf("replayed %d records, want 10", len(recs))
 	}
-	if stats.Events != 10 || stats.Retrains != 1 || stats.Truncated {
-		t.Fatalf("stats = %+v, want 10 events, 1 retrain, not truncated", stats)
+	if stats.Records != 10 || stats.LastSeq != 10 || stats.Truncated {
+		t.Fatalf("stats = %+v, want 10 records through seq 10, not truncated", stats)
 	}
-	for i, rec := range recs[:10] {
+	for i, rec := range recs {
 		if rec.Seq != uint64(i+1) {
 			t.Fatalf("record %d seq = %d, want %d", i, rec.Seq, i+1)
-		}
-		if rec.Type != RecordEvent {
-			t.Fatalf("record %d type = %v, want event", i, rec.Type)
 		}
 		if !bytes.Equal(rec.Payload, payloads[i]) {
 			t.Fatalf("record %d payload = %q, want %q", i, rec.Payload, payloads[i])
@@ -91,8 +86,115 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatalf("record %d kind = %d, want %d", i, rec.Kind, i%3+1)
 		}
 	}
-	if recs[10].Type != RecordRetrain || recs[10].Seq != 11 {
-		t.Fatalf("last record = %+v, want retrain seq 11", recs[10])
+}
+
+// TestOpenRefusesUnknownSyncPolicy: a policy other than always, interval
+// or off — a typo, or the wrong case — fails Open instead of silently
+// never syncing an append; an empty one is interval.
+func TestOpenRefusesUnknownSyncPolicy(t *testing.T) {
+	for _, p := range []SyncPolicy{"Always", "sometimes"} {
+		_, err := Open(Options{Dir: t.TempDir(), Sync: p})
+		if err == nil || !strings.Contains(err.Error(), "always, interval or off") {
+			t.Errorf("Open with sync policy %q = %v, want an error naming the three policies", p, err)
+		}
+	}
+	m, err := Open(Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("Open with no sync policy: %v", err)
+	}
+	if m.opts.Sync != SyncInterval {
+		t.Errorf("empty sync policy became %q, want %q", m.opts.Sync, SyncInterval)
+	}
+}
+
+// legacyMarker is a retrain marker as older releases logged it.
+var legacyMarker = []byte(`{"auc":0.91,"f1":0.88,"train":400,"test":100}`)
+
+// TestLegacyRetrainMarkers: a segment in the shape older releases wrote —
+// events, a retrain marker, a snapshot, events, a marker, events —
+// replays exactly its events, in order and with their sequence numbers;
+// appending resumes after the last marker's sequence; and Inspect counts
+// the markers as valid records.
+func TestLegacyRetrainMarkers(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(testOptions(dir))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if err := m.StartAppend(1); err != nil {
+		t.Fatalf("StartAppend: %v", err)
+	}
+	marker := func() {
+		if _, err := m.append(recMarker, nil, legacyMarker); err != nil {
+			t.Fatalf("append marker: %v", err)
+		}
+	}
+	var want []uint64 // event sequence numbers
+	events := func(n int) {
+		for i := range n {
+			want = append(want, m.NextSeq()+uint64(i))
+		}
+		appendEvents(t, m, n)
+	}
+	events(4) // 1..4
+	marker()  // 5
+	events(3) // 6..8
+	if err := m.WriteSnapshot(SnapshotMeta{LastSeq: 8, EventCount: 7, TakenAt: testEpoch}, []byte("state")); err != nil {
+		t.Fatalf("WriteSnapshot: %v", err)
+	}
+	events(2) // 9..10
+	marker()  // 11
+	events(3) // 12..14
+	if err := m.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	seqs := func(recs []Record) string {
+		var s []uint64
+		for _, rec := range recs {
+			s = append(s, rec.Seq)
+		}
+		return fmt.Sprint(s)
+	}
+	recs, stats, m2 := replayAll(t, dir, 0)
+	if stats.Records != len(want) || stats.LastSeq != 14 || stats.Truncated {
+		t.Fatalf("stats = %+v, want %d records through seq 14, not truncated", stats, len(want))
+	}
+	if got := seqs(recs); got != fmt.Sprint(want) {
+		t.Fatalf("replay applied seqs %v, want the events' %v", got, want)
+	}
+	m2.Close()
+
+	// From the snapshot, as recovery does: only the events after seq 8.
+	recs, stats, m3 := replayAll(t, dir, 8)
+	if got := seqs(recs); got != "[9 10 12 13 14]" || stats.Records != 5 {
+		t.Fatalf("replay from seq 8 applied seqs %v (%+v), want the events [9 10 12 13 14]", got, stats)
+	}
+	if err := m3.StartAppend(9); err != nil {
+		t.Fatalf("StartAppend: %v", err)
+	}
+	if next := m3.NextSeq(); next != 15 {
+		t.Fatalf("NextSeq = %d, want 15: appending resumes after the last record", next)
+	}
+	seq, err := m3.AppendEvent(1, testEpoch, []byte("after"))
+	if err != nil || seq != 15 {
+		t.Fatalf("AppendEvent = (%d, %v), want seq 15", seq, err)
+	}
+	m3.Close()
+
+	info, err := Inspect(dir)
+	if err != nil {
+		t.Fatalf("Inspect: %v", err)
+	}
+	records := 0
+	for _, seg := range info.Segments {
+		records += seg.Records
+	}
+	if records != 15 {
+		t.Fatalf("Inspect counts %d records, want 15: 13 events and 2 markers", records)
+	}
+	if problems, err := Verify(dir); err != nil || len(problems) != 0 {
+		t.Fatalf("Verify = (%v, %v), want clean", problems, err)
 	}
 }
 
@@ -527,10 +629,7 @@ func TestInspectReportsDirectory(t *testing.T) {
 		t.Fatalf("StartAppend: %v", err)
 	}
 	appendEvents(t, m, 20)
-	if _, err := m.AppendRetrain([]byte(`{"auc":0.9}`)); err != nil {
-		t.Fatalf("AppendRetrain: %v", err)
-	}
-	if err := m.WriteSnapshot(SnapshotMeta{LastSeq: 21, EventCount: 20, TakenAt: testEpoch}, []byte("state")); err != nil {
+	if err := m.WriteSnapshot(SnapshotMeta{LastSeq: 20, EventCount: 20, TakenAt: testEpoch}, []byte("state")); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	m.Close()
@@ -539,20 +638,18 @@ func TestInspectReportsDirectory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Inspect: %v", err)
 	}
-	if len(info.Snapshots) != 1 || !info.Snapshots[0].Valid || info.Snapshots[0].Meta.LastSeq != 21 {
-		t.Fatalf("snapshots = %+v, want one valid snapshot at seq 21", info.Snapshots)
+	if len(info.Snapshots) != 1 || !info.Snapshots[0].Valid || info.Snapshots[0].Meta.LastSeq != 20 {
+		t.Fatalf("snapshots = %+v, want one valid snapshot at seq 20", info.Snapshots)
 	}
-	var events, retrains, records int
+	records := 0
 	for _, seg := range info.Segments {
-		events += seg.Events
-		retrains += seg.Retrains
 		records += seg.Records
 		if seg.Error != "" || seg.TornBytes != 0 {
 			t.Fatalf("segment %+v reported damage on a healthy log", seg)
 		}
 	}
-	if events != 20 || retrains != 1 || records != 21 {
-		t.Fatalf("inspect totals events=%d retrains=%d records=%d, want 20/1/21", events, retrains, records)
+	if records != 20 {
+		t.Fatalf("inspect counts %d records, want 20", records)
 	}
 	if problems, err := Verify(dir); err != nil || len(problems) != 0 {
 		t.Fatalf("Verify = (%v, %v), want clean", problems, err)

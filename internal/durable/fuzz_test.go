@@ -14,7 +14,6 @@ import (
 // checksum (the payload itself is gone when the callback returns).
 type appliedRecord struct {
 	seq     uint64
-	typ     RecordType
 	kind    uint8
 	at      int64
 	payload uint32
@@ -29,7 +28,7 @@ func replayDir(dir string) (*Manager, []appliedRecord, ReplayStats, error) {
 	}
 	var applied []appliedRecord
 	stats, err := m.Replay(0, func(rec Record) error {
-		applied = append(applied, appliedRecord{rec.Seq, rec.Type, rec.Kind, rec.AvailableAt.UnixNano(),
+		applied = append(applied, appliedRecord{rec.Seq, rec.Kind, rec.AvailableAt.UnixNano(),
 			crc32.Checksum(rec.Payload, castagnoli)})
 		return nil
 	})
@@ -54,13 +53,18 @@ func FuzzScanSegment(f *testing.F) {
 		f.Fatal(err)
 	}
 	appendEvents(f, m, 12)
-	if _, err := m.AppendRetrain([]byte(`{"auc":0.9}`)); err != nil {
+	v2, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	// The same log with an older release's retrain marker after it.
+	if _, err := m.append(recMarker, nil, legacyMarker); err != nil {
 		f.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
 		f.Fatal(err)
 	}
-	v2, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
+	withMarker, err := os.ReadFile(filepath.Join(dir, segmentName(1)))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -70,6 +74,7 @@ func FuzzScanSegment(f *testing.F) {
 		return raw
 	}
 	f.Add(v2)
+	f.Add(withMarker)
 	f.Add(v2[:len(v2)-5])                                             // torn tail
 	f.Add(mutated(func(raw []byte) { raw[segHeaderSize+4] ^= 0x40 })) // first record's CRC
 	f.Add(mutated(func(raw []byte) { binary.LittleEndian.PutUint32(raw[segHeaderSize:], maxRecordSize+1) }))

@@ -18,8 +18,6 @@ type SegmentInfo struct {
 	FirstSeq  uint64 `json:"first_seq,omitempty"`
 	LastSeq   uint64 `json:"last_seq,omitempty"`
 	Records   int    `json:"records"`
-	Events    int    `json:"events"`
-	Retrains  int    `json:"retrains"`
 	ValidLen  int64  `json:"valid_bytes"`
 	TornBytes int64  `json:"torn_bytes,omitempty"`
 	Error     string `json:"error,omitempty"`
@@ -113,8 +111,6 @@ func Inspect(dir string) (*DirInfo, error) {
 			FirstSeq: sc.firstSeq,
 			LastSeq:  sc.lastSeq,
 			Records:  sc.records,
-			Events:   sc.events,
-			Retrains: sc.retrains,
 			ValidLen: sc.validLen,
 		}
 		if sc.headerErr != nil {
@@ -139,7 +135,7 @@ func Verify(dir string) ([]string, error) {
 	return info.Problems(), nil
 }
 
-// ScanRecords streams every valid WAL record in dir to fn, in segment
+// ScanRecords streams every valid WAL event in dir to fn, in segment
 // then sequence order, without a Manager. Offline forensics tooling
 // (`exiotctl state inspect`) uses it to decode the logged events — e.g.
 // to list the trace IDs recorded in sampler batches for joining against

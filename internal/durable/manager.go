@@ -19,7 +19,7 @@ import (
 //	meta, payload, _ := m.LatestSnapshot()   // restore state from payload
 //	stats, _ := m.Replay(meta.LastSeq, apply)
 //	m.StartAppend(meta.LastSeq + 1)          // truncates any torn tail
-//	... m.AppendEvent / m.AppendRetrain / m.WriteSnapshot ...
+//	... m.AppendEvent / m.WriteSnapshot ...
 //	m.Close()
 //
 // All methods are safe for concurrent use once StartAppend returns.
@@ -42,10 +42,8 @@ type Manager struct {
 
 // ReplayStats summarizes one recovery replay.
 type ReplayStats struct {
-	Records  int    // records applied (seq > fromSeq)
-	Events   int    // RecordEvent records applied
-	Retrains int    // RecordRetrain records applied
-	LastSeq  uint64 // last valid record seen in the log (any seq)
+	Records int    // event records applied (seq > fromSeq)
+	LastSeq uint64 // last valid record seen in the log (any seq)
 	// Truncated reports that a torn or corrupt tail was found; the
 	// bytes after the last valid record are discarded by StartAppend.
 	Truncated bool
@@ -53,9 +51,15 @@ type ReplayStats struct {
 }
 
 // Open prepares a state directory (created if missing). No file is
-// opened for writing until StartAppend.
+// opened for writing until StartAppend. A sync policy other than the
+// three named ones is an error, not a silent "never fsync".
 func Open(opts Options) (*Manager, error) {
 	opts = opts.withDefaults()
+	switch opts.Sync {
+	case SyncAlways, SyncInterval, SyncOff:
+	default:
+		return nil, fmt.Errorf("durable: sync policy %q: want %s, %s or %s", opts.Sync, SyncAlways, SyncInterval, SyncOff)
+	}
 	if opts.Dir == "" {
 		return nil, errors.New("durable: empty state directory")
 	}
@@ -90,8 +94,9 @@ func (m *Manager) LatestSnapshot() (SnapshotMeta, []byte, error) {
 }
 
 // Replay walks the WAL in sequence order and invokes apply for every
-// valid record with Seq > fromSeq. Validation covers every record (CRC,
-// framing, sequence continuity); the walk stops at the first invalid
+// valid event with Seq > fromSeq. Validation covers every record (CRC,
+// framing, sequence continuity), an older release's retrain marker too,
+// though no marker reaches apply; the walk stops at the first invalid
 // record — the torn tail — and everything after it is reported as
 // truncated, never applied, and never a panic. A Record's Payload is
 // valid only until apply returns. A segment from another release is an
@@ -113,12 +118,6 @@ func (m *Manager) Replay(fromSeq uint64, apply func(Record) error) (ReplayStats,
 		}
 		stats.Records++
 		metReplayRecords.Inc()
-		switch rec.Type {
-		case RecordEvent:
-			stats.Events++
-		case RecordRetrain:
-			stats.Retrains++
-		}
 		return nil
 	})
 	if err != nil {
@@ -335,31 +334,22 @@ func (m *Manager) AppendEvent(kind uint8, availableAt time.Time, payload []byte)
 	var head [eventHeadSize]byte
 	binary.LittleEndian.PutUint64(head[:], uint64(availableAt.UnixNano()))
 	head[8] = kind
-	seq, err := m.append(RecordEvent, head[:], payload)
+	seq, err := m.append(recEvent, head[:], payload)
 	if err == nil {
-		metWALAppendEvent.Inc()
-	}
-	return seq, err
-}
-
-// AppendRetrain appends one retrain marker (metadata JSON).
-func (m *Manager) AppendRetrain(meta []byte) (uint64, error) {
-	seq, err := m.append(RecordRetrain, nil, meta)
-	if err == nil {
-		metWALAppendRetrain.Inc()
+		metWALAppends.Inc()
 	}
 	return seq, err
 }
 
 // append frames one record — length, CRC, type, sequence, then head and
 // body — in the manager's reused buffer and writes it with one Write.
-func (m *Manager) append(typ RecordType, head, body []byte) (uint64, error) {
+func (m *Manager) append(typ byte, head, body []byte) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if !m.started || m.closed {
 		return 0, errors.New("durable: append before StartAppend or after Close")
 	}
-	frame := append(m.frame[:0], 0, 0, 0, 0, 0, 0, 0, 0, byte(typ)) // length and CRC backpatched
+	frame := append(m.frame[:0], 0, 0, 0, 0, 0, 0, 0, 0, typ) // length and CRC backpatched
 	frame = binary.LittleEndian.AppendUint64(frame, m.nextSeq)
 	frame = append(frame, head...)
 	frame = append(frame, body...)

@@ -21,8 +21,13 @@ import (
 //	record:            u32 payloadLen | u32 crc32c(payload) | payload
 //	payload:           u8 type | u64 seq | body
 //
-// RecordEvent body: i64 availableAt (UnixNano, UTC) | u8 wireKind | event bytes.
-// RecordRetrain body: metadata JSON.
+// Type 1 (recEvent) body: i64 availableAt (UnixNano, UTC) | u8 wireKind | event bytes.
+//
+// The event is the only record written. Older releases also logged type
+// 2 (recMarker): a retrain marker with a JSON body, which recovery never
+// applied. A segment holding one is still read: the marker is validated
+// like any record and holds its sequence number, but no reader is handed
+// it.
 //
 // The header's version names the codec of the event bytes. Version 2,
 // the only one read or written, holds the wire's v2 binary payloads
@@ -34,6 +39,12 @@ import (
 // consecutive within a segment and across the live log, so a CRC match
 // with a wrong seq is still rejected. A record that fails any check
 // marks the torn tail: everything before it is the recovered prefix.
+
+// On-disk record types.
+const (
+	recEvent  = 1
+	recMarker = 2
+)
 
 const (
 	segMagic      = "EXWALSEG"
@@ -106,31 +117,28 @@ func encodeSegmentHeader(startSeq uint64) []byte {
 	return hdr
 }
 
-// decodeRecord parses a validated payload into a Record whose Payload
-// aliases it.
-func decodeRecord(payload []byte) (Record, error) {
+// decodeRecord parses a validated payload. event is false for a legacy
+// retrain marker, whose Record carries only its Seq; an event's Payload
+// aliases payload.
+func decodeRecord(payload []byte) (rec Record, event bool, err error) {
 	if len(payload) < recPrefixSize {
-		return Record{}, fmt.Errorf("durable: record payload too short (%d bytes)", len(payload))
+		return Record{}, false, fmt.Errorf("durable: record payload too short (%d bytes)", len(payload))
 	}
-	rec := Record{
-		Type: RecordType(payload[0]),
-		Seq:  binary.LittleEndian.Uint64(payload[1:]),
-	}
+	rec.Seq = binary.LittleEndian.Uint64(payload[1:])
 	body := payload[recPrefixSize:]
-	switch rec.Type {
-	case RecordEvent:
+	switch payload[0] {
+	case recEvent:
 		if len(body) < eventHeadSize {
-			return Record{}, fmt.Errorf("durable: event record body too short (%d bytes)", len(body))
+			return Record{}, false, fmt.Errorf("durable: event record body too short (%d bytes)", len(body))
 		}
 		rec.AvailableAt = time.Unix(0, int64(binary.LittleEndian.Uint64(body))).UTC()
 		rec.Kind = body[8]
 		rec.Payload = body[eventHeadSize:]
-	case RecordRetrain:
-		rec.Payload = body
-	default:
-		return Record{}, fmt.Errorf("durable: unknown record type %d", payload[0])
+		return rec, true, nil
+	case recMarker:
+		return rec, false, nil
 	}
-	return rec, nil
+	return Record{}, false, fmt.Errorf("durable: unknown record type %d", payload[0])
 }
 
 // segScan summarizes one scanned segment.
@@ -141,17 +149,16 @@ type segScan struct {
 	startSeq  uint64 // from the header
 	firstSeq  uint64 // first record (0 when empty)
 	lastSeq   uint64 // last valid record (0 when empty)
-	records   int
-	events    int
-	retrains  int
-	validLen  int64 // bytes up to and including the last valid record
-	torn      bool  // trailing bytes failed validation
-	gap       bool  // sequence gap before this segment: nothing applied
-	headerErr error // header invalid: whole file is opaque
+	records   int    // valid records, legacy markers included
+	validLen  int64  // bytes up to and including the last valid record
+	torn      bool   // trailing bytes failed validation
+	gap       bool   // sequence gap before this segment: nothing applied
+	headerErr error  // header invalid: whole file is opaque
 }
 
 // scanSegment validates one segment front to back, invoking fn for every
-// valid record (fn may be nil). A Record's Payload is valid only until
+// valid event (fn may be nil); a legacy retrain marker is validated and
+// counted, never passed to fn. A Record's Payload is valid only until
 // fn returns: the pass reads through one buffer. Validation stops at the
 // first framing or CRC failure — the torn tail — and never errors for
 // it; only I/O or header problems surface as errors via headerErr/err.
@@ -218,7 +225,7 @@ func scanSegment(path string, fn func(Record) error) (segScan, error) {
 			sc.torn = true
 			break
 		}
-		rec, err := decodeRecord(payload)
+		rec, event, err := decodeRecord(payload)
 		if err != nil || rec.Seq != wantSeq {
 			sc.torn = true
 			break
@@ -228,15 +235,9 @@ func scanSegment(path string, fn func(Record) error) (segScan, error) {
 		}
 		sc.lastSeq = rec.Seq
 		sc.records++
-		switch rec.Type {
-		case RecordEvent:
-			sc.events++
-		case RecordRetrain:
-			sc.retrains++
-		}
 		sc.validLen += recHeaderSize + int64(payloadLen)
 		wantSeq++
-		if fn != nil {
+		if event && fn != nil {
 			if err := fn(rec); err != nil {
 				return sc, err
 			}

@@ -294,15 +294,6 @@ func (s *Server) RestoreState(payload []byte) error {
 	return nil
 }
 
-// setRetrainHook installs fn to observe every successful retrain (the
-// durability layer appends a marker record). Runs outside the server
-// lock.
-func (s *Server) setRetrainHook(fn func(m *trainer.TrainedModel, now time.Time)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.onRetrain = fn
-}
-
 // DurableConfig parameterizes feed-state persistence. A zero Dir
 // disables the subsystem entirely. Snapshots, and the WAL segments they
 // cover, are kept for the feed's 14-day historical lapse.
@@ -396,9 +387,6 @@ func OpenDurable(cfg DurableConfig, server *Server) (*Durable, error) {
 		d.lastSnap = meta.TakenAt
 	}
 	stats, err := mgr.Replay(meta.LastSeq, func(rec durable.Record) error {
-		if rec.Type != durable.RecordEvent {
-			return nil
-		}
 		// DecodeEvent copies everything out of the payload, which is the
 		// log reader's buffer and gone once this callback returns.
 		e, err := DecodeEvent(wire.Frame{Version: wire.Version2, Kind: wire.Kind(rec.Kind), Payload: rec.Payload})
@@ -412,33 +400,15 @@ func OpenDurable(cfg DurableConfig, server *Server) (*Durable, error) {
 		mgr.Close()
 		return nil, err
 	}
-	layerRecover.Done(start, stats.Events)
-	d.rec.ReplayedEvents = stats.Events
+	layerRecover.Done(start, stats.Records)
+	d.rec.ReplayedEvents = stats.Records
 	d.rec.Truncated = stats.Truncated
-	d.events = meta.EventCount + uint64(stats.Events)
+	d.events = meta.EventCount + uint64(stats.Records)
 
 	if err := mgr.StartAppend(meta.LastSeq + 1); err != nil {
 		mgr.Close()
 		return nil, err
 	}
-
-	// The hook goes in only after replay: recomputed retrains must not
-	// append new markers.
-	server.setRetrainHook(func(m *trainer.TrainedModel, now time.Time) {
-		marker, err := json.Marshal(map[string]any{
-			"trained_at": m.TrainedAt,
-			"auc":        m.AUC,
-			"f1":         m.F1,
-			"train":      m.TrainSize,
-			"test":       m.TestSize,
-		})
-		if err == nil {
-			_, err = d.mgr.AppendRetrain(marker)
-		}
-		if err != nil {
-			d.setErr(err)
-		}
-	})
 	return d, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"exiot/internal/durable"
 	"exiot/internal/feed"
 	"exiot/internal/notify"
 	"exiot/internal/packet"
@@ -18,14 +19,18 @@ func testLocal(t *testing.T, seed int64, hours int) (*Local, *simnet.World) {
 	t.Helper()
 	w, lcfg := testWorld(seed, hours)
 	l := NewLocal(lcfg, w, w.Registry(), &notify.MemoryMailer{})
+	runHours(l, w, hours)
+	return l, w
+}
 
+// runHours drives l over the first hours of w and finishes it.
+func runHours(l *Local, w *simnet.World, hours int) {
 	start := w.Start()
 	for h := 0; h < hours; h++ {
 		hour := start.Add(time.Duration(h) * time.Hour)
 		l.ProcessHour(w.GenerateHour(hour), hour)
 	}
 	l.Finish(start.Add(time.Duration(hours) * time.Hour))
-	return l, w
 }
 
 // testWorld builds testLocal's small world and pipeline configuration.
@@ -122,6 +127,41 @@ func TestModelRetrainsAndPredicts(t *testing.T) {
 	}
 	if acc := float64(correct) / float64(modelLabeled); acc < 0.7 {
 		t.Errorf("model-label accuracy vs ground truth = %.3f over %d records", acc, modelLabeled)
+	}
+}
+
+// TestWALHoldsOnlyEvents: a durable run long enough to retrain logs one
+// WAL record per event it appended and nothing else. Recovery recomputes
+// retrains from the restored window, so a retrain writes no record.
+func TestWALHoldsOnlyEvents(t *testing.T) {
+	const hours = 30 // > 24 h forces a retrain
+	dir := t.TempDir()
+	w, lcfg := testWorld(102, hours)
+	// One segment: compaction must not drop records before the count.
+	lcfg.Durable = DurableConfig{Dir: dir, Sync: durable.SyncOff, SegmentBytes: 1 << 30}
+	l := NewLocal(lcfg, w, w.Registry(), &notify.MemoryMailer{})
+	runHours(l, w, hours)
+	d := l.Durable()
+	d.mu.Lock()
+	appended := d.events
+	d.mu.Unlock()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := l.Server().Counters().ModelRetrains; got < 1 {
+		t.Fatalf("%d retrains in %d hours, want at least one", got, hours)
+	}
+
+	info, err := durable.Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for _, seg := range info.Segments {
+		records += seg.Records
+	}
+	if appended == 0 || uint64(records) != appended {
+		t.Fatalf("the WAL holds %d records, Durable appended %d events", records, appended)
 	}
 }
 

@@ -113,9 +113,6 @@ type Server struct {
 	lastAttempt time.Time
 	counters    Counters
 	lastModel   *trainer.TrainedModel
-	// onRetrain observes successful retrains (the durability layer logs
-	// a marker record). See setRetrainHook in durable.go.
-	onRetrain func(m *trainer.TrainedModel, now time.Time)
 
 	liveness *telemetry.Check
 }
@@ -435,11 +432,7 @@ func (s *Server) maybeRetrain(now time.Time) {
 	s.lastModel = m
 	s.lastRetrain = now
 	s.counters.ModelRetrains++
-	hook := s.onRetrain
 	s.mu.Unlock()
-	if hook != nil {
-		hook(m, now)
-	}
 }
 
 // RestoreModel loads the most recently archived model from dir and

@@ -174,8 +174,8 @@ func readFrameV2(r io.Reader, f *Frame) error {
 const senderFlushSize = 128 << 10
 
 // A Flush waits senderRetryInterval between reconnect attempts and gives
-// up after senderMaxRetries of them: ten seconds of an unreachable
-// receiver.
+// up after senderMaxRetries of them: ten seconds of an unreachable or
+// refusing receiver.
 const (
 	senderRetryInterval = 50 * time.Millisecond
 	senderMaxRetries    = 200
@@ -187,7 +187,8 @@ const (
 // unacknowledged batch replays wholesale on reconnect — the sender goes
 // idle, retrying, until the receiver is reachable again. The receiver
 // delivers everything and the downstream aggregator drops replayed
-// (shard, sequence) pairs.
+// (shard, sequence) pairs. A flush that runs out of retries gives the
+// sender up for good: every later call returns that error at once.
 type Sender struct {
 	addr string
 	// retryInterval and maxRetries start at senderRetryInterval and
@@ -199,6 +200,7 @@ type Sender struct {
 	conn   net.Conn
 	seq    uint64
 	closed bool
+	err    error // the flush failure that gave the sender up
 
 	shardID    uint16
 	shardCount uint16
@@ -251,6 +253,9 @@ func (s *Sender) queueLocked(kind Kind, hourEpoch int64, flags uint8, payload []
 	if s.closed {
 		return errors.New("wire: sender closed")
 	}
+	if s.err != nil {
+		return s.err
+	}
 	s.seq++
 	f := Frame{
 		Seq:        s.seq,
@@ -283,8 +288,8 @@ func (s *Sender) Flush() error {
 }
 
 func (s *Sender) flushLocked() error {
-	if len(s.wbuf) == 0 {
-		return nil
+	if s.err != nil || len(s.wbuf) == 0 {
+		return s.err
 	}
 	// The last frame of the batch carries the ack request; its echoed
 	// sequence acknowledges the entire batch.
@@ -306,9 +311,11 @@ func (s *Sender) flushLocked() error {
 		attempts++
 		if attempts >= s.maxRetries {
 			if errors.Is(err, errNoAck) {
-				return fmt.Errorf("wire: flush through seq %d: receiver refused it after %d attempts: %w", s.seq, attempts, err)
+				s.err = fmt.Errorf("wire: flush through seq %d: receiver refused it after %d attempts: %w", s.seq, attempts, err)
+			} else {
+				s.err = fmt.Errorf("wire: flush through seq %d: receiver unreachable after %d attempts", s.seq, attempts)
 			}
-			return fmt.Errorf("wire: flush through seq %d: receiver unreachable after %d attempts", s.seq, attempts)
+			return s.err
 		}
 		time.Sleep(s.retryInterval)
 	}
@@ -365,7 +372,8 @@ func (s *Sender) ResetConn() {
 	s.dropConn()
 }
 
-// Close flushes any pending batch and releases the connection.
+// Close flushes any pending batch and releases the connection. A sender
+// that has given up makes no further attempt.
 func (s *Sender) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

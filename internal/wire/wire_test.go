@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -206,18 +207,63 @@ func TestSenderGivesUpAfterMaxRetries(t *testing.T) {
 	if err := s.Flush(); err == nil || !strings.Contains(err.Error(), "unreachable") {
 		t.Errorf("flush to dead address = %v, want unreachable after maxRetries", err)
 	}
-	// The batch is still unacknowledged, so Close retries it and reports
-	// the same failure instead of dropping it silently.
+	// The batch is still unacknowledged, so Close reports the same
+	// failure instead of dropping it silently.
 	if err := s.Close(); err == nil {
 		t.Error("close with an undeliverable batch should report it")
+	}
+}
+
+// TestSenderStaysGivenUp: once a Flush runs out of retries against a
+// receiver that refuses everything, Queue, Barrier, Flush and Close all
+// return that failure without reaching the receiver again.
+func TestSenderStaysGivenUp(t *testing.T) {
+	var calls atomic.Int64
+	r, err := Listen("127.0.0.1:0", func(f Frame) error {
+		calls.Add(1)
+		return fmt.Errorf("frame %d refused", f.Seq)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	s := NewSenderV2(r.Addr(), 0, 1)
+	s.retryInterval = time.Millisecond
+	s.maxRetries = 3
+	if err := s.Queue(KindSample, 3600, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	gaveUp := s.Flush()
+	if gaveUp == nil || !errors.Is(gaveUp, errNoAck) {
+		t.Fatalf("Flush against a refusing receiver = %v, want the refusal", gaveUp)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("handler called %d times by Flush, want 3 (one per attempt)", got)
+	}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"Queue", func() error { return s.Queue(KindSample, 3600, []byte("y")) }},
+		{"Barrier", func() error { return s.Barrier(3600, true) }},
+		{"Flush", s.Flush},
+		{"Close", s.Close},
+	} {
+		if err := c.call(); !errors.Is(err, gaveUp) {
+			t.Errorf("%s after giving up = %v, want %v", c.name, err, gaveUp)
+		}
+	}
+	if got := calls.Load(); got != 3 {
+		t.Errorf("handler called %d times in all, want 3: a given-up sender made another attempt", got)
 	}
 }
 
 // TestRefusedFrameIsNotAcked: a handler that refuses frame k gets no
 // ack sent for it. The receiver closes the connection, the sender
 // replays the unacked batch from its first frame, and once its retries
-// run out Flush says the receiver refused; the batch stays queued, and
-// the next Flush delivers it once the handler accepts.
+// run out Flush says the receiver refused, and goes on saying so without
+// another attempt.
 func TestRefusedFrameIsNotAcked(t *testing.T) {
 	const k = 5
 	var (
@@ -256,9 +302,9 @@ func TestRefusedFrameIsNotAcked(t *testing.T) {
 	}
 	// Frame k is the batch's last, so it carries the ack request.
 	queue(3, k)
-	err = s.Flush()
-	if err == nil || !strings.Contains(err.Error(), "refused") || !errors.Is(err, errNoAck) {
-		t.Fatalf("Flush over a refused frame = %v, want the receiver's refusal", err)
+	refusal := s.Flush()
+	if refusal == nil || !strings.Contains(refusal.Error(), "refused") || !errors.Is(refusal, errNoAck) {
+		t.Fatalf("Flush over a refused frame = %v, want the receiver's refusal", refusal)
 	}
 	mu.Lock()
 	want := []uint64{1, 2, 3, 4, k, 3, 4, k, 3, 4, k}
@@ -285,16 +331,18 @@ func TestRefusedFrameIsNotAcked(t *testing.T) {
 		t.Fatalf("read %d bytes, err %v; want the connection closed with no ack", n, err)
 	}
 
+	// The sender has given up: even once the handler would accept, Flush
+	// repeats the refusal and sends nothing.
 	mu.Lock()
 	refuse, delivered = false, nil
 	mu.Unlock()
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush once the handler accepts: %v", err)
+	if err := s.Flush(); !errors.Is(err, refusal) {
+		t.Fatalf("Flush after giving up = %v, want %v", err, refusal)
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if fmt.Sprint(delivered) != fmt.Sprint([]uint64{3, 4, k}) {
-		t.Errorf("after the refusal delivered %v, want [3 4 %d]", delivered, k)
+	if len(delivered) != 0 {
+		t.Errorf("a given-up sender delivered %v", delivered)
 	}
 }
 
