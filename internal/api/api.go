@@ -6,6 +6,7 @@ package api
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -483,6 +484,11 @@ func (s *Server) statsHandler(kind string) http.HandlerFunc {
 	}
 }
 
+// maxAlertBody caps an alarm registration's body. A prefix and an
+// address fit in a few hundred bytes; without a cap a client could make
+// the decoder buffer a body of any size.
+const maxAlertBody = 4 << 10
+
 // alertRequest is the alarm-registration payload.
 type alertRequest struct {
 	Prefix string `json:"prefix"`
@@ -495,7 +501,12 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req alertRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAlertBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body over %d bytes", maxAlertBody))
+			return
+		}
 		writeError(w, http.StatusBadRequest, "invalid JSON body")
 		return
 	}

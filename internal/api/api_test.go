@@ -257,6 +257,43 @@ func TestAlertRegistration(t *testing.T) {
 	}
 }
 
+// TestAlertBodyLimit proves the alerts body is read only up to
+// maxAlertBody: a 1 MB registration is refused with 413, counted under
+// its status code, and subscribes nobody, while a normal one still
+// subscribes.
+func TestAlertBodyLimit(t *testing.T) {
+	ts, _, notifier := testServer(t)
+	post := func(body string) int {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/alerts", strings.NewReader(body))
+		req.Header.Set("X-API-Key", "secret-token")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	refused := metAPIRequests.With("alerts", "413")
+	before := refused.Value()
+	huge := `{"prefix":"198.51.100.0/24","email":"` + strings.Repeat("a", 1<<20) + `@example.org"}`
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("1 MB body: status = %d, want 413", code)
+	}
+	if got := refused.Value() - before; got != 1 {
+		t.Errorf("exiot_api_requests_total{endpoint=alerts,code=413} rose by %d, want 1", got)
+	}
+	if subs := notifier.ExportState().Subscriptions; len(subs) != 0 {
+		t.Fatalf("refused body subscribed %d", len(subs))
+	}
+	if code := post(`{"prefix":"198.51.100.0/24","email":"soc@example.org"}`); code != http.StatusCreated {
+		t.Fatalf("normal body: status = %d, want 201", code)
+	}
+	if subs := notifier.ExportState().Subscriptions; len(subs) != 1 {
+		t.Fatalf("normal body: %d subscriptions, want 1", len(subs))
+	}
+}
+
 func TestQueryMatches(t *testing.T) {
 	rec := feed.Record{IP: "1.2.3.4", Label: feed.LabelIoT, CountryCode: "CN", ASN: 4134, Active: true, DetectedAt: t0}
 	tr := true

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"exiot/internal/packet"
@@ -44,6 +45,15 @@ var (
 // small enough that a 1× replay never runs more than a few hundred
 // packets hot.
 const paceEvery = 512
+
+// captureWindow is how many hourly captures ReplayDir keeps open, and so
+// inflating on their read-ahead goroutines, at once. Inflate is the
+// front half's fattest layer and one inflater kept a single core about
+// 90 % busy while the consumer used half of the other, so two files in
+// flight use both cores of a 2-vCPU host; three measured no faster. It
+// bounds memory (two read-ahead rings, 8 MiB) and does not follow
+// Workers or GOMAXPROCS.
+const captureWindow = 2
 
 // Config parameterizes a Replayer.
 type Config struct {
@@ -164,22 +174,35 @@ func (r *Replayer) ReplayDir(dir string) error {
 		return nil
 	}
 	r.reading = time.Now()
-	for _, hour := range hours {
-		// Open before flushing the previous hour: the capture's read-ahead
-		// inflates this file while Emit works through that one. A failed
-		// open still lets the earlier hours out first.
-		hr, openErr := pcapio.OpenHour(dir, hour)
-		if err := r.beginHour(hour); err != nil {
-			if openErr == nil {
-				hr.Close()
+	// open is the window: the captures of hours[i:i+len(open)], oldest
+	// first. Whatever is still in it on return is closed unread.
+	open := make([]openedHour, 0, captureWindow)
+	defer func() {
+		for _, o := range open {
+			if o.err == nil {
+				o.hr.Close()
 			}
+		}
+	}()
+	for i, hour := range hours {
+		// Fill the window before flushing the previous hour: this file and
+		// the next inflate while Emit works through that one, and the next
+		// keeps inflating while this one is decoded. A failed open waits
+		// in the window until every earlier hour is out.
+		for j := i + len(open); j < len(hours) && j < i+captureWindow; j++ {
+			hr, err := pcapio.OpenHour(dir, hours[j])
+			open = append(open, openedHour{hr, err})
+		}
+		if err := r.beginHour(hour); err != nil {
 			return err
 		}
-		if openErr != nil {
-			return openErr
+		cur := open[0]
+		open = open[:copy(open, open[1:])]
+		if cur.err != nil {
+			return cur.err
 		}
-		readErr := r.readAll(hr)
-		closeErr := hr.Close()
+		readErr := r.readAll(cur.hr)
+		closeErr := cur.hr.Close()
 		if readErr != nil {
 			// Keep the partial hour: everything before the tear is good.
 			if ferr := r.flushTail(); ferr != nil {
@@ -192,6 +215,13 @@ func (r *Replayer) ReplayDir(dir string) error {
 		}
 	}
 	return r.flushTail()
+}
+
+// openedHour is one capture in ReplayDir's window: its reader, or the
+// error opening it gave.
+type openedHour struct {
+	hr  *pcapio.HourReader
+	err error
 }
 
 // ReplayFile replays a single capture file, deriving hour boundaries
@@ -234,6 +264,11 @@ func (r *Replayer) readAll(src *pcapio.HourReader) error {
 			if err := r.beginHour(hour); err != nil {
 				return err
 			}
+		}
+		if len(r.buf) == cap(r.buf) {
+			// Double, where append would grow a large slice by about
+			// a quarter and copy a first big hour a dozen times.
+			r.buf = slices.Grow(r.buf, cap(r.buf))
 		}
 		r.buf = append(r.buf, p)
 		if r.unpaced++; r.unpaced >= paceEvery {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -419,33 +420,192 @@ func TestHourBufferReuse(t *testing.T) {
 	}
 }
 
-// TestReplayDirOpenErrorKeepsEarlierHours pins what an unreadable hour
-// costs: the replayer opens hour h+1 before it flushes hour h (so the
-// capture's read-ahead works through Emit), and an open that fails must
-// still let hour h out before the error is returned.
-func TestReplayDirOpenErrorKeepsEarlierHours(t *testing.T) {
-	dir := t.TempDir()
-	base := time.Date(2021, 4, 7, 0, 0, 0, 0, time.UTC)
-	want := writeHour(t, dir, base, 60, 11)
-	bad := filepath.Join(dir, pcapio.HourFileName(base.Add(time.Hour)))
+// writeUnreadable publishes a file under hour's name that is neither
+// gzip nor pcap, so opening it fails.
+func writeUnreadable(t *testing.T, dir string, hour time.Time) {
+	t.Helper()
+	bad := filepath.Join(dir, pcapio.HourFileName(hour))
 	if err := os.WriteFile(bad, []byte("neither gzip nor pcap, but long enough to hold a header"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	var rec emitRecorder
-	r := New(Config{Emit: rec.emit})
-	if err := r.ReplayDir(dir); !errors.Is(err, pcapio.ErrNotPcap) {
-		t.Fatalf("want the second hour's open error, got %v", err)
-	}
-	if len(rec.hours) != 1 || !rec.hours[0].Equal(base) {
-		t.Fatalf("emitted hours %v, want only %v", rec.hours, base)
-	}
-	if len(rec.pkts[0]) != len(want) {
-		t.Fatalf("first hour: %d packets, want %d", len(rec.pkts[0]), len(want))
-	}
-	for i := range want {
-		if rec.pkts[0][i] != want[i] {
-			t.Fatalf("first hour packet %d mismatch", i)
+// TestReplayDirOpenErrorKeepsEarlierHours pins what an unreadable hour
+// costs: the replayer opens hours h+1 and h+2 before it flushes hour h
+// (so their read-aheads inflate while Emit works), and an open that fails
+// must still let every earlier hour out, whole, before the error is
+// returned. The good hour after the unreadable one is never emitted.
+func TestReplayDirOpenErrorKeepsEarlierHours(t *testing.T) {
+	base := time.Date(2021, 4, 7, 0, 0, 0, 0, time.UTC)
+	for _, bad := range []int{1, 2} {
+		dir := t.TempDir()
+		var want [][]packet.Packet
+		for h := 0; h < bad; h++ {
+			want = append(want, writeHour(t, dir, base.Add(time.Duration(h)*time.Hour), 60+10*h, int64(11+h)))
 		}
+		writeUnreadable(t, dir, base.Add(time.Duration(bad)*time.Hour))
+		writeHour(t, dir, base.Add(time.Duration(bad+1)*time.Hour), 30, 19)
+
+		var rec emitRecorder
+		r := New(Config{Emit: rec.emit})
+		if err := r.ReplayDir(dir); !errors.Is(err, pcapio.ErrNotPcap) {
+			t.Fatalf("bad hour %d: want its open error, got %v", bad, err)
+		}
+		if len(rec.hours) != bad {
+			t.Fatalf("bad hour %d: emitted hours %v, want the %d before it", bad, rec.hours, bad)
+		}
+		for h, wantH := range want {
+			if !rec.hours[h].Equal(base.Add(time.Duration(h) * time.Hour)) {
+				t.Fatalf("bad hour %d: emit %d at %v", bad, h, rec.hours[h])
+			}
+			if len(rec.pkts[h]) != len(wantH) {
+				t.Fatalf("bad hour %d: hour %d has %d packets, want %d", bad, h, len(rec.pkts[h]), len(wantH))
+			}
+			for i := range wantH {
+				if rec.pkts[h][i] != wantH[i] {
+					t.Fatalf("bad hour %d: hour %d packet %d mismatch", bad, h, i)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayDirOpensTwoAhead pins the window through the capture
+// store's own counter: by the time Emit receives hour h, hours h+1 and
+// h+2 have been opened, so their read-aheads inflate while Emit works,
+// and no later hour has been.
+func TestReplayDirOpensTwoAhead(t *testing.T) {
+	dir := t.TempDir()
+	base := time.Date(2021, 4, 9, 0, 0, 0, 0, time.UTC)
+	const n = 5
+	for h := 0; h < n; h++ {
+		writeHour(t, dir, base.Add(time.Duration(h)*time.Hour), 50, int64(20+h))
+	}
+	opened := func() int {
+		return int(telemetry.Default().Sum("exiot_pcap_hours_read_total"))
+	}
+	before := opened()
+	var got []int
+	r := New(Config{Emit: func([]packet.Packet, time.Time) error {
+		got = append(got, opened()-before)
+		return nil
+	}})
+	if err := r.ReplayDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("emitted %d hours, want %d", len(got), n)
+	}
+	for h, o := range got {
+		if want := min(h+3, n); o != want {
+			t.Errorf("Emit of hour %d saw %d captures opened, want %d (every hour through h+2)", h, o, want)
+		}
+	}
+}
+
+// waitGoroutines fails t unless the goroutine count falls back to
+// baseline: a reader's goroutine has run its last statement when Close
+// returns, but the runtime may need a moment more to retire it.
+func waitGoroutines(t *testing.T, what string, baseline int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines after ReplayDir returned, %d before", what, runtime.NumGoroutine(), baseline)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestReplayDirLeavesNoReader proves every reader ReplayDir opened is
+// closed, and its read-ahead goroutine gone, on every way out: success,
+// an open error two hours ahead, a torn file while the next hour is
+// already open, and an Emit error with both window slots open. Each
+// reader still open when the replay ends holds more than the read-ahead
+// ring, so its goroutine cannot have finished on its own: only Close
+// ends it.
+func TestReplayDirLeavesNoReader(t *testing.T) {
+	base := time.Date(2021, 4, 10, 0, 0, 0, 0, time.UTC)
+	hour := func(h int) time.Time { return base.Add(time.Duration(h) * time.Hour) }
+	const big = 90_000 // ~5 MiB of capture stream, more than the ring
+	errEmit := errors.New("emit refused")
+	for _, tc := range []struct {
+		name    string
+		publish func(t *testing.T, dir string)
+		emitErr error // returned by every Emit
+		want    error
+	}{
+		{"success", func(t *testing.T, dir string) {
+			for h := 0; h < 4; h++ {
+				writeHour(t, dir, hour(h), 100, int64(30+h))
+			}
+		}, nil, nil},
+		{"open error at h+2", func(t *testing.T, dir string) {
+			writeHour(t, dir, hour(0), 100, 40)
+			writeHour(t, dir, hour(1), 100, 41)
+			writeUnreadable(t, dir, hour(2))
+			writePlainHour(t, dir, hour(3), big)
+		}, nil, pcapio.ErrNotPcap},
+		{"torn h+1, h+2 open", func(t *testing.T, dir string) {
+			writeHour(t, dir, hour(0), 100, 50)
+			writeHour(t, dir, hour(1), 5000, 51)
+			tearCapture(t, filepath.Join(dir, pcapio.HourFileName(hour(1))))
+			writePlainHour(t, dir, hour(2), big)
+		}, nil, io.ErrUnexpectedEOF},
+		{"Emit error", func(t *testing.T, dir string) {
+			writeHour(t, dir, hour(0), 100, 60)
+			writePlainHour(t, dir, hour(1), big)
+			writePlainHour(t, dir, hour(2), big)
+		}, errEmit, errEmit},
+	} {
+		dir := t.TempDir()
+		tc.publish(t, dir)
+		baseline := runtime.NumGoroutine()
+		r := New(Config{Emit: func([]packet.Packet, time.Time) error { return tc.emitErr }})
+		err := r.ReplayDir(dir)
+		if (tc.want == nil) != (err == nil) || (tc.want != nil && !errors.Is(err, tc.want)) {
+			t.Fatalf("%s: ReplayDir returned %v, want %v", tc.name, err, tc.want)
+		}
+		waitGoroutines(t, tc.name, baseline)
+	}
+}
+
+// writePlainHour publishes n copies of one packet, a millisecond apart
+// from hour's start, as an uncompressed capture under hour's name: the
+// cheapest way to fill more than a read-ahead ring.
+func writePlainHour(t *testing.T, dir string, hour time.Time, n int) {
+	t.Helper()
+	f, err := os.Create(filepath.Join(dir, pcapio.HourFileName(hour)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := pcapio.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := testPacket(rand.New(rand.NewSource(1)), hour)
+	for i := 0; i < n; i++ {
+		p.Timestamp = hour.Add(time.Duration(i) * time.Millisecond)
+		if err := w.WritePacket(&p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tearCapture cuts the last half of a published capture file, so its
+// gzip stream ends mid-record.
+func tearCapture(t *testing.T, path string) {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		t.Fatal(err)
 	}
 }
