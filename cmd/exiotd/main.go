@@ -116,7 +116,7 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 		// the pipeline exists (ServeMux registration is concurrency-safe).
 		trace.Default().Store().Register(opMux)
 		go func() {
-			if err := http.ListenAndServe(telAddr, opMux); err != nil {
+			if err := newHTTPServer(telAddr, opMux).ListenAndServe(); err != nil {
 				log.Printf("telemetry listener: %v", err)
 			}
 		}()
@@ -219,7 +219,34 @@ func run(listen string, shards int, apiAddr, apiKey string, simulate bool, hours
 	fmt.Printf("feed cache: %d records, export %d B raw, rebuild every %s\n",
 		snap.Len(), snap.Size(), rebuildEvery)
 	fmt.Printf("REST API on http://%s (key: %s)\n", apiAddr, apiKey)
-	return http.ListenAndServe(apiAddr, apiSrv)
+	return newHTTPServer(apiAddr, apiSrv).ListenAndServe()
+}
+
+// The limits both listeners put on a connection (DESIGN.md, "Settings").
+// A client that sends half a header, or holds an idle keep-alive
+// connection open, gives up its goroutine and buffers after these. There
+// is no write timeout: /api/v1/events, the console's stream and pprof's
+// profiles write for as long as their client reads.
+const (
+	// headerTimeout is how long a request's headers may take to arrive.
+	headerTimeout = 5 * time.Second
+	// idleTimeout is how long a keep-alive connection may wait for its
+	// next request: longer than a poller's interval.
+	idleTimeout = 2 * time.Minute
+	// maxHeaderBytes bounds a request's headers: a key, a cursor and an
+	// ETag take a few hundred bytes.
+	maxHeaderBytes = 16 << 10
+)
+
+// newHTTPServer is the server of each of exiotd's listeners.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: headerTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 // driveLocal runs the input's hours through local — the capture at

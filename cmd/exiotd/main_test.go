@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -139,5 +141,63 @@ func TestServeFeedWiring(t *testing.T) {
 	_, body = get(t, apiTS.URL+"/api/v1/campaigns")
 	if after := campaignIDs(t, body); strings.Join(after, ",") != strings.Join(before, ",") {
 		t.Errorf("campaign IDs changed across a rebuild: %v -> %v", before, after)
+	}
+}
+
+// TestHTTPServerLimits holds both listeners' server to its limits, then
+// serves a raw connection that sends half a request header: the server
+// closes it once the header timeout passes. A header over the cap is
+// refused with 431.
+func TestHTTPServerLimits(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != headerTimeout || srv.IdleTimeout != idleTimeout || srv.MaxHeaderBytes != maxHeaderBytes {
+		t.Fatalf("limits: header %s, idle %s, header bytes %d; want %s, %s, %d",
+			srv.ReadHeaderTimeout, srv.IdleTimeout, srv.MaxHeaderBytes, headerTimeout, idleTimeout, maxHeaderBytes)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("read timeout %s, write timeout %s: the event and profile streams need neither", srv.ReadTimeout, srv.WriteTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	half, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer half.Close()
+	start := time.Now()
+	if _, err := half.Write([]byte("GET /api/v1/records HTTP/1.1\r\nHost: exiotd\r\nX-API-")); err != nil {
+		t.Fatal(err)
+	}
+	half.SetReadDeadline(start.Add(headerTimeout + 5*time.Second))
+	// The server may write an error status before it closes.
+	if _, err := io.ReadAll(half); err != nil {
+		t.Fatalf("half a header: %v, want the connection closed", err)
+	}
+	if took := time.Since(start); took < headerTimeout-time.Second || took > headerTimeout+2*time.Second {
+		t.Fatalf("half a header: closed after %s, want about %s", took, headerTimeout)
+	}
+
+	big, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer big.Close()
+	req := "GET / HTTP/1.1\r\nHost: exiotd\r\nX-Pad: " + strings.Repeat("x", 2*maxHeaderBytes) + "\r\n\r\n"
+	if _, err := big.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	big.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(big), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Fatalf("a %d-byte header: status %d, want 431", 2*maxHeaderBytes, resp.StatusCode)
 	}
 }

@@ -3,6 +3,10 @@
 // them into hourly files the way CAIDA's telescope collection does: one
 // compressed capture per hour, named by its UTC hour. It replaces the
 // OpenStack-Swift hourly object store the paper's pipeline polls.
+//
+// Captures are written with compress/gzip and read with the package's
+// own DEFLATE decoder (inflate.go), which follows compress/gzip's
+// results and error rules at about twice its speed.
 package pcapio
 
 import (
@@ -39,15 +43,14 @@ const bufSize = 1 << 16
 // Hourly capture churn is one open/close per simulated hour per stream,
 // and each open used to allocate a fresh 64 KiB bufio buffer plus a gzip
 // coder (the gzip.Writer alone carries ~800 KiB of deflate state). The
-// pools below recycle them across hours; Reset on the way out of the
-// pool makes reuse indistinguishable from a fresh allocation. A reader
-// takes two bufio.Readers: one under the decompressor, one as the
-// decode window over the read-ahead.
+// pools below, and inflaterPool for the decoder, recycle them across
+// hours; Reset on the way out of the pool makes reuse indistinguishable
+// from a fresh allocation. A reader takes two bufio.Readers: one under
+// the decoder, one as the decode window over the read-ahead.
 var (
 	bufWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, bufSize) }}
 	bufReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bufSize) }}
 	gzWriterPool  = sync.Pool{New: func() any { return gzip.NewWriter(io.Discard) }}
-	gzReaderPool  = sync.Pool{New: func() any { return new(gzip.Reader) }}
 )
 
 const (
@@ -298,9 +301,9 @@ func OpenHour(dir string, hour time.Time) (*HourReader, error) {
 // works on the packets already returned. Next and Close must not be
 // called concurrently.
 type HourReader struct {
-	f  *os.File
-	fb *bufio.Reader // file side: sniffed for the gzip magic, feeds gz or ahead
-	gz *gzip.Reader  // nil for uncompressed captures
+	f   *os.File
+	fb  *bufio.Reader // file side: sniffed for the gzip magic, feeds inf or ahead
+	inf *inflater     // nil for uncompressed captures
 	// ahead is nil until the stream is set up; Close handles every
 	// partly-built state.
 	ahead *readAhead
@@ -321,17 +324,13 @@ func OpenCapture(path string) (*HourReader, error) {
 	hr.fb.Reset(f)
 	var src io.Reader = hr.fb
 	if magic, err := hr.fb.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
-		// Gzip container: the decompressor goes between file and read-ahead.
-		hr.gz = gzReaderPool.Get().(*gzip.Reader)
-		if err := hr.gz.Reset(hr.fb); err != nil {
-			// Header refused: the coder never started, so there is
-			// nothing for Close to close.
-			gzReaderPool.Put(hr.gz)
-			hr.gz = nil
+		// Gzip container: the decoder goes between file and read-ahead.
+		hr.inf = inflaterPool.Get().(*inflater)
+		if err := hr.inf.reset(hr.fb, true); err != nil {
 			hr.Close()
 			return nil, fmt.Errorf("open gzip: %w", err)
 		}
-		src = hr.gz
+		src = hr.inf
 	}
 	hr.ahead = startReadAhead(src)
 	hr.win = bufReaderPool.Get().(*bufio.Reader)
@@ -355,21 +354,22 @@ func (hr *HourReader) Close() error {
 		hr.win.Reset(nil)
 		bufReaderPool.Put(hr.win)
 	}
-	var gzErr error
-	if hr.gz != nil {
-		// A decompressor that failed is dropped, not reused.
-		if gzErr = hr.gz.Close(); gzErr == nil {
-			gzReaderPool.Put(hr.gz)
+	var infErr error
+	if hr.inf != nil {
+		// A decoder that failed reports it here; reset makes any pooled
+		// one as good as new.
+		if hr.inf.err != io.EOF {
+			infErr = hr.inf.err
 		}
+		hr.inf.src = nil
+		inflaterPool.Put(hr.inf)
 	}
-	// The pooled decompressor still points at fb until its next Reset;
-	// resetting fb means it cannot reach the closed file through it.
 	hr.fb.Reset(nil)
 	bufReaderPool.Put(hr.fb)
 	if err := hr.f.Close(); err != nil {
 		return err
 	}
-	return gzErr
+	return infErr
 }
 
 // ListHours returns the capture hours available in dir, sorted ascending.

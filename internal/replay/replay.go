@@ -87,6 +87,7 @@ type Replayer struct {
 	buf     []packet.Packet
 	started bool
 	curHour time.Time // start of the hour buf is accumulating
+	hourEnd time.Time // curHour + 1h: a packet at or after it opens a later hour
 
 	// Virtual-clock anchors for paced mode: recorded instant baseRec
 	// corresponds to wall instant baseWall; every later recorded
@@ -248,29 +249,38 @@ func (r *Replayer) ReplayFile(path string) error {
 }
 
 // readAll streams packets from src into the hour buffer, flushing
-// completed hours as timestamp boundaries pass.
+// completed hours as timestamp boundaries pass. Each packet is decoded
+// straight into the buffer's next slot. Only a packet at or after the
+// end of the current hour (every packet, before the first) is placed
+// by its truncated hour: it moves to the front of the buffer once
+// beginHour has emitted the hours before it. A packet stamped before
+// the current hour stays in it.
 func (r *Replayer) readAll(src *pcapio.HourReader) error {
-	var p packet.Packet
 	for {
-		err := src.Next(&p)
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		hour := p.Timestamp.Truncate(time.Hour)
-		if !r.started || hour.After(r.curHour) {
-			if err := r.beginHour(hour); err != nil {
-				return err
-			}
-		}
 		if len(r.buf) == cap(r.buf) {
 			// Double, where append would grow a large slice by about
 			// a quarter and copy a first big hour a dozen times.
 			r.buf = slices.Grow(r.buf, cap(r.buf))
 		}
-		r.buf = append(r.buf, p)
+		n := len(r.buf)
+		r.buf = r.buf[:n+1]
+		p := &r.buf[n]
+		if err := src.Next(p); err != nil {
+			r.buf = r.buf[:n]
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			return err
+		}
+		if !r.started || !p.Timestamp.Before(r.hourEnd) {
+			next := *p
+			r.buf = r.buf[:n]
+			if err := r.beginHour(next.Timestamp.Truncate(time.Hour)); err != nil {
+				return err
+			}
+			r.buf = append(r.buf, next)
+			p = &r.buf[len(r.buf)-1]
+		}
 		if r.unpaced++; r.unpaced >= paceEvery {
 			r.unpaced = 0
 			r.paceTo(p.Timestamp)
@@ -284,7 +294,7 @@ func (r *Replayer) readAll(src *pcapio.HourReader) error {
 func (r *Replayer) beginHour(hour time.Time) error {
 	if !r.started {
 		r.started = true
-		r.curHour = hour
+		r.curHour, r.hourEnd = hour, hour.Add(time.Hour)
 		return nil
 	}
 	if hour.Before(r.curHour) {
@@ -320,7 +330,7 @@ func (r *Replayer) emitHour() error {
 	r.packets += int64(len(r.buf))
 	r.hours++
 	r.buf = r.buf[:0]
-	r.curHour = r.curHour.Add(time.Hour)
+	r.curHour, r.hourEnd = r.hourEnd, r.hourEnd.Add(time.Hour)
 	r.busy, r.reading = 0, time.Now()
 	return err
 }
