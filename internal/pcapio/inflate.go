@@ -24,7 +24,7 @@ import (
 // at a time when they reach back at least eight bytes. Output goes into
 // a window that keeps the last 32 KiB of history in front of the bytes
 // not yet read; it slides back once they are read and the window is
-// full. A long stored run skips it, straight into the reader's buffer.
+// full.
 //
 // Its errors follow compress/gzip and compress/flate, class by class: a
 // stream that ends early fails with io.ErrUnexpectedEOF once a decode
@@ -92,9 +92,8 @@ const (
 	winFull  = histSize + 64<<10
 	maxMatch = 258
 	winLen   = winFull + maxMatch + 8
-	// inLen is the input window. It holds one 64 KiB source read plus
-	// the few bytes kept from the last one, so a read through a 64 KiB
-	// bufio.Reader goes straight to the file.
+	// inLen is the input window: one 64 KiB read of the file plus the
+	// few bytes kept from the last one.
 	inLen = 64<<10 + fastIn
 	// fastIn is the input the fast loop needs in the window: the 8-byte
 	// load that refills the bit buffer.
@@ -356,9 +355,7 @@ func (d *inflater) Read(p []byte) (int, error) {
 		if d.err != nil {
 			return 0, d.err
 		}
-		if n := d.decode(p); n > 0 {
-			return n, nil
-		}
+		d.decode()
 	}
 	n := copy(p, d.win[d.rpos:d.wpos])
 	d.rpos += n
@@ -366,10 +363,8 @@ func (d *inflater) Read(p []byte) (int, error) {
 }
 
 // decode fills the output window, from wpos up to winFull, or until the
-// input ends or fails. The caller has read all the output before it. A
-// stored block met with the window empty may instead go straight into
-// p: decode then returns how many bytes it put there.
-func (d *inflater) decode(p []byte) int {
+// input ends or fails. The caller has read all the output before it.
+func (d *inflater) decode() {
 	if d.wpos >= winFull {
 		shift := d.wpos - histSize
 		copy(d.win[:histSize], d.win[shift:d.wpos])
@@ -381,11 +376,6 @@ func (d *inflater) decode(p []byte) int {
 		case stateBlock:
 			d.err = d.blockHeader()
 		case stateStored:
-			if d.rpos == d.wpos {
-				if n := d.storedOut(p); n > 0 {
-					return n
-				}
-			}
 			d.err = d.copyStored()
 		case stateHuff:
 			d.err = d.huffman()
@@ -394,7 +384,6 @@ func (d *inflater) decode(p []byte) int {
 		}
 	}
 	d.sum()
-	return 0
 }
 
 // sum brings the member's CRC-32 and size up to the decoded output.
@@ -666,34 +655,6 @@ func (d *inflater) copyStored() error {
 		d.endBlock()
 	}
 	return nil
-}
-
-// storedOut copies the stored block's bytes that the bit buffer and the
-// input window hold straight into p, when they are at least histSize:
-// they skip the output window, which keeps only their last histSize
-// bytes, as the history the next block may reach into. It returns 0,
-// having done nothing, when they are fewer.
-func (d *inflater) storedOut(p []byte) int {
-	k := int(d.nb / 8) // whole bytes in the bit buffer, which come first
-	n := min(len(p), d.stored, k+d.iend-d.ip)
-	if n < histSize {
-		return 0
-	}
-	for i := range k {
-		p[i] = byte(d.take(8))
-	}
-	d.bits = 0
-	d.ip += copy(p[k:n], d.in[d.ip:])
-	d.stored -= n
-	d.crc = crc32.Update(d.crc, crc32.IEEETable, p[:n])
-	d.size += uint32(n)
-	copy(d.win[:histSize], p[n-histSize:n])
-	// The member's output now fills the whole history.
-	d.rpos, d.wpos, d.crcPos, d.hmin = histSize, histSize, histSize, 0
-	if d.stored == 0 {
-		d.endBlock()
-	}
-	return n
 }
 
 // endMember ends the stream, or for gzip checks the member's trailer and

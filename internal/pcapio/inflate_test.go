@@ -188,8 +188,7 @@ func inflateSeeds(t testing.TB) []inflateSeed {
 		add("level"+strconv.Itoa(level), false, deflate(t, level, plain))
 		add("gzip-level"+strconv.Itoa(level), true, gzipped(t, level, plain))
 	}
-	// Stored blocks longer than the history, which a large read takes
-	// straight out of the input window, and output that slides the
+	// Stored blocks longer than the history, and output that slides the
 	// window.
 	long := bytes.Repeat(plain, 2)
 	add("stored-long", false, deflate(t, 0, long))
@@ -518,7 +517,10 @@ func TestOpenCaptureAllocates(t *testing.T) {
 	allocbudget.Check(t, 50, [2]float64{21, 21}, op)
 	// A collection during the count would empty the pools, and the next
 	// open would allocate a 64 KiB buffer the steady state never does.
+	// With one P, the read-ahead goroutine's pool Gets and the reader's
+	// Puts use the same per-P cache, so no Get misses a pooled item.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	op()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

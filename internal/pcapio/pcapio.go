@@ -45,8 +45,9 @@ const bufSize = 1 << 16
 // coder (the gzip.Writer alone carries ~800 KiB of deflate state). The
 // pools below, and inflaterPool for the decoder, recycle them across
 // hours; Reset on the way out of the pool makes reuse indistinguishable
-// from a fresh allocation. A reader takes two bufio.Readers: one under
-// the decoder, one as the decode window over the read-ahead.
+// from a fresh allocation. A reader takes one bufio.Reader, the decode
+// window over the read-ahead; the decoder and the read-ahead read the
+// file itself, in blocks of their own.
 var (
 	bufWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, bufSize) }}
 	bufReaderPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, bufSize) }}
@@ -301,9 +302,8 @@ func OpenHour(dir string, hour time.Time) (*HourReader, error) {
 // works on the packets already returned. Next and Close must not be
 // called concurrently.
 type HourReader struct {
-	f   *os.File
-	fb  *bufio.Reader // file side: sniffed for the gzip magic, feeds inf or ahead
-	inf *inflater     // nil for uncompressed captures
+	src sniffed   // the capture file: feeds inf or ahead
+	inf *inflater // nil for uncompressed captures
 	// ahead is nil until the stream is set up; Close handles every
 	// partly-built state.
 	ahead *readAhead
@@ -320,13 +320,14 @@ func OpenCapture(path string) (*HourReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("open capture: %w", err)
 	}
-	hr := &HourReader{f: f, fb: bufReaderPool.Get().(*bufio.Reader)}
-	hr.fb.Reset(f)
-	var src io.Reader = hr.fb
-	if magic, err := hr.fb.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
+	hr := &HourReader{src: sniffed{f: f}}
+	n, _ := io.ReadFull(f, hr.src.magic[:])
+	hr.src.n = uint8(n)
+	var src io.Reader = &hr.src
+	if hr.src.magic == [2]byte{0x1f, 0x8b} {
 		// Gzip container: the decoder goes between file and read-ahead.
 		hr.inf = inflaterPool.Get().(*inflater)
-		if err := hr.inf.reset(hr.fb, true); err != nil {
+		if err := hr.inf.reset(src, true); err != nil {
 			hr.Close()
 			return nil, fmt.Errorf("open gzip: %w", err)
 		}
@@ -364,12 +365,27 @@ func (hr *HourReader) Close() error {
 		hr.inf.src = nil
 		inflaterPool.Put(hr.inf)
 	}
-	hr.fb.Reset(nil)
-	bufReaderPool.Put(hr.fb)
-	if err := hr.f.Close(); err != nil {
+	if err := hr.src.f.Close(); err != nil {
 		return err
 	}
 	return infErr
+}
+
+// sniffed is a capture file whose first bytes, magic[:n], were read to
+// tell gzip from plain. Read gives them back, then reads the rest.
+type sniffed struct {
+	f      *os.File
+	magic  [2]byte
+	off, n uint8
+}
+
+func (s *sniffed) Read(p []byte) (int, error) {
+	if s.off == s.n {
+		return s.f.Read(p)
+	}
+	k := copy(p, s.magic[s.off:s.n])
+	s.off += uint8(k)
+	return k, nil
 }
 
 // ListHours returns the capture hours available in dir, sorted ascending.

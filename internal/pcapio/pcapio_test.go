@@ -218,6 +218,15 @@ func TestOpenFileErrors(t *testing.T) {
 	if _, err := OpenCapture(path); err == nil {
 		t.Error("want error for non-gzip file")
 	}
+	// Files too short to hold the gzip magic the open sniffs for.
+	for _, short := range []string{"", "\x1f"} {
+		if err := os.WriteFile(path, []byte(short), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenCapture(path); err == nil {
+			t.Errorf("want error for the %d-byte file %q", len(short), short)
+		}
+	}
 	// Gzip magic, then nothing a gzip header could be: refused at open,
 	// by a decompressor that may never have been started.
 	if err := os.WriteFile(path, []byte("\x1f\x8bnot a gzip header"), 0o644); err != nil {
