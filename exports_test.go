@@ -77,19 +77,29 @@ func TestEveryExportHasAShippedCaller(t *testing.T) {
 }
 
 // TestScanExportsFixture runs the scanner on a module with one export
-// only its test calls, one a shipped file calls, and one method that
-// only satisfies fmt.Stringer: it must flag exactly the first.
+// only its test calls, one a shipped file calls, one method that only
+// satisfies fmt.Stringer, and one type only a blank interface assertion
+// names: it must flag the first and the last.
 func TestScanExportsFixture(t *testing.T) {
 	scan, err := scanExports("testdata/exportguard", "internal")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"internal/lib.OnlyTested"}; !reflect.DeepEqual(scan.unused, want) {
+	if want := []string{"internal/lib.Asserted", "internal/lib.OnlyTested"}; !reflect.DeepEqual(scan.unused, want) {
 		t.Errorf("flagged %q, want %q", scan.unused, want)
 	}
-	if scan.declared != 4 {
-		t.Errorf("declared = %d, want 4 (OnlyTested, Shipped, Label, Label.String)", scan.declared)
+	if scan.declared != 6 {
+		t.Errorf("declared = %d, want 6 (OnlyTested, Shipped, Label, Label.String, Asserted, Asserted.String)", scan.declared)
 	}
+}
+
+func allBlank(names []*ast.Ident) bool {
+	for _, id := range names {
+		if id.Name != "_" {
+			return false
+		}
+	}
+	return true
 }
 
 func seamFor(name string) string {
@@ -109,7 +119,8 @@ type exportScan struct {
 // scanExports type-checks the non-test files of the module rooted at root
 // and reports the exported funcs, methods and types declared in packages
 // under the scope directories that no non-test file references. A
-// method's own receiver is no reference, and a method that completes an
+// method's own receiver is no reference, nor is a blank interface
+// assertion (var _ I = (*T)(nil)), and a method that completes an
 // interface declared in the module or in a package it imports counts as
 // called, since it is called through that interface.
 func scanExports(root string, scope ...string) (exportScan, error) {
@@ -139,6 +150,8 @@ func scanExports(root string, scope ...string) (exportScan, error) {
 					ast.Inspect(n.Body, visit)
 				}
 				return false
+			case *ast.ValueSpec: // var _ I = (*T)(nil) asserts; it calls nothing
+				return n.Type == nil || !allBlank(n.Names)
 			case *ast.Ident:
 				mark(info.Uses[n])
 			}

@@ -88,8 +88,8 @@ type Job struct {
 // AnnotateBatch annotates many flows at once: feature extraction,
 // banner labeling, and enrichment fan out across up to workers
 // goroutines (0 = GOMAXPROCS, 1 = the caller's), and flows without a
-// banner label are scored through the classifier's batch path in one
-// call. Record i is exactly what a batch of
+// banner label are then scored by the classifier one after another.
+// Record i is exactly what a batch of
 // jobs[i] alone would produce — the model is read once for the whole
 // batch (retrains never happen mid-flush), every per-record computation
 // is pure, and results land by index — so the parallel feed path stays
@@ -183,40 +183,24 @@ func (a *Annotator) AnnotateBatch(jobs []Job, workers int) ([]feed.Record, []err
 		recs[i] = rec
 	})
 
-	// Model inference for the unlabeled flows, batched through the
-	// flattened forest when available.
+	// Model inference for the flows no banner labeled, each normalized
+	// into one reused buffer.
 	if m != nil {
-		var idx []int
+		var x []float64
 		for i := range jobs {
-			if needModel[i] {
-				idx = append(idx, i)
+			if !needModel[i] {
+				continue
 			}
-		}
-		if len(idx) > 0 {
-			X := make([][]float64, len(idx))
-			backing := make([]float64, len(idx)*features.Dim)
-			for k, i := range idx {
-				dst := backing[k*features.Dim : k*features.Dim : (k+1)*features.Dim]
-				X[k] = m.Normalizer.ApplyInto(dst, jobs[i].Raw)
-			}
-			scores := make([]float64, len(idx))
-			if bc, ok := m.Classifier.(ml.BatchClassifier); ok {
-				scores = bc.PredictProbaBatch(X, scores)
+			x = m.Normalizer.ApplyInto(x, jobs[i].Raw)
+			score := m.Classifier.PredictProba(x)
+			metClassified.With("model").Inc()
+			rec := &recs[i]
+			rec.Score = score
+			rec.LabelSource = feed.SourceModel
+			if score >= 0.5 {
+				rec.Label = feed.LabelIoT
 			} else {
-				for k, x := range X {
-					scores[k] = m.Classifier.PredictProba(x)
-				}
-			}
-			for k, i := range idx {
-				metClassified.With("model").Inc()
-				rec := &recs[i]
-				rec.Score = scores[k]
-				rec.LabelSource = feed.SourceModel
-				if scores[k] >= 0.5 {
-					rec.Label = feed.LabelIoT
-				} else {
-					rec.Label = feed.LabelNonIoT
-				}
+				rec.Label = feed.LabelNonIoT
 			}
 		}
 	}

@@ -146,7 +146,7 @@ func FuzzRecordsQuery(f *testing.F) {
 // has_more and next_cursor) or the /export NDJSON.
 func refSeqBody(snap *feedserve.Snapshot, records map[store.ObjectID]feed.Record, q *Query, after uint64, export bool) []byte {
 	var all []*feedserve.Item
-	for _, it := range snap.ItemsSince(after) {
+	for _, it := range snap.ItemsAfter(after, 0, nil) {
 		if rec := records[it.ID]; q.Matches(&rec) {
 			all = append(all, it)
 		}

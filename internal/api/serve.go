@@ -4,8 +4,9 @@ package api
 // feedserve.Cache is installed, /records and /export serve pre-marshaled
 // bytes from an immutable snapshot (one atomic pointer load, zero locks),
 // with strong ETags, If-None-Match 304s, sequence-cursor pagination, and
-// /events pushing record deltas over SSE. Without a cache the handlers
-// in api.go keep the original store-walking behavior.
+// /events streaming record deltas over SSE from the reader's cursor.
+// Without a cache the handlers in api.go keep the original store-walking
+// behavior.
 
 import (
 	"bufio"
@@ -14,17 +15,12 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"time"
 
 	"exiot/internal/feedserve"
 )
 
 // exportChunk caps the writes of the identity bulk export.
 const exportChunk = 1 << 20
-
-// sseHeartbeat is the idle-connection keepalive cadence on /events:
-// a comment frame that lets both sides detect a dead peer.
-const sseHeartbeat = 15 * time.Second
 
 // snapshotETag derives a strong ETag from a snapshot's content
 // fingerprint fp plus the FNV-1a 64 hash of the request's query string,
@@ -268,8 +264,8 @@ func (s *Server) serveExportFromSnapshot(w http.ResponseWriter, r *http.Request,
 
 // handleEvents streams record deltas as Server-Sent Events. Each frame
 // carries the record's change sequence in the id: field; a reconnecting
-// consumer sends it back as Last-Event-ID (or ?since=<seq>) and replays
-// what it missed from the then-current snapshot before going live.
+// consumer sends it back as Last-Event-ID (or ?since=<seq>), and the
+// stream goes on from that cursor in the current snapshot.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	c := s.feedCache()
 	if c == nil {
@@ -304,42 +300,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 
-	// Replay capture and live registration happen under one cache lock,
-	// so a delta is either in the replay or on the queue — never lost.
-	replay, sub := c.Subscribe(since)
-	defer c.Unsubscribe(sub)
-
 	if _, err := io.WriteString(w, "retry: 2000\n\n"); err != nil {
 		return
 	}
-	for _, ev := range replay {
-		if _, err := w.Write(ev.Frame); err != nil {
-			return
-		}
-	}
-	fl.Flush()
-
-	beat := time.NewTicker(sseHeartbeat)
-	defer beat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-sub.C:
-			if !ok {
-				// Dropped for lagging, or the cache shut down; the client's
-				// EventSource reconnects with Last-Event-ID and replays.
-				return
-			}
-			if _, err := w.Write(ev.Frame); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-beat.C:
-			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	c.Follow(r.Context(), w, fl.Flush, since, nil, nil)
 }

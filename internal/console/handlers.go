@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"exiot/internal/api"
-	"exiot/internal/feedserve"
 	"exiot/internal/telemetry"
 	"exiot/internal/trace"
 )
@@ -130,8 +129,6 @@ type statsFrame struct {
 	Feed    *FeedStatus  `json:"feed,omitempty"`
 }
 
-const sseHeartbeat = 15 * time.Second
-
 // handleEvents streams live console updates over SSE: a "stats" event
 // every tick interval, plus relayed feed "record" frames when a feed
 // cache is wired. Stats frames are console-local (no Last-Event-ID
@@ -149,52 +146,21 @@ func (c *Console) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if _, err := io.WriteString(w, "retry: 2000\n\n"); err != nil {
 		return
 	}
-	fl.Flush()
 
 	metConsoleSSE.Add(1)
 	defer metConsoleSSE.Add(-1)
 
-	// Live-only relay: subscribe at the current snapshot head so the
-	// stream starts with what happens next, not a full replay.
-	var recordC <-chan feedserve.Event
+	// Live-only relay: start at the current snapshot head so the stream
+	// carries what happens next, not a full replay.
+	cursor := uint64(0)
 	if c.cfg.Feed != nil {
-		since := uint64(0)
 		if snap := c.cfg.Feed.Current(); snap != nil {
-			since = snap.LastSeq()
+			cursor = snap.LastSeq()
 		}
-		_, sub := c.cfg.Feed.Subscribe(since)
-		defer c.cfg.Feed.Unsubscribe(sub)
-		recordC = sub.C
 	}
-
 	tick := time.NewTicker(c.tick)
 	defer tick.Stop()
-	beat := time.NewTicker(sseHeartbeat)
-	defer beat.Stop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-recordC:
-			if !ok {
-				return // cache shut down or this client lagged
-			}
-			if _, err := w.Write(ev.Frame); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-tick.C:
-			if err := c.writeStatsFrame(w); err != nil {
-				return
-			}
-			fl.Flush()
-		case <-beat.C:
-			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	c.cfg.Feed.Follow(r.Context(), w, fl.Flush, cursor, tick.C, func() error { return c.writeStatsFrame(w) })
 }
 
 // writeStatsFrame emits one "stats" SSE event with the current headline

@@ -3,19 +3,22 @@
 // from the document store on change. Reads never take a lock — they
 // load the current snapshot pointer and serve pre-marshaled bytes —
 // while a single background rebuilder turns store mutations into fresh
-// snapshots and SSE record deltas for subscribers. A snapshot is a list
-// of blocks of records, and a rebuild shares every block whose records
-// did not change with the previous snapshot, so it allocates what
-// changed. A snapshot's gzip export is built on the first request for
-// it, from the blocks' deflate streams. This is how operational
-// telescope feeds (GreyNoise/DShield-style) serve millions of
-// consumers: snapshots for bulk, sequence-numbered deltas for
-// freshness.
+// snapshots. A snapshot is a list of blocks of records, and a rebuild
+// shares every block whose records did not change with the previous
+// snapshot, so it allocates what changed. A snapshot's gzip export is
+// built on the first request for it, from the blocks' deflate streams.
+// Every read of changes, a cursor page or an event stream alike, walks
+// the newest snapshot's sequence index from the reader's cursor. This
+// is how operational telescope feeds (GreyNoise/DShield-style) serve
+// millions of consumers: snapshots for bulk, sequence-numbered deltas
+// for freshness.
 package feedserve
 
 import (
 	"bytes"
-	"fmt"
+	"context"
+	"io"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,11 +42,9 @@ var (
 	metExportBytes = telemetry.Default().GaugeVec("exiot_feedserve_export_bytes",
 		"Size of the bulk export, by encoding (raw at each rebuild, gzip when a gzip export is built).", "encoding")
 	metSSEClients = telemetry.Default().Gauge("exiot_feedserve_sse_clients",
-		"Currently connected SSE delta subscribers.")
+		"Open record event streams.")
 	metSSEEvents = telemetry.Default().Counter("exiot_feedserve_sse_events_total",
-		"Record-delta events delivered to SSE subscriber queues.")
-	metSSEDropped = telemetry.Default().Counter("exiot_feedserve_sse_dropped_total",
-		"SSE subscribers disconnected for not draining their event queue.")
+		"Record frames written to event streams.")
 )
 
 // Config parameterizes the cache.
@@ -57,25 +58,13 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// subscriberBuffer bounds each SSE subscriber's undelivered-event queue;
-// a consumer that falls further behind is disconnected and expected to
-// reconnect with Last-Event-ID.
-const subscriberBuffer = 256
+// streamPage is how many records an event stream takes from a snapshot
+// at a time: see DESIGN.md "Settings".
+const streamPage = 256
 
-// Event is one record delta for SSE push: the record's change sequence
-// plus the fully rendered text/event-stream frame.
-type Event struct {
-	Seq   uint64
-	Frame []byte
-}
-
-// Subscriber is one SSE consumer's delivery queue. Read events from C;
-// the channel closes when the cache shuts down or the subscriber is
-// dropped for lagging.
-type Subscriber struct {
-	C  <-chan Event
-	ch chan Event
-}
+// heartbeat is the keepalive cadence of an idle event stream: a comment
+// frame that lets both sides detect a dead peer.
+const heartbeat = 15 * time.Second
 
 // Cache maintains the feed's read snapshot over a historical-database
 // collection. The read path (Current) is one atomic pointer load; the
@@ -85,19 +74,21 @@ type Cache struct {
 	coll *store.Collection[feed.Record]
 	cfg  Config
 
-	snap  atomic.Pointer[Snapshot]
-	dirty atomic.Bool
-	wake  chan struct{}
-	done  chan struct{}
-	once  sync.Once
+	snap atomic.Pointer[Snapshot]
+	// published is closed once the snapshot after the current one is
+	// published, and then replaced: event streams wait on it.
+	published atomic.Pointer[chan struct{}]
+	dirty     atomic.Bool
+	wake      chan struct{}
+	done      chan struct{}
+	once      sync.Once
 
-	// mu serializes rebuilds (single-flight) and guards the subscriber
-	// set; it is never taken on the snapshot read path.
+	// mu serializes rebuilds (single-flight) and guards the hooks; no
+	// read of a snapshot, an event stream's included, takes it.
 	mu          sync.Mutex
 	lastSeq     uint64
 	lastRebuild time.Time
 	build       *builder
-	subs        map[*Subscriber]struct{}
 	onRebuild   []func(*Snapshot)
 }
 
@@ -118,8 +109,9 @@ func New(coll *store.Collection[feed.Record], cfg Config) *Cache {
 		wake:  make(chan struct{}, 1),
 		done:  make(chan struct{}),
 		build: newBuilder(),
-		subs:  make(map[*Subscriber]struct{}),
 	}
+	next := make(chan struct{})
+	c.published.Store(&next)
 	// The hook runs under the store's lock: just flip the flag and nudge
 	// the rebuilder — never call back into the store from here.
 	coll.AddHook(func(store.Mutation) { c.Invalidate() })
@@ -169,25 +161,18 @@ func (c *Cache) Start() {
 	}()
 }
 
-// Close stops the rebuild loop and disconnects every subscriber.
+// Close stops the rebuild loop. Each event stream ends once it has
+// written the snapshot current then.
 func (c *Cache) Close() {
-	c.once.Do(func() {
-		close(c.done)
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for sub := range c.subs {
-			close(sub.ch)
-			delete(c.subs, sub)
-		}
-		metSSEClients.Set(0)
-	})
+	c.once.Do(func() { close(c.done) })
 }
 
 // OnRebuild registers fn to run after every successful snapshot swap
 // with the new snapshot. Hooks run outside the cache's rebuild lock (a
-// hook may subscribe or trigger another rebuild without deadlocking) on
-// the rebuilding goroutine, so a slow hook delays subsequent rebuilds
-// but never the snapshot read path. Register hooks before Start.
+// hook may call back into the cache or trigger another rebuild without
+// deadlocking) on the rebuilding goroutine, so a slow hook delays
+// subsequent rebuilds but never the snapshot read path. Register hooks
+// before Start.
 func (c *Cache) OnRebuild(fn func(*Snapshot)) {
 	c.mu.Lock()
 	c.onRebuild = append(c.onRebuild, fn)
@@ -195,9 +180,9 @@ func (c *Cache) OnRebuild(fn func(*Snapshot)) {
 }
 
 // Rebuild synchronously exports the collection, builds a fresh
-// snapshot, swaps it in, broadcasts the delta to SSE subscribers, and
-// fires the OnRebuild hooks. Returns the new snapshot. Concurrent
-// callers are serialized.
+// snapshot, swaps it in, wakes the event streams, and fires the
+// OnRebuild hooks. Returns the new snapshot. Concurrent callers are
+// serialized.
 func (c *Cache) Rebuild() *Snapshot {
 	snap, hooks := c.rebuild()
 	if snap != nil {
@@ -217,10 +202,6 @@ func (c *Cache) rebuild() (*Snapshot, []func(*Snapshot)) {
 	// pass picks it up.
 	c.dirty.Store(false)
 	prev := c.snap.Load()
-	prevLast := uint64(0)
-	if prev != nil {
-		prevLast = prev.LastSeq()
-	}
 	docs := c.coll.ExportChanged(c.build.see)
 	snap, err := c.build.build(prev, docs, &c.lastSeq, c.cfg.Clock())
 	if err != nil {
@@ -230,6 +211,8 @@ func (c *Cache) rebuild() (*Snapshot, []func(*Snapshot)) {
 		return prev, nil
 	}
 	c.snap.Store(snap)
+	next := make(chan struct{})
+	close(*c.published.Swap(&next))
 	c.lastRebuild = time.Now()
 
 	layerFeedserve.Add(c.lastRebuild.Sub(start), snap.Len())
@@ -237,96 +220,87 @@ func (c *Cache) rebuild() (*Snapshot, []func(*Snapshot)) {
 	metSnapSeq.Set(float64(snap.LastSeq()))
 	metSnapBuilt.Set(float64(snap.BuiltAt().Unix()))
 	metExportBytes.With("raw").Set(float64(snap.Size()))
-
-	if len(c.subs) > 0 {
-		c.broadcastLocked(snap, prevLast)
-	}
 	return snap, c.onRebuild
 }
 
-// broadcastLocked pushes every item newer than prevLast to each
-// subscriber. Caller holds c.mu. A subscriber whose queue is full is
-// dropped (channel closed) — SSE consumers reconnect with Last-Event-ID
-// and replay what they missed from the then-current snapshot.
-func (c *Cache) broadcastLocked(snap *Snapshot, prevLast uint64) {
-	fresh := snap.ItemsSince(prevLast)
-	if len(fresh) == 0 {
-		return
-	}
-	events := make([]Event, len(fresh))
-	for i, it := range fresh {
-		events[i] = Event{Seq: it.Seq, Frame: frame(it.Seq, it.Line)}
-	}
-	for sub := range c.subs {
-		if !trySend(sub.ch, events) {
-			close(sub.ch)
-			delete(c.subs, sub)
-			metSSEClients.Add(-1)
-			metSSEDropped.Inc()
-		}
-	}
-}
-
-// trySend queues events without blocking; false means the queue filled.
-func trySend(ch chan Event, events []Event) bool {
-	for _, ev := range events {
-		select {
-		case ch <- ev:
-			metSSEEvents.Inc()
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-// Subscribe registers an SSE consumer resuming after change-sequence
-// `since` (0 = everything). It returns the replay — every record the
-// current snapshot holds beyond the cursor, already framed — plus the
-// live queue for deltas broadcast after this call. Registration and
-// replay capture happen under one lock acquisition, so no rebuild can
-// slip between them: an event is either in the replay or on the queue.
-func (c *Cache) Subscribe(since uint64) ([]Event, *Subscriber) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var replay []Event
-	if snap := c.snap.Load(); snap != nil {
-		for _, it := range snap.ItemsSince(since) {
-			replay = append(replay, Event{Seq: it.Seq, Frame: frame(it.Seq, it.Line)})
-		}
-	}
-	ch := make(chan Event, subscriberBuffer)
-	sub := &Subscriber{C: ch, ch: ch}
-	select {
-	case <-c.done:
-		// Cache already closed: hand back a closed queue so the consumer
-		// terminates immediately after the replay.
-		close(ch)
-	default:
-		c.subs[sub] = struct{}{}
+// Follow writes the feed to w as server-sent "record" events, one per
+// record after change sequence cursor, in sequence order: first from
+// the current snapshot, then from each snapshot published after it,
+// flushing after each. Its id field carries the record's sequence, which
+// a reconnecting consumer sends back as its cursor. A record that
+// changed more than once since the stream last caught up is written
+// once, at its latest sequence. An idle stream writes a keepalive comment
+// every heartbeat, and calls onTick whenever tick fires (a nil tick
+// never does). Follow returns when ctx ends or a write fails, and once
+// it has written the snapshot current when the cache closes. A nil cache
+// follows no feed: its stream carries ticks and keepalives only.
+//
+// Follow takes no lock: a stream holds one page of one snapshot, never
+// a queue or a copy of the feed.
+func (c *Cache) Follow(ctx context.Context, w io.Writer, flush func(), cursor uint64, tick <-chan time.Time, onTick func() error) {
+	var published, done <-chan struct{}
+	if c != nil {
+		done = c.done
 		metSSEClients.Add(1)
+		defer metSSEClients.Add(-1)
 	}
-	return replay, sub
+	beat := time.NewTicker(heartbeat)
+	defer beat.Stop()
+	var buf []byte
+	for closing := false; ; {
+		var err error
+		if c != nil {
+			// The signal before the snapshot: a snapshot published
+			// between the two loads wakes the stream again.
+			published = *c.published.Load()
+			if cursor, buf, err = c.writeAfter(w, cursor, buf); err != nil {
+				return
+			}
+		}
+		flush()
+		if closing {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-done:
+			closing = true
+		case <-published:
+		case <-beat.C:
+			_, err = io.WriteString(w, ": keepalive\n\n")
+		case <-tick:
+			err = onTick()
+		}
+		if err != nil {
+			return
+		}
+	}
 }
 
-// Unsubscribe removes a subscriber registered with Subscribe. Safe to
-// call after the subscriber was already dropped or the cache closed.
-func (c *Cache) Unsubscribe(sub *Subscriber) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.subs[sub]; ok {
-		delete(c.subs, sub)
-		metSSEClients.Add(-1)
+// writeAfter writes one event frame to w for each record after cursor
+// in the current snapshot, a page at a time with the snapshot loaded
+// afresh for each page, and returns the sequence of the last one
+// written. buf holds one frame; it is returned grown for the next call.
+func (c *Cache) writeAfter(w io.Writer, cursor uint64, buf []byte) (uint64, []byte, error) {
+	for {
+		snap := c.Current()
+		if snap == nil {
+			return cursor, buf, nil
+		}
+		page := snap.ItemsAfter(cursor, streamPage, nil)
+		for _, it := range page {
+			buf = strconv.AppendUint(append(buf[:0], "id: "...), it.Seq, 10)
+			buf = append(buf, "\nevent: record\ndata: "...)
+			buf = append(append(buf, bytes.TrimRight(it.Line, "\n")...), "\n\n"...)
+			if _, err := w.Write(buf); err != nil {
+				return cursor, buf, err
+			}
+			cursor = it.Seq
+			metSSEEvents.Inc()
+		}
+		if len(page) < streamPage {
+			return cursor, buf, nil
+		}
 	}
-}
-
-// frame renders one record delta as a text/event-stream frame. The id
-// field carries the change sequence so reconnecting consumers resume
-// with Last-Event-ID.
-func frame(seq uint64, line []byte) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "id: %d\nevent: record\ndata: ", seq)
-	b.Write(bytes.TrimRight(line, "\n"))
-	b.WriteString("\n\n")
-	return b.Bytes()
 }

@@ -331,13 +331,6 @@ func cutAfter(id store.ObjectID) bool {
 	return h%blockCut == 0
 }
 
-// ItemsSince returns pointers to every item with Seq > since, in
-// ascending Seq order — the delta a consumer at cursor `since` has not
-// seen yet.
-func (s *Snapshot) ItemsSince(since uint64) []*Item {
-	return s.ItemsAfter(since, 0, nil)
-}
-
 // ItemsAfter returns pointers to the first n items with Seq > after
 // whose key satisfies match, in ascending Seq order. A nil match takes
 // every item, and n <= 0 takes every match. The walk starts at the

@@ -71,15 +71,6 @@ type Classifier interface {
 	PredictProba(x []float64) float64
 }
 
-// BatchClassifier additionally scores many samples in one call, writing
-// into out (grown when too small). Row i of the result must equal
-// PredictProba(X[i]) exactly — batch inference is a throughput
-// optimization, never a semantic change.
-type BatchClassifier interface {
-	Classifier
-	PredictProbaBatch(X [][]float64, out []float64) []float64
-}
-
 // Predict thresholds a classifier's score at 0.5.
 func Predict(c Classifier, x []float64) int {
 	if c.PredictProba(x) >= 0.5 {

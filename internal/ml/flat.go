@@ -24,8 +24,6 @@ type FlatForest struct {
 	Roots []int32    `json:"roots"`
 }
 
-var _ BatchClassifier = (*FlatForest)(nil)
-
 // Flatten packs the forest's trees into a FlatForest arena. Each tree is
 // re-laid-out so that every interior node's two children occupy adjacent
 // arena slots (left at Left, right at Left+1) — sibling subtrees the walk
@@ -97,19 +95,4 @@ func (ff *FlatForest) PredictProba(x []float64) float64 {
 		sum += ff.predictTree(root, x)
 	}
 	return sum / float64(len(ff.Roots))
-}
-
-// PredictProbaBatch scores many vectors, writing into out (grown when too
-// small) and returning it. Each row's score is exactly PredictProba(row);
-// the batch form exists so the hot path can score a whole scan batch
-// without per-flow call overhead or allocations.
-func (ff *FlatForest) PredictProbaBatch(X [][]float64, out []float64) []float64 {
-	if cap(out) < len(X) {
-		out = make([]float64, len(X))
-	}
-	out = out[:len(X)]
-	for i, x := range X {
-		out[i] = ff.PredictProba(x)
-	}
-	return out
 }

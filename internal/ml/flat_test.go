@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -48,31 +49,30 @@ func TestFlattenPredictionsIdentical(t *testing.T) {
 	}
 }
 
-// TestPredictProbaBatchMatchesSingle proves batch inference is exactly
-// the per-row scores, and that a preallocated out slice is reused.
-func TestPredictProbaBatchMatchesSingle(t *testing.T) {
+// TestFlatForestConcurrentPredict scores every row from four goroutines
+// at once: the arena is read-only, so each score equals the serial one,
+// and -race sees no write.
+func TestFlatForestConcurrentPredict(t *testing.T) {
 	forest, ds := flatTestForest(t, 30)
 	flat := forest.Flatten()
-
-	out := make([]float64, 0, len(ds.X))
-	got := flat.PredictProbaBatch(ds.X, out)
-	if len(got) != len(ds.X) {
-		t.Fatalf("batch returned %d scores for %d rows", len(got), len(ds.X))
-	}
-	if &got[0] != &out[:1][0] {
-		t.Error("batch did not reuse the preallocated out slice")
-	}
+	want := make([]float64, len(ds.X))
 	for i, x := range ds.X {
-		if want := flat.PredictProba(x); got[i] != want {
-			t.Fatalf("row %d: batch %v != single %v", i, got[i], want)
-		}
+		want[i] = flat.PredictProba(x)
 	}
-
-	// A short out slice must be grown, not panic.
-	grown := flat.PredictProbaBatch(ds.X[:5], nil)
-	if len(grown) != 5 {
-		t.Fatalf("grown batch has %d rows, want 5", len(grown))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, x := range ds.X {
+				if got := flat.PredictProba(x); got != want[i] {
+					t.Errorf("row %d: concurrent %v != serial %v", i, got, want[i])
+					return
+				}
+			}
+		}()
 	}
+	wg.Wait()
 }
 
 // TestFlatForestPredictZeroAlloc is the allocation-regression guard for
@@ -87,11 +87,13 @@ func TestFlatForestPredictZeroAlloc(t *testing.T) {
 		t.Errorf("FlatForest.PredictProba allocates %.1f objects/op, want 0", allocs)
 	}
 
-	out := make([]float64, len(ds.X))
+	// A batch's worth of rows, as annotate scores them.
 	if allocs := testing.AllocsPerRun(20, func() {
-		flat.PredictProbaBatch(ds.X, out)
+		for _, x := range ds.X {
+			flat.PredictProba(x)
+		}
 	}); allocs != 0 {
-		t.Errorf("FlatForest.PredictProbaBatch allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("FlatForest.PredictProba over %d rows allocates %.1f objects/op, want 0", len(ds.X), allocs)
 	}
 }
 
@@ -104,10 +106,9 @@ func TestFlattenEmptyForest(t *testing.T) {
 }
 
 // BenchmarkForestLayout compares the pointer-tree forest against its
-// flattened node-arena form (and the arena's batch entry point) on
-// identical inputs — the layout ablation behind the classify hot path.
-// Scores are bit-identical across all three; only locality and
-// allocation behaviour differ.
+// flattened node-arena form on identical inputs — the layout ablation
+// behind the classify hot path. Scores are bit-identical across both;
+// only locality and allocation behaviour differ.
 func BenchmarkForestLayout(b *testing.B) {
 	// A noisy, overlapping dataset: trees grow deep (hundreds of nodes),
 	// which is where node size and arena locality decide the walk cost —
@@ -144,17 +145,5 @@ func BenchmarkForestLayout(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			flat.PredictProba(ds.X[i%len(ds.X)])
 		}
-	})
-	b.Run("flat-batch", func(b *testing.B) {
-		rows := ds.X[:256]
-		out := make([]float64, len(rows))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			flat.PredictProbaBatch(rows, out)
-		}
-		// Normalize to per-row cost so the three sub-benches compare
-		// directly.
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
 	})
 }

@@ -3,13 +3,15 @@
 // address, and are alerted the moment a compromised device surfaces
 // inside it; (2) WHOIS-driven notifications — the abuse contact from the
 // hosting organization's WHOIS record is notified about infected IoT
-// devices in its space. Delivery is pluggable: production wires an SMTP
-// mailer, tests and simulations use the in-memory mailer.
+// devices in its space. Delivery goes through a Mailer; exiotd, the
+// simulations and the tests use the in-memory mailer, and no network
+// transport ships (see DESIGN.md, "Notification delivery").
 package notify
 
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -95,15 +97,22 @@ func New(cfg Config, mailer Mailer) *Notifier {
 	return &Notifier{cfg: cfg, mailer: mailer, lastSent: make(map[string]time.Time)}
 }
 
-// Subscribe registers an IP-block alarm.
+// Subscribe registers an IP-block alarm. Registering the same prefix
+// and address again changes nothing.
 func (n *Notifier) Subscribe(prefix packet.Prefix, email string) {
+	sub := Subscription{Prefix: prefix, Email: email}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.subs = append(n.subs, Subscription{Prefix: prefix, Email: email})
+	if !slices.Contains(n.subs, sub) {
+		n.subs = append(n.subs, sub)
+	}
 }
 
 // Process inspects one record and sends due notifications, returning how
-// many e-mails went out. now is the (simulated) clock.
+// many e-mails went out. now is the (simulated) clock. It walks the
+// subscriptions and marks what is due under one hold of the lock, and
+// sends after releasing it: a record no subscription matches allocates
+// nothing.
 func (n *Notifier) Process(rec *feed.Record, now time.Time) int {
 	if !rec.IsIoT() || rec.Benign {
 		return 0
@@ -113,30 +122,28 @@ func (n *Notifier) Process(rec *feed.Record, now time.Time) int {
 		return 0
 	}
 
-	sent := 0
+	var due []string // the matching subscriptions' addresses
 	n.mu.Lock()
-	subs := make([]Subscription, len(n.subs))
-	copy(subs, n.subs)
-	n.mu.Unlock()
-
-	for _, sub := range subs {
-		if !sub.Prefix.Contains(ip) {
-			continue
-		}
-		if n.dueAndMark("sub:"+sub.Email+":"+rec.IP, now) {
-			if err := n.mailer.Send(sub.Email, subjectFor(rec), bodyFor(rec)); err == nil {
-				metEmails.With("subscription").Inc()
-				sent++
-			}
+	for _, sub := range n.subs {
+		if sub.Prefix.Contains(ip) && n.dueLocked("sub:"+sub.Email+":"+rec.IP, now) {
+			due = append(due, sub.Email)
 		}
 	}
+	whois := n.cfg.NotifyWhois && rec.AbuseEmail != "" &&
+		n.dueLocked("whois:"+rec.AbuseEmail+":"+rec.IP, now)
+	n.mu.Unlock()
 
-	if n.cfg.NotifyWhois && rec.AbuseEmail != "" {
-		if n.dueAndMark("whois:"+rec.AbuseEmail+":"+rec.IP, now) {
-			if err := n.mailer.Send(rec.AbuseEmail, subjectFor(rec), bodyFor(rec)); err == nil {
-				metEmails.With("whois").Inc()
-				sent++
-			}
+	sent := 0
+	for _, to := range due {
+		if err := n.mailer.Send(to, subjectFor(rec), bodyFor(rec)); err == nil {
+			metEmails.With("subscription").Inc()
+			sent++
+		}
+	}
+	if whois {
+		if err := n.mailer.Send(rec.AbuseEmail, subjectFor(rec), bodyFor(rec)); err == nil {
+			metEmails.With("whois").Inc()
+			sent++
 		}
 	}
 	return sent
@@ -159,10 +166,9 @@ func (n *Notifier) Retire(now time.Time) {
 	})
 }
 
-// dueAndMark checks the dedup window and marks the key as notified.
-func (n *Notifier) dueAndMark(key string, now time.Time) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// dueLocked checks the dedup window and marks the key as notified.
+// Caller holds n.mu.
+func (n *Notifier) dueLocked(key string, now time.Time) bool {
 	if last, ok := n.lastSent[key]; ok && now.Sub(last) < n.cfg.RenotifyAfter {
 		return false
 	}

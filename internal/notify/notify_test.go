@@ -1,10 +1,12 @@
 package notify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"exiot/internal/allocbudget"
 	"exiot/internal/feed"
 	"exiot/internal/packet"
 )
@@ -120,5 +122,59 @@ func TestMultipleSubscribers(t *testing.T) {
 	}
 	if len(n.subs) != 2 {
 		t.Errorf("subscriptions = %d", len(n.subs))
+	}
+}
+
+// TestDuplicateSubscriptionIsOne registers one prefix and address twice:
+// the state holds one subscription, and each matching record sends one
+// e-mail to the address.
+func TestDuplicateSubscriptionIsOne(t *testing.T) {
+	mailer := &MemoryMailer{}
+	n := New(Config{}, mailer)
+	block := packet.MustParsePrefix("198.51.100.0/24")
+	n.Subscribe(block, "soc@example.org")
+	n.Subscribe(block, "soc@example.org")
+	n.Subscribe(block, "noc@example.org") // another address is another alarm
+	if subs := n.ExportState().Subscriptions; len(subs) != 2 {
+		t.Fatalf("state holds %d subscriptions, want 2: %+v", len(subs), subs)
+	}
+	for _, ip := range []string{"198.51.100.7", "198.51.100.8"} {
+		rec := iotRecord(ip)
+		if sent := n.Process(&rec, t0); sent != 2 {
+			t.Errorf("%s: sent %d e-mails, want 2", ip, sent)
+		}
+	}
+	soc := 0
+	for _, m := range mailer.Messages() {
+		if m.To == "soc@example.org" {
+			soc++
+		}
+	}
+	if soc != 2 {
+		t.Errorf("soc@example.org got %d e-mails for 2 records, want 2", soc)
+	}
+}
+
+// TestProcessUnmatchedAllocatesNothing gates the back half's cost per
+// IoT record: with WHOIS notifications off, a record no subscription
+// matches allocates nothing, at 0 and at 1k subscriptions. It skips
+// under -race, where allocation counts mean nothing.
+func TestProcessUnmatchedAllocatesNothing(t *testing.T) {
+	allocbudget.SkipUnderRace(t)
+	rec := iotRecord("198.51.100.77")
+	for _, subs := range []int{0, 1000} {
+		n := New(Config{}, &MemoryMailer{})
+		for i := 0; i < subs; i++ {
+			n.Subscribe(packet.MakePrefix(packet.MakeIP(10, byte(i>>8), byte(i), 0), 24), fmt.Sprintf("soc%d@example.org", i))
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if n.Process(&rec, t0) != 0 {
+				t.Fatal("a record outside every block was notified")
+			}
+		})
+		t.Logf("%d subscriptions: %.0f allocs per Process", subs, got)
+		if got != 0 {
+			t.Errorf("%d subscriptions: Process allocates %.0f times a record, want 0", subs, got)
+		}
 	}
 }

@@ -39,14 +39,16 @@ func (ip IP) String() string {
 	return sb.String()
 }
 
-// ParseIP parses a dotted-quad IPv4 address.
+// ParseIP parses a dotted-quad IPv4 address. It allocates only for an
+// error.
 func ParseIP(s string) (IP, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("parse ip %q: want 4 octets, got %d", s, len(parts))
+	if n := strings.Count(s, ".") + 1; n != 4 {
+		return 0, fmt.Errorf("parse ip %q: want 4 octets, got %d", s, n)
 	}
 	var ip uint32
-	for _, p := range parts {
+	for rest, more := s, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ".")
 		v, err := strconv.ParseUint(p, 10, 8)
 		if err != nil {
 			return 0, fmt.Errorf("parse ip %q: %w", s, err)
